@@ -5,14 +5,13 @@ flow solver, and the ball-exhaustion existence scheme."""
 from .geometry import (AmbientFrameData, GeometryError, ModelGeometry,
                        ProfileSpec, TableFormatError, ValidationError,
                        ambient_frame, constant_profile, cosh_profile,
-                       euclidean_model, euclidean_profile, eval_A, eval_H,
-                       eval_Hcyl, eval_V, eval_zeta, hyperbolic_model,
+                       euclidean_model, euclidean_profile, hyperbolic_model,
                        hyperbolic_profile, lower_ricci_bounds, make_model,
                        table_profile_from_csv)
 from .cmc import (CmcError, CmcProfile, eval_vR, eval_vR_prime,
                   integrate_profile_ode, residual_cmc, solve_vR)
-from .barriers import (BarrierError, BoundaryBarrier, EstimateConstants,
-                       GeodesicSpec, GradientBoundReport, ScBarrier,
+from .barriers import (BarrierError, BoundaryBarrier, GeodesicSpec,
+                       GradientBoundReport, ScBarrier,
                        SupersolutionFlow, c0_height_cap, compute_E_R,
                        compute_delta_psi, curvature_bound, eval_u_plus,
                        height_bounds, interior_gradient_bound,

@@ -17,16 +17,15 @@ bound constants so runs can be checked against them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .cmc import eval_vR, eval_vR_prime, sample_vR
-from .geometry import (GeometryError, ModelGeometry, R_MIN,
-                       _CumulativeIntegral)
-from .quadrature import adaptive_simpson
+from .cmc import eval_vR, sample_vR
+from .geometry import ModelGeometry, R_MIN, _CumulativeIntegral
+from .kernel import coefficients
 
 
 class BarrierError(ValueError):
@@ -181,7 +180,6 @@ class BoundaryBarrier:
     L: float
     d0: float
     A_coef: float
-    u0_ext: Callable | None = None
 
     def h(self, d: float) -> float:
         return math.log1p(self.A_coef * d) / self.L
@@ -196,14 +194,12 @@ class BoundaryBarrier:
         return sup_grad_u0_ext + self.h_prime(0.0)
 
 
-def make_boundary_barrier(L: float, d0: float,
-                          u0_ext: Callable | None = None) -> BoundaryBarrier:
+def make_boundary_barrier(L: float, d0: float) -> BoundaryBarrier:
     if L <= 0:
         raise BarrierError("L must be positive")
     if not 0.0 < d0 < 1.0 / L:
         raise BarrierError(f"need 0 < d0 < 1/L = {1.0 / L}, got d0={d0}")
-    return BoundaryBarrier(L=L, d0=d0, A_coef=L / (1.0 - L * d0),
-                           u0_ext=u0_ext)
+    return BoundaryBarrier(L=L, d0=d0, A_coef=L / (1.0 - L * d0))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +335,8 @@ def pointwise_Q(model: ModelGeometry, func: Callable[[float, float], float],
 
     Local polar coordinates of the base with metric dr^2 + xi^2 dtheta^2;
     second-order centered stencils of width h.  Used for spot checks of
-    smooth analytic fields (barriers), independent of the grid solver.
+    smooth analytic fields (barriers); it shares the coefficient kernel
+    with the grid solver but not its stencil or grid.
     """
     if r <= 2 * h:
         raise BarrierError("pointwise_Q needs r away from the pole")
@@ -354,22 +351,8 @@ def pointwise_Q(model: ModelGeometry, func: Callable[[float, float], float],
     utt = (ft1 - 2 * f0 + ft0) / (h * h)
     urt = (func(r + h, theta + h) - func(r + h, theta - h)
            - func(r - h, theta + h) + func(r - h, theta - h)) / (4 * h * h)
-    xi = float(model.xi.value(r))
-    xi1 = float(model.xi.d1(r))
-    rho = float(model.rho.value(r))
-    lrho = float(model.log_rho_d1(r))
-    # covariant Hessian components
-    h_rr = urr
-    h_rt = urt - (xi1 / xi) * ut
-    h_tt = utt + xi * xi1 * ur
-    inv_xi2 = 1.0 / (xi * xi)
-    grad2 = ur * ur + ut * ut * inv_xi2
-    W2 = 1.0 / (rho * rho) + grad2
-    lap = h_rr + inv_xi2 * h_tt
-    # u^i u^j u_{;ij} with indices raised by the diagonal metric
-    uij = (ur * ur * h_rr + 2.0 * ur * (ut * inv_xi2) * h_rt
-           + (ut * inv_xi2) ** 2 * h_tt)
-    return (lap - uij / W2) + (1.0 + 1.0 / (rho * rho * W2)) * lrho * ur
+    arr, art, att, br, bt = coefficients(model, r, ur, ut)
+    return float(arr * urr + 2.0 * art * urt + att * utt + br * ur + bt * ut)
 
 
 # ---------------------------------------------------------------------------
@@ -466,21 +449,3 @@ def curvature_bound(delta_psi: float, L1: float, C_sim: float,
         raise BarrierError("constants must be nonnegative")
     inner = 1.0 + L1 + C_sim_tilde + C_sim + E_R / zeta_R ** 2 + 1.0 / (2 * T)
     return 4.0 / math.sqrt(delta_psi) * math.sqrt(inner)
-
-
-@dataclass(frozen=True)
-class EstimateConstants:
-    """Bundle of every estimate constant for one run configuration."""
-
-    beta: float
-    delta: float
-    delta_prime: float
-    mu_const: float
-    C0: float
-    gamma: float
-    delta_psi: float
-    E_R: float
-    curvature: float
-    c0_cap: float
-    C_sim: float
-    C_sim_tilde: float

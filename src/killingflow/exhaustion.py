@@ -14,9 +14,7 @@ reported as measured, with no convergence-rate claim.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -203,35 +201,25 @@ def run_exhaustion(plan: ExhaustionPlan, phi: Callable,
     """Solve the ladder and report Cauchy differences on the common
     cylinder.  Deterministic: identical plans produce identical reports.
 
-    Rungs run sequentially unless KILLINGFLOW_THREADS allows more workers;
-    the report is assembled by rung index either way.
+    Rungs are solved in ladder order, and the ladder stops early once the
+    Cauchy difference is already below tolerance, skipping the remaining
+    (most expensive) rungs.
     """
     model = plan.model
     u0 = u0_radial_ext or pole_mollified_extension(phi)
-    threads = int(os.environ.get("KILLINGFLOW_THREADS", "1") or "1")
-    rungs = list(plan.ladder)
     r_obs = np.linspace(0.0, plan.r0, plan.n_obs_r)
     theta_obs = Grid(R=1.0, nr=8, ntheta=plan.ntheta).theta
-    if threads > 1:
-        # rungs are independent; solve them concurrently, assemble by index
-        with ThreadPoolExecutor(max_workers=min(threads, len(rungs))) as ex:
-            trajectories = list(ex.map(
-                lambda R: _solve_rung(plan, R, phi, u0), rungs))
-        observed = [_observe(tr, r_obs, theta_obs) for tr in trajectories]
-    else:
-        # sequential mode stops as soon as the Cauchy difference is already
-        # below tolerance, skipping the remaining (most expensive) rungs
-        trajectories = []
-        observed = []
-        for R in rungs:
-            trajectories.append(_solve_rung(plan, R, phi, u0))
-            observed.append(_observe(trajectories[-1], r_obs, theta_obs))
-            if len(observed) > 1:
-                d = float(np.max(np.abs(observed[-1] - observed[-2])))
-                budget = max(tr.grid.hr for tr in trajectories) ** 4
-                if d < plan.tol - budget:
-                    break
-        rungs = rungs[:len(trajectories)]
+    trajectories = []
+    observed = []
+    for R in plan.ladder:
+        trajectories.append(_solve_rung(plan, R, phi, u0))
+        observed.append(_observe(trajectories[-1], r_obs, theta_obs))
+        if len(observed) > 1:
+            d = float(np.max(np.abs(observed[-1] - observed[-2])))
+            budget = max(tr.grid.hr for tr in trajectories) ** 4
+            if d < plan.tol - budget:
+                break
+    rungs = plan.ladder[:len(trajectories)]
 
     # bicubic transfer error budget: h^4-scale bound from the coarsest rung,
     # subtracted from the tolerance in the verdict

@@ -7,35 +7,43 @@ ball satisfies the quasilinear equation du/dt = Q[u] with
            + (1 + 1/(rho^2 W^2)) (log rho)' u_r,
 
 written in polar coordinates of the base with metric dr^2 + xi^2 dtheta^2.
-The covariant Hessian uses the base Christoffels G^r_tt = -xi xi' and
-G^t_rt = xi'/xi.  The chart is singular at the pole; there the operator is
-evaluated through the Fourier modes of the first grid ring, which
-reconstruct the local Cartesian gradient and Hessian of u.
+One kernel, ``kernel.coefficients``, turns the slopes into the operator's
+coefficients (a^rr, a^rt, a^tt, b^r, b^t); everything here consumes it in
+one of two ways:
 
-Time stepping is semi-implicit by default (coefficients lagged one step,
-sparse direct solve); explicit Euler is kept as a debugging fallback with
-a hard CFL guard.
+* applied to centred differences of u, for ``discretize_Q``, ``radial_Q``
+  and the explicit Euler step (a debugging fallback with a hard CFL guard);
+* assembled, with the coefficients lagged one step, into the system
+  I - dt L(u) of the default semi-implicit step.  The 2-D matrix is built
+  in one vectorised call on a stencil index pattern fixed by the grid and
+  solved by a sparse direct solve; the radial system is tridiagonal and
+  goes to a banded solver.
 
-The same machinery specializes to radial data, where the base dimension n
-is arbitrary and everything is one-dimensional.
+The chart is singular at the pole; there the operator is evaluated through
+the Fourier modes of the first grid ring, which reconstruct the local
+Cartesian gradient and Hessian of u.  Radial fields (ntheta = 1) may live
+in any base dimension n = model.n; the 2-D grid represents n = 2 only.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 from . import barriers
-from .geometry import GeometryError, ModelGeometry, R_MIN, ambient_frame
+from .geometry import ModelGeometry, R_MIN, ambient_frame
+from .kernel import coefficients, pole_coefficients
 
 
 class FlowError(RuntimeError):
@@ -134,7 +142,6 @@ class StepControl:
     scheme: str = "semi-implicit"
     cfl: float = 0.5
     dt_max: float = 1e-3
-    tol_lin: float = 1e-10
 
     def __post_init__(self):
         if self.scheme not in ("semi-implicit", "explicit-euler"):
@@ -221,31 +228,24 @@ def _d2_nonuniform(r: np.ndarray, u: np.ndarray) -> np.ndarray:
     return d2
 
 
-def radial_Q(model: ModelGeometry, r: np.ndarray, u: np.ndarray,
-             n: int | None = None) -> np.ndarray:
-    """Discrete flow operator for radial fields on an increasing r grid.
+def radial_Q(model: ModelGeometry, r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Discrete flow operator for radial fields on an increasing r grid,
+    in base dimension model.n.
 
     The first node may be the pole (r = 0), handled by the symmetric
     one-sided Laplacian; the last node's value is meaningless (Dirichlet).
     """
     r = np.asarray(r, dtype=float)
     u = np.asarray(u, dtype=float)
-    n = n if n is not None else model.n
     ur = np.gradient(u, r)
-    urr = _d2_nonuniform(r, u)
-    rho = np.asarray(model.rho.value(r), dtype=float)
     pole = r[0] <= R_MIN
-    rs = np.where(r > R_MIN, r, 1.0)
-    xi_ratio = np.asarray(model.xi.ratio_d1(rs), dtype=float)
-    lrho = np.asarray(model.log_rho_d1(r), dtype=float)
     if pole:
         ur[0] = 0.0
-    W2 = 1.0 / rho ** 2 + ur ** 2
-    Q = (urr + (n - 1) * xi_ratio * ur - ur ** 2 * urr / W2
-         + (1.0 + 1.0 / (rho ** 2 * W2)) * lrho * ur)
+    arr, br = coefficients(model, r, ur)
+    Q = arr * _d2_nonuniform(r, u) + br * ur
     if pole:
         # radial smoothness gives u'(0) = 0 and Lap u(0) = n u''(0)
-        Q[0] = n * 2.0 * (u[1] - u[0]) / (r[1] - r[0]) ** 2
+        Q[0] = model.n * 2.0 * (u[1] - u[0]) / (r[1] - r[0]) ** 2
     Q[-1] = 0.0
     return Q
 
@@ -258,46 +258,22 @@ def discretize_Q(model: ModelGeometry, grid: Grid,
     """
     if grid.radial:
         v = u[:, 0] if u.ndim == 2 else u
-        q = radial_Q(model, grid.r, v, n=2)
+        q = radial_Q(model, grid.r, v)
         return q[:, None] if u.ndim == 2 else q
     h = grid.hr
-    k = grid.dtheta
-    r = grid.r
+    ur, ut, urr, urt, utt = (d[1:-1] for d in _partials_2d(grid, u))
+    arr, art, att, br, bt = coefficients(model, grid.r[1:-1, None], ur, ut)
     Q = np.zeros_like(u)
-    ur = (u[2:] - u[:-2]) / (2 * h)
-    urr = (u[2:] - 2 * u[1:-1] + u[:-2]) / (h * h)
-    ut_full, utt_full = _theta_derivs(u, k)
-    ut = ut_full[1:-1]
-    utt = utt_full[1:-1]
-    urt = (ut_full[2:] - ut_full[:-2]) / (2 * h)
-    ri = r[1:-1]
-    xi = np.asarray(model.xi.value(ri), dtype=float)[:, None]
-    xi1 = np.asarray(model.xi.d1(ri), dtype=float)[:, None]
-    rho = np.asarray(model.rho.value(ri), dtype=float)[:, None]
-    lrho = np.asarray(model.log_rho_d1(ri), dtype=float)[:, None]
-    inv_xi2 = 1.0 / xi ** 2
-    grad2 = ur ** 2 + ut ** 2 * inv_xi2
-    W2 = 1.0 / rho ** 2 + grad2
-    h_rr = urr
-    h_rt = urt - (xi1 / xi) * ut
-    h_tt = utt + xi * xi1 * ur
-    lap = h_rr + inv_xi2 * h_tt
-    uij = (ur ** 2 * h_rr + 2 * ur * (ut * inv_xi2) * h_rt
-           + (ut * inv_xi2) ** 2 * h_tt)
-    Q[1:-1] = lap - uij / W2 + (1.0 + 1.0 / (rho ** 2 * W2)) * lrho * ur
-    # pole: reconstruct the local Cartesian quadratic from the first ring.
-    # The warping is rotationally symmetric and smooth, so (log rho)'(0) = 0
-    # and the drift term drops out at the pole.
+    Q[1:-1] = arr * urr + 2.0 * art * urt + att * utt + br * ur + bt * ut
+    # pole: reconstruct the local Cartesian quadratic from the first ring
     m0, a, b, p2c, p2s = _pole_fourier(u[1], h, grid.theta)
-    u0 = float(u[0, 0])
-    ce_sum = 4.0 * (m0 - u0) / (h * h)
+    ca, cb, cd = pole_coefficients(model, a, b)
+    ce_sum = 4.0 * (m0 - float(u[0, 0])) / (h * h)
     ce_dif = 4.0 * p2c / (h * h)
     c = 0.5 * (ce_sum + ce_dif)
     e = 0.5 * (ce_sum - ce_dif)
     d = 2.0 * p2s / (h * h)
-    rho0 = float(model.rho.value(0.0))
-    W2_0 = 1.0 / rho0 ** 2 + a * a + b * b
-    Q[0] = ce_sum - (a * a * c + 2 * a * b * d + b * b * e) / W2_0
+    Q[0] = ca * c + cb * e + cd * d
     return Q
 
 
@@ -316,114 +292,86 @@ def _cfl_dt(model: ModelGeometry, grid: Grid, control: StepControl) -> float:
     return control.cfl * h_min * h_min / 2.0
 
 
-def _assemble_radial(model: ModelGeometry, grid: Grid, u: np.ndarray,
-                     dt: float, n: int):
-    r = grid.r
-    m = r.size
+def _radial_implicit(model: ModelGeometry, grid: Grid, v: np.ndarray,
+                     dt: float, phi0: float) -> np.ndarray:
+    """One lagged-coefficient step of a radial field: a tridiagonal solve
+    of (I - dt L(v)) v_new = v with the Dirichlet value phi0 at r = R."""
     h = grid.hr
-    ur = np.gradient(u, r)
+    ur = np.gradient(v, grid.r)
     ur[0] = 0.0
-    rho = np.asarray(model.rho.value(r), dtype=float)
-    rs = np.where(r > R_MIN, r, 1.0)
-    xi_ratio = np.asarray(model.xi.ratio_d1(rs), dtype=float)
-    lrho = np.asarray(model.log_rho_d1(r), dtype=float)
-    W2 = 1.0 / rho ** 2 + ur ** 2
-    arr = 1.0 - ur ** 2 / W2
-    br = (n - 1) * xi_ratio + (1.0 + 1.0 / (rho ** 2 * W2)) * lrho
-    rows, cols, vals = [], [], []
-
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
-    # pole row: u0 - dt * 2n (u1 - u0)/h^2
-    add(0, 0, 1.0 + dt * 2.0 * n / h ** 2)
-    add(0, 1, -dt * 2.0 * n / h ** 2)
-    for j in range(1, m - 1):
-        cw = arr[j] / h ** 2
-        cb = br[j] / (2 * h)
-        add(j, j - 1, -dt * (cw - cb))
-        add(j, j, 1.0 + dt * 2.0 * cw)
-        add(j, j + 1, -dt * (cw + cb))
-    add(m - 1, m - 1, 1.0)
-    A = sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(m, m)))
-    return A
+    arr, br = coefficients(model, grid.r, ur)
+    cw = arr[1:-1] / h ** 2
+    cb = br[1:-1] / (2 * h)
+    pole = dt * 2.0 * model.n / h ** 2
+    bands = np.zeros((3, v.size))         # upper, main, lower diagonals
+    bands[0, 1] = -pole
+    bands[0, 2:] = -dt * (cw + cb)
+    bands[1, 0] = 1.0 + pole
+    bands[1, 1:-1] = 1.0 + dt * 2.0 * cw
+    bands[1, -1] = 1.0
+    bands[2, :-2] = -dt * (cw - cb)
+    rhs = v.copy()
+    rhs[-1] = phi0
+    return solve_banded((1, 1), bands, rhs)
 
 
-def _assemble_2d(model: ModelGeometry, grid: Grid, u: np.ndarray, dt: float):
+@functools.lru_cache(maxsize=16)
+def _stencil(nr: int, nt: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the 2-D semi-implicit system, in the entry order
+    _implicit_matrix fills: nine entries per interior node, the pole
+    equation, the ties of the other pole copies to node 0, the boundary."""
+    j = np.arange(1, nr)[:, None]
+    i = np.arange(nt)[None, :]
+
+    def node(dj, di):
+        return (j + dj) * nt + (i + di) % nt
+
+    offsets = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
+               (1, 1), (-1, -1), (1, -1), (-1, 1))
+    ring = nt + np.arange(nt)
+    ties = np.arange(1, nt)
+    boundary = nr * nt + np.arange(nt)
+    rows = np.concatenate([np.tile(node(0, 0).ravel(), len(offsets)),
+                           np.zeros(nt + 1, dtype=int), ties, ties, boundary])
+    cols = np.concatenate([np.concatenate([node(*o).ravel() for o in offsets]),
+                           [0], ring, ties, np.zeros(nt - 1, dtype=int),
+                           boundary])
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
+def _implicit_matrix(model: ModelGeometry, grid: Grid, u: np.ndarray,
+                     dt: float) -> sp.csr_matrix:
+    """I - dt L(u) on the polar grid, with the pole row built from the
+    Fourier modes of the first ring and identity rows elsewhere on the
+    pole and the boundary."""
     nr, nt = grid.nr, grid.ntheta
     h, k = grid.hr, grid.dtheta
-    r = grid.r
-
-    def idx(j, i):
-        return j * nt + i % nt
-
-    m = (nr + 1) * nt
-    ur = (u[2:] - u[:-2]) / (2 * h)
-    ut_full, _ = _theta_derivs(u, k)
-    ut = ut_full[1:-1]
-    ri = r[1:-1]
-    xi = np.asarray(model.xi.value(ri), dtype=float)[:, None]
-    xi1 = np.asarray(model.xi.d1(ri), dtype=float)[:, None]
-    rho = np.asarray(model.rho.value(ri), dtype=float)[:, None]
-    lrho = np.asarray(model.log_rho_d1(ri), dtype=float)[:, None]
-    inv_xi2 = 1.0 / xi ** 2
-    W2 = 1.0 / rho ** 2 + ur ** 2 + ut ** 2 * inv_xi2
-    utheta_up = ut * inv_xi2            # raised-index angular slope
-    arr = 1.0 - ur ** 2 / W2
-    art = -ur * utheta_up / W2
-    att = inv_xi2 - utheta_up ** 2 / W2
-    br = (1.0 + 1.0 / (rho ** 2 * W2)) * lrho + att * xi * xi1
-    bt = -2.0 * art * (xi1 / xi)
-    rows, cols, vals = [], [], []
-
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
-    # interior stencil, vectorized per (j, i) via python loops on j only
-    for jj in range(nr - 1):
-        j = jj + 1
-        for i in range(nt):
-            a_rr = float(arr[jj, i]) / h ** 2
-            a_rt = float(art[jj, i]) / (2 * h * k)
-            a_tt = float(att[jj, i]) / k ** 2
-            b_r = float(br[jj, i]) / (2 * h)
-            b_t = float(bt[jj, i]) / (2 * k)
-            row = idx(j, i)
-            add(row, row, 1.0 + dt * (2 * a_rr + 2 * a_tt))
-            add(row, idx(j + 1, i), -dt * (a_rr + b_r))
-            add(row, idx(j - 1, i), -dt * (a_rr - b_r))
-            add(row, idx(j, i + 1), -dt * (a_tt + b_t))
-            add(row, idx(j, i - 1), -dt * (a_tt - b_t))
-            add(row, idx(j + 1, i + 1), -dt * a_rt)
-            add(row, idx(j - 1, i - 1), -dt * a_rt)
-            add(row, idx(j + 1, i - 1), dt * a_rt)
-            add(row, idx(j - 1, i + 1), dt * a_rt)
-    # pole equation on unknown (0, 0); rows (0, i>0) tie the ring together
+    ur, ut = (d[1:-1] for d in _partials_2d(grid, u)[:2])
+    arr, art, att, br, bt = coefficients(model, grid.r[1:-1, None], ur, ut)
+    a_rr = arr / h ** 2
+    a_rt = art / (2 * h * k)
+    a_tt = att / k ** 2
+    b_r = br / (2 * h)
+    b_t = bt / (2 * k)
+    interior = [1.0 + dt * (2 * a_rr + 2 * a_tt),
+                -dt * (a_rr + b_r), -dt * (a_rr - b_r),
+                -dt * (a_tt + b_t), -dt * (a_tt - b_t),
+                -dt * a_rt, -dt * a_rt, dt * a_rt, dt * a_rt]
+    # pole equation on unknown (0, 0), from the ring's Fourier modes
     _, a, b, _, _ = _pole_fourier(u[1], h, grid.theta)
-    rho0 = float(model.rho.value(0.0))
-    W2_0 = 1.0 / rho0 ** 2 + a * a + b * b
-    ca = 1.0 - a * a / W2_0
-    cb = 1.0 - b * b / W2_0
-    cd = -2.0 * a * b / W2_0
-    theta = grid.theta
-    w_ring = (ca * (2.0 / (nt * h * h)) * (1.0 + 2.0 * np.cos(2 * theta))
-              + cb * (2.0 / (nt * h * h)) * (1.0 - 2.0 * np.cos(2 * theta))
-              + cd * (4.0 / (nt * h * h)) * np.sin(2 * theta))
+    ca, cb, cd = pole_coefficients(model, a, b)
+    cos2 = np.cos(2 * grid.theta)
+    w_ring = (ca * (2.0 / (nt * h * h)) * (1.0 + 2.0 * cos2)
+              + cb * (2.0 / (nt * h * h)) * (1.0 - 2.0 * cos2)
+              + cd * (4.0 / (nt * h * h)) * np.sin(2 * grid.theta))
     w_pole = -(2.0 / (h * h)) * (ca + cb)
-    add(0, 0, 1.0 - dt * w_pole)
-    for i in range(nt):
-        add(0, idx(1, i), -dt * float(w_ring[i]))
-    for i in range(1, nt):
-        add(idx(0, i), idx(0, i), 1.0)
-        add(idx(0, i), 0, -1.0)
-    for i in range(nt):
-        add(idx(nr, i), idx(nr, i), 1.0)
-    A = sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(m, m)))
-    return A
+    data = np.concatenate([np.concatenate([c.ravel() for c in interior]),
+                           [1.0 - dt * w_pole], -dt * w_ring,
+                           np.ones(nt - 1), -np.ones(nt - 1), np.ones(nt)])
+    m = (nr + 1) * nt
+    return sp.csr_matrix((data, _stencil(nr, nt)), shape=(m, m))
 
 
 def step(state: FlowState, problem: BallProblem, grid: Grid,
@@ -445,22 +393,17 @@ def step(state: FlowState, problem: BallProblem, grid: Grid,
             raise FlowError(
                 f"explicit step dt={dt:.3e} exceeds the CFL limit {lim:.3e}")
         u_new = u + dt * discretize_Q(model, grid, u)
+    elif grid.radial:
+        v = u[:, 0] if u.ndim == 2 else u
+        sol = _radial_implicit(model, grid, v, dt, float(phi_row[0]))
+        u_new = sol[:, None] if u.ndim == 2 else sol
     else:
-        if grid.radial:
-            v = u[:, 0] if u.ndim == 2 else u
-            A = _assemble_radial(model, grid, v, dt, n=model.n)
-            rhs = v.copy()
-            rhs[-1] = float(phi_row[0])
-            sol = spla.spsolve(A, rhs)
-            u_new = sol[:, None] if u.ndim == 2 else sol
-        else:
-            A = _assemble_2d(model, grid, u, dt)
-            rhs = u.flatten()
-            rhs[0:grid.ntheta][1:] = 0.0       # pole tie rows
-            rhs[-grid.ntheta:] = phi_row
-            sol = spla.spsolve(A, rhs)
-            u_new = sol.reshape(grid.shape())
-            u_new[0, :] = u_new[0, 0]
+        rhs = u.flatten()
+        rhs[1:grid.ntheta] = 0.0              # pole tie rows
+        rhs[-grid.ntheta:] = phi_row
+        sol = spla.spsolve(_implicit_matrix(model, grid, u, dt), rhs)
+        u_new = sol.reshape(grid.shape())
+        u_new[0, :] = u_new[0, 0]
     if u_new.ndim == 2:
         u_new[-1, :] = phi_row
     else:
@@ -600,6 +543,12 @@ def solve_ball(problem: BallProblem, grid: Grid, control: StepControl,
     numerical instability.
     """
     model = problem.model
+    if not grid.radial and model.n != 2:
+        raise FlowError(f"the polar grid represents base dimension 2 only; "
+                        f"use a radial grid (ntheta = 1) for n = {model.n}")
+    if grid.R != problem.R:
+        raise FlowError(f"grid radius {grid.R} differs from the problem "
+                        f"radius {problem.R}")
     u0, phi = problem.sample(grid)
     if grid.radial:
         u0 = u0[:, 0]
@@ -761,9 +710,13 @@ def residual_identities(model: ModelGeometry, trajectory: Trajectory,
 # snapshot persistence
 
 
-def model_hash(model: ModelGeometry) -> str:
-    blob = json.dumps(model.spec_dict(), sort_keys=True).encode()
+def _spec_hash(spec: dict) -> str:
+    blob = json.dumps(spec, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+def model_hash(model: ModelGeometry) -> str:
+    return _spec_hash(model.spec_dict())
 
 
 def save_snapshot(path: str, grid: Grid, state: FlowState) -> None:
@@ -817,8 +770,7 @@ def save_run(dirpath: str, trajectory: Trajectory) -> str:
         "grid": {"R": grid.R, "nr": grid.nr, "ntheta": grid.ntheta},
         "control": {"scheme": trajectory.control.scheme,
                     "cfl": trajectory.control.cfl,
-                    "dt_max": trajectory.control.dt_max,
-                    "tol_lin": trajectory.control.tol_lin},
+                    "dt_max": trajectory.control.dt_max},
         "model_hash": model_hash(trajectory.problem.model),
         "model": trajectory.problem.model.spec_dict(),
         "T": trajectory.problem.T,
@@ -836,6 +788,9 @@ def load_run(manifest_path: str) -> dict:
     """Load a manifest and its snapshots; values round-trip bit-exactly."""
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    if manifest["model_hash"] != _spec_hash(manifest["model"]):
+        raise FlowError(f"{manifest_path}: model_hash does not match the "
+                        f"stored model")
     g = manifest["grid"]
     grid = Grid(R=g["R"], nr=g["nr"], ntheta=g["ntheta"])
     base = os.path.dirname(manifest_path)

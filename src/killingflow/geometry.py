@@ -465,34 +465,6 @@ def hyperbolic_model(n: int = 2, kappa: float = 1.0,
                       cosh_profile(kappa), n, quad_tol)
 
 
-# spec-level operation aliases ------------------------------------------------
-
-def eval_A(model: ModelGeometry, r: float) -> float:
-    if r < 0:
-        raise GeometryError("r must be nonnegative")
-    return float(model.A(r))
-
-
-def eval_V(model: ModelGeometry, r: float) -> float:
-    if r < 0:
-        raise GeometryError("r must be nonnegative")
-    return model.V(r)
-
-
-def eval_zeta(model: ModelGeometry, r: float) -> float:
-    if r < 0:
-        raise GeometryError("r must be nonnegative")
-    return model.zeta(r)
-
-
-def eval_H(model: ModelGeometry, r: float) -> float:
-    return model.H(r)
-
-
-def eval_Hcyl(model: ModelGeometry, r: float) -> float:
-    return float(model.Hcyl(r))
-
-
 # ---------------------------------------------------------------------------
 # ambient frame: Christoffels and curvature of rho^2 ds^2 + dr^2 + xi^2 dth^2
 #

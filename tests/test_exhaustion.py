@@ -92,15 +92,6 @@ def test_report_dict_schema(euclid2):
     jsonschema.validate(report.to_dict(), schema)
 
 
-def test_threaded_matches_sequential(euclid2, monkeypatch):
-    plan = build_ladder(euclid2, 1.0, 2, tol=1e-9, n_time_steps=32)
-    seq = run_exhaustion(plan, _phi)
-    monkeypatch.setenv("KILLINGFLOW_THREADS", "2")
-    par = run_exhaustion(plan, _phi)
-    assert par.rungs[1].d_k == seq.rungs[1].d_k
-    assert par.rungs[1].max_grad == seq.rungs[1].max_grad
-
-
 def test_plain_radial_extension_rejected_at_pole(euclid2):
     # ray-constant extension of a nonconstant phi is multivalued at r = 0
     plan = build_ladder(euclid2, 1.0, 2, tol=0.05, n_time_steps=32)

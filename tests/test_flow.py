@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from killingflow import cmc
+from killingflow import cmc, euclidean_model
+from killingflow.barriers import pointwise_Q
 from killingflow.flow import (BallProblem, FlowError, Grid, StepControl,
                               compute_W, discretize_Q, load_run,
                               load_snapshot, model_hash, radial_Q,
@@ -104,6 +106,29 @@ def test_Q_zero_on_flat_graph(euclid2):
     assert float(np.max(np.abs(discretize_Q(euclid2, g, u)))) < 1e-12
 
 
+@pytest.mark.parametrize("model_name", ["euclid2", "hyp2"])
+def test_discretize_Q_second_order_against_pointwise_Q(model_name, request):
+    # non-symmetric polynomial in x = r cos(theta), y = r sin(theta);
+    # compared away from the pole, where both use the polar chart
+    model = request.getfixturevalue(model_name)
+
+    def f(r, th):
+        x, y = r * np.cos(th), r * np.sin(th)
+        return 0.3 * x + 0.4 * x * y + 0.2 * y ** 3 - 0.25 * (x * x + y * y)
+
+    errs = []
+    for n in (32, 64):
+        g = Grid(R=1.0, nr=n, ntheta=n)
+        q = discretize_Q(model, g, f(g.r[:, None], g.theta[None, :]))
+        err = 0.0
+        for j in np.flatnonzero((g.r >= 0.25) & (g.r <= 0.75)):
+            for i, th in enumerate(g.theta):
+                ref = pointwise_Q(model, f, float(g.r[j]), float(th))
+                err = max(err, abs(float(q[j, i]) - ref))
+        errs.append(err)
+    assert errs[0] / errs[1] >= 3.5
+
+
 # -- curvature fields ------------------------------------------------------------
 
 
@@ -154,8 +179,10 @@ def test_explicit_euler_cfl_guard(euclid2):
         radial_solve(p, 64, control)
 
 
-def test_explicit_euler_matches_semi_implicit(euclid2):
-    p = BallProblem(model=euclid2, R=1.0, phi=_zero_phi, u0=_bump, T=0.005)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_explicit_euler_matches_semi_implicit(n):
+    p = BallProblem(model=euclidean_model(n=n), R=1.0, phi=_zero_phi,
+                    u0=_bump, T=0.005)
     g = Grid(R=1.0, nr=32, ntheta=1)
     dt = 1e-5
     a = solve_ball(p, g, StepControl(scheme="explicit-euler", dt_max=dt))
@@ -175,6 +202,31 @@ def test_2d_flow_runs_and_respects_boundary(euclid2):
     final = tr.states[-1]
     np.testing.assert_allclose(final.u[-1], phi(g.theta), atol=1e-12)
     assert len(tr.states) == 2        # initial and final only
+
+
+@pytest.mark.parametrize("model_name", ["euclid2", "hyp2"])
+def test_2d_matches_radial_on_symmetric_data(model_name, request):
+    model = request.getfixturevalue(model_name)
+    p = BallProblem(model=model, R=1.0, phi=_zero_phi, u0=_bump, T=0.05)
+    ctl = StepControl(dt_max=2.5e-3)
+    a = solve_ball(p, Grid(R=1.0, nr=24, ntheta=16), ctl)
+    b = radial_solve(p, 24, ctl)
+    gap = float(np.max(np.abs(a.states[-1].u - b.states[-1].u[:, None])))
+    assert gap <= 1e-12
+
+
+def test_solve_ball_rejects_higher_dimension_on_polar_grid(euclid3):
+    p = BallProblem(model=euclid3, R=1.0, phi=_zero_phi, u0=_bump, T=0.01)
+    with pytest.raises(FlowError):
+        solve_ball(p, Grid(R=1.0, nr=16, ntheta=8), StepControl())
+
+
+def test_solve_ball_rejects_radius_mismatch(euclid2):
+    # zero data is compatible with the boundary at both radii
+    p = BallProblem(model=euclid2, R=1.0, phi=_zero_phi,
+                    u0=lambda r, th: 0.0 * r * th, T=0.01)
+    with pytest.raises(FlowError):
+        solve_ball(p, Grid(R=2.0, nr=16, ntheta=1), StepControl())
 
 
 def test_comparison_principle_sample(euclid2):
@@ -233,6 +285,14 @@ def test_run_roundtrip(euclid2, tmp_path):
     np.testing.assert_array_equal(data["max_grad"], tr.max_grad)
     for a, b in zip(data["states"], tr.states):
         np.testing.assert_array_equal(a.u, b.u)
+    # a manifest whose stored model no longer matches its hash is refused
+    with open(mpath) as fh:
+        manifest = json.load(fh)
+    manifest["model"]["n"] = 3
+    with open(mpath, "w") as fh:
+        json.dump(manifest, fh)
+    with pytest.raises(FlowError):
+        load_run(mpath)
 
 
 def test_model_hash_distinguishes_models(euclid2, hyp2, euclid3):
