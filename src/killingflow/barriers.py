@@ -17,13 +17,14 @@ bound constants so runs can be checked against them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .cmc import eval_vR, sample_vR
+from .cmc import CmcError, eval_vR, sample_vR
 from .geometry import ModelGeometry, R_MIN, _CumulativeIntegral
 from .kernel import coefficients
 
@@ -50,15 +51,13 @@ class SupersolutionFlow:
     def __post_init__(self):
         if self.r0 <= 0:
             raise BarrierError("r0 must be positive")
-        self._time = _CumulativeIntegral(self._integrand,
-                                         self.model.quad_tol,
-                                         start=self.r0)
+        model = self.model
+        self._time = _CumulativeIntegral(lambda s: model.V(s) / model.A(s),
+                                         model.quad_tol, start=self.r0)
 
-    def _integrand(self, s: float) -> float:
-        return self.model.V(s) / self.model.A(s)
-
-    def _time_of(self, R: float) -> float:
-        # cumulative integral of V/A from r0, cached on a growing knot list
+    def time_of(self, R: float) -> float:
+        """Time t at which the rim radius reaches R: the integral of V/A
+        from r0 to R, cached on a growing knot list."""
         return self._time(R)
 
     def R_of_t(self, t: float) -> float:
@@ -67,12 +66,12 @@ class SupersolutionFlow:
         if t == 0.0:
             return self.r0
         hi = self.r0 * 2.0
-        while self._time_of(hi) < t:
+        while self.time_of(hi) < t:
             hi *= 2.0
             if hi > 1e6 * self.r0:
                 raise BarrierError(
                     f"R(t) bracket expansion failed below 1e6*r0 for t={t}")
-        return float(brentq(lambda R: self._time_of(R) - t, self.r0, hi,
+        return float(brentq(lambda R: self.time_of(R) - t, self.r0, hi,
                             xtol=1e-13, rtol=1e-14))
 
 
@@ -124,24 +123,30 @@ def verify_supersolution(model: ModelGeometry, r0: float,
 
 
 def height_bounds(model: ModelGeometry, r0: float, T: float,
-                  sup_u0: float) -> tuple[Callable[[float], float],
-                                          Callable[[float], float]]:
-    """(lower, upper) height evaluators for flows on the ball of radius r0.
+                  sup_u0: float) -> tuple[Callable, Callable]:
+    """(lower, upper) height bounds for flows on the ball of radius r0.
 
-    upper(r) = sup|u0| + v_{R(T)}(0) - v_{r0}(r) and lower is its mirror
-    image; any solution with |initial data| <= sup_u0 and zero boundary
-    motion stays between them up to time T.
+    upper(r) = sup|u0| + v_{R(T)}(0) - v_{r0}(r) and lower = -upper; any
+    solution with |initial data| <= sup_u0 and zero boundary motion stays
+    between them up to time T.  Each bound takes one radius (a float, one
+    eval_vR call) or an increasing array of radii (one sample_vR pass over
+    all of them); radii outside [0, r0] raise CmcError in both forms.
     """
     if T <= 0:
         raise BarrierError("T must be positive")
     RT = mu_of_t(model, r0, T)
-    cap = eval_vR(model, RT, 0.0)
+    top = sup_u0 + eval_vR(model, RT, 0.0)
 
-    def upper(r: float) -> float:
-        return sup_u0 + cap - eval_vR(model, r0, r)
+    def upper(r):
+        if isinstance(r, numbers.Real):
+            return top - eval_vR(model, r0, r)
+        heights = sample_vR(model, r0, r)
+        if r[-1] > r0:
+            raise CmcError(f"need 0 <= r <= R, got r={r[-1]}")
+        return top - heights
 
-    def lower(r: float) -> float:
-        return -sup_u0 - cap + eval_vR(model, r0, r)
+    def lower(r):
+        return -upper(r)
 
     return lower, upper
 

@@ -18,6 +18,7 @@ vertically), removed here by the substitution s = R - tau^2.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -143,14 +144,21 @@ def eval_vR_prime(model: ModelGeometry, R: float, r: float) -> float:
     return _vR_prime(model, R, model.n * model.H(R), r)
 
 
-def _rim_quad(model: ModelGeometry, R: float, g, a: float, b: float,
-              tol: float) -> float:
-    """Integrate a regularized rim integrand over [a, b] in the tau variable.
+def _rim_heights(model: ModelGeometry, R: float, radii: Sequence[float],
+                 tol: float) -> list[float]:
+    """Heights v_R at rim-inward radii (plain floats, decreasing, in [0, R)).
+
+    v_R(r) is the integral of -v' over [r, R].  Substituting s = R - tau^2
+    maps [r, R] to [0, sqrt(R - r)] and cancels the (R - s)^{-1/2} blowup of
+    the slope, so one accumulation in tau from the rim inward yields every
+    height, each node adding the panel from the previous one.  The
+    tolerance is budgeted by panel width, so the total is about tol (an
+    equal split would over-resolve the many short panels of fine grids).
 
     Slope evaluations near the rim are limited to a relative accuracy of a
     few tens of ulp of the area profile's growth rate.  While that noise
-    floor sits below the requested tolerance the adaptive rule is used;
-    past it (models where A grows exponentially, large rim radii) adaptive
+    floor sits below a panel's tolerance the adaptive rule is used; past it
+    (models where A grows exponentially, large rim radii) adaptive
     subdivision would chase noise forever, so a fixed composite rule takes
     over and the result honestly carries the noise-floor error instead.
     """
@@ -160,21 +168,6 @@ def _rim_quad(model: ModelGeometry, R: float, g, a: float, b: float,
             f"rim radius R={R:g} too large for this model in double "
             f"precision: the area profile grows past the point where the "
             f"profile slope can be resolved")
-    if floor <= tol:
-        return adaptive_simpson(g, a, b, tol)
-    panels = max(8, int(1024.0 * (b - a) / max(math.sqrt(R), 1.0)))
-    return composite_simpson(g, a, b, panels)
-
-
-def _height_integral(model: ModelGeometry, R: float, r: float,
-                     tol: float) -> float:
-    """v_R(r) = integral of -v' over [r, R], regularized at the rim.
-
-    Substituting s = R - tau^2 maps [r, R] to [0, sqrt(R - r)] and cancels
-    the (R - s)^{-1/2} blowup of the slope.
-    """
-    if r >= R:
-        return 0.0
     # g is smooth in tau with g(tau) = g(0) + O(tau^2), but below tau_min
     # the difference R - tau^2 is lost to rounding; freeze tau there
     # (g' = O(tau), so the induced height error is O(tau_min^3))
@@ -190,16 +183,29 @@ def _height_integral(model: ModelGeometry, R: float, r: float,
         te = math.sqrt(R - s)
         return -2.0 * te * _vR_prime(model, R, nH, s)
 
-    return _rim_quad(model, R, g, 0.0, math.sqrt(R - r), tol)
+    taus = [math.sqrt(R - r) for r in radii]
+    heights = []
+    acc = prev = 0.0
+    for tau in taus:
+        width = tau - prev
+        panel_tol = tol * max(width / taus[-1], 1e-3)
+        if floor <= panel_tol:
+            acc += adaptive_simpson(g, prev, tau, panel_tol)
+        else:
+            panels = max(8, int(1024.0 * width / max(math.sqrt(R), 1.0)))
+            acc += composite_simpson(g, prev, tau, panels)
+        heights.append(acc)
+        prev = tau
+    return heights
 
 
 def sample_vR(model: ModelGeometry, R: float, r_grid: np.ndarray,
               tol: float | None = None) -> np.ndarray:
     """Heights v_R at every node of an increasing radius grid.
 
-    One rim-inward accumulation shared by all nodes, so this costs about as
-    much as a single eval_vR call instead of one per node.  Nodes at or
-    beyond R get height 0.
+    One rim-inward accumulation shared by all nodes, the same one behind
+    eval_vR and solve_vR, so this costs about as much as a single eval_vR
+    call instead of one per node.  Nodes at or beyond R get height 0.
     """
     if R <= 0:
         raise CmcError("R must be positive")
@@ -208,41 +214,24 @@ def sample_vR(model: ModelGeometry, R: float, r_grid: np.ndarray,
         raise CmcError("r_grid must be a nonempty 1-d array")
     if np.any(np.diff(r_grid) <= 0) or r_grid[0] < 0:
         raise CmcError("r_grid must be strictly increasing and nonnegative")
-    tol = tol if tol else model.quad_tol
-    tau_min = 1e-7 * math.sqrt(max(R, 1.0))
-    nH = model.n * model.H(R)
-
-    def g(tau: float) -> float:
-        tc = max(tau, tau_min)
-        s = max(R - tc * tc, 0.0)
-        te = math.sqrt(R - s)
-        return -2.0 * te * _vR_prime(model, R, nH, s)
-
-    inside = r_grid < R
-    idx = np.nonzero(inside)[0]
+    inside = int(np.searchsorted(r_grid, R))
     out = np.zeros(r_grid.size)
-    acc = 0.0
-    prev_tau = 0.0
-    # budget the tolerance by interval width so the total is tol; an equal
-    # per-interval split over-resolves the many short panels of fine grids
-    tau_span = math.sqrt(R - float(r_grid[idx[0]])) if idx.size else 1.0
-    for i in idx[::-1]:
-        tau = math.sqrt(R - float(r_grid[i]))
-        panel_tol = tol * max((tau - prev_tau) / tau_span, 1e-3)
-        acc += _rim_quad(model, R, g, prev_tau, tau, panel_tol)
-        out[i] = acc
-        prev_tau = tau
+    out[:inside] = _rim_heights(model, R, r_grid[:inside][::-1].tolist(),
+                                tol if tol else model.quad_tol)[::-1]
     return out
 
 
 def eval_vR(model: ModelGeometry, R: float, r: float,
             tol: float | None = None) -> float:
-    """Height v_R(r) of the radial CMC profile, zero at the rim."""
+    """Height v_R(r) of the radial CMC profile, zero at the rim: the
+    one-node case of sample_vR, without its array set-up."""
     if R <= 0:
         raise CmcError("R must be positive")
     if not 0.0 <= r <= R:
         raise CmcError(f"need 0 <= r <= R, got r={r}")
-    return _height_integral(model, R, r, tol if tol else model.quad_tol)
+    if r == R:
+        return 0.0
+    return _rim_heights(model, R, (r,), tol if tol else model.quad_tol)[0]
 
 
 def _profile_grid(R: float, grid_size: int) -> np.ndarray:
@@ -268,29 +257,10 @@ def solve_vR(model: ModelGeometry, R: float, grid_size: int) -> CmcProfile:
     if grid_size < 16:
         raise CmcError("grid_size must be >= 16")
     grid = _profile_grid(R, grid_size)
-    tol = model.quad_tol
-    # accumulate rim-inward in the regularized variable tau = sqrt(R - r),
-    # where the integrand is smooth all the way to the rim; same rounding
-    # freeze as in _height_integral
-    tau_min = 1e-7 * math.sqrt(max(R, 1.0))
-    nH = model.n * model.H(R)
-
-    def g(tau: float) -> float:
-        # same ulp-quantization pairing as in _height_integral
-        tc = max(tau, tau_min)
-        s = max(R - tc * tc, 0.0)
-        te = math.sqrt(R - s)
-        return -2.0 * te * _vR_prime(model, R, nH, s)
-
     v = np.zeros(grid.size)
-    acc = 0.0
-    prev_tau = 0.0
-    panel_tol = tol / max(grid.size, 1)
-    for i in range(grid.size - 2, -1, -1):
-        tau = math.sqrt(R - float(grid[i]))
-        acc += _rim_quad(model, R, g, prev_tau, tau, panel_tol)
-        v[i] = acc
-        prev_tau = tau
+    v[:-1] = _rim_heights(model, R, grid[-2::-1].tolist(),
+                          model.quad_tol)[::-1]
+    nH = model.n * model.H(R)
     vp = np.empty(grid.size)
     vp[0] = 0.0
     for i in range(1, grid.size - 1):

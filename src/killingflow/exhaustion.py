@@ -233,12 +233,10 @@ def run_exhaustion(plan: ExhaustionPlan, phi: Callable,
             d_k = float(np.max(np.abs(observed[k] - observed[k - 1])))
         cyl = _cylinder_values(tr, plan.r0)
         sup0 = float(np.max(np.abs(cyl[0])))
-        lower, upper = barriers.height_bounds(model, float(R), plan.T0, sup0)
-        lo = np.array([lower(float(x)) for x in tr.grid.r
-                       if x <= plan.r0 + 1e-12])[:, None]
-        hi = np.array([upper(float(x)) for x in tr.grid.r
-                       if x <= plan.r0 + 1e-12])[:, None]
-        margin = float(min(np.min(hi[None] - cyl), np.min(cyl - lo[None])))
+        _, upper = barriers.height_bounds(model, float(R), plan.T0, sup0)
+        # lower = -upper, so both margins are upper - |u|
+        hi = upper(tr.grid.r[tr.grid.r <= plan.r0 + 1e-12])
+        margin = float(np.min(hi[:, None] - np.abs(cyl)))
         reports.append(RungReport(
             R=R, d_k=d_k,
             max_grad=float(np.max(tr.max_grad)),

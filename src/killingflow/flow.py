@@ -737,22 +737,27 @@ def save_snapshot(path: str, grid: Grid, state: FlowState) -> None:
 
 
 def load_snapshot(path: str, grid: Grid) -> FlowState:
-    nt = 1 if grid.radial else grid.ntheta
-    u = np.empty((grid.nr + 1, nt))
-    W = np.empty_like(u)
-    t = 0.0
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row_i, row in enumerate(reader):
-            j, i = divmod(row_i, nt)
-            t = float(row[0])
-            u[j, i] = float(row[3])
-            W[j, i] = float(row[4])
+    """Read a snapshot written by save_snapshot on the same grid.  Raises
+    FlowError unless it holds one row per node, at the grid's r and theta
+    (compared exactly: the values round-trip through repr)."""
+    theta = grid.theta if not grid.radial else np.array([0.0])
+    shape = (grid.nr + 1, theta.size)
+    try:
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise FlowError(f"{path}: not a snapshot table: {exc}") from exc
+    if len(rows) != shape[0] * shape[1]:
+        raise FlowError(f"{path}: {len(rows)} rows, the grid has "
+                        f"{shape[0] * shape[1]} nodes")
+    if not (np.array_equal(rows[:, 1], np.repeat(grid.r, shape[1]))
+            and np.array_equal(rows[:, 2], np.tile(theta, shape[0]))):
+        raise FlowError(f"{path}: r/theta columns differ from the grid")
+    u = rows[:, 3].reshape(shape)
+    W = rows[:, 4].reshape(shape)
     if grid.radial:
         u = u[:, 0]
         W = W[:, 0]
-    return FlowState(t=t, u=u, W=W, step_count=-1)
+    return FlowState(t=float(rows[-1, 0]), u=u, W=W, step_count=-1)
 
 
 def save_run(dirpath: str, trajectory: Trajectory) -> str:

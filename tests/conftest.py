@@ -16,3 +16,8 @@ def euclid3():
 @pytest.fixture(scope="session")
 def hyp2():
     return hyperbolic_model(n=2)
+
+
+@pytest.fixture(scope="session")
+def hyp3():
+    return hyperbolic_model(n=3)

@@ -13,6 +13,7 @@ from killingflow.barriers import (BarrierError, GeodesicSpec,
                                   height_bounds, interior_gradient_bound,
                                   make_boundary_barrier, make_sc_barrier,
                                   mu_of_t, pointwise_Q, verify_supersolution)
+from killingflow.cmc import CmcError
 from killingflow.geometry import (constant_profile, hyperbolic_profile,
                                   make_model)
 
@@ -69,10 +70,21 @@ def test_verify_supersolution_residual(euclid2):
 
 def test_height_bounds_symmetry_and_zero(euclid2):
     lower, upper = height_bounds(euclid2, 1.0, 0.5, 0.25)
-    for r in (0.0, 0.4, 0.9):
-        assert lower(r) == pytest.approx(-upper(r))
+    rs = np.linspace(0.0, 1.0, 33)
+    hi = upper(rs)
+    for r, h in zip(rs, hi):
+        r = float(r)
+        assert lower(r) == -upper(r)
+        assert h == pytest.approx(upper(r), abs=1e-9)
+    np.testing.assert_array_equal(lower(rs), -hi)
     # at the rim the cmc terms cancel to sup_u0 + cap(0-level)
     assert upper(1.0) > upper(0.0) - 1e-12
+    for bad in (1.5, -0.1):
+        for bound in (lower, upper):
+            with pytest.raises(CmcError):
+                bound(bad)
+            with pytest.raises(CmcError):
+                bound(np.sort(np.array([0.5, bad])))
     with pytest.raises(BarrierError):
         height_bounds(euclid2, 1.0, -1.0, 0.25)
 
@@ -95,7 +107,7 @@ def test_c0_height_cap_euclidean_exact(euclid2):
 def test_c0_height_cap_dominates_supersolution(hyp2):
     cap = c0_height_cap(hyp2, 1.0, 3)
     fl = SupersolutionFlow(hyp2, 1.0)
-    t_max = fl._time_of(3.0)
+    t_max = fl.time_of(3.0)
     for t in np.linspace(0.0, t_max, 12):
         assert eval_u_plus(hyp2, 1.0, 0.0, float(t), flow=fl) <= cap + 1e-9
 

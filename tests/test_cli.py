@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import killingflow
 from killingflow.cli import dispatch
 
 FLOW_INI = """
@@ -170,10 +172,14 @@ def test_help_exits_0(capsys):
 
 
 def test_console_entry_point():
+    # the child imports the package this process imported, installed or not
+    src = os.path.dirname(os.path.dirname(killingflow.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "killingflow", "model-info",
          "--model", "euclidean"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     jsonschema.validate(json.loads(proc.stdout), _schema("model_info"))
 

@@ -78,14 +78,26 @@ def test_profile_validation_rejects_garbage():
     assert p.v[0] == 1.0
 
 
-def test_sample_vR_matches_pointwise(hyp2):
+@pytest.mark.parametrize("name", ["euclid2", "euclid3", "hyp2", "hyp3"])
+def test_sample_vR_matches_pointwise(request, name):
+    # eval_vR, sample_vR and solve_vR run one rim accumulator: a single node
+    # reproduces eval_vR exactly, a profile grid reproduces solve_vR
+    model = request.getfixturevalue(name)
     grid = np.linspace(0.0, 0.95, 40)
-    vals = sample_vR(hyp2, 1.0, grid)
+    vals = sample_vR(model, 1.0, grid)
     for i in (0, 13, 39):
-        assert vals[i] == pytest.approx(eval_vR(hyp2, 1.0, float(grid[i])),
-                                        abs=1e-9)
+        r = float(grid[i])
+        assert vals[i] == pytest.approx(eval_vR(model, 1.0, r), abs=1e-9)
+    for R in (1.0, 2.0):
+        for r in (0.0, 0.4 * R, 0.99 * R):
+            assert eval_vR(model, R, r) == sample_vR(model, R, [r])[0]
+        for N in (64, 256):
+            profile = solve_vR(model, R, N)
+            np.testing.assert_allclose(
+                profile.v, sample_vR(model, R, profile.grid), rtol=0,
+                atol=1e-12)
     with pytest.raises(CmcError):
-        sample_vR(hyp2, 1.0, np.array([0.5, 0.5]))
+        sample_vR(model, 1.0, np.array([0.5, 0.5]))
 
 
 def test_sample_vR_beyond_rim_is_zero(euclid2):

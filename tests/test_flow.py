@@ -274,6 +274,34 @@ def test_snapshot_roundtrip_bit_exact(euclid2, tmp_path):
     assert back.t == tr.states[-1].t
 
 
+def _edit_line(lines, k, column, value):
+    fields = lines[k].split(",")
+    fields[column] = value
+    return lines[:k] + [",".join(fields)] + lines[k + 1:]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda lines: lines[:-3],
+    lambda lines: lines + lines[-2:],
+    lambda lines: _edit_line(lines, 20, 1, "0.3"),
+    lambda lines: _edit_line(lines, 5, 2, "0.1"),
+    lambda lines: lines[:7] + [lines[7].rsplit(",", 1)[0]] + lines[8:],
+], ids=["truncated", "extra_rows", "edited_r", "edited_theta", "short_row"])
+def test_load_snapshot_rejects_rows_off_the_grid(tmp_path, edit):
+    from killingflow.flow import FlowState
+    g = Grid(R=1.0, nr=8, ntheta=8)
+    u = np.random.default_rng(0).standard_normal(g.shape())
+    path = str(tmp_path / "snap.csv")
+    save_snapshot(path, g, FlowState(t=0.5, u=u, W=1.0 + u, step_count=3))
+    np.testing.assert_array_equal(load_snapshot(path, g).u, u)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join(edit(lines)) + "\n")
+    with pytest.raises(FlowError):
+        load_snapshot(path, g)
+
+
 def test_run_roundtrip(euclid2, tmp_path):
     p = BallProblem(model=euclid2, R=1.0, phi=_zero_phi, u0=_bump, T=0.01)
     tr = radial_solve(p, 32, StepControl(), snapshot_every=3)
