@@ -27,7 +27,6 @@ in any base dimension n = model.n; the 2-D grid represents n = 2 only.
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import json
@@ -217,14 +216,16 @@ def compute_W(model: ModelGeometry, grid: Grid, u: np.ndarray) -> np.ndarray:
 
 
 def _d2_nonuniform(r: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Second derivative on a (possibly) nonuniform grid, 3-point stencil."""
+    """Second derivative along the last axis on a (possibly) nonuniform
+    grid, 3-point stencil."""
     d2 = np.zeros_like(u)
     h1 = r[1:-1] - r[:-2]
     h2 = r[2:] - r[1:-1]
-    d2[1:-1] = 2.0 * (u[:-2] / (h1 * (h1 + h2)) - u[1:-1] / (h1 * h2)
-                      + u[2:] / (h2 * (h1 + h2)))
-    d2[0] = d2[1]
-    d2[-1] = d2[-2]
+    d2[..., 1:-1] = 2.0 * (u[..., :-2] / (h1 * (h1 + h2))
+                           - u[..., 1:-1] / (h1 * h2)
+                           + u[..., 2:] / (h2 * (h1 + h2)))
+    d2[..., 0] = d2[..., 1]
+    d2[..., -1] = d2[..., -2]
     return d2
 
 
@@ -486,14 +487,15 @@ def radial_second_fundamental_form(model: ModelGeometry, r: np.ndarray,
                                    u: np.ndarray
                                    ) -> tuple[np.ndarray, np.ndarray]:
     """Principal curvatures of a radial graph: the profile direction and
-    the (n-1)-fold spherical direction.  Returns (|A|^2, nH) on the grid."""
+    the (n-1)-fold spherical direction.  Returns (|A|^2, nH) on the grid.
+    u may stack several fields; r runs along its last axis."""
     n = model.n
-    ur = np.gradient(u, r)
+    ur = np.gradient(u, r, axis=-1)
     urr = _d2_nonuniform(r, u)
     pole = r[0] <= R_MIN
     if pole:
-        ur[0] = 0.0
-        urr[0] = 2.0 * (u[1] - u[0]) / (r[1] - r[0]) ** 2
+        ur[..., 0] = 0.0
+        urr[..., 0] = 2.0 * (u[..., 1] - u[..., 0]) / (r[1] - r[0]) ** 2
     rho = np.asarray(model.rho.value(r), dtype=float)
     rho1 = np.asarray(model.rho.d1(r), dtype=float)
     rs = np.where(r > R_MIN, r, 1.0)
@@ -503,8 +505,8 @@ def radial_second_fundamental_form(model: ModelGeometry, r: np.ndarray,
         / (W * (1.0 + rho ** 2 * ur ** 2))
     lam_t = xi_ratio * ur / W
     if pole:
-        lam_t[0] = urr[0] / W[0]
-        lam_r[0] = urr[0] / W[0]
+        lam_t[..., 0] = urr[..., 0] / W[..., 0]
+        lam_r[..., 0] = urr[..., 0] / W[..., 0]
     A2 = lam_r ** 2 + (n - 1) * lam_t ** 2
     nH = lam_r + (n - 1) * lam_t
     return A2, nH
@@ -603,8 +605,8 @@ class IdentityReport:
 
 def _intrinsic_laplacian(F: np.ndarray, r: np.ndarray, J: np.ndarray,
                          g_rr: np.ndarray) -> np.ndarray:
-    flux = J * np.gradient(F, r) / g_rr
-    return np.gradient(flux, r) / J
+    flux = J * np.gradient(F, r, axis=-1) / g_rr
+    return np.gradient(flux, r, axis=-1) / J
 
 
 def residual_identities(model: ModelGeometry, trajectory: Trajectory,
@@ -640,6 +642,11 @@ def residual_identities(model: ModelGeometry, trajectory: Trajectory,
     t = np.asarray([s.t for s in trajectory.states])
     U = np.stack([s.u if s.u.ndim == 1 else s.u[:, 0]
                   for s in trajectory.states])
+    # the evaluated snapshots: interior in time and past the burn-in
+    t_min = t[0] + burn_in * (t[-1] - t[0])
+    win = slice(max(int(np.searchsorted(t, t_min)), 1), t.size - 1)
+    if win.start >= win.stop:
+        raise FlowError("no snapshots past the burn-in window")
     rho = np.asarray(model.rho.value(r), dtype=float)
     rho1 = np.asarray(model.rho.d1(r), dtype=float)
     xi = np.asarray(model.xi.value(r), dtype=float)
@@ -649,59 +656,38 @@ def residual_identities(model: ModelGeometry, trajectory: Trajectory,
     ric = np.asarray([frame.ricci_eigenvalues(float(x)) if x > R_MIN
                       else frame.ricci_eigenvalues(1e-6)
                       for x in r])
-    Ut = np.gradient(U, t, axis=0)
+    Ut = np.gradient(U, t, axis=0)[win]
     Ur_all = np.gradient(U, r, axis=1)
     Ur_all[:, 0] = 0.0
     W_all = np.sqrt(1.0 / rho ** 2 + Ur_all ** 2)
-    Wt_all = np.gradient(W_all, t, axis=0)
-    sl = slice(3, -3)
-    t_min = t[0] + burn_in * (t[-1] - t[0])
-    worst_tilt = 0.0
-    worst_height = 0.0
-    min_slack = math.inf
-    evaluated = 0
-    for a in range(1, t.size - 1):
-        if t[a] < t_min:
-            continue
-        evaluated += 1
-        u = U[a]
-        ur = Ur_all[a]
-        W = W_all[a]
-        A2, nH = radial_second_fundamental_form(model, r, u)
-        g_rr = 1.0 + rho ** 2 * ur ** 2
-        J = np.sqrt(g_rr) * xi ** (n - 1)
-        J[0] = J[1] * 1e-12      # placeholder; trimmed region excludes pole
-        gauge = nH * ur / W
-        # tilt factor
-        Wt = Wt_all[a]
-        Wr = np.gradient(W, r)
-        DtW = Wt - gauge * Wr
-        lapW = _intrinsic_laplacian(W, r, J, g_rr)
-        ricNN = (1.0 / (rho * W)) ** 2 * ric[:, 0] + (ur / W) ** 2 * ric[:, 1]
-        gradW2 = Wr ** 2 / g_rr
-        res_tilt = DtW - lapW + W * (A2 + ricNN) + 2.0 * gradW2 / W
-        worst_tilt = max(worst_tilt, float(np.max(np.abs(res_tilt[sl]))))
-        # height
-        Dtu = Ut[a] - gauge * ur
-        lapU = _intrinsic_laplacian(u, r, J, g_rr)
-        coupling = 2.0 * (-(rho1 / rho) * ur / W) * (1.0 / (rho ** 2 * W))
-        res_height = Dtu - lapU + coupling
-        worst_height = max(worst_height,
-                           float(np.max(np.abs(res_height[sl]))))
-        # cylinder size
-        Dtz = -gauge * xi
-        lapZ = _intrinsic_laplacian(zeta, r, J, g_rr)
-        grad_s2 = 1.0 / rho ** 2 - 1.0 / (rho ** 4 * W ** 2)
-        # the warping correction pairs the full ambient gradients, so the
-        # coefficient is rho'/rho itself, with no tangential projection
-        xi_ratio = np.where(r > R_MIN, xi1 / np.where(xi > 0, xi, 1.0), 0.0)
-        slack = (Dtz - lapZ + n * xi1
-                 + rho ** 2 * grad_s2 * xi * (rho1 / rho - xi_ratio))
-        min_slack = min(min_slack, float(np.min(slack[sl])))
-    if evaluated == 0:
-        raise FlowError("no snapshots past the burn-in window")
-    return IdentityReport(max_abs_tilt=worst_tilt,
-                          max_abs_height=worst_height,
+    Wt = np.gradient(W_all, t, axis=0)[win]
+    u, ur, W = U[win], Ur_all[win], W_all[win]
+    sl = np.s_[:, 3:-3]
+    A2, nH = radial_second_fundamental_form(model, r, u)
+    g_rr = 1.0 + rho ** 2 * ur ** 2
+    J = np.sqrt(g_rr) * xi ** (n - 1)
+    J[:, 0] = J[:, 1] * 1e-12      # placeholder; trimmed region excludes pole
+    gauge = nH * ur / W
+    # tilt factor; the inner bracket is Ric(N, N)
+    Wr = np.gradient(W, r, axis=-1)
+    max_tilt = float(np.max(np.abs((
+        Wt - gauge * Wr - _intrinsic_laplacian(W, r, J, g_rr)
+        + W * (A2 + ((1.0 / (rho * W)) ** 2 * ric[:, 0]
+                     + (ur / W) ** 2 * ric[:, 1]))
+        + 2.0 * (Wr ** 2 / g_rr) / W)[sl])))
+    # height
+    max_height = float(np.max(np.abs((
+        Ut - gauge * ur - _intrinsic_laplacian(u, r, J, g_rr)
+        + 2.0 * (-(rho1 / rho) * ur / W) * (1.0 / (rho ** 2 * W)))[sl])))
+    # cylinder size; grad_s2 = |grad s|^2
+    grad_s2 = 1.0 / rho ** 2 - 1.0 / (rho ** 4 * W ** 2)
+    # the warping correction pairs the full ambient gradients, so the
+    # coefficient is rho'/rho itself, with no tangential projection
+    xi_ratio = np.where(r > R_MIN, xi1 / np.where(xi > 0, xi, 1.0), 0.0)
+    min_slack = float(np.min((
+        -gauge * xi - _intrinsic_laplacian(zeta, r, J, g_rr) + n * xi1
+        + rho ** 2 * grad_s2 * xi * (rho1 / rho - xi_ratio))[sl]))
+    return IdentityReport(max_abs_tilt=max_tilt, max_abs_height=max_height,
                           min_slack_cylinder=min_slack,
                           snapshots=len(trajectory.states))
 
@@ -720,20 +706,18 @@ def model_hash(model: ModelGeometry) -> str:
 
 
 def save_snapshot(path: str, grid: Grid, state: FlowState) -> None:
-    """Write one snapshot as CSV t,r,theta,u,W with shortest round-trip
-    float formatting, so reading it back is bit-exact."""
-    u = state.u if state.u.ndim == 2 else state.u[:, None]
-    W = state.W if state.W.ndim == 2 else state.W[:, None]
-    r = grid.r
+    """Write one snapshot as CSV t,r,theta,u,W (CRLF line ends) with
+    shortest round-trip float formatting, so reading it back is bit-exact."""
     theta = grid.theta if not grid.radial else np.array([0.0])
+    t = repr(state.t)
+    nodes = [f"{t},{r!r},{th!r}," for r in grid.r.tolist()
+             for th in theta.tolist()]
+    rows = ["t,r,theta,u,W\r\n"]
+    rows += [f"{node}{u!r},{W!r}\r\n" for node, u, W in
+             zip(nodes, np.ravel(state.u).tolist(),
+                 np.ravel(state.W).tolist(), strict=True)]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "r", "theta", "u", "W"])
-        for j in range(r.size):
-            for i in range(theta.size):
-                w.writerow([repr(state.t), repr(float(r[j])),
-                            repr(float(theta[i])),
-                            repr(float(u[j, i])), repr(float(W[j, i]))])
+        fh.writelines(rows)
 
 
 def load_snapshot(path: str, grid: Grid) -> FlowState:
