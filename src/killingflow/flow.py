@@ -603,10 +603,14 @@ class IdentityReport:
     snapshots: int
 
 
-def _intrinsic_laplacian(F: np.ndarray, r: np.ndarray, J: np.ndarray,
-                         g_rr: np.ndarray) -> np.ndarray:
-    flux = J * np.gradient(F, r, axis=-1) / g_rr
-    return np.gradient(flux, r, axis=-1) / J
+def _intrinsic_laplacian(F: np.ndarray, r: np.ndarray, g_rr: np.ndarray,
+                         dlogJ: np.ndarray) -> np.ndarray:
+    """Laplacian of a radial F on the graph: G' + G (log J)' with the
+    radial flux G = F'/g_rr and the area density J = sqrt(g_rr) xi^{n-1}.
+    Differencing the flux J G itself, which grows like r^n at the pole,
+    would leave an error of C(n,3) h^2/r^2 there."""
+    G = np.gradient(F, r, axis=-1) / g_rr
+    return np.gradient(G, r, axis=-1) + G * dlogJ
 
 
 def residual_identities(model: ModelGeometry, trajectory: Trajectory,
@@ -664,28 +668,27 @@ def residual_identities(model: ModelGeometry, trajectory: Trajectory,
     u, ur, W = U[win], Ur_all[win], W_all[win]
     sl = np.s_[:, 3:-3]
     A2, nH = radial_second_fundamental_form(model, r, u)
+    xi_ratio = np.where(r > R_MIN, xi1 / np.where(xi > 0, xi, 1.0), 0.0)
     g_rr = 1.0 + rho ** 2 * ur ** 2
-    J = np.sqrt(g_rr) * xi ** (n - 1)
-    J[:, 0] = J[:, 1] * 1e-12      # placeholder; trimmed region excludes pole
+    dlogJ = np.gradient(g_rr, r, axis=-1) / (2.0 * g_rr) + (n - 1) * xi_ratio
     gauge = nH * ur / W
     # tilt factor; the inner bracket is Ric(N, N)
     Wr = np.gradient(W, r, axis=-1)
     max_tilt = float(np.max(np.abs((
-        Wt - gauge * Wr - _intrinsic_laplacian(W, r, J, g_rr)
+        Wt - gauge * Wr - _intrinsic_laplacian(W, r, g_rr, dlogJ)
         + W * (A2 + ((1.0 / (rho * W)) ** 2 * ric[:, 0]
                      + (ur / W) ** 2 * ric[:, 1]))
         + 2.0 * (Wr ** 2 / g_rr) / W)[sl])))
     # height
     max_height = float(np.max(np.abs((
-        Ut - gauge * ur - _intrinsic_laplacian(u, r, J, g_rr)
+        Ut - gauge * ur - _intrinsic_laplacian(u, r, g_rr, dlogJ)
         + 2.0 * (-(rho1 / rho) * ur / W) * (1.0 / (rho ** 2 * W)))[sl])))
     # cylinder size; grad_s2 = |grad s|^2
     grad_s2 = 1.0 / rho ** 2 - 1.0 / (rho ** 4 * W ** 2)
     # the warping correction pairs the full ambient gradients, so the
     # coefficient is rho'/rho itself, with no tangential projection
-    xi_ratio = np.where(r > R_MIN, xi1 / np.where(xi > 0, xi, 1.0), 0.0)
     min_slack = float(np.min((
-        -gauge * xi - _intrinsic_laplacian(zeta, r, J, g_rr) + n * xi1
+        -gauge * xi - _intrinsic_laplacian(zeta, r, g_rr, dlogJ) + n * xi1
         + rho ** 2 * grad_s2 * xi * (rho1 / rho - xi_ratio))[sl]))
     return IdentityReport(max_abs_tilt=max_tilt, max_abs_height=max_height,
                           min_slack_cylinder=min_slack,

@@ -27,9 +27,14 @@ def _run(model, nr, dt, snap):
     return radial_solve(p, nr, StepControl(dt_max=dt), snapshot_every=snap)
 
 
-@pytest.fixture(scope="module", params=["euclid", "hyp"])
-def ladder(request, euclid2, hyp2):
-    model = {"euclid": euclid2, "hyp": hyp2}[request.param]
+# n = 3 exercises the pole: there the area density grows like r^2
+_LADDER_MODELS = {"euclid": "euclid2", "hyp": "hyp2",
+                  "euclid3": "euclid3", "hyp3": "hyp3"}
+
+
+@pytest.fixture(scope="module", params=list(_LADDER_MODELS))
+def ladder(request):
+    model = request.getfixturevalue(_LADDER_MODELS[request.param])
     coarse = residual_identities(model, _run(model, 64, 8e-4, 2))
     fine = residual_identities(model, _run(model, 128, 2e-4, 4))
     return coarse, fine
