@@ -45,12 +45,6 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _csv_quote(value: str) -> str:
-    if any(c in value for c in ",\"\n"):
-        return '"' + value.replace('"', '""') + '"'
-    return value
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -78,9 +72,7 @@ def _cmd_cmc(args) -> int:
     profile = cmc.solve_vR(model, args.R, args.grid)
     lines = ["r,v,vp"]
     for r, v, vp in zip(profile.grid, profile.v, profile.vp):
-        lines.append(f"{_csv_quote(repr(float(r)))},"
-                     f"{_csv_quote(repr(float(v)))},"
-                     f"{_csv_quote(repr(float(vp)))}")
+        lines.append(f"{float(r)!r},{float(v)!r},{float(vp)!r}")
     _emit("\n".join(lines) + "\n", args.out)
     if args.svg:
         _write_profile_svg(args.svg, profile)

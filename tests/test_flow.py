@@ -3,13 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from killingflow import cmc, euclidean_model
+from killingflow import cmc, euclidean_model, flow
 from killingflow.barriers import pointwise_Q
 from killingflow.flow import (BallProblem, FlowError, Grid, StepControl,
                               compute_W, discretize_Q, load_run,
                               load_snapshot, model_hash, radial_Q,
-                              radial_solve, save_run, save_snapshot,
+                              radial_second_fundamental_form, radial_solve,
+                              save_run, save_snapshot,
                               second_fundamental_form, solve_ball, step)
 
 
@@ -132,6 +136,23 @@ def test_discretize_Q_second_order_against_pointwise_Q(model_name, request):
 # -- curvature fields ------------------------------------------------------------
 
 
+@settings(max_examples=40, deadline=None)
+@given(model_name=st.sampled_from(["euclid2", "hyp2", "euclid3", "hyp3"]),
+       r0=st.sampled_from([0.0, 0.05]), stretch=st.floats(1.0, 2.0),
+       fields=st.integers(1, 4).flatmap(lambda rows: arrays(
+           float, (rows, 12), elements=st.floats(-2.0, 2.0))))
+def test_radial_curvature_of_a_stack_is_rowwise(request, model_name, r0,
+                                                stretch, fields):
+    model = request.getfixturevalue(model_name)
+    # nonuniform, increasing grid, with or without the pole
+    r = r0 + np.linspace(0.0, 1.0, fields.shape[1]) ** stretch
+    A2, nH = radial_second_fundamental_form(model, r, fields)
+    for k, u in enumerate(fields):
+        a2_row, nh_row = radial_second_fundamental_form(model, r, u)
+        np.testing.assert_array_equal(A2[k], a2_row)
+        np.testing.assert_array_equal(nH[k], nh_row)
+
+
 def test_hemisphere_curvature(euclid2):
     g = Grid(R=1.0, nr=256, ntheta=1)
     u = np.sqrt(np.clip(1.0 - g.r ** 2, 0.0, None))
@@ -170,6 +191,23 @@ def test_radial_flow_decays_bump(euclid2):
     last = tr.states[-1]
     np.testing.assert_array_equal(
         last.W, compute_W(euclid2, tr.grid, last.u))
+
+
+def test_divergence_guard_trips(euclid2, monkeypatch):
+    # sup0 = 0.25, so the maximum-principle guard sits at 10 max(sup0, 1)
+    real_step = flow.step
+
+    def blow_up(state, *args, **kwargs):
+        s = real_step(state, *args, **kwargs)
+        return flow.FlowState(t=s.t, u=100.0 * s.u, W=s.W,
+                              step_count=s.step_count)
+
+    monkeypatch.setattr(flow, "step", blow_up)
+    p = BallProblem(model=euclid2, R=1.0, phi=_zero_phi, u0=_bump, T=0.01)
+    with pytest.raises(FlowError, match="divergence guard tripped at "
+                       r"t=0.001: sup\|u\| exceeds 10x the maximum-principle "
+                       r"bound 1$"):
+        radial_solve(p, 32, StepControl())
 
 
 def test_explicit_euler_cfl_guard(euclid2):
@@ -263,15 +301,28 @@ def test_single_step_decreases_sup(euclid2):
 # -- persistence -----------------------------------------------------------------
 
 
-def test_snapshot_roundtrip_bit_exact(euclid2, tmp_path):
+@pytest.mark.parametrize("nr,ntheta", [(32, 1), (16, 8)],
+                         ids=["radial", "polar"])
+def test_snapshot_roundtrip_bit_exact(euclid2, tmp_path, nr, ntheta):
     p = BallProblem(model=euclid2, R=1.0, phi=_zero_phi, u0=_bump, T=0.01)
-    tr = radial_solve(p, 32, StepControl())
+    tr = solve_ball(p, Grid(R=1.0, nr=nr, ntheta=ntheta), StepControl())
+    state = tr.states[-1]
     path = str(tmp_path / "snap.csv")
-    save_snapshot(path, tr.grid, tr.states[-1])
+    save_snapshot(path, tr.grid, state)
+    # the on-disk format: a header, then one CRLF-terminated row of repr
+    # values per node, theta varying fastest
+    u = np.reshape(state.u, (nr + 1, ntheta))
+    W = np.reshape(state.W, (nr + 1, ntheta))
+    expected = ["t,r,theta,u,W\r\n"] + [
+        ",".join(repr(float(x)) for x in (state.t, r, th, u[j, i], W[j, i]))
+        + "\r\n"
+        for j, r in enumerate(tr.grid.r) for i, th in enumerate(tr.grid.theta)]
+    with open(path, newline="") as fh:
+        assert fh.read() == "".join(expected)
     back = load_snapshot(path, tr.grid)
-    np.testing.assert_array_equal(back.u, tr.states[-1].u)
-    np.testing.assert_array_equal(back.W, tr.states[-1].W)
-    assert back.t == tr.states[-1].t
+    np.testing.assert_array_equal(back.u, state.u)
+    np.testing.assert_array_equal(back.W, state.W)
+    assert back.t == state.t
 
 
 def _edit_line(lines, k, column, value):
