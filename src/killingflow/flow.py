@@ -683,7 +683,7 @@ def residual_identities(model: ModelGeometry, trajectory: Trajectory,
     max_height = float(np.max(np.abs((
         Ut - gauge * ur - _intrinsic_laplacian(u, r, g_rr, dlogJ)
         + 2.0 * (-(rho1 / rho) * ur / W) * (1.0 / (rho ** 2 * W)))[sl])))
-    # cylinder size; grad_s2 = |grad s|^2
+    # cylinder size
     grad_s2 = 1.0 / rho ** 2 - 1.0 / (rho ** 4 * W ** 2)
     # the warping correction pairs the full ambient gradients, so the
     # coefficient is rho'/rho itself, with no tangential projection
@@ -711,10 +711,9 @@ def model_hash(model: ModelGeometry) -> str:
 def save_snapshot(path: str, grid: Grid, state: FlowState) -> None:
     """Write one snapshot as CSV t,r,theta,u,W (CRLF line ends) with
     shortest round-trip float formatting, so reading it back is bit-exact."""
-    theta = grid.theta if not grid.radial else np.array([0.0])
     t = repr(state.t)
     nodes = [f"{t},{r!r},{th!r}," for r in grid.r.tolist()
-             for th in theta.tolist()]
+             for th in grid.theta.tolist()]
     rows = ["t,r,theta,u,W\r\n"]
     rows += [f"{node}{u!r},{W!r}\r\n" for node, u, W in
              zip(nodes, np.ravel(state.u).tolist(),
@@ -727,8 +726,7 @@ def load_snapshot(path: str, grid: Grid) -> FlowState:
     """Read a snapshot written by save_snapshot on the same grid.  Raises
     FlowError unless it holds one row per node, at the grid's r and theta
     (compared exactly: the values round-trip through repr)."""
-    theta = grid.theta if not grid.radial else np.array([0.0])
-    shape = (grid.nr + 1, theta.size)
+    shape = (grid.nr + 1, grid.ntheta)
     try:
         rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
@@ -737,7 +735,7 @@ def load_snapshot(path: str, grid: Grid) -> FlowState:
         raise FlowError(f"{path}: {len(rows)} rows, the grid has "
                         f"{shape[0] * shape[1]} nodes")
     if not (np.array_equal(rows[:, 1], np.repeat(grid.r, shape[1]))
-            and np.array_equal(rows[:, 2], np.tile(theta, shape[0]))):
+            and np.array_equal(rows[:, 2], np.tile(grid.theta, shape[0]))):
         raise FlowError(f"{path}: r/theta columns differ from the grid")
     u = rows[:, 3].reshape(shape)
     W = rows[:, 4].reshape(shape)
