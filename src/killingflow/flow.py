@@ -660,36 +660,43 @@ def residual_identities(model: ModelGeometry, trajectory: Trajectory,
     ric = np.asarray([frame.ricci_eigenvalues(float(x)) if x > R_MIN
                       else frame.ricci_eigenvalues(1e-6)
                       for x in r])
-    Ut = np.gradient(U, t, axis=0)[win]
     Ur_all = np.gradient(U, r, axis=1)
     Ur_all[:, 0] = 0.0
     W_all = np.sqrt(1.0 / rho ** 2 + Ur_all ** 2)
-    Wt = np.gradient(W_all, t, axis=0)[win]
     u, ur, W = U[win], Ur_all[win], W_all[win]
     sl = np.s_[:, 3:-3]
+    # Each residual is summed in place and reduced to its extreme before
+    # the next one is formed, and fields are dropped after their last use:
+    # that bounds the (snapshot x node) arrays alive at once.
     A2, nH = radial_second_fundamental_form(model, r, u)
+    gauge = nH * ur / W
+    del nH
     xi_ratio = np.where(r > R_MIN, xi1 / np.where(xi > 0, xi, 1.0), 0.0)
     g_rr = 1.0 + rho ** 2 * ur ** 2
     dlogJ = np.gradient(g_rr, r, axis=-1) / (2.0 * g_rr) + (n - 1) * xi_ratio
-    gauge = nH * ur / W
-    # tilt factor; the inner bracket is Ric(N, N)
+    # tilt factor
     Wr = np.gradient(W, r, axis=-1)
-    max_tilt = float(np.max(np.abs((
-        Wt - gauge * Wr - _intrinsic_laplacian(W, r, g_rr, dlogJ)
-        + W * (A2 + ((1.0 / (rho * W)) ** 2 * ric[:, 0]
-                     + (ur / W) ** 2 * ric[:, 1]))
-        + 2.0 * (Wr ** 2 / g_rr) / W)[sl])))
+    res = np.gradient(W_all, t, axis=0)[win] - gauge * Wr
+    res -= _intrinsic_laplacian(W, r, g_rr, dlogJ)
+    ricNN = (1.0 / (rho * W)) ** 2 * ric[:, 0] + (ur / W) ** 2 * ric[:, 1]
+    res += W * (A2 + ricNN)
+    res += 2.0 * (Wr ** 2 / g_rr) / W
+    max_tilt = float(np.max(np.abs(res[sl])))
+    del A2, Wr, ricNN
     # height
-    max_height = float(np.max(np.abs((
-        Ut - gauge * ur - _intrinsic_laplacian(u, r, g_rr, dlogJ)
-        + 2.0 * (-(rho1 / rho) * ur / W) * (1.0 / (rho ** 2 * W)))[sl])))
+    res = np.gradient(U, t, axis=0)[win] - gauge * ur
+    res -= _intrinsic_laplacian(u, r, g_rr, dlogJ)
+    res += 2.0 * (-(rho1 / rho) * ur / W) * (1.0 / (rho ** 2 * W))
+    max_height = float(np.max(np.abs(res[sl])))
     # cylinder size
+    res = -gauge * xi
+    res -= _intrinsic_laplacian(zeta, r, g_rr, dlogJ)
+    res += n * xi1
     grad_s2 = 1.0 / rho ** 2 - 1.0 / (rho ** 4 * W ** 2)
     # the warping correction pairs the full ambient gradients, so the
     # coefficient is rho'/rho itself, with no tangential projection
-    min_slack = float(np.min((
-        -gauge * xi - _intrinsic_laplacian(zeta, r, g_rr, dlogJ) + n * xi1
-        + rho ** 2 * grad_s2 * xi * (rho1 / rho - xi_ratio))[sl]))
+    res += rho ** 2 * grad_s2 * xi * (rho1 / rho - xi_ratio)
+    min_slack = float(np.min(res[sl]))
     return IdentityReport(max_abs_tilt=max_tilt, max_abs_height=max_height,
                           min_slack_cylinder=min_slack,
                           snapshots=len(trajectory.states))
