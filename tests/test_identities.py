@@ -27,7 +27,8 @@ def _run(model, nr, dt, snap):
     return radial_solve(p, nr, StepControl(dt_max=dt), snapshot_every=snap)
 
 
-# n = 3 exercises the pole: there the area density grows like r^2
+# the ids euclid and hyp (n = 2) keep their original names; n = 3
+# exercises the pole, where the area density grows like r^2
 _LADDER_MODELS = {"euclid": "euclid2", "hyp": "hyp2",
                   "euclid3": "euclid3", "hyp3": "hyp3"}
 
