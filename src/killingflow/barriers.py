@@ -281,9 +281,9 @@ class ScBarrier:
 
 def _sample_deep_region(geodesic: GeodesicSpec, d0: float, count: int,
                         rng: np.random.Generator | None = None,
-                        depth_span: float = 5.0,
                         margin: float = 0.0) -> np.ndarray:
-    """Sample (r, theta) points with distance in [d0 + margin, d0 + span]."""
+    """Sample (r, theta) points with distance in [d0 + margin,
+    d0 + margin + 5]."""
     rng = rng or np.random.default_rng(0)
     pts = []
     guard = 0
@@ -295,7 +295,7 @@ def _sample_deep_region(geodesic: GeodesicSpec, d0: float, count: int,
         r = float(rng.uniform(0.0, 30.0))
         q = _mink(_hyperboloid_point(r, theta), geodesic.nu)
         d = math.asinh(q) if q > 0 else -1.0
-        if d0 + margin <= d <= d0 + margin + depth_span:
+        if d0 + margin <= d <= d0 + margin + 5.0:
             pts.append((r, theta))
     return np.asarray(pts)
 

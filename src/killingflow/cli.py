@@ -229,8 +229,7 @@ def _cmd_verify(args) -> int:
         if "height" in wanted:
             _, upper = barriers.height_bounds(model, 1.0, problem.T, 0.25)
             # lower = -upper, so both margins are upper - |u|
-            U = np.stack([s.u if s.u.ndim == 1 else s.u[:, 0]
-                          for s in trajectory.states])
+            U = np.stack([s.u for s in trajectory.states])
             margin = float(np.min(upper(trajectory.grid.r) - np.abs(U)))
             record("height_margin", margin, margin >= -tol)
         if "identities" in wanted:

@@ -72,16 +72,20 @@ class ExhaustionPlan:
     nr_per_unit: int = 8
     ntheta: int = 16
     n_time_steps: int = 64
-    n_obs_r: int = 33
-    scheme: str = "semi-implicit"
+
+    def __post_init__(self):
+        # rungs are polar runs, transferred by a bicubic spline in theta
+        if self.ntheta == 1 or self.model.n != 2:
+            raise ExhaustionError(
+                f"a ladder needs ntheta > 1 and n = 2; got "
+                f"ntheta = {self.ntheta}, n = {self.model.n}")
 
     def grid_for(self, R: float) -> Grid:
         nr = max(16, int(round(self.nr_per_unit * R)))
         return Grid(R=R, nr=nr, ntheta=self.ntheta)
 
     def control(self) -> StepControl:
-        return StepControl(scheme=self.scheme, cfl=0.5,
-                           dt_max=self.T0 / self.n_time_steps)
+        return StepControl(cfl=0.5, dt_max=self.T0 / self.n_time_steps)
 
 
 def _smallest_rung(model: ModelGeometry, r: float) -> int:
@@ -166,7 +170,7 @@ def _observe(trajectory: Trajectory, r_obs: np.ndarray,
                                 theta[:pad] + 2 * math.pi])
     out = []
     for state in trajectory.states:
-        u = state.u if state.u.ndim == 2 else state.u[:, None]
+        u = state.u
         u_ext = np.concatenate([u[:, -pad:], u, u[:, :pad]], axis=1)
         spline = RectBivariateSpline(grid.r, theta_ext, u_ext, kx=3, ky=3)
         out.append(spline(r_obs, theta_obs))
@@ -178,9 +182,7 @@ def _cylinder_values(trajectory: Trajectory, r0: float) -> np.ndarray:
     grid (for max-norm measurements without interpolation error)."""
     grid = trajectory.grid
     mask = grid.r <= r0 + 1e-12
-    return np.stack([
-        (s.u if s.u.ndim == 2 else s.u[:, None])[mask]
-        for s in trajectory.states])
+    return np.stack([s.u[mask] for s in trajectory.states])
 
 
 def _solve_rung(plan: ExhaustionPlan, R: int, phi: Callable,
@@ -207,30 +209,24 @@ def run_exhaustion(plan: ExhaustionPlan, phi: Callable,
     """
     model = plan.model
     u0 = u0_radial_ext or pole_mollified_extension(phi)
-    r_obs = np.linspace(0.0, plan.r0, plan.n_obs_r)
+    r_obs = np.linspace(0.0, plan.r0, 33)
     theta_obs = Grid(R=1.0, nr=8, ntheta=plan.ntheta).theta
     trajectories = []
     observed = []
+    d_ks = []
     for R in plan.ladder:
         trajectories.append(_solve_rung(plan, R, phi, u0))
         observed.append(_observe(trajectories[-1], r_obs, theta_obs))
-        if len(observed) > 1:
-            d = float(np.max(np.abs(observed[-1] - observed[-2])))
-            budget = max(tr.grid.hr for tr in trajectories) ** 4
-            if d < plan.tol - budget:
-                break
-    rungs = plan.ladder[:len(trajectories)]
-
-    # bicubic transfer error budget: h^4-scale bound from the coarsest rung,
-    # subtracted from the tolerance in the verdict
-    h_worst = max(tr.grid.hr for tr in trajectories)
-    interp_budget = h_worst ** 4
+        # bicubic transfer error budget: h^4-scale bound from the coarsest
+        # rung, subtracted from the tolerance in the verdict
+        interp_budget = max(tr.grid.hr for tr in trajectories) ** 4
+        d_ks.append(float(np.max(np.abs(observed[-1] - observed[-2])))
+                    if len(observed) > 1 else None)
+        if d_ks[-1] is not None and d_ks[-1] < plan.tol - interp_budget:
+            break
 
     reports = []
-    for k, (R, tr) in enumerate(zip(rungs, trajectories)):
-        d_k = None
-        if k > 0:
-            d_k = float(np.max(np.abs(observed[k] - observed[k - 1])))
+    for R, tr, d_k in zip(plan.ladder, trajectories, d_ks):
         cyl = _cylinder_values(tr, plan.r0)
         sup0 = float(np.max(np.abs(cyl[0])))
         _, upper = barriers.height_bounds(model, float(R), plan.T0, sup0)
@@ -244,7 +240,7 @@ def run_exhaustion(plan: ExhaustionPlan, phi: Callable,
             height_margin=margin))
 
     # one-sided estimate checks computed from the first rung's data
-    R1 = float(rungs[0])
+    R1 = float(plan.ladder[0])
     sup_u = max(float(np.max(np.abs(obs))) for obs in observed)
     M = max(sup_u, 1e-6)
     gb = barriers.interior_gradient_bound(model, R1, M, beta=1 - 1e-8, k=17)

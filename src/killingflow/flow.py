@@ -8,20 +8,23 @@ ball satisfies the quasilinear equation du/dt = Q[u] with
 
 written in polar coordinates of the base with metric dr^2 + xi^2 dtheta^2.
 One kernel, ``kernel.coefficients``, turns the slopes into the operator's
-coefficients (a^rr, a^rt, a^tt, b^r, b^t); everything here consumes it in
-one of two ways:
+coefficients (a^rr, a^rt, a^tt, b^r, b^t), and one weight function per grid
+(``_radial_weights``, ``_polar_weights``) turns those into the stencil in
+difference form, Q[u]_j = sum_k w_jk (u_k - u_j).  The weights feed
 
-* applied to centred differences of u, for ``discretize_Q``, ``radial_Q``
-  and the explicit Euler step (a debugging fallback with a hard CFL guard);
-* assembled, with the coefficients lagged one step, into the system
-  I - dt L(u) of the default semi-implicit step.  The 2-D matrix is built
-  in one vectorised call on a stencil index pattern fixed by the grid and
-  solved by a sparse direct solve; the radial system is tridiagonal and
-  goes to a banded solver.
+* ``radial_Q``, ``discretize_Q`` and the explicit Euler step (a debugging
+  fallback), which apply them to differences of u;
+* the default semi-implicit step, which lags them one step and solves with
+  I - dt L(u), diagonal 1 + dt sum_k w_jk and entries -dt w_jk: one sparse
+  matrix built on a stencil index pattern fixed by the 2-D grid, a banded
+  tridiagonal system on the radial one;
+* the explicit limit dt <= cfl / max_j sum_k |w_jk|, each row's Gershgorin
+  radius on the flat graph u = 0, where a^{ij} = g^{ij} and the drift
+  factor are largest: cfl = 1 is the 1-D interior edge h^2/2, and the pole
+  row and both polar directions count.
 
-The chart is singular at the pole; there the operator is evaluated through
-the Fourier modes of the first grid ring, which reconstruct the local
-Cartesian gradient and Hessian of u.  Radial fields (ntheta = 1) may live
+At the pole the radial row is n u''(0) and the polar row the Cartesian
+quadratic fitted to the first ring.  Radial fields (ntheta = 1) may live
 in any base dimension n = model.n; the 2-D grid represents n = 2 only.
 """
 
@@ -171,15 +174,11 @@ def _theta_derivs(u: np.ndarray, k: float):
 
 
 def _pole_fourier(u_ring: np.ndarray, h: float, theta: np.ndarray):
-    """Local Cartesian gradient (a, b) and Hessian (c, d, e) at the pole
-    from the first grid ring (row at r = h) and the pole value."""
-    N = u_ring.size
-    m0 = float(np.mean(u_ring))
+    """Local Cartesian gradient (a, b) at the pole from the first Fourier
+    modes of the first grid ring (row at r = h)."""
     a = 2.0 * float(np.mean(u_ring * np.cos(theta))) / h
     b = 2.0 * float(np.mean(u_ring * np.sin(theta))) / h
-    p2c = 2.0 * float(np.mean(u_ring * np.cos(2 * theta)))
-    p2s = 2.0 * float(np.mean(u_ring * np.sin(2 * theta)))
-    return m0, a, b, p2c, p2s
+    return a, b
 
 
 def compute_W(model: ModelGeometry, grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -205,7 +204,7 @@ def compute_W(model: ModelGeometry, grid: Grid, u: np.ndarray) -> np.ndarray:
     ut, _ = _theta_derivs(u, grid.dtheta)
     grad2 = np.empty_like(u)
     grad2[1:] = ur[1:] ** 2 + (ut[1:] / xi[1:, None]) ** 2
-    _, a, b, _, _ = _pole_fourier(u[1], h, grid.theta)
+    a, b = _pole_fourier(u[1], h, grid.theta)
     grad2[0] = a * a + b * b
     return np.sqrt(1.0 / rho[:, None] ** 2 + grad2)
 
@@ -228,98 +227,34 @@ def _d2_nonuniform(r: np.ndarray, u: np.ndarray) -> np.ndarray:
     return d2
 
 
-def radial_Q(model: ModelGeometry, r: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Discrete flow operator for radial fields on an increasing r grid,
-    in base dimension model.n.
-
-    The first node may be the pole (r = 0), handled by the symmetric
-    one-sided Laplacian; the last node's value is meaningless (Dirichlet).
-    """
-    r = np.asarray(r, dtype=float)
-    u = np.asarray(u, dtype=float)
+def _radial_weights(model: ModelGeometry, r: np.ndarray,
+                    u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (w_lo, w_up) towards nodes j - 1 and j + 1 of the radial
+    operator in base dimension model.n, on an increasing r grid.  A pole
+    first node gets 2n/h^2 (u'(0) = 0 and Lap u(0) = n u''(0)); a first
+    node off the pole and the last (Dirichlet) node get zero rows."""
     ur = np.gradient(u, r)
     pole = r[0] <= R_MIN
     if pole:
         ur[0] = 0.0
     arr, br = coefficients(model, r, ur)
-    Q = arr * _d2_nonuniform(r, u) + br * ur
+    h_lo = r[1:-1] - r[:-2]
+    h_up = r[2:] - r[1:-1]
+    w_lo = np.zeros_like(u)
+    w_up = np.zeros_like(u)
+    w_lo[1:-1] = (2.0 * arr[1:-1] - br[1:-1] * h_up) / (h_lo * (h_lo + h_up))
+    w_up[1:-1] = (2.0 * arr[1:-1] + br[1:-1] * h_lo) / (h_up * (h_lo + h_up))
     if pole:
-        # radial smoothness gives u'(0) = 0 and Lap u(0) = n u''(0)
-        Q[0] = model.n * 2.0 * (u[1] - u[0]) / (r[1] - r[0]) ** 2
-    Q[-1] = 0.0
-    return Q
-
-
-def discretize_Q(model: ModelGeometry, grid: Grid,
-                 u: np.ndarray) -> np.ndarray:
-    """Discrete flow operator on the polar grid (second order in space).
-
-    Boundary row is returned as zero (the Dirichlet row never moves).
-    """
-    if grid.radial:
-        v = u[:, 0] if u.ndim == 2 else u
-        q = radial_Q(model, grid.r, v)
-        return q[:, None] if u.ndim == 2 else q
-    h = grid.hr
-    ur, ut, urr, urt, utt = (d[1:-1] for d in _partials_2d(grid, u))
-    arr, art, att, br, bt = coefficients(model, grid.r[1:-1, None], ur, ut)
-    Q = np.zeros_like(u)
-    Q[1:-1] = arr * urr + 2.0 * art * urt + att * utt + br * ur + bt * ut
-    # pole: reconstruct the local Cartesian quadratic from the first ring
-    m0, a, b, p2c, p2s = _pole_fourier(u[1], h, grid.theta)
-    ca, cb, cd = pole_coefficients(model, a, b)
-    ce_sum = 4.0 * (m0 - float(u[0, 0])) / (h * h)
-    ce_dif = 4.0 * p2c / (h * h)
-    c = 0.5 * (ce_sum + ce_dif)
-    e = 0.5 * (ce_sum - ce_dif)
-    d = 2.0 * p2s / (h * h)
-    Q[0] = ca * c + cb * e + cd * d
-    return Q
-
-
-# ---------------------------------------------------------------------------
-# time stepping
-
-
-def _cfl_dt(model: ModelGeometry, grid: Grid, control: StepControl) -> float:
-    h_angular = math.inf
-    if not grid.radial:
-        xi1 = float(model.xi.value(grid.hr))
-        h_angular = xi1 * grid.dtheta
-    h_min = min(grid.hr, h_angular)
-    # the diffusion matrix g^{ij} - u^i u^j / W^2 has eigenvalues <= those
-    # of g^{ij}, i.e. <= 1 in physical (orthonormal) directions
-    return control.cfl * h_min * h_min / 2.0
-
-
-def _radial_implicit(model: ModelGeometry, grid: Grid, v: np.ndarray,
-                     dt: float, phi0: float) -> np.ndarray:
-    """One lagged-coefficient step of a radial field: a tridiagonal solve
-    of (I - dt L(v)) v_new = v with the Dirichlet value phi0 at r = R."""
-    h = grid.hr
-    ur = np.gradient(v, grid.r)
-    ur[0] = 0.0
-    arr, br = coefficients(model, grid.r, ur)
-    cw = arr[1:-1] / h ** 2
-    cb = br[1:-1] / (2 * h)
-    pole = dt * 2.0 * model.n / h ** 2
-    bands = np.zeros((3, v.size))         # upper, main, lower diagonals
-    bands[0, 1] = -pole
-    bands[0, 2:] = -dt * (cw + cb)
-    bands[1, 0] = 1.0 + pole
-    bands[1, 1:-1] = 1.0 + dt * 2.0 * cw
-    bands[1, -1] = 1.0
-    bands[2, :-2] = -dt * (cw - cb)
-    rhs = v.copy()
-    rhs[-1] = phi0
-    return solve_banded((1, 1), bands, rhs)
+        w_up[0] = 2.0 * model.n / h_lo[0] ** 2
+    return w_lo, w_up
 
 
 @functools.lru_cache(maxsize=16)
 def _stencil(nr: int, nt: int) -> tuple[np.ndarray, np.ndarray]:
     """(rows, cols) of the 2-D semi-implicit system, in the entry order
     _implicit_matrix fills: nine entries per interior node, the pole
-    equation, the ties of the other pole copies to node 0, the boundary."""
+    equation, the ties of the other pole copies to node 0, the boundary.
+    discretize_Q reads its interior neighbour pairs from the same arrays."""
     j = np.arange(1, nr)[:, None]
     i = np.arange(nt)[None, :]
 
@@ -341,12 +276,12 @@ def _stencil(nr: int, nt: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _implicit_matrix(model: ModelGeometry, grid: Grid, u: np.ndarray,
-                     dt: float) -> sp.csr_matrix:
-    """I - dt L(u) on the polar grid, with the pole row built from the
-    Fourier modes of the first ring and identity rows elsewhere on the
-    pole and the boundary."""
-    nr, nt = grid.nr, grid.ntheta
+def _polar_weights(model: ModelGeometry, grid: Grid,
+                   u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, w_ring): w[m] weighs, on interior rows, the neighbour at
+    _stencil's offset m + 1; w_ring weighs the first ring in the pole row,
+    from its mean, cos 2theta and sin 2theta modes at the ring's slope."""
+    nt = grid.ntheta
     h, k = grid.hr, grid.dtheta
     ur, ut = (d[1:-1] for d in _partials_2d(grid, u)[:2])
     arr, art, att, br, bt = coefficients(model, grid.r[1:-1, None], ur, ut)
@@ -355,20 +290,90 @@ def _implicit_matrix(model: ModelGeometry, grid: Grid, u: np.ndarray,
     a_tt = att / k ** 2
     b_r = br / (2 * h)
     b_t = bt / (2 * k)
-    interior = [1.0 + dt * (2 * a_rr + 2 * a_tt),
-                -dt * (a_rr + b_r), -dt * (a_rr - b_r),
-                -dt * (a_tt + b_t), -dt * (a_tt - b_t),
-                -dt * a_rt, -dt * a_rt, dt * a_rt, dt * a_rt]
-    # pole equation on unknown (0, 0), from the ring's Fourier modes
-    _, a, b, _, _ = _pole_fourier(u[1], h, grid.theta)
+    w = np.stack([a_rr + b_r, a_rr - b_r, a_tt + b_t, a_tt - b_t,
+                  a_rt, a_rt, -a_rt, -a_rt])
+    a, b = _pole_fourier(u[1], h, grid.theta)
     ca, cb, cd = pole_coefficients(model, a, b)
     cos2 = np.cos(2 * grid.theta)
     w_ring = (ca * (2.0 / (nt * h * h)) * (1.0 + 2.0 * cos2)
               + cb * (2.0 / (nt * h * h)) * (1.0 - 2.0 * cos2)
               + cd * (4.0 / (nt * h * h)) * np.sin(2 * grid.theta))
-    w_pole = -(2.0 / (h * h)) * (ca + cb)
-    data = np.concatenate([np.concatenate([c.ravel() for c in interior]),
-                           [1.0 - dt * w_pole], -dt * w_ring,
+    return w, w_ring
+
+
+def radial_Q(model: ModelGeometry, r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Discrete flow operator for radial fields on an increasing r grid,
+    in base dimension model.n.  The first node may be the pole (r = 0);
+    off the pole it reads zero, like the last (Dirichlet) node."""
+    r = np.asarray(r, dtype=float)
+    u = np.asarray(u, dtype=float)
+    w_lo, w_up = _radial_weights(model, r, u)
+    du = np.diff(u)
+    Q = np.zeros_like(u)
+    Q[:-1] = w_up[:-1] * du
+    Q[1:] -= w_lo[1:] * du
+    return Q
+
+
+def discretize_Q(model: ModelGeometry, grid: Grid,
+                 u: np.ndarray) -> np.ndarray:
+    """Discrete flow operator on the polar grid (second order in space).
+
+    Boundary row is returned as zero (the Dirichlet row never moves).
+    """
+    if grid.radial:
+        v = u[:, 0] if u.ndim == 2 else u
+        q = radial_Q(model, grid.r, v)
+        return q[:, None] if u.ndim == 2 else q
+    nr, nt = grid.nr, grid.ntheta
+    w, w_ring = _polar_weights(model, grid, u)
+    m = (nr - 1) * nt
+    rows, cols = (s[m:9 * m] for s in _stencil(nr, nt))
+    flat = u.ravel()
+    Q = np.zeros_like(u)
+    Q[1:-1] = np.sum(w * (flat[cols] - flat[rows]).reshape(w.shape), axis=0)
+    Q[0] = np.dot(w_ring, u[1] - u[0, 0])
+    return Q
+
+
+# ---------------------------------------------------------------------------
+# time stepping
+
+
+def _cfl_dt(model: ModelGeometry, grid: Grid, control: StepControl) -> float:
+    """cfl / max_j sum_k |w_jk| on the flat graph u = 0 (see the module
+    docstring)."""
+    u = np.zeros(grid.shape())
+    if grid.radial:
+        radius = np.sum(np.abs(_radial_weights(model, grid.r, u[:, 0])), 0)
+    else:
+        w, w_ring = _polar_weights(model, grid, u)
+        radius = np.append(np.sum(np.abs(w), 0), np.sum(np.abs(w_ring)))
+    return control.cfl / float(np.max(radius))
+
+
+def _radial_implicit(model: ModelGeometry, grid: Grid, v: np.ndarray,
+                     dt: float, phi0: float) -> np.ndarray:
+    """One lagged-coefficient step of a radial field: a tridiagonal solve
+    of (I - dt L(v)) v_new = v with the Dirichlet value phi0 at r = R."""
+    w_lo, w_up = _radial_weights(model, grid.r, v)
+    bands = np.zeros((3, v.size))         # upper, main, lower diagonals
+    bands[0, 1:] = -dt * w_up[:-1]
+    bands[1] = 1.0 + dt * (w_lo + w_up)
+    bands[2, :-1] = -dt * w_lo[1:]
+    rhs = v.copy()
+    rhs[-1] = phi0
+    return solve_banded((1, 1), bands, rhs)
+
+
+def _implicit_matrix(model: ModelGeometry, grid: Grid, u: np.ndarray,
+                     dt: float) -> sp.csr_matrix:
+    """I - dt L(u) on the polar grid from the stencil weights, with
+    identity rows on the boundary and ties of the pole copies to node 0."""
+    nr, nt = grid.nr, grid.ntheta
+    w, w_ring = _polar_weights(model, grid, u)
+    data = np.concatenate([(1.0 + dt * np.sum(w, 0)).ravel(), -dt * w.ravel(),
+                           [1.0 + dt * np.sum(w_ring)], -dt * w_ring,
                            np.ones(nt - 1), -np.ones(nt - 1), np.ones(nt)])
     m = (nr + 1) * nt
     return sp.csr_matrix((data, _stencil(nr, nt)), shape=(m, m))
@@ -644,8 +649,7 @@ def residual_identities(model: ModelGeometry, trajectory: Trajectory,
     n = model.n
     r = grid.r
     t = np.asarray([s.t for s in trajectory.states])
-    U = np.stack([s.u if s.u.ndim == 1 else s.u[:, 0]
-                  for s in trajectory.states])
+    U = np.stack([s.u for s in trajectory.states])
     # the evaluated snapshots: interior in time and past the burn-in
     t_min = t[0] + burn_in * (t[-1] - t[0])
     win = slice(max(int(np.searchsorted(t, t_min)), 1), t.size - 1)

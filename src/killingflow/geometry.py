@@ -276,9 +276,6 @@ class _CumulativeIntegral:
         self._vals.insert(i + 1, val)
         return val
 
-    def knots(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self._knots), np.asarray(self._vals)
-
 
 @dataclass
 class ModelGeometry:
@@ -369,10 +366,6 @@ class ModelGeometry:
         rr = self.rho.ratio_d1(r)
         return self.rho.d2(r) / self.rho.value(r) - np.asarray(rr) ** 2 \
             if np.ndim(r) else self.rho.d2(r) / self.rho.value(r) - rr * rr
-
-    def min_rho(self, R: float, samples: int = 1024) -> float:
-        rs = np.linspace(0.0, R, samples)
-        return float(np.min(self.rho.value(rs)))
 
     def spec_dict(self) -> dict:
         def pd(p: ProfileSpec):

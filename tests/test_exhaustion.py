@@ -34,6 +34,18 @@ def test_ladder_guards(euclid2):
         build_ladder(euclid2, 1.0, 3, growth=0.5)
 
 
+def test_plan_rejects_radial_grid(euclid2):
+    # rungs are transferred by a bicubic spline in theta, which needs a
+    # polar grid; refuse the plan before any rung is solved
+    with pytest.raises(ExhaustionError, match="ntheta"):
+        build_ladder(euclid2, 1.0, 2, ntheta=1)
+
+
+def test_plan_rejects_higher_dimension(euclid3):
+    with pytest.raises(ExhaustionError, match="n = 3"):
+        build_ladder(euclid3, 1.0, 2)
+
+
 def test_radial_extension_shapes():
     ext = radial_extension(_phi)
     th = np.linspace(0.0, 2 * math.pi, 8, endpoint=False)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from killingflow import cmc, euclidean_model, flow
+from killingflow import cmc, euclidean_model, flow, hyperbolic_model
 from killingflow.barriers import pointwise_Q
 from killingflow.flow import (BallProblem, FlowError, Grid, StepControl,
                               compute_W, discretize_Q, load_run,
@@ -23,6 +23,12 @@ def _zero_phi(theta):
 
 def _bump(r, theta):
     return 0.25 * np.cos(0.5 * math.pi * r) * np.ones_like(theta)
+
+
+def _poly(r, th):
+    # non-symmetric polynomial in x = r cos(theta), y = r sin(theta)
+    x, y = r * np.cos(th), r * np.sin(th)
+    return 0.3 * x + 0.4 * x * y + 0.2 * y ** 3 - 0.25 * (x * x + y * y)
 
 
 # -- grid and problem ------------------------------------------------------------
@@ -112,22 +118,16 @@ def test_Q_zero_on_flat_graph(euclid2):
 
 @pytest.mark.parametrize("model_name", ["euclid2", "hyp2"])
 def test_discretize_Q_second_order_against_pointwise_Q(model_name, request):
-    # non-symmetric polynomial in x = r cos(theta), y = r sin(theta);
     # compared away from the pole, where both use the polar chart
     model = request.getfixturevalue(model_name)
-
-    def f(r, th):
-        x, y = r * np.cos(th), r * np.sin(th)
-        return 0.3 * x + 0.4 * x * y + 0.2 * y ** 3 - 0.25 * (x * x + y * y)
-
     errs = []
     for n in (32, 64):
         g = Grid(R=1.0, nr=n, ntheta=n)
-        q = discretize_Q(model, g, f(g.r[:, None], g.theta[None, :]))
+        q = discretize_Q(model, g, _poly(g.r[:, None], g.theta[None, :]))
         err = 0.0
         for j in np.flatnonzero((g.r >= 0.25) & (g.r <= 0.75)):
             for i, th in enumerate(g.theta):
-                ref = pointwise_Q(model, f, float(g.r[j]), float(th))
+                ref = pointwise_Q(model, _poly, float(g.r[j]), float(th))
                 err = max(err, abs(float(q[j, i]) - ref))
         errs.append(err)
     assert errs[0] / errs[1] >= 3.5
@@ -228,6 +228,54 @@ def test_explicit_euler_matches_semi_implicit(n):
     gap = float(np.max(np.abs(a.states[-1].u - b.states[-1].u)))
     # both are first order in time; they agree to O(dt) over the run
     assert gap < 5e-6
+
+
+@pytest.mark.parametrize("kind,n,nr,ntheta,cfl", [
+    *(("euclidean", n, 32, 1, cfl) for n in (2, 3, 4, 6)
+      for cfl in (0.5, 1.0)),
+    *((kind, 2, nr, nt, cfl) for kind in ("euclidean", "hyperbolic")
+      for nr, nt in ((8, 12), (16, 16)) for cfl in (0.5, 1.0))])
+def test_explicit_euler_at_cfl_limit(kind, n, nr, ntheta, cfl):
+    # just inside the limit the explicit run must stay stable, pole row and
+    # both polar directions included, and track the semi-implicit run
+    model = {"euclidean": euclidean_model,
+             "hyperbolic": hyperbolic_model}[kind](n=n)
+    g = Grid(R=1.0, nr=nr, ntheta=ntheta)
+    if g.radial:
+        phi, u0 = _zero_phi, _bump
+    else:
+        noise = 0.01 * np.random.default_rng(5).standard_normal(g.shape())
+        noise[0] = noise[-1] = 0.0
+
+        def phi(th):
+            return 0.1 * np.cos(th)
+
+        def u0(r, th):
+            return 0.1 * np.cos(th) * r + noise
+
+    dt = 0.99 * flow._cfl_dt(model, g, StepControl(cfl=cfl))
+    p = BallProblem(model=model, R=1.0, phi=phi, u0=u0, T=300 * dt)
+    a = solve_ball(p, g, StepControl(scheme="explicit-euler", cfl=cfl,
+                                     dt_max=dt))
+    b = solve_ball(p, g, StepControl(dt_max=dt))
+    gap = float(np.max(np.abs(a.states[-1].u - b.states[-1].u)))
+    assert gap < 1e-3
+
+
+@pytest.mark.parametrize("model_name", ["euclid2", "hyp2"])
+@pytest.mark.parametrize("nr,ntheta", [(24, 16), (32, 32)])
+def test_implicit_matrix_matches_discretize_Q(model_name, nr, ntheta,
+                                              request):
+    # row j of I - dt L(u) is 1 + dt sum_k w_jk on the diagonal and -dt w_jk
+    # off it, so at dt = 1 the residual u - A u is the explicit operator
+    model = request.getfixturevalue(model_name)
+    g = Grid(R=1.0, nr=nr, ntheta=ntheta)
+    u = _poly(g.r[:, None], g.theta[None, :])
+    A = flow._implicit_matrix(model, g, u, dt=1.0)
+    lhs = (u.ravel() - A @ u.ravel()).reshape(g.shape())
+    q = discretize_Q(model, g, u)
+    assert abs(lhs[0, 0] - q[0, 0]) < 1e-10
+    assert float(np.max(np.abs(lhs[1:-1] - q[1:-1]))) < 1e-10
 
 
 def test_2d_flow_runs_and_respects_boundary(euclid2):
