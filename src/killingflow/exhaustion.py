@@ -211,22 +211,23 @@ def run_exhaustion(plan: ExhaustionPlan, phi: Callable,
     u0 = u0_radial_ext or pole_mollified_extension(phi)
     r_obs = np.linspace(0.0, plan.r0, 33)
     theta_obs = Grid(R=1.0, nr=8, ntheta=plan.ntheta).theta
-    trajectories = []
-    observed = []
-    d_ks = []
+    # each rung is reduced to its report, its observation stack and the
+    # running maxima as soon as it is solved, and its trajectory is dropped
+    # before the next rung starts
+    reports = []
+    observed = None
+    sup_u = 0.0
+    hr_max = 0.0
     for R in plan.ladder:
-        trajectories.append(_solve_rung(plan, R, phi, u0))
-        observed.append(_observe(trajectories[-1], r_obs, theta_obs))
+        tr = _solve_rung(plan, R, phi, u0)
+        previous, observed = observed, _observe(tr, r_obs, theta_obs)
+        sup_u = max(sup_u, float(np.max(np.abs(observed))))
         # bicubic transfer error budget: h^4-scale bound from the coarsest
         # rung, subtracted from the tolerance in the verdict
-        interp_budget = max(tr.grid.hr for tr in trajectories) ** 4
-        d_ks.append(float(np.max(np.abs(observed[-1] - observed[-2])))
-                    if len(observed) > 1 else None)
-        if d_ks[-1] is not None and d_ks[-1] < plan.tol - interp_budget:
-            break
-
-    reports = []
-    for R, tr, d_k in zip(plan.ladder, trajectories, d_ks):
+        hr_max = max(hr_max, tr.grid.hr)
+        interp_budget = hr_max ** 4
+        d_k = (None if previous is None
+               else float(np.max(np.abs(observed - previous))))
         cyl = _cylinder_values(tr, plan.r0)
         sup0 = float(np.max(np.abs(cyl[0])))
         _, upper = barriers.height_bounds(model, float(R), plan.T0, sup0)
@@ -238,10 +239,12 @@ def run_exhaustion(plan: ExhaustionPlan, phi: Callable,
             max_grad=float(np.max(tr.max_grad)),
             max_A=float(np.max(tr.max_A)),
             height_margin=margin))
+        del tr
+        if d_k is not None and d_k < plan.tol - interp_budget:
+            break
 
     # one-sided estimate checks computed from the first rung's data
     R1 = float(plan.ladder[0])
-    sup_u = max(float(np.max(np.abs(obs))) for obs in observed)
     M = max(sup_u, 1e-6)
     gb = barriers.interior_gradient_bound(model, R1, M, beta=1 - 1e-8, k=17)
     max_grad_all = max(r.max_grad for r in reports)

@@ -15,9 +15,11 @@ difference form, Q[u]_j = sum_k w_jk (u_k - u_j).  The weights feed
 * ``radial_Q``, ``discretize_Q`` and the explicit Euler step (a debugging
   fallback), which apply them to differences of u;
 * the default semi-implicit step, which lags them one step and solves with
-  I - dt L(u), diagonal 1 + dt sum_k w_jk and entries -dt w_jk: one sparse
-  matrix built on a stencil index pattern fixed by the 2-D grid, a banded
-  tridiagonal system on the radial one;
+  I - dt L(u), diagonal 1 + dt sum_k w_jk and entries -dt w_jk: on the 2-D
+  grid one band LU with partial pivoting (LAPACK dgbsv) in a node order
+  that keeps the rings in turn and folds theta within each ring, so the
+  9-point stencil, the pole row and the pole ties all lie within nt + 3
+  of the diagonal; a tridiagonal system on the radial grid;
 * the explicit limit dt <= cfl / max_j sum_k |w_jk|, each row's Gershgorin
   radius on the flat graph u = 0, where a^{ij} = g^{ij} and the drift
   factor are largest: cfl = 1 is the 1-D interior edge h^2/2, and the pole
@@ -39,9 +41,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+# flow calls no sparse solver; the module attribute stays because
+# bench/spans.py wraps flow.spla to trace sparse solves
+import scipy.sparse.linalg as spla  # noqa: F401
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .geometry import ModelGeometry, R_MIN, ambient_frame
 from .kernel import coefficients, pole_coefficients
@@ -251,10 +255,12 @@ def _radial_weights(model: ModelGeometry, r: np.ndarray,
 
 @functools.lru_cache(maxsize=16)
 def _stencil(nr: int, nt: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of the 2-D semi-implicit system, in the entry order
-    _implicit_matrix fills: nine entries per interior node, the pole
-    equation, the ties of the other pole copies to node 0, the boundary.
-    discretize_Q reads its interior neighbour pairs from the same arrays."""
+    """(rows, cols) of the 2-D semi-implicit system in natural node order
+    j * nt + i, in the entry order _implicit_entries returns: nine entries
+    per interior node, the pole equation, the ties of the other pole copies
+    to node 0, the boundary.  _band_layout maps each entry into the banded
+    array the step solves; discretize_Q reads its interior neighbour pairs
+    from the same arrays."""
     j = np.arange(1, nr)[:, None]
     i = np.arange(nt)[None, :]
 
@@ -274,6 +280,35 @@ def _stencil(nr: int, nt: int) -> tuple[np.ndarray, np.ndarray]:
     rows.flags.writeable = False
     cols.flags.writeable = False
     return rows, cols
+
+
+@functools.lru_cache(maxsize=16)
+def _band_layout(nr: int, nt: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """(pos, entry, kl, ku): the banded order of the 2-D system.
+
+    pos[node] is the node's slot.  Rings keep their order and theta is
+    folded within each, i = 0, 1, nt - 1, 2, nt - 2, ..., so periodic
+    neighbours sit at most two slots apart.  Ring 0 holds the pole copies
+    in the same folded order and then the pole equation, node 0, in its
+    last slot, next to the first ring its row reads: that gives kl = nt + 3
+    and ku = nt + 2, where the natural order has ku = 2 nt - 1.  entry[e]
+    is the flat index of _stencil entry e in the Fortran-order
+    (2 kl + ku + 1) x N array dgbsv factors in place, which stores A[p, q]
+    at row kl + ku + p - q of column q; its first kl rows are the fill-in
+    room for the row interchanges."""
+    i = np.arange(nt)
+    fold = np.where(2 * i <= nt, 2 * i - 1, 2 * (nt - i))
+    ring0 = fold - 1
+    fold[0], ring0[0] = 0, nt - 1
+    pos = np.concatenate([ring0, (np.arange(1, nr + 1)[:, None] * nt
+                                  + fold).ravel()])
+    rows, cols = _stencil(nr, nt)
+    p, q = pos[rows], pos[cols]
+    kl, ku = int(np.max(p - q)), int(np.max(q - p))
+    entry = kl + ku + p - q + (2 * kl + ku + 1) * q
+    pos.flags.writeable = False
+    entry.flags.writeable = False
+    return pos, entry, kl, ku
 
 
 def _polar_weights(model: ModelGeometry, grid: Grid,
@@ -366,17 +401,41 @@ def _radial_implicit(model: ModelGeometry, grid: Grid, v: np.ndarray,
     return solve_banded((1, 1), bands, rhs)
 
 
-def _implicit_matrix(model: ModelGeometry, grid: Grid, u: np.ndarray,
-                     dt: float) -> sp.csr_matrix:
-    """I - dt L(u) on the polar grid from the stencil weights, with
-    identity rows on the boundary and ties of the pole copies to node 0."""
-    nr, nt = grid.nr, grid.ntheta
+def _implicit_entries(model: ModelGeometry, grid: Grid, u: np.ndarray,
+                      dt: float) -> np.ndarray:
+    """Entries of I - dt L(u) on the polar grid, in _stencil order, from
+    the stencil weights, with identity rows on the boundary and ties of the
+    pole copies to node 0."""
+    nt = grid.ntheta
     w, w_ring = _polar_weights(model, grid, u)
-    data = np.concatenate([(1.0 + dt * np.sum(w, 0)).ravel(), -dt * w.ravel(),
+    return np.concatenate([(1.0 + dt * np.sum(w, 0)).ravel(), -dt * w.ravel(),
                            [1.0 + dt * np.sum(w_ring)], -dt * w_ring,
                            np.ones(nt - 1), -np.ones(nt - 1), np.ones(nt)])
-    m = (nr + 1) * nt
-    return sp.csr_matrix((data, _stencil(nr, nt)), shape=(m, m))
+
+
+def _polar_implicit(model: ModelGeometry, grid: Grid, u: np.ndarray,
+                    dt: float, phi_row: np.ndarray) -> np.ndarray:
+    """One lagged-coefficient step of a polar field: (I - dt L(u)) u_new = u
+    with the Dirichlet row phi_row, solved in _band_layout's order by a
+    band LU with partial pivoting.  Pivoting is needed: next to the pole
+    the lagged stencil is not an M-matrix."""
+    nt = grid.ntheta
+    pos, entry, kl, ku = _band_layout(grid.nr, nt)
+    band = np.zeros(u.size * (2 * kl + ku + 1))
+    band[entry] = _implicit_entries(model, grid, u, dt)
+    rhs = np.empty(u.size)
+    rhs[pos] = u.ravel()
+    rhs[pos[1:nt]] = 0.0                  # pole tie rows
+    rhs[pos[-nt:]] = phi_row
+    # the transpose of the C-order (N, 2 kl + ku + 1) buffer is the
+    # Fortran-order band array, so dgbsv factors and solves in place
+    _, _, sol, info = dgbsv(kl, ku, band.reshape(u.size, -1).T, rhs,
+                            overwrite_ab=1, overwrite_b=1)
+    if info != 0:
+        raise FlowError(f"banded solve failed (LAPACK dgbsv info={info})")
+    u_new = sol[pos].reshape(grid.shape())
+    u_new[0, :] = u_new[0, 0]
+    return u_new
 
 
 def step(state: FlowState, problem: BallProblem, grid: Grid,
@@ -403,12 +462,7 @@ def step(state: FlowState, problem: BallProblem, grid: Grid,
         sol = _radial_implicit(model, grid, v, dt, float(phi_row[0]))
         u_new = sol[:, None] if u.ndim == 2 else sol
     else:
-        rhs = u.flatten()
-        rhs[1:grid.ntheta] = 0.0              # pole tie rows
-        rhs[-grid.ntheta:] = phi_row
-        sol = spla.spsolve(_implicit_matrix(model, grid, u, dt), rhs)
-        u_new = sol.reshape(grid.shape())
-        u_new[0, :] = u_new[0, 0]
+        u_new = _polar_implicit(model, grid, u, dt, phi_row)
     if u_new.ndim == 2:
         u_new[-1, :] = phi_row
     else:

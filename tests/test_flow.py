@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -262,6 +264,14 @@ def test_explicit_euler_at_cfl_limit(kind, n, nr, ntheta, cfl):
     assert gap < 1e-3
 
 
+def _implicit_csr(model, g, u, dt):
+    # the reference system: I - dt L(u) in natural node order, as a CSR
+    # matrix built from the step's entries and the stencil's index pattern
+    m = u.size
+    return sp.csr_matrix((flow._implicit_entries(model, g, u, dt),
+                          flow._stencil(g.nr, g.ntheta)), shape=(m, m))
+
+
 @pytest.mark.parametrize("model_name", ["euclid2", "hyp2"])
 @pytest.mark.parametrize("nr,ntheta", [(24, 16), (32, 32)])
 def test_implicit_matrix_matches_discretize_Q(model_name, nr, ntheta,
@@ -271,11 +281,76 @@ def test_implicit_matrix_matches_discretize_Q(model_name, nr, ntheta,
     model = request.getfixturevalue(model_name)
     g = Grid(R=1.0, nr=nr, ntheta=ntheta)
     u = _poly(g.r[:, None], g.theta[None, :])
-    A = flow._implicit_matrix(model, g, u, dt=1.0)
+    A = _implicit_csr(model, g, u, dt=1.0)
     lhs = (u.ravel() - A @ u.ravel()).reshape(g.shape())
     q = discretize_Q(model, g, u)
     assert abs(lhs[0, 0] - q[0, 0]) < 1e-10
     assert float(np.max(np.abs(lhs[1:-1] - q[1:-1]))) < 1e-10
+
+
+@pytest.mark.parametrize("nr,ntheta", [(8, 8), (9, 9), (16, 11), (33, 8),
+                                       (40, 33)])
+def test_band_layout_is_a_banded_permutation(nr, ntheta):
+    pos, entry, kl, ku = flow._band_layout(nr, ntheta)
+    n = (nr + 1) * ntheta
+    assert np.array_equal(np.sort(pos), np.arange(n))
+    rows, cols = flow._stencil(nr, ntheta)
+    assert entry.size == rows.size
+    assert np.unique(entry).size == entry.size       # no shared band slot
+    # entry e stores A[pos[row], pos[col]] at band row kl + ku + p - q
+    band_col, band_row = np.divmod(entry, 2 * kl + ku + 1)
+    assert np.array_equal(band_col, pos[cols])
+    assert np.array_equal(band_row, kl + ku + pos[rows] - pos[cols])
+    assert np.all((band_row >= kl) & (band_row <= 2 * kl + ku))
+    assert kl <= ntheta + 3 and ku <= ntheta + 3
+    for arr in (pos, entry):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+@pytest.mark.parametrize("model_name", ["euclid2", "hyp2"])
+@pytest.mark.parametrize("nr,ntheta", [(8, 8), (9, 9), (16, 11), (33, 8),
+                                       (40, 33)])
+@pytest.mark.parametrize("dt", [1e-4, 1e-2, 1.0])
+def test_banded_solve_matches_sparse_solve(model_name, nr, ntheta, dt,
+                                           request):
+    model = request.getfixturevalue(model_name)
+    g = Grid(R=1.0, nr=nr, ntheta=ntheta)
+    u = 0.2 + _poly(g.r[:, None], g.theta[None, :])   # nonzero at the pole
+    phi = 0.1 * np.cos(g.theta)
+    rhs = u.flatten()
+    rhs[1:ntheta] = 0.0
+    rhs[-ntheta:] = phi
+    ref = spla.spsolve(_implicit_csr(model, g, u, dt), rhs).reshape(
+        g.shape())
+    got = flow._polar_implicit(model, g, u, dt, phi)
+    assert float(np.max(np.abs(got - ref))) < 1e-10
+
+
+def test_singular_banded_system_raises(euclid2, monkeypatch):
+    g = Grid(R=1.0, nr=8, ntheta=8)
+    u = np.zeros(g.shape())
+    monkeypatch.setattr(flow, "_implicit_entries",
+                        lambda model, grid, u, dt: np.zeros(
+                            flow._stencil(grid.nr, grid.ntheta)[0].size))
+    with pytest.raises(FlowError, match="dgbsv"):
+        flow._polar_implicit(euclid2, g, u, 1e-3, np.zeros(8))
+
+
+def test_2d_run_is_independent_of_call_history(euclid2):
+    # a run on another grid in between reuses the cached layouts and must
+    # leave the report bit-identical
+    phi = lambda th: 0.1 * np.cos(th)
+    p = BallProblem(model=euclid2, R=1.0, phi=phi,
+                    u0=lambda r, th: 0.1 * np.cos(th) * np.asarray(r),
+                    T=0.02)
+    ctl = StepControl(dt_max=1e-3)
+    a = solve_ball(p, Grid(R=1.0, nr=48, ntheta=16), ctl)
+    solve_ball(p, Grid(R=1.0, nr=24, ntheta=32), ctl)
+    b = solve_ball(p, Grid(R=1.0, nr=48, ntheta=16), ctl)
+    assert np.array_equal(a.states[-1].u, b.states[-1].u)
+    assert np.array_equal(a.max_A, b.max_A)
 
 
 def test_2d_flow_runs_and_respects_boundary(euclid2):
