@@ -10,6 +10,12 @@ Four barrier mechanisms are implemented:
 * the exponential barrier at infinity over a geodesic halfplane in the
   hyperbolic plane (the strict-convexity barrier).
 
+The barrier at infinity, the boundary barrier and ``pointwise_Q`` take
+broadcast (r, theta) (or distance) arrays, so a barrier evaluates on a
+whole polar grid in one call.  ``pointwise_Q`` is the independent
+non-divergence oracle for the grid operator: its own centered stencil
+plus ``kernel.coefficients``, sharing no weights with ``flow``.
+
 The module also evaluates the explicit interior-gradient and curvature
 bound constants so runs can be checked against them.
 """
@@ -186,13 +192,13 @@ class BoundaryBarrier:
     d0: float
     A_coef: float
 
-    def h(self, d: float) -> float:
-        return math.log1p(self.A_coef * d) / self.L
+    def h(self, d):
+        return np.log1p(self.A_coef * d) / self.L
 
-    def h_prime(self, d: float) -> float:
+    def h_prime(self, d):
         return self.A_coef / (self.L * (1.0 + self.A_coef * d))
 
-    def h_second(self, d: float) -> float:
+    def h_second(self, d):
         return -self.A_coef ** 2 / (self.L * (1.0 + self.A_coef * d) ** 2)
 
     def gradient_cap(self, sup_grad_u0_ext: float = 0.0) -> float:
@@ -212,13 +218,21 @@ def make_boundary_barrier(L: float, d0: float) -> BoundaryBarrier:
 #
 # Points of the hyperbolic plane are represented on the hyperboloid
 # x1^2 + x2^2 - x3^2 = -1, x3 > 0, with the polar chart
-# (r, theta) -> (sinh r cos theta, sinh r sin theta, cosh r).  A complete
-# geodesic is the zero set of <x, nu> for a unit spacelike nu; the halfplane
-# is U = {<x, nu> > 0} and the signed distance inside U is arcsinh <x, nu>.
+# X(r, theta) = (sinh r cos theta, sinh r sin theta, cosh r).  A complete
+# geodesic is the zero set of q = <X, nu> for a unit spacelike nu; the
+# halfplane is U = {q > 0} and the signed distance inside U is arcsinh q.
 
 
-def _mink(x, y) -> float:
-    return x[0] * y[0] + x[1] * y[1] - x[2] * y[2]
+def _halfplane_distance(nu, r, theta) -> tuple:
+    """(d, d_r) on broadcast (r, theta) arrays: the signed distance
+    d = arcsinh q to the geodesic {q = 0}, q = <X(r, theta), nu>, and its
+    radial derivative d_r = q_r / sqrt(1 + q^2) with q_r = <d_r X, nu>.
+    Since |grad d| = 1, d_r is also <grad r, grad d>."""
+    c, s = np.cos(theta), np.sin(theta)
+    sh, ch = np.sinh(r), np.cosh(r)
+    q = sh * c * nu[0] + sh * s * nu[1] - ch * nu[2]
+    qr = ch * c * nu[0] + ch * s * nu[1] - sh * nu[2]
+    return np.arcsinh(q), qr / np.sqrt(1.0 + q * q)
 
 
 @dataclass(frozen=True)
@@ -228,7 +242,8 @@ class GeodesicSpec:
     nu: tuple[float, float, float]
 
     def __post_init__(self):
-        if abs(_mink(self.nu, self.nu) - 1.0) > 1e-10:
+        x, y, z = self.nu
+        if abs(x * x + y * y - z * z - 1.0) > 1e-10:
             raise BarrierError("nu must be a unit spacelike vector")
 
     @staticmethod
@@ -240,16 +255,11 @@ class GeodesicSpec:
         return GeodesicSpec((math.cosh(a), 0.0, math.sinh(a)))
 
 
-def _hyperboloid_point(r: float, theta: float) -> tuple[float, float, float]:
-    return (math.sinh(r) * math.cos(theta),
-            math.sinh(r) * math.sin(theta),
-            math.cosh(r))
-
-
 @dataclass
 class ScBarrier:
     """Upper barrier eta at infinity: constant C off the deep region
-    U0 = {d >= d0} and C1 exp(-alpha d) inside it."""
+    U0 = {d >= d0} and C1 exp(-alpha d) inside it.  Every method takes
+    broadcast (r, theta) arrays."""
 
     model: ModelGeometry
     geodesic: GeodesicSpec
@@ -258,46 +268,33 @@ class ScBarrier:
     alpha: float
     C1: float
 
-    def dist_eval(self, r: float, theta: float) -> float:
+    def dist_eval(self, r, theta):
         """Signed distance to the boundary geodesic, positive inside U."""
-        q = _mink(_hyperboloid_point(r, theta), self.geodesic.nu)
-        return math.asinh(q)
+        return _halfplane_distance(self.geodesic.nu, r, theta)[0]
 
-    def radial_dist_derivative(self, r: float, theta: float) -> float:
-        # d = arcsinh(q(r, theta)); |grad d| = 1 so <grad r, grad d> = d_r d
-        nu = self.geodesic.nu
-        q = _mink(_hyperboloid_point(r, theta), nu)
-        qr = (math.cosh(r) * math.cos(theta) * nu[0]
-              + math.cosh(r) * math.sin(theta) * nu[1]
-              - math.sinh(r) * nu[2])
-        return qr / math.sqrt(1.0 + q * q)
+    def radial_dist_derivative(self, r, theta):
+        return _halfplane_distance(self.geodesic.nu, r, theta)[1]
 
-    def eta(self, r: float, theta: float) -> float:
+    def eta(self, r, theta):
         d = self.dist_eval(r, theta)
-        if d <= self.d0:
-            return self.C
-        return self.C1 * math.exp(-self.alpha * d)
+        return np.where(d <= self.d0, self.C,
+                        self.C1 * np.exp(-self.alpha * d))
 
 
 def _sample_deep_region(geodesic: GeodesicSpec, d0: float, count: int,
                         rng: np.random.Generator | None = None,
                         margin: float = 0.0) -> np.ndarray:
     """Sample (r, theta) points with distance in [d0 + margin,
-    d0 + margin + 5]."""
+    d0 + margin + 5]: the first count hits of 200 count uniform draws
+    (theta in [-0.6, 0.6), r in [0, 30))."""
     rng = rng or np.random.default_rng(0)
-    pts = []
-    guard = 0
-    while len(pts) < count:
-        guard += 1
-        if guard > 200 * count:
-            raise BarrierError("could not sample the deep region")
-        theta = float(rng.uniform(-0.6, 0.6))
-        r = float(rng.uniform(0.0, 30.0))
-        q = _mink(_hyperboloid_point(r, theta), geodesic.nu)
-        d = math.asinh(q) if q > 0 else -1.0
-        if d0 + margin <= d <= d0 + margin + 5.0:
-            pts.append((r, theta))
-    return np.asarray(pts)
+    theta, r = rng.uniform((-0.6, 0.0), (0.6, 30.0), size=(200 * count, 2)).T
+    d = _halfplane_distance(geodesic.nu, r, theta)[0]
+    hits = np.flatnonzero((d0 + margin <= d) & (d <= d0 + margin + 5.0))
+    hits = hits[:count]
+    if hits.size < count:
+        raise BarrierError("could not sample the deep region")
+    return np.column_stack((r[hits], theta[hits]))
 
 
 def make_sc_barrier(model: ModelGeometry, halfplane_geodesic: GeodesicSpec,
@@ -317,14 +314,11 @@ def make_sc_barrier(model: ModelGeometry, halfplane_geodesic: GeodesicSpec,
         raise BarrierError("d0 must be >= 2")
     if C <= 0:
         raise BarrierError("barrier height C must be positive")
-    probe = ScBarrier(model=model, geodesic=halfplane_geodesic, C=C, d0=d0,
-                      alpha=1.0, C1=1.0)
-    rng = np.random.default_rng(seed)
-    pts = _sample_deep_region(halfplane_geodesic, d0, samples, rng)
-    alpha = math.inf
-    for r, theta in pts:
-        lr = float(model.log_rho_d1(max(r, R_MIN)))
-        alpha = min(alpha, lr * probe.radial_dist_derivative(r, theta))
+    r, theta = _sample_deep_region(halfplane_geodesic, d0, samples,
+                                   np.random.default_rng(seed)).T
+    lr = np.asarray(model.log_rho_d1(np.maximum(r, R_MIN)), dtype=float)
+    dr = _halfplane_distance(halfplane_geodesic.nu, r, theta)[1]
+    alpha = float(np.min(lr * dr, initial=math.inf))
     if not alpha > 0.0:
         raise BarrierError(
             f"decay rate infimum {alpha:.3g} <= 0 at sampling resolution; "
@@ -334,16 +328,18 @@ def make_sc_barrier(model: ModelGeometry, halfplane_geodesic: GeodesicSpec,
                      alpha=alpha, C1=C * math.exp(alpha * d0))
 
 
-def pointwise_Q(model: ModelGeometry, func: Callable[[float, float], float],
-                r: float, theta: float, h: float = 1e-3) -> float:
-    """Finite-difference evaluation of the graph flow operator at one point.
+def pointwise_Q(model: ModelGeometry, func: Callable, r, theta,
+                h: float = 1e-3):
+    """Finite-difference evaluation of the graph flow operator at points.
 
     Local polar coordinates of the base with metric dr^2 + xi^2 dtheta^2;
-    second-order centered stencils of width h.  Used for spot checks of
-    smooth analytic fields (barriers); it shares the coefficient kernel
-    with the grid solver but not its stencil or grid.
+    second-order centered stencils of width h, evaluated at broadcast
+    (r, theta) arrays in one pass (func must broadcast too).  Used for spot
+    checks of smooth analytic fields (barriers) and as the independent
+    non-divergence oracle for the grid operator: it shares the coefficient
+    kernel with the grid solver but not its stencil or grid.
     """
-    if r <= 2 * h:
+    if np.any(r <= 2 * h):
         raise BarrierError("pointwise_Q needs r away from the pole")
     f0 = func(r, theta)
     fr1 = func(r + h, theta)
@@ -357,7 +353,7 @@ def pointwise_Q(model: ModelGeometry, func: Callable[[float, float], float],
     urt = (func(r + h, theta + h) - func(r + h, theta - h)
            - func(r - h, theta + h) + func(r - h, theta - h)) / (4 * h * h)
     arr, art, att, br, bt = coefficients(model, r, ur, ut)
-    return float(arr * urr + 2.0 * art * urt + att * utt + br * ur + bt * ut)
+    return arr * urr + 2.0 * art * urt + att * utt + br * ur + bt * ut
 
 
 # ---------------------------------------------------------------------------

@@ -109,8 +109,8 @@ def _cmd_barrier(args) -> int:
     bb = barriers.make_boundary_barrier(L=args.L, d0=args.d0)
     constants["boundary_A_coef"] = bb.A_coef
     constants["boundary_gradient_cap"] = bb.gradient_cap()
-    ident = max(abs(bb.h_second(d) + args.L * bb.h_prime(d) ** 2)
-                for d in np.linspace(0.0, args.d0, 100))
+    d = np.linspace(0.0, args.d0, 100)
+    ident = float(np.max(np.abs(bb.h_second(d) + args.L * bb.h_prime(d) ** 2)))
     checks.append({"name": "boundary_barrier_identity",
                    "value": ident, "pass": bool(ident <= 1e-12)})
 
@@ -127,11 +127,10 @@ def _cmd_barrier(args) -> int:
                 C=1.0, d0=2.0, seed=args.seed)
             constants["sc_alpha"] = sc.alpha
             constants["sc_C1"] = sc.C1
-            pts = barriers._sample_deep_region(
+            r, th = barriers._sample_deep_region(
                 sc.geodesic, sc.d0, 200,
-                np.random.default_rng(args.seed), margin=0.1)
-            qmax = max(barriers.pointwise_Q(model, sc.eta, r, th)
-                       for r, th in pts)
+                np.random.default_rng(args.seed), margin=0.1).T
+            qmax = float(np.max(barriers.pointwise_Q(model, sc.eta, r, th)))
             checks.append({"name": "sc_barrier_operator_sign",
                            "value": qmax, "pass": bool(qmax <= 1e-3)})
         except barriers.BarrierError as exc:
@@ -238,8 +237,9 @@ def _cmd_verify(args) -> int:
                    rep.min_slack_cylinder >= -tol)
     if "barrier" in wanted:
         bb = barriers.make_boundary_barrier(L=0.1, d0=5.0)
-        ident = max(abs(bb.h_second(d) + 0.1 * bb.h_prime(d) ** 2)
-                    for d in np.linspace(0.0, 5.0, 100))
+        d = np.linspace(0.0, 5.0, 100)
+        ident = float(np.max(np.abs(bb.h_second(d)
+                                    + 0.1 * bb.h_prime(d) ** 2)))
         record("boundary_barrier_identity", ident, ident <= 1e-12)
 
     report = {"checks": results,

@@ -267,11 +267,18 @@ def to_source(node: Expr) -> str:
 
 
 def as_function(src: str):
-    """Compile source to a callable f(**env) over the declared variables."""
+    """Compile source to a callable f(**env) over the declared variables.
+
+    Python-float arithmetic raises on data such as 1/0 or 2^2000; the
+    callable reports those as ExprError, like a parse failure.
+    """
     node = parse_expression(src)
 
     def f(**env):
-        return evaluate(node, **env)
+        try:
+            return evaluate(node, **env)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise ExprError(f"cannot evaluate {src!r}: {exc}", 0) from None
 
     f.expression = node
     return f

@@ -133,6 +133,8 @@ class BallProblem:
                               (grid.ntheta,)).copy()
         if not np.all(np.isfinite(u0)):
             raise FlowError("u0 must be finite on the closed ball")
+        if not np.all(np.isfinite(phi)):
+            raise FlowError("phi must be finite on the boundary")
         gap = float(np.max(np.abs(u0[-1] - phi)))
         if gap > 1e-12:
             raise FlowError(

@@ -12,10 +12,10 @@ import pytest
 
 from killingflow import cmc, flow
 from killingflow.barriers import (BarrierError, GeodesicSpec,
-                                  c0_height_cap, curvature_bound,
-                                  height_bounds, interior_gradient_bound,
-                                  make_sc_barrier, mu_of_t, pointwise_Q,
-                                  verify_supersolution)
+                                  _sample_deep_region, c0_height_cap,
+                                  curvature_bound, height_bounds,
+                                  interior_gradient_bound, make_sc_barrier,
+                                  mu_of_t, pointwise_Q, verify_supersolution)
 from killingflow.exhaustion import build_ladder, run_exhaustion
 from killingflow.flow import (BallProblem, Grid, StepControl, radial_solve,
                               residual_identities, second_fundamental_form,
@@ -249,11 +249,9 @@ def test_criterion_10_exhaustion_convergence(capsys):
 def test_criterion_11_barrier_at_infinity(capsys):
     t0 = time.time()
     sc = make_sc_barrier(H2, GeodesicSpec.at_distance(1.0), C=1.0, d0=2.0)
-    from killingflow.barriers import _sample_deep_region
-    pts = _sample_deep_region(sc.geodesic, sc.d0, 200,
-                              np.random.default_rng(0), margin=0.1)
-    qmax = max(pointwise_Q(H2, sc.eta, float(r), float(th))
-               for r, th in pts)
+    r, th = _sample_deep_region(sc.geodesic, sc.d0, 200,
+                                np.random.default_rng(0), margin=0.1).T
+    qmax = float(np.max(pointwise_Q(H2, sc.eta, r, th)))
     flat = make_model(hyperbolic_profile(), hyperbolic_profile(),
                       constant_profile(), n=2)
     raised = False

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from killingflow import flow
 from killingflow.barriers import (BarrierError, GeodesicSpec,
-                                  SupersolutionFlow, c0_height_cap,
-                                  compute_E_R, compute_delta_psi,
-                                  curvature_bound, eval_u_plus,
-                                  height_bounds, interior_gradient_bound,
+                                  SupersolutionFlow, _sample_deep_region,
+                                  c0_height_cap, compute_E_R,
+                                  compute_delta_psi, curvature_bound,
+                                  eval_u_plus, height_bounds,
+                                  interior_gradient_bound,
                                   make_boundary_barrier, make_sc_barrier,
                                   mu_of_t, pointwise_Q, verify_supersolution)
 from killingflow.cmc import CmcError
@@ -119,10 +120,12 @@ def test_boundary_barrier_identity_and_cap():
     bb = make_boundary_barrier(L=0.1, d0=5.0)
     assert bb.A_coef == pytest.approx(0.2)
     assert bb.h(0.0) == 0.0
+    d = np.linspace(0.0, 5.0, 7)
+    np.testing.assert_array_equal(bb.h(d), [bb.h(float(x)) for x in d])
     # h'' + L h'^2 = 0 exactly, the defining ODE of the log barrier
-    for d in np.linspace(0.0, 5.0, 50):
-        assert bb.h_second(d) + 0.1 * bb.h_prime(d) ** 2 == \
-            pytest.approx(0.0, abs=1e-15)
+    d = np.linspace(0.0, 5.0, 50)
+    np.testing.assert_allclose(bb.h_second(d) + 0.1 * bb.h_prime(d) ** 2,
+                               0.0, rtol=0.0, atol=1e-15)
     assert bb.gradient_cap() == pytest.approx(bb.h_prime(0.0))
     assert bb.gradient_cap(1.5) == pytest.approx(1.5 + bb.h_prime(0.0))
 
@@ -164,12 +167,74 @@ def test_sc_barrier_continuity_and_decay(hyp2):
 
 
 def test_sc_barrier_supersolution_sign(hyp2):
-    from killingflow.barriers import _sample_deep_region
     sc = make_sc_barrier(hyp2, GeodesicSpec.at_distance(1.0), C=1.0, d0=2.0)
-    pts = _sample_deep_region(sc.geodesic, sc.d0, 60,
-                              np.random.default_rng(3), margin=0.1)
-    worst = max(pointwise_Q(hyp2, sc.eta, r, th) for r, th in pts)
-    assert worst <= 1e-3
+    r, th = _sample_deep_region(sc.geodesic, sc.d0, 60,
+                                np.random.default_rng(3), margin=0.1).T
+    assert float(np.max(pointwise_Q(hyp2, sc.eta, r, th))) <= 1e-3
+
+
+def test_halfplane_distance_on_arrays(hyp2):
+    sc = make_sc_barrier(hyp2, GeodesicSpec.at_distance(1.0), C=1.0, d0=2.0)
+    # along the axis theta = 0 the geodesic sits at r = 1: d = r - 1, d_r = 1
+    r = np.linspace(0.0, 8.0, 33)
+    np.testing.assert_allclose(sc.dist_eval(r, 0.0), r - 1.0,
+                               rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(sc.radial_dist_derivative(r, 0.0), 1.0,
+                               rtol=0.0, atol=1e-12)
+    # the halfplane is symmetric about the axis
+    th = np.linspace(-1.5, 1.5, 13)
+    np.testing.assert_allclose(sc.dist_eval(r[:, None], th[None, :]),
+                               sc.dist_eval(r[:, None], -th[None, :]),
+                               rtol=0.0, atol=1e-14)
+
+
+def test_eta_on_polar_grid_matches_pointwise(hyp2):
+    sc = make_sc_barrier(hyp2, GeodesicSpec.at_distance(1.0), C=1.0, d0=2.0)
+    g = flow.Grid(R=8.0, nr=32, ntheta=24)
+    eta = sc.eta(g.r[:, None], g.theta[None, :])
+    assert eta.shape == (g.nr + 1, g.ntheta)
+    ref = [[float(sc.eta(float(r), float(th))) for th in g.theta]
+           for r in g.r]
+    # equal up to the last-bit differences of numpy's array and scalar
+    # transcendental loops
+    np.testing.assert_allclose(eta, ref, rtol=1e-14, atol=0.0)
+    # both branches occur on this grid, and eta never exceeds C
+    assert np.any(eta == sc.C) and np.any(eta < sc.C)
+    assert float(np.max(eta)) <= sc.C
+
+
+def _sample_deep_region_per_draw(geodesic, d0, count, rng, margin):
+    """Reference: one draw at a time, theta then r, until count hits."""
+    nu = geodesic.nu
+    pts = []
+    for _ in range(200 * count):
+        theta = float(rng.uniform(-0.6, 0.6))
+        r = float(rng.uniform(0.0, 30.0))
+        q = (math.sinh(r) * math.cos(theta) * nu[0]
+             + math.sinh(r) * math.sin(theta) * nu[1] - math.cosh(r) * nu[2])
+        d = math.asinh(q) if q > 0 else -1.0
+        if d0 + margin <= d <= d0 + margin + 5.0:
+            pts.append((r, theta))
+            if len(pts) == count:
+                return np.asarray(pts)
+    raise BarrierError("could not sample the deep region")
+
+
+@pytest.mark.parametrize("count,seed,margin",
+                         [(400, 0, 0.0), (200, 0, 0.1), (60, 3, 0.1)])
+def test_sample_deep_region_matches_per_draw_loop(count, seed, margin):
+    g = GeodesicSpec.at_distance(1.0)
+    pts = _sample_deep_region(g, 2.0, count, np.random.default_rng(seed),
+                              margin=margin)
+    ref = _sample_deep_region_per_draw(g, 2.0, count,
+                                       np.random.default_rng(seed), margin)
+    np.testing.assert_array_equal(pts, ref)
+
+
+def test_sample_deep_region_gives_up():
+    # no point of r <= 30 lies 40 deep in a halfplane 1 away from the pole
+    with pytest.raises(BarrierError):
+        _sample_deep_region(GeodesicSpec.at_distance(1.0), 40.0, 5)
 
 
 def test_sc_barrier_needs_growing_warping():

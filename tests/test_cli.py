@@ -160,6 +160,18 @@ def test_bad_config_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("phi", ["1/0", "2^2000"])
+def test_unevaluable_data_exits_2(tmp_path, phi, capsys):
+    # Python-float division by zero and overflow are data errors, not crashes
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(FLOW_INI.replace("phi = 0.1*cos(theta)", f"phi = {phi}"))
+    assert dispatch(["flow", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert dispatch(["exhaust", "--model", "euclidean", "--rungs", "2",
+                     "--phi", phi]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_domain_error_exits_1(capsys):
     # hyperbolic rim radius beyond double-precision reach
     assert dispatch(["cmc", "--model", "hyperbolic", "--R", "25"]) == 1

@@ -68,6 +68,9 @@ def test_as_function():
     f = as_function("r * cos(theta)")
     assert f(r=2.0, theta=0.0, t=0.0) == 2.0
     assert f.expression is not None
+    for src in ("1/0", "r/(t - t)", "2^2000"):
+        with pytest.raises(ExprError):
+            as_function(src)(r=1.0, theta=0.0, t=0.0)
 
 
 # random expression generator for the round-trip property
