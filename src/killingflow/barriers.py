@@ -32,7 +32,7 @@ from scipy.optimize import brentq
 
 from .cmc import CmcError, eval_vR, sample_vR
 from .geometry import ModelGeometry, R_MIN, _CumulativeIntegral
-from .kernel import coefficients
+from .kernel import coefficients, factors
 
 
 class BarrierError(ValueError):
@@ -352,7 +352,8 @@ def pointwise_Q(model: ModelGeometry, func: Callable, r, theta,
     utt = (ft1 - 2 * f0 + ft0) / (h * h)
     urt = (func(r + h, theta + h) - func(r + h, theta - h)
            - func(r - h, theta + h) + func(r - h, theta - h)) / (4 * h * h)
-    arr, art, att, br, bt = coefficients(model, r, ur, ut)
+    arr, art, att, br, bt = coefficients(factors(model.xi, model.rho, r),
+                                         ur, ut)
     return arr * urr + 2.0 * art * urt + att * utt + br * ur + bt * ut
 
 

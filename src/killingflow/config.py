@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 
 from . import expr
@@ -39,10 +40,13 @@ _KNOWN_CHECKS = ("cmc", "supersolution", "height", "identities", "barrier")
 
 def _as_float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") \
             from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: not a finite number: {raw!r}")
+    return value
 
 
 def _as_int(section: str, key: str, raw: str) -> int:

@@ -25,6 +25,12 @@ difference form, Q[u]_j = sum_k w_jk (u_k - u_j).  The weights feed
   factor are largest: cfl = 1 is the 1-D interior edge h^2/2, and the pole
   row and both polar directions count.
 
+What depends only on the model's profiles and the grid is computed once
+and shared read-only: ``Grid.r``/``Grid.theta``, the profile factors at
+the nodes and the pole ring's Fourier modes (``_grid_factors``), the
+explicit limit's radius (``_flat_radius``) and the 2-D index patterns
+(``_stencil``, ``_band_layout``).  A step evaluates no profile.
+
 At the pole the radial row is n u''(0) and the polar row the Cartesian
 quadratic fitted to the first ring.  Radial fields (ntheta = 1) may live
 in any base dimension n = model.n; the 2-D grid represents n = 2 only.
@@ -38,7 +44,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 # flow calls no sparse solver; the module attribute stays because
@@ -47,12 +53,17 @@ import scipy.sparse.linalg as spla  # noqa: F401
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbsv
 
-from .geometry import ModelGeometry, R_MIN, ambient_frame
-from .kernel import coefficients, pole_coefficients
+from .geometry import ModelGeometry, ProfileSpec, R_MIN, ambient_frame
+from .kernel import Factors, coefficients, factors, pole_coefficients
 
 
 class FlowError(RuntimeError):
     pass
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +83,8 @@ class Grid:
     ntheta: int
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise FlowError("R must be positive")
+        if not 0.0 < self.R < math.inf:
+            raise FlowError(f"R must be positive and finite, got {self.R}")
         if self.nr < 8:
             raise FlowError("nr must be >= 8")
         if self.ntheta != 1 and self.ntheta < 8:
@@ -87,13 +98,14 @@ class Grid:
     def dtheta(self) -> float:
         return 2.0 * math.pi / self.ntheta
 
-    @property
+    # r and theta are computed once per Grid and shared read-only
+    @functools.cached_property
     def r(self) -> np.ndarray:
-        return np.linspace(0.0, self.R, self.nr + 1)
+        return _read_only(np.linspace(0.0, self.R, self.nr + 1))
 
-    @property
+    @functools.cached_property
     def theta(self) -> np.ndarray:
-        return np.arange(self.ntheta) * self.dtheta
+        return _read_only(np.arange(self.ntheta) * self.dtheta)
 
     @property
     def radial(self) -> bool:
@@ -118,10 +130,12 @@ class BallProblem:
     T: float | None = None
 
     def __post_init__(self):
+        if not 0.0 < self.R < math.inf:
+            raise FlowError(f"R must be positive and finite, got {self.R}")
         if self.T is None:
             self.T = 0.5 * self.model.zeta(self.R)
-        if self.T <= 0:
-            raise FlowError("T must be positive")
+        if not 0.0 < self.T < math.inf:
+            raise FlowError(f"T must be positive and finite, got {self.T}")
 
     def sample(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
         """(u0 field, phi row) on the grid, with compatibility enforced."""
@@ -155,8 +169,9 @@ class StepControl:
             raise FlowError(f"unknown scheme {self.scheme!r}")
         if not 0.0 < self.cfl <= 1.0:
             raise FlowError("cfl must be in (0, 1]")
-        if self.dt_max <= 0:
-            raise FlowError("dt_max must be positive")
+        if not 0.0 < self.dt_max < math.inf:
+            raise FlowError(
+                f"dt_max must be positive and finite, got {self.dt_max}")
 
 
 @dataclass(frozen=True)
@@ -171,19 +186,62 @@ class FlowState:
 # derivatives
 
 
+def _theta_shift(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u at theta_{i+1} and at theta_{i-1}: periodic neighbours along
+    axis 1."""
+    return (np.concatenate((u[:, 1:], u[:, :1]), axis=1),
+            np.concatenate((u[:, -1:], u[:, :-1]), axis=1))
+
+
+def _theta_slope(u: np.ndarray, k: float) -> np.ndarray:
+    up, um = _theta_shift(u)
+    return (up - um) / (2.0 * k)
+
+
 def _theta_derivs(u: np.ndarray, k: float):
-    up = np.roll(u, -1, axis=1)
-    um = np.roll(u, 1, axis=1)
-    ut = (up - um) / (2.0 * k)
-    utt = (up - 2.0 * u + um) / (k * k)
-    return ut, utt
+    up, um = _theta_shift(u)
+    return (up - um) / (2.0 * k), (up - 2.0 * u + um) / (k * k)
 
 
-def _pole_fourier(u_ring: np.ndarray, h: float, theta: np.ndarray):
+class _GridFactors(NamedTuple):
+    """What the solver reads that depends only on the warping profiles and
+    the grid.  ``at`` holds the kernel factors at every node; ``op`` views
+    them on rows 1..nr-1 as (nr - 1, 1) columns, the rows where the 2-D
+    operator and second fundamental form read them.  The ring arrays are
+    cos theta, sin theta, cos 2theta and sin 2theta on the first ring,
+    where the pole row fits its Fourier modes."""
+
+    at: Factors
+    op: Factors
+    rho1: np.ndarray      # rho' at every node
+    rho0: float           # rho(0), for the pole row
+    cos: np.ndarray
+    sin: np.ndarray
+    cos2: np.ndarray
+    sin2: np.ndarray
+
+
+@functools.lru_cache(maxsize=32)
+def _grid_factors(xi: ProfileSpec, rho: ProfileSpec,
+                  grid: Grid) -> _GridFactors:
+    """The per-grid invariants, evaluated once per (xi, rho, grid); every
+    array is read-only.  The key is the model's two frozen profiles, since
+    ModelGeometry is not hashable, and nothing here depends on model.n."""
+    at = Factors(*map(_read_only, factors(xi, rho, grid.r)))
+    theta = grid.theta
+    return _GridFactors(
+        at=at, op=Factors(*(a[1:-1, None] for a in at)),
+        rho1=_read_only(np.asarray(rho.d1(grid.r), dtype=float)),
+        rho0=float(rho.value(0.0)),
+        cos=_read_only(np.cos(theta)), sin=_read_only(np.sin(theta)),
+        cos2=_read_only(np.cos(2 * theta)), sin2=_read_only(np.sin(2 * theta)))
+
+
+def _pole_fourier(u_ring: np.ndarray, h: float, gf: _GridFactors):
     """Local Cartesian gradient (a, b) at the pole from the first Fourier
     modes of the first grid ring (row at r = h)."""
-    a = 2.0 * float(np.mean(u_ring * np.cos(theta))) / h
-    b = 2.0 * float(np.mean(u_ring * np.sin(theta))) / h
+    a = 2.0 * float(np.mean(u_ring * gf.cos)) / h
+    b = 2.0 * float(np.mean(u_ring * gf.sin)) / h
     return a, b
 
 
@@ -194,7 +252,8 @@ def compute_W(model: ModelGeometry, grid: Grid, u: np.ndarray) -> np.ndarray:
     this field so recomputation is bit-identical.
     """
     r = grid.r
-    rho = np.asarray(model.rho.value(r), dtype=float)
+    gf = _grid_factors(model.xi, model.rho, grid)
+    rho = gf.at.rho
     if grid.radial:
         v = u[:, 0] if u.ndim == 2 else u
         ur = np.gradient(v, r)
@@ -203,14 +262,13 @@ def compute_W(model: ModelGeometry, grid: Grid, u: np.ndarray) -> np.ndarray:
         W = np.sqrt(1.0 / rho ** 2 + ur ** 2)
         return W[:, None] if u.ndim == 2 else W
     h = grid.hr
-    xi = np.asarray(model.xi.value(r), dtype=float)
     ur = np.empty_like(u)
     ur[1:-1] = (u[2:] - u[:-2]) / (2 * h)
     ur[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * h)
-    ut, _ = _theta_derivs(u, grid.dtheta)
+    ut = _theta_slope(u[1:], grid.dtheta)
     grad2 = np.empty_like(u)
-    grad2[1:] = ur[1:] ** 2 + (ut[1:] / xi[1:, None]) ** 2
-    a, b = _pole_fourier(u[1], h, grid.theta)
+    grad2[1:] = ur[1:] ** 2 + (ut / gf.at.xi[1:, None]) ** 2
+    a, b = _pole_fourier(u[1], h, gf)
     grad2[0] = a * a + b * b
     return np.sqrt(1.0 / rho[:, None] ** 2 + grad2)
 
@@ -233,17 +291,18 @@ def _d2_nonuniform(r: np.ndarray, u: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _radial_weights(model: ModelGeometry, r: np.ndarray,
+def _radial_weights(n: int, f: Factors, r: np.ndarray,
                     u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weights (w_lo, w_up) towards nodes j - 1 and j + 1 of the radial
-    operator in base dimension model.n, on an increasing r grid.  A pole
-    first node gets 2n/h^2 (u'(0) = 0 and Lap u(0) = n u''(0)); a first
-    node off the pole and the last (Dirichlet) node get zero rows."""
+    operator in base dimension n, on an increasing r grid with the kernel
+    factors f at r.  A pole first node gets 2n/h^2 (u'(0) = 0 and
+    Lap u(0) = n u''(0)); a first node off the pole and the last
+    (Dirichlet) node get zero rows."""
     ur = np.gradient(u, r)
     pole = r[0] <= R_MIN
     if pole:
         ur[0] = 0.0
-    arr, br = coefficients(model, r, ur)
+    arr, br = coefficients(f, ur, n=n)
     h_lo = r[1:-1] - r[:-2]
     h_up = r[2:] - r[1:-1]
     w_lo = np.zeros_like(u)
@@ -251,7 +310,7 @@ def _radial_weights(model: ModelGeometry, r: np.ndarray,
     w_lo[1:-1] = (2.0 * arr[1:-1] - br[1:-1] * h_up) / (h_lo * (h_lo + h_up))
     w_up[1:-1] = (2.0 * arr[1:-1] + br[1:-1] * h_lo) / (h_up * (h_lo + h_up))
     if pole:
-        w_up[0] = 2.0 * model.n / h_lo[0] ** 2
+        w_up[0] = 2.0 * n / h_lo[0] ** 2
     return w_lo, w_up
 
 
@@ -279,9 +338,7 @@ def _stencil(nr: int, nt: int) -> tuple[np.ndarray, np.ndarray]:
     cols = np.concatenate([np.concatenate([node(*o).ravel() for o in offsets]),
                            [0], ring, ties, np.zeros(nt - 1, dtype=int),
                            boundary])
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols
+    return _read_only(rows), _read_only(cols)
 
 
 @functools.lru_cache(maxsize=16)
@@ -308,20 +365,19 @@ def _band_layout(nr: int, nt: int) -> tuple[np.ndarray, np.ndarray, int, int]:
     p, q = pos[rows], pos[cols]
     kl, ku = int(np.max(p - q)), int(np.max(q - p))
     entry = kl + ku + p - q + (2 * kl + ku + 1) * q
-    pos.flags.writeable = False
-    entry.flags.writeable = False
-    return pos, entry, kl, ku
+    return _read_only(pos), _read_only(entry), kl, ku
 
 
-def _polar_weights(model: ModelGeometry, grid: Grid,
+def _polar_weights(gf: _GridFactors, grid: Grid,
                    u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(w, w_ring): w[m] weighs, on interior rows, the neighbour at
     _stencil's offset m + 1; w_ring weighs the first ring in the pole row,
     from its mean, cos 2theta and sin 2theta modes at the ring's slope."""
     nt = grid.ntheta
     h, k = grid.hr, grid.dtheta
-    ur, ut = (d[1:-1] for d in _partials_2d(grid, u)[:2])
-    arr, art, att, br, bt = coefficients(model, grid.r[1:-1, None], ur, ut)
+    ur = (u[2:] - u[:-2]) / (2 * h)
+    ut = _theta_slope(u[1:-1], k)
+    arr, art, att, br, bt = coefficients(gf.op, ur, ut)
     a_rr = arr / h ** 2
     a_rt = art / (2 * h * k)
     a_tt = att / k ** 2
@@ -329,12 +385,11 @@ def _polar_weights(model: ModelGeometry, grid: Grid,
     b_t = bt / (2 * k)
     w = np.stack([a_rr + b_r, a_rr - b_r, a_tt + b_t, a_tt - b_t,
                   a_rt, a_rt, -a_rt, -a_rt])
-    a, b = _pole_fourier(u[1], h, grid.theta)
-    ca, cb, cd = pole_coefficients(model, a, b)
-    cos2 = np.cos(2 * grid.theta)
-    w_ring = (ca * (2.0 / (nt * h * h)) * (1.0 + 2.0 * cos2)
-              + cb * (2.0 / (nt * h * h)) * (1.0 - 2.0 * cos2)
-              + cd * (4.0 / (nt * h * h)) * np.sin(2 * grid.theta))
+    a, b = _pole_fourier(u[1], h, gf)
+    ca, cb, cd = pole_coefficients(gf.rho0, a, b)
+    w_ring = (ca * (2.0 / (nt * h * h)) * (1.0 + 2.0 * gf.cos2)
+              + cb * (2.0 / (nt * h * h)) * (1.0 - 2.0 * gf.cos2)
+              + cd * (4.0 / (nt * h * h)) * gf.sin2)
     return w, w_ring
 
 
@@ -343,8 +398,12 @@ def radial_Q(model: ModelGeometry, r: np.ndarray, u: np.ndarray) -> np.ndarray:
     in base dimension model.n.  The first node may be the pole (r = 0);
     off the pole it reads zero, like the last (Dirichlet) node."""
     r = np.asarray(r, dtype=float)
-    u = np.asarray(u, dtype=float)
-    w_lo, w_up = _radial_weights(model, r, u)
+    return _radial_Q(model.n, factors(model.xi, model.rho, r), r,
+                     np.asarray(u, dtype=float))
+
+
+def _radial_Q(n: int, f: Factors, r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    w_lo, w_up = _radial_weights(n, f, r, u)
     du = np.diff(u)
     Q = np.zeros_like(u)
     Q[:-1] = w_up[:-1] * du
@@ -358,12 +417,13 @@ def discretize_Q(model: ModelGeometry, grid: Grid,
 
     Boundary row is returned as zero (the Dirichlet row never moves).
     """
+    gf = _grid_factors(model.xi, model.rho, grid)
     if grid.radial:
         v = u[:, 0] if u.ndim == 2 else u
-        q = radial_Q(model, grid.r, v)
+        q = _radial_Q(model.n, gf.at, grid.r, v)
         return q[:, None] if u.ndim == 2 else q
     nr, nt = grid.nr, grid.ntheta
-    w, w_ring = _polar_weights(model, grid, u)
+    w, w_ring = _polar_weights(gf, grid, u)
     m = (nr - 1) * nt
     rows, cols = (s[m:9 * m] for s in _stencil(nr, nt))
     flat = u.ravel()
@@ -380,20 +440,30 @@ def discretize_Q(model: ModelGeometry, grid: Grid,
 def _cfl_dt(model: ModelGeometry, grid: Grid, control: StepControl) -> float:
     """cfl / max_j sum_k |w_jk| on the flat graph u = 0 (see the module
     docstring)."""
+    return control.cfl / _flat_radius(model.n, model.xi, model.rho, grid)
+
+
+@functools.lru_cache(maxsize=32)
+def _flat_radius(n: int, xi: ProfileSpec, rho: ProfileSpec,
+                 grid: Grid) -> float:
+    """max_j sum_k |w_jk| on u = 0, the largest Gershgorin radius of the
+    flat-graph operator: a per-grid invariant, computed once."""
+    gf = _grid_factors(xi, rho, grid)
     u = np.zeros(grid.shape())
     if grid.radial:
-        radius = np.sum(np.abs(_radial_weights(model, grid.r, u[:, 0])), 0)
+        radius = np.sum(np.abs(_radial_weights(n, gf.at, grid.r, u[:, 0])), 0)
     else:
-        w, w_ring = _polar_weights(model, grid, u)
+        w, w_ring = _polar_weights(gf, grid, u)
         radius = np.append(np.sum(np.abs(w), 0), np.sum(np.abs(w_ring)))
-    return control.cfl / float(np.max(radius))
+    return float(np.max(radius))
 
 
 def _radial_implicit(model: ModelGeometry, grid: Grid, v: np.ndarray,
                      dt: float, phi0: float) -> np.ndarray:
     """One lagged-coefficient step of a radial field: a tridiagonal solve
     of (I - dt L(v)) v_new = v with the Dirichlet value phi0 at r = R."""
-    w_lo, w_up = _radial_weights(model, grid.r, v)
+    gf = _grid_factors(model.xi, model.rho, grid)
+    w_lo, w_up = _radial_weights(model.n, gf.at, grid.r, v)
     bands = np.zeros((3, v.size))         # upper, main, lower diagonals
     bands[0, 1:] = -dt * w_up[:-1]
     bands[1] = 1.0 + dt * (w_lo + w_up)
@@ -409,7 +479,8 @@ def _implicit_entries(model: ModelGeometry, grid: Grid, u: np.ndarray,
     the stencil weights, with identity rows on the boundary and ties of the
     pole copies to node 0."""
     nt = grid.ntheta
-    w, w_ring = _polar_weights(model, grid, u)
+    w, w_ring = _polar_weights(_grid_factors(model.xi, model.rho, grid),
+                               grid, u)
     return np.concatenate([(1.0 + dt * np.sum(w, 0)).ravel(), -dt * w.ravel(),
                            [1.0 + dt * np.sum(w_ring)], -dt * w_ring,
                            np.ones(nt - 1), -np.ones(nt - 1), np.ones(nt)])
@@ -480,18 +551,6 @@ def step(state: FlowState, problem: BallProblem, grid: Grid,
 # derived geometric fields
 
 
-def _partials_2d(grid: Grid, u: np.ndarray):
-    h, k = grid.hr, grid.dtheta
-    ur = np.zeros_like(u)
-    urr = np.zeros_like(u)
-    ur[1:-1] = (u[2:] - u[:-2]) / (2 * h)
-    urr[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / (h * h)
-    ut, utt = _theta_derivs(u, k)
-    urt = np.zeros_like(u)
-    urt[1:-1] = (ut[2:] - ut[:-2]) / (2 * h)
-    return ur, ut, urr, urt, utt
-
-
 def second_fundamental_form(model: ModelGeometry, grid: Grid,
                             u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(|A|^2 field, nH field) of the graph of u over the polar grid.
@@ -501,23 +560,23 @@ def second_fundamental_form(model: ModelGeometry, grid: Grid,
     differentiating the mean curvature expression).  Pole and boundary rows
     are copies of the nearest interior row; treat them as extrapolation.
     """
+    gf = _grid_factors(model.xi, model.rho, grid)
     if grid.radial:
         v = u[:, 0] if u.ndim == 2 else u
-        a2, nh = radial_second_fundamental_form(model, grid.r, v)
+        a2, nh = _radial_sff(model.n, gf.at, gf.rho1, grid.r, v)
         if u.ndim == 2:
             return a2[:, None], nh[:, None]
         return a2, nh
-    r = grid.r
-    ur, ut, urr, urt, utt = _partials_2d(grid, u)
+    h = grid.hr
     sl = slice(1, -1)
-    ri = r[sl]
-    xi = np.asarray(model.xi.value(ri), dtype=float)[:, None]
-    xi1 = np.asarray(model.xi.d1(ri), dtype=float)[:, None]
-    rho = np.asarray(model.rho.value(ri), dtype=float)[:, None]
-    rho1 = np.asarray(model.rho.d1(ri), dtype=float)[:, None]
+    ut, utt = _theta_derivs(u, grid.dtheta)
+    Ur = (u[2:] - u[:-2]) / (2 * h)
+    Urr = (u[2:] - 2 * u[1:-1] + u[:-2]) / (h * h)
+    Urt = (ut[2:] - ut[:-2]) / (2 * h)
+    Ut, Utt = ut[sl], utt[sl]
+    xi, xi1, rho = gf.op.xi, gf.op.xi1, gf.op.rho
+    rho1 = gf.rho1[sl, None]
     lrho = rho1 / rho
-    Ur, Ut = ur[sl], ut[sl]
-    Urr, Urt, Utt = urr[sl], urt[sl], utt[sl]
     W = np.sqrt(1.0 / rho ** 2 + Ur ** 2 + Ut ** 2 / xi ** 2)
     a_rr = (Urr + 2 * Ur * lrho + rho * rho1 * Ur ** 3) / W
     a_rt = (Urt + Ut * lrho + rho * rho1 * Ur ** 2 * Ut
@@ -549,17 +608,19 @@ def radial_second_fundamental_form(model: ModelGeometry, r: np.ndarray,
     """Principal curvatures of a radial graph: the profile direction and
     the (n-1)-fold spherical direction.  Returns (|A|^2, nH) on the grid.
     u may stack several fields; r runs along its last axis."""
-    n = model.n
+    return _radial_sff(model.n, factors(model.xi, model.rho, r),
+                       np.asarray(model.rho.d1(r), dtype=float), r, u)
+
+
+def _radial_sff(n: int, f: Factors, rho1: np.ndarray, r: np.ndarray,
+                u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ur = np.gradient(u, r, axis=-1)
     urr = _d2_nonuniform(r, u)
     pole = r[0] <= R_MIN
     if pole:
         ur[..., 0] = 0.0
         urr[..., 0] = 2.0 * (u[..., 1] - u[..., 0]) / (r[1] - r[0]) ** 2
-    rho = np.asarray(model.rho.value(r), dtype=float)
-    rho1 = np.asarray(model.rho.d1(r), dtype=float)
-    rs = np.where(r > R_MIN, r, 1.0)
-    xi_ratio = np.asarray(model.xi.ratio_d1(rs), dtype=float)
+    rho, xi_ratio = f.rho, f.xi_ratio
     W = np.sqrt(1.0 / rho ** 2 + ur ** 2)
     lam_r = (urr + 2 * ur * rho1 / rho + rho * rho1 * ur ** 3) \
         / (W * (1.0 + rho ** 2 * ur ** 2))
@@ -588,7 +649,7 @@ class Trajectory:
 
 
 def _max_grad(model: ModelGeometry, grid: Grid, state: FlowState) -> float:
-    rho = np.asarray(model.rho.value(grid.r), dtype=float)
+    rho = _grid_factors(model.xi, model.rho, grid).at.rho
     if state.u.ndim == 2:
         rho = rho[:, None]
     grad2 = state.W ** 2 - 1.0 / rho ** 2
@@ -775,18 +836,26 @@ def model_hash(model: ModelGeometry) -> str:
     return _spec_hash(model.spec_dict())
 
 
-def save_snapshot(path: str, grid: Grid, state: FlowState) -> None:
-    """Write one snapshot as CSV t,r,theta,u,W (CRLF line ends) with
-    shortest round-trip float formatting, so reading it back is bit-exact."""
+def _node_text(grid: Grid) -> list[str]:
+    """The ",r,theta," text of every node, in row order."""
+    return [f",{r!r},{th!r}," for r in grid.r.tolist()
+            for th in grid.theta.tolist()]
+
+
+def _write_snapshot(path: str, state: FlowState, nodes: list[str]) -> None:
     t = repr(state.t)
-    nodes = [f"{t},{r!r},{th!r}," for r in grid.r.tolist()
-             for th in grid.theta.tolist()]
     rows = ["t,r,theta,u,W\r\n"]
-    rows += [f"{node}{u!r},{W!r}\r\n" for node, u, W in
+    rows += [f"{t}{node}{u!r},{W!r}\r\n" for node, u, W in
              zip(nodes, np.ravel(state.u).tolist(),
                  np.ravel(state.W).tolist(), strict=True)]
     with open(path, "w", newline="") as fh:
         fh.writelines(rows)
+
+
+def save_snapshot(path: str, grid: Grid, state: FlowState) -> None:
+    """Write one snapshot as CSV t,r,theta,u,W (CRLF line ends) with
+    shortest round-trip float formatting, so reading it back is bit-exact."""
+    _write_snapshot(path, state, _node_text(grid))
 
 
 def load_snapshot(path: str, grid: Grid) -> FlowState:
@@ -817,10 +886,11 @@ def save_run(dirpath: str, trajectory: Trajectory) -> str:
     Returns the manifest path."""
     os.makedirs(dirpath, exist_ok=True)
     grid = trajectory.grid
+    nodes = _node_text(grid)      # the same in every snapshot
     files = []
     for i, state in enumerate(trajectory.states):
         name = f"snapshot_{i:05d}.csv"
-        save_snapshot(os.path.join(dirpath, name), grid, state)
+        _write_snapshot(os.path.join(dirpath, name), state, nodes)
         files.append(name)
     manifest = {
         "snapshots": files,

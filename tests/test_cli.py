@@ -172,6 +172,21 @@ def test_unevaluable_data_exits_2(tmp_path, phi, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("line", ["T = inf", "R = nan", "dt_max = nan"])
+def test_non_finite_config_exits_2(tmp_path, line, capsys):
+    # at the parent these crashed with a raw OverflowError/ValueError
+    text = FLOW_INI.replace("[problem]", "[control]\ndt_max = 1e-3\n\n"
+                            "[problem]")
+    key = line.split()[0]
+    text = "\n".join(line if old.startswith(key + " =") else old
+                     for old in text.splitlines())
+    assert line in text
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    assert dispatch(["flow", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_domain_error_exits_1(capsys):
     # hyperbolic rim radius beyond double-precision reach
     assert dispatch(["cmc", "--model", "hyperbolic", "--R", "25"]) == 1

@@ -99,6 +99,17 @@ def test_rejects_bad_config(text):
         parse_config(text)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key", [
+    ("model", "kappa"), ("model", "quad_tol"), ("grid", "R"),
+    ("control", "cfl"), ("control", "dt_max"), ("problem", "T"),
+    ("verify", "tol")])
+def test_rejects_non_finite_numbers(section, key, value):
+    header = "" if section == "model" else f"[{section}]\n"
+    with pytest.raises(ConfigError, match="not a finite number"):
+        parse_config(MINIMAL + header + f"{key} = {value}\n")
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "nope.ini"))

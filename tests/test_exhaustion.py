@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import RectBivariateSpline
 
+from killingflow import exhaustion
 from killingflow.exhaustion import (ExhaustionError, build_ladder,
                                     pole_mollified_extension,
                                     radial_extension, run_exhaustion)
+from killingflow.flow import Grid
 
 
 def _phi(theta):
@@ -109,3 +112,28 @@ def test_plain_radial_extension_rejected_at_pole(euclid2):
     plan = build_ladder(euclid2, 1.0, 2, tol=0.05, n_time_steps=32)
     with pytest.raises(ExhaustionError):
         run_exhaustion(plan, _phi, u0_radial_ext=radial_extension(_phi))
+
+
+def _spline_transfer(grid, U, r_obs, theta_obs):
+    # reference: one FITPACK interpolating bicubic per snapshot, on theta
+    # padded periodically by 4 nodes a side
+    theta, pad = grid.theta, 4
+    theta_ext = np.concatenate([theta[-pad:] - 2 * math.pi, theta,
+                                theta[:pad] + 2 * math.pi])
+    return np.stack([
+        RectBivariateSpline(grid.r, theta_ext,
+                            np.concatenate([u[:, -pad:], u, u[:, :pad]], 1),
+                            kx=3, ky=3)(r_obs, theta_obs)
+        for u in U])
+
+
+@pytest.mark.parametrize("nr,ntheta,R", [(16, 16, 2.0), (136, 16, 17.0)])
+def test_transfer_matches_bicubic_spline(nr, ntheta, R):
+    grid = Grid(R=R, nr=nr, ntheta=ntheta)
+    r_obs = np.linspace(0.0, 1.0, 33)
+    theta_obs = Grid(R=1.0, nr=8, ntheta=16).theta
+    U = np.random.default_rng(nr).uniform(-1.0, 1.0, (4, nr + 1, ntheta))
+    Mr, Mt = exhaustion._transfer(grid, r_obs, theta_obs)
+    got = Mr @ U @ Mt.T
+    ref = _spline_transfer(grid, U, r_obs, theta_obs)
+    assert float(np.max(np.abs(got - ref))) < 1e-13

@@ -49,6 +49,19 @@ def test_grid_invariants():
             Grid(**bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build", [
+    lambda x, m: Grid(R=x, nr=16, ntheta=8),
+    lambda x, m: BallProblem(model=m, R=x, phi=_zero_phi, u0=_bump),
+    lambda x, m: BallProblem(model=m, R=1.0, phi=_zero_phi, u0=_bump, T=x),
+    lambda x, m: StepControl(dt_max=x),
+    lambda x, m: StepControl(cfl=x),
+], ids=["grid_R", "problem_R", "problem_T", "dt_max", "cfl"])
+def test_non_finite_inputs_raise_flow_error(euclid2, build, bad):
+    with pytest.raises(FlowError):
+        build(bad, euclid2)
+
+
 def test_problem_default_horizon(euclid2):
     p = BallProblem(model=euclid2, R=2.0, phi=_zero_phi, u0=_bump)
     assert p.T == pytest.approx(euclid2.zeta(2.0) / 2.0)
@@ -269,6 +282,49 @@ def test_explicit_euler_at_cfl_limit(kind, n, nr, ntheta, cfl):
     b = solve_ball(p, g, StepControl(dt_max=dt))
     gap = float(np.max(np.abs(a.states[-1].u - b.states[-1].u)))
     assert gap < 1e-3
+
+
+def test_explicit_run_builds_the_cfl_limit_once(hyp2, monkeypatch):
+    # the limit is a per-grid invariant: after it is built, a k-step
+    # explicit run evaluates the polar weights once per step, for the step
+    # itself, and its states are the plain explicit Euler iterates
+    g = Grid(R=1.0, nr=16, ntheta=12)
+    k = 6
+    dt = 0.5 * flow._cfl_dt(hyp2, g, StepControl(cfl=1.0))
+    ctl = StepControl(scheme="explicit-euler", cfl=1.0, dt_max=dt)
+
+    def phi(th):
+        return 0.1 * np.cos(th)
+
+    def u0(r, th):
+        return 0.1 * np.cos(th) * r + 0.05 * (1.0 - r * r)
+
+    p = BallProblem(model=hyp2, R=1.0, phi=phi, u0=u0, T=k * dt)
+    calls = []
+    weights = flow._polar_weights
+    monkeypatch.setattr(flow, "_polar_weights",
+                        lambda *a: calls.append(1) or weights(*a))
+    tr = solve_ball(p, g, ctl, snapshot_every=1)
+    assert len(calls) == k
+    u, row = p.sample(g)
+    for state in tr.states[1:]:
+        u = u + dt * discretize_Q(hyp2, g, u)
+        u[-1] = row
+        np.testing.assert_array_equal(state.u, u)
+
+
+def test_per_grid_invariants_are_read_only(hyp2):
+    for g in (Grid(R=1.0, nr=16, ntheta=8), Grid(R=1.0, nr=16, ntheta=1)):
+        assert g.r is g.r and g.theta is g.theta
+        gf = flow._grid_factors(hyp2.xi, hyp2.rho, g)
+        assert flow._grid_factors(hyp2.xi, hyp2.rho, g) is gf
+        arrays = [g.r, g.theta, *gf.at, *gf.op, gf.rho1, gf.cos, gf.sin,
+                  gf.cos2, gf.sin2]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        np.testing.assert_array_equal(g.r, np.linspace(0.0, 1.0, 17))
+        np.testing.assert_array_equal(gf.at.rho, hyp2.rho.value(g.r))
 
 
 def _implicit_csr(model, g, u, dt):
@@ -502,6 +558,28 @@ def test_run_roundtrip(euclid2, tmp_path):
         json.dump(manifest, fh)
     with pytest.raises(FlowError):
         load_run(mpath)
+
+
+def test_save_run_writes_what_save_snapshot_writes(hyp2, tmp_path):
+    # save_run formats the node text once per run; every snapshot file
+    # must still be byte for byte what save_snapshot writes for its state
+    def phi(th):
+        return 0.1 * np.cos(2 * th)
+
+    def u0(r, th):
+        return 0.1 * np.cos(2 * th) * r ** 2
+
+    p = BallProblem(model=hyp2, R=1.0, phi=phi, u0=u0, T=0.01)
+    tr = solve_ball(p, Grid(R=1.0, nr=12, ntheta=8), StepControl(dt_max=1e-3),
+                    snapshot_every=4)
+    assert len(tr.states) >= 3
+    mpath = save_run(str(tmp_path / "run"), tr)
+    with open(mpath) as fh:
+        names = json.load(fh)["snapshots"]
+    for name, state in zip(names, tr.states, strict=True):
+        ref = tmp_path / "ref.csv"
+        save_snapshot(str(ref), tr.grid, state)
+        assert (tmp_path / "run" / name).read_bytes() == ref.read_bytes()
 
 
 def test_model_hash_distinguishes_models(euclid2, hyp2, euclid3):
