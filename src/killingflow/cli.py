@@ -23,10 +23,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-class CheckFailure(Exception):
-    pass
-
-
 def _build_model(args) -> ModelGeometry:
     if args.model == "euclidean":
         return euclidean_model(n=args.n)
@@ -304,11 +300,23 @@ def _write_heatmap_svg(path: str, grid, u: np.ndarray) -> None:
 # dispatch
 
 
+def _finite(text: str) -> float:
+    """argparse type of the float options: a finite number, or a usage
+    error (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _add_model_args(p) -> None:
     p.add_argument("--model", required=True,
                    choices=["euclidean", "hyperbolic"])
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--kappa", type=float, default=1.0)
+    p.add_argument("--kappa", type=_finite, default=1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,17 +334,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cmc", help="radial CMC profile as CSV r,v,vp")
     _add_model_args(p)
-    p.add_argument("--R", type=float, required=True)
+    p.add_argument("--R", type=_finite, required=True)
     p.add_argument("--grid", type=int, default=256)
     p.add_argument("--out")
     p.add_argument("--svg")
 
     p = sub.add_parser("barrier", help="barrier constants and residuals")
     _add_model_args(p)
-    p.add_argument("--r0", type=float, default=1.0)
+    p.add_argument("--r0", type=_finite, default=1.0)
     p.add_argument("--l0", type=int, default=3)
-    p.add_argument("--L", type=float, default=0.1)
-    p.add_argument("--d0", type=float, default=5.0)
+    p.add_argument("--L", type=_finite, default=0.1)
+    p.add_argument("--d0", type=_finite, default=5.0)
     p.add_argument("--out")
 
     p = sub.add_parser("flow", help="solve a Dirichlet flow from a config")
@@ -347,10 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exhaust", help="ball exhaustion convergence report")
     _add_model_args(p)
-    p.add_argument("--r0", type=float, default=1.0)
+    p.add_argument("--r0", type=_finite, default=1.0)
     p.add_argument("--rungs", type=int, default=4)
     p.add_argument("--phi", default="0.5*cos(theta)")
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=_finite, default=1e-3)
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="run the built-in check suite")

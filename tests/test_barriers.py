@@ -59,10 +59,12 @@ def test_verify_supersolution_small_grid_rejected(euclid2):
                              np.linspace(0, 1, 64), lambda r, u: u)
 
 
-def test_verify_supersolution_residual(euclid2):
+@pytest.mark.parametrize("model_name", ["euclid2", "euclid3", "hyp2", "hyp3"])
+def test_verify_supersolution_residual(model_name, request):
+    model = request.getfixturevalue(model_name)
     res = verify_supersolution(
-        euclid2, 1.0, np.linspace(0.0, 0.5, 64), np.linspace(0.0, 1.0, 64),
-        lambda r, u: flow.radial_Q(euclid2, r, u))
+        model, 1.0, np.linspace(0.0, 0.5, 64), np.linspace(0.0, 1.0, 64),
+        lambda r, u: flow.radial_Q(model, r, u))
     assert res >= -1e-3
 
 

@@ -153,6 +153,18 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command,model,flag", [
+    ("exhaust", "euclidean", "--r0"), ("exhaust", "euclidean", "--tol"),
+    ("cmc", "euclidean", "--R"), ("barrier", "euclidean", "--r0"),
+    ("barrier", "hyperbolic", "--L"), ("barrier", "hyperbolic", "--d0"),
+    ("model-info", "hyperbolic", "--kappa")])
+def test_non_finite_cli_numbers_exit_2(command, model, flag, bad, capsys):
+    # the float options are checked by argparse, before any numerics run
+    assert dispatch([command, "--model", model, f"{flag}={bad}"]) == 2
+    assert "not a finite number" in capsys.readouterr().err
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[model]\nkind = dodecahedral\n")

@@ -275,8 +275,9 @@ def test_explicit_euler_at_cfl_limit(kind, n, nr, ntheta, cfl):
         def u0(r, th):
             return 0.1 * np.cos(th) * r + noise
 
-    dt = 0.99 * flow._cfl_dt(model, g, StepControl(cfl=cfl))
-    p = BallProblem(model=model, R=1.0, phi=phi, u0=u0, T=300 * dt)
+    p = BallProblem(model=model, R=1.0, phi=phi, u0=u0, T=1.0)
+    dt = 0.99 * flow._cfl_dt(model, g, StepControl(cfl=cfl), p.sample(g)[0])
+    p.T = 300 * dt
     a = solve_ball(p, g, StepControl(scheme="explicit-euler", cfl=cfl,
                                      dt_max=dt))
     b = solve_ball(p, g, StepControl(dt_max=dt))
@@ -285,13 +286,11 @@ def test_explicit_euler_at_cfl_limit(kind, n, nr, ntheta, cfl):
 
 
 def test_explicit_run_builds_the_cfl_limit_once(hyp2, monkeypatch):
-    # the limit is a per-grid invariant: after it is built, a k-step
-    # explicit run evaluates the polar weights once per step, for the step
-    # itself, and its states are the plain explicit Euler iterates
+    # the limit is read off the weights the step applies: a k-step explicit
+    # run evaluates the polar weights once per step, and its states are the
+    # plain explicit Euler iterates at the run's own step
     g = Grid(R=1.0, nr=16, ntheta=12)
     k = 6
-    dt = 0.5 * flow._cfl_dt(hyp2, g, StepControl(cfl=1.0))
-    ctl = StepControl(scheme="explicit-euler", cfl=1.0, dt_max=dt)
 
     def phi(th):
         return 0.1 * np.cos(th)
@@ -299,7 +298,10 @@ def test_explicit_run_builds_the_cfl_limit_once(hyp2, monkeypatch):
     def u0(r, th):
         return 0.1 * np.cos(th) * r + 0.05 * (1.0 - r * r)
 
-    p = BallProblem(model=hyp2, R=1.0, phi=phi, u0=u0, T=k * dt)
+    p = BallProblem(model=hyp2, R=1.0, phi=phi, u0=u0, T=1.0)
+    dt = 0.5 * flow._cfl_dt(hyp2, g, StepControl(cfl=1.0), p.sample(g)[0])
+    ctl = StepControl(scheme="explicit-euler", cfl=1.0, dt_max=dt)
+    p.T = k * dt
     calls = []
     weights = flow._polar_weights
     monkeypatch.setattr(flow, "_polar_weights",
@@ -307,8 +309,9 @@ def test_explicit_run_builds_the_cfl_limit_once(hyp2, monkeypatch):
     tr = solve_ball(p, g, ctl, snapshot_every=1)
     assert len(calls) == k
     u, row = p.sample(g)
+    h = p.T / (tr.times.size - 1)           # solve_ball's step, T / n_steps
     for state in tr.states[1:]:
-        u = u + dt * discretize_Q(hyp2, g, u)
+        u = u + h * discretize_Q(hyp2, g, u)
         u[-1] = row
         np.testing.assert_array_equal(state.u, u)
 
@@ -316,15 +319,30 @@ def test_explicit_run_builds_the_cfl_limit_once(hyp2, monkeypatch):
 def test_per_grid_invariants_are_read_only(hyp2):
     for g in (Grid(R=1.0, nr=16, ntheta=8), Grid(R=1.0, nr=16, ntheta=1)):
         assert g.r is g.r and g.theta is g.theta
-        gf = flow._grid_factors(hyp2.xi, hyp2.rho, g)
-        assert flow._grid_factors(hyp2.xi, hyp2.rho, g) is gf
-        arrays = [g.r, g.theta, *gf.at, *gf.op, gf.rho1, gf.cos, gf.sin,
-                  gf.cos2, gf.sin2]
+        gf = flow._grid_factors(hyp2.n, hyp2.xi, hyp2.rho, g)
+        assert flow._grid_factors(hyp2.n, hyp2.xi, hyp2.rho, g) is gf
+        arrays = [g.r, g.theta, *gf.at, *gf.op, gf.rho1, *gf.cells, gf.cos,
+                  gf.sin]
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0] = 1.0
         np.testing.assert_array_equal(g.r, np.linspace(0.0, 1.0, 17))
         np.testing.assert_array_equal(gf.at.rho, hyp2.rho.value(g.r))
+
+
+@pytest.mark.parametrize("model_name", ["euclid2", "euclid3", "hyp2", "hyp3"])
+@pytest.mark.parametrize("R,nr", [(1.0, 32), (10.0, 136)])
+def test_cell_measures_are_exact(model_name, R, nr, request):
+    # dV_j integrates rho xi^(n-1) over [r_{j-1/2}, r_{j+1/2}] (the pole
+    # cell from 0): differences of the closed-form model.V, to roundoff;
+    # the last node does not move and has infinite measure
+    model = request.getfixturevalue(model_name)
+    g = Grid(R=R, nr=nr, ntheta=1)
+    dV = flow._grid_factors(model.n, model.xi, model.rho, g).cells.dV
+    edges = np.append(0.0, g.r[:-1] + 0.5 * np.diff(g.r))
+    ref = np.diff([model.V(float(x)) for x in edges])
+    np.testing.assert_allclose(dV[:-1], ref, rtol=1e-12, atol=0.0)
+    assert dV[-1] == math.inf
 
 
 def _implicit_csr(model, g, u, dt):
@@ -482,6 +500,73 @@ def test_single_step_decreases_sup(euclid2):
     s1 = step(s0, p, g, StepControl(), dt=1e-4, phi_row=phi)
     assert s1.t == pytest.approx(1e-4)
     assert float(np.max(np.abs(s1.u))) <= float(np.max(np.abs(u0)))
+
+
+# -- discrete maximum principle --------------------------------------------------
+
+
+def _excursion(model, g, u0, phi, scheme, steps, dt=None):
+    # how far `steps` steps from u0 leave [min(u0, phi), max(u0, phi)];
+    # dt None steps the explicit scheme at each state's own limit
+    p = BallProblem(model=model, R=g.R, phi=lambda th: phi,
+                    u0=lambda r, th: u0, T=1.0)
+    ctl = StepControl(scheme=scheme, cfl=1.0)
+    lo = min(float(np.min(u0)), float(np.min(phi)))
+    hi = max(float(np.max(u0)), float(np.max(phi)))
+    state = flow.FlowState(t=0.0, u=u0, W=compute_W(model, g, u0),
+                           step_count=0)
+    worst = 0.0
+    for _ in range(steps):
+        h = flow._cfl_dt(model, g, ctl, state.u) if dt is None else dt
+        state = step(state, p, g, ctl, dt=h, phi_row=phi)
+        worst = max(worst, lo - float(np.min(state.u)),
+                    float(np.max(state.u)) - hi)
+    return worst
+
+
+@pytest.mark.parametrize("scheme", ["semi-implicit", "explicit-euler"])
+@pytest.mark.parametrize("kind,n,ntheta", [
+    *((kind, n, 1) for kind in ("euclidean", "hyperbolic")
+      for n in (2, 3, 4, 6)),
+    *((kind, 2, nt) for kind in ("euclidean", "hyperbolic")
+      for nt in (16, 32))])
+def test_tent_stays_within_its_data(kind, n, ntheta, scheme):
+    # u0 = 0.1 max(0, 1 - 32 r), phi = 0: a stencil with a negative weight
+    # next to the pole takes this below 0 (a lagged non-divergence stencil
+    # did, by 1.7e-3 at n = 2 to 9.4e-3 at n = 6, on both grids)
+    model = {"euclidean": euclidean_model,
+             "hyperbolic": hyperbolic_model}[kind](n=n)
+    g = Grid(R=1.0, nr=32, ntheta=ntheta)
+    u0 = 0.1 * np.maximum(0.0, 1.0 - 32.0 * g.r)
+    if not g.radial:
+        u0 = np.repeat(u0[:, None], ntheta, axis=1)
+    dt = 1e-4 if scheme == "semi-implicit" else None
+    assert _excursion(model, g, u0, np.zeros(ntheta), scheme, 20, dt) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_name=st.sampled_from(["euclid2", "hyp2", "euclid3", "hyp3"]),
+       nr=st.integers(8, 20), ntheta=st.sampled_from([1, 8, 11]),
+       scheme=st.sampled_from(["semi-implicit", "explicit-euler"]),
+       dt=st.floats(1e-6, 1.0),
+       data=arrays(float, (21, 11), elements=st.floats(-1.0, 1.0)))
+def test_runs_stay_within_their_data(request, model_name, nr, ntheta, scheme,
+                                     dt, data):
+    # min(u0, phi) <= u <= max(u0, phi) to roundoff, for rough data, any
+    # semi-implicit dt and the explicit step at its state limit; the band
+    # LU's roundoff grows with the diagonal 1 + dt sum_k w_jk, a few
+    # thousand at dt = 1 on these grids (1.2e-13 seen in 200 random cases)
+    model = request.getfixturevalue(model_name)
+    if model.n != 2:
+        ntheta = 1                  # the polar grid represents n = 2 only
+    g = Grid(R=1.0, nr=nr, ntheta=ntheta)
+    u0 = data[:nr + 1, :ntheta].copy()
+    u0[0] = u0[0, 0]
+    if g.radial:
+        u0 = u0[:, 0]
+    phi = np.atleast_1d(u0[-1]).copy()
+    dt = dt if scheme == "semi-implicit" else None
+    assert _excursion(model, g, u0, phi, scheme, 3, dt) <= 1e-12
 
 
 # -- persistence -----------------------------------------------------------------
