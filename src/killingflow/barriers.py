@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .cmc import CmcError, eval_vR, sample_vR
 from .geometry import ModelGeometry, R_MIN, _CumulativeIntegral
@@ -77,6 +76,7 @@ class SupersolutionFlow:
             if hi > 1e6 * self.r0:
                 raise BarrierError(
                     f"R(t) bracket expansion failed below 1e6*r0 for t={t}")
+        from scipy.optimize import brentq
         return float(brentq(lambda R: self.time_of(R) - t, self.r0, hi,
                             xtol=1e-13, rtol=1e-14))
 

@@ -312,6 +312,19 @@ def _finite(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    """argparse type of --snapshot-every: an integer >= 0, or a usage
+    error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"not a nonnegative integer: {text!r}")
+    return value
+
+
 def _add_model_args(p) -> None:
     p.add_argument("--model", required=True,
                    choices=["euclidean", "hyperbolic"])
@@ -350,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="solve a Dirichlet flow from a config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="directory for snapshots + manifest")
-    p.add_argument("--snapshot-every", type=int, default=0)
+    p.add_argument("--snapshot-every", type=_count, default=0)
     p.add_argument("--svg")
 
     p = sub.add_parser("exhaust", help="ball exhaustion convergence report")
@@ -362,8 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="run the built-in check suite")
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--config")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true",
+                       help="every built-in check on E2 (the default)")
+    which.add_argument("--config",
+                       help="the model and [verify] checks of a config")
     p.add_argument("--out")
 
     return parser

@@ -19,16 +19,21 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-# exhaustion calls no RectBivariateSpline; the module attribute stays
-# because bench/spans.py wraps exhaustion.RectBivariateSpline to trace
-# spline transfers
-from scipy.interpolate import RectBivariateSpline  # noqa: F401
-from scipy.interpolate import make_interp_spline
 
 from . import barriers
 from .flow import (BallProblem, FlowError, Grid, StepControl, Trajectory,
                    solve_ball)
 from .geometry import ModelGeometry, lower_ricci_bounds
+
+
+def __getattr__(name: str):
+    """Lazy shim for the benchmark tracer (bench/spans.py), which wraps
+    ``exhaustion.RectBivariateSpline``.  exhaustion fits no such spline,
+    so scipy.interpolate is imported only when that name is read."""
+    if name == "RectBivariateSpline":
+        from scipy.interpolate import RectBivariateSpline
+        return RectBivariateSpline
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ExhaustionError(RuntimeError):
@@ -174,6 +179,7 @@ def _transfer(grid: Grid, r_obs: np.ndarray,
     spline on grid.r (the space FITPACK's s = 0 fit interpolates in), Mt
     from the same spline on theta padded periodically by 4 nodes a side,
     fitted to the padding's selection matrix."""
+    from scipy.interpolate import make_interp_spline
     nt = grid.ntheta
     pad = 4
     idx = np.r_[nt - pad:nt, 0:nt, 0:pad]

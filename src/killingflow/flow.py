@@ -50,14 +50,22 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-# flow calls no sparse solver; the module attribute stays because
-# bench/spans.py wraps flow.spla to trace sparse solves
-import scipy.sparse.linalg as spla  # noqa: F401
+# every step solves a banded system, so scipy.linalg loads with the module
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbsv
 
 from .geometry import ModelGeometry, ProfileSpec, R_MIN, ambient_frame
 from .kernel import Factors, factors
+
+
+def __getattr__(name: str):
+    """Lazy shim for the benchmark tracer (bench/spans.py), which wraps
+    ``flow.spla.spsolve``.  flow calls no sparse solver, so
+    scipy.sparse.linalg is imported only when that name is read."""
+    if name == "spla":
+        import scipy.sparse.linalg as spla
+        return spla
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class FlowError(RuntimeError):
@@ -684,6 +692,8 @@ def solve_ball(problem: BallProblem, grid: Grid, control: StepControl,
     whose sup norm exceeds 10 max(sup0, 1) aborts the run: such growth can
     only be numerical instability.
     """
+    if snapshot_every < 0:
+        raise FlowError(f"snapshot_every must be >= 0, got {snapshot_every}")
     model = problem.model
     if not grid.radial and model.n != 2:
         raise FlowError(f"the polar grid represents base dimension 2 only; "

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .quadrature import adaptive_simpson
 
@@ -75,6 +74,7 @@ class ProfileSpec:
             rs = [p[0] for p in self.samples]
             if any(b <= a for a, b in zip(rs, rs[1:])):
                 raise TableFormatError("table radii must be strictly increasing")
+            from scipy.interpolate import PchipInterpolator
             interp = PchipInterpolator(rs,
                                        [p[1] for p in self.samples],
                                        extrapolate=True)

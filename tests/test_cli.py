@@ -165,6 +165,22 @@ def test_non_finite_cli_numbers_exit_2(command, model, flag, bad, capsys):
     assert "not a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("every", ["-1", "-3", "two"])
+def test_bad_snapshot_every_exits_2(tmp_path, every, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(FLOW_INI)
+    assert dispatch(["flow", "--config", str(cfg),
+                     f"--snapshot-every={every}"]) == 2
+    assert "not a nonnegative integer" in capsys.readouterr().err
+
+
+def test_verify_all_and_config_exclude_each_other(tmp_path, capsys):
+    cfg = tmp_path / "v.ini"
+    cfg.write_text("[model]\nkind = euclidean\n[verify]\nchecks = cmc\n")
+    assert dispatch(["verify", "--all", "--config", str(cfg)]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[model]\nkind = dodecahedral\n")
@@ -221,6 +237,39 @@ def test_console_entry_point():
         env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     jsonschema.validate(json.loads(proc.stdout), _schema("model_info"))
+
+
+_STARTUP_CHILD = """
+import sys
+import killingflow
+from killingflow.cli import dispatch
+cfg, out = sys.argv[1:]
+assert dispatch(["model-info", "--model", "hyperbolic"]) == 0
+assert dispatch(["cmc", "--model", "euclidean", "--R", "1.0",
+                 "--grid", "16"]) == 0
+assert dispatch(["flow", "--config", cfg, "--out", out]) == 0
+loaded = sorted(m for m in ("scipy.interpolate", "scipy.optimize",
+                            "scipy.sparse", "scipy.special", "scipy.spatial")
+                if m in sys.modules)
+assert not loaded, loaded
+"""
+
+
+def test_startup_loads_no_deferred_scipy(tmp_path):
+    # this test module has imported SciPy itself, so only a fresh
+    # interpreter can see what the package and these commands load
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(FLOW_INI.replace("nr = 24", "nr = 8")
+                   .replace("ntheta = 16", "ntheta = 8")
+                   .replace("T = 0.05", "T = 0.005"))
+    src = os.path.dirname(os.path.dirname(killingflow.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_CHILD, str(cfg),
+         str(tmp_path / "run")],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
 
 
 _TOKENS = st.sampled_from([

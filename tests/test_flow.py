@@ -62,6 +62,14 @@ def test_non_finite_inputs_raise_flow_error(euclid2, build, bad):
         build(bad, euclid2)
 
 
+@pytest.mark.parametrize("every", [-1, -3])
+def test_negative_snapshot_every_raises_flow_error(euclid2, every):
+    p = BallProblem(model=euclid2, R=1.0, phi=_zero_phi, u0=_bump, T=0.01)
+    with pytest.raises(FlowError, match="snapshot_every"):
+        solve_ball(p, Grid(R=1.0, nr=8, ntheta=1), StepControl(),
+                   snapshot_every=every)
+
+
 def test_problem_default_horizon(euclid2):
     p = BallProblem(model=euclid2, R=2.0, phi=_zero_phi, u0=_bump)
     assert p.T == pytest.approx(euclid2.zeta(2.0) / 2.0)
@@ -101,6 +109,19 @@ def test_step_control_validation():
         StepControl(scheme="leapfrog")
     with pytest.raises(FlowError):
         StepControl(cfl=0.0)
+
+
+def test_lazy_module_attributes():
+    # the names the benchmark tracer reads import their SciPy module on
+    # first access; any other unknown name is still an AttributeError
+    from killingflow import exhaustion
+    assert flow.spla.spsolve is spla.spsolve
+    from scipy.interpolate import RectBivariateSpline
+    assert exhaustion.RectBivariateSpline is RectBivariateSpline
+    with pytest.raises(AttributeError, match="no_such_name"):
+        flow.no_such_name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        exhaustion.no_such_name
 
 
 # -- operator --------------------------------------------------------------------
