@@ -157,6 +157,9 @@ def height_bounds(model: ModelGeometry, r0: float, T: float,
     return lower, upper
 
 
+MIN_L0 = 1
+
+
 def c0_height_cap(model: ModelGeometry, r0: float, l0: int,
                   samples: int = 1024) -> float:
     """Uniform cap on the supersolution height while R(t) <= l0 * r0.
@@ -164,8 +167,8 @@ def c0_height_cap(model: ModelGeometry, r0: float, l0: int,
     Equals sup over (0, l0 r0] of H^2/(rho H') times -1/H(l0 r0).  Requires
     the radial mean curvature to be strictly increasing on the window.
     """
-    if l0 < 1:
-        raise BarrierError("l0 must be >= 1")
+    if l0 < MIN_L0:
+        raise BarrierError(f"l0 must be >= {MIN_L0}")
     rmax = l0 * r0
     rs = rmax * np.geomspace(1e-6, 1.0, samples)
     sup = -math.inf

@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from . import barriers, cmc, config, exhaustion, expr, flow
-from .geometry import (GeometryError, ModelGeometry, euclidean_model,
-                       hyperbolic_model, lower_ricci_bounds)
+from .geometry import (MIN_DIMENSION, GeometryError, ModelGeometry,
+                       euclidean_model, hyperbolic_model, lower_ricci_bounds)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -312,23 +312,28 @@ def _finite(text: str) -> float:
     return value
 
 
-def _count(text: str) -> int:
-    """argparse type of --snapshot-every: an integer >= 0, or a usage
-    error (exit 2)."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"not a nonnegative integer: {text!r}")
-    return value
+def _at_least(minimum: int):
+    """argparse type of an integer option: an integer >= minimum, or a
+    usage error (exit 2) before any numerics run."""
+    kind = ("a nonnegative integer" if minimum == 0
+            else f"an integer >= {minimum}")
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"not {kind}: {text!r}")
+        return value
+
+    return parse
 
 
 def _add_model_args(p) -> None:
     p.add_argument("--model", required=True,
                    choices=["euclidean", "hyperbolic"])
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_at_least(MIN_DIMENSION), default=2)
     p.add_argument("--kappa", type=_finite, default=1.0)
 
 
@@ -337,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="killingflow",
         description="Mean curvature flow of Killing graphs: solver, "
                     "barriers and estimate verification")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_at_least(0), default=0,
                         help="seed for randomized sampling (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -348,14 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cmc", help="radial CMC profile as CSV r,v,vp")
     _add_model_args(p)
     p.add_argument("--R", type=_finite, required=True)
-    p.add_argument("--grid", type=int, default=256)
+    p.add_argument("--grid", type=_at_least(cmc.MIN_GRID_SIZE), default=256)
     p.add_argument("--out")
     p.add_argument("--svg")
 
     p = sub.add_parser("barrier", help="barrier constants and residuals")
     _add_model_args(p)
     p.add_argument("--r0", type=_finite, default=1.0)
-    p.add_argument("--l0", type=int, default=3)
+    p.add_argument("--l0", type=_at_least(barriers.MIN_L0), default=3)
     p.add_argument("--L", type=_finite, default=0.1)
     p.add_argument("--d0", type=_finite, default=5.0)
     p.add_argument("--out")
@@ -363,13 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="solve a Dirichlet flow from a config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="directory for snapshots + manifest")
-    p.add_argument("--snapshot-every", type=_count, default=0)
+    p.add_argument("--snapshot-every", type=_at_least(0), default=0)
     p.add_argument("--svg")
 
     p = sub.add_parser("exhaust", help="ball exhaustion convergence report")
     _add_model_args(p)
     p.add_argument("--r0", type=_finite, default=1.0)
-    p.add_argument("--rungs", type=int, default=4)
+    p.add_argument("--rungs", type=_at_least(exhaustion.MIN_RUNGS),
+                   default=4)
     p.add_argument("--phi", default="0.5*cos(theta)")
     p.add_argument("--tol", type=_finite, default=1e-3)
     p.add_argument("--out")

@@ -250,12 +250,15 @@ def _profile_grid(R: float, grid_size: int) -> np.ndarray:
     return grid
 
 
+MIN_GRID_SIZE = 16
+
+
 def solve_vR(model: ModelGeometry, R: float, grid_size: int) -> CmcProfile:
     """Sample the radial CMC profile with rim radius R on grid_size nodes."""
     if R <= 0:
         raise CmcError("R must be positive")
-    if grid_size < 16:
-        raise CmcError("grid_size must be >= 16")
+    if grid_size < MIN_GRID_SIZE:
+        raise CmcError(f"grid_size must be >= {MIN_GRID_SIZE}")
     grid = _profile_grid(R, grid_size)
     v = np.zeros(grid.size)
     v[:-1] = _rim_heights(model, R, grid[-2::-1].tolist(),

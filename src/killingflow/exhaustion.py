@@ -5,9 +5,9 @@ increasing ladder of geodesic balls, all observed on one fixed compact
 cylinder B_{r0} x [0, T0].  This module builds the ladder (each rung
 radius is the smallest integer whose cylinder-size function zeta makes the
 observation ball parabolically small, zeta(r0) < zeta(rung)/4), solves the
-rungs, transfers every rung solution to a common observation grid by
-bicubic interpolation (one linear map per rung, applied to all its
-snapshots at once), and reports the successive sup-differences d_k.
+rungs, and reports the successive sup-differences d_k on the nodes every
+rung shares: r = k/8 up to the first node at or beyond r0, every theta
+node and every time step, read from each rung's own grid.
 The scheme is a numerical surrogate for a compactness argument: d_k is
 reported as measured, with no convergence-rate claim.
 """
@@ -79,23 +79,31 @@ class ExhaustionPlan:
     ladder: tuple[int, ...]
     T0: float
     tol: float
-    nr_per_unit: int = 8
     ntheta: int = 16
     n_time_steps: int = 64
 
     def __post_init__(self):
-        # rungs are polar runs, transferred by a bicubic spline in theta
+        # a radial rung (ntheta = 1) would silently sample phi(0) of a phi
+        # that depends on theta, and solve_ball runs a polar grid for n = 2
+        # only
         if self.ntheta == 1 or self.model.n != 2:
             raise ExhaustionError(
                 f"a ladder needs ntheta > 1 and n = 2; got "
                 f"ntheta = {self.ntheta}, n = {self.model.n}")
+        if min(self.ladder) < self.r0:
+            raise ExhaustionError(
+                f"every rung must contain B_r0: rung {min(self.ladder)} "
+                f"< r0 = {self.r0}")
 
     def grid_for(self, R: float) -> Grid:
-        nr = max(16, int(round(self.nr_per_unit * R)))
-        return Grid(R=R, nr=nr, ntheta=self.ntheta)
+        # h = 1/8 (1/16 for R = 1): every rung carries the nodes k/8
+        return Grid(R=R, nr=round(8 * max(R, 2)), ntheta=self.ntheta)
 
     def control(self) -> StepControl:
         return StepControl(cfl=0.5, dt_max=self.T0 / self.n_time_steps)
+
+
+MIN_RUNGS = 2
 
 
 def _smallest_rung(model: ModelGeometry, r: float) -> int:
@@ -113,8 +121,8 @@ def build_ladder(model: ModelGeometry, r0: float, count: int,
                  **plan_kwargs) -> ExhaustionPlan:
     """Ladder of rung radii; rung k is the smallest integer Lam with
     zeta(r_k) < zeta(Lam)/4 for the doubling sequence r_k = growth^k r0."""
-    if count < 2:
-        raise ExhaustionError("count must be >= 2")
+    if count < MIN_RUNGS:
+        raise ExhaustionError(f"count must be >= {MIN_RUNGS}")
     if r0 <= 0 or growth <= 1.0:
         raise ExhaustionError("need r0 > 0 and growth > 1")
     ladder = []
@@ -169,41 +177,15 @@ class ConvergenceReport:
         }
 
 
-def _transfer(grid: Grid, r_obs: np.ndarray,
-              theta_obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Mr, Mt): the bicubic transfer from the grid to the observation grid
-    as the linear map U -> Mr @ U @ Mt.T.
-
-    The interpolating cubic spline is linear in its data, so fitting it to
-    the columns of an identity gives its matrix: Mr from the not-a-knot
-    spline on grid.r (the space FITPACK's s = 0 fit interpolates in), Mt
-    from the same spline on theta padded periodically by 4 nodes a side,
-    fitted to the padding's selection matrix."""
-    from scipy.interpolate import make_interp_spline
-    nt = grid.ntheta
-    pad = 4
-    idx = np.r_[nt - pad:nt, 0:nt, 0:pad]
-    theta_ext = np.concatenate([grid.theta[-pad:] - 2 * math.pi, grid.theta,
-                                grid.theta[:pad] + 2 * math.pi])
-    Mr = make_interp_spline(grid.r, np.eye(grid.nr + 1), k=3)(r_obs)
-    Mt = make_interp_spline(theta_ext, np.eye(nt)[idx], k=3)(theta_obs)
-    return Mr, Mt
-
-
-def _observe(trajectory: Trajectory, r_obs: np.ndarray,
-             theta_obs: np.ndarray) -> np.ndarray:
-    """Stack of rung snapshots bicubically interpolated to the observation
-    grid: one transfer map per rung, applied to the whole stack."""
-    Mr, Mt = _transfer(trajectory.grid, r_obs, theta_obs)
-    return Mr @ np.stack([s.u for s in trajectory.states]) @ Mt.T
-
-
-def _cylinder_values(trajectory: Trajectory, r0: float) -> np.ndarray:
-    """Values of u restricted to the observation ball, on the rung's own
-    grid (for max-norm measurements without interpolation error)."""
+def _cylinder_values(trajectory: Trajectory,
+                     r0: float) -> tuple[np.ndarray, np.ndarray]:
+    """(r, U): the rung's own nodes up to r = ceil(8 r0)/8, the first node
+    k/8 at or beyond r0, and the snapshots of u on them.  The nodes cover
+    B_r0 also when r0 is off the lattice k/8."""
     grid = trajectory.grid
-    mask = grid.r <= r0 + 1e-12
-    return np.stack([s.u[mask] for s in trajectory.states])
+    top = round(math.ceil(8 * r0) / (8 * grid.hr))
+    return grid.r[:top + 1], np.stack([s.u[:top + 1]
+                                       for s in trajectory.states])
 
 
 def _solve_rung(plan: ExhaustionPlan, R: int, phi: Callable,
@@ -230,8 +212,6 @@ def run_exhaustion(plan: ExhaustionPlan, phi: Callable,
     """
     model = plan.model
     u0 = u0_radial_ext or pole_mollified_extension(phi)
-    r_obs = np.linspace(0.0, plan.r0, 33)
-    theta_obs = Grid(R=1.0, nr=8, ntheta=plan.ntheta).theta
     # each rung is reduced to its report, its observation stack and the
     # running maxima as soon as it is solved, and its trajectory is dropped
     # before the next rung starts
@@ -241,20 +221,21 @@ def run_exhaustion(plan: ExhaustionPlan, phi: Callable,
     hr_max = 0.0
     for R in plan.ladder:
         tr = _solve_rung(plan, R, phi, u0)
-        previous, observed = observed, _observe(tr, r_obs, theta_obs)
+        r, cyl = _cylinder_values(tr, plan.r0)
+        # every rung carries the nodes k/8 (every other node at h = 1/16),
+        # so rungs are compared there, with no interpolation
+        previous, observed = observed, cyl[:, ::round(1 / (8 * tr.grid.hr))]
         sup_u = max(sup_u, float(np.max(np.abs(observed))))
-        # bicubic transfer error budget: h^4-scale bound from the coarsest
-        # rung, subtracted from the tolerance in the verdict
+        # a margin below tol, h^4 of the coarsest rung, kept until the
+        # verdict subtracts a measured discretisation error instead
         hr_max = max(hr_max, tr.grid.hr)
         interp_budget = hr_max ** 4
         d_k = (None if previous is None
                else float(np.max(np.abs(observed - previous))))
-        cyl = _cylinder_values(tr, plan.r0)
         sup0 = float(np.max(np.abs(cyl[0])))
         _, upper = barriers.height_bounds(model, float(R), plan.T0, sup0)
         # lower = -upper, so both margins are upper - |u|
-        hi = upper(tr.grid.r[tr.grid.r <= plan.r0 + 1e-12])
-        margin = float(np.min(hi[:, None] - np.abs(cyl)))
+        margin = float(np.min(upper(r)[:, None] - np.abs(cyl)))
         reports.append(RungReport(
             R=R, d_k=d_k,
             max_grad=float(np.max(tr.max_grad)),

@@ -388,6 +388,9 @@ def _ladder(r_max: float, count: int) -> np.ndarray:
     return r_max * np.geomspace(1e-8, 1.0, count)
 
 
+MIN_DIMENSION = 2
+
+
 def make_model(spec_xi: ProfileSpec, spec_iota: ProfileSpec,
                spec_rho: ProfileSpec, n: int, quad_tol: float = 1e-10,
                r_max: float = 1e3, ladder_points: int = 512) -> ModelGeometry:
@@ -396,8 +399,8 @@ def make_model(spec_xi: ProfileSpec, spec_iota: ProfileSpec,
     Raises ValidationError naming the violated inequality and the sample
     point; the passing ladder is recorded in ``model.validation``.
     """
-    if n < 2:
-        raise GeometryError(f"dimension n={n} must be >= 2")
+    if n < MIN_DIMENSION:
+        raise GeometryError(f"dimension n={n} must be >= {MIN_DIMENSION}")
     if quad_tol <= 0:
         raise GeometryError("quad_tol must be positive")
     for name, prof in (("xi", spec_xi), ("iota", spec_iota)):

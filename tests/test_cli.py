@@ -165,6 +165,26 @@ def test_non_finite_cli_numbers_exit_2(command, model, flag, bad, capsys):
     assert "not a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["cmc", "--model", "euclidean", "--R", "1", "--grid=-3"], ">= 16"),
+    (["cmc", "--model", "euclidean", "--R", "1", "--grid", "15"], ">= 16"),
+    (["exhaust", "--model", "euclidean", "--rungs", "0"], ">= 2"),
+    (["exhaust", "--model", "euclidean", "--rungs", "1"], ">= 2"),
+    (["barrier", "--model", "euclidean", "--l0=-1"], ">= 1"),
+    (["barrier", "--model", "euclidean", "--l0", "0"], ">= 1"),
+    (["model-info", "--model", "euclidean", "--n", "0"], ">= 2"),
+    (["model-info", "--model", "euclidean", "--n", "1.5"], ">= 2"),
+    (["--seed=-1", "barrier", "--model", "euclidean"], "nonnegative"),
+], ids=["grid-3", "grid15", "rungs0", "rungs1", "l0-1", "l0_0", "n0", "n1.5",
+        "seed-1"])
+def test_bad_integer_options_exit_2(argv, message, capsys):
+    # each minimum is the one the library enforces, checked by argparse
+    # before any numerics run
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert "not a" in err and message in err
+
+
 @pytest.mark.parametrize("every", ["-1", "-3", "two"])
 def test_bad_snapshot_every_exits_2(tmp_path, every, capsys):
     cfg = tmp_path / "run.ini"
@@ -255,20 +275,38 @@ assert not loaded, loaded
 """
 
 
-def test_startup_loads_no_deferred_scipy(tmp_path):
+def _run_fresh(code, *args):
     # this test module has imported SciPy itself, so only a fresh
-    # interpreter can see what the package and these commands load
+    # interpreter can see what the package and its commands load
+    src = os.path.dirname(os.path.dirname(killingflow.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_startup_loads_no_deferred_scipy(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(FLOW_INI.replace("nr = 24", "nr = 8")
                    .replace("ntheta = 16", "ntheta = 8")
                    .replace("T = 0.05", "T = 0.005"))
-    src = os.path.dirname(os.path.dirname(killingflow.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _STARTUP_CHILD, str(cfg),
-         str(tmp_path / "run")],
-        capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=path))
+    proc = _run_fresh(_STARTUP_CHILD, cfg, tmp_path / "run")
+    assert proc.returncode == 0, proc.stderr
+
+
+_EXHAUST_CHILD = """
+import contextlib, io, sys
+from killingflow.cli import dispatch
+with contextlib.redirect_stdout(io.StringIO()):
+    assert dispatch(["exhaust", "--model", "euclidean", "--rungs", "2",
+                     "--tol", "0.1"]) == 0
+assert "scipy.interpolate" not in sys.modules
+"""
+
+
+def test_exhaust_loads_no_interpolation():
+    # rungs are compared on the nodes they share; no spline is fitted
+    proc = _run_fresh(_EXHAUST_CHILD)
     assert proc.returncode == 0, proc.stderr
 
 

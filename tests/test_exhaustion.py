@@ -2,13 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import RectBivariateSpline
 
-from killingflow import exhaustion
-from killingflow.exhaustion import (ExhaustionError, build_ladder,
-                                    pole_mollified_extension,
+from killingflow.exhaustion import (ExhaustionError, ExhaustionPlan,
+                                    build_ladder, pole_mollified_extension,
                                     radial_extension, run_exhaustion)
-from killingflow.flow import Grid
+from killingflow.flow import BallProblem, solve_ball
 
 
 def _phi(theta):
@@ -38,15 +36,30 @@ def test_ladder_guards(euclid2):
 
 
 def test_plan_rejects_radial_grid(euclid2):
-    # rungs are transferred by a bicubic spline in theta, which needs a
-    # polar grid; refuse the plan before any rung is solved
+    # a radial rung would silently sample phi(0) of a phi that depends on
+    # theta; refuse the plan before any rung is solved
     with pytest.raises(ExhaustionError, match="ntheta"):
         build_ladder(euclid2, 1.0, 2, ntheta=1)
 
 
 def test_plan_rejects_higher_dimension(euclid3):
+    # solve_ball runs a polar grid for n = 2 only
     with pytest.raises(ExhaustionError, match="n = 3"):
         build_ladder(euclid3, 1.0, 2)
+
+
+def test_plan_rejects_rung_inside_observation_ball(euclid2):
+    with pytest.raises(ExhaustionError, match="contain B_r0"):
+        ExhaustionPlan(model=euclid2, r0=2.5, ladder=(2, 3), T0=0.1,
+                       tol=1e-3)
+
+
+def test_rung_grids_carry_the_eighth_lattice(euclid2):
+    plan = build_ladder(euclid2, 1.0, 2)
+    for R, nr in ((1, 16), (2, 16), (3, 24), (17, 136)):
+        grid = plan.grid_for(float(R))
+        assert grid.nr == nr
+        assert set(np.arange(8 * R + 1) / 8) <= set(grid.r)
 
 
 def test_radial_extension_shapes():
@@ -71,7 +84,7 @@ def test_pole_mollified_extension():
 
 def test_run_reports_cauchy_differences(euclid2):
     plan = build_ladder(euclid2, 1.0, 2, tol=0.05,
-                        nr_per_unit=8, ntheta=16, n_time_steps=32)
+                        ntheta=16, n_time_steps=32)
     report = run_exhaustion(plan, _phi)
     assert len(report.rungs) == 2
     assert report.rungs[0].d_k is None
@@ -114,26 +127,37 @@ def test_plain_radial_extension_rejected_at_pole(euclid2):
         run_exhaustion(plan, _phi, u0_radial_ext=radial_extension(_phi))
 
 
-def _spline_transfer(grid, U, r_obs, theta_obs):
-    # reference: one FITPACK interpolating bicubic per snapshot, on theta
-    # padded periodically by 4 nodes a side
-    theta, pad = grid.theta, 4
-    theta_ext = np.concatenate([theta[-pad:] - 2 * math.pi, theta,
-                                theta[:pad] + 2 * math.pi])
-    return np.stack([
-        RectBivariateSpline(grid.r, theta_ext,
-                            np.concatenate([u[:, -pad:], u, u[:, :pad]], 1),
-                            kx=3, ky=3)(r_obs, theta_obs)
-        for u in U])
+def _lattice_d_k(plan, phi, k_max):
+    """Reference d_k: each rung solved on its own, the sup-difference taken
+    over the nodes r = k/8, k <= k_max, picked out of each grid by value."""
+    stacks = []
+    for R in plan.ladder:
+        grid = plan.grid_for(float(R))
+        tr = solve_ball(
+            BallProblem(model=plan.model, R=float(R), phi=phi,
+                        u0=pole_mollified_extension(phi), T=plan.T0),
+            grid, plan.control(), snapshot_every=1)
+        idx = [int(np.flatnonzero(grid.r == k / 8)[0])
+               for k in range(k_max + 1)]
+        stacks.append(np.stack([s.u[idx] for s in tr.states]))
+    return [float(np.max(np.abs(b - a))) for a, b in zip(stacks, stacks[1:])]
 
 
-@pytest.mark.parametrize("nr,ntheta,R", [(16, 16, 2.0), (136, 16, 17.0)])
-def test_transfer_matches_bicubic_spline(nr, ntheta, R):
-    grid = Grid(R=R, nr=nr, ntheta=ntheta)
-    r_obs = np.linspace(0.0, 1.0, 33)
-    theta_obs = Grid(R=1.0, nr=8, ntheta=16).theta
-    U = np.random.default_rng(nr).uniform(-1.0, 1.0, (4, nr + 1, ntheta))
-    Mr, Mt = exhaustion._transfer(grid, r_obs, theta_obs)
-    got = Mr @ U @ Mt.T
-    ref = _spline_transfer(grid, U, r_obs, theta_obs)
-    assert float(np.max(np.abs(got - ref))) < 1e-13
+def test_d_k_on_shared_nodes_across_strides(hyp2):
+    # the R = 1 rung has h = 1/16 and is read at every other node
+    plan = ExhaustionPlan(model=hyp2, r0=0.5, ladder=(1, 2, 4),
+                          T0=0.5 * hyp2.zeta(1.0), tol=1e-12,
+                          n_time_steps=16)
+    report = run_exhaustion(plan, _phi)
+    assert [r.d_k for r in report.rungs[1:]] == _lattice_d_k(plan, _phi, 4)
+
+
+def test_d_k_covers_an_off_lattice_ball(euclid2):
+    # r0 = 1.3 is off the lattice: d_k reads up to the first node beyond it,
+    # r = 11/8 = 1.375, where this ladder differs more than inside B_r0
+    plan = ExhaustionPlan(model=euclid2, r0=1.3, ladder=(2, 3),
+                          T0=0.5 * euclid2.zeta(2.0), tol=1e-12,
+                          n_time_steps=16)
+    report = run_exhaustion(plan, _phi)
+    assert report.rungs[1].d_k == _lattice_d_k(plan, _phi, 11)[0]
+    assert report.rungs[1].d_k > _lattice_d_k(plan, _phi, 10)[0]
