@@ -58,27 +58,60 @@ class SupersolutionFlow:
             raise BarrierError("r0 must be positive")
         model = self.model
         self._time = _CumulativeIntegral(lambda s: model.V(s) / model.A(s),
-                                         model.quad_tol, start=self.r0)
+                                         model.quad_tol, start=self.r0,
+                                         breaks=model.breaks)
 
-    def time_of(self, R: float) -> float:
-        """Time t at which the rim radius reaches R: the integral of V/A
-        from r0 to R, cached on a growing knot list."""
+    def time_of(self, R):
+        """Time t at which the rim radius reaches R (a radius or an array
+        of radii): the integral of V/A from r0 to R."""
         return self._time(R)
 
-    def R_of_t(self, t: float) -> float:
-        if t < 0:
+    def R_of_t(self, t):
+        """Rim radius at time t, a float or an array of times: Newton on
+        time_of, whose derivative is V(R)/A(R) exactly, kept inside a
+        doubling bracket by bisection, for all the times at once."""
+        t = np.asarray(t, dtype=float)
+        if np.any(t < 0):
             raise BarrierError("t must be nonnegative")
-        if t == 0.0:
-            return self.r0
-        hi = self.r0 * 2.0
-        while self.time_of(hi) < t:
-            hi *= 2.0
-            if hi > 1e6 * self.r0:
+        model = self.model
+        lo = np.full(t.shape, float(self.r0))
+        hi = 2.0 * lo
+        t_lo = np.zeros(t.shape)
+        t_hi = self.time_of(hi)
+        while (t_hi < t).any():
+            short = t_hi < t
+            lo, t_lo = np.where(short, hi, lo), np.where(short, t_hi, t_lo)
+            hi = np.where(short, 2.0 * hi, hi)
+            if np.max(hi) > 1e6 * self.r0:
                 raise BarrierError(
-                    f"R(t) bracket expansion failed below 1e6*r0 for t={t}")
-        from scipy.optimize import brentq
-        return float(brentq(lambda R: self.time_of(R) - t, self.r0, hi,
-                            xtol=1e-13, rtol=1e-14))
+                    f"R(t) bracket expansion failed below 1e6*r0 for "
+                    f"t={np.max(t)}")
+            t_hi = self.time_of(hi)
+        # start from the tangent at lo, which lies right of the root where
+        # time_of is convex (H' > 0); t = 0 is solved by r0 exactly
+        done = t == 0.0
+        R = np.where(done, lo, np.minimum(
+            hi, lo + (t - t_lo) * model.A(lo) / model.V(lo)))
+        for _ in range(_NEWTON_STEPS):
+            gap = self.time_of(R) - t
+            lo = np.where(gap < 0.0, R, lo)
+            hi = np.where(gap > 0.0, R, hi)
+            step = gap * model.A(R) / model.V(R)
+            last = ~done & (np.abs(step) <= _NEWTON_STOP * R)
+            R_next = R - step
+            R = np.where(done, R, np.where(
+                last | ((lo < R_next) & (R_next < hi)), R_next,
+                0.5 * (lo + hi)))
+            done |= last
+            if done.all():
+                return float(R) if R.ndim == 0 else R
+        raise BarrierError(f"R(t) did not converge for t={t}")
+
+
+# a Newton step this small (relative) is below the rounding noise of
+# time_of; bisection alone would need about 50 steps to get there
+_NEWTON_STOP = 1e-14
+_NEWTON_STEPS = 100
 
 
 def mu_of_t(model: ModelGeometry, r0: float, t: float) -> float:
@@ -116,9 +149,8 @@ def verify_supersolution(model: ModelGeometry, r0: float,
     # quadrature only needs to stay well below the finite-difference error
     # of the residual itself, so don't pay for full model.quad_tol here
     samp_tol = min(1e-8, model.quad_tol * 1e2)
-    for a, t in enumerate(t_grid):
-        R = flow.R_of_t(float(t))
-        u[a] = sample_vR(model, R, r_grid, tol=samp_tol)
+    for a, R in enumerate(flow.R_of_t(t_grid)):
+        u[a] = sample_vR(model, float(R), r_grid, tol=samp_tol)
     ut = np.gradient(u, t_grid, axis=0)
     worst = math.inf
     for a in range(1, t_grid.size - 1):

@@ -17,6 +17,7 @@ import numpy as np
 from . import barriers, cmc, config, exhaustion, expr, flow
 from .geometry import (MIN_DIMENSION, GeometryError, ModelGeometry,
                        euclidean_model, hyperbolic_model, lower_ricci_bounds)
+from .quadrature import QuadratureError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -88,9 +89,8 @@ def _cmd_barrier(args) -> int:
     worst = -math.inf
     Rmax = args.l0 * r0
     t_cap = sflow.time_of(Rmax)
-    for t in rng.uniform(0.0, t_cap, 50):
-        worst = max(worst, barriers.eval_u_plus(model, r0, 0.0, float(t),
-                                                flow=sflow))
+    for R in sflow.R_of_t(rng.uniform(0.0, t_cap, 50)):
+        worst = max(worst, cmc.eval_vR(model, float(R), 0.0))
     checks.append({"name": "height_cap_dominates_supersolution",
                    "value": cap - worst, "pass": bool(cap - worst >= -1e-9)})
 
@@ -413,8 +413,9 @@ def dispatch(argv: list[str] | None = None) -> int:
     except (config.ConfigError, expr.ExprError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except (GeometryError, cmc.CmcError, barriers.BarrierError,
-            flow.FlowError, exhaustion.ExhaustionError) as exc:
+    except (GeometryError, cmc.CmcError, QuadratureError,
+            barriers.BarrierError, flow.FlowError,
+            exhaustion.ExhaustionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CHECK_FAILED
 

@@ -18,14 +18,12 @@ vertically), removed here by the substitution s = R - tau^2.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .geometry import (GeometryError, ModelGeometry, R_MIN,
-                       _CumulativeIntegral)
-from .quadrature import adaptive_simpson, composite_simpson
+from .geometry import ModelGeometry, R_MIN
+from .quadrature import gauss_kronrod
 
 
 class CmcError(ValueError):
@@ -65,102 +63,58 @@ class CmcProfile:
         return np.interp(r, self.grid, self.v)
 
 
-def _direct_disc(model: ModelGeometry, nH: float, r: float) -> float:
-    A = model.A(r)
-    V = model.V(r)
-    return A * A - nH * nH * V * V
-
-
-def _disc_near_rim(model: ModelGeometry, R: float, nH: float, r: float):
-    """Slope discriminant A^2 - (nH V)^2 in the rim zone where the direct
-    difference cancels catastrophically.
-
-    Recovered by integrating its derivative in the depth variable y = R - s
-    (pointwise noise of the derivative is only ulp-level).  The cumulative
-    integral is cached per (model, R): rim quadratures evaluate the slope at
-    thousands of clustered radii and each would otherwise redo it.  Deep
-    queries are anchored at the junction radius where the direct formula is
-    still trustworthy, so the noisier rim-side panels cancel out of them.
-    """
-    cache = getattr(model, "_disc_cache", None)
-    if cache is None:
-        cache = {}
-        model._disc_cache = cache
-    key = (R, nH)
-    entry = cache.get(key)
-    if entry is None:
-        def f(t: float) -> float:
-            s = max(R - t, R_MIN)
-            As = model.A(s)
-            return 2.0 * As * (model.A_prime(s) - nH * nH * model.V(s))
-
-        def noise(t: float) -> float:
-            s = max(R - t, R_MIN)
-            return 1e-15 * model.A(s) * abs(model.A_prime(s))
-
-        ci = _CumulativeIntegral(f, 1e-10, panel=0.25, noise=noise)
-        # junction: outermost radius where the direct difference is still
-        # accurate to ~1e-10 relative (cancellation eats six digits)
-        lo, hi = R_MIN, R
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            A = model.A(mid)
-            if _direct_disc(model, nH, mid) > 1e-6 * A * A:
-                lo = mid
-            else:
-                hi = mid
-        y_j = R - lo
-        D_j = _direct_disc(model, nH, lo)
-        entry = (ci, y_j, D_j)
-        cache[key] = entry
-    ci, y_j, D_j = entry
-    y = R - r
-    if y <= 0.5 * y_j:
-        return -ci(y)
-    return D_j - (ci(y) - ci(y_j))
-
-
-def _vR_prime(model: ModelGeometry, R: float, nH: float, r: float) -> float:
-    # slope with the (per-profile constant) nH hoisted out: the rim
-    # quadratures evaluate this thousands of times per profile
-    if not 0.0 <= r < R:
-        raise CmcError(f"need 0 <= r < R, got r={r}, R={R}")
-    if r <= R_MIN:
-        return 0.0
-    V = model.V(r)
-    A = model.A(r)
+def _slopes(model: ModelGeometry, R: float, nH: float,
+            s: np.ndarray) -> np.ndarray:
+    """Profile slopes v'(s) at an array of radii in [0, R), with the
+    (per-profile constant) nH hoisted out; zero at the pole."""
+    out = np.zeros(s.shape)
+    inner = s > R_MIN
+    s = s[inner]
+    V = model.V(s)
+    A = model.A(s)
     disc = A * A - nH * nH * V * V
-    if disc <= 1e-6 * A * A:
-        # the direct difference cancels catastrophically near the rim
-        # (disc vanishes like R - r there)
-        disc = _disc_near_rim(model, R, nH, r)
-    if disc <= 0.0:
-        raise CmcError(f"degenerate slope discriminant at r={r}")
-    return nH * V / (float(model.rho.value(r)) * math.sqrt(disc))
+    # the direct difference cancels near the rim (disc vanishes like R - s
+    # there); it is used only where it loses at most two digits, so its
+    # rounding stays below the quadrature's floor.  Nearer the rim, with
+    # q = A/V and nH = -q(R), disc = V (A - nH V) (q(s) - q(R)).
+    near = disc <= 1e-2 * A * A
+    if near.any():
+        Vn = V[near]
+        disc[near] = Vn * (A[near] - nH * Vn) * model.q_drop(s[near], R)
+    if not np.all(disc > 0.0):
+        raise CmcError(f"degenerate slope discriminant at "
+                       f"r={s[np.argmin(disc > 0.0)]}")
+    out[inner] = nH * V / (np.asarray(model.rho.value(s), dtype=float)
+                           * np.sqrt(disc))
+    return out
 
 
 def eval_vR_prime(model: ModelGeometry, R: float, r: float) -> float:
     """Slope v'(r) of the radial CMC profile with rim radius R."""
-    return _vR_prime(model, R, model.n * model.H(R), r)
+    if not 0.0 <= r < R:
+        raise CmcError(f"need 0 <= r < R, got r={r}, R={R}")
+    return float(_slopes(model, R, model.n * model.H(R),
+                         np.array([float(r)]))[0])
 
 
-def _rim_heights(model: ModelGeometry, R: float, radii: Sequence[float],
-                 tol: float) -> list[float]:
-    """Heights v_R at rim-inward radii (plain floats, decreasing, in [0, R)).
+def _rim_heights(model: ModelGeometry, R: float, radii: np.ndarray,
+                 tol: float) -> np.ndarray:
+    """Heights v_R at rim-inward radii (decreasing, in [0, R)).
 
     v_R(r) is the integral of -v' over [r, R].  Substituting s = R - tau^2
     maps [r, R] to [0, sqrt(R - r)] and cancels the (R - s)^{-1/2} blowup of
-    the slope, so one accumulation in tau from the rim inward yields every
-    height, each node adding the panel from the previous one.  The
-    tolerance is budgeted by panel width, so the total is about tol (an
-    equal split would over-resolve the many short panels of fine grids).
+    the slope.  So one Gauss-Kronrod call in tau, with one interval per gap
+    between successive nodes from the rim inward, and a cumulative sum
+    yield every height.  The tolerance is budgeted by gap width, so the
+    total is about tol (an equal split would over-resolve the many short
+    gaps of fine grids).
 
     Slope evaluations near the rim are limited to a relative accuracy of a
-    few tens of ulp of the area profile's growth rate.  While that noise
-    floor sits below a panel's tolerance the adaptive rule is used; past it
-    (models where A grows exponentially, large rim radii) adaptive
-    subdivision would chase noise forever, so a fixed composite rule takes
-    over and the result honestly carries the noise-floor error instead.
+    few tens of ulp of the area profile's growth rate: the noise floor
+    1e-14 |A'(R)|.  Each panel's tolerance is floored at that noise times
+    its width, so on models where A grows exponentially and at large rim
+    radii the heights honestly carry the noise-floor error instead of
+    subdivision chasing noise.
     """
     floor = 1e-14 * abs(model.A_prime(R))
     if floor > 5e-3:
@@ -174,29 +128,19 @@ def _rim_heights(model: ModelGeometry, R: float, radii: Sequence[float],
     tau_min = 1e-7 * math.sqrt(max(R, 1.0))
     nH = model.n * model.H(R)
 
-    def g(tau: float) -> float:
-        tc = max(tau, tau_min)
-        s = max(R - tc * tc, 0.0)
+    def g(tau: np.ndarray) -> np.ndarray:
+        tc = np.maximum(tau, tau_min)
+        s = np.maximum(R - tc * tc, 0.0)
         # near the rim R - tc^2 quantizes to the ulp spacing of R; pair the
         # (R - s)^{-1/2} blowup of the slope with the tau the rounded s
         # actually corresponds to, not the requested one
-        te = math.sqrt(R - s)
-        return -2.0 * te * _vR_prime(model, R, nH, s)
+        return -2.0 * np.sqrt(R - s) * _slopes(model, R, nH, s)
 
-    taus = [math.sqrt(R - r) for r in radii]
-    heights = []
-    acc = prev = 0.0
-    for tau in taus:
-        width = tau - prev
-        panel_tol = tol * max(width / taus[-1], 1e-3)
-        if floor <= panel_tol:
-            acc += adaptive_simpson(g, prev, tau, panel_tol)
-        else:
-            panels = max(8, int(1024.0 * width / max(math.sqrt(R), 1.0)))
-            acc += composite_simpson(g, prev, tau, panels)
-        heights.append(acc)
-        prev = tau
-    return heights
+    taus = np.sqrt(R - radii)
+    prev = np.concatenate(([0.0], taus[:-1]))
+    width = taus - prev
+    return np.cumsum(gauss_kronrod(
+        g, prev, taus, tol * np.maximum(width / taus[-1], 1e-3), floor))
 
 
 def sample_vR(model: ModelGeometry, R: float, r_grid: np.ndarray,
@@ -216,7 +160,7 @@ def sample_vR(model: ModelGeometry, R: float, r_grid: np.ndarray,
         raise CmcError("r_grid must be strictly increasing and nonnegative")
     inside = int(np.searchsorted(r_grid, R))
     out = np.zeros(r_grid.size)
-    out[:inside] = _rim_heights(model, R, r_grid[:inside][::-1].tolist(),
+    out[:inside] = _rim_heights(model, R, r_grid[:inside][::-1],
                                 tol if tol else model.quad_tol)[::-1]
     return out
 
@@ -231,7 +175,8 @@ def eval_vR(model: ModelGeometry, R: float, r: float,
         raise CmcError(f"need 0 <= r <= R, got r={r}")
     if r == R:
         return 0.0
-    return _rim_heights(model, R, (r,), tol if tol else model.quad_tol)[0]
+    return float(_rim_heights(model, R, np.array([float(r)]),
+                              tol if tol else model.quad_tol)[0])
 
 
 def _profile_grid(R: float, grid_size: int) -> np.ndarray:
@@ -261,13 +206,10 @@ def solve_vR(model: ModelGeometry, R: float, grid_size: int) -> CmcProfile:
         raise CmcError(f"grid_size must be >= {MIN_GRID_SIZE}")
     grid = _profile_grid(R, grid_size)
     v = np.zeros(grid.size)
-    v[:-1] = _rim_heights(model, R, grid[-2::-1].tolist(),
-                          model.quad_tol)[::-1]
-    nH = model.n * model.H(R)
+    v[:-1] = _rim_heights(model, R, grid[-2::-1], model.quad_tol)[::-1]
     vp = np.empty(grid.size)
     vp[0] = 0.0
-    for i in range(1, grid.size - 1):
-        vp[i] = _vR_prime(model, R, nH, float(grid[i]))
+    vp[1:-1] = _slopes(model, R, model.n * model.H(R), grid[1:-1])
     vp[-1] = -math.inf
     return CmcProfile(R=R, H_R=model.H(R), grid=grid, v=v, vp=vp)
 

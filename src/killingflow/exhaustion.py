@@ -232,7 +232,8 @@ def run_exhaustion(plan: ExhaustionPlan, phi: Callable,
         interp_budget = hr_max ** 4
         d_k = (None if previous is None
                else float(np.max(np.abs(observed - previous))))
-        sup0 = float(np.max(np.abs(cyl[0])))
+        # the bounds' premise is |u0| <= sup0 on the rung's whole ball
+        sup0 = float(np.max(np.abs(tr.states[0].u)))
         _, upper = barriers.height_bounds(model, float(R), plan.T0, sup0)
         # lower = -upper, so both margins are upper - |u|
         margin = float(np.min(upper(r)[:, None] - np.abs(cyl)))

@@ -252,6 +252,15 @@ def _cells(n: int, xi: ProfileSpec, rho: ProfileSpec, r) -> _Cells:
                   cond=face.rho * face.xi ** (n - 1) / dr, dV=dV)
 
 
+@functools.lru_cache(maxsize=32)
+def _radial_cells(n: int, xi: ProfileSpec, rho: ProfileSpec,
+                  r: bytes) -> _Cells:
+    """The finite volumes of _cells, built once per (n, xi, rho, radii) and
+    read-only, for radial_Q and _grid_factors; the radii come as the bytes
+    of their float array, since an array is not hashable."""
+    return _Cells(*map(_read_only, _cells(n, xi, rho, np.frombuffer(r))))
+
+
 class _GridFactors(NamedTuple):
     """What the solver reads that depends only on the base dimension, the
     warping profiles and the grid.  ``at`` holds the kernel factors at
@@ -277,7 +286,7 @@ def _grid_factors(n: int, xi: ProfileSpec, rho: ProfileSpec,
     return _GridFactors(
         at=at, op=Factors(*(a[1:-1, None] for a in at)),
         rho1=_read_only(np.asarray(rho.d1(grid.r), dtype=float)),
-        cells=_Cells(*map(_read_only, _cells(n, xi, rho, grid.r))),
+        cells=_radial_cells(n, xi, rho, grid.r.tobytes()),
         cos=_read_only(np.cos(grid.theta)), sin=_read_only(np.sin(grid.theta)))
 
 
@@ -462,8 +471,11 @@ def radial_Q(model: ModelGeometry, r: np.ndarray, u: np.ndarray) -> np.ndarray:
     in base dimension model.n.  The first node may be the pole (r = 0);
     off the pole it reads zero, like the last (Dirichlet) node."""
     u = np.asarray(u, dtype=float)
-    return _apply(_radial_weights(_cells(model.n, model.xi, model.rho, r), u),
-                  u)
+    cells = _radial_cells(model.n, model.xi, model.rho,
+                          np.asarray(r, dtype=float).tobytes())
+    return _apply(_radial_weights(cells, u), u)
+
+
 
 
 def discretize_Q(model: ModelGeometry, grid: Grid,
@@ -804,7 +816,7 @@ def residual_identities(model: ModelGeometry, trajectory: Trajectory,
     rho1 = np.asarray(model.rho.d1(r), dtype=float)
     xi = np.asarray(model.xi.value(r), dtype=float)
     xi1 = np.asarray(model.xi.d1(r), dtype=float)
-    zeta = np.asarray([model.zeta(float(x)) for x in r])
+    zeta = model.zeta(r)
     frame = ambient_frame(model)
     ric = np.asarray([frame.ricci_eigenvalues(float(x)) if x > R_MIN
                       else frame.ricci_eigenvalues(1e-6)

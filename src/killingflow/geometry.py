@@ -15,7 +15,6 @@ components.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadrature import adaptive_simpson
+from .quadrature import gauss_kronrod
 
 R_MIN = 1e-12
 
@@ -86,18 +85,6 @@ class ProfileSpec:
     # -- evaluation (scalar or ndarray) ------------------------------------
 
     def value(self, r):
-        if isinstance(r, (float, int)):
-            # scalar fast path: the rim quadratures hit this millions of
-            # times and np.asarray/np.ndim dominate the profile otherwise
-            if self.kind == "euclidean":
-                return float(r)
-            if self.kind == "hyperbolic":
-                return math.sinh(self.kappa * r) / self.kappa
-            if self.kind == "cosh":
-                return math.cosh(self.kappa * r)
-            if self.kind == "constant":
-                return self.const
-            return self._interp(r)
         if self.kind == "euclidean":
             return np.asarray(r, dtype=float) + 0.0 if np.ndim(r) else float(r)
         if self.kind == "hyperbolic":
@@ -110,16 +97,6 @@ class ProfileSpec:
         return self._interp(r)
 
     def d1(self, r):
-        if isinstance(r, (float, int)):
-            if self.kind == "euclidean":
-                return 1.0
-            if self.kind == "hyperbolic":
-                return math.cosh(self.kappa * r)
-            if self.kind == "cosh":
-                return self.kappa * math.sinh(self.kappa * r)
-            if self.kind == "constant":
-                return 0.0
-            return self._d1(r)
         if self.kind == "euclidean":
             return np.ones_like(np.asarray(r, dtype=float)) if np.ndim(r) else 1.0
         if self.kind == "hyperbolic":
@@ -217,64 +194,64 @@ def table_profile_from_csv(path) -> ProfileSpec:
 
 
 class _CumulativeIntegral:
-    """Cached cumulative integral of a nonnegative integrand.
+    """Cumulative integral F(r) of f from start, at a radius or an array.
 
-    Knots extend on demand and every evaluated point is inserted back into
-    the knot list, so clustered queries (the rim quadratures ask for
-    thousands of nearby radii) each integrate only a sliver.  Off-knot
-    panels get a tolerance scaled by their width, keeping the accumulated
-    error proportional to the global tolerance.
+    ``f`` is vectorised.  F is kept on knots: the lattice
+    start + k * _panel and the ``breaks``, where f is not smooth (the radii
+    of table profiles).  Knots are added on demand with one Gauss-Kronrod
+    call over the new panels and a cumulative sum.  A query is then F at
+    the knot below it plus one Gauss-Kronrod call over the gaps from those
+    knots, for every radius of the query at once.  So F(r) depends on r
+    only, not on what was asked before or alongside it, and no gap crosses
+    a break.  A panel of width w gets the tolerance
+    tol * max(1, |f(mid)| w) * w / _panel: relative to its own scale, so
+    that fast-growing integrands (the area profile grows exponentially on
+    negatively curved models) don't demand sub-rounding accuracy, and
+    proportional to its width.  A gap gets its panel's share by width.
     """
 
-    def __init__(self, f: Callable[[float], float], tol: float,
-                 panel: float = 0.5, start: float = 0.0,
-                 noise=0.0):
-        # noise: pointwise evaluation noise of f (absolute, constant or a
-        # callable of position); tolerances are floored at noise * width
-        # since no quadrature can certify below it
+    _panel = 0.5
+
+    def __init__(self, f: Callable[[np.ndarray], np.ndarray], tol: float,
+                 start: float = 0.0, breaks: Sequence[float] = ()):
         self._f = f
         self._tol = tol
-        self._panel = panel
         self._start = start
-        self._noise = noise
-        self._knots = [start]
-        self._vals = [0.0]
+        self._breaks = np.array([x for x in breaks if x > start], dtype=float)
+        self._knots = np.array([float(start)])
+        self._F = np.zeros(1)
+        self._rate = np.zeros(0)         # tolerance per unit width, per panel
 
-    def _noise_at(self, x: float) -> float:
-        return self._noise(x) if callable(self._noise) else self._noise
+    def _extend(self, top: float) -> None:
+        """Add the knots up to the first lattice point beyond top."""
+        last = self._knots[-1]
+        k = np.arange(round((last - self._start) / self._panel) + 1,
+                      math.floor((top - self._start) / self._panel) + 2)
+        end = self._start + self._panel * k[-1]
+        b = np.union1d(self._start + self._panel * k, self._breaks[
+            (self._breaks > last) & (self._breaks < end)])
+        a = np.concatenate(([last], b[:-1]))
+        w = b - a
+        rate = self._tol * np.maximum(
+            1.0, np.abs(self._f(a + 0.5 * w)) * w) / self._panel
+        gaps = gauss_kronrod(self._f, a, b, rate * w)
+        self._knots = np.concatenate((self._knots, b))
+        # accumulate from the last F, knot by knot, so F on a knot does not
+        # depend on how earlier queries split the extension
+        self._F = np.concatenate(
+            (self._F, np.cumsum(np.concatenate(([self._F[-1]], gaps)))[1:]))
+        self._rate = np.concatenate((self._rate, rate))
 
-    def _panel_tol(self, a: float, b: float) -> float:
-        # interpret the tolerance relative to the panel's own scale, so
-        # fast-growing integrands (the area profile grows exponentially on
-        # negatively curved models) don't demand sub-rounding accuracy
-        mid = 0.5 * (a + b)
-        scale = abs(self._f(mid)) * (b - a)
-        return max(self._tol * max(1.0, scale),
-                   self._noise_at(mid) * (b - a))
-
-    def __call__(self, r: float) -> float:
-        if r < self._start:
+    def __call__(self, r):
+        r = np.asarray(r, dtype=float)
+        if np.any(r < self._start):
             raise GeometryError(f"radius below integral start {self._start}")
-        if r == self._start:
-            return 0.0
-        while self._knots[-1] < r:
-            a = self._knots[-1]
-            b = min(a + self._panel, r)
-            self._knots.append(b)
-            self._vals.append(self._vals[-1]
-                              + adaptive_simpson(self._f, a, b,
-                                                 self._panel_tol(a, b)))
-        i = bisect.bisect_right(self._knots, r) - 1
-        a = self._knots[i]
-        if r == a:
-            return self._vals[i]
-        w = r - a
-        tol = max(self._panel_tol(a, r) * min(1.0, w / self._panel),
-                  self._noise_at(0.5 * (a + r)) * w)
-        val = self._vals[i] + adaptive_simpson(self._f, a, r, tol)
-        self._knots.insert(i + 1, r)
-        self._vals.insert(i + 1, val)
-        return val
+        if np.max(r, initial=self._start) >= self._knots[-1]:
+            self._extend(float(np.max(r)))
+        k = np.searchsorted(self._knots, r, side="right") - 1
+        knot = self._knots[k]
+        return self._F[k] + gauss_kronrod(self._f, knot, r,
+                                          self._rate[k] * (r - knot))
 
 
 @dataclass
@@ -290,27 +267,43 @@ class ModelGeometry:
     validation: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._V = _CumulativeIntegral(lambda s: self.A(s), self.quad_tol)
-        self._zeta = _CumulativeIntegral(lambda s: float(self.xi.value(s)),
-                                         self.quad_tol)
+        self._V = _CumulativeIntegral(self.A, self.quad_tol,
+                                      breaks=self.breaks)
+        self._zeta = _CumulativeIntegral(self.xi.value, self.quad_tol,
+                                         breaks=self.breaks)
         # closed-form antiderivatives for the built-in profile pairs; the
         # quadrature path stays as the general fallback (and as the oracle
         # the closed forms are tested against)
         n = self.n
         self._V_closed = None
         self._zeta_closed = None
+        self._q_drop_closed = None
         if self.xi.kind == "euclidean":
             self._zeta_closed = lambda r: 0.5 * r * r
             if self.rho.kind == "constant":
                 c = self.rho.const
                 self._V_closed = lambda r: c * r ** n / n
+                # q = A/V = n/r
+                self._q_drop_closed = lambda s, R: n * (R - s) / (s * R)
         elif self.xi.kind == "hyperbolic":
             k = self.xi.kappa
-            self._zeta_closed = lambda r: (math.cosh(k * r) - 1.0) / (k * k)
+            self._zeta_closed = lambda r: (np.cosh(k * r) - 1.0) / (k * k)
             if self.rho.kind == "cosh" and self.rho.kappa == k:
                 # A = cosh(kr) (sinh(kr)/k)^(n-1), an exact derivative
                 self._V_closed = \
-                    lambda r: math.sinh(k * r) ** n / (n * k ** n)
+                    lambda r: np.sinh(k * r) ** n / (n * k ** n)
+                # q = A/V = n k coth(kr)
+                self._q_drop_closed = lambda s, R: (
+                    n * k * np.sinh(k * (R - s))
+                    / (np.sinh(k * s) * math.sinh(k * R)))
+
+    @property
+    def breaks(self) -> tuple[float, ...]:
+        """Radii where the profiles are not smooth: the samples of table
+        profiles, whose monotone cubics have jumps in the second
+        derivative there."""
+        return tuple(sorted({r for p in (self.xi, self.rho)
+                             if p.kind == "table" for r, _ in p.samples}))
 
     # -- radial scalars -----------------------------------------------------
 
@@ -324,17 +317,57 @@ class ModelGeometry:
                 + (self.n - 1) * self.rho.value(r) * xi ** (self.n - 2)
                 * self.xi.d1(r))
 
-    def V(self, r: float) -> float:
-        """Weighted ball volume: integral of A from 0 to r."""
-        if self._V_closed is not None:
-            return self._V_closed(float(r))
-        return self._V(float(r))
+    def V(self, r):
+        """Weighted ball volume: integral of A from 0 to r, at a radius (a
+        float out) or an array of radii."""
+        return self._antiderivative(self._V_closed, self._V, r)
 
-    def zeta(self, r: float) -> float:
-        """Antiderivative of xi; sizes parabolic cylinders."""
-        if self._zeta_closed is not None:
-            return self._zeta_closed(float(r))
-        return self._zeta(float(r))
+    def zeta(self, r):
+        """Antiderivative of xi; sizes parabolic cylinders.  Takes a radius
+        or an array of radii, like V."""
+        return self._antiderivative(self._zeta_closed, self._zeta, r)
+
+    @staticmethod
+    def _antiderivative(closed, cumulative, r):
+        r = np.asarray(r, dtype=float)
+        vals = closed(r) if closed is not None else cumulative(r)
+        return float(vals) if r.ndim == 0 else vals
+
+    def q_drop(self, s: np.ndarray, R: float) -> np.ndarray:
+        """q(s) - q(R) for q = A/V = -nH, at an array of radii s in
+        (0, R], without the cancellation of the direct difference near R.
+
+        In closed form for the built-in pairs.  Otherwise it is the
+        integral of -q' = (A^2 - A' V)/V^2 over [s, R]: one Gauss-Kronrod
+        call integrates the gaps between the sorted radii from R inward,
+        and a cumulative sum gives the drop at all of them.  The gaps are
+        slivers where the radii cluster at R, so one panel each almost
+        always suffices.  The rounding noise of -q', ulp of A A'/V^2, is
+        the same at every depth.  (The drop of q^2 V^2 = (nHV)^2 has the
+        derivative 2 A nH^2 V, whose noise, ulp of A A', is largest at R;
+        integrated from there it would swamp the deep end of a wide zone,
+        as the hyperbolic model's is at large R.)
+        """
+        if self._q_drop_closed is not None:
+            return self._q_drop_closed(s, R)
+        return self._q_drop_quadrature(s, R)
+
+    def _minus_q_prime(self, r):
+        """-q' = (A^2 - A' V)/V^2 for q = A/V, at a radius or an array."""
+        A = self.A(r)
+        V = self.V(r)
+        return (A * A - self.A_prime(r) * V) / (V * V)
+
+    def _q_drop_quadrature(self, s: np.ndarray, R: float) -> np.ndarray:
+        order = np.argsort(s)[::-1]
+        s_in = s[order]
+        prev = np.concatenate(([R], s_in[:-1]))
+        noise = 1e-15 * abs(self.A_prime(R) * self.A(R)) / self.V(R) ** 2
+        rate = 1e-12 * abs(self._minus_q_prime(R))
+        drop = np.empty(s.size)
+        drop[order] = np.cumsum(gauss_kronrod(self._minus_q_prime, s_in, prev,
+                                              rate * (prev - s_in), noise))
+        return drop
 
     def H(self, r: float) -> float:
         """Mean curvature -A/(nV) of the radial CMC family (negative)."""
@@ -345,9 +378,8 @@ class ModelGeometry:
     def H_prime(self, r: float) -> float:
         if r <= R_MIN:
             raise GeometryError(f"H' undefined at r={r}")
-        A = self.A(r)
-        V = self.V(r)
-        return (A * A - self.A_prime(r) * V) / (self.n * V * V)
+        # H = -q/n
+        return self._minus_q_prime(r) / self.n
 
     def Hcyl(self, r: float):
         """Mean curvature of the Killing cylinder over the sphere r."""

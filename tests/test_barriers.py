@@ -36,6 +36,23 @@ def test_mu_hyperbolic_closed_form(hyp2):
             math.acosh(math.cosh(1.0) * math.exp(2.0 * t)), abs=1e-10)
 
 
+@pytest.mark.parametrize("name", ["euclid2", "euclid3", "hyp2"])
+def test_mu_newton_matches_closed_forms(request, name):
+    # Newton on the time integral reaches R(t) to rounding: sqrt(1 + 2nt)
+    # in R^n, acosh(cosh(1) e^{2t}) in H^2; a scalar time and an array of
+    # times give the same radii
+    model = request.getfixturevalue(name)
+    t = np.concatenate(([0.0, 1e-6], np.linspace(0.01, 3.0, 40)))
+    if name == "hyp2":
+        exact = np.arccosh(math.cosh(1.0) * np.exp(2.0 * t))
+    else:
+        exact = np.sqrt(1.0 + 2.0 * model.n * t)
+    np.testing.assert_allclose(SupersolutionFlow(model, 1.0).R_of_t(t),
+                               exact, rtol=0, atol=1e-12)
+    for k in (1, 17, 41):
+        assert abs(mu_of_t(model, 1.0, float(t[k])) - exact[k]) <= 1e-12
+
+
 def test_supersolution_flow_guards(euclid2):
     with pytest.raises(BarrierError):
         SupersolutionFlow(euclid2, -1.0)

@@ -241,6 +241,20 @@ def test_domain_error_exits_1(capsys):
     capsys.readouterr()
 
 
+def test_quadrature_error_exits_1(monkeypatch, capsys):
+    # a quadrature that cannot reach its tolerance is a failed check with a
+    # message, not a traceback
+    from killingflow import cmc
+    from killingflow.quadrature import QuadratureError
+
+    def fail(*args, **kwargs):
+        raise QuadratureError("non-finite integrand on [0.0, 1.0]")
+
+    monkeypatch.setattr(cmc, "solve_vR", fail)
+    assert dispatch(["cmc", "--model", "euclidean", "--R", "1"]) == 1
+    assert "non-finite integrand" in capsys.readouterr().err
+
+
 def test_help_exits_0(capsys):
     assert dispatch(["--help"]) == 0
     capsys.readouterr()
@@ -301,11 +315,13 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert dispatch(["exhaust", "--model", "euclidean", "--rungs", "2",
                      "--tol", "0.1"]) == 0
 assert "scipy.interpolate" not in sys.modules
+assert "scipy.optimize" not in sys.modules
 """
 
 
 def test_exhaust_loads_no_interpolation():
-    # rungs are compared on the nodes they share; no spline is fitted
+    # rungs are compared on the nodes they share, so no spline is fitted,
+    # and R(t) is Newton on the time integral, with no scipy.optimize
     proc = _run_fresh(_EXHAUST_CHILD)
     assert proc.returncode == 0, proc.stderr
 

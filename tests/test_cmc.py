@@ -100,6 +100,15 @@ def test_sample_vR_matches_pointwise(request, name):
         sample_vR(model, 1.0, np.array([0.5, 0.5]))
 
 
+def test_solve_vR_on_a_large_grid(euclid2):
+    # one quadrature interval per gap: 70000 gaps integrate in one call
+    # (the subdivision cap binds each gap, not the call); the E2 profile is
+    # the hemisphere sqrt(R^2 - r^2)
+    profile = solve_vR(euclid2, 2.0, 70000)
+    np.testing.assert_allclose(profile.v, np.sqrt(4.0 - profile.grid ** 2),
+                               rtol=0, atol=1e-9)
+
+
 def test_sample_vR_beyond_rim_is_zero(euclid2):
     vals = sample_vR(euclid2, 1.0, np.array([0.5, 1.0, 2.0]))
     assert vals[1] == 0.0 and vals[2] == 0.0
@@ -149,3 +158,61 @@ def test_height_decreasing_property(hyp2, R, frac):
     v_in = eval_vR(hyp2, R, 0.0)
     v_mid = eval_vR(hyp2, R, r)
     assert v_in >= v_mid >= 0.0
+
+
+# heights at r = 0, R/2 and 0.9 R from the adaptive Simpson rim accumulator
+# this package used before its Gauss-Kronrod rule (a fixed composite
+# Simpson rule took over where the noise floor exceeded a panel's tolerance)
+SIMPSON_HEIGHTS = {
+    ("euclid2", 1.0): (0.9999999999999951, 0.8660254037844306,
+                       0.43588989435404835),
+    ("euclid2", 2.0): (1.999999999999995, 1.7320508075688703,
+                       0.8717797887081273),
+    ("euclid2", 8.76): (8.7599999999998, 7.586382537151286,
+                        3.818395474541412),
+    ("euclid3", 1.0): (0.9999999999999958, 0.8660254037844393,
+                       0.4358898943540526),
+    ("euclid3", 2.0): (1.9999999999999962, 1.7320508075688879,
+                       0.8717797887081112),
+    ("euclid3", 8.76): (8.759999999999902, 7.586382537152581,
+                        3.8183954745419872),
+    ("hyp2", 1.0): (1.0000000000000329, 0.8340252289814216,
+                    0.3893357517912538),
+    ("hyp2", 2.0): (1.9999999999996176, 1.539380182506433,
+                    0.6382535555227018),
+    ("hyp2", 8.76): (8.759999998651786, 5.072951095699104,
+                     1.5226636135868743),
+    ("hyp3", 1.0): (1.0000000000000253, 0.8340252289813435,
+                    0.38933575179126795),
+    ("hyp3", 2.0): (1.9999999999992188, 1.5393801825063527,
+                    0.6382535555223656),
+    ("hyp3", 8.76): (8.760000011276603, 5.072951108326822,
+                     1.5226636264422162),
+}
+
+
+def _height_allowance(model, R, r):
+    # both rules meet quad_tol; where the noise floor binds a panel of
+    # width w in tau = sqrt(R - r) may carry floor * w instead
+    floor = 1e-14 * abs(model.A_prime(R))
+    return max(2.0 * model.quad_tol, floor * math.sqrt(R - r))
+
+
+@pytest.mark.parametrize("name,R", sorted(SIMPSON_HEIGHTS))
+def test_heights_match_frozen_simpson_values(request, name, R):
+    model = request.getfixturevalue(name)
+    for frac, old in zip((0.0, 0.5, 0.9), SIMPSON_HEIGHTS[name, R]):
+        r = frac * R
+        assert eval_vR(model, R, r) == pytest.approx(
+            old, abs=_height_allowance(model, R, r))
+
+
+def test_noise_floor_height_matches_frozen_value(hyp2):
+    # the H2 ladder's R(T0) for its R = 10 rung: floor 6e-4 binds, and the
+    # Simpson rule read 12.761939980986222 (2.6e-4 below v(0) = R, the
+    # geodesic hemisphere's exact height)
+    R = 12.762195693136565
+    v = eval_vR(hyp2, R, 0.0)
+    assert v == pytest.approx(12.761939980986222,
+                              abs=_height_allowance(hyp2, R, 0.0))
+    assert v == pytest.approx(R, abs=_height_allowance(hyp2, R, 0.0))

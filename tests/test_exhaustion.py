@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from killingflow import barriers
 from killingflow.exhaustion import (ExhaustionError, ExhaustionPlan,
                                     build_ladder, pole_mollified_extension,
                                     radial_extension, run_exhaustion)
@@ -161,3 +162,33 @@ def test_d_k_covers_an_off_lattice_ball(euclid2):
     report = run_exhaustion(plan, _phi)
     assert report.rungs[1].d_k == _lattice_d_k(plan, _phi, 11)[0]
     assert report.rungs[1].d_k > _lattice_d_k(plan, _phi, 10)[0]
+
+
+def test_height_bounds_take_sup_of_whole_initial_state(euclid2, monkeypatch):
+    # u0 peaks at r = 2, outside B_r0 = B_1: the height bounds' premise
+    # |u0| <= sup_u0 must hold on each rung's whole ball, not on B_r0 only
+    def u0(r, theta):
+        return (0.5 * np.cos(theta) * np.sin(0.5 * math.pi * np.clip(r, 0, 1))
+                ** 2 + 0.8 * np.clip(1.0 - 4.0 * (r - 2.0) ** 2, 0, 1) ** 2)
+
+    seen = []
+    original = barriers.height_bounds
+
+    def recording(model, r0, T, sup_u0):
+        seen.append((r0, sup_u0))
+        return original(model, r0, T, sup_u0)
+
+    monkeypatch.setattr(barriers, "height_bounds", recording)
+    plan = ExhaustionPlan(model=euclid2, r0=1.0, ladder=(3, 4),
+                          T0=0.5 * euclid2.zeta(3.0), tol=1e-12,
+                          n_time_steps=8)
+    report = run_exhaustion(plan, _phi, u0_radial_ext=u0)
+    assert [R for R, _ in seen] == [3.0, 4.0]
+    for R, sup_u0 in seen:
+        grid = plan.grid_for(R)
+        whole = float(np.max(np.abs(u0(grid.r[:, None],
+                                       grid.theta[None, :]))))
+        inner = float(np.max(np.abs(u0(grid.r[grid.r <= 1.0, None],
+                                       grid.theta[None, :]))))
+        assert sup_u0 == whole > inner + 0.2
+    assert all(rung.height_margin > 0 for rung in report.rungs)

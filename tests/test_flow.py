@@ -148,6 +148,23 @@ def test_radial_Q_on_cmc_profile_is_WnH(euclid2, hyp2):
         assert float(np.max(np.abs(q - W * nH)[3:-3])) < 2e-3
 
 
+@pytest.mark.parametrize("model_name", ["euclid3", "hyp2"])
+def test_radial_Q_cached_cells_bit_identical(request, model_name):
+    # radial_Q reads its finite volumes from a per-(n, xi, rho, r) cache;
+    # the cached, read-only cells give the uncached build's output exactly
+    model = request.getfixturevalue(model_name)
+    r = np.linspace(0.0, 1.0, 64)
+    u = 0.3 * np.cos(0.5 * math.pi * r)
+    fresh = flow._apply(flow._radial_weights(
+        flow._cells(model.n, model.xi, model.rho, r), u), u)
+    for _ in range(2):
+        np.testing.assert_array_equal(radial_Q(model, r, u), fresh)
+    cells = flow._radial_cells(model.n, model.xi, model.rho, r.tobytes())
+    assert cells is flow._radial_cells(model.n, model.xi, model.rho,
+                                       r.copy().tobytes())
+    assert not any(a.flags.writeable for a in cells)
+
+
 def test_discretize_Q_radial_matches_radial_Q(euclid2):
     g = Grid(R=1.0, nr=64, ntheta=1)
     u = 0.3 * np.cos(0.5 * math.pi * g.r)

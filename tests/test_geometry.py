@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from killingflow.geometry import (GeometryError, TableFormatError,
-                                  ValidationError, ambient_frame,
+from killingflow.cmc import eval_vR
+from killingflow.geometry import (GeometryError, ProfileSpec,
+                                  TableFormatError, ValidationError,
+                                  ambient_frame,
                                   constant_profile, cosh_profile,
                                   euclidean_model, euclidean_profile,
                                   hyperbolic_model, hyperbolic_profile,
@@ -106,6 +108,61 @@ def test_hyperbolic_model_data(hyp2):
         assert hyp2.H(r) == pytest.approx(-sh * ch / (sh * sh), rel=1e-10)
         assert float(hyp2.Hcyl(r)) == pytest.approx(
             0.5 * (ch / sh + sh / ch), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["euclid2", "euclid3", "hyp2", "hyp3"])
+def test_cumulative_integrals_match_closed_forms(request, name):
+    # the quadrature fallbacks behind V, zeta and q_drop against the closed
+    # forms, to rounding; V and zeta on an unsorted array with repeats and
+    # on single radii give one value per radius, whatever else is asked
+    # alongside it
+    model = request.getfixturevalue(name)
+    r = np.array([2.5, 0.0, 0.3, 1.7, 0.3, 5.2, 0.5, 12.0, 1.0])
+    for cumulative, closed in ((model._V, model._V_closed),
+                               (model._zeta, model._zeta_closed)):
+        exact = closed(r)
+        np.testing.assert_allclose(cumulative(r), exact, rtol=1e-13,
+                                   atol=0)
+        assert [cumulative(float(x)) for x in r] == list(cumulative(r))
+    np.testing.assert_array_equal(model.V(r), [model.V(float(x)) for x in r])
+    assert isinstance(model.V(1.0), float)
+    assert isinstance(model.zeta(1.0), float)
+    # the drop of q = A/V below a rim R, integrated from R inward
+    for R in (1.0, 2.0):
+        s = R * (1.0 - np.array([1e-12, 1e-9, 1e-6, 1e-3, 5e-3, 0.3]))
+        np.testing.assert_allclose(model._q_drop_quadrature(s, R),
+                                   model.q_drop(s, R), rtol=1e-13, atol=0)
+
+
+def _sinh_table_model(quad_tol):
+    samples = tuple((float(r), math.sinh(r)) for r in np.linspace(0, 6, 121))
+    table = ProfileSpec("table", samples=samples)
+    return make_model(table, table, constant_profile(1.0), 2, quad_tol)
+
+
+def test_table_model_heights_converge():
+    # the monotone cubics jump in their second derivative at every sample:
+    # V's knots include the samples, so its gaps never straddle one, and
+    # the rim heights converge at every tolerance, to within it
+    coarse, fine = _sinh_table_model(1e-10), _sinh_table_model(1e-13)
+    assert coarse.breaks[1] == 0.05 and len(coarse.breaks) == 121
+    for r in (0.0, 1.0, 1.9):
+        assert eval_vR(coarse, 2.0, r) == pytest.approx(
+            eval_vR(fine, 2.0, r), abs=1e-10)
+    assert coarse.V(2.0) == pytest.approx(fine.V(2.0), rel=1e-12)
+
+
+def test_cumulative_integral_independent_of_query_order():
+    # F on the knots is accumulated one knot at a time, so extending in two
+    # steps gives the same bits as one step, and so do the values after
+    two_steps, one_step = _sinh_table_model(1e-10), _sinh_table_model(1e-10)
+    r = np.array([0.3, 1.2, 2.05, 3.2])
+    two_steps.V(1.2)
+    two_steps.V(3.2)
+    one_step.V(3.2)
+    np.testing.assert_array_equal(two_steps._V._knots, one_step._V._knots)
+    np.testing.assert_array_equal(two_steps._V._F, one_step._V._F)
+    np.testing.assert_array_equal(two_steps.V(r), one_step.V(r))
 
 
 def test_H_prime_sign(hyp2, euclid2):
