@@ -876,61 +876,57 @@ def model_hash(model: ModelGeometry) -> str:
     return _spec_hash(model.spec_dict())
 
 
-def _node_text(grid: Grid) -> list[str]:
-    """The ",r,theta," text of every node, in row order."""
-    return [f",{r!r},{th!r}," for r in grid.r.tolist()
-            for th in grid.theta.tolist()]
-
-
-def _write_snapshot(path: str, state: FlowState, nodes: list[str]) -> None:
-    t = repr(state.t)
-    rows = ["t,r,theta,u,W\r\n"]
-    rows += [f"{t}{node}{u!r},{W!r}\r\n" for node, u, W in
-             zip(nodes, np.ravel(state.u).tolist(),
-                 np.ravel(state.W).tolist(), strict=True)]
-    with open(path, "w", newline="") as fh:
-        fh.writelines(rows)
-
-
 def save_snapshot(path: str, grid: Grid, state: FlowState) -> None:
-    """Write one snapshot as CSV t,r,theta,u,W (CRLF line ends) with
-    shortest round-trip float formatting, so reading it back is bit-exact."""
-    _write_snapshot(path, state, _node_text(grid))
+    """Write one snapshot to exactly ``path`` as a NumPy ``.npy`` table
+    (NEP 1): an (N, 5) little-endian float64 array with columns
+    t, r, theta, u, W and one row per node, theta varying fastest.  No
+    float goes through text, so reading it back is bit-exact."""
+    nr1, nt = grid.shape()
+    table = np.empty((nr1 * nt, 5), dtype="<f8")
+    table[:, 0] = state.t
+    table[:, 1] = np.repeat(grid.r, nt)
+    table[:, 2] = np.tile(grid.theta, nr1)
+    table[:, 3] = np.ravel(state.u)
+    table[:, 4] = np.ravel(state.W)
+    # np.save on a path would append ".npy" to one that lacks it
+    with open(path, "wb") as fh:
+        np.save(fh, table, allow_pickle=False)
 
 
 def load_snapshot(path: str, grid: Grid) -> FlowState:
-    """Read a snapshot written by save_snapshot on the same grid.  Raises
-    FlowError unless it holds one row per node, at the grid's r and theta
-    (compared exactly: the values round-trip through repr)."""
-    shape = (grid.nr + 1, grid.ntheta)
+    """Read a snapshot written by save_snapshot on the same grid, never
+    unpickling.  Raises FlowError, naming the file, unless it is an (N, 5)
+    ``<f8`` table with one row per node, one t, and the grid's r and theta
+    (compared exactly)."""
+    nr1, nt = grid.shape()
     try:
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise FlowError(f"{path}: not a snapshot table: {exc}") from exc
-    if len(rows) != shape[0] * shape[1]:
-        raise FlowError(f"{path}: {len(rows)} rows, the grid has "
-                        f"{shape[0] * shape[1]} nodes")
-    if not (np.array_equal(rows[:, 1], np.repeat(grid.r, shape[1]))
-            and np.array_equal(rows[:, 2], np.tile(grid.theta, shape[0]))):
+        with open(path, "rb") as fh:
+            table = np.load(fh, allow_pickle=False)
+    except (EOFError, ValueError) as exc:
+        raise FlowError(f"{path}: not a .npy snapshot table: {exc}") from exc
+    if not (isinstance(table, np.ndarray) and table.shape == (nr1 * nt, 5)
+            and table.dtype == np.dtype("<f8")):
+        raise FlowError(f"{path}: not the ({nr1 * nt}, 5) <f8 table of a "
+                        f"grid with {nr1 * nt} nodes")
+    if not (np.array_equal(table[:, 1], np.repeat(grid.r, nt))
+            and np.array_equal(table[:, 2], np.tile(grid.theta, nr1))):
         raise FlowError(f"{path}: r/theta columns differ from the grid")
-    u = rows[:, 3].reshape(shape)
-    W = rows[:, 4].reshape(shape)
-    if grid.radial:
-        u = u[:, 0]
-        W = W[:, 0]
-    return FlowState(t=float(rows[-1, 0]), u=u, W=W, step_count=-1)
+    if not np.all(table[:, 0] == table[0, 0]):
+        raise FlowError(f"{path}: rows disagree on t")
+    shape = (nr1,) if grid.radial else (nr1, nt)
+    return FlowState(t=float(table[0, 0]), u=table[:, 3].reshape(shape),
+                     W=table[:, 4].reshape(shape), step_count=-1)
 
 
 def save_run(dirpath: str, trajectory: Trajectory) -> str:
-    """Persist a trajectory: one CSV per snapshot plus a JSON manifest.
-    Returns the manifest path."""
+    """Persist a trajectory: one ``.npy`` table per snapshot, written by
+    save_snapshot, plus a JSON manifest.  Returns the manifest path."""
     os.makedirs(dirpath, exist_ok=True)
     grid = trajectory.grid
-    nodes = _node_text(grid)      # the same in every snapshot
     files = []
     for i, state in enumerate(trajectory.states):
-        name = f"snapshot_{i:05d}.csv"
-        _write_snapshot(os.path.join(dirpath, name), state, nodes)
+        name = f"snapshot_{i:05d}.npy"
+        save_snapshot(os.path.join(dirpath, name), grid, state)
         files.append(name)
     manifest = {
         "snapshots": files,

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import killingflow
+from killingflow import config, flow
 from killingflow.cli import dispatch
 
 FLOW_INI = """
@@ -104,6 +105,29 @@ def test_flow_from_config(tmp_path, capsys):
     assert summary["sup_u_final"] <= 0.1 + 1e-12
     manifest = json.loads((out_dir / "manifest.json").read_text())
     jsonschema.validate(manifest, _schema("run_manifest"))
+    assert manifest["snapshots"]
+    for name in manifest["snapshots"]:
+        assert name.endswith(".npy") and (out_dir / name).is_file()
+    # what the command wrote loads back bit for bit as the run it made
+    cfg_obj = config.load_config(str(cfg))
+    tr = flow.solve_ball(
+        flow.BallProblem(model=cfg_obj.build_model(), R=cfg_obj.grid["R"],
+                         phi=cfg_obj.phi_function(),
+                         u0=cfg_obj.u0_function(), T=cfg_obj.problem["T"]),
+        flow.Grid(R=cfg_obj.grid["R"], nr=cfg_obj.grid["nr"],
+                  ntheta=cfg_obj.grid["ntheta"]),
+        flow.StepControl(scheme=cfg_obj.control["scheme"],
+                         cfl=cfg_obj.control["cfl"],
+                         dt_max=cfg_obj.control["dt_max"]),
+        snapshot_every=10)
+    loaded = flow.load_run(str(out_dir / "manifest.json"))
+    assert len(loaded["states"]) == len(tr.states)
+    for a, b in zip(loaded["states"], tr.states):
+        assert a.t == b.t
+        assert a.u.shape == b.u.shape and a.u.tobytes() == b.u.tobytes()
+        assert a.W.shape == b.W.shape and a.W.tobytes() == b.W.tobytes()
+    for key in ("times", "max_grad", "max_A"):
+        assert loaded[key].tobytes() == getattr(tr, key).tobytes(), key
 
 
 def test_exhaust_report(tmp_path, capsys):

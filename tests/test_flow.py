@@ -1,5 +1,7 @@
+import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -610,56 +612,99 @@ def test_runs_stay_within_their_data(request, model_name, nr, ntheta, scheme,
 # -- persistence -----------------------------------------------------------------
 
 
+def _npy_bytes(table) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, table)
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("nr,ntheta", [(32, 1), (16, 8)],
                          ids=["radial", "polar"])
 def test_snapshot_roundtrip_bit_exact(euclid2, tmp_path, nr, ntheta):
     p = BallProblem(model=euclid2, R=1.0, phi=_zero_phi, u0=_bump, T=0.01)
     tr = solve_ball(p, Grid(R=1.0, nr=nr, ntheta=ntheta), StepControl())
     state = tr.states[-1]
-    path = str(tmp_path / "snap.csv")
-    save_snapshot(path, tr.grid, state)
-    # the on-disk format: a header, then one CRLF-terminated row of repr
-    # values per node, theta varying fastest
+    path = tmp_path / "snap.npy"
+    save_snapshot(str(path), tr.grid, state)
+    # the on-disk format: a .npy table of little-endian float64 columns
+    # t, r, theta, u, W, one row per node, theta varying fastest
     u = np.reshape(state.u, (nr + 1, ntheta))
     W = np.reshape(state.W, (nr + 1, ntheta))
-    expected = ["t,r,theta,u,W\r\n"] + [
-        ",".join(repr(float(x)) for x in (state.t, r, th, u[j, i], W[j, i]))
-        + "\r\n"
-        for j, r in enumerate(tr.grid.r) for i, th in enumerate(tr.grid.theta)]
-    with open(path, newline="") as fh:
-        assert fh.read() == "".join(expected)
-    back = load_snapshot(path, tr.grid)
-    np.testing.assert_array_equal(back.u, state.u)
-    np.testing.assert_array_equal(back.W, state.W)
+    expected = np.array([(state.t, r, th, u[j, i], W[j, i])
+                         for j, r in enumerate(tr.grid.r)
+                         for i, th in enumerate(tr.grid.theta)], dtype="<f8")
+    table = np.load(path, allow_pickle=False)
+    assert table.dtype == np.dtype("<f8") and table.shape == expected.shape
+    assert table.tobytes() == expected.tobytes()
+    assert path.read_bytes() == _npy_bytes(expected)
+    back = load_snapshot(str(path), tr.grid)
+    assert back.u.shape == np.shape(state.u)
+    assert back.u.tobytes() == np.asarray(state.u).tobytes()
+    assert back.W.tobytes() == np.asarray(state.W).tobytes()
     assert back.t == state.t
 
 
-def _edit_line(lines, k, column, value):
-    fields = lines[k].split(",")
-    fields[column] = value
-    return lines[:k] + [",".join(fields)] + lines[k + 1:]
+def test_save_snapshot_writes_exactly_its_path(tmp_path):
+    # np.save appends ".npy" to a path that lacks it; save_snapshot must not
+    from killingflow.flow import FlowState
+    g = Grid(R=1.0, nr=8, ntheta=8)
+    u = np.random.default_rng(1).standard_normal(g.shape())
+    for name in ("snap.csv", "snap"):
+        path = str(tmp_path / name)
+        save_snapshot(path, g, FlowState(t=0.25, u=u, W=1.0 + u,
+                                         step_count=1))
+        assert load_snapshot(path, g).u.tobytes() == u.tobytes()
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["snap", "snap.csv"]
+
+
+def _set(table, k, column, value):
+    table = table.copy()
+    table[k, column] = value
+    return table
+
+
+def _csv_era(table):
+    # what save_snapshot wrote before snapshots were .npy tables
+    rows = ["t,r,theta,u,W\r\n"] + [",".join(map(repr, row)) + "\r\n"
+                                     for row in table.tolist()]
+    return "".join(rows).encode()
+
+
+def _npz(table):
+    buf = io.BytesIO()
+    np.savez(buf, table=table)
+    return buf.getvalue()
 
 
 @pytest.mark.parametrize("edit", [
-    lambda lines: lines[:-3],
-    lambda lines: lines + lines[-2:],
-    lambda lines: _edit_line(lines, 20, 1, "0.3"),
-    lambda lines: _edit_line(lines, 5, 2, "0.1"),
-    lambda lines: lines[:7] + [lines[7].rsplit(",", 1)[0]] + lines[8:],
-], ids=["truncated", "extra_rows", "edited_r", "edited_theta", "short_row"])
+    lambda tab: _npy_bytes(tab[:-3]),
+    lambda tab: _npy_bytes(np.vstack([tab, tab[-2:]])),
+    lambda tab: _npy_bytes(_set(tab, 20, 1, 0.3)),
+    lambda tab: _npy_bytes(_set(tab, 5, 2, 0.1)),
+    lambda tab: _npy_bytes(tab[:, :4]),
+    lambda tab: b"",
+    lambda tab: _npy_bytes(tab)[:-8],
+    lambda tab: _npy_bytes(tab.astype(object)),
+    lambda tab: _npy_bytes(_set(tab, 7, 0, 0.25)),
+    _csv_era,
+    _npz,
+    lambda tab: _npy_bytes(tab.ravel()),
+    lambda tab: _npy_bytes(tab.astype(">f8")),
+    lambda tab: _npy_bytes(tab.astype("<f4")),
+], ids=["truncated", "extra_rows", "edited_r", "edited_theta", "short_row",
+        "empty_file", "truncated_data", "object_array", "t_not_constant",
+        "csv_era", "npz_archive", "one_dimensional", "big_endian",
+        "float32"])
 def test_load_snapshot_rejects_rows_off_the_grid(tmp_path, edit):
     from killingflow.flow import FlowState
     g = Grid(R=1.0, nr=8, ntheta=8)
     u = np.random.default_rng(0).standard_normal(g.shape())
-    path = str(tmp_path / "snap.csv")
-    save_snapshot(path, g, FlowState(t=0.5, u=u, W=1.0 + u, step_count=3))
-    np.testing.assert_array_equal(load_snapshot(path, g).u, u)
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    with open(path, "w") as fh:
-        fh.write("\n".join(edit(lines)) + "\n")
-    with pytest.raises(FlowError):
-        load_snapshot(path, g)
+    path = tmp_path / "snap.npy"
+    save_snapshot(str(path), g, FlowState(t=0.5, u=u, W=1.0 + u, step_count=3))
+    np.testing.assert_array_equal(load_snapshot(str(path), g).u, u)
+    path.write_bytes(edit(np.load(path, allow_pickle=False)))
+    with pytest.raises(FlowError, match=re.escape(str(path))):
+        load_snapshot(str(path), g)
 
 
 def test_run_roundtrip(euclid2, tmp_path):
@@ -684,8 +729,8 @@ def test_run_roundtrip(euclid2, tmp_path):
 
 
 def test_save_run_writes_what_save_snapshot_writes(hyp2, tmp_path):
-    # save_run formats the node text once per run; every snapshot file
-    # must still be byte for byte what save_snapshot writes for its state
+    # every snapshot file save_run writes is byte for byte what
+    # save_snapshot writes for its state
     def phi(th):
         return 0.1 * np.cos(2 * th)
 
@@ -700,7 +745,8 @@ def test_save_run_writes_what_save_snapshot_writes(hyp2, tmp_path):
     with open(mpath) as fh:
         names = json.load(fh)["snapshots"]
     for name, state in zip(names, tr.states, strict=True):
-        ref = tmp_path / "ref.csv"
+        assert name.endswith(".npy")
+        ref = tmp_path / "ref.npy"
         save_snapshot(str(ref), tr.grid, state)
         assert (tmp_path / "run" / name).read_bytes() == ref.read_bytes()
 
