@@ -203,14 +203,12 @@ def c0_height_cap(model: ModelGeometry, r0: float, l0: int,
         raise BarrierError(f"l0 must be >= {MIN_L0}")
     rmax = l0 * r0
     rs = rmax * np.geomspace(1e-6, 1.0, samples)
-    sup = -math.inf
-    for r in rs:
-        Hp = model.H_prime(float(r))
-        if Hp <= 0:
-            raise BarrierError(
-                f"H'(r) <= 0 at r={r:.6g}; monotonicity premise violated")
-        H = model.H(float(r))
-        sup = max(sup, H * H / (float(model.rho.value(r)) * Hp))
+    Hp = model.H_prime(rs)
+    if not (Hp > 0).all():
+        raise BarrierError(f"H'(r) <= 0 at r={rs[np.argmin(Hp > 0)]:.6g}; "
+                           "monotonicity premise violated")
+    H = model.H(rs)
+    sup = float(np.max(H * H / (model.rho.value(rs) * Hp)))
     return sup * (-1.0 / model.H(rmax))
 
 
@@ -351,7 +349,7 @@ def make_sc_barrier(model: ModelGeometry, halfplane_geodesic: GeodesicSpec,
         raise BarrierError("barrier height C must be positive")
     r, theta = _sample_deep_region(halfplane_geodesic, d0, samples,
                                    np.random.default_rng(seed)).T
-    lr = np.asarray(model.log_rho_d1(np.maximum(r, R_MIN)), dtype=float)
+    lr = model.log_rho_d1(np.maximum(r, R_MIN))
     dr = _halfplane_distance(halfplane_geodesic.nu, r, theta)[1]
     alpha = float(np.min(lr * dr, initial=math.inf))
     if not alpha > 0.0:
@@ -433,8 +431,8 @@ def interior_gradient_bound(model: ModelGeometry, R: float, M: float,
     if not 0.75 < beta < 1.0:
         raise BarrierError("beta must lie in (3/4, 1)")
     rs = R * np.geomspace(1e-8, 1.0, samples)
-    rho = np.asarray(model.rho.value(rs), dtype=float)
-    min_rho = float(np.min(np.append(rho, float(model.rho.value(0.0)))))
+    rho = model.rho.value(rs)
+    min_rho = float(np.min(np.append(rho, model.rho.value(0.0))))
     delta = 1.5 * beta - 1.0
     delta_prime = math.log(beta / ((1.0 - beta) * min_rho ** 2))
     if delta_prime <= k:
@@ -445,9 +443,9 @@ def interior_gradient_bound(model: ModelGeometry, R: float, M: float,
     if mu <= 0:
         raise BarrierError(f"auxiliary constant mu={mu:.3g} not positive")
     zR = model.zeta(R)
-    xi = np.asarray(model.xi.value(rs), dtype=float)
-    xi1 = np.asarray(model.xi.d1(rs), dtype=float)
-    lrho = np.asarray(model.log_rho_d1(rs), dtype=float)
+    xi = model.xi.value(rs)
+    xi1 = model.xi.d1(rs)
+    lrho = model.log_rho_d1(rs)
     sq = math.sqrt(1.0 - beta)
     braces = (1.25 + model.n * M * xi1 / zR + 2.0 * sq * xi / zR
               + (M * (6.0 - 5.0 * beta) * xi / zR + 2.0 * sq) * lrho)

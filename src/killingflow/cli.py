@@ -55,7 +55,7 @@ def _cmd_model_info(args) -> int:
         "samples": [
             {"r": r, "A": model.A(r), "V": model.V(r),
              "zeta": model.zeta(r), "H": model.H(r),
-             "Hcyl": float(model.Hcyl(r))}
+             "Hcyl": model.Hcyl(r)}
             for r in rs
         ],
         "ricci_lower_bounds": {"L": L, "L1": L1},

@@ -84,8 +84,7 @@ def _slopes(model: ModelGeometry, R: float, nH: float,
     if not np.all(disc > 0.0):
         raise CmcError(f"degenerate slope discriminant at "
                        f"r={s[np.argmin(disc > 0.0)]}")
-    out[inner] = nH * V / (np.asarray(model.rho.value(s), dtype=float)
-                           * np.sqrt(disc))
+    out[inner] = nH * V / (model.rho.value(s) * np.sqrt(disc))
     return out
 
 
@@ -109,14 +108,14 @@ def _rim_heights(model: ModelGeometry, R: float, radii: np.ndarray,
     total is about tol (an equal split would over-resolve the many short
     gaps of fine grids).
 
-    Slope evaluations near the rim are limited to a relative accuracy of a
-    few tens of ulp of the area profile's growth rate: the noise floor
-    1e-14 |A'(R)|.  Each panel's tolerance is floored at that noise times
-    its width, so on models where A grows exponentially and at large rim
-    radii the heights honestly carry the noise-floor error instead of
-    subdivision chasing noise.
+    Near the rim the slopes are as accurate as model.q_drop: to rounding
+    in closed form, else to a few tens of ulp of the area profile's growth
+    rate, the noise floor 1e-14 |A'(R)|.  Each panel's tolerance is
+    floored at that noise times its width, so on models where A grows
+    exponentially and at large rim radii the heights honestly carry the
+    noise-floor error instead of subdivision chasing noise.
     """
-    floor = 1e-14 * abs(model.A_prime(R))
+    floor = 0.0 if model.exact_q_drop else 1e-14 * abs(model.A_prime(R))
     if floor > 5e-3:
         raise CmcError(
             f"rim radius R={R:g} too large for this model in double "
@@ -232,8 +231,8 @@ def integrate_profile_ode(model: ModelGeometry, R: float,
         r = max(r, R_MIN)
         return np.array([
             math.cos(phi),
-            math.sin(phi) / float(model.rho.value(r)),
-            -nH - model.n * float(model.Hcyl(r)) * math.sin(phi),
+            math.sin(phi) / model.rho.value(r),
+            -nH - model.n * model.Hcyl(r) * math.sin(phi),
         ])
 
     budget = 8.0 * (R + abs(nH) * R + 1.0)
@@ -268,7 +267,7 @@ def residual_cmc(model: ModelGeometry, profile: CmcProfile) -> float:
     """
     r = profile.grid
     vp = np.asarray(profile.vp, dtype=float)
-    rho = np.asarray(model.rho.value(r), dtype=float)
+    rho = model.rho.value(r)
     nH = model.n * profile.H_R
     with np.errstate(invalid="ignore"):
         F = vp / np.sqrt(1.0 / rho ** 2 + vp ** 2)
@@ -276,5 +275,5 @@ def residual_cmc(model: ModelGeometry, profile: CmcProfile) -> float:
     # up; its rim limit is +-1 with the sign of the mean curvature
     F[~np.isfinite(F)] = math.copysign(1.0, nH)
     Fp = np.gradient(F, r)
-    lhs = Fp[1:-2] + model.n * np.asarray(model.Hcyl(r[1:-2])) * F[1:-2]
+    lhs = Fp[1:-2] + model.n * model.Hcyl(r[1:-2]) * F[1:-2]
     return float(np.max(np.abs(lhs - nH)))

@@ -200,9 +200,8 @@ def _solve_rung(plan: ExhaustionPlan, R: int, phi: Callable,
 
 
 def run_exhaustion(plan: ExhaustionPlan, phi: Callable,
-                   u0_radial_ext: Callable | None = None,
-                   C_sim: float = 0.0,
-                   C_sim_tilde: float = 0.0) -> ConvergenceReport:
+                   u0_radial_ext: Callable | None = None
+                   ) -> ConvergenceReport:
     """Solve the ladder and report Cauchy differences on the common
     cylinder.  Deterministic: identical plans produce identical reports.
 
@@ -253,8 +252,7 @@ def run_exhaustion(plan: ExhaustionPlan, phi: Callable,
     max_grad_all = max(r.max_grad for r in reports)
     grad_ok = math.log(max(max_grad_all, 1e-300)) <= gb.log_bound
     rs = np.linspace(1e-6, R1, 256)
-    rho = np.asarray(model.rho.value(rs), dtype=float)
-    gamma = float(np.min(1.0 / rho ** 2))
+    gamma = float(np.min(1.0 / model.rho.value(rs) ** 2))
     sup_W2 = gamma + max_grad_all ** 2 + 1.0
     delta_psi = barriers.compute_delta_psi(gamma, sup_W2)
     zR = model.zeta(R1)
@@ -262,8 +260,7 @@ def run_exhaustion(plan: ExhaustionPlan, phi: Callable,
         delta_psi, float(np.max(model.xi.value(rs)) ** 2), model.n, zR,
         float(np.max(np.abs(model.xi.d1(rs)))))
     _, L1 = lower_ricci_bounds(model, R1)
-    cb = barriers.curvature_bound(delta_psi, L1, C_sim, C_sim_tilde,
-                                  E_R, zR, plan.T0)
+    cb = barriers.curvature_bound(delta_psi, L1, 0.0, 0.0, E_R, zR, plan.T0)
     max_A_all = max(r.max_A for r in reports)
     curv_ok = max_A_all <= cb
 

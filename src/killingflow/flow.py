@@ -247,7 +247,7 @@ def _cells(n: int, xi: ProfileSpec, rho: ProfileSpec, r) -> _Cells:
                                        @ wq), math.inf)
     if r[0] > R_MIN:
         dV[0] = math.inf
-    return _Cells(dr=dr, inv_rho2=np.asarray(rho.value(r), dtype=float) ** -2,
+    return _Cells(dr=dr, inv_rho2=rho.value(r) ** -2,
                   inv_rho2_f=face.rho ** -2, inv_xi2_f=face.inv_xi2,
                   cond=face.rho * face.xi ** (n - 1) / dr, dV=dV)
 
@@ -285,7 +285,7 @@ def _grid_factors(n: int, xi: ProfileSpec, rho: ProfileSpec,
     at = Factors(*map(_read_only, factors(xi, rho, grid.r)))
     return _GridFactors(
         at=at, op=Factors(*(a[1:-1, None] for a in at)),
-        rho1=_read_only(np.asarray(rho.d1(grid.r), dtype=float)),
+        rho1=_read_only(rho.d1(grid.r)),
         cells=_radial_cells(n, xi, rho, grid.r.tobytes()),
         cos=_read_only(np.cos(grid.theta)), sin=_read_only(np.sin(grid.theta)))
 
@@ -515,7 +515,8 @@ def _radial_implicit(model: ModelGeometry, grid: Grid, v: np.ndarray,
     bands[2, :-1] = -dt * w_lo[1:]
     rhs = v.copy()
     rhs[-1] = phi0
-    return solve_banded((1, 1), bands, rhs)
+    # non-finite weights give a non-finite solution, which step reports
+    return solve_banded((1, 1), bands, rhs, check_finite=False)
 
 
 def _implicit_entries(model: ModelGeometry, grid: Grid, u: np.ndarray,
@@ -647,7 +648,7 @@ def radial_second_fundamental_form(model: ModelGeometry, r: np.ndarray,
     the (n-1)-fold spherical direction.  Returns (|A|^2, nH) on the grid.
     u may stack several fields; r runs along its last axis."""
     return _radial_sff(model.n, factors(model.xi, model.rho, r),
-                       np.asarray(model.rho.d1(r), dtype=float), r, u)
+                       model.rho.d1(r), r, u)
 
 
 def _radial_sff(n: int, f: Factors, rho1: np.ndarray, r: np.ndarray,
@@ -812,15 +813,13 @@ def residual_identities(model: ModelGeometry, trajectory: Trajectory,
     win = slice(max(int(np.searchsorted(t, t_min)), 1), t.size - 1)
     if win.start >= win.stop:
         raise FlowError("no snapshots past the burn-in window")
-    rho = np.asarray(model.rho.value(r), dtype=float)
-    rho1 = np.asarray(model.rho.d1(r), dtype=float)
-    xi = np.asarray(model.xi.value(r), dtype=float)
-    xi1 = np.asarray(model.xi.d1(r), dtype=float)
+    rho = model.rho.value(r)
+    rho1 = model.rho.d1(r)
+    xi = model.xi.value(r)
+    xi1 = model.xi.d1(r)
     zeta = model.zeta(r)
-    frame = ambient_frame(model)
-    ric = np.asarray([frame.ricci_eigenvalues(float(x)) if x > R_MIN
-                      else frame.ricci_eigenvalues(1e-6)
-                      for x in r])
+    ric_ss, ric_rr, _ = ambient_frame(model).ricci_eigenvalues(
+        np.where(r > R_MIN, r, 1e-6))
     Ur_all = np.gradient(U, r, axis=1)
     Ur_all[:, 0] = 0.0
     W_all = np.sqrt(1.0 / rho ** 2 + Ur_all ** 2)
@@ -839,7 +838,7 @@ def residual_identities(model: ModelGeometry, trajectory: Trajectory,
     Wr = np.gradient(W, r, axis=-1)
     res = np.gradient(W_all, t, axis=0)[win] - gauge * Wr
     res -= _intrinsic_laplacian(W, r, g_rr, dlogJ)
-    ricNN = (1.0 / (rho * W)) ** 2 * ric[:, 0] + (ur / W) ** 2 * ric[:, 1]
+    ricNN = (1.0 / (rho * W)) ** 2 * ric_ss + (ur / W) ** 2 * ric_rr
     res += W * (A2 + ricNN)
     res += 2.0 * (Wr ** 2 / g_rr) / W
     max_tilt = float(np.max(np.abs(res[sl])))

@@ -7,6 +7,13 @@ metric rho^2 ds^2 + dr^2 + xi^2 dtheta^2.  Everything downstream (CMC
 profiles, barriers, the flow solver) evaluates geometry exclusively through
 this module.
 
+Every radial function (the ProfileSpec methods; ModelGeometry's A,
+A_prime, V, zeta, H, H_prime, Hcyl, log_rho_d1 and log_rho_d2;
+AmbientFrameData.ricci_eigenvalues, a triple) evaluates elementwise on
+float64 arrays, in one form: a float radius gives a float, never a 0-d
+array, and an array of radii a float64 array of its shape, bit for bit
+the values at its elements.
+
 Closed-form Christoffel symbols and curvature of the ambient warped metric
 are derived in docs/ambient_curvature.md and cross-checked in the tests by
 a finite-difference curvature oracle built directly from the metric
@@ -82,74 +89,79 @@ class ProfileSpec:
             object.__setattr__(self, "_d2", interp.derivative(2))
             object.__setattr__(self, "r_max_table", rs[-1])
 
-    # -- evaluation (scalar or ndarray) ------------------------------------
+    # -- evaluation ---------------------------------------------------------
 
     def value(self, r):
+        x = np.asarray(r, dtype=float)
         if self.kind == "euclidean":
-            return np.asarray(r, dtype=float) + 0.0 if np.ndim(r) else float(r)
+            return x + 0.0
         if self.kind == "hyperbolic":
-            return np.sinh(self.kappa * np.asarray(r, dtype=float)) / self.kappa
+            return np.sinh(self.kappa * x) / self.kappa
         if self.kind == "cosh":
-            return np.cosh(self.kappa * np.asarray(r, dtype=float))
+            return np.cosh(self.kappa * x)
         if self.kind == "constant":
-            return np.full_like(np.asarray(r, dtype=float), self.const) \
-                if np.ndim(r) else self.const
-        return self._interp(r)
+            return _fill(x, self.const)
+        return self._interp(x)[()]
 
     def d1(self, r):
+        x = np.asarray(r, dtype=float)
         if self.kind == "euclidean":
-            return np.ones_like(np.asarray(r, dtype=float)) if np.ndim(r) else 1.0
+            return _fill(x, 1.0)
         if self.kind == "hyperbolic":
-            return np.cosh(self.kappa * np.asarray(r, dtype=float))
+            return np.cosh(self.kappa * x)
         if self.kind == "cosh":
-            return self.kappa * np.sinh(self.kappa * np.asarray(r, dtype=float))
+            return self.kappa * np.sinh(self.kappa * x)
         if self.kind == "constant":
-            return np.zeros_like(np.asarray(r, dtype=float)) if np.ndim(r) else 0.0
-        return self._d1(r)
+            return _fill(x, 0.0)
+        return self._d1(x)[()]
 
     def d2(self, r):
-        if self.kind == "euclidean":
-            return np.zeros_like(np.asarray(r, dtype=float)) if np.ndim(r) else 0.0
+        x = np.asarray(r, dtype=float)
+        if self.kind in ("euclidean", "constant"):
+            return _fill(x, 0.0)
         if self.kind == "hyperbolic":
-            return self.kappa * np.sinh(self.kappa * np.asarray(r, dtype=float))
+            return self.kappa * np.sinh(self.kappa * x)
         if self.kind == "cosh":
-            return self.kappa ** 2 * np.cosh(self.kappa * np.asarray(r, dtype=float))
-        if self.kind == "constant":
-            return np.zeros_like(np.asarray(r, dtype=float)) if np.ndim(r) else 0.0
-        return self._d2(r)
+            return self.kappa ** 2 * np.cosh(self.kappa * x)
+        return self._d2(x)[()]
 
     # ratios value'/value and value''/value, computed stably for built-ins
     # (direct quotients overflow for large hyperbolic arguments)
 
     def ratio_d1(self, r):
+        x = np.asarray(r, dtype=float)
         if self.kind == "hyperbolic":
-            return self.kappa / np.tanh(self.kappa * np.asarray(r, dtype=float))
+            return self.kappa / np.tanh(self.kappa * x)
         if self.kind == "cosh":
-            return self.kappa * np.tanh(self.kappa * np.asarray(r, dtype=float))
+            return self.kappa * np.tanh(self.kappa * x)
         if self.kind == "euclidean":
-            return 1.0 / np.asarray(r, dtype=float) if np.ndim(r) else 1.0 / r
+            return 1.0 / x
         if self.kind == "constant":
-            return np.zeros_like(np.asarray(r, dtype=float)) if np.ndim(r) else 0.0
-        return self._d1(r) / self._interp(r)
+            return _fill(x, 0.0)
+        return self._d1(x) / self._interp(x)
 
     def ratio_d2(self, r):
+        x = np.asarray(r, dtype=float)
         if self.kind in ("hyperbolic", "cosh"):
-            k2 = self.kappa ** 2
-            return np.full_like(np.asarray(r, dtype=float), k2) if np.ndim(r) else k2
+            return _fill(x, self.kappa ** 2)
         if self.kind in ("euclidean", "constant"):
-            return np.zeros_like(np.asarray(r, dtype=float)) if np.ndim(r) else 0.0
-        return self._d2(r) / self._interp(r)
+            return _fill(x, 0.0)
+        return self._d2(x) / self._interp(x)
 
     # (value'^2 - 1)/value^2, the sphere-curvature defect of a metric profile
     def sphere_defect(self, r):
+        x = np.asarray(r, dtype=float)
         if self.kind == "hyperbolic":
-            k2 = self.kappa ** 2
-            return np.full_like(np.asarray(r, dtype=float), k2) if np.ndim(r) else k2
+            return _fill(x, self.kappa ** 2)
         if self.kind == "euclidean":
-            return np.zeros_like(np.asarray(r, dtype=float)) if np.ndim(r) else 0.0
-        v = np.asarray(self.value(r), dtype=float)
-        d = np.asarray(self.d1(r), dtype=float)
+            return _fill(x, 0.0)
+        v, d = self.value(x), self.d1(x)
         return (d * d - 1.0) / np.maximum(v * v, R_MIN ** 2)
+
+
+def _fill(x: np.ndarray, c: float):
+    """c at every radius of x: a float for a 0-d x."""
+    return np.full(x.shape, c)[()]
 
 
 def euclidean_profile() -> ProfileSpec:
@@ -275,9 +287,7 @@ class ModelGeometry:
         # quadrature path stays as the general fallback (and as the oracle
         # the closed forms are tested against)
         n = self.n
-        self._V_closed = None
-        self._zeta_closed = None
-        self._q_drop_closed = None
+        self._V_closed = self._zeta_closed = self._q_drop_closed = None
         if self.xi.kind == "euclidean":
             self._zeta_closed = lambda r: 0.5 * r * r
             if self.rho.kind == "constant":
@@ -291,7 +301,7 @@ class ModelGeometry:
             if self.rho.kind == "cosh" and self.rho.kappa == k:
                 # A = cosh(kr) (sinh(kr)/k)^(n-1), an exact derivative
                 self._V_closed = \
-                    lambda r: np.sinh(k * r) ** n / (n * k ** n)
+                    lambda r: np.power(np.sinh(k * r), n) / (n * k ** n)
                 # q = A/V = n k coth(kr)
                 self._q_drop_closed = lambda s, R: (
                     n * k * np.sinh(k * (R - s))
@@ -305,33 +315,29 @@ class ModelGeometry:
         return tuple(sorted({r for p in (self.xi, self.rho)
                              if p.kind == "table" for r, _ in p.samples}))
 
-    # -- radial scalars -----------------------------------------------------
+    # -- radial functions ---------------------------------------------------
+
+    # np.power, not **: a float's ** is the C library's pow, which can
+    # differ in the last bit from numpy's on an array
 
     def A(self, r):
         """Weighted sphere area rho(r) xi(r)^(n-1)."""
-        return self.rho.value(r) * self.xi.value(r) ** (self.n - 1)
+        return self.rho.value(r) * np.power(self.xi.value(r), self.n - 1)
 
     def A_prime(self, r):
         xi = self.xi.value(r)
-        return (self.rho.d1(r) * xi ** (self.n - 1)
-                + (self.n - 1) * self.rho.value(r) * xi ** (self.n - 2)
+        return (self.rho.d1(r) * np.power(xi, self.n - 1)
+                + (self.n - 1) * self.rho.value(r) * np.power(xi, self.n - 2)
                 * self.xi.d1(r))
 
     def V(self, r):
-        """Weighted ball volume: integral of A from 0 to r, at a radius (a
-        float out) or an array of radii."""
-        return self._antiderivative(self._V_closed, self._V, r)
+        """Weighted ball volume: integral of A from 0 to r."""
+        return (self._V_closed or self._V)(np.asarray(r, dtype=float))[()]
 
     def zeta(self, r):
-        """Antiderivative of xi; sizes parabolic cylinders.  Takes a radius
-        or an array of radii, like V."""
-        return self._antiderivative(self._zeta_closed, self._zeta, r)
-
-    @staticmethod
-    def _antiderivative(closed, cumulative, r):
-        r = np.asarray(r, dtype=float)
-        vals = closed(r) if closed is not None else cumulative(r)
-        return float(vals) if r.ndim == 0 else vals
+        """Antiderivative of xi; sizes parabolic cylinders."""
+        return (self._zeta_closed or self._zeta)(
+            np.asarray(r, dtype=float))[()]
 
     def q_drop(self, s: np.ndarray, R: float) -> np.ndarray:
         """q(s) - q(R) for q = A/V = -nH, at an array of radii s in
@@ -348,9 +354,14 @@ class ModelGeometry:
         integrated from there it would swamp the deep end of a wide zone,
         as the hyperbolic model's is at large R.)
         """
-        if self._q_drop_closed is not None:
+        if self.exact_q_drop:
             return self._q_drop_closed(s, R)
         return self._q_drop_quadrature(s, R)
+
+    @property
+    def exact_q_drop(self) -> bool:
+        """Whether q_drop is in closed form, free of quadrature noise."""
+        return self._q_drop_closed is not None
 
     def _minus_q_prime(self, r):
         """-q' = (A^2 - A' V)/V^2 for q = A/V, at a radius or an array."""
@@ -369,23 +380,18 @@ class ModelGeometry:
                                               rate * (prev - s_in), noise))
         return drop
 
-    def H(self, r: float) -> float:
+    def H(self, r):
         """Mean curvature -A/(nV) of the radial CMC family (negative)."""
-        if r <= R_MIN:
-            raise GeometryError(f"H undefined at r={r} (V -> 0)")
+        r = _off_pole(r, "H")
         return -self.A(r) / (self.n * self.V(r))
 
-    def H_prime(self, r: float) -> float:
-        if r <= R_MIN:
-            raise GeometryError(f"H' undefined at r={r}")
+    def H_prime(self, r):
         # H = -q/n
-        return self._minus_q_prime(r) / self.n
+        return self._minus_q_prime(_off_pole(r, "H'")) / self.n
 
-    def Hcyl(self, r: float):
+    def Hcyl(self, r):
         """Mean curvature of the Killing cylinder over the sphere r."""
-        r_arr = np.asarray(r, dtype=float)
-        if np.any(r_arr <= R_MIN):
-            raise GeometryError(f"Hcyl undefined at r={r}")
+        r = _off_pole(r, "Hcyl")
         return ((self.n - 1) * self.xi.ratio_d1(r)
                 + self.rho.ratio_d1(r)) / self.n
 
@@ -395,9 +401,7 @@ class ModelGeometry:
         return self.rho.ratio_d1(r)
 
     def log_rho_d2(self, r):
-        rr = self.rho.ratio_d1(r)
-        return self.rho.d2(r) / self.rho.value(r) - np.asarray(rr) ** 2 \
-            if np.ndim(r) else self.rho.d2(r) / self.rho.value(r) - rr * rr
+        return self.rho.ratio_d2(r) - np.square(self.rho.ratio_d1(r))
 
     def spec_dict(self) -> dict:
         def pd(p: ProfileSpec):
@@ -413,6 +417,16 @@ class ModelGeometry:
         return {"n": self.n, "xi": pd(self.xi), "iota": pd(self.iota),
                 "rho": pd(self.rho), "quad_tol": self.quad_tol,
                 "r_max": self.r_max}
+
+
+def _off_pole(r, name: str) -> np.ndarray:
+    """r as a float64 array; GeometryError if it reaches the pole r <= R_MIN,
+    where ``name`` is undefined."""
+    x = np.asarray(r, dtype=float)
+    low = x.min(initial=math.inf)
+    if low <= R_MIN:
+        raise GeometryError(f"{name} undefined at r={low}")
+    return x
 
 
 def _ladder(r_max: float, count: int) -> np.ndarray:
@@ -441,7 +455,7 @@ def make_model(spec_xi: ProfileSpec, spec_iota: ProfileSpec,
             if r0 != 0.0 or v0 != 0.0:
                 raise TableFormatError(
                     f"{name} table must start at (0, 0), got ({r0}, {v0})")
-        if abs(float(prof.value(0.0))) > 1e-12:
+        if abs(prof.value(0.0)) > 1e-12:
             raise ValidationError(f"{name}(0) must vanish")
     for prof in (spec_xi, spec_iota, spec_rho):
         if prof.kind == "table":
@@ -451,24 +465,20 @@ def make_model(spec_xi: ProfileSpec, spec_iota: ProfileSpec,
     # sinh/cosh overflow to inf at the far end of the ladder; the
     # positivity and ratio comparisons below remain valid there
     with np.errstate(over="ignore"):
-        checks = [
-            ("xi > 0", np.asarray(spec_xi.value(rs)) > 0),
-            ("iota > 0", np.asarray(spec_iota.value(rs)) > 0),
-            ("rho > 0", np.asarray(spec_rho.value(rs)) > 0),
-        ]
         slack = 1e-10
-        checks.append(("rho'/rho <= xi'/xi",
-                       np.asarray(spec_rho.ratio_d1(rs))
-                       <= np.asarray(spec_xi.ratio_d1(rs)) + slack))
-        checks.append(("rho'/rho <= iota'/iota",
-                       np.asarray(spec_rho.ratio_d1(rs))
-                       <= np.asarray(spec_iota.ratio_d1(rs)) + slack))
-        checks.append(("iota''/iota <= xi''/xi",
-                       np.asarray(spec_iota.ratio_d2(rs))
-                       <= np.asarray(spec_xi.ratio_d2(rs)) + slack))
+        checks = [
+            ("xi > 0", spec_xi.value(rs) > 0),
+            ("iota > 0", spec_iota.value(rs) > 0),
+            ("rho > 0", spec_rho.value(rs) > 0),
+            ("rho'/rho <= xi'/xi",
+             spec_rho.ratio_d1(rs) <= spec_xi.ratio_d1(rs) + slack),
+            ("rho'/rho <= iota'/iota",
+             spec_rho.ratio_d1(rs) <= spec_iota.ratio_d1(rs) + slack),
+            ("iota''/iota <= xi''/xi",
+             spec_iota.ratio_d2(rs) <= spec_xi.ratio_d2(rs) + slack),
+        ]
     for name, ok in checks:
-        ok = np.asarray(ok)
-        if not bool(np.all(ok)):
+        if not ok.all():
             bad = rs[np.argmin(ok)]
             raise ValidationError(f"condition '{name}' fails at r={bad:.6g}")
 
@@ -511,12 +521,11 @@ class AmbientFrameData:
         once in lexicographic order.
         """
         m = self.model
-        if r <= R_MIN:
-            raise GeometryError("christoffels need r > 0")
-        rho = float(m.rho.value(r))
-        rho1 = float(m.rho.d1(r))
-        xi = float(m.xi.value(r))
-        xi1 = float(m.xi.d1(r))
+        r = _off_pole(r, "christoffels")
+        rho = m.rho.value(r)
+        rho1 = m.rho.d1(r)
+        xi = m.xi.value(r)
+        xi1 = m.xi.d1(r)
         return {
             ("s", "s", "r"): rho1 / rho,
             ("r", "s", "s"): -rho * rho1,
@@ -529,15 +538,15 @@ class AmbientFrameData:
         key = (up,) + tuple(sorted((lo1, lo2)))
         return table.get(key, 0.0)
 
-    def ricci_eigenvalues(self, r: float) -> tuple[float, float, float]:
-        """(Ric_ss, Ric_rr, Ric_thth) in the orthonormal frame."""
+    def ricci_eigenvalues(self, r) -> tuple:
+        """(Ric_ss, Ric_rr, Ric_thth) at radii r, in the orthonormal frame."""
         m = self.model
         n = m.n
-        rho_rr = float(m.rho.ratio_d2(r))        # rho''/rho
-        xi_rr = float(m.xi.ratio_d2(r))          # xi''/xi
-        rho_r = float(m.rho.ratio_d1(r))         # rho'/rho
-        xi_r = float(m.xi.ratio_d1(r))           # xi'/xi
-        defect = float(m.xi.sphere_defect(r))    # (xi'^2 - 1)/xi^2
+        rho_rr = m.rho.ratio_d2(r)        # rho''/rho
+        xi_rr = m.xi.ratio_d2(r)          # xi''/xi
+        rho_r = m.rho.ratio_d1(r)         # rho'/rho
+        xi_r = m.xi.ratio_d1(r)           # xi'/xi
+        defect = m.xi.sphere_defect(r)    # (xi'^2 - 1)/xi^2
         ric_ss = -rho_rr - (n - 1) * rho_r * xi_r
         ric_rr = -rho_rr - (n - 1) * xi_rr
         ric_tt = -xi_rr - (n - 2) * defect - rho_r * xi_r
@@ -570,16 +579,15 @@ def lower_ricci_bounds(model: ModelGeometry, R: float,
         raise GeometryError("R must be positive")
     rs = _ladder(R, samples)
     n = model.n
-    xi_rr = np.asarray(model.xi.ratio_d2(rs))
-    xi_r = np.asarray(model.xi.ratio_d1(rs))
-    defect = np.asarray(model.xi.sphere_defect(rs))
-    lrho1 = np.asarray(model.log_rho_d1(rs))
-    lrho2 = np.asarray(model.log_rho_d2(rs))
+    xi_rr = model.xi.ratio_d2(rs)
+    xi_r = model.xi.ratio_d1(rs)
+    defect = model.xi.sphere_defect(rs)
+    lrho1 = model.log_rho_d1(rs)
+    lrho2 = model.log_rho_d2(rs)
     # base Ricci minus Hess log rho, radial and tangential eigenvalues
     lam_r = -(n - 1) * xi_rr - lrho2
     lam_t = -xi_rr - (n - 2) * defect - xi_r * lrho1
     L = max(0.0, float(np.max(-lam_r)), float(np.max(-lam_t)))
-    frame = ambient_frame(model)
-    lams = np.array([frame.ricci_eigenvalues(float(r)) for r in rs])
+    lams = np.stack(ambient_frame(model).ricci_eigenvalues(rs))
     L1 = max(0.0, float(np.max(-lams)))
     return L, L1

@@ -48,14 +48,11 @@ def factors(xi: ProfileSpec, rho: ProfileSpec, r) -> Factors:
     """Evaluate the warping profiles once at radii r (any shape)."""
     r = np.asarray(r, dtype=float)
     off = r > R_MIN
-    xi_r = np.asarray(xi.value(r), dtype=float)
+    xi_r = xi.value(r)
     return Factors(
-        rho=np.asarray(rho.value(r), dtype=float),
-        lrho=np.asarray(rho.ratio_d1(r), dtype=float),
-        xi=xi_r,
-        xi1=np.asarray(xi.d1(r), dtype=float),
+        rho=rho.value(r), lrho=rho.ratio_d1(r), xi=xi_r, xi1=xi.d1(r),
         inv_xi2=1.0 / np.where(off, xi_r, 1.0) ** 2,
-        xi_ratio=np.asarray(xi.ratio_d1(np.where(off, r, 1.0)), dtype=float))
+        xi_ratio=xi.ratio_d1(np.where(off, r, 1.0)))
 
 
 def coefficients(f: Factors, ur, ut) -> tuple:

@@ -124,6 +124,22 @@ def test_c0_height_cap_euclidean_exact(euclid2):
         c0_height_cap(euclid2, 1.0, 0)
 
 
+def test_c0_height_cap_matches_loop_values(euclid2, hyp2, hyp3):
+    # the values of the per-radius loop the one array pass replaced
+    assert c0_height_cap(euclid2, 1.0, 3) == 3.0000000000000013
+    assert c0_height_cap(hyp2, 1.0, 3) == 10.017874927410302
+    assert c0_height_cap(hyp3, 1.0, 3) == 10.017874927409588
+
+
+def test_c0_height_cap_names_a_radius_where_H_decreases(monkeypatch):
+    model = make_model(hyperbolic_profile(), hyperbolic_profile(),
+                       constant_profile(1.0), 2)
+    monkeypatch.setattr(model, "H_prime",
+                        lambda r: np.where(r > 2.0, -1.0, 1.0))
+    with pytest.raises(BarrierError, match=r"H'\(r\) <= 0 at r=2\.00"):
+        c0_height_cap(model, 1.0, 3)
+
+
 def test_c0_height_cap_dominates_supersolution(hyp2):
     cap = c0_height_cap(hyp2, 1.0, 3)
     fl = SupersolutionFlow(hyp2, 1.0)

@@ -5,6 +5,7 @@ import sys
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,6 +141,17 @@ def test_exhaust_report(tmp_path, capsys):
     assert report["verdict"] == "pass"
 
 
+def test_exhaust_hyperbolic_wide_ladder(capsys):
+    # from r0 = 1.3 the rungs (3, 4, 7) reach R(T0) = 16.07, where the
+    # height bounds' rim heights need the closed-form q_drop
+    rc, out = _run(["exhaust", "--model", "hyperbolic", "--r0", "1.3",
+                    "--rungs", "3"], capsys)
+    assert rc == 0
+    report = json.loads(out)
+    jsonschema.validate(report, _schema("exhaust_report"))
+    assert [r["R"] for r in report["rungs"]] == [3, 4, 7]
+
+
 def test_exhaust_failing_tolerance(capsys):
     # an unreachable tolerance must exit 1, not crash
     rc, out = _run(["exhaust", "--model", "euclidean", "--rungs", "2",
@@ -259,10 +271,37 @@ def test_non_finite_config_exits_2(tmp_path, line, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("ntheta", [1, 16])
+def test_overflowing_model_exits_1(tmp_path, ntheta, capsys):
+    # sinh and cosh overflow at R = 400, so the first step's weights are
+    # not finite (the overflow warnings are expected here); the radial
+    # solve and the band solve both end in FlowError
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"""
+[model]
+kind = hyperbolic
+
+[grid]
+nr = 64
+ntheta = {ntheta}
+R = 400
+
+[problem]
+phi = 0
+u0 = 0.1*cos(0.003926990816987*r)
+T = 0.001
+""")
+    with np.errstate(all="ignore"):
+        assert dispatch(["flow", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: non-finite field")
+
+
 def test_domain_error_exits_1(capsys):
-    # hyperbolic rim radius beyond double-precision reach
-    assert dispatch(["cmc", "--model", "hyperbolic", "--R", "25"]) == 1
-    capsys.readouterr()
+    # hyperbolic rim radius beyond double-precision reach: A^2 overflows,
+    # so the overflow warnings are expected here
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert dispatch(["cmc", "--model", "hyperbolic", "--R", "300"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_quadrature_error_exits_1(monkeypatch, capsys):

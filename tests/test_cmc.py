@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from killingflow.cmc import (CmcError, CmcProfile, eval_vR, eval_vR_prime,
                              integrate_profile_ode, residual_cmc, sample_vR,
                              solve_vR)
+from killingflow.geometry import (constant_profile, hyperbolic_profile,
+                                  make_model)
 
 # heights of the hyperbolic profile with rim radius 1, frozen from an
 # independent high-order ODE integration of the slope equation
@@ -139,16 +141,29 @@ def test_ode_trace_consistent(hyp2):
         integrate_profile_ode(hyp2, 1.0, -1.0)
 
 
-def test_large_rim_raises_at_precision_limit(hyp2):
-    # A'(20) ~ 1e17: the slope discriminant is below double-precision reach
-    with pytest.raises(CmcError):
-        eval_vR(hyp2, 20.0, 0.0)
+def test_large_rim_raises_at_precision_limit():
+    # xi = sinh r with rho = 1 has no closed-form q_drop; its quadrature
+    # noise, 1e-14 |A'(30)| ~ 5e-2, is beyond double-precision reach
+    model = make_model(hyperbolic_profile(), hyperbolic_profile(),
+                       constant_profile(1.0), 2)
+    with pytest.raises(CmcError, match="double precision"):
+        eval_vR(model, 30.0, 0.0)
 
 
 def test_large_rim_still_works_at_moderate_radius(hyp2):
     # deep hyperbolic rims: v(0) ~ R since the profile hugs the rim sphere
     v = eval_vR(hyp2, 8.76, 0.0)
     assert v == pytest.approx(8.76, abs=5e-3)
+
+
+@pytest.mark.parametrize("name,R", [("hyp2", 16.07), ("hyp2", 20.0),
+                                    ("hyp2", 30.31), ("hyp3", 8.76)])
+def test_large_rim_heights_with_closed_form_q_drop(request, name, R):
+    # with q_drop in closed form the slopes carry rounding only, so no
+    # noise floor limits the rim: v(0) is the exact R to rounding (the
+    # hyperbolic ladder from r0 = 1.3 and 2 reaches R(T0) = 16.07, 30.31)
+    assert eval_vR(request.getfixturevalue(name), R, 0.0) == pytest.approx(
+        R, abs=1e-13)
 
 
 @settings(max_examples=25, deadline=None)

@@ -257,6 +257,70 @@ def test_lower_ricci_bounds(euclid2, hyp2):
         lower_ricci_bounds(euclid2, 0.0)
 
 
+# (L, L1) of the cosh(0.5)-warped model from the former per-radius Ricci
+# loop over the 512-point ladder
+LOOP_RICCI_BOUNDS = {1.0: (1.3033880667585183, 1.3033880667585183),
+                     4.0: (1.482337293786709, 1.482337293786709)}
+
+
+def _contract_models():
+    """A closed-form pair, and a warped pair and a table pair whose V and
+    q_drop are integrated."""
+    sinh = ProfileSpec("table", samples=tuple(
+        (float(r), math.sinh(r)) for r in np.linspace(0, 6, 25)))
+    return {"hyp3": hyperbolic_model(n=3),
+            "warp": make_model(hyperbolic_profile(), hyperbolic_profile(),
+                               cosh_profile(0.5), 2),
+            "table": make_model(sinh, sinh, constant_profile(1.0), 2)}
+
+
+_CONTRACT_RADII = np.linspace(0.2, 3.4, 6)
+
+
+def _check_contract(f):
+    """f takes a float to a float, and a (k,) or (j, k) array to a float64
+    array of its shape, equal bit for bit to the values at its elements."""
+    scalars = [f(float(x)) for x in _CONTRACT_RADII]
+    for v in scalars:
+        assert isinstance(v, float) and not isinstance(v, np.ndarray)
+    for r in (_CONTRACT_RADII, _CONTRACT_RADII.reshape(2, 3)):
+        out = f(r)
+        assert isinstance(out, np.ndarray)
+        assert out.dtype == np.float64 and out.shape == r.shape
+        np.testing.assert_array_equal(out.ravel(), scalars, strict=True)
+
+
+@pytest.mark.parametrize("profile", [
+    euclidean_profile(), hyperbolic_profile(kappa=0.7), cosh_profile(1.3),
+    constant_profile(2.5),
+    ProfileSpec("table", samples=tuple(
+        (float(r), 1.0 + r * r) for r in np.linspace(0, 4, 9)))],
+    ids=lambda p: p.kind)
+@pytest.mark.parametrize("method", ["value", "d1", "d2", "ratio_d1",
+                                    "ratio_d2", "sphere_defect"])
+def test_profile_array_contract(profile, method):
+    # a table profile returned a 0-d array for a float radius
+    _check_contract(getattr(profile, method))
+
+
+@pytest.mark.parametrize("name", ["hyp3", "warp", "table"])
+def test_model_array_contract(name):
+    # H and H_prime rejected arrays, and ricci_eigenvalues took one radius
+    model = _contract_models()[name]
+    for fn in ("A", "A_prime", "V", "zeta", "H", "H_prime", "Hcyl",
+               "log_rho_d1", "log_rho_d2"):
+        _check_contract(getattr(model, fn))
+    frame = ambient_frame(model)
+    for k in range(3):
+        _check_contract(lambda r: frame.ricci_eigenvalues(r)[k])
+
+
+@pytest.mark.parametrize("R", sorted(LOOP_RICCI_BOUNDS))
+def test_lower_ricci_bounds_match_loop_values(R):
+    assert lower_ricci_bounds(_contract_models()["warp"], R) \
+        == LOOP_RICCI_BOUNDS[R]
+
+
 # -- properties ----------------------------------------------------------------
 
 
