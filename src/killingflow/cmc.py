@@ -88,10 +88,23 @@ def _slopes(model: ModelGeometry, R: float, nH: float,
     return out
 
 
+def _check_rim(model: ModelGeometry, R: float) -> None:
+    """Raise CmcError if the slope discriminant's A(R)^2 overflows: past
+    that rim radius every slope would read inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(model.A(R) ** 2):
+            return
+    raise CmcError(
+        f"A^2 = (rho xi^(n-1))^2 overflows at the rim radius R={R:g} "
+        f"(xi: {model.xi.kind}, rho: {model.rho.kind}): too large for "
+        f"this model in double precision")
+
+
 def eval_vR_prime(model: ModelGeometry, R: float, r: float) -> float:
     """Slope v'(r) of the radial CMC profile with rim radius R."""
     if not 0.0 <= r < R:
         raise CmcError(f"need 0 <= r < R, got r={r}, R={R}")
+    _check_rim(model, R)
     return float(_slopes(model, R, model.n * model.H(R),
                          np.array([float(r)]))[0])
 
@@ -115,6 +128,7 @@ def _rim_heights(model: ModelGeometry, R: float, radii: np.ndarray,
     exponentially and at large rim radii the heights honestly carry the
     noise-floor error instead of subdivision chasing noise.
     """
+    _check_rim(model, R)
     floor = 0.0 if model.exact_q_drop else 1e-14 * abs(model.A_prime(R))
     if floor > 5e-3:
         raise CmcError(

@@ -19,24 +19,28 @@ slope ``_pole_fourier`` fits to the first ring).  With the nodal W as P_j
 the discrete CMC graph falls below its continuum supersolution (by 1.9e-2
 on E2, 64 x 64).  Every w_jk is positive for any slope and any n; the 2-D
 stencil has five points and is the radial one on rotationally symmetric
-data.  The weights (``_radial_weights``, ``_polar_weights``) feed
+data.  The weights are stored as the symmetric conductances c_jk = c_kj
+and the row measures m_j = dV_j / P_j (``_radial_weights``,
+``_polar_weights``; the pole row's measure is ntheta dV_0 / P_0), and feed
 
 * ``radial_Q``, ``discretize_Q`` and the explicit Euler step (a debugging
   fallback), which checks dt max_j sum_k w_jk <= cfl on the weights of the
   state it steps;
-* the default semi-implicit step, which lags them one step and solves with
-  the M-matrix I - dt L(u) (diagonal 1 + dt sum_k w_jk, entries -dt w_jk):
-  on the 2-D grid one band LU (LAPACK dgbsv) in a node order that keeps
-  the rings in turn and folds theta within each ring, so every entry lies
-  within nt + 1 of the diagonal; on the radial grid a tridiagonal solve.
-  Both steps keep min(u0, phi) <= u <= max(u0, phi).
+* the default semi-implicit step, which lags them one step.  Row j of the
+  M-matrix I - dt L(u) times m_j is the symmetric, strictly diagonally
+  dominant S = diag(m) - dt C, C the graph Laplacian of the conductances,
+  with the Dirichlet row moved into the right-hand side.  S is solved by
+  one banded Cholesky (LAPACK dpbsv): in natural ring order, with the pole
+  as one unknown, its half-bandwidth is ntheta on the 2-D grid and 1 on
+  the radial one.  The factor of this Stieltjes matrix has no positive
+  off-diagonal entry, so both steps keep min(u0, phi) <= u <= max(u0, phi).
 
 What depends only on n, the profiles and the grid is computed once and
 shared read-only: ``Grid.r``/``Grid.theta``, the node factors, the finite
-volumes and the pole ring's Fourier modes (``_grid_factors``) and the 2-D
-index patterns (``_stencil``, ``_band_layout``).  A step evaluates no
-profile.  Radial fields (ntheta = 1) may live in any base dimension
-n = model.n; the 2-D grid represents n = 2 only.
+volumes and the pole ring's Fourier modes (``_grid_factors``), which are
+checked to be finite when built.  A step evaluates no profile.  Radial
+fields (ntheta = 1) may live in any base dimension n = model.n; the 2-D
+grid represents n = 2 only.
 """
 
 from __future__ import annotations
@@ -51,8 +55,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 # every step solves a banded system, so scipy.linalg loads with the module
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dpbsv
 
 from .geometry import ModelGeometry, ProfileSpec, R_MIN, ambient_frame
 from .kernel import Factors, factors
@@ -239,17 +242,32 @@ def _cells(n: int, xi: ProfileSpec, rho: ProfileSpec, r) -> _Cells:
     r = np.asarray(r, dtype=float)
     dr = np.diff(r)
     mid = r[:-1] + 0.5 * dr
-    face = factors(xi, rho, mid)
     lo = np.concatenate(([r[0]], mid[:-1]))
     x, wq = _GAUSS
     s = 0.5 * (lo + mid)[:, None] + 0.5 * (mid - lo)[:, None] * x
-    dV = np.append(0.5 * (mid - lo) * (rho.value(s) * xi.value(s) ** (n - 1)
-                                       @ wq), math.inf)
+    rho_r = rho.value(r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        face = factors(xi, rho, mid)
+        cond = face.rho * face.xi ** (n - 1) / dr
+        dV = 0.5 * (mid - lo) * (rho.value(s) * xi.value(s) ** (n - 1) @ wq)
+        # the weights, W and the curvature forms multiply the profiles up
+        # to these powers: past an overflow a step only makes inf and nan
+        bad = [(float(at[~np.isfinite(a)][0]), name) for name, at, a in (
+            ("rho^2", r, rho_r ** 2), ("xi^2", r, xi.value(r) ** 2),
+            ("the face conductance rho xi^(n-1) / h", mid, cond),
+            ("the cell measure of rho xi^(n-1)", r[:-1], dV))
+            if not np.all(np.isfinite(a))]
+    if bad:
+        r_bad, name = min(bad)
+        raise FlowError(f"{name} overflows at r = {r_bad:.6g} (xi: {xi.kind}, "
+                        f"rho: {rho.kind}): the grid reaches past the radii "
+                        f"this model can represent in double precision")
+    dV = np.append(dV, math.inf)
     if r[0] > R_MIN:
         dV[0] = math.inf
-    return _Cells(dr=dr, inv_rho2=rho.value(r) ** -2,
+    return _Cells(dr=dr, inv_rho2=rho_r ** -2,
                   inv_rho2_f=face.rho ** -2, inv_xi2_f=face.inv_xi2,
-                  cond=face.rho * face.xi ** (n - 1) / dr, dV=dV)
+                  cond=cond, dV=dV)
 
 
 @functools.lru_cache(maxsize=32)
@@ -281,12 +299,13 @@ def _grid_factors(n: int, xi: ProfileSpec, rho: ProfileSpec,
                   grid: Grid) -> _GridFactors:
     """The per-grid invariants, evaluated once per (n, xi, rho, grid);
     every array is read-only.  The key is the model's dimension and two
-    frozen profiles, since ModelGeometry is not hashable."""
+    frozen profiles, since ModelGeometry is not hashable.  The cells come
+    first: building them raises FlowError where the profiles overflow."""
+    cells = _radial_cells(n, xi, rho, grid.r.tobytes())
     at = Factors(*map(_read_only, factors(xi, rho, grid.r)))
     return _GridFactors(
         at=at, op=Factors(*(a[1:-1, None] for a in at)),
-        rho1=_read_only(rho.d1(grid.r)),
-        cells=_radial_cells(n, xi, rho, grid.r.tobytes()),
+        rho1=_read_only(rho.d1(grid.r)), cells=cells,
         cos=_read_only(np.cos(grid.theta)), sin=_read_only(np.sin(grid.theta)))
 
 
@@ -344,77 +363,37 @@ def _d2_nonuniform(r: np.ndarray, u: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _radial_weights(c: _Cells,
-                    u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights (w_lo, w_up) towards nodes j - 1 and j + 1 of the radial
-    operator on the finite volumes c.  At a pole first node the slope is
-    zero and P = 1/rho; rows of nodes that do not move are zero."""
-    s = np.concatenate(([0.0], np.diff(u) / c.dr, [0.0]))  # 0 past the ends
-    g = np.concatenate(([0.0], c.cond / np.sqrt(c.inv_rho2_f + s[1:-1] ** 2),
-                        [0.0]))
-    P = np.sqrt(c.inv_rho2 + np.maximum(s[:-1] * s[1:], 0.0)) / c.dV
-    return P * g[:-1], P * g[1:]
+class _Radial(NamedTuple):
+    """The radial stencil at a state: w_jk = c_jk / m_j."""
+
+    g: np.ndarray   # conductance of each face, between nodes f and f + 1
+    m: np.ndarray   # row measure dV / P of each node, inf where it is fixed
 
 
-@functools.lru_cache(maxsize=16)
-def _stencil(nr: int, nt: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of the 2-D semi-implicit system in natural node order
-    j * nt + i, in the entry order _implicit_entries returns: five entries
-    per interior node, the pole equation, the ties of the other pole copies
-    to node 0, the boundary.  _band_layout maps each entry into the banded
-    array the step solves; discretize_Q reads its interior neighbour pairs
-    from the same arrays."""
-    j = np.arange(1, nr)[:, None]
-    i = np.arange(nt)[None, :]
+class _Polar(NamedTuple):
+    """The 2-D stencil at a state: w_jk = c_jk / m_j on rings 1..nr-1, and
+    c_{0,(1,i)} / m0 in the pole row."""
 
-    def node(dj, di):
-        return (j + dj) * nt + (i + di) % nt
-
-    offsets = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
-    ring = nt + np.arange(nt)
-    ties = np.arange(1, nt)
-    boundary = nr * nt + np.arange(nt)
-    rows = np.concatenate([np.tile(node(0, 0).ravel(), len(offsets)),
-                           np.zeros(nt + 1, dtype=int), ties, ties, boundary])
-    cols = np.concatenate([np.concatenate([node(*o).ravel() for o in offsets]),
-                           [0], ring, ties, np.zeros(nt - 1, dtype=int),
-                           boundary])
-    return _read_only(rows), _read_only(cols)
+    g_r: np.ndarray   # (nr, nt) r-face conductances; row 0 joins the pole
+    g_t: np.ndarray   # (nr - 1, nt) theta-face conductances at i + 1/2
+    m: np.ndarray     # (nr - 1, nt) row measures dV / P
+    m0: float         # the pole row's measure nt dV_0 / P_0
 
 
-@functools.lru_cache(maxsize=16)
-def _band_layout(nr: int, nt: int) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """(pos, entry, kl, ku): the banded order of the 2-D system.
-
-    pos[node] is the node's slot.  Rings keep their order and theta is
-    folded within each, i = 0, 1, nt - 1, 2, nt - 2, ..., so periodic
-    neighbours sit at most two slots apart.  Ring 0 holds the pole copies
-    in the same folded order and then the pole equation, node 0, in its
-    last slot, next to the first ring its row reads: that gives kl = nt + 1
-    and ku = nt, where the natural order has ku = 2 nt - 1.  entry[e]
-    is the flat index of _stencil entry e in the Fortran-order
-    (2 kl + ku + 1) x N array dgbsv factors in place, which stores A[p, q]
-    at row kl + ku + p - q of column q; its first kl rows are the fill-in
-    room for the row interchanges."""
-    i = np.arange(nt)
-    fold = np.where(2 * i <= nt, 2 * i - 1, 2 * (nt - i))
-    ring0 = fold - 1
-    fold[0], ring0[0] = 0, nt - 1
-    pos = np.concatenate([ring0, (np.arange(1, nr + 1)[:, None] * nt
-                                  + fold).ravel()])
-    rows, cols = _stencil(nr, nt)
-    p, q = pos[rows], pos[cols]
-    kl, ku = int(np.max(p - q)), int(np.max(q - p))
-    entry = kl + ku + p - q + (2 * kl + ku + 1) * q
-    return _read_only(pos), _read_only(entry), kl, ku
+def _radial_weights(c: _Cells, u: np.ndarray) -> _Radial:
+    """The radial operator on the finite volumes c.  At a pole first node
+    the slope is zero and P = 1/rho; nodes that do not move have infinite
+    measure, so their rows of weights are zero."""
+    s = np.diff(u) / c.dr
+    g = c.cond / np.sqrt(c.inv_rho2_f + s * s)
+    s = np.concatenate(([0.0], s, [0.0]))                  # 0 past the ends
+    return _Radial(g, c.dV / np.sqrt(c.inv_rho2
+                                     + np.maximum(s[:-1] * s[1:], 0.0)))
 
 
-def _polar_weights(gf: _GridFactors, grid: Grid,
-                   u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(w, w_ring): w[m] weighs, on interior rows, the neighbour at
-    _stencil's offset m + 1; w_ring weighs the first ring in the pole row.
-    W_f on a face adds the mean of the centred cross-differences at its two
-    nodes."""
+def _polar_weights(gf: _GridFactors, grid: Grid, u: np.ndarray) -> _Polar:
+    """The 2-D operator at u.  W_f on a face adds the mean of the centred
+    cross-differences at its two nodes."""
     c, f = gf.cells, gf.op
     k = grid.dtheta
     dr = c.dr[:, None]
@@ -429,40 +408,34 @@ def _polar_weights(gf: _GridFactors, grid: Grid,
     inv_rho2 = c.inv_rho2[1:-1, None]
     g_t = (grid.hr / (k * k)) * f.rho / (
         f.xi * np.sqrt(inv_rho2 + cross * cross + st * st * f.inv_xi2))
-    P = np.sqrt(inv_rho2 + np.maximum(s[:-1] * s[1:], 0.0)
-                + np.maximum(_theta_shift(st)[1] * st, 0.0) * f.inv_xi2
-                ) / c.dV[1:-1, None]
-    w = np.stack([P * g_r[1:], P * g_r[:-1], P * g_t,
-                  P * _theta_shift(g_t)[1]])
+    m = c.dV[1:-1, None] / np.sqrt(
+        inv_rho2 + np.maximum(s[:-1] * s[1:], 0.0)
+        + np.maximum(_theta_shift(st)[1] * st, 0.0) * f.inv_xi2)
     a, b = _pole_fourier(u[1], grid.hr, gf)
-    w_ring = (math.sqrt(c.inv_rho2[0] + a * a + b * b)
-              / (grid.ntheta * c.dV[0])) * g_r[0]
-    return w, w_ring
+    m0 = grid.ntheta * c.dV[0] / math.sqrt(c.inv_rho2[0] + a * a + b * b)
+    return _Polar(g_r, g_t, m, m0)
 
 
-def _weights(model: ModelGeometry, grid: Grid, u: np.ndarray) -> tuple:
-    """The stencil at u: (w_lo, w_up) on a radial grid, (w, w_ring) on a
-    polar one."""
+def _weights(model: ModelGeometry, grid: Grid,
+             u: np.ndarray) -> _Radial | _Polar:
+    """The stencil at u on the grid."""
     gf = _grid_factors(model.n, model.xi, model.rho, grid)
     if grid.radial:
         return _radial_weights(gf.cells, u.reshape(-1))
     return _polar_weights(gf, grid, u)
 
 
-def _apply(w: tuple, u: np.ndarray) -> np.ndarray:
-    """sum_k w_jk (u_k - u_j) for a stencil w of _weights, in u's shape."""
-    if u.ndim == 1 or u.shape[1] == 1:
-        w_lo, w_up = w
-        du = np.concatenate(([0.0], np.diff(u.reshape(-1)), [0.0]))
-        return (w_up * du[1:] - w_lo * du[:-1]).reshape(u.shape)
-    nr, nt = u.shape[0] - 1, u.shape[1]
-    w, w_ring = w
-    m = (nr - 1) * nt
-    rows, cols = (s[m:5 * m] for s in _stencil(nr, nt))
-    flat = u.ravel()
+def _apply(w: _Radial | _Polar, u: np.ndarray) -> np.ndarray:
+    """sum_k w_jk (u_k - u_j) for a stencil w of _weights, in u's shape:
+    the net flux into each cell over its measure."""
+    if isinstance(w, _Radial):
+        flux = np.concatenate(([0.0], w.g * np.diff(u.reshape(-1)), [0.0]))
+        return (np.diff(flux) / w.m).reshape(u.shape)
+    f_r = w.g_r * np.diff(u, axis=0)
+    f_t = w.g_t * (_theta_shift(u[1:-1])[0] - u[1:-1])
     Q = np.zeros_like(u)
-    Q[1:-1] = np.sum(w * (flat[cols] - flat[rows]).reshape(w.shape), axis=0)
-    Q[0] = np.dot(w_ring, u[1] - u[0, 0])
+    Q[1:-1] = (f_r[1:] - f_r[:-1] + f_t - _theta_shift(f_t)[1]) / w.m
+    Q[0] = np.sum(f_r[0]) / w.m0
     return Q
 
 
@@ -474,8 +447,6 @@ def radial_Q(model: ModelGeometry, r: np.ndarray, u: np.ndarray) -> np.ndarray:
     cells = _radial_cells(model.n, model.xi, model.rho,
                           np.asarray(r, dtype=float).tobytes())
     return _apply(_radial_weights(cells, u), u)
-
-
 
 
 def discretize_Q(model: ModelGeometry, grid: Grid,
@@ -491,69 +462,74 @@ def discretize_Q(model: ModelGeometry, grid: Grid,
 # time stepping
 
 
-def _radius(grid: Grid, w: tuple) -> float:
+def _radius(w: _Radial | _Polar) -> float:
     """max_j sum_k w_jk: the largest Gershgorin radius of the stencil w."""
-    if grid.radial:
-        return float(np.max(w[0] + w[1]))
-    return max(float(np.max(np.sum(w[0], 0))), float(np.sum(w[1])))
+    if isinstance(w, _Radial):
+        g = np.concatenate(([0.0], w.g, [0.0]))
+        return float(np.max((g[:-1] + g[1:]) / w.m))
+    rows = (w.g_r[1:] + w.g_r[:-1] + w.g_t + _theta_shift(w.g_t)[1]) / w.m
+    return max(float(np.max(rows)), float(np.sum(w.g_r[0])) / w.m0)
 
 
 def _cfl_dt(model: ModelGeometry, grid: Grid, control: StepControl,
             u: np.ndarray) -> float:
     """The explicit step's limit cfl / max_j sum_k w_jk at the state u."""
-    return control.cfl / _radius(grid, _weights(model, grid, u))
+    return control.cfl / _radius(_weights(model, grid, u))
+
+
+def _band_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve S x = rhs for the symmetric positive definite S whose lower
+    band is the C-order (N, kd + 1) array band, band[j, d] = S[j + d, j],
+    by a banded Cholesky (LAPACK dpbsv) that overwrites both arguments."""
+    # the transpose of the C-order buffer is the Fortran-order
+    # (kd + 1) x N lower band storage dpbsv factors in place
+    _, x, info = dpbsv(band.T, rhs, lower=1, overwrite_ab=1, overwrite_b=1)
+    if info != 0:
+        raise FlowError(f"banded Cholesky solve failed: the system is not "
+                        f"positive definite (LAPACK dpbsv info={info})")
+    # non-finite weights give a non-finite solution, which step reports
+    return x
 
 
 def _radial_implicit(model: ModelGeometry, grid: Grid, v: np.ndarray,
                      dt: float, phi0: float) -> np.ndarray:
-    """One lagged-coefficient step of a radial field: a tridiagonal solve
-    of (I - dt L(v)) v_new = v with the Dirichlet value phi0 at r = R."""
-    w_lo, w_up = _weights(model, grid, v)
-    bands = np.zeros((3, v.size))         # upper, main, lower diagonals
-    bands[0, 1:] = -dt * w_up[:-1]
-    bands[1] = 1.0 + dt * (w_lo + w_up)
-    bands[2, :-1] = -dt * w_lo[1:]
-    rhs = v.copy()
-    rhs[-1] = phi0
-    # non-finite weights give a non-finite solution, which step reports
-    return solve_banded((1, 1), bands, rhs, check_finite=False)
-
-
-def _implicit_entries(model: ModelGeometry, grid: Grid, u: np.ndarray,
-                      dt: float) -> np.ndarray:
-    """Entries of I - dt L(u) on the polar grid, in _stencil order, from
-    the stencil weights, with identity rows on the boundary and ties of the
-    pole copies to node 0."""
-    nt = grid.ntheta
-    w, w_ring = _weights(model, grid, u)
-    return np.concatenate([(1.0 + dt * np.sum(w, 0)).ravel(), -dt * w.ravel(),
-                           [1.0 + dt * np.sum(w_ring)], -dt * w_ring,
-                           np.ones(nt - 1), -np.ones(nt - 1), np.ones(nt)])
+    """One lagged-coefficient step of a radial field: (I - dt L(v)) v_new = v
+    with the Dirichlet value phi0 at r = R, each row scaled by its measure
+    into the symmetric tridiagonal diag(m) - dt C."""
+    g, m = _weights(model, grid, v)
+    g = dt * g
+    band = np.zeros((v.size - 1, 2))
+    band[:, 0] = m[:-1] + g
+    band[1:, 0] += g[:-1]
+    band[:-1, 1] = -g[:-1]
+    rhs = m[:-1] * v[:-1]
+    rhs[-1] += g[-1] * phi0
+    return np.append(_band_solve(band, rhs), phi0)
 
 
 def _polar_implicit(model: ModelGeometry, grid: Grid, u: np.ndarray,
                     dt: float, phi_row: np.ndarray) -> np.ndarray:
     """One lagged-coefficient step of a polar field: (I - dt L(u)) u_new = u
-    with the Dirichlet row phi_row, solved in _band_layout's order by a
-    band LU (partial pivoting, which this M-matrix does not need but the
-    band array has room for)."""
-    nt = grid.ntheta
-    pos, entry, kl, ku = _band_layout(grid.nr, nt)
-    band = np.zeros(u.size * (2 * kl + ku + 1))
-    band[entry] = _implicit_entries(model, grid, u, dt)
-    rhs = np.empty(u.size)
-    rhs[pos] = u.ravel()
-    rhs[pos[1:nt]] = 0.0                  # pole tie rows
-    rhs[pos[-nt:]] = phi_row
-    # the transpose of the C-order (N, 2 kl + ku + 1) buffer is the
-    # Fortran-order band array, so dgbsv factors and solves in place
-    _, _, sol, info = dgbsv(kl, ku, band.reshape(u.size, -1).T, rhs,
-                            overwrite_ab=1, overwrite_b=1)
-    if info != 0:
-        raise FlowError(f"banded solve failed (LAPACK dgbsv info={info})")
-    u_new = sol[pos].reshape(grid.shape())
-    u_new[0, :] = u_new[0, 0]
-    return u_new
+    with the Dirichlet row phi_row.  Each row is scaled by its measure into
+    S = diag(m) - dt C, unknowns in natural order: the pole, then rings
+    1..nr-1 with theta fastest.  S's lower band holds the diagonal, the
+    theta neighbour at offset 1, the theta wrap at nt - 1, the next ring
+    at nt and the pole column at 1..nt, so kd = nt."""
+    nr, nt = grid.nr, grid.ntheta
+    w = _weights(model, grid, u)
+    g_r, g_t = dt * w.g_r, dt * w.g_t
+    band = np.zeros((1 + (nr - 1) * nt, nt + 1))
+    rings = band[1:].reshape(nr - 1, nt, nt + 1)
+    rings[:, :, 0] = w.m + g_r[1:] + g_r[:-1] + g_t + _theta_shift(g_t)[1]
+    rings[:, :-1, 1] = -g_t[:, :-1]
+    rings[:, 0, nt - 1] = -g_t[:, -1]
+    rings[:-1, :, nt] = -g_r[1:-1]
+    band[0, 0] = w.m0 + np.sum(g_r[0])
+    band[0, 1:] = -g_r[0]
+    rhs = np.concatenate(([w.m0 * u[0, 0]], (w.m * u[1:-1]).ravel()))
+    rhs[-nt:] += g_r[-1] * phi_row
+    x = _band_solve(band, rhs)
+    return np.vstack((np.full(nt, x[0]), x[1:].reshape(nr - 1, nt), phi_row))
 
 
 def step(state: FlowState, problem: BallProblem, grid: Grid,
@@ -571,7 +547,7 @@ def step(state: FlowState, problem: BallProblem, grid: Grid,
     u = state.u
     if control.scheme == "explicit-euler":
         w = _weights(model, grid, u)
-        lim = control.cfl / _radius(grid, w)          # as _cfl_dt at u
+        lim = control.cfl / _radius(w)                # as _cfl_dt at u
         if dt > lim:
             raise FlowError(
                 f"explicit step dt={dt:.3e} exceeds the CFL limit {lim:.3e}")

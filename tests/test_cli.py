@@ -273,9 +273,9 @@ def test_non_finite_config_exits_2(tmp_path, line, capsys):
 
 @pytest.mark.parametrize("ntheta", [1, 16])
 def test_overflowing_model_exits_1(tmp_path, ntheta, capsys):
-    # sinh and cosh overflow at R = 400, so the first step's weights are
-    # not finite (the overflow warnings are expected here); the radial
-    # solve and the band solve both end in FlowError
+    # cosh^2 overflows past r = 355 on the R = 400 grid: the grid's factors
+    # name the profile and the first node past it, before any step and
+    # without an overflow warning (pytest makes those errors)
     cfg = tmp_path / "run.ini"
     cfg.write_text(f"""
 [model]
@@ -291,17 +291,35 @@ phi = 0
 u0 = 0.1*cos(0.003926990816987*r)
 T = 0.001
 """)
-    with np.errstate(all="ignore"):
-        assert dispatch(["flow", "--config", str(cfg)]) == 1
+    assert dispatch(["flow", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: rho^2 overflows at r = 356.25 (xi: hyperbolic, rho: cosh)")
+
+
+@pytest.mark.parametrize("ntheta", [1, 16])
+def test_non_finite_step_exits_1(tmp_path, ntheta, monkeypatch, capsys):
+    # a step whose weights are not finite ends in FlowError on both grids
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(FLOW_INI.replace("ntheta = 16", f"ntheta = {ntheta}"))
+    name = "_radial_weights" if ntheta == 1 else "_polar_weights"
+    weights = getattr(flow, name)
+
+    def nan_weights(*args):
+        w = weights(*args)
+        return type(w)(*(np.nan * a for a in w))
+
+    monkeypatch.setattr(flow, name, nan_weights)
+    assert dispatch(["flow", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("error: non-finite field")
 
 
 def test_domain_error_exits_1(capsys):
     # hyperbolic rim radius beyond double-precision reach: A^2 overflows,
-    # so the overflow warnings are expected here
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert dispatch(["cmc", "--model", "hyperbolic", "--R", "300"]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    # which the rim set-up names before any slope is formed
+    assert dispatch(["cmc", "--model", "hyperbolic", "--R", "300"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: A^2 = (rho xi^(n-1))^2 overflows at the rim radius R=300 "
+        "(xi: hyperbolic, rho: cosh)")
 
 
 def test_quadrature_error_exits_1(monkeypatch, capsys):

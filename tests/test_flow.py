@@ -385,12 +385,37 @@ def test_cell_measures_are_exact(model_name, R, nr, request):
     assert dV[-1] == math.inf
 
 
+def _operator_csr(model, g, u):
+    # the reference operator L(u) in natural node order j * nt + i, built
+    # from the conductances and row measures discretize_Q applies: row j
+    # holds c_jk / m_j at its neighbours and minus their sum on the
+    # diagonal; the pole row is node 0's, the other pole copies and the
+    # boundary rows are zero
+    nr, nt = g.nr, g.ntheta
+    w = flow._weights(model, g, u)
+    j, i = np.meshgrid(np.arange(1, nr), np.arange(nt), indexing="ij")
+
+    def node(dj, di):
+        return ((j + dj) * nt + (i + di) % nt).ravel()
+
+    pairs = [(node(1, 0), w.g_r[1:] / w.m), (node(-1, 0), w.g_r[:-1] / w.m),
+             (node(0, 1), w.g_t / w.m),
+             (node(0, -1), np.roll(w.g_t, 1, axis=1) / w.m)]
+    rows = np.concatenate([node(0, 0)] * 4 + [np.zeros(nt, dtype=int)])
+    cols = np.concatenate([c for c, _ in pairs] + [nt + np.arange(nt)])
+    vals = np.concatenate([v.ravel() for _, v in pairs] + [w.g_r[0] / w.m0])
+    L = sp.csr_matrix((vals, (rows, cols)), shape=(u.size, u.size))
+    return L - sp.diags(np.asarray(L.sum(axis=1)).ravel())
+
+
 def _implicit_csr(model, g, u, dt):
-    # the reference system: I - dt L(u) in natural node order, as a CSR
-    # matrix built from the step's entries and the stencil's index pattern
-    m = u.size
-    return sp.csr_matrix((flow._implicit_entries(model, g, u, dt),
-                          flow._stencil(g.nr, g.ntheta)), shape=(m, m))
+    # the reference system: I - dt L(u), with the pole copies tied to node 0
+    nt = g.ntheta
+    ties = np.arange(1, nt)
+    tie = sp.csr_matrix((-np.ones(nt - 1), (ties, np.zeros(nt - 1, int))),
+                        shape=(u.size, u.size))
+    return sp.identity(u.size, format="csr") - dt * _operator_csr(
+        model, g, u) + tie
 
 
 @pytest.mark.parametrize("model_name", ["euclid2", "hyp2"])
@@ -409,25 +434,50 @@ def test_implicit_matrix_matches_discretize_Q(model_name, nr, ntheta,
     assert float(np.max(np.abs(lhs[1:-1] - q[1:-1]))) < 1e-10
 
 
+def _captured_band(monkeypatch, model, g, u, dt, phi):
+    # the band _polar_implicit hands to the solver, expanded to the full
+    # symmetric matrix it stores the lower half of
+    seen = []
+    solve = flow._band_solve
+
+    def capture(band, rhs):
+        seen.append(band.copy())
+        return solve(band, rhs)
+
+    monkeypatch.setattr(flow, "_band_solve", capture)
+    flow._polar_implicit(model, g, u, dt, phi)
+    band, = seen
+    n, kd1 = band.shape
+    S = np.zeros((n, n))
+    for d in range(kd1):
+        S += np.diag(band[:n - d, d], -d)
+        if d:
+            S += np.diag(band[:n - d, d], d)
+    return S
+
+
 @pytest.mark.parametrize("nr,ntheta", [(8, 8), (9, 9), (16, 11), (33, 8),
                                        (40, 33)])
-def test_band_layout_is_a_banded_permutation(nr, ntheta):
-    pos, entry, kl, ku = flow._band_layout(nr, ntheta)
-    n = (nr + 1) * ntheta
-    assert np.array_equal(np.sort(pos), np.arange(n))
-    rows, cols = flow._stencil(nr, ntheta)
-    assert entry.size == rows.size
-    assert np.unique(entry).size == entry.size       # no shared band slot
-    # entry e stores A[pos[row], pos[col]] at band row kl + ku + p - q
-    band_col, band_row = np.divmod(entry, 2 * kl + ku + 1)
-    assert np.array_equal(band_col, pos[cols])
-    assert np.array_equal(band_row, kl + ku + pos[rows] - pos[cols])
-    assert np.all((band_row >= kl) & (band_row <= 2 * kl + ku))
-    assert kl <= ntheta + 3 and ku <= ntheta + 3
-    for arr in (pos, entry):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0
+def test_band_is_the_scaled_symmetric_system(hyp2, monkeypatch, nr, ntheta):
+    # the band is diag(dV/P) (I - dt L) on the unknowns (the pole, then
+    # rings 1..nr-1), built from discretize_Q's weights; that product is
+    # symmetric and lies within ntheta of the diagonal
+    g = Grid(R=1.0, nr=nr, ntheta=ntheta)
+    u = 0.2 + _poly(g.r[:, None], g.theta[None, :])
+    dt = 1e-2
+    S = _captured_band(monkeypatch, hyp2, g, u, dt, 0.1 * np.cos(g.theta))
+    w = flow._weights(hyp2, g, u)
+    A = (sp.identity(u.size) - dt * _operator_csr(hyp2, g, u)).toarray()
+    # fold the pole copies' columns into node 0 and drop the boundary ring
+    A[:, 0] = A[:, :ntheta].sum(axis=1)
+    keep = np.r_[0, ntheta:nr * ntheta]
+    ref = np.concatenate(([w.m0], w.m.ravel()))[:, None] * A[np.ix_(keep,
+                                                                    keep)]
+    scale = float(np.max(np.abs(ref)))
+    assert float(np.max(np.abs(ref - ref.T))) <= 1e-14 * scale
+    k = np.arange(keep.size)
+    assert np.all(np.abs(k[:, None] - k[None, :])[ref != 0.0] <= ntheta)
+    np.testing.assert_allclose(S, ref, rtol=0.0, atol=1e-14 * scale)
 
 
 @pytest.mark.parametrize("model_name", ["euclid2", "hyp2"])
@@ -449,14 +499,36 @@ def test_banded_solve_matches_sparse_solve(model_name, nr, ntheta, dt,
     assert float(np.max(np.abs(got - ref))) < 1e-10
 
 
+def _scaled(w, factor):
+    return type(w)(*(factor * a for a in w))
+
+
 def test_singular_banded_system_raises(euclid2, monkeypatch):
     g = Grid(R=1.0, nr=8, ntheta=8)
-    u = np.zeros(g.shape())
-    monkeypatch.setattr(flow, "_implicit_entries",
-                        lambda model, grid, u, dt: np.zeros(
-                            flow._stencil(grid.nr, grid.ntheta)[0].size))
-    with pytest.raises(FlowError, match="dgbsv"):
-        flow._polar_implicit(euclid2, g, u, 1e-3, np.zeros(8))
+    weights = flow._polar_weights
+    monkeypatch.setattr(flow, "_polar_weights",
+                        lambda *a: _scaled(weights(*a), 0.0))
+    with pytest.raises(FlowError, match="dpbsv"):
+        flow._polar_implicit(euclid2, g, np.zeros(g.shape()), 1e-3,
+                             np.zeros(8))
+
+
+@pytest.mark.parametrize("ntheta", [1, 8])
+def test_indefinite_band_raises(euclid2, monkeypatch, ntheta):
+    # negative measures and conductances give a negative definite system,
+    # which the Cholesky factorisation refuses on both grids
+    p = BallProblem(model=euclid2, R=1.0, phi=_zero_phi, u0=_bump, T=1.0)
+    g = Grid(R=1.0, nr=8, ntheta=ntheta)
+    u0, phi = p.sample(g)
+    if g.radial:
+        u0 = u0[:, 0]
+    name = "_radial_weights" if g.radial else "_polar_weights"
+    weights = getattr(flow, name)
+    monkeypatch.setattr(flow, name, lambda *a: _scaled(weights(*a), -1.0))
+    state = flow.FlowState(t=0.0, u=u0, W=compute_W(euclid2, g, u0),
+                           step_count=0)
+    with pytest.raises(FlowError, match="dpbsv"):
+        step(state, p, g, StepControl(), dt=1e-3, phi_row=phi)
 
 
 def test_2d_run_is_independent_of_call_history(euclid2):
@@ -593,9 +665,11 @@ def test_tent_stays_within_its_data(kind, n, ntheta, scheme):
 def test_runs_stay_within_their_data(request, model_name, nr, ntheta, scheme,
                                      dt, data):
     # min(u0, phi) <= u <= max(u0, phi) to roundoff, for rough data, any
-    # semi-implicit dt and the explicit step at its state limit; the band
-    # LU's roundoff grows with the diagonal 1 + dt sum_k w_jk, a few
-    # thousand at dt = 1 on these grids (1.2e-13 seen in 200 random cases)
+    # semi-implicit dt and the explicit step at its state limit; the banded
+    # Cholesky factor of the scaled system has no positive off-diagonal
+    # entry, so its substitutions keep signs (no excursion at all in 400
+    # random cases with dt up to 1), and the bound leaves room for the
+    # rounding of the scaled right-hand side m_j u_j
     model = request.getfixturevalue(model_name)
     if model.n != 2:
         ntheta = 1                  # the polar grid represents n = 2 only
