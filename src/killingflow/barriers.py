@@ -330,19 +330,27 @@ def _sample_deep_region(geodesic: GeodesicSpec, d0: float, count: int,
     return np.column_stack((r[hits], theta[hits]))
 
 
+def _need_surface(model: ModelGeometry, what: str) -> None:
+    if model.n != 2:
+        raise BarrierError(f"{what} is implemented for base dimension n = 2 "
+                           f"only, got n = {model.n}")
+
+
 def make_sc_barrier(model: ModelGeometry, halfplane_geodesic: GeodesicSpec,
                     C: float, d0: float, samples: int = 400,
                     seed: int = 0) -> ScBarrier:
     """Build the exponential barrier at infinity over a geodesic halfplane.
 
     Only implemented for the hyperbolic built-in base (the one base with a
-    distance-to-convex-set in closed form).  The decay rate alpha is the
+    distance-to-convex-set in closed form) of dimension n = 2, the one
+    ``pointwise_Q`` checks it on.  The decay rate alpha is the
     sampled infimum of (rho'/rho) <grad r, grad d> over the deep region; a
     nonpositive infimum (e.g. constant rho) is a construction error, since
     the barrier then cannot decay.
     """
     if model.xi.kind != "hyperbolic":
         raise BarrierError("SC barrier needs the hyperbolic built-in base")
+    _need_surface(model, "the SC barrier")
     if d0 < 2.0:
         raise BarrierError("d0 must be >= 2")
     if C <= 0:
@@ -370,8 +378,11 @@ def pointwise_Q(model: ModelGeometry, func: Callable, r, theta,
     (r, theta) arrays in one pass (func must broadcast too).  Used for spot
     checks of smooth analytic fields (barriers) and as the independent
     non-divergence oracle for the grid operator: it shares the coefficient
-    kernel with the grid solver but not its stencil or grid.
+    kernel with the grid solver but not its stencil or grid.  It is the
+    n = 2 operator: the (n - 1) xi'/xi drift of higher dimensions has no
+    theta chart here, so other n raise BarrierError.
     """
+    _need_surface(model, "pointwise_Q")
     if np.any(r <= 2 * h):
         raise BarrierError("pointwise_Q needs r away from the pole")
     f0 = func(r, theta)

@@ -116,7 +116,8 @@ def _cmd_barrier(args) -> int:
     constants["gradient_mu"] = gb.mu_const
     constants["gradient_C0"] = gb.C0
 
-    if model.xi.kind == "hyperbolic":
+    # the barrier at infinity and pointwise_Q exist for hyperbolic n = 2
+    if model.xi.kind == "hyperbolic" and model.n == 2:
         try:
             sc = barriers.make_sc_barrier(
                 model, barriers.GeodesicSpec.at_distance(1.0),

@@ -66,38 +66,41 @@ class CmcProfile:
 def _slopes(model: ModelGeometry, R: float, nH: float,
             s: np.ndarray) -> np.ndarray:
     """Profile slopes v'(s) at an array of radii in [0, R), with the
-    (per-profile constant) nH hoisted out; zero at the pole."""
+    (per-profile constant) nH hoisted out; zero at the pole.
+
+    With x = nH V / A, v' = x / (rho sqrt(d)) for the discriminant over
+    A^2, d = 1 - x^2: no A^2 is formed, so the slopes are finite wherever
+    A and V are."""
     out = np.zeros(s.shape)
     inner = s > R_MIN
     s = s[inner]
-    V = model.V(s)
-    A = model.A(s)
-    disc = A * A - nH * nH * V * V
-    # the direct difference cancels near the rim (disc vanishes like R - s
+    VA = model.V(s) / model.A(s)
+    x = nH * VA
+    d = 1.0 - x * x
+    # the direct difference cancels near the rim (d vanishes like R - s
     # there); it is used only where it loses at most two digits, so its
     # rounding stays below the quadrature's floor.  Nearer the rim, with
-    # q = A/V and nH = -q(R), disc = V (A - nH V) (q(s) - q(R)).
-    near = disc <= 1e-2 * A * A
+    # q = A/V and nH = -q(R), 1 + x = q_drop V / A, so d = V/A (1 - x) q_drop.
+    near = d <= 1e-2
     if near.any():
-        Vn = V[near]
-        disc[near] = Vn * (A[near] - nH * Vn) * model.q_drop(s[near], R)
-    if not np.all(disc > 0.0):
+        d[near] = VA[near] * (1.0 - x[near]) * model.q_drop(s[near], R)
+    if not np.all(d > 0.0):
         raise CmcError(f"degenerate slope discriminant at "
-                       f"r={s[np.argmin(disc > 0.0)]}")
-    out[inner] = nH * V / (model.rho.value(s) * np.sqrt(disc))
+                       f"r={s[np.argmin(d > 0.0)]}")
+    out[inner] = x / (model.rho.value(s) * np.sqrt(d))
     return out
 
 
 def _check_rim(model: ModelGeometry, R: float) -> None:
-    """Raise CmcError if the slope discriminant's A(R)^2 overflows: past
-    that rim radius every slope would read inf or nan."""
+    """Raise CmcError if A(R) = rho xi^(n-1) or V(R) overflows: past that
+    rim radius every slope would read inf or nan."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(model.A(R) ** 2):
+        if np.isfinite(model.A(R)) and np.isfinite(model.V(R)):
             return
     raise CmcError(
-        f"A^2 = (rho xi^(n-1))^2 overflows at the rim radius R={R:g} "
-        f"(xi: {model.xi.kind}, rho: {model.rho.kind}): too large for "
-        f"this model in double precision")
+        f"A = rho xi^(n-1) or its volume integral V overflows at the rim "
+        f"radius R={R:g} (xi: {model.xi.kind}, rho: {model.rho.kind}): too "
+        f"large for this model in double precision")
 
 
 def eval_vR_prime(model: ModelGeometry, R: float, r: float) -> float:

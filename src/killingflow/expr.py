@@ -223,7 +223,15 @@ def parse_expression(src: str) -> Expr:
 
 
 def evaluate(node: Expr, **env):
-    """Evaluate with variables from env (scalars or numpy arrays)."""
+    """Evaluate with variables from env (scalars or numpy arrays).  numpy
+    arithmetic runs with its floating-point warnings off: a division by
+    zero or an overflow gives inf or nan, which the caller checks (the
+    flow rejects a non-finite u0 or phi); Python floats still raise."""
+    with np.errstate(all="ignore"):
+        return _evaluate(node, env)
+
+
+def _evaluate(node: Expr, env: dict):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -231,10 +239,10 @@ def evaluate(node: Expr, **env):
             raise ExprError(f"unbound variable {node.name!r}", 0)
         return env[node.name]
     if isinstance(node, Unary):
-        return -evaluate(node.arg, **env)
+        return -_evaluate(node.arg, env)
     if isinstance(node, Binary):
-        a = evaluate(node.left, **env)
-        b = evaluate(node.right, **env)
+        a = _evaluate(node.left, env)
+        b = _evaluate(node.right, env)
         if node.op == "+":
             return a + b
         if node.op == "-":
@@ -246,7 +254,7 @@ def evaluate(node: Expr, **env):
         return a ** b
     if isinstance(node, Call):
         fn = _FUNCS_1.get(node.func) or _FUNCS_2[node.func]
-        return fn(*(evaluate(arg, **env) for arg in node.args))
+        return fn(*(_evaluate(arg, env) for arg in node.args))
     raise TypeError(f"not an expression node: {node!r}")
 
 

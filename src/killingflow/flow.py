@@ -41,6 +41,14 @@ volumes and the pole ring's Fourier modes (``_grid_factors``), which are
 checked to be finite when built.  A step evaluates no profile.  Radial
 fields (ntheta = 1) may live in any base dimension n = model.n; the 2-D
 grid represents n = 2 only.
+
+The diagnostics follow one rule on both grids.  ``_slopes`` takes u_r and
+u_theta / xi by centred differences on rows 1..nr-1, a second-order
+one-sided difference on the rim row and, at the pole, the gradient fitted
+to the first ring (0 on a radial grid); W is formed from them in
+``_tilt`` alone.  |A| is evaluated on rows 1..nr-1, and its pole and rim
+rows copy the nearest interior row.  ``solve_ball`` takes max|grad u| and
+max|A| of each state from one pass (``_diagnostics``) that builds no field.
 """
 
 from __future__ import annotations
@@ -212,11 +220,6 @@ def _theta_slope(u: np.ndarray, k: float) -> np.ndarray:
     return (up - um) / (2.0 * k)
 
 
-def _theta_derivs(u: np.ndarray, k: float):
-    up, um = _theta_shift(u)
-    return (up - um) / (2.0 * k), (up - 2.0 * u + um) / (k * k)
-
-
 class _Cells(NamedTuple):
     """Finite volumes on increasing radii r: face f halfway between nodes f
     and f + 1, node j's cell between its faces (from r_0 at j = 0).  Nodes
@@ -288,7 +291,6 @@ class _GridFactors(NamedTuple):
 
     at: Factors
     op: Factors
-    rho1: np.ndarray      # rho' at every node
     cells: _Cells
     cos: np.ndarray
     sin: np.ndarray
@@ -304,63 +306,53 @@ def _grid_factors(n: int, xi: ProfileSpec, rho: ProfileSpec,
     cells = _radial_cells(n, xi, rho, grid.r.tobytes())
     at = Factors(*map(_read_only, factors(xi, rho, grid.r)))
     return _GridFactors(
-        at=at, op=Factors(*(a[1:-1, None] for a in at)),
-        rho1=_read_only(rho.d1(grid.r)), cells=cells,
+        at=at, op=Factors(*(a[1:-1, None] for a in at)), cells=cells,
         cos=_read_only(np.cos(grid.theta)), sin=_read_only(np.sin(grid.theta)))
 
 
 def _pole_fourier(u_ring: np.ndarray, h: float, gf: _GridFactors):
     """Local Cartesian gradient (a, b) at the pole from the first Fourier
     modes of the first grid ring (row at r = h)."""
-    a = 2.0 * float(np.mean(u_ring * gf.cos)) / h
-    b = 2.0 * float(np.mean(u_ring * gf.sin)) / h
+    nt = u_ring.size
+    a = 2.0 * (float(np.add.reduce(u_ring * gf.cos)) / nt) / h
+    b = 2.0 * (float(np.add.reduce(u_ring * gf.sin)) / nt) / h
     return a, b
 
 
-def compute_W(model: ModelGeometry, grid: Grid, u: np.ndarray) -> np.ndarray:
-    """Tilt factor W = sqrt(rho^{-2} + |grad u|^2) on the grid.
-
-    Deterministic function of (model, grid, u); the stepper stores exactly
-    this field so recomputation is bit-identical.
-    """
-    r = grid.r
-    gf = _grid_factors(model.n, model.xi, model.rho, grid)
-    rho = gf.at.rho
-    if grid.radial:
-        v = u[:, 0] if u.ndim == 2 else u
-        ur = np.gradient(v, r)
-        ur[0] = 0.0
-        ur[-1] = (3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * grid.hr)
-        W = np.sqrt(1.0 / rho ** 2 + ur ** 2)
-        return W[:, None] if u.ndim == 2 else W
+def _slopes(gf: _GridFactors, grid: Grid, u: np.ndarray):
+    """(u_r, u_theta / xi) at every node of u, a field of the grid's
+    shape; at the pole, the polar components of the gradient
+    ``_pole_fourier`` fits.  A radial grid's u_theta is the scalar 0.0."""
     h = grid.hr
     ur = np.empty_like(u)
     ur[1:-1] = (u[2:] - u[:-2]) / (2 * h)
     ur[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * h)
-    ut = _theta_slope(u[1:], grid.dtheta)
-    grad2 = np.empty_like(u)
-    grad2[1:] = ur[1:] ** 2 + (ut / gf.at.xi[1:, None]) ** 2
+    if grid.radial:
+        ur[0] = 0.0
+        return ur, 0.0
     a, b = _pole_fourier(u[1], h, gf)
-    grad2[0] = a * a + b * b
-    return np.sqrt(1.0 / rho[:, None] ** 2 + grad2)
+    ur[0] = a * gf.cos + b * gf.sin
+    vt = np.empty_like(u)
+    vt[0] = b * gf.cos - a * gf.sin
+    vt[1:] = _theta_slope(u[1:], grid.dtheta) / gf.at.xi[1:, None]
+    return ur, vt
+
+
+def _tilt(rho, ur, vt=0.0):
+    """The tilt factor W = sqrt(rho^-2 + u_r^2 + (u_theta / xi)^2)."""
+    return np.sqrt(1.0 / rho ** 2 + (ur ** 2 + vt ** 2))
+
+
+def compute_W(model: ModelGeometry, grid: Grid, u: np.ndarray) -> np.ndarray:
+    """Tilt factor W on the grid, from the slopes of ``_slopes``.  The
+    stepper stores exactly this field, so recomputation is bit-identical."""
+    gf = _grid_factors(model.n, model.xi, model.rho, grid)
+    v = u.reshape(grid.shape())
+    return _tilt(gf.at.rho[:, None], *_slopes(gf, grid, v)).reshape(u.shape)
 
 
 # ---------------------------------------------------------------------------
 # spatial operator
-
-
-def _d2_nonuniform(r: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Second derivative along the last axis on a (possibly) nonuniform
-    grid, 3-point stencil."""
-    d2 = np.zeros_like(u)
-    h1 = r[1:-1] - r[:-2]
-    h2 = r[2:] - r[1:-1]
-    d2[..., 1:-1] = 2.0 * (u[..., :-2] / (h1 * (h1 + h2))
-                           - u[..., 1:-1] / (h1 * h2)
-                           + u[..., 2:] / (h2 * (h1 + h2)))
-    d2[..., 0] = d2[..., 1]
-    d2[..., -1] = d2[..., -2]
-    return d2
 
 
 class _Radial(NamedTuple):
@@ -569,83 +561,83 @@ def step(state: FlowState, problem: BallProblem, grid: Grid,
 # derived geometric fields
 
 
+def _radial_forms(n: int, f: Factors, ur, urr, W):
+    """(|A|^2, nH) of a radial graph from its slope, second derivative and
+    tilt factor at radii off the pole: the principal curvatures are lam_r
+    along the profile and lam_t, (n-1)-fold, along the spheres."""
+    lam_r = (urr + (2.0 + (f.rho * ur) ** 2) * f.lrho * ur) \
+        / (W * (1.0 + (f.rho * ur) ** 2))
+    lam_t = f.xi_ratio * ur / W
+    return lam_r ** 2 + (n - 1) * lam_t ** 2, lam_r + (n - 1) * lam_t
+
+
+def _curvatures(gf: _GridFactors, grid: Grid, n: int, u: np.ndarray,
+                ur: np.ndarray, vt, W: np.ndarray):
+    """(|A|^2, nH) on rows 1..nr-1 of a field u of the grid's shape, from
+    its slopes (``_slopes``), its tilt factor W and centred second
+    differences.  The 2-D branch writes the second fundamental form times
+    W, b, in the frame (d_r, d_theta / xi), where the induced metric is
+    g = I + rho^2 grad u grad u^T with det g = (rho W)^2; then
+    nH = tr(g^-1 b) / W and |A|^2 = (nH)^2 - 2 det b / (det g W^2)."""
+    h, f = grid.hr, gf.op
+    p, w = ur[1:-1], W[1:-1]
+    urr = (u[2:] - 2 * u[1:-1] + u[:-2]) / (h * h)
+    if grid.radial:
+        return _radial_forms(n, f, p, urr, w)
+    q = vt[1:-1]
+    ut = gf.at.xi[:, None] * vt         # u_theta, 0 on the pole row
+    urt = (ut[2:] - ut[:-2]) / (2 * h) / f.xi
+    up, um = _theta_shift(u[1:-1])
+    utt = (up - 2 * u[1:-1] + um) / grid.dtheta ** 2 * f.inv_xi2
+    rp, rq = f.rho * p, f.rho * q
+    b11 = urr + (2.0 + rp * rp) * f.lrho * p
+    b12 = urt + ((1.0 + rp * rp) * f.lrho - f.xi_ratio) * q
+    b22 = utt + (rq * rq * f.lrho + f.xi_ratio) * p
+    det = (f.rho * w) ** 2
+    nH = ((1.0 + rq * rq) * b11 - 2.0 * rp * rq * b12
+          + (1.0 + rp * rp) * b22) / (det * w)
+    return nH * nH - 2.0 * (b11 * b22 - b12 * b12) / (det * w * w), nH
+
+
 def second_fundamental_form(model: ModelGeometry, grid: Grid,
                             u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(|A|^2 field, nH field) of the graph of u over the polar grid.
 
     Assembled from the ambient Christoffels of the warped metric applied to
     the graph parametrization (one derivative order lower than
-    differentiating the mean curvature expression).  Pole and boundary rows
-    are copies of the nearest interior row; treat them as extrapolation.
+    differentiating the mean curvature expression), on the slopes and W of
+    ``compute_W`` and centred second differences.  On both grids the pole
+    and rim rows are copies of the nearest interior row; treat them as
+    extrapolation.  ``solve_ball`` records the maximum of |A| per step.
     """
     gf = _grid_factors(model.n, model.xi, model.rho, grid)
-    if grid.radial:
-        a2, nh = _radial_sff(model.n, gf.at, gf.rho1, grid.r, u.reshape(-1))
-        return a2.reshape(u.shape), nh.reshape(u.shape)
-    h = grid.hr
-    sl = slice(1, -1)
-    ut, utt = _theta_derivs(u, grid.dtheta)
-    Ur = (u[2:] - u[:-2]) / (2 * h)
-    Urr = (u[2:] - 2 * u[1:-1] + u[:-2]) / (h * h)
-    Urt = (ut[2:] - ut[:-2]) / (2 * h)
-    Ut, Utt = ut[sl], utt[sl]
-    xi, xi1, rho = gf.op.xi, gf.op.xi1, gf.op.rho
-    rho1 = gf.rho1[sl, None]
-    lrho = rho1 / rho
-    W = np.sqrt(1.0 / rho ** 2 + Ur ** 2 + Ut ** 2 / xi ** 2)
-    a_rr = (Urr + 2 * Ur * lrho + rho * rho1 * Ur ** 3) / W
-    a_rt = (Urt + Ut * lrho + rho * rho1 * Ur ** 2 * Ut
-            - (xi1 / xi) * Ut) / W
-    a_tt = (Utt + rho * rho1 * Ut ** 2 * Ur + xi * xi1 * Ur) / W
-    g_rr = 1.0 + rho ** 2 * Ur ** 2
-    g_rt = rho ** 2 * Ur * Ut
-    g_tt = xi ** 2 + rho ** 2 * Ut ** 2
-    det = g_rr * g_tt - g_rt ** 2
-    i_rr = g_tt / det
-    i_rt = -g_rt / det
-    i_tt = g_rr / det
-    s11 = i_rr * a_rr + i_rt * a_rt
-    s12 = i_rr * a_rt + i_rt * a_tt
-    s21 = i_rt * a_rr + i_tt * a_rt
-    s22 = i_rt * a_rt + i_tt * a_tt
-    nH = np.zeros_like(u)
-    A2 = np.zeros_like(u)
-    nH[sl] = s11 + s22
-    A2[sl] = s11 ** 2 + 2 * s12 * s21 + s22 ** 2
-    nH[0], nH[-1] = nH[1], nH[-2]
-    A2[0], A2[-1] = A2[1], A2[-2]
-    return A2, nH
+    v = u.reshape(grid.shape())
+    ur, vt = _slopes(gf, grid, v)
+    forms = _curvatures(gf, grid, model.n, v, ur, vt,
+                        _tilt(gf.at.rho[:, None], ur, vt))
+    return tuple(np.pad(a, ((1, 1), (0, 0)), mode="edge").reshape(u.shape)
+                 for a in forms)
 
 
 def radial_second_fundamental_form(model: ModelGeometry, r: np.ndarray,
                                    u: np.ndarray
                                    ) -> tuple[np.ndarray, np.ndarray]:
     """Principal curvatures of a radial graph: the profile direction and
-    the (n-1)-fold spherical direction.  Returns (|A|^2, nH) on the grid.
-    u may stack several fields; r runs along its last axis."""
-    return _radial_sff(model.n, factors(model.xi, model.rho, r),
-                       model.rho.d1(r), r, u)
-
-
-def _radial_sff(n: int, f: Factors, rho1: np.ndarray, r: np.ndarray,
-                u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ur = np.gradient(u, r, axis=-1)
-    urr = _d2_nonuniform(r, u)
-    pole = r[0] <= R_MIN
-    if pole:
-        ur[..., 0] = 0.0
-        urr[..., 0] = 2.0 * (u[..., 1] - u[..., 0]) / (r[1] - r[0]) ** 2
-    rho, xi_ratio = f.rho, f.xi_ratio
-    W = np.sqrt(1.0 / rho ** 2 + ur ** 2)
-    lam_r = (urr + 2 * ur * rho1 / rho + rho * rho1 * ur ** 3) \
-        / (W * (1.0 + rho ** 2 * ur ** 2))
-    lam_t = xi_ratio * ur / W
-    if pole:
-        lam_t[..., 0] = urr[..., 0] / W[..., 0]
-        lam_r[..., 0] = urr[..., 0] / W[..., 0]
-    A2 = lam_r ** 2 + (n - 1) * lam_t ** 2
-    nH = lam_r + (n - 1) * lam_t
-    return A2, nH
+    the (n-1)-fold spherical direction.  Returns (|A|^2, nH) on the
+    increasing radii r, evaluated at the interior nodes by three-point
+    differences and copied to the first and last node from their
+    neighbours, the pole/rim rule of ``second_fundamental_form``.  u may
+    stack several fields; r runs along its last axis."""
+    r = np.asarray(r, dtype=float)
+    u = np.asarray(u, dtype=float)
+    h1, h2 = np.diff(r)[:-1], np.diff(r)[1:]
+    ur = np.gradient(u, r, axis=-1)[..., 1:-1]
+    urr = 2.0 * (u[..., :-2] / (h1 * (h1 + h2)) - u[..., 1:-1] / (h1 * h2)
+                 + u[..., 2:] / (h2 * (h1 + h2)))
+    f = factors(model.xi, model.rho, r[1:-1])
+    forms = _radial_forms(model.n, f, ur, urr, _tilt(f.rho, ur))
+    return tuple(np.pad(a, [(0, 0)] * (a.ndim - 1) + [(1, 1)], mode="edge")
+                 for a in forms)
 
 
 # ---------------------------------------------------------------------------
@@ -663,12 +655,18 @@ class Trajectory:
     max_A: np.ndarray
 
 
-def _max_grad(model: ModelGeometry, grid: Grid, state: FlowState) -> float:
-    rho = _grid_factors(model.n, model.xi, model.rho, grid).at.rho
-    if state.u.ndim == 2:
-        rho = rho[:, None]
-    grad2 = state.W ** 2 - 1.0 / rho ** 2
-    return float(math.sqrt(max(float(np.max(grad2)), 0.0)))
+def _diagnostics(model: ModelGeometry, grid: Grid,
+                 state: FlowState) -> tuple[float, float]:
+    """(max|grad u|, max|A|) of a state, from its slopes and W.  The |A|
+    field's pole and rim rows copy interior rows, so rows 1..nr-1 hold its
+    maximum."""
+    gf = _grid_factors(model.n, model.xi, model.rho, grid)
+    u = state.u.reshape(grid.shape())
+    ur, vt = _slopes(gf, grid, u)
+    A2, _ = _curvatures(gf, grid, model.n, u, ur, vt,
+                        state.W.reshape(grid.shape()))
+    return (math.sqrt(float(np.max(ur * ur + vt * vt))),
+            math.sqrt(float(np.max(A2))))
 
 
 def solve_ball(problem: BallProblem, grid: Grid, control: StepControl,
@@ -701,9 +699,7 @@ def solve_ball(problem: BallProblem, grid: Grid, control: StepControl,
     dt = problem.T / n_steps
     states = [state]
     times = [0.0]
-    mg = [_max_grad(model, grid, state)]
-    a2, _ = second_fundamental_form(model, grid, state.u)
-    ma = [float(np.sqrt(np.max(a2)))]
+    diag = [_diagnostics(model, grid, state)]
     for sidx in range(n_steps):
         state = step(state, problem, grid, control, dt=dt, phi_row=phi)
         if float(np.max(np.abs(state.u))) > guard:
@@ -712,15 +708,14 @@ def solve_ball(problem: BallProblem, grid: Grid, control: StepControl,
                 f"sup|u| exceeds 10x the maximum-principle bound "
                 f"{guard / 10.0:.4g}")
         times.append(state.t)
-        mg.append(_max_grad(model, grid, state))
-        a2, _ = second_fundamental_form(model, grid, state.u)
-        ma.append(float(np.sqrt(np.max(a2))))
+        diag.append(_diagnostics(model, grid, state))
         last = sidx == n_steps - 1
         if last or (snapshot_every and (sidx + 1) % snapshot_every == 0):
             states.append(state)
+    max_grad, max_A = np.array(diag).T.copy()
     return Trajectory(problem=problem, grid=grid, control=control,
                       states=states, times=np.asarray(times),
-                      max_grad=np.asarray(mg), max_A=np.asarray(ma))
+                      max_grad=max_grad, max_A=max_A)
 
 
 def radial_solve(problem: BallProblem, nr: int,
@@ -796,10 +791,10 @@ def residual_identities(model: ModelGeometry, trajectory: Trajectory,
     zeta = model.zeta(r)
     ric_ss, ric_rr, _ = ambient_frame(model).ricci_eigenvalues(
         np.where(r > R_MIN, r, 1e-6))
-    Ur_all = np.gradient(U, r, axis=1)
-    Ur_all[:, 0] = 0.0
-    W_all = np.sqrt(1.0 / rho ** 2 + Ur_all ** 2)
-    u, ur, W = U[win], Ur_all[win], W_all[win]
+    W_all = np.stack([s.W for s in trajectory.states])
+    u, W = U[win], W_all[win]
+    ur = np.gradient(u, r, axis=1)
+    ur[:, 0] = 0.0
     sl = np.s_[:, 3:-3]
     # Each residual is summed in place and reduced to its extreme before
     # the next one is formed, and fields are dropped after their last use:

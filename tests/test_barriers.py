@@ -279,10 +279,16 @@ def test_sc_barrier_needs_growing_warping():
         make_sc_barrier(flat, GeodesicSpec.at_distance(1.0), C=1.0, d0=2.0)
 
 
-def test_sc_barrier_argument_guards(hyp2, euclid2):
+def test_sc_barrier_argument_guards(hyp2, euclid2, hyp3):
     g = GeodesicSpec.at_distance(1.0)
     with pytest.raises(BarrierError):
         make_sc_barrier(euclid2, g, C=1.0, d0=2.0)
+    # the barrier and pointwise_Q are the n = 2 forms
+    with pytest.raises(BarrierError, match="n = 2"):
+        make_sc_barrier(hyp3, g, C=1.0, d0=2.0)
+    with pytest.raises(BarrierError, match="n = 2"):
+        pointwise_Q(hyp3, lambda r, th: r * np.cos(th), np.array([1.0]),
+                    np.array([0.0]))
     with pytest.raises(BarrierError):
         make_sc_barrier(hyp2, g, C=1.0, d0=1.0)
     with pytest.raises(BarrierError):

@@ -78,6 +78,26 @@ def test_cmc_csv(capsys):
     assert lines[-1].split(",")[2] == "-inf"
 
 
+def test_barrier_at_infinity_is_checked_for_hyperbolic_n2_only(capsys):
+    # the barrier at infinity and pointwise_Q are the n = 2 forms: for
+    # n = 3 the report used to pass the H2 value, -0.014216082014346909,
+    # bit for bit; now the check is absent there, as for Euclidean bases
+    reports = {}
+    for n in ("2", "3"):
+        rc, out = _run(["barrier", "--model", "hyperbolic", "--n", n], capsys)
+        reports[n] = json.loads(out)
+        jsonschema.validate(reports[n], _schema("barrier_report"))
+        assert rc == 0 and reports[n]["pass"]
+    names = {n: [c["name"] for c in r["residual_checks"]]
+             for n, r in reports.items()}
+    assert "sc_barrier_operator_sign" in names["2"]
+    assert "sc_barrier_operator_sign" not in names["3"]
+    assert "sc_alpha" not in reports["3"]["constants"]
+    sign = reports["2"]["residual_checks"][names["2"].index(
+        "sc_barrier_operator_sign")]
+    assert sign["value"] == -0.014216082014346909
+
+
 def test_cmc_svg(tmp_path, capsys):
     svg = tmp_path / "p.svg"
     rc, _ = _run(["cmc", "--model", "euclidean", "--R", "1.0",
@@ -314,12 +334,12 @@ def test_non_finite_step_exits_1(tmp_path, ntheta, monkeypatch, capsys):
 
 
 def test_domain_error_exits_1(capsys):
-    # hyperbolic rim radius beyond double-precision reach: A^2 overflows,
+    # hyperbolic rim radius beyond double-precision reach: A overflows,
     # which the rim set-up names before any slope is formed
-    assert dispatch(["cmc", "--model", "hyperbolic", "--R", "300"]) == 1
+    assert dispatch(["cmc", "--model", "hyperbolic", "--R", "400"]) == 1
     assert capsys.readouterr().err.startswith(
-        "error: A^2 = (rho xi^(n-1))^2 overflows at the rim radius R=300 "
-        "(xi: hyperbolic, rho: cosh)")
+        "error: A = rho xi^(n-1) or its volume integral V overflows at the "
+        "rim radius R=400 (xi: hyperbolic, rho: cosh)")
 
 
 def test_quadrature_error_exits_1(monkeypatch, capsys):
@@ -370,14 +390,14 @@ assert not loaded, loaded
 """
 
 
-def _run_fresh(code, *args):
+def _run_fresh(code, *args, **env):
     # this test module has imported SciPy itself, so only a fresh
     # interpreter can see what the package and its commands load
     src = os.path.dirname(os.path.dirname(killingflow.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code, *map(str, args)],
                           capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          env=dict(os.environ, PYTHONPATH=path, **env))
 
 
 def test_startup_loads_no_deferred_scipy(tmp_path):
@@ -405,6 +425,19 @@ def test_exhaust_loads_no_interpolation():
     # and R(t) is Newton on the time integral, with no scipy.optimize
     proc = _run_fresh(_EXHAUST_CHILD)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_exhaust_report_is_independent_of_blas_threads():
+    # a report is a function of its inputs only; the JSON carries each
+    # rung's d_k, margins, max_grad and max_A
+    code = ("from killingflow.cli import dispatch\n"
+            "dispatch(['exhaust', '--model', 'hyperbolic', '--rungs', '2'])")
+    outs = []
+    for threads in ("1", "2"):
+        proc = _run_fresh(code, OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert json.loads(outs[0])["rungs"] and outs[0] == outs[1]
 
 
 _TOKENS = st.sampled_from([

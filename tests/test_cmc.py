@@ -166,6 +166,17 @@ def test_large_rim_heights_with_closed_form_q_drop(request, name, R):
         R, abs=1e-13)
 
 
+@pytest.mark.parametrize("name,R", [("hyp2", 180.0), ("hyp2", 355.0),
+                                    ("hyp3", 180.0), ("hyp3", 236.0)])
+def test_rim_heights_past_the_overflow_of_A_squared(request, name, R):
+    # the slopes are formed from nH V / A, never from A^2 - (nH V)^2, so
+    # the rim reaches past R = 178 (n = 2) and 118 (n = 3), where A^2
+    # overflows, up to where A itself does
+    v = sample_vR(request.getfixturevalue(name), R, np.linspace(0.0, R, 33))
+    assert np.all(np.isfinite(v)) and np.all(np.diff(v) < 0.0)
+    assert v[0] == pytest.approx(R, abs=1e-12)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.3, 3.0), st.floats(0.01, 0.99))
 def test_height_decreasing_property(hyp2, R, frac):

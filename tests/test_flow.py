@@ -224,6 +224,48 @@ def test_hemisphere_curvature(euclid2):
     assert float(np.max(np.abs(nH[mask] + 2.0))) < 1e-3
 
 
+@pytest.mark.parametrize("model_name", ["euclid2", "hyp2"])
+@pytest.mark.parametrize("u0,phi", [
+    # max|A| next to the pole
+    (lambda r, th: 0.3 * np.cos(0.5 * np.pi * r) ** 2 * np.ones_like(th), 0.0),
+    # max|grad u| on the rim row
+    (lambda r, th: 0.5 * r ** 8 * np.ones_like(th), 0.5)])
+def test_radial_and_polar_diagnostics_agree(request, model_name, u0, phi):
+    # one slope rule, one W and one pole/rim rule on both grids: the
+    # radial run and the 2-D run of rotationally symmetric data record the
+    # same max|grad u| and max|A| at every step
+    model = request.getfixturevalue(model_name)
+    p = BallProblem(model=model, R=1.0, phi=lambda th: np.full_like(th, phi),
+                    u0=u0, T=0.02)
+    radial, polar = (solve_ball(p, Grid(R=1.0, nr=64, ntheta=nt),
+                                StepControl(dt_max=0.02 / 16),
+                                snapshot_every=1) for nt in (1, 16))
+    np.testing.assert_allclose(polar.max_grad, radial.max_grad,
+                               rtol=0.0, atol=1e-12)
+    # the two solves order their sums differently, so the states differ
+    # by roundoff du, which the second differences of |A| scale by 4 / h^2
+    du = max(float(np.max(np.abs(a.u - b.u[:, 0])))
+             for a, b in zip(radial.states, polar.states))
+    assert du < 1e-14
+    np.testing.assert_allclose(polar.max_A, radial.max_A, rtol=0.0,
+                               atol=1e-12 + 8.0 * du * 64 ** 2)
+    for grid, tr in ((radial.grid, radial), (polar.grid, polar)):
+        for s in tr.states:
+            # the recorded max|A| is the maximum of the public field
+            a2, _ = second_fundamental_form(model, grid, s.u)
+            assert math.sqrt(float(np.max(a2))) == pytest.approx(
+                tr.max_A[s.step_count], rel=1e-15)
+    for s in radial.states:
+        # on one state the two grids give the same fields
+        u2 = np.repeat(s.u[:, None], 16, axis=1)
+        fields = zip((*second_fundamental_form(model, radial.grid, s.u), s.W),
+                     (*second_fundamental_form(model, polar.grid, u2),
+                      compute_W(model, polar.grid, u2)))
+        for f_r, f_p in fields:
+            np.testing.assert_allclose(f_p, np.repeat(f_r[:, None], 16, 1),
+                                       rtol=0.0, atol=1e-12)
+
+
 def test_zero_graph_curvature_exact(euclid2):
     g = Grid(R=1.0, nr=64, ntheta=16)
     A2, nH = second_fundamental_form(euclid2, g, np.zeros(g.shape()))
@@ -361,8 +403,7 @@ def test_per_grid_invariants_are_read_only(hyp2):
         assert g.r is g.r and g.theta is g.theta
         gf = flow._grid_factors(hyp2.n, hyp2.xi, hyp2.rho, g)
         assert flow._grid_factors(hyp2.n, hyp2.xi, hyp2.rho, g) is gf
-        arrays = [g.r, g.theta, *gf.at, *gf.op, gf.rho1, *gf.cells, gf.cos,
-                  gf.sin]
+        arrays = [g.r, g.theta, *gf.at, *gf.op, *gf.cells, gf.cos, gf.sin]
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0] = 1.0
