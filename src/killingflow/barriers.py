@@ -249,28 +249,29 @@ def make_boundary_barrier(L: float, d0: float) -> BoundaryBarrier:
 # ---------------------------------------------------------------------------
 # barrier at infinity over a geodesic halfplane in the hyperbolic plane
 #
-# Points of the hyperbolic plane are represented on the hyperboloid
-# x1^2 + x2^2 - x3^2 = -1, x3 > 0, with the polar chart
-# X(r, theta) = (sinh r cos theta, sinh r sin theta, cosh r).  A complete
-# geodesic is the zero set of q = <X, nu> for a unit spacelike nu; the
-# halfplane is U = {q > 0} and the signed distance inside U is arcsinh q.
+# Points of the hyperbolic plane of curvature -kappa^2 are represented on
+# the hyperboloid x1^2 + x2^2 - x3^2 = -1, x3 > 0, by the polar chart
+# X(r, theta) = (sinh kr cos theta, sinh kr sin theta, cosh kr), k = kappa,
+# which scales distances by kappa.  A complete geodesic is the zero set of
+# q = <X, nu> for a unit spacelike nu; the halfplane is U = {q > 0} and the
+# signed distance inside U is arcsinh(q) / kappa (Ratcliffe, section 3.2).
 
 
-def _halfplane_distance(nu, r, theta) -> tuple:
+def _halfplane_distance(nu, r, theta, kappa: float) -> tuple:
     """(d, d_r) on broadcast (r, theta) arrays: the signed distance
-    d = arcsinh q to the geodesic {q = 0}, q = <X(r, theta), nu>, and its
-    radial derivative d_r = q_r / sqrt(1 + q^2) with q_r = <d_r X, nu>.
-    Since |grad d| = 1, d_r is also <grad r, grad d>."""
+    d = arcsinh(q) / kappa to the geodesic {q = 0}, q = <X(r, theta), nu>,
+    and d_r = <d_r X, nu> / (kappa sqrt(1 + q^2)).  Since |grad d| = 1,
+    d_r is also <grad r, grad d>."""
     c, s = np.cos(theta), np.sin(theta)
-    sh, ch = np.sinh(r), np.cosh(r)
+    sh, ch = np.sinh(kappa * r), np.cosh(kappa * r)
     q = sh * c * nu[0] + sh * s * nu[1] - ch * nu[2]
     qr = ch * c * nu[0] + ch * s * nu[1] - sh * nu[2]
-    return np.arcsinh(q), qr / np.sqrt(1.0 + q * q)
+    return np.arcsinh(q) / kappa, qr / np.sqrt(1.0 + q * q)
 
 
 @dataclass(frozen=True)
 class GeodesicSpec:
-    """Geodesic halfplane U = {<x, nu> > 0}, nu unit spacelike."""
+    """Geodesic halfplane U = {<X, nu> > 0}, nu unit spacelike."""
 
     nu: tuple[float, float, float]
 
@@ -280,12 +281,12 @@ class GeodesicSpec:
             raise BarrierError("nu must be a unit spacelike vector")
 
     @staticmethod
-    def at_distance(a: float) -> "GeodesicSpec":
+    def at_distance(a: float, kappa: float = 1.0) -> "GeodesicSpec":
         """Halfplane whose boundary geodesic sits at distance a from the
-        pole, with the pole outside."""
+        pole in curvature -kappa^2, with the pole outside."""
         if a <= 0:
             raise BarrierError("a must be positive")
-        return GeodesicSpec((math.cosh(a), 0.0, math.sinh(a)))
+        return GeodesicSpec((math.cosh(kappa * a), 0.0, math.sinh(kappa * a)))
 
 
 @dataclass
@@ -303,10 +304,12 @@ class ScBarrier:
 
     def dist_eval(self, r, theta):
         """Signed distance to the boundary geodesic, positive inside U."""
-        return _halfplane_distance(self.geodesic.nu, r, theta)[0]
+        return _halfplane_distance(self.geodesic.nu, r, theta,
+                                   self.model.xi.kappa)[0]
 
     def radial_dist_derivative(self, r, theta):
-        return _halfplane_distance(self.geodesic.nu, r, theta)[1]
+        return _halfplane_distance(self.geodesic.nu, r, theta,
+                                   self.model.xi.kappa)[1]
 
     def eta(self, r, theta):
         d = self.dist_eval(r, theta)
@@ -316,13 +319,14 @@ class ScBarrier:
 
 def _sample_deep_region(geodesic: GeodesicSpec, d0: float, count: int,
                         rng: np.random.Generator | None = None,
-                        margin: float = 0.0) -> np.ndarray:
+                        margin: float = 0.0,
+                        kappa: float = 1.0) -> np.ndarray:
     """Sample (r, theta) points with distance in [d0 + margin,
-    d0 + margin + 5]: the first count hits of 200 count uniform draws
-    (theta in [-0.6, 0.6), r in [0, 30))."""
+    d0 + margin + 5] in curvature -kappa^2: the first count hits of
+    200 count uniform draws (theta in [-0.6, 0.6), r in [0, 30))."""
     rng = rng or np.random.default_rng(0)
     theta, r = rng.uniform((-0.6, 0.0), (0.6, 30.0), size=(200 * count, 2)).T
-    d = _halfplane_distance(geodesic.nu, r, theta)[0]
+    d = _halfplane_distance(geodesic.nu, r, theta, kappa)[0]
     hits = np.flatnonzero((d0 + margin <= d) & (d <= d0 + margin + 5.0))
     hits = hits[:count]
     if hits.size < count:
@@ -343,7 +347,8 @@ def make_sc_barrier(model: ModelGeometry, halfplane_geodesic: GeodesicSpec,
 
     Only implemented for the hyperbolic built-in base (the one base with a
     distance-to-convex-set in closed form) of dimension n = 2, the one
-    ``pointwise_Q`` checks it on.  The decay rate alpha is the
+    ``pointwise_Q`` checks it on, in curvature -kappa^2 for the geodesic
+    of ``GeodesicSpec.at_distance(a, kappa)``.  The decay rate alpha is the
     sampled infimum of (rho'/rho) <grad r, grad d> over the deep region; a
     nonpositive infimum (e.g. constant rho) is a construction error, since
     the barrier then cannot decay.
@@ -355,10 +360,11 @@ def make_sc_barrier(model: ModelGeometry, halfplane_geodesic: GeodesicSpec,
         raise BarrierError("d0 must be >= 2")
     if C <= 0:
         raise BarrierError("barrier height C must be positive")
+    kappa = model.xi.kappa
     r, theta = _sample_deep_region(halfplane_geodesic, d0, samples,
-                                   np.random.default_rng(seed)).T
+                                   np.random.default_rng(seed), kappa=kappa).T
     lr = model.log_rho_d1(np.maximum(r, R_MIN))
-    dr = _halfplane_distance(halfplane_geodesic.nu, r, theta)[1]
+    dr = _halfplane_distance(halfplane_geodesic.nu, r, theta, kappa)[1]
     alpha = float(np.min(lr * dr, initial=math.inf))
     if not alpha > 0.0:
         raise BarrierError(

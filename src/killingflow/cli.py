@@ -120,13 +120,14 @@ def _cmd_barrier(args) -> int:
     if model.xi.kind == "hyperbolic" and model.n == 2:
         try:
             sc = barriers.make_sc_barrier(
-                model, barriers.GeodesicSpec.at_distance(1.0),
-                C=1.0, d0=2.0, seed=args.seed)
+                model, barriers.GeodesicSpec.at_distance(
+                    1.0, model.xi.kappa), C=1.0, d0=2.0, seed=args.seed)
             constants["sc_alpha"] = sc.alpha
             constants["sc_C1"] = sc.C1
             r, th = barriers._sample_deep_region(
                 sc.geodesic, sc.d0, 200,
-                np.random.default_rng(args.seed), margin=0.1).T
+                np.random.default_rng(args.seed), margin=0.1,
+                kappa=model.xi.kappa).T
             qmax = float(np.max(barriers.pointwise_Q(model, sc.eta, r, th)))
             checks.append({"name": "sc_barrier_operator_sign",
                            "value": qmax, "pass": bool(qmax <= 1e-3)})

@@ -23,7 +23,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .geometry import ModelGeometry, R_MIN
-from .quadrature import gauss_kronrod
+from .quadrature import QuadratureError, gauss_kronrod
 
 
 class CmcError(ValueError):
@@ -129,15 +129,17 @@ def _rim_heights(model: ModelGeometry, R: float, radii: np.ndarray,
     rate, the noise floor 1e-14 |A'(R)|.  Each panel's tolerance is
     floored at that noise times its width, so on models where A grows
     exponentially and at large rim radii the heights honestly carry the
-    noise-floor error instead of subdivision chasing noise.
+    noise-floor error instead of subdivision chasing noise.  Where that
+    noise defeats the quadrature, it raises the precision CmcError.
     """
     _check_rim(model, R)
     floor = 0.0 if model.exact_q_drop else 1e-14 * abs(model.A_prime(R))
+    too_large = CmcError(
+        f"rim radius R={R:g} too large for this model in double "
+        f"precision: the area profile grows past the point where the "
+        f"profile slope can be resolved")
     if floor > 5e-3:
-        raise CmcError(
-            f"rim radius R={R:g} too large for this model in double "
-            f"precision: the area profile grows past the point where the "
-            f"profile slope can be resolved")
+        raise too_large
     # g is smooth in tau with g(tau) = g(0) + O(tau^2), but below tau_min
     # the difference R - tau^2 is lost to rounding; freeze tau there
     # (g' = O(tau), so the induced height error is O(tau_min^3))
@@ -155,8 +157,14 @@ def _rim_heights(model: ModelGeometry, R: float, radii: np.ndarray,
     taus = np.sqrt(R - radii)
     prev = np.concatenate(([0.0], taus[:-1]))
     width = taus - prev
-    return np.cumsum(gauss_kronrod(
-        g, prev, taus, tol * np.maximum(width / taus[-1], 1e-3), floor))
+    try:
+        gaps = gauss_kronrod(
+            g, prev, taus, tol * np.maximum(width / taus[-1], 1e-3), floor)
+    except QuadratureError as exc:
+        if floor == 0.0:        # no slope noise to stop the subdivision
+            raise
+        raise too_large from exc
+    return np.cumsum(gaps)
 
 
 def sample_vR(model: ModelGeometry, R: float, r_grid: np.ndarray,

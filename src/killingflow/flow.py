@@ -23,9 +23,9 @@ data.  The weights are stored as the symmetric conductances c_jk = c_kj
 and the row measures m_j = dV_j / P_j (``_radial_weights``,
 ``_polar_weights``; the pole row's measure is ntheta dV_0 / P_0), and feed
 
-* ``radial_Q``, ``discretize_Q`` and the explicit Euler step (a debugging
-  fallback), which checks dt max_j sum_k w_jk <= cfl on the weights of the
-  state it steps;
+* ``discretize_Q`` (and ``radial_Q``, the same operator on the nodes of a
+  radial grid) and the explicit Euler step (a debugging fallback), which
+  checks dt max_j sum_k w_jk <= cfl on the weights of the state it steps;
 * the default semi-implicit step, which lags them one step.  Row j of the
   M-matrix I - dt L(u) times m_j is the symmetric, strictly diagonally
   dominant S = diag(m) - dt C, C the graph Laplacian of the conductances,
@@ -48,7 +48,8 @@ one-sided difference on the rim row and, at the pole, the gradient fitted
 to the first ring (0 on a radial grid); W is formed from them in
 ``_tilt`` alone.  |A| is evaluated on rows 1..nr-1, and its pole and rim
 rows copy the nearest interior row.  ``solve_ball`` takes max|grad u| and
-max|A| of each state from one pass (``_diagnostics``) that builds no field.
+max|A| of each state from one pass (``_diagnostics``) that builds no field;
+``second_fundamental_form`` and ``residual_identities`` read the same ones.
 """
 
 from __future__ import annotations
@@ -221,10 +222,10 @@ def _theta_slope(u: np.ndarray, k: float) -> np.ndarray:
 
 
 class _Cells(NamedTuple):
-    """Finite volumes on increasing radii r: face f halfway between nodes f
-    and f + 1, node j's cell between its faces (from r_0 at j = 0).  Nodes
-    that do not move (the last, a first one off the pole) get infinite
-    measure, so their rows of weights are zero."""
+    """Finite volumes on the nodes r of a radial grid: face f halfway
+    between nodes f and f + 1, node j's cell between its faces (from the
+    pole at j = 0).  The Dirichlet node does not move: it gets infinite
+    measure, so its row of weights is zero."""
 
     dr: np.ndarray          # r_{f+1} - r_f
     inv_rho2: np.ndarray    # rho^-2 at the nodes
@@ -238,7 +239,7 @@ _GAUSS = np.polynomial.legendre.leggauss(8)     # nodes, weights on [-1, 1]
 
 
 def _cells(n: int, xi: ProfileSpec, rho: ProfileSpec, r) -> _Cells:
-    """The finite volumes of the radii r in base dimension n.  The cell
+    """The finite volumes of the grid nodes r in base dimension n.  The cell
     measures come from one 8-point Gauss-Legendre pass, exact for the
     Euclidean polynomials up to n = 16 and to roundoff for smooth profiles
     (xi_j^(n-1) h would be O(1) wrong next to the pole for n >= 3)."""
@@ -265,21 +266,9 @@ def _cells(n: int, xi: ProfileSpec, rho: ProfileSpec, r) -> _Cells:
         raise FlowError(f"{name} overflows at r = {r_bad:.6g} (xi: {xi.kind}, "
                         f"rho: {rho.kind}): the grid reaches past the radii "
                         f"this model can represent in double precision")
-    dV = np.append(dV, math.inf)
-    if r[0] > R_MIN:
-        dV[0] = math.inf
     return _Cells(dr=dr, inv_rho2=rho_r ** -2,
                   inv_rho2_f=face.rho ** -2, inv_xi2_f=face.inv_xi2,
-                  cond=cond, dV=dV)
-
-
-@functools.lru_cache(maxsize=32)
-def _radial_cells(n: int, xi: ProfileSpec, rho: ProfileSpec,
-                  r: bytes) -> _Cells:
-    """The finite volumes of _cells, built once per (n, xi, rho, radii) and
-    read-only, for radial_Q and _grid_factors; the radii come as the bytes
-    of their float array, since an array is not hashable."""
-    return _Cells(*map(_read_only, _cells(n, xi, rho, np.frombuffer(r))))
+                  cond=cond, dV=np.append(dV, math.inf))
 
 
 class _GridFactors(NamedTuple):
@@ -303,7 +292,7 @@ def _grid_factors(n: int, xi: ProfileSpec, rho: ProfileSpec,
     every array is read-only.  The key is the model's dimension and two
     frozen profiles, since ModelGeometry is not hashable.  The cells come
     first: building them raises FlowError where the profiles overflow."""
-    cells = _radial_cells(n, xi, rho, grid.r.tobytes())
+    cells = _Cells(*map(_read_only, _cells(n, xi, rho, grid.r)))
     at = Factors(*map(_read_only, factors(xi, rho, grid.r)))
     return _GridFactors(
         at=at, op=Factors(*(a[1:-1, None] for a in at)), cells=cells,
@@ -322,7 +311,8 @@ def _pole_fourier(u_ring: np.ndarray, h: float, gf: _GridFactors):
 def _slopes(gf: _GridFactors, grid: Grid, u: np.ndarray):
     """(u_r, u_theta / xi) at every node of u, a field of the grid's
     shape; at the pole, the polar components of the gradient
-    ``_pole_fourier`` fits.  A radial grid's u_theta is the scalar 0.0."""
+    ``_pole_fourier`` fits.  A radial grid's u_theta is the scalar 0.0,
+    and its u may stack fields as columns."""
     h = grid.hr
     ur = np.empty_like(u)
     ur[1:-1] = (u[2:] - u[:-2]) / (2 * h)
@@ -373,9 +363,9 @@ class _Polar(NamedTuple):
 
 
 def _radial_weights(c: _Cells, u: np.ndarray) -> _Radial:
-    """The radial operator on the finite volumes c.  At a pole first node
-    the slope is zero and P = 1/rho; nodes that do not move have infinite
-    measure, so their rows of weights are zero."""
+    """The radial operator on the finite volumes c.  At the pole the slope
+    is zero and P = 1/rho; the Dirichlet node has infinite measure, so its
+    row of weights is zero."""
     s = np.diff(u) / c.dr
     g = c.cond / np.sqrt(c.inv_rho2_f + s * s)
     s = np.concatenate(([0.0], s, [0.0]))                  # 0 past the ends
@@ -431,14 +421,24 @@ def _apply(w: _Radial | _Polar, u: np.ndarray) -> np.ndarray:
     return Q
 
 
+@functools.lru_cache(maxsize=32)
+def _radial_grid(R: float, nr: int) -> Grid:
+    """Grid(R, nr, 1) and its nodes, built once for radial_Q's calls."""
+    return Grid(R=R, nr=nr, ntheta=1)
+
+
 def radial_Q(model: ModelGeometry, r: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Discrete flow operator for radial fields on an increasing r grid,
-    in base dimension model.n.  The first node may be the pole (r = 0);
-    off the pole it reads zero, like the last (Dirichlet) node."""
-    u = np.asarray(u, dtype=float)
-    cells = _radial_cells(model.n, model.xi, model.rho,
-                          np.asarray(r, dtype=float).tobytes())
-    return _apply(_radial_weights(cells, u), u)
+    """``discretize_Q`` of a radial field u on the nodes r of the radial
+    grid Grid(R=r[-1], nr=r.size - 1, ntheta=1), np.linspace(0, R, nr + 1);
+    raises FlowError for any other radii."""
+    r = np.asarray(r, dtype=float)
+    if r.ndim != 1 or r.size == 0:
+        raise FlowError("radial_Q takes a 1-d array of radii")
+    grid = _radial_grid(float(r[-1]), r.size - 1)
+    if not np.array_equal(r, grid.r):
+        raise FlowError("radial_Q takes the nodes np.linspace(0, R, nr + 1) "
+                        "of a radial grid")
+    return discretize_Q(model, grid, np.asarray(u, dtype=float))
 
 
 def discretize_Q(model: ModelGeometry, grid: Grid,
@@ -573,9 +573,9 @@ def _radial_forms(n: int, f: Factors, ur, urr, W):
 
 def _curvatures(gf: _GridFactors, grid: Grid, n: int, u: np.ndarray,
                 ur: np.ndarray, vt, W: np.ndarray):
-    """(|A|^2, nH) on rows 1..nr-1 of a field u of the grid's shape, from
-    its slopes (``_slopes``), its tilt factor W and centred second
-    differences.  The 2-D branch writes the second fundamental form times
+    """(|A|^2, nH) on rows 1..nr-1 of a field u of the grid's shape (on a
+    radial grid, of the columns of u), from its slopes (``_slopes``), its
+    tilt factor W and centred second differences.  The 2-D branch writes the second fundamental form times
     W, b, in the frame (d_r, d_theta / xi), where the induced metric is
     g = I + rho^2 grad u grad u^T with det g = (rho W)^2; then
     nH = tr(g^-1 b) / W and |A|^2 = (nH)^2 - 2 det b / (det g W^2)."""
@@ -616,27 +616,6 @@ def second_fundamental_form(model: ModelGeometry, grid: Grid,
     forms = _curvatures(gf, grid, model.n, v, ur, vt,
                         _tilt(gf.at.rho[:, None], ur, vt))
     return tuple(np.pad(a, ((1, 1), (0, 0)), mode="edge").reshape(u.shape)
-                 for a in forms)
-
-
-def radial_second_fundamental_form(model: ModelGeometry, r: np.ndarray,
-                                   u: np.ndarray
-                                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Principal curvatures of a radial graph: the profile direction and
-    the (n-1)-fold spherical direction.  Returns (|A|^2, nH) on the
-    increasing radii r, evaluated at the interior nodes by three-point
-    differences and copied to the first and last node from their
-    neighbours, the pole/rim rule of ``second_fundamental_form``.  u may
-    stack several fields; r runs along its last axis."""
-    r = np.asarray(r, dtype=float)
-    u = np.asarray(u, dtype=float)
-    h1, h2 = np.diff(r)[:-1], np.diff(r)[1:]
-    ur = np.gradient(u, r, axis=-1)[..., 1:-1]
-    urr = 2.0 * (u[..., :-2] / (h1 * (h1 + h2)) - u[..., 1:-1] / (h1 * h2)
-                 + u[..., 2:] / (h2 * (h1 + h2)))
-    f = factors(model.xi, model.rho, r[1:-1])
-    forms = _radial_forms(model.n, f, ur, urr, _tilt(f.rho, ur))
-    return tuple(np.pad(a, [(0, 0)] * (a.ndim - 1) + [(1, 1)], mode="edge")
                  for a in forms)
 
 
@@ -784,27 +763,28 @@ def residual_identities(model: ModelGeometry, trajectory: Trajectory,
     win = slice(max(int(np.searchsorted(t, t_min)), 1), t.size - 1)
     if win.start >= win.stop:
         raise FlowError("no snapshots past the burn-in window")
-    rho = model.rho.value(r)
-    rho1 = model.rho.d1(r)
-    xi = model.xi.value(r)
-    xi1 = model.xi.d1(r)
+    gf = _grid_factors(n, model.xi, model.rho, grid)
+    f = gf.at
+    rho, xi = f.rho, f.xi
     zeta = model.zeta(r)
     ric_ss, ric_rr, _ = ambient_frame(model).ricci_eigenvalues(
         np.where(r > R_MIN, r, 1e-6))
     W_all = np.stack([s.W for s in trajectory.states])
     u, W = U[win], W_all[win]
-    ur = np.gradient(u, r, axis=1)
-    ur[:, 0] = 0.0
     sl = np.s_[:, 3:-3]
     # Each residual is summed in place and reduced to its extreme before
     # the next one is formed, and fields are dropped after their last use:
-    # that bounds the (snapshot x node) arrays alive at once.
-    A2, nH = radial_second_fundamental_form(model, r, u)
+    # that bounds the (snapshot x node) arrays alive at once.  The slopes
+    # and forms are the solver's, on the transposed stack; the trim drops
+    # the pole and rim columns (copies, and xi'/xi's stand-in at the pole).
+    ur, _ = _slopes(gf, grid, u.T)
+    A2, nH = (np.pad(a, ((1, 1), (0, 0)), mode="edge").T
+              for a in _curvatures(gf, grid, n, u.T, ur, 0.0, W.T))
+    ur = ur.T
     gauge = nH * ur / W
     del nH
-    xi_ratio = np.where(r > R_MIN, xi1 / np.where(xi > 0, xi, 1.0), 0.0)
     g_rr = 1.0 + rho ** 2 * ur ** 2
-    dlogJ = np.gradient(g_rr, r, axis=-1) / (2.0 * g_rr) + (n - 1) * xi_ratio
+    dlogJ = np.gradient(g_rr, r, axis=-1) / (2.0 * g_rr) + (n - 1) * f.xi_ratio
     # tilt factor
     Wr = np.gradient(W, r, axis=-1)
     res = np.gradient(W_all, t, axis=0)[win] - gauge * Wr
@@ -817,16 +797,16 @@ def residual_identities(model: ModelGeometry, trajectory: Trajectory,
     # height
     res = np.gradient(U, t, axis=0)[win] - gauge * ur
     res -= _intrinsic_laplacian(u, r, g_rr, dlogJ)
-    res += 2.0 * (-(rho1 / rho) * ur / W) * (1.0 / (rho ** 2 * W))
+    res += 2.0 * (-f.lrho * ur / W) * (1.0 / (rho ** 2 * W))
     max_height = float(np.max(np.abs(res[sl])))
     # cylinder size
     res = -gauge * xi
     res -= _intrinsic_laplacian(zeta, r, g_rr, dlogJ)
-    res += n * xi1
+    res += n * f.xi1
     grad_s2 = 1.0 / rho ** 2 - 1.0 / (rho ** 4 * W ** 2)
     # the warping correction pairs the full ambient gradients, so the
     # coefficient is rho'/rho itself, with no tangential projection
-    res += rho ** 2 * grad_s2 * xi * (rho1 / rho - xi_ratio)
+    res += rho ** 2 * grad_s2 * xi * (f.lrho - f.xi_ratio)
     min_slack = float(np.min(res[sl]))
     return IdentityReport(max_abs_tilt=max_tilt, max_abs_height=max_height,
                           min_slack_cylinder=min_slack,

@@ -15,8 +15,8 @@ from killingflow.barriers import (BarrierError, GeodesicSpec,
                                   make_boundary_barrier, make_sc_barrier,
                                   mu_of_t, pointwise_Q, verify_supersolution)
 from killingflow.cmc import CmcError
-from killingflow.geometry import (constant_profile, hyperbolic_profile,
-                                  make_model)
+from killingflow.geometry import (constant_profile, hyperbolic_model,
+                                  hyperbolic_profile, make_model)
 
 
 # -- expanding radial supersolution ---------------------------------------------
@@ -221,6 +221,29 @@ def test_halfplane_distance_on_arrays(hyp2):
     np.testing.assert_allclose(sc.dist_eval(r[:, None], th[None, :]),
                                sc.dist_eval(r[:, None], -th[None, :]),
                                rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
+def test_halfplane_distance_is_a_distance_in_curvature_kappa(kappa):
+    # in curvature -kappa^2, |grad d|^2 = d_r^2 + (d_theta / xi)^2 = 1 with
+    # xi = sinh(kappa r) / kappa, and the geodesic at_distance(a) builds
+    # sits at distance a from the pole
+    model = hyperbolic_model(n=2, kappa=kappa)
+    sc = make_sc_barrier(model, GeodesicSpec.at_distance(1.0, kappa),
+                         C=1.0, d0=2.0)
+    r, th = _sample_deep_region(sc.geodesic, sc.d0, 200,
+                                np.random.default_rng(5), kappa=kappa).T
+    # complex-step derivatives: exact to rounding, with no cancellation
+    h = 1e-20
+    d_th = sc.dist_eval(r, th + 1j * h).imag / h
+    d_r = sc.dist_eval(r + 1j * h, th).imag / h
+    np.testing.assert_allclose(sc.radial_dist_derivative(r, th), d_r,
+                               rtol=0.0, atol=1e-8)
+    grad2 = d_r ** 2 + (d_th / model.xi.value(r)) ** 2
+    np.testing.assert_allclose(grad2, 1.0, rtol=0.0, atol=1e-8)
+    axis = np.linspace(0.0, 6.0, 25)
+    np.testing.assert_allclose(sc.dist_eval(axis, 0.0), axis - 1.0,
+                               rtol=0.0, atol=1e-12)
 
 
 def test_eta_on_polar_grid_matches_pointwise(hyp2):

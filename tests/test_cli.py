@@ -1,7 +1,9 @@
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -96,6 +98,27 @@ def test_barrier_at_infinity_is_checked_for_hyperbolic_n2_only(capsys):
     sign = reports["2"]["residual_checks"][names["2"].index(
         "sc_barrier_operator_sign")]
     assert sign["value"] == -0.014216082014346909
+
+
+def test_barrier_at_infinity_in_curvature_kappa(capsys):
+    # the barrier is built on the distance of curvature -kappa^2: before,
+    # kappa = 2 sampled the unit-curvature distance and reported alpha
+    # 1.9546867114873054 from the wrong deep region
+    rc, out = _run(["barrier", "--model", "hyperbolic", "--kappa", "2"],
+                   capsys)
+    report = json.loads(out)
+    jsonschema.validate(report, _schema("barrier_report"))
+    assert rc == 0 and report["pass"]
+    sign = [c for c in report["residual_checks"]
+            if c["name"] == "sc_barrier_operator_sign"]
+    assert len(sign) == 1 and sign[0]["pass"]
+    model = killingflow.hyperbolic_model(n=2, kappa=2.0)
+    sc = killingflow.barriers.make_sc_barrier(
+        model, killingflow.barriers.GeodesicSpec.at_distance(1.0, 2.0),
+        C=1.0, d0=2.0)
+    assert report["constants"]["sc_alpha"] == sc.alpha
+    # the rate is an infimum of (rho'/rho) <grad r, grad d> <= kappa
+    assert 0.0 < sc.alpha <= 2.0
 
 
 def test_cmc_svg(tmp_path, capsys):
@@ -372,6 +395,20 @@ def test_console_entry_point():
         env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     jsonschema.validate(json.loads(proc.stdout), _schema("model_info"))
+
+
+def test_runtime_warnings_are_errors_in_every_module():
+    # the pytest filterwarnings of pyproject.toml must make a RuntimeWarning
+    # (an overflow, an invalid value) fail the test in every package module
+    uncovered = []
+    for mod in pkgutil.iter_modules(killingflow.__path__):
+        try:
+            warnings.warn_explicit("probe", RuntimeWarning, f"{mod.name}.py",
+                                   1, module=f"killingflow.{mod.name}")
+        except RuntimeWarning:
+            continue
+        uncovered.append(mod.name)
+    assert not uncovered
 
 
 _STARTUP_CHILD = """

@@ -150,6 +150,23 @@ def test_large_rim_raises_at_precision_limit():
         eval_vR(model, 30.0, 0.0)
 
 
+def test_rim_scan_below_precision_limit_raises_only_cmc_error():
+    # just below the up-front limit, the floored quadrature used to chase
+    # the slope noise to its depth cap and raise QuadratureError (at
+    # R = 26.75 to 27.5); each rim radius gives a height or CmcError
+    model = make_model(hyperbolic_profile(), hyperbolic_profile(),
+                       constant_profile(1.0), 2)
+    assert eval_vR(model, 26.5, 0.0) == 892318.0493235218
+    raised = 0
+    for R in np.arange(26.0, 28.001, 0.25):
+        try:
+            assert math.isfinite(eval_vR(model, float(R), 0.0))
+        except CmcError as exc:
+            assert "double precision" in str(exc)
+            raised += 1
+    assert raised > 0
+
+
 def test_large_rim_still_works_at_moderate_radius(hyp2):
     # deep hyperbolic rims: v(0) ~ R since the profile hugs the rim sphere
     v = eval_vR(hyp2, 8.76, 0.0)

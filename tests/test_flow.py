@@ -16,8 +16,7 @@ from killingflow.barriers import pointwise_Q
 from killingflow.flow import (BallProblem, FlowError, Grid, StepControl,
                               compute_W, discretize_Q, load_run,
                               load_snapshot, model_hash, radial_Q,
-                              radial_second_fundamental_form, radial_solve,
-                              save_run, save_snapshot,
+                              radial_solve, save_run, save_snapshot,
                               second_fundamental_form, solve_ball, step)
 
 
@@ -152,8 +151,9 @@ def test_radial_Q_on_cmc_profile_is_WnH(euclid2, hyp2):
 
 @pytest.mark.parametrize("model_name", ["euclid3", "hyp2"])
 def test_radial_Q_cached_cells_bit_identical(request, model_name):
-    # radial_Q reads its finite volumes from a per-(n, xi, rho, r) cache;
-    # the cached, read-only cells give the uncached build's output exactly
+    # radial_Q reads its finite volumes from the per-(n, xi, rho, grid)
+    # _grid_factors cache; the cached, read-only cells give the uncached
+    # build's output exactly
     model = request.getfixturevalue(model_name)
     r = np.linspace(0.0, 1.0, 64)
     u = 0.3 * np.cos(0.5 * math.pi * r)
@@ -161,10 +161,23 @@ def test_radial_Q_cached_cells_bit_identical(request, model_name):
         flow._cells(model.n, model.xi, model.rho, r), u), u)
     for _ in range(2):
         np.testing.assert_array_equal(radial_Q(model, r, u), fresh)
-    cells = flow._radial_cells(model.n, model.xi, model.rho, r.tobytes())
-    assert cells is flow._radial_cells(model.n, model.xi, model.rho,
-                                       r.copy().tobytes())
-    assert not any(a.flags.writeable for a in cells)
+    gf = flow._grid_factors(model.n, model.xi, model.rho,
+                            Grid(R=1.0, nr=63, ntheta=1))
+    assert gf is flow._grid_factors(model.n, model.xi, model.rho,
+                                    Grid(R=1.0, nr=63, ntheta=1))
+    assert not any(a.flags.writeable for a in gf.cells)
+
+
+@pytest.mark.parametrize("r", [
+    np.linspace(0.0, 1.0, 64) ** 2,             # nonuniform
+    0.05 + np.linspace(0.0, 1.0, 64),           # off the pole
+    np.linspace(0.0, 1.0, 8),                   # fewer than 9 nodes
+    np.linspace(0.0, 1.0, 64)[::-1],            # decreasing
+    np.linspace(0.0, 1.0, 64)[None, :],         # not 1-d
+    np.array([])])
+def test_radial_Q_takes_only_radial_grid_nodes(euclid2, r):
+    with pytest.raises(FlowError):
+        radial_Q(euclid2, r, np.zeros(r.shape))
 
 
 def test_discretize_Q_radial_matches_radial_Q(euclid2):
@@ -200,19 +213,24 @@ def test_discretize_Q_second_order_against_pointwise_Q(model_name, request):
 
 @settings(max_examples=40, deadline=None)
 @given(model_name=st.sampled_from(["euclid2", "hyp2", "euclid3", "hyp3"]),
-       r0=st.sampled_from([0.0, 0.05]), stretch=st.floats(1.0, 2.0),
+       R=st.sampled_from([1.0, 2.5]),
        fields=st.integers(1, 4).flatmap(lambda rows: arrays(
            float, (rows, 12), elements=st.floats(-2.0, 2.0))))
-def test_radial_curvature_of_a_stack_is_rowwise(request, model_name, r0,
-                                                stretch, fields):
+def test_radial_forms_of_a_snapshot_stack_match_each_snapshot(
+        request, model_name, R, fields):
+    # residual_identities applies _slopes and _curvatures once to the
+    # transposed (node x snapshot) stack of a run; each column must be
+    # second_fundamental_form of its snapshot, bit for bit
     model = request.getfixturevalue(model_name)
-    # nonuniform, increasing grid, with or without the pole
-    r = r0 + np.linspace(0.0, 1.0, fields.shape[1]) ** stretch
-    A2, nH = radial_second_fundamental_form(model, r, fields)
+    g = Grid(R=R, nr=fields.shape[1] - 1, ntheta=1)
+    gf = flow._grid_factors(model.n, model.xi, model.rho, g)
+    W = np.stack([compute_W(model, g, u) for u in fields])
+    ur, vt = flow._slopes(gf, g, fields.T)
+    A2, nH = flow._curvatures(gf, g, model.n, fields.T, ur, vt, W.T)
     for k, u in enumerate(fields):
-        a2_row, nh_row = radial_second_fundamental_form(model, r, u)
-        np.testing.assert_array_equal(A2[k], a2_row)
-        np.testing.assert_array_equal(nH[k], nh_row)
+        a2, nh = second_fundamental_form(model, g, u)
+        np.testing.assert_array_equal(A2[:, k], a2[1:-1])
+        np.testing.assert_array_equal(nH[:, k], nh[1:-1])
 
 
 def test_hemisphere_curvature(euclid2):

@@ -81,3 +81,29 @@ def test_rejects_2d_runs(euclid2):
                     snapshot_every=1)
     with pytest.raises(FlowError):
         residual_identities(euclid2, tr)
+
+
+# the reported residuals of a fixed run: a change to the discretisation
+# the identity checker reads moves these numbers
+_PINNED = {
+    "euclid2": (0.0036625364443020284, 0.0025179788503905676,
+                -2.5550415261310633e-05),
+    "euclid3": (0.0061361147094737035, 0.005527433429801221,
+                -2.906850159766633e-05),
+    "hyp2": (0.011713714867329972, 0.0068737089752038405,
+             -0.00011897883469556836),
+    "hyp3": (0.014297849842077492, 0.0112562318469131,
+             -0.0001226641192053901),
+}
+
+
+@pytest.mark.parametrize("model_name", list(_PINNED))
+def test_residual_values_pinned(model_name, request):
+    model = request.getfixturevalue(model_name)
+    p = BallProblem(model=model, R=1.0, phi=_zero,
+                    u0=lambda r, th: 0.2 * np.cos(0.5 * math.pi * r)
+                    * np.ones_like(th), T=0.25)
+    rep = residual_identities(model, radial_solve(
+        p, 128, StepControl(dt_max=0.25 / 256), snapshot_every=1))
+    got = (rep.max_abs_tilt, rep.max_abs_height, rep.min_slack_cylinder)
+    np.testing.assert_allclose(got, _PINNED[model_name], rtol=1e-10, atol=0)
