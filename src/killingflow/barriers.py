@@ -22,6 +22,7 @@ bound constants so runs can be checked against them.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -166,18 +167,24 @@ def height_bounds(model: ModelGeometry, r0: float, T: float,
 
     upper(r) = sup|u0| + v_{R(T)}(0) - v_{r0}(r) and lower = -upper; any
     solution with |initial data| <= sup_u0 and zero boundary motion stays
-    between them up to time T.  Each bound takes one radius (a float, one
-    eval_vR call) or an increasing array of radii (one sample_vR pass over
-    all of them); radii outside [0, r0] raise CmcError in both forms.
+    between them up to time T.  Each bound takes one radius (a float) or an
+    increasing array of radii (one sample_vR pass over all of them); radii
+    outside [0, r0] raise CmcError in both forms, on every call.  The pair
+    shares one height v_{r0}(r) per distinct float radius, one eval_vR
+    call kept for the pair's lifetime, so lower(r) then upper(r) costs one.
     """
     if T <= 0:
         raise BarrierError("T must be positive")
     RT = mu_of_t(model, r0, T)
     top = sup_u0 + eval_vR(model, RT, 0.0)
 
+    @functools.lru_cache(maxsize=None)      # raising calls are not kept
+    def height(r):
+        return eval_vR(model, r0, r)
+
     def upper(r):
         if isinstance(r, numbers.Real):
-            return top - eval_vR(model, r0, r)
+            return top - height(r)
         heights = sample_vR(model, r0, r)
         if r[-1] > r0:
             raise CmcError(f"need 0 <= r <= R, got r={r[-1]}")
@@ -323,9 +330,13 @@ def _sample_deep_region(geodesic: GeodesicSpec, d0: float, count: int,
                         kappa: float = 1.0) -> np.ndarray:
     """Sample (r, theta) points with distance in [d0 + margin,
     d0 + margin + 5] in curvature -kappa^2: the first count hits of
-    200 count uniform draws (theta in [-0.6, 0.6), r in [0, 30))."""
+    200 count uniform draws, theta in [-w, w) and r in [0, 30 / kappa).
+    The halfplane subtends |theta| < 2 atan(nu_0 - nu_2) from the pole
+    (2 atan(exp(-kappa a)) at distance a), and w = min(0.6, that angle)."""
     rng = rng or np.random.default_rng(0)
-    theta, r = rng.uniform((-0.6, 0.0), (0.6, 30.0), size=(200 * count, 2)).T
+    w = min(0.6, 2.0 * math.atan(geodesic.nu[0] - geodesic.nu[2]))
+    theta, r = rng.uniform((-w, 0.0), (w, 30.0 / kappa),
+                           size=(200 * count, 2)).T
     d = _halfplane_distance(geodesic.nu, r, theta, kappa)[0]
     hits = np.flatnonzero((d0 + margin <= d) & (d <= d0 + margin + 5.0))
     hits = hits[:count]

@@ -47,9 +47,11 @@ u_theta / xi by centred differences on rows 1..nr-1, a second-order
 one-sided difference on the rim row and, at the pole, the gradient fitted
 to the first ring (0 on a radial grid); W is formed from them in
 ``_tilt`` alone.  |A| is evaluated on rows 1..nr-1, and its pole and rim
-rows copy the nearest interior row.  ``solve_ball`` takes max|grad u| and
-max|A| of each state from one pass (``_diagnostics``) that builds no field;
-``second_fundamental_form`` and ``residual_identities`` read the same ones.
+rows copy the nearest interior row.  Every state ``step`` returns, and
+the initial state of ``solve_ball``, carries W, max|grad u| and max|A|
+from one ``_slopes`` pass (``_diagnosed``) that builds no |A| field;
+``compute_W``, ``second_fundamental_form`` and ``residual_identities`` read
+the same slopes.
 """
 
 from __future__ import annotations
@@ -199,10 +201,16 @@ class StepControl:
 
 @dataclass(frozen=True)
 class FlowState:
+    """The field u at time t and its tilt factor W.  max_grad and max_A
+    (max|grad u| and max|A|) are recorded by ``step`` and ``solve_ball``;
+    states built elsewhere, such as by ``load_snapshot``, carry NaN."""
+
     t: float
     u: np.ndarray
     W: np.ndarray
     step_count: int
+    max_grad: float = math.nan
+    max_A: float = math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +535,8 @@ def _polar_implicit(model: ModelGeometry, grid: Grid, u: np.ndarray,
 def step(state: FlowState, problem: BallProblem, grid: Grid,
          control: StepControl, dt: float | None = None,
          phi_row: np.ndarray | None = None) -> FlowState:
-    """Advance the flow one time step and re-impose the Dirichlet row."""
+    """Advance the flow one time step and re-impose the Dirichlet row.  The
+    new state's W, max_grad and max_A come from one slopes pass."""
     model = problem.model
     if phi_row is None:
         phi_row = np.broadcast_to(
@@ -552,9 +561,7 @@ def step(state: FlowState, problem: BallProblem, grid: Grid,
     u_new[-1] = phi_row if u_new.ndim == 2 else phi_row[0]
     if not np.all(np.isfinite(u_new)):
         raise FlowError("non-finite field after step (linear solve failed?)")
-    return FlowState(t=state.t + dt, u=u_new,
-                     W=compute_W(model, grid, u_new),
-                     step_count=state.step_count + 1)
+    return _diagnosed(model, grid, state.t + dt, u_new, state.step_count + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +626,21 @@ def second_fundamental_form(model: ModelGeometry, grid: Grid,
                  for a in forms)
 
 
+def _diagnosed(model: ModelGeometry, grid: Grid, t: float, u: np.ndarray,
+               step_count: int) -> FlowState:
+    """The state (t, u) with its W, max|grad u| and max|A|, all from one
+    ``_slopes`` pass.  The |A| field's pole and rim rows copy interior
+    rows, so rows 1..nr-1 hold its maximum."""
+    gf = _grid_factors(model.n, model.xi, model.rho, grid)
+    v = u.reshape(grid.shape())
+    ur, vt = _slopes(gf, grid, v)
+    W = _tilt(gf.at.rho[:, None], ur, vt)
+    A2, _ = _curvatures(gf, grid, model.n, v, ur, vt, W)
+    return FlowState(t=t, u=u, W=W.reshape(u.shape), step_count=step_count,
+                     max_grad=math.sqrt(float(np.max(ur * ur + vt * vt))),
+                     max_A=math.sqrt(float(np.max(A2))))
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 
@@ -632,20 +654,6 @@ class Trajectory:
     times: np.ndarray
     max_grad: np.ndarray
     max_A: np.ndarray
-
-
-def _diagnostics(model: ModelGeometry, grid: Grid,
-                 state: FlowState) -> tuple[float, float]:
-    """(max|grad u|, max|A|) of a state, from its slopes and W.  The |A|
-    field's pole and rim rows copy interior rows, so rows 1..nr-1 hold its
-    maximum."""
-    gf = _grid_factors(model.n, model.xi, model.rho, grid)
-    u = state.u.reshape(grid.shape())
-    ur, vt = _slopes(gf, grid, u)
-    A2, _ = _curvatures(gf, grid, model.n, u, ur, vt,
-                        state.W.reshape(grid.shape()))
-    return (math.sqrt(float(np.max(ur * ur + vt * vt))),
-            math.sqrt(float(np.max(A2))))
 
 
 def solve_ball(problem: BallProblem, grid: Grid, control: StepControl,
@@ -670,15 +678,14 @@ def solve_ball(problem: BallProblem, grid: Grid, control: StepControl,
     u0, phi = problem.sample(grid)
     if grid.radial:
         u0 = u0[:, 0]
-    state = FlowState(t=0.0, u=u0, W=compute_W(model, grid, u0),
-                      step_count=0)
+    state = _diagnosed(model, grid, 0.0, u0, 0)
     sup0 = max(float(np.max(np.abs(u0))), float(np.max(np.abs(phi))))
     guard = 10.0 * max(sup0, 1.0)
     n_steps = max(int(math.ceil(problem.T / control.dt_max)), 1)
     dt = problem.T / n_steps
     states = [state]
     times = [0.0]
-    diag = [_diagnostics(model, grid, state)]
+    diag = [(state.max_grad, state.max_A)]
     for sidx in range(n_steps):
         state = step(state, problem, grid, control, dt=dt, phi_row=phi)
         if float(np.max(np.abs(state.u))) > guard:
@@ -687,7 +694,7 @@ def solve_ball(problem: BallProblem, grid: Grid, control: StepControl,
                 f"sup|u| exceeds 10x the maximum-principle bound "
                 f"{guard / 10.0:.4g}")
         times.append(state.t)
-        diag.append(_diagnostics(model, grid, state))
+        diag.append((state.max_grad, state.max_A))
         last = sidx == n_steps - 1
         if last or (snapshot_every and (sidx + 1) % snapshot_every == 0):
             states.append(state)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from killingflow import flow
+from killingflow import cmc, flow
 from killingflow.barriers import (BarrierError, GeodesicSpec,
                                   SupersolutionFlow, _sample_deep_region,
                                   c0_height_cap, compute_E_R,
@@ -14,7 +14,7 @@ from killingflow.barriers import (BarrierError, GeodesicSpec,
                                   interior_gradient_bound,
                                   make_boundary_barrier, make_sc_barrier,
                                   mu_of_t, pointwise_Q, verify_supersolution)
-from killingflow.cmc import CmcError
+from killingflow.cmc import CmcError, eval_vR
 from killingflow.geometry import (constant_profile, hyperbolic_model,
                                   hyperbolic_profile, make_model)
 
@@ -107,6 +107,43 @@ def test_height_bounds_symmetry_and_zero(euclid2):
                 bound(np.sort(np.array([0.5, bad])))
     with pytest.raises(BarrierError):
         height_bounds(euclid2, 1.0, -1.0, 0.25)
+
+
+@pytest.mark.parametrize("model_name", ["euclid2", "hyp2"])
+def test_height_bound_pair_evaluates_each_radius_once(request, monkeypatch,
+                                                      model_name):
+    # lower(r) = -upper(r) shares upper's one eval_vR per distinct radius
+    model = request.getfixturevalue(model_name)
+    T = 0.3
+    lower, upper = height_bounds(model, 1.0, T, 0.25)
+    cap = eval_vR(model, mu_of_t(model, 1.0, T), 0.0)
+    calls = []
+    real_rim_heights = cmc._rim_heights
+
+    def counting(*args):
+        calls.append(1)
+        return real_rim_heights(*args)
+
+    monkeypatch.setattr(cmc, "_rim_heights", counting)
+    rs = [float(r) for r in np.linspace(0.0, 1.0, 34)[:-1]]    # 33 in [0, 1)
+    heights = {}
+    for r in rs:
+        lo, hi = lower(r), upper(r)
+        heights[r] = eval_vR(model, 1.0, r)
+        assert hi == (0.25 + cap) - heights[r]
+        assert lo == -hi
+    assert len(calls) == 2 * len(rs)        # one per pair, one reference
+    for bad in (1.5, -0.1, math.nan):
+        for _ in range(3):
+            for bound in (lower, upper):
+                with pytest.raises(CmcError):
+                    bound(bad)
+    # a second pair with another sup_u0 keeps its own heights and top
+    _, upper2 = height_bounds(model, 1.0, T, 0.5)
+    del calls[:]
+    for r in rs:
+        assert upper2(r) == (0.5 + cap) - heights[r]
+    assert len(calls) == len(rs)
 
 
 def test_height_bounds_contain_static_solution(euclid2):

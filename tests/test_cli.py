@@ -121,6 +121,21 @@ def test_barrier_at_infinity_in_curvature_kappa(capsys):
     assert 0.0 < sc.alpha <= 2.0
 
 
+@pytest.mark.parametrize("kappa", ["0.5", "2", "5"])
+def test_barrier_samples_the_deep_region_of_kappa(capsys, kappa):
+    # in curvature -kappa^2 the halfplane at distance 1 subtends
+    # |theta| < 2 atan(exp(-kappa)) from the pole, 0.013 at kappa = 5: a
+    # fixed |theta| < 0.6, r < 30 box found too few deep points there
+    rc, out = _run(["barrier", "--model", "hyperbolic", "--kappa", kappa],
+                   capsys)
+    report = json.loads(out)
+    assert rc == 0 and report["pass"]
+    sign = [c for c in report["residual_checks"]
+            if c["name"] == "sc_barrier_operator_sign"]
+    assert len(sign) == 1 and sign[0]["pass"]
+    assert 0.0 < report["constants"]["sc_alpha"] <= float(kappa)
+
+
 def test_cmc_svg(tmp_path, capsys):
     svg = tmp_path / "p.svg"
     rc, _ = _run(["cmc", "--model", "euclidean", "--R", "1.0",

@@ -284,6 +284,62 @@ def test_radial_and_polar_diagnostics_agree(request, model_name, u0, phi):
                                        rtol=0.0, atol=1e-12)
 
 
+def _reference_diagnostics(model, grid, state):
+    """(max|grad u|, max|A|) of a state from a separate pass: fresh slopes
+    of state.u and the stored W."""
+    gf = flow._grid_factors(model.n, model.xi, model.rho, grid)
+    u = state.u.reshape(grid.shape())
+    ur, vt = flow._slopes(gf, grid, u)
+    A2, _ = flow._curvatures(gf, grid, model.n, u, ur, vt,
+                             state.W.reshape(grid.shape()))
+    return (math.sqrt(float(np.max(ur * ur + vt * vt))),
+            math.sqrt(float(np.max(A2))))
+
+
+@pytest.mark.parametrize("nr,ntheta", [(64, 1), (24, 16)])
+def test_solve_ball_makes_one_slopes_pass_per_state(euclid2, monkeypatch,
+                                                    nr, ntheta):
+    # each state's W, max|grad u| and max|A| come from one slopes pass,
+    # and solve_ball never recomputes W
+    calls = {"_slopes": 0, "compute_W": 0}
+
+    def counting(name):
+        real = getattr(flow, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(flow, name, counted)
+
+    counting("_slopes")
+    counting("compute_W")
+    p = BallProblem(model=euclid2, R=1.0, phi=_zero_phi, u0=_bump, T=0.01)
+    tr = solve_ball(p, Grid(R=1.0, nr=nr, ntheta=ntheta),
+                    StepControl(dt_max=1e-3))
+    n_steps = tr.times.size - 1
+    assert n_steps == 10
+    assert calls == {"_slopes": n_steps + 1, "compute_W": 0}
+
+
+@pytest.mark.parametrize("model_name", ["euclid2", "hyp2"])
+@pytest.mark.parametrize("nr,ntheta", [(64, 1), (24, 16), (48, 32)])
+def test_fused_diagnostics_are_bit_identical(request, model_name, nr, ntheta):
+    model = request.getfixturevalue(model_name)
+    grid = Grid(R=1.0, nr=nr, ntheta=ntheta)
+    # the bump vanishes at the rim to 2e-17, within the compatibility check
+    p = BallProblem(model=model, R=1.0, phi=lambda th: 0.1 * np.cos(th),
+                    u0=lambda r, th: 0.1 * r * np.cos(th) + _bump(r, th),
+                    T=0.01)
+    tr = solve_ball(p, grid, StepControl(dt_max=1e-3), snapshot_every=1)
+    assert len(tr.states) == tr.max_grad.size == tr.max_A.size == 11
+    for k, s in enumerate(tr.states):
+        assert s.step_count == k
+        assert np.array_equal(s.W, compute_W(model, grid, s.u))
+        ref = _reference_diagnostics(model, grid, s)
+        assert (tr.max_grad[k], tr.max_A[k]) == ref
+        assert (s.max_grad, s.max_A) == ref
+
+
 def test_zero_graph_curvature_exact(euclid2):
     g = Grid(R=1.0, nr=64, ntheta=16)
     A2, nH = second_fundamental_form(euclid2, g, np.zeros(g.shape()))
