@@ -47,11 +47,16 @@ u_theta / xi by centred differences on rows 1..nr-1, a second-order
 one-sided difference on the rim row and, at the pole, the gradient fitted
 to the first ring (0 on a radial grid); W is formed from them in
 ``_tilt`` alone.  |A| is evaluated on rows 1..nr-1, and its pole and rim
-rows copy the nearest interior row.  Every state ``step`` returns, and
-the initial state of ``solve_ball``, carries W, max|grad u| and max|A|
-from one ``_slopes`` pass (``_diagnosed``) that builds no |A| field;
-``compute_W``, ``second_fundamental_form`` and ``residual_identities`` read
-the same slopes.
+rows copy the nearest interior row.  Every state ``step`` or
+``solve_ball`` returns carries W, max|grad u| and max|A| from one
+``_slopes`` pass (``_diagnose``) that builds no |A| field.  That pass
+takes a stack of states with rows on axis -2, (S, nr + 1, ntheta) on the
+2-D grid and (nr + 1, S) on a radial one: ``step`` diagnoses a block of
+one state, and ``solve_ball``, whose time loop reads only u
+(``_advance``), blocks of a few thousand nodes.  Every operation is
+elementwise or a per-state reduction, so a state's values do not depend
+on its block.  ``compute_W``, ``second_fundamental_form`` and
+``residual_identities`` read the same slopes.
 """
 
 from __future__ import annotations
@@ -202,8 +207,9 @@ class StepControl:
 @dataclass(frozen=True)
 class FlowState:
     """The field u at time t and its tilt factor W.  max_grad and max_A
-    (max|grad u| and max|A|) are recorded by ``step`` and ``solve_ball``;
-    states built elsewhere, such as by ``load_snapshot``, carry NaN."""
+    (max|grad u| and max|A|) are recorded by ``step`` and ``solve_ball``,
+    which give each state a W array of its own; states built elsewhere,
+    such as by ``load_snapshot``, carry NaN."""
 
     t: float
     u: np.ndarray
@@ -218,10 +224,10 @@ class FlowState:
 
 
 def _theta_shift(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """u at theta_{i+1} and at theta_{i-1}: periodic neighbours along
-    axis 1."""
-    return (np.concatenate((u[:, 1:], u[:, :1]), axis=1),
-            np.concatenate((u[:, -1:], u[:, :-1]), axis=1))
+    """u at theta_{i+1} and at theta_{i-1}: periodic neighbours along the
+    last axis."""
+    return (np.concatenate((u[..., 1:], u[..., :1]), axis=-1),
+            np.concatenate((u[..., -1:], u[..., :-1]), axis=-1))
 
 
 def _theta_slope(u: np.ndarray, k: float) -> np.ndarray:
@@ -309,30 +315,34 @@ def _grid_factors(n: int, xi: ProfileSpec, rho: ProfileSpec,
 
 def _pole_fourier(u_ring: np.ndarray, h: float, gf: _GridFactors):
     """Local Cartesian gradient (a, b) at the pole from the first Fourier
-    modes of the first grid ring (row at r = h)."""
-    nt = u_ring.size
-    a = 2.0 * (float(np.add.reduce(u_ring * gf.cos)) / nt) / h
-    b = 2.0 * (float(np.add.reduce(u_ring * gf.sin)) / nt) / h
+    modes of the first grid ring (row at r = h), one pair per ring of a
+    stack of rings along the last axis."""
+    nt = u_ring.shape[-1]
+    a = 2.0 * (np.add.reduce(u_ring * gf.cos, axis=-1) / nt) / h
+    b = 2.0 * (np.add.reduce(u_ring * gf.sin, axis=-1) / nt) / h
     return a, b
 
 
 def _slopes(gf: _GridFactors, grid: Grid, u: np.ndarray):
-    """(u_r, u_theta / xi) at every node of u, a field of the grid's
-    shape; at the pole, the polar components of the gradient
-    ``_pole_fourier`` fits.  A radial grid's u_theta is the scalar 0.0,
-    and its u may stack fields as columns."""
+    """(u_r, u_theta / xi) at every node of u; at the pole, the polar
+    components of the gradient ``_pole_fourier`` fits.  u is a field of
+    the grid's shape or a stack of them with rows on axis -2: (S, nr + 1,
+    nt) on the 2-D grid, the columns of (nr + 1, S) on a radial one.  A
+    radial grid's u_theta is the scalar 0.0."""
     h = grid.hr
     ur = np.empty_like(u)
-    ur[1:-1] = (u[2:] - u[:-2]) / (2 * h)
-    ur[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * h)
+    ur[..., 1:-1, :] = (u[..., 2:, :] - u[..., :-2, :]) / (2 * h)
+    ur[..., -1, :] = (3 * u[..., -1, :] - 4 * u[..., -2, :]
+                      + u[..., -3, :]) / (2 * h)
     if grid.radial:
-        ur[0] = 0.0
+        ur[..., 0, :] = 0.0
         return ur, 0.0
-    a, b = _pole_fourier(u[1], h, gf)
-    ur[0] = a * gf.cos + b * gf.sin
+    a, b = (c[..., None] for c in _pole_fourier(u[..., 1, :], h, gf))
+    ur[..., 0, :] = a * gf.cos + b * gf.sin
     vt = np.empty_like(u)
-    vt[0] = b * gf.cos - a * gf.sin
-    vt[1:] = _theta_slope(u[1:], grid.dtheta) / gf.at.xi[1:, None]
+    vt[..., 0, :] = b * gf.cos - a * gf.sin
+    vt[..., 1:, :] = (_theta_slope(u[..., 1:, :], grid.dtheta)
+                      / gf.at.xi[1:, None])
     return ur, vt
 
 
@@ -532,20 +542,12 @@ def _polar_implicit(model: ModelGeometry, grid: Grid, u: np.ndarray,
     return np.vstack((np.full(nt, x[0]), x[1:].reshape(nr - 1, nt), phi_row))
 
 
-def step(state: FlowState, problem: BallProblem, grid: Grid,
-         control: StepControl, dt: float | None = None,
-         phi_row: np.ndarray | None = None) -> FlowState:
-    """Advance the flow one time step and re-impose the Dirichlet row.  The
-    new state's W, max_grad and max_A come from one slopes pass."""
+def _advance(u: np.ndarray, problem: BallProblem, grid: Grid,
+             control: StepControl, dt: float,
+             phi_row: np.ndarray) -> np.ndarray:
+    """The field u one time step dt on, with the Dirichlet row phi_row
+    re-imposed; raises FlowError if the new field is not finite."""
     model = problem.model
-    if phi_row is None:
-        phi_row = np.broadcast_to(
-            np.asarray(problem.phi(grid.theta), dtype=float),
-            (grid.ntheta,)).copy()
-    dt = control.dt_max if dt is None else dt
-    if dt <= 0:
-        raise FlowError("dt must be positive")
-    u = state.u
     if control.scheme == "explicit-euler":
         w = _weights(model, grid, u)
         lim = control.cfl / _radius(w)                # as _cfl_dt at u
@@ -561,7 +563,25 @@ def step(state: FlowState, problem: BallProblem, grid: Grid,
     u_new[-1] = phi_row if u_new.ndim == 2 else phi_row[0]
     if not np.all(np.isfinite(u_new)):
         raise FlowError("non-finite field after step (linear solve failed?)")
-    return _diagnosed(model, grid, state.t + dt, u_new, state.step_count + 1)
+    return u_new
+
+
+def step(state: FlowState, problem: BallProblem, grid: Grid,
+         control: StepControl, dt: float | None = None,
+         phi_row: np.ndarray | None = None) -> FlowState:
+    """Advance the flow one time step and re-impose the Dirichlet row.  The
+    new state's W, max_grad and max_A come from ``_diagnosed`` of a block
+    of one state."""
+    if phi_row is None:
+        phi_row = np.broadcast_to(
+            np.asarray(problem.phi(grid.theta), dtype=float),
+            (grid.ntheta,)).copy()
+    dt = control.dt_max if dt is None else dt
+    if dt <= 0:
+        raise FlowError("dt must be positive")
+    u = _advance(state.u, problem, grid, control, dt, phi_row)
+    return _diagnosed(problem.model, grid,
+                      [(state.t + dt, u, state.step_count + 1)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -580,22 +600,22 @@ def _radial_forms(n: int, f: Factors, ur, urr, W):
 
 def _curvatures(gf: _GridFactors, grid: Grid, n: int, u: np.ndarray,
                 ur: np.ndarray, vt, W: np.ndarray):
-    """(|A|^2, nH) on rows 1..nr-1 of a field u of the grid's shape (on a
-    radial grid, of the columns of u), from its slopes (``_slopes``), its
-    tilt factor W and centred second differences.  The 2-D branch writes the second fundamental form times
-    W, b, in the frame (d_r, d_theta / xi), where the induced metric is
-    g = I + rho^2 grad u grad u^T with det g = (rho W)^2; then
+    """(|A|^2, nH) on rows 1..nr-1 of u, a field or a stack of fields as
+    ``_slopes`` takes them, from its slopes, its tilt factor W and centred
+    second differences.  The 2-D branch writes the second fundamental form
+    times W, b, in the frame (d_r, d_theta / xi), where the induced metric
+    is g = I + rho^2 grad u grad u^T with det g = (rho W)^2; then
     nH = tr(g^-1 b) / W and |A|^2 = (nH)^2 - 2 det b / (det g W^2)."""
     h, f = grid.hr, gf.op
-    p, w = ur[1:-1], W[1:-1]
-    urr = (u[2:] - 2 * u[1:-1] + u[:-2]) / (h * h)
+    p, w = ur[..., 1:-1, :], W[..., 1:-1, :]
+    urr = (u[..., 2:, :] - 2 * u[..., 1:-1, :] + u[..., :-2, :]) / (h * h)
     if grid.radial:
         return _radial_forms(n, f, p, urr, w)
-    q = vt[1:-1]
+    q = vt[..., 1:-1, :]
     ut = gf.at.xi[:, None] * vt         # u_theta, 0 on the pole row
-    urt = (ut[2:] - ut[:-2]) / (2 * h) / f.xi
-    up, um = _theta_shift(u[1:-1])
-    utt = (up - 2 * u[1:-1] + um) / grid.dtheta ** 2 * f.inv_xi2
+    urt = (ut[..., 2:, :] - ut[..., :-2, :]) / (2 * h) / f.xi
+    up, um = _theta_shift(u[..., 1:-1, :])
+    utt = (up - 2 * u[..., 1:-1, :] + um) / grid.dtheta ** 2 * f.inv_xi2
     rp, rq = f.rho * p, f.rho * q
     b11 = urr + (2.0 + rp * rp) * f.lrho * p
     b12 = urt + ((1.0 + rp * rp) * f.lrho - f.xi_ratio) * q
@@ -626,23 +646,55 @@ def second_fundamental_form(model: ModelGeometry, grid: Grid,
                  for a in forms)
 
 
-def _diagnosed(model: ModelGeometry, grid: Grid, t: float, u: np.ndarray,
-               step_count: int) -> FlowState:
-    """The state (t, u) with its W, max|grad u| and max|A|, all from one
-    ``_slopes`` pass.  The |A| field's pole and rim rows copy interior
-    rows, so rows 1..nr-1 hold its maximum."""
+def _diagnose(model: ModelGeometry, grid: Grid, U: np.ndarray):
+    """(W, max|grad u|, max|A|) of a stack U of states with rows on axis
+    -2, as ``_slopes`` takes it: the W stack and one maximum of each per
+    state, all from one ``_slopes`` pass.  The |A| field's pole and rim
+    rows copy interior rows, so rows 1..nr-1 hold its maximum."""
     gf = _grid_factors(model.n, model.xi, model.rho, grid)
-    v = u.reshape(grid.shape())
-    ur, vt = _slopes(gf, grid, v)
+    ur, vt = _slopes(gf, grid, U)
     W = _tilt(gf.at.rho[:, None], ur, vt)
-    A2, _ = _curvatures(gf, grid, model.n, v, ur, vt, W)
-    return FlowState(t=t, u=u, W=W.reshape(u.shape), step_count=step_count,
-                     max_grad=math.sqrt(float(np.max(ur * ur + vt * vt))),
-                     max_A=math.sqrt(float(np.max(A2))))
+    A2, _ = _curvatures(gf, grid, model.n, U, ur, vt, W)
+    axes = -2 if grid.radial else (-2, -1)
+    return (W, np.sqrt(np.max(ur * ur + vt * vt, axis=axes)),
+            np.sqrt(np.max(A2, axis=axes)))
+
+
+def _diagnosed(model: ModelGeometry, grid: Grid,
+               block: list[tuple[float, np.ndarray, int]]) -> list[FlowState]:
+    """The states (t, u, step_count) of a block with their W, max|grad u|
+    and max|A|, from one ``_diagnose`` of the block's stack.  Each state
+    owns its W, a copy out of the stack."""
+    if grid.radial:
+        W, max_grad, max_A = _diagnose(
+            model, grid, np.stack([u.reshape(-1) for _, u, _ in block], -1))
+        W = W.T
+    else:
+        W, max_grad, max_A = _diagnose(
+            model, grid, np.stack([u for _, u, _ in block]))
+    return [FlowState(t=t, u=u, W=W[k].reshape(u.shape).copy(),
+                      step_count=count, max_grad=float(max_grad[k]),
+                      max_A=float(max_A[k]))
+            for k, (t, u, count) in enumerate(block)]
 
 
 # ---------------------------------------------------------------------------
 # trajectories
+
+
+# The most grid nodes solve_ball diagnoses in one block: a block holds
+# S = max(1, _BLOCK_NODES // nodes) states.  Diagnostics cost per state in
+# ms, one state -> a block of S -> 64 states (``_diagnosed``, median of 7,
+# one core of a 2-vCPU Xeon with 2 MiB of L2 per core, numpy 2.4):
+#   24 x 16    0.22  -> 0.069 (S = 20) -> 0.080
+#   72 x 16    0.18  -> 0.155 (S = 7)  -> 0.23
+#   136 x 16   0.30  -> 0.19  (S = 3)  -> 0.40
+#   48 x 32    0.30  -> 0.16  (S = 5)  -> 0.32
+#   128 x 1    0.079 -> 0.012 (S = 63) -> 0.011
+# Blocks much above 8K nodes lose to cache traffic.  A bound of 4096 nodes
+# leaves the ladder's costliest rung, 136 x 16, one state per block.
+# Counting nodes, not states, also bounds the memory a block holds.
+_BLOCK_NODES = 8192
 
 
 @dataclass
@@ -665,6 +717,13 @@ def solve_ball(problem: BallProblem, grid: Grid, control: StepControl,
     principle gives sup|u(t)| <= sup0 = max(sup|u0|, sup|phi|).  A state
     whose sup norm exceeds 10 max(sup0, 1) aborts the run: such growth can
     only be numerical instability.
+
+    The time loop reads only u, so each step is ``_advance`` and the guard
+    alone.  The states, the initial one included, are diagnosed (W,
+    max|grad u|, max|A|) in blocks of at most _BLOCK_NODES grid nodes (or
+    of one state, if it has more), each by one ``_diagnosed`` call; the
+    last block is flushed after the final step.  The values equal
+    ``step``'s bit for bit.
     """
     if snapshot_every < 0:
         raise FlowError(f"snapshot_every must be >= 0, got {snapshot_every}")
@@ -678,30 +737,40 @@ def solve_ball(problem: BallProblem, grid: Grid, control: StepControl,
     u0, phi = problem.sample(grid)
     if grid.radial:
         u0 = u0[:, 0]
-    state = _diagnosed(model, grid, 0.0, u0, 0)
     sup0 = max(float(np.max(np.abs(u0))), float(np.max(np.abs(phi))))
     guard = 10.0 * max(sup0, 1.0)
     n_steps = max(int(math.ceil(problem.T / control.dt_max)), 1)
     dt = problem.T / n_steps
-    states = [state]
-    times = [0.0]
-    diag = [(state.max_grad, state.max_A)]
-    for sidx in range(n_steps):
-        state = step(state, problem, grid, control, dt=dt, phi_row=phi)
-        if float(np.max(np.abs(state.u))) > guard:
+    per_block = max(1, _BLOCK_NODES // math.prod(grid.shape()))
+    states, times, max_grad, max_A = [], [0.0], [], []
+    block = [(0.0, u0, 0)]
+
+    def flush():
+        for s in _diagnosed(model, grid, block):
+            max_grad.append(s.max_grad)
+            max_A.append(s.max_A)
+            if (s.step_count in (0, n_steps) or snapshot_every
+                    and s.step_count % snapshot_every == 0):
+                states.append(s)
+        block.clear()
+
+    t, u = 0.0, u0
+    for sidx in range(1, n_steps + 1):
+        if len(block) == per_block:
+            flush()
+        u = _advance(u, problem, grid, control, dt, phi)
+        t += dt
+        if float(np.max(np.abs(u))) > guard:
             raise FlowError(
-                f"divergence guard tripped at t={state.t:.4g}: "
+                f"divergence guard tripped at t={t:.4g}: "
                 f"sup|u| exceeds 10x the maximum-principle bound "
                 f"{guard / 10.0:.4g}")
-        times.append(state.t)
-        diag.append((state.max_grad, state.max_A))
-        last = sidx == n_steps - 1
-        if last or (snapshot_every and (sidx + 1) % snapshot_every == 0):
-            states.append(state)
-    max_grad, max_A = np.array(diag).T.copy()
+        times.append(t)
+        block.append((t, u, sidx))
+    flush()
     return Trajectory(problem=problem, grid=grid, control=control,
                       states=states, times=np.asarray(times),
-                      max_grad=max_grad, max_A=max_A)
+                      max_grad=np.asarray(max_grad), max_A=np.asarray(max_A))
 
 
 def radial_solve(problem: BallProblem, nr: int,

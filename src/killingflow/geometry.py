@@ -288,6 +288,7 @@ class ModelGeometry:
         # the closed forms are tested against)
         n = self.n
         self._V_closed = self._zeta_closed = self._q_drop_closed = None
+        self._minus_q_prime_closed = None
         if self.xi.kind == "euclidean":
             self._zeta_closed = lambda r: 0.5 * r * r
             if self.rho.kind == "constant":
@@ -295,6 +296,7 @@ class ModelGeometry:
                 self._V_closed = lambda r: c * r ** n / n
                 # q = A/V = n/r
                 self._q_drop_closed = lambda s, R: n * (R - s) / (s * R)
+                self._minus_q_prime_closed = lambda r: n / (r * r)
         elif self.xi.kind == "hyperbolic":
             k = self.xi.kappa
             self._zeta_closed = lambda r: (np.cosh(k * r) - 1.0) / (k * k)
@@ -306,6 +308,9 @@ class ModelGeometry:
                 self._q_drop_closed = lambda s, R: (
                     n * k * np.sinh(k * (R - s))
                     / (np.sinh(k * s) * math.sinh(k * R)))
+                # A^2 - A'V cancels to 0.0 once coth(kr) rounds to 1
+                self._minus_q_prime_closed = \
+                    lambda r: n * k * k / np.sinh(k * r) ** 2
 
     @property
     def breaks(self) -> tuple[float, ...]:
@@ -387,7 +392,8 @@ class ModelGeometry:
 
     def H_prime(self, r):
         # H = -q/n
-        return self._minus_q_prime(_off_pole(r, "H'")) / self.n
+        return (self._minus_q_prime_closed or self._minus_q_prime)(
+            _off_pole(r, "H'")) / self.n
 
     def Hcyl(self, r):
         """Mean curvature of the Killing cylinder over the sphere r."""

@@ -162,10 +162,12 @@ def test_c0_height_cap_euclidean_exact(euclid2):
 
 
 def test_c0_height_cap_matches_loop_values(euclid2, hyp2, hyp3):
-    # the values of the per-radius loop the one array pass replaced
+    # the value of the per-radius loop the one array pass replaced; on the
+    # hyperbolic models H^2/(rho H') = cosh r and -1/H(3) = tanh 3, so with
+    # H' in closed form the cap is sinh 3 exactly
     assert c0_height_cap(euclid2, 1.0, 3) == 3.0000000000000013
-    assert c0_height_cap(hyp2, 1.0, 3) == 10.017874927410302
-    assert c0_height_cap(hyp3, 1.0, 3) == 10.017874927409588
+    assert c0_height_cap(hyp2, 1.0, 3) == math.sinh(3.0)
+    assert c0_height_cap(hyp3, 1.0, 3) == math.sinh(3.0)
 
 
 def test_c0_height_cap_names_a_radius_where_H_decreases(monkeypatch):

@@ -121,11 +121,12 @@ def test_barrier_at_infinity_in_curvature_kappa(capsys):
     assert 0.0 < sc.alpha <= 2.0
 
 
-@pytest.mark.parametrize("kappa", ["0.5", "2", "5"])
+@pytest.mark.parametrize("kappa", ["0.5", "2", "5", "8"])
 def test_barrier_samples_the_deep_region_of_kappa(capsys, kappa):
     # in curvature -kappa^2 the halfplane at distance 1 subtends
     # |theta| < 2 atan(exp(-kappa)) from the pole, 0.013 at kappa = 5: a
-    # fixed |theta| < 0.6, r < 30 box found too few deep points there
+    # fixed |theta| < 0.6, r < 30 box found too few deep points there.
+    # At kappa = 8, c0_height_cap needs H' > 0 out to kappa r = 24
     rc, out = _run(["barrier", "--model", "hyperbolic", "--kappa", kappa],
                    capsys)
     report = json.loads(out)

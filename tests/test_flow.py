@@ -299,26 +299,31 @@ def _reference_diagnostics(model, grid, state):
 @pytest.mark.parametrize("nr,ntheta", [(64, 1), (24, 16)])
 def test_solve_ball_makes_one_slopes_pass_per_state(euclid2, monkeypatch,
                                                     nr, ntheta):
-    # each state's W, max|grad u| and max|A| come from one slopes pass,
-    # and solve_ball never recomputes W
+    # each state's W, max|grad u| and max|A| come from one slopes pass:
+    # the states stacked in all _slopes calls add up to one per state, and
+    # solve_ball never recomputes W
+    grid = Grid(R=1.0, nr=nr, ntheta=ntheta)
     calls = {"_slopes": 0, "compute_W": 0}
+    differenced = []
 
     def counting(name):
         real = getattr(flow, name)
 
         def counted(*args):
             calls[name] += 1
+            if name == "_slopes":
+                differenced.append(args[2].size // math.prod(grid.shape()))
             return real(*args)
         monkeypatch.setattr(flow, name, counted)
 
     counting("_slopes")
     counting("compute_W")
     p = BallProblem(model=euclid2, R=1.0, phi=_zero_phi, u0=_bump, T=0.01)
-    tr = solve_ball(p, Grid(R=1.0, nr=nr, ntheta=ntheta),
-                    StepControl(dt_max=1e-3))
+    tr = solve_ball(p, grid, StepControl(dt_max=1e-3))
     n_steps = tr.times.size - 1
     assert n_steps == 10
-    assert calls == {"_slopes": n_steps + 1, "compute_W": 0}
+    assert sum(differenced) == n_steps + 1
+    assert calls["compute_W"] == 0
 
 
 @pytest.mark.parametrize("model_name", ["euclid2", "hyp2"])
@@ -338,6 +343,59 @@ def test_fused_diagnostics_are_bit_identical(request, model_name, nr, ntheta):
         ref = _reference_diagnostics(model, grid, s)
         assert (tr.max_grad[k], tr.max_A[k]) == ref
         assert (s.max_grad, s.max_A) == ref
+
+
+@pytest.mark.parametrize("snapshot_every", [0, 1, 3])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("model_name,nr,ntheta", [
+    ("euclid2", 64, 1), ("euclid3", 64, 1), ("euclid2", 24, 16),
+    ("euclid2", 96, 64)])
+def test_block_diagnostics_match_a_chain_of_steps(request, model_name, nr,
+                                                   ntheta, extra,
+                                                   snapshot_every):
+    # solve_ball diagnoses its states in blocks of S; runs of 2S - 1, 2S
+    # and 2S + 1 states after the initial one end a block short, on and
+    # past a boundary, and every state must equal the public step's
+    model = request.getfixturevalue(model_name)
+    grid = Grid(R=1.0, nr=nr, ntheta=ntheta)
+    per_block = max(1, flow._BLOCK_NODES // math.prod(grid.shape()))
+    n_steps = 2 * per_block + extra
+    dt = 2.0 ** -10                   # T / dt_max is exactly n_steps
+    if grid.radial:
+        p = BallProblem(model=model, R=1.0, phi=_zero_phi, u0=_bump,
+                        T=n_steps * dt)
+    else:
+        p = BallProblem(model=model, R=1.0, phi=lambda th: 0.1 * np.cos(th),
+                        u0=lambda r, th: 0.1 * r * np.cos(th) + _bump(r, th),
+                        T=n_steps * dt)
+    ctl = StepControl(dt_max=dt)
+    tr = solve_ball(p, grid, ctl, snapshot_every=snapshot_every)
+    assert tr.times.size == n_steps + 1
+
+    u0, phi = p.sample(grid)
+    u0 = u0[:, 0] if grid.radial else u0
+    state = flow.FlowState(t=0.0, u=u0, W=compute_W(model, grid, u0),
+                           step_count=0)
+    max_grad, max_A = _reference_diagnostics(model, grid, state)
+    state = flow.FlowState(t=0.0, u=u0, W=state.W, step_count=0,
+                           max_grad=max_grad, max_A=max_A)
+    chain = [state]
+    for _ in range(n_steps):
+        state = step(state, p, grid, ctl, dt=dt, phi_row=phi)
+        chain.append(state)
+    assert np.array_equal(tr.times, [s.t for s in chain])
+    assert np.array_equal(tr.max_grad, [s.max_grad for s in chain])
+    assert np.array_equal(tr.max_A, [s.max_A for s in chain])
+    kept = [k for k in range(n_steps + 1) if k in (0, n_steps)
+            or snapshot_every and k % snapshot_every == 0]
+    assert [s.step_count for s in tr.states] == kept
+    for s in tr.states:
+        ref = chain[s.step_count]
+        assert s.t == ref.t
+        assert (s.max_grad, s.max_A) == (ref.max_grad, ref.max_A)
+        assert s.u.shape == s.W.shape == ref.W.shape
+        assert np.array_equal(s.u, ref.u) and np.array_equal(s.W, ref.W)
+        assert s.W.base is None       # a copy, not a view of the block
 
 
 def test_zero_graph_curvature_exact(euclid2):
@@ -373,14 +431,12 @@ def test_radial_flow_decays_bump(euclid2):
 
 def test_divergence_guard_trips(euclid2, monkeypatch):
     # sup0 = 0.25, so the maximum-principle guard sits at 10 max(sup0, 1)
-    real_step = flow.step
+    real_advance = flow._advance
 
-    def blow_up(state, *args, **kwargs):
-        s = real_step(state, *args, **kwargs)
-        return flow.FlowState(t=s.t, u=100.0 * s.u, W=s.W,
-                              step_count=s.step_count)
+    def blow_up(*args, **kwargs):
+        return 100.0 * real_advance(*args, **kwargs)
 
-    monkeypatch.setattr(flow, "step", blow_up)
+    monkeypatch.setattr(flow, "_advance", blow_up)
     p = BallProblem(model=euclid2, R=1.0, phi=_zero_phi, u0=_bump, T=0.01)
     with pytest.raises(FlowError, match="divergence guard tripped at "
                        r"t=0.001: sup\|u\| exceeds 10x the maximum-principle "

@@ -165,11 +165,21 @@ def test_cumulative_integral_independent_of_query_order():
     np.testing.assert_array_equal(two_steps.V(r), one_step.V(r))
 
 
-def test_H_prime_sign(hyp2, euclid2):
-    # |H| decreases outward on both built-ins, so H' > 0
-    for model in (hyp2, euclid2):
-        for r in (0.3, 1.0, 2.5):
-            assert model.H_prime(r) > 0.0
+def test_H_prime_sign(euclid2):
+    # |H| decreases outward on both built-ins, so H' > 0.  On the radii
+    # c0_height_cap scans for l0 r0 = 3, (A^2 - A'V)/V^2 cancelled to 0.0
+    # from kappa r of about 18.8 on; the closed form of -q' does not
+    r = 3.0 * np.geomspace(1e-6, 1.0, 1024)
+    for kappa, model in ((1.0, hyperbolic_model(n=2, kappa=1.0)),
+                         (8.0, hyperbolic_model(n=2, kappa=8.0)),
+                         (1.0, euclid2)):
+        assert np.all(model.H_prime(r) > 0.0)
+        assert all(model.H_prime(float(x)) > 0.0 for x in (0.3, 1.0, 2.5))
+        # where the difference does not cancel, the two forms agree
+        near = r[kappa * r < 2.0]
+        np.testing.assert_allclose(model.H_prime(near),
+                                   model._minus_q_prime(near) / model.n,
+                                   rtol=1e-9, atol=0)
 
 
 def test_pole_guards(euclid2):
