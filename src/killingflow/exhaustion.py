@@ -211,6 +211,10 @@ def run_exhaustion(plan: ExhaustionPlan, phi: Callable,
     """
     model = plan.model
     u0 = u0_radial_ext or pole_mollified_extension(phi)
+    # the curvature bound's Ricci constant on the first rung; a model with
+    # none (a table xi singular at the pole) fails before any rung is solved
+    R1 = float(plan.ladder[0])
+    _, L1 = lower_ricci_bounds(model, R1)
     # each rung is reduced to its report, its observation stack and the
     # running maxima as soon as it is solved, and its trajectory is dropped
     # before the next rung starts
@@ -246,7 +250,6 @@ def run_exhaustion(plan: ExhaustionPlan, phi: Callable,
             break
 
     # one-sided estimate checks computed from the first rung's data
-    R1 = float(plan.ladder[0])
     M = max(sup_u, 1e-6)
     gb = barriers.interior_gradient_bound(model, R1, M, beta=1 - 1e-8, k=17)
     max_grad_all = max(r.max_grad for r in reports)
@@ -259,7 +262,6 @@ def run_exhaustion(plan: ExhaustionPlan, phi: Callable,
     E_R = barriers.compute_E_R(
         delta_psi, float(np.max(model.xi.value(rs)) ** 2), model.n, zR,
         float(np.max(np.abs(model.xi.d1(rs)))))
-    _, L1 = lower_ricci_bounds(model, R1)
     cb = barriers.curvature_bound(delta_psi, L1, 0.0, 0.0, E_R, zR, plan.T0)
     max_A_all = max(r.max_A for r in reports)
     curv_ok = max_A_all <= cb

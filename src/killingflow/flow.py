@@ -63,18 +63,56 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import importlib.machinery
+import importlib.util
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-# every step solves a banded system, so scipy.linalg loads with the module
-from scipy.linalg.lapack import dpbsv
+import scipy
 
 from .geometry import ModelGeometry, ProfileSpec, R_MIN, ambient_frame
 from .kernel import Factors, factors
+
+
+def _load_dpbsv() -> Callable:
+    """LAPACK dpbsv from scipy's compiled wrapper ``scipy.linalg._flapack``.
+
+    Every step solves a banded system, so the routine loads with the
+    module.  ``import scipy.linalg`` would also import about 90 modules
+    flow never calls (numpy.testing and numpy.f2py among them), half of a
+    command's start-up.  So the extension is loaded from its file in the
+    scipy package, and the ``sys.modules`` entry the load leaves is taken
+    back out: a later ``import scipy.linalg`` then loads ``_flapack`` as
+    usual, and its ``dpbsv`` is this one.  Where ``_flapack`` is already
+    imported, or its file is not there (an editable scipy install keeps
+    it elsewhere) or fails to load, the public import gives the same
+    routine.
+    """
+    name = "scipy.linalg._flapack"
+    stem = os.path.join(scipy.__path__[0], "linalg", "_flapack")
+    paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
+             if os.path.isfile(stem + suffix)]
+    if paths and name not in sys.modules:
+        loader = importlib.machinery.ExtensionFileLoader(name, paths[0])
+        try:
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+            return module.dpbsv
+        except (ImportError, OSError, AttributeError):
+            pass
+        finally:
+            sys.modules.pop(name, None)
+    from scipy.linalg.lapack import dpbsv
+    return dpbsv
+
+
+dpbsv = _load_dpbsv()
 
 
 def __getattr__(name: str):

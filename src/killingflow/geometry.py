@@ -580,14 +580,30 @@ def lower_ricci_bounds(model: ModelGeometry, R: float,
     """Constants (L, L1) with Ric_g - Hess log rho >= -L g on B_R and
     Ric_ambient >= -L1 g_ambient, both taken as the smallest nonnegative
     constants realized on a sample ladder.
+
+    The metric closes smoothly at the pole only if xi'(0) = 1 and
+    xi''(0+) = 0.  A table xi's monotone cubic rarely does: otherwise the
+    pole is a cone point (xi'(0) != 1) or xi''/xi grows like 1/r, the
+    sampled constants only measure how near r = 0 the ladder reaches
+    (2.67e7 for a 25-sample sinh table at R = 1), and GeometryError names
+    the failing value instead.
     """
     if R <= 0:
         raise GeometryError("R must be positive")
+    xi = model.xi
+    if xi.kind == "table":
+        for label, value, smooth in (("xi'(0)", float(xi.d1(0.0)), 1.0),
+                                     ("xi''(0+)", float(xi.d2(0.0)), 0.0)):
+            if value != smooth:
+                raise GeometryError(
+                    f"table profile xi does not close smoothly at the "
+                    f"pole: {label} = {value!r}, not {smooth}, so the "
+                    f"curvature is singular at r = 0 and has no bound")
     rs = _ladder(R, samples)
     n = model.n
-    xi_rr = model.xi.ratio_d2(rs)
-    xi_r = model.xi.ratio_d1(rs)
-    defect = model.xi.sphere_defect(rs)
+    xi_rr = xi.ratio_d2(rs)
+    xi_r = xi.ratio_d1(rs)
+    defect = xi.sphere_defect(rs)
     lrho1 = model.log_rho_d1(rs)
     lrho2 = model.log_rho_d2(rs)
     # base Ricci minus Hess log rho, radial and tangential eigenvalues

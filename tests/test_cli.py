@@ -427,19 +427,45 @@ def test_runtime_warnings_are_errors_in_every_module():
     assert not uncovered
 
 
-_STARTUP_CHILD = """
-import sys
+# what a fresh interpreter may have loaded once killingflow is imported:
+# no scipy.linalg module (flow loads LAPACK's dpbsv from the compiled
+# scipy.linalg._flapack alone), no deferred scipy package, and no compiled
+# scipy module beyond those a bare ``import scipy`` loads (argv[1])
+_LEAN = """
+import importlib.machinery, sys
+
+def scipy_extensions():
+    suffixes = tuple(importlib.machinery.EXTENSION_SUFFIXES)
+    return ",".join(sorted(
+        name for name, mod in list(sys.modules.items())
+        if name.split(".")[0] == "scipy"
+        and str(getattr(mod, "__file__", "")).endswith(suffixes)))
+
+def assert_lean():
+    linalg = sorted(m for m in sys.modules
+                    if m == "scipy.linalg" or m.startswith("scipy.linalg."))
+    assert not linalg, linalg
+    loaded = sorted(m for m in ("scipy.interpolate", "scipy.optimize",
+                                "scipy.sparse", "scipy.special",
+                                "scipy.spatial") if m in sys.modules)
+    assert not loaded, loaded
+    assert scipy_extensions() == sys.argv[1], scipy_extensions()
+"""
+
+_STARTUP_CHILD = _LEAN + """
+import contextlib, io
 import killingflow
 from killingflow.cli import dispatch
-cfg, out = sys.argv[1:]
-assert dispatch(["model-info", "--model", "hyperbolic"]) == 0
-assert dispatch(["cmc", "--model", "euclidean", "--R", "1.0",
-                 "--grid", "16"]) == 0
-assert dispatch(["flow", "--config", cfg, "--out", out]) == 0
-loaded = sorted(m for m in ("scipy.interpolate", "scipy.optimize",
-                            "scipy.sparse", "scipy.special", "scipy.spatial")
-                if m in sys.modules)
-assert not loaded, loaded
+assert_lean()
+cfg, out = sys.argv[2:]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["model-info", "--model", "hyperbolic"],
+                 ["cmc", "--model", "euclidean", "--R", "1.0", "--grid", "16"],
+                 ["flow", "--config", cfg, "--out", out],
+                 ["verify", "--all"],
+                 ["barrier", "--model", "hyperbolic"]):
+        assert dispatch(argv) == 0, argv
+        assert_lean()
 """
 
 
@@ -453,31 +479,94 @@ def _run_fresh(code, *args, **env):
                           env=dict(os.environ, PYTHONPATH=path, **env))
 
 
-def test_startup_loads_no_deferred_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def bare_scipy_extensions():
+    proc = _run_fresh(_LEAN + "import scipy\nprint(scipy_extensions())")
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_startup_loads_no_deferred_scipy(tmp_path, bare_scipy_extensions):
     cfg = tmp_path / "run.ini"
     cfg.write_text(FLOW_INI.replace("nr = 24", "nr = 8")
                    .replace("ntheta = 16", "ntheta = 8")
                    .replace("T = 0.05", "T = 0.005"))
-    proc = _run_fresh(_STARTUP_CHILD, cfg, tmp_path / "run")
+    proc = _run_fresh(_STARTUP_CHILD, bare_scipy_extensions, cfg,
+                      tmp_path / "run")
     assert proc.returncode == 0, proc.stderr
 
 
-_EXHAUST_CHILD = """
-import contextlib, io, sys
+_EXHAUST_CHILD = _LEAN + """
+import contextlib, io
 from killingflow.cli import dispatch
 with contextlib.redirect_stdout(io.StringIO()):
     assert dispatch(["exhaust", "--model", "euclidean", "--rungs", "2",
                      "--tol", "0.1"]) == 0
-assert "scipy.interpolate" not in sys.modules
-assert "scipy.optimize" not in sys.modules
+assert_lean()
 """
 
 
-def test_exhaust_loads_no_interpolation():
+def test_exhaust_loads_no_interpolation(bare_scipy_extensions):
     # rungs are compared on the nodes they share, so no spline is fitted,
     # and R(t) is Newton on the time integral, with no scipy.optimize
-    proc = _run_fresh(_EXHAUST_CHILD)
+    proc = _run_fresh(_EXHAUST_CHILD, bare_scipy_extensions)
     assert proc.returncode == 0, proc.stderr
+
+
+# flow's dpbsv, loaded without scipy.linalg, is the one scipy.linalg binds
+# when it is imported later or was imported first
+_ONE_SOLVER_CHILD = """
+import sys
+if sys.argv[1] == "scipy-first":
+    import scipy.linalg
+from killingflow import flow
+import scipy.linalg, scipy.linalg.lapack
+assert "_flapack" in vars(scipy.linalg)
+assert scipy.linalg._flapack is sys.modules["scipy.linalg._flapack"]
+assert scipy.linalg.lapack.dpbsv is flow.dpbsv
+"""
+
+
+@pytest.mark.parametrize("order", ["killingflow-first", "scipy-first"])
+def test_one_dpbsv_in_either_import_order(order):
+    proc = _run_fresh(_ONE_SOLVER_CHILD, order)
+    assert proc.returncode == 0, proc.stderr
+
+
+# one 2-D and one radial semi-implicit step, printed to the last bit;
+# argv[1] == "fallback" hides the extension file from the direct load
+_STEP_CHILD = """
+import importlib.machinery, sys
+if sys.argv[1] == "fallback":
+    importlib.machinery.EXTENSION_SUFFIXES[:] = []
+import numpy as np
+from killingflow import flow, hyperbolic_model
+model = hyperbolic_model()
+p = flow.BallProblem(model=model, R=1.5, phi=lambda th: 0.2 * np.cos(th),
+                     u0=lambda r, th: 0.2 * np.cos(th) * (r / 1.5) ** 2
+                     + 0.1 * r * (1.5 - r) * np.sin(th), T=1.0)
+for nr, ntheta in ((12, 8), (24, 1)):
+    grid = flow.Grid(R=1.5, nr=nr, ntheta=ntheta)
+    u0, phi = p.sample(grid)
+    u0 = u0[:, 0] if grid.radial else u0
+    s0 = flow.FlowState(t=0.0, u=u0, W=flow.compute_W(model, grid, u0),
+                        step_count=0)
+    s1 = flow.step(s0, p, grid, flow.StepControl(), dt=1e-2, phi_row=phi)
+    print(s1.u.tobytes().hex(), s1.W.tobytes().hex())
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_dpbsv_fallback_steps_bit_identical():
+    outs = []
+    for mode in ("direct", "fallback"):
+        proc = _run_fresh(_STEP_CHILD, mode)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout.split())
+    (*fast, fast_linalg), (*fallback, fallback_linalg) = outs
+    # the fallback imports scipy.linalg; the direct load does not
+    assert (fast_linalg, fallback_linalg) == ("False", "True")
+    assert len(fast) == 4 and fast == fallback
 
 
 def test_exhaust_report_is_independent_of_blas_threads():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from killingflow import barriers
+from killingflow import GeometryError, ProfileSpec, barriers, exhaustion
+from killingflow.geometry import constant_profile, make_model
 from killingflow.exhaustion import (ExhaustionError, ExhaustionPlan,
                                     build_ladder, pole_mollified_extension,
                                     radial_extension, run_exhaustion)
@@ -192,3 +193,19 @@ def test_height_bounds_take_sup_of_whole_initial_state(euclid2, monkeypatch):
                                        grid.theta[None, :]))))
         assert sup_u0 == whole > inner + 0.2
     assert all(rung.height_margin > 0 for rung in report.rungs)
+
+
+def test_singular_table_model_fails_before_any_rung(monkeypatch):
+    # xi'(0) = 0.979 on the monotone cubic of 25 sinh samples: there is no
+    # Ricci constant for the curvature bound, so no rung is worth solving
+    rs = np.linspace(0, 6, 25)
+    sinh = ProfileSpec("table", samples=tuple(zip(rs, np.sinh(rs))))
+    model = make_model(sinh, sinh, constant_profile(1.0), 2)
+    solved = []
+    monkeypatch.setattr(exhaustion, "_solve_rung",
+                        lambda plan, R, phi, u0: solved.append(R))
+    plan = ExhaustionPlan(model=model, r0=1.0, ladder=(2, 4),
+                          T0=0.5 * model.zeta(2.0), tol=1e-3, n_time_steps=8)
+    with pytest.raises(GeometryError, match=r"xi'\(0\)"):
+        run_exhaustion(plan, _phi)
+    assert solved == []

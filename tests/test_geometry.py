@@ -267,6 +267,27 @@ def test_lower_ricci_bounds(euclid2, hyp2):
         lower_ricci_bounds(euclid2, 0.0)
 
 
+def test_lower_ricci_bounds_reject_singular_table_pole():
+    # the monotone cubic of 25 sinh samples has xi'(0) = 0.979: a cone
+    # point, where xi''/xi and the sphere defect are unbounded
+    rs = np.linspace(0, 6, 25)
+    sinh = ProfileSpec("table", samples=tuple(zip(rs, np.sinh(rs))))
+    model = make_model(sinh, sinh, constant_profile(1.0), 2)
+    with pytest.raises(GeometryError, match=r"xi'\(0\) = 0\.978"):
+        lower_ricci_bounds(model, 1.0)
+    # a table of xi = r has xi'(0) = 1 and xi''(0+) = 0: the flat bound
+    line = ProfileSpec("table", samples=tuple(zip(rs, rs)))
+    flat = make_model(line, line, constant_profile(1.0), 2)
+    assert lower_ricci_bounds(flat, 4.0) == (0.0, 0.0)
+    # xi'(0) = 1 exactly, but xi''(0+) = 0.58 gives xi''/xi ~ 0.58 / r
+    bent = ProfileSpec("table", samples=((0.0, 0.0), (1.0, 1.25),
+                                         (2.0, 3.0), (3.0, 5.0), (4.0, 7.5)))
+    assert bent.d1(0.0) == 1.0
+    with pytest.raises(GeometryError, match=r"xi''\(0\+\) = 0\.58"):
+        lower_ricci_bounds(make_model(bent, bent, constant_profile(1.0), 2),
+                           1.0)
+
+
 # (L, L1) of the cosh(0.5)-warped model from the former per-radius Ricci
 # loop over the 512-point ladder
 LOOP_RICCI_BOUNDS = {1.0: (1.3033880667585183, 1.3033880667585183),
