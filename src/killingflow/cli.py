@@ -15,21 +15,13 @@ import sys
 import numpy as np
 
 from . import barriers, cmc, config, exhaustion, expr, flow
-from .geometry import (MIN_DIMENSION, GeometryError, ModelGeometry,
-                       euclidean_model, hyperbolic_model, lower_ricci_bounds)
+from .geometry import (MIN_DIMENSION, MODELS, GeometryError, ModelGeometry,
+                       euclidean_model, lower_ricci_bounds, named_model)
 from .quadrature import QuadratureError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-
-
-def _build_model(args) -> ModelGeometry:
-    if args.model == "euclidean":
-        return euclidean_model(n=args.n)
-    if args.model == "hyperbolic":
-        return hyperbolic_model(n=args.n, kappa=args.kappa)
-    raise config.ConfigError(f"unknown model {args.model!r}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -42,12 +34,32 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
+def _check(name: str, value, ok) -> dict:
+    return {"name": name, "value": value, "pass": bool(ok)}
+
+
+def _supersolution_check(model: ModelGeometry, r0: float,
+                         tol: float) -> dict:
+    """Least supersolution residual on a 64 x 64 grid of [0, 0.5] x [0, r0]."""
+    res = barriers.verify_supersolution(
+        model, r0, np.linspace(0.0, 0.5, 64), np.linspace(0.0, r0, 64),
+        lambda r, u: flow.radial_Q(model, r, u))
+    return _check("supersolution_min_residual", res, res >= -tol)
+
+
+def _boundary_identity_check(bb: barriers.BoundaryBarrier) -> dict:
+    """max |h'' + L h'^2| of bb on 100 points of its collar [0, d0]."""
+    d = np.linspace(0.0, bb.d0, 100)
+    ident = float(np.max(np.abs(bb.h_second(d) + bb.L * bb.h_prime(d) ** 2)))
+    return _check("boundary_barrier_identity", ident, ident <= 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_model_info(args) -> int:
-    model = _build_model(args)
+    model = named_model(args.model, args.n, args.kappa)
     rs = [0.5, 1.0, 2.0, 4.0]
     L, L1 = lower_ricci_bounds(model, max(rs))
     info = {
@@ -65,7 +77,7 @@ def _cmd_model_info(args) -> int:
 
 
 def _cmd_cmc(args) -> int:
-    model = _build_model(args)
+    model = named_model(args.model, args.n, args.kappa)
     profile = cmc.solve_vR(model, args.R, args.grid)
     lines = ["r,v,vp"]
     for r, v, vp in zip(profile.grid, profile.v, profile.vp):
@@ -77,7 +89,7 @@ def _cmd_cmc(args) -> int:
 
 
 def _cmd_barrier(args) -> int:
-    model = _build_model(args)
+    model = named_model(args.model, args.n, args.kappa)
     r0 = args.r0
     checks = []
     constants = {}
@@ -91,24 +103,14 @@ def _cmd_barrier(args) -> int:
     t_cap = sflow.time_of(Rmax)
     for R in sflow.R_of_t(rng.uniform(0.0, t_cap, 50)):
         worst = max(worst, cmc.eval_vR(model, float(R), 0.0))
-    checks.append({"name": "height_cap_dominates_supersolution",
-                   "value": cap - worst, "pass": bool(cap - worst >= -1e-9)})
-
-    t_grid = np.linspace(0.0, 0.5, 64)
-    r_grid = np.linspace(0.0, r0, 64)
-    res = barriers.verify_supersolution(
-        model, r0, t_grid, r_grid,
-        lambda r, u: flow.radial_Q(model, r, u))
-    checks.append({"name": "supersolution_min_residual",
-                   "value": res, "pass": bool(res >= -1e-3)})
+    checks.append(_check("height_cap_dominates_supersolution", cap - worst,
+                         cap - worst >= -1e-9))
+    checks.append(_supersolution_check(model, r0, 1e-3))
 
     bb = barriers.make_boundary_barrier(L=args.L, d0=args.d0)
     constants["boundary_A_coef"] = bb.A_coef
     constants["boundary_gradient_cap"] = bb.gradient_cap()
-    d = np.linspace(0.0, args.d0, 100)
-    ident = float(np.max(np.abs(bb.h_second(d) + args.L * bb.h_prime(d) ** 2)))
-    checks.append({"name": "boundary_barrier_identity",
-                   "value": ident, "pass": bool(ident <= 1e-12)})
+    checks.append(_boundary_identity_check(bb))
 
     gb = barriers.interior_gradient_bound(model, Rmax, M=max(cap, 1.0),
                                           beta=1 - 1e-8, k=17)
@@ -129,12 +131,11 @@ def _cmd_barrier(args) -> int:
                 np.random.default_rng(args.seed), margin=0.1,
                 kappa=model.xi.kappa).T
             qmax = float(np.max(barriers.pointwise_Q(model, sc.eta, r, th)))
-            checks.append({"name": "sc_barrier_operator_sign",
-                           "value": qmax, "pass": bool(qmax <= 1e-3)})
+            checks.append(_check("sc_barrier_operator_sign", qmax,
+                                 qmax <= 1e-3))
         except barriers.BarrierError as exc:
-            checks.append({"name": "sc_barrier_operator_sign",
-                           "value": None, "pass": False,
-                           "error": str(exc)})
+            checks.append(dict(_check("sc_barrier_operator_sign", None, False),
+                               error=str(exc)))
 
     report = {
         "constants": constants,
@@ -148,11 +149,8 @@ def _cmd_barrier(args) -> int:
 def _cmd_flow(args) -> int:
     cfg = config.load_config(args.config)
     model = cfg.build_model()
-    grid = flow.Grid(R=cfg.grid["R"], nr=cfg.grid["nr"],
-                     ntheta=cfg.grid["ntheta"])
-    control = flow.StepControl(scheme=cfg.control["scheme"],
-                               cfl=cfg.control["cfl"],
-                               dt_max=cfg.control["dt_max"])
+    grid = flow.Grid(**cfg.grid)
+    control = flow.StepControl(**cfg.control)
     problem = flow.BallProblem(model=model, R=cfg.grid["R"],
                                phi=cfg.phi_function(),
                                u0=cfg.u0_function(),
@@ -179,7 +177,7 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_exhaust(args) -> int:
-    model = _build_model(args)
+    model = named_model(args.model, args.n, args.kappa)
     plan = exhaustion.build_ladder(model, args.r0, args.rungs, tol=args.tol)
     phi_fn = expr.as_function(args.phi)
     report = exhaustion.run_exhaustion(
@@ -201,20 +199,12 @@ def _cmd_verify(args) -> int:
     wanted = (set(config._KNOWN_CHECKS) if which == "all"
               else {c.strip() for c in which.split(",")})
     results = []
-
-    def record(name, value, ok):
-        results.append({"name": name, "value": value, "pass": bool(ok)})
-
     if "cmc" in wanted:
         profile = cmc.solve_vR(model, 1.0, 256)
         res = cmc.residual_cmc(model, profile)
-        record("cmc_residual", res, res <= tol)
+        results.append(_check("cmc_residual", res, res <= tol))
     if "supersolution" in wanted:
-        res = barriers.verify_supersolution(
-            model, 1.0, np.linspace(0.0, 0.5, 64),
-            np.linspace(0.0, 1.0, 64),
-            lambda r, u: flow.radial_Q(model, r, u))
-        record("supersolution_min_residual", res, res >= -tol)
+        results.append(_supersolution_check(model, 1.0, tol))
     if "height" in wanted or "identities" in wanted:
         problem = flow.BallProblem(
             model=model, R=1.0, phi=lambda th: np.zeros_like(th),
@@ -228,17 +218,15 @@ def _cmd_verify(args) -> int:
             # lower = -upper, so both margins are upper - |u|
             U = np.stack([s.u for s in trajectory.states])
             margin = float(np.min(upper(trajectory.grid.r) - np.abs(U)))
-            record("height_margin", margin, margin >= -tol)
+            results.append(_check("height_margin", margin, margin >= -tol))
         if "identities" in wanted:
             rep = flow.residual_identities(model, trajectory)
-            record("identity_cylinder_slack", rep.min_slack_cylinder,
-                   rep.min_slack_cylinder >= -tol)
+            results.append(_check("identity_cylinder_slack",
+                                  rep.min_slack_cylinder,
+                                  rep.min_slack_cylinder >= -tol))
     if "barrier" in wanted:
-        bb = barriers.make_boundary_barrier(L=0.1, d0=5.0)
-        d = np.linspace(0.0, 5.0, 100)
-        ident = float(np.max(np.abs(bb.h_second(d)
-                                    + 0.1 * bb.h_prime(d) ** 2)))
-        record("boundary_barrier_identity", ident, ident <= 1e-12)
+        results.append(_boundary_identity_check(
+            barriers.make_boundary_barrier(L=0.1, d0=5.0)))
 
     report = {"checks": results,
               "pass": all(r["pass"] for r in results)}
@@ -333,8 +321,7 @@ def _at_least(minimum: int):
 
 
 def _add_model_args(p) -> None:
-    p.add_argument("--model", required=True,
-                   choices=["euclidean", "hyperbolic"])
+    p.add_argument("--model", required=True, choices=tuple(MODELS))
     p.add_argument("--n", type=_at_least(MIN_DIMENSION), default=2)
     p.add_argument("--kappa", type=_finite, default=1.0)
 

@@ -18,7 +18,7 @@ vertically), removed here by the substitution s = R - tau^2.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,13 +43,8 @@ class CmcProfile:
     grid: np.ndarray
     v: np.ndarray
     vp: np.ndarray
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate: bool):
-        if not validate:
-            # escape hatch for feeding deliberately wrong profiles to
-            # residual_cmc in tests
-            return
+    def __post_init__(self):
         if abs(float(self.v[-1])) > 1e-12:
             raise CmcError("v(R) must vanish")
         interior = self.v[:-1]

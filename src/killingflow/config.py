@@ -1,8 +1,8 @@
-"""Run configuration: INI-style sections with defaults and range checks.
+"""Run configuration: INI-style sections with defaults.
 
 Sections and keys (all optional unless noted):
 
-    [model]    kind = euclidean | hyperbolic     (required)
+    [model]    kind = a key of geometry.MODELS   (required)
                kappa = 1.0        n = 2          quad_tol = 1e-10
     [grid]     nr = 64            ntheta = 16    R = 1.0
     [control]  scheme = semi-implicit | explicit-euler
@@ -10,6 +10,14 @@ Sections and keys (all optional unless noted):
     [problem]  phi = <expression in theta>       u0 = <expression in r, theta>
                T = <time; default zeta(R)/2>
     [verify]   checks = all | comma list         tol = 1e-3
+
+This module checks what a config file alone can break: sections, keys,
+number and expression syntax, a missing kind, check names, T > 0 and
+tol > 0.  Every other range is the rule of the constructor that takes
+the value (``geometry.named_model``, ``flow.Grid``, ``flow.StepControl``):
+parsing calls it and raises its message as a ConfigError, "[section]
+<message>", and a command exits 2.  Rules across sections (finite data on
+the grid, a grid that holds the model's n) are the solver's: exit 1.
 """
 
 from __future__ import annotations
@@ -17,10 +25,12 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from . import expr
-from .geometry import ModelGeometry, euclidean_model, hyperbolic_model
+from .flow import FlowError, Grid, StepControl
+from .geometry import MODELS, GeometryError, ModelGeometry, named_model
 
 
 class ConfigError(ValueError):
@@ -66,11 +76,7 @@ class RunConfig:
     verify: dict
 
     def build_model(self) -> ModelGeometry:
-        m = self.model
-        if m["kind"] == "euclidean":
-            return euclidean_model(n=m["n"], quad_tol=m["quad_tol"])
-        return hyperbolic_model(n=m["n"], kappa=m["kappa"],
-                                quad_tol=m["quad_tol"])
+        return named_model(**self.model)
 
     def phi_function(self):
         f = expr.as_function(self.problem["phi"])
@@ -92,25 +98,26 @@ class RunConfig:
         return buf.getvalue()
 
 
+def _owned(section: str, owner: Callable, values: dict) -> None:
+    """Call the owner of a section's ranges; its error names the section."""
+    try:
+        owner(**values)
+    except (FlowError, GeometryError) as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
 def _validate(sections: dict) -> RunConfig:
     model = sections["model"]
     if model.get("kind") in (None, ""):
-        raise ConfigError("[model] kind is required "
-                          "(euclidean or hyperbolic)")
-    if model["kind"] not in ("euclidean", "hyperbolic"):
-        raise ConfigError(f"[model] kind: unknown kind {model['kind']!r}")
+        raise ConfigError(f"[model] kind is required "
+                          f"({' or '.join(MODELS)})")
     out_model = {
         "kind": model["kind"],
         "kappa": _as_float("model", "kappa", model["kappa"]),
         "n": _as_int("model", "n", model["n"]),
         "quad_tol": _as_float("model", "quad_tol", model["quad_tol"]),
     }
-    if out_model["n"] < 2:
-        raise ConfigError("[model] n must be >= 2")
-    if out_model["kappa"] <= 0:
-        raise ConfigError("[model] kappa must be positive")
-    if out_model["quad_tol"] <= 0:
-        raise ConfigError("[model] quad_tol must be positive")
+    _owned("model", named_model, out_model)
 
     grid = sections["grid"]
     out_grid = {
@@ -118,12 +125,7 @@ def _validate(sections: dict) -> RunConfig:
         "ntheta": _as_int("grid", "ntheta", grid["ntheta"]),
         "R": _as_float("grid", "R", grid["R"]),
     }
-    if out_grid["nr"] < 8:
-        raise ConfigError("[grid] nr must be >= 8")
-    if out_grid["ntheta"] != 1 and out_grid["ntheta"] < 8:
-        raise ConfigError("[grid] ntheta >= 8 or = 1")
-    if out_grid["R"] <= 0:
-        raise ConfigError("[grid] R must be positive")
+    _owned("grid", Grid, out_grid)
 
     control = sections["control"]
     out_control = {
@@ -131,13 +133,7 @@ def _validate(sections: dict) -> RunConfig:
         "cfl": _as_float("control", "cfl", control["cfl"]),
         "dt_max": _as_float("control", "dt_max", control["dt_max"]),
     }
-    if out_control["scheme"] not in ("semi-implicit", "explicit-euler"):
-        raise ConfigError(f"[control] scheme: unknown scheme "
-                          f"{out_control['scheme']!r}")
-    if not 0.0 < out_control["cfl"] <= 1.0:
-        raise ConfigError("[control] cfl must be in (0, 1]")
-    if out_control["dt_max"] <= 0:
-        raise ConfigError("[control] dt_max must be positive")
+    _owned("control", StepControl, out_control)
 
     problem = sections["problem"]
     for key in ("phi", "u0"):

@@ -90,6 +90,9 @@ class ExhaustionPlan:
             raise ExhaustionError(
                 f"a ladder needs ntheta > 1 and n = 2; got "
                 f"ntheta = {self.ntheta}, n = {self.model.n}")
+        if not 0.0 < self.tol < math.inf:
+            raise ExhaustionError(
+                f"tol must be positive and finite, got {self.tol}")
         if min(self.ladder) < self.r0:
             raise ExhaustionError(
                 f"every rung must contain B_r0: rung {min(self.ladder)} "

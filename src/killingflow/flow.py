@@ -40,7 +40,7 @@ shared read-only: ``Grid.r``/``Grid.theta``, the node factors, the finite
 volumes and the pole ring's Fourier modes (``_grid_factors``), which are
 checked to be finite when built.  A step evaluates no profile.  Radial
 fields (ntheta = 1) may live in any base dimension n = model.n; the 2-D
-grid represents n = 2 only.
+grid represents n = 2 only, which ``_grid_factors`` checks.
 
 The diagnostics follow one rule on both grids.  ``_slopes`` takes u_r and
 u_theta / xi by centred differences on rows 1..nr-1, a second-order
@@ -134,6 +134,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise FlowError(f"{name} must be positive and finite, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # grid and problem data
 
@@ -151,8 +156,7 @@ class Grid:
     ntheta: int
 
     def __post_init__(self):
-        if not 0.0 < self.R < math.inf:
-            raise FlowError(f"R must be positive and finite, got {self.R}")
+        _positive("R", self.R)
         if self.nr < 8:
             raise FlowError("nr must be >= 8")
         if self.ntheta != 1 and self.ntheta < 8:
@@ -198,25 +202,31 @@ class BallProblem:
     T: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.R < math.inf:
-            raise FlowError(f"R must be positive and finite, got {self.R}")
+        _positive("R", self.R)
         if self.T is None:
             self.T = 0.5 * self.model.zeta(self.R)
-        if not 0.0 < self.T < math.inf:
-            raise FlowError(f"T must be positive and finite, got {self.T}")
+        _positive("T", self.T)
+
+    def _dirichlet_row(self, grid: Grid) -> np.ndarray:
+        """phi on the boundary row of a grid of the problem's radius."""
+        if grid.R != self.R:
+            raise FlowError(f"grid radius {grid.R} differs from the problem "
+                            f"radius {self.R}")
+        phi = np.broadcast_to(np.asarray(self.phi(grid.theta), dtype=float),
+                              (grid.ntheta,)).copy()
+        if not np.all(np.isfinite(phi)):
+            raise FlowError("phi must be finite on the boundary")
+        return phi
 
     def sample(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
         """(u0 field, phi row) on the grid, with compatibility enforced."""
+        phi = self._dirichlet_row(grid)
         r = grid.r[:, None]
         th = grid.theta[None, :]
         u0 = np.broadcast_to(np.asarray(self.u0(r, th), dtype=float),
                              grid.shape()).copy()
-        phi = np.broadcast_to(np.asarray(self.phi(grid.theta), dtype=float),
-                              (grid.ntheta,)).copy()
         if not np.all(np.isfinite(u0)):
             raise FlowError("u0 must be finite on the closed ball")
-        if not np.all(np.isfinite(phi)):
-            raise FlowError("phi must be finite on the boundary")
         gap = float(np.max(np.abs(u0[-1] - phi)))
         if gap > 1e-12:
             raise FlowError(
@@ -237,9 +247,7 @@ class StepControl:
             raise FlowError(f"unknown scheme {self.scheme!r}")
         if not 0.0 < self.cfl <= 1.0:
             raise FlowError("cfl must be in (0, 1]")
-        if not 0.0 < self.dt_max < math.inf:
-            raise FlowError(
-                f"dt_max must be positive and finite, got {self.dt_max}")
+        _positive("dt_max", self.dt_max)
 
 
 @dataclass(frozen=True)
@@ -342,8 +350,13 @@ def _grid_factors(n: int, xi: ProfileSpec, rho: ProfileSpec,
                   grid: Grid) -> _GridFactors:
     """The per-grid invariants, evaluated once per (n, xi, rho, grid);
     every array is read-only.  The key is the model's dimension and two
-    frozen profiles, since ModelGeometry is not hashable.  The cells come
-    first: building them raises FlowError where the profiles overflow."""
+    frozen profiles, since ModelGeometry is not hashable.  Every operator,
+    step and diagnostic reads this first, so it owns the rule that a polar
+    grid holds n = 2 only.  Then the cells: building them raises FlowError
+    where the profiles overflow."""
+    if not grid.radial and n != 2:
+        raise FlowError(f"the polar grid represents base dimension 2 only; "
+                        f"use a radial grid (ntheta = 1) for n = {n}")
     cells = _Cells(*map(_read_only, _cells(n, xi, rho, grid.r)))
     at = Factors(*map(_read_only, factors(xi, rho, grid.r)))
     return _GridFactors(
@@ -519,12 +532,6 @@ def _radius(w: _Radial | _Polar) -> float:
     return max(float(np.max(rows)), float(np.sum(w.g_r[0])) / w.m0)
 
 
-def _cfl_dt(model: ModelGeometry, grid: Grid, control: StepControl,
-            u: np.ndarray) -> float:
-    """The explicit step's limit cfl / max_j sum_k w_jk at the state u."""
-    return control.cfl / _radius(_weights(model, grid, u))
-
-
 def _band_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve S x = rhs for the symmetric positive definite S whose lower
     band is the C-order (N, kd + 1) array band, band[j, d] = S[j + d, j],
@@ -588,7 +595,7 @@ def _advance(u: np.ndarray, problem: BallProblem, grid: Grid,
     model = problem.model
     if control.scheme == "explicit-euler":
         w = _weights(model, grid, u)
-        lim = control.cfl / _radius(w)                # as _cfl_dt at u
+        lim = control.cfl / _radius(w)
         if dt > lim:
             raise FlowError(
                 f"explicit step dt={dt:.3e} exceeds the CFL limit {lim:.3e}")
@@ -605,15 +612,11 @@ def _advance(u: np.ndarray, problem: BallProblem, grid: Grid,
 
 
 def step(state: FlowState, problem: BallProblem, grid: Grid,
-         control: StepControl, dt: float | None = None,
-         phi_row: np.ndarray | None = None) -> FlowState:
+         control: StepControl, dt: float | None = None) -> FlowState:
     """Advance the flow one time step and re-impose the Dirichlet row.  The
     new state's W, max_grad and max_A come from ``_diagnosed`` of a block
     of one state."""
-    if phi_row is None:
-        phi_row = np.broadcast_to(
-            np.asarray(problem.phi(grid.theta), dtype=float),
-            (grid.ntheta,)).copy()
+    phi_row = problem._dirichlet_row(grid)
     dt = control.dt_max if dt is None else dt
     if dt <= 0:
         raise FlowError("dt must be positive")
@@ -766,12 +769,6 @@ def solve_ball(problem: BallProblem, grid: Grid, control: StepControl,
     if snapshot_every < 0:
         raise FlowError(f"snapshot_every must be >= 0, got {snapshot_every}")
     model = problem.model
-    if not grid.radial and model.n != 2:
-        raise FlowError(f"the polar grid represents base dimension 2 only; "
-                        f"use a radial grid (ntheta = 1) for n = {model.n}")
-    if grid.R != problem.R:
-        raise FlowError(f"grid radius {grid.R} differs from the problem "
-                        f"radius {problem.R}")
     u0, phi = problem.sample(grid)
     if grid.radial:
         u0 = u0[:, 0]

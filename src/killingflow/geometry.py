@@ -509,6 +509,24 @@ def hyperbolic_model(n: int = 2, kappa: float = 1.0,
                       cosh_profile(kappa), n, quad_tol)
 
 
+# The models a config or the command line names: kind -> builder of
+# (n, kappa, quad_tol).
+MODELS = {
+    "euclidean": lambda n, kappa, quad_tol: euclidean_model(n, quad_tol),
+    "hyperbolic": hyperbolic_model}
+
+
+def named_model(kind: str, n: int = 2, kappa: float = 1.0,
+                quad_tol: float = 1e-10) -> ModelGeometry:
+    """MODELS[kind]; GeometryError for an unknown kind, for any value its
+    builder rejects, and for kappa <= 0 also where the kind ignores it."""
+    if kind not in MODELS:
+        raise GeometryError(f"unknown model kind {kind!r} "
+                            f"(known: {', '.join(MODELS)})")
+    hyperbolic_profile(kappa)
+    return MODELS[kind](n, kappa, quad_tol)
+
+
 # ---------------------------------------------------------------------------
 # ambient frame: Christoffels and curvature of rho^2 ds^2 + dr^2 + xi^2 dth^2
 #

@@ -296,6 +296,36 @@ def test_verify_all_and_config_exclude_each_other(tmp_path, capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+def test_flat_model_rejects_a_bad_curvature_scale(tmp_path, capsys):
+    # config and command line build models through one builder, which
+    # checks kappa for every kind: a config exits 2, the command line 1,
+    # as for the hyperbolic model
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[model]\nkind = euclidean\nkappa = -1\n")
+    assert dispatch(["flow", "--config", str(cfg)]) == 2
+    assert "[model] curvature scale kappa" in capsys.readouterr().err
+    for model in ("euclidean", "hyperbolic"):
+        assert dispatch(["model-info", "--model", model,
+                         "--kappa=-1"]) == 1
+        assert "curvature scale kappa" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["-1", "0"])
+def test_exhaust_rejects_a_bad_tolerance_before_any_rung(tol, monkeypatch,
+                                                         capsys):
+    # before, --tol -1 solved all four rungs and reported "fail" with no
+    # error line
+    def no_rung(*args, **kwargs):
+        raise AssertionError("a rung was solved")
+
+    monkeypatch.setattr(killingflow.exhaustion, "solve_ball", no_rung)
+    assert dispatch(["exhaust", "--model", "euclidean",
+                     f"--tol={tol}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tol must be positive")
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[model]\nkind = dodecahedral\n")
@@ -547,11 +577,11 @@ p = flow.BallProblem(model=model, R=1.5, phi=lambda th: 0.2 * np.cos(th),
                      + 0.1 * r * (1.5 - r) * np.sin(th), T=1.0)
 for nr, ntheta in ((12, 8), (24, 1)):
     grid = flow.Grid(R=1.5, nr=nr, ntheta=ntheta)
-    u0, phi = p.sample(grid)
+    u0 = p.sample(grid)[0]
     u0 = u0[:, 0] if grid.radial else u0
     s0 = flow.FlowState(t=0.0, u=u0, W=flow.compute_W(model, grid, u0),
                         step_count=0)
-    s1 = flow.step(s0, p, grid, flow.StepControl(), dt=1e-2, phi_row=phi)
+    s1 = flow.step(s0, p, grid, flow.StepControl(), dt=1e-2)
     print(s1.u.tobytes().hex(), s1.W.tobytes().hex())
 print("scipy.linalg" in sys.modules)
 """

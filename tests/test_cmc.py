@@ -74,10 +74,6 @@ def test_profile_validation_rejects_garbage():
     with pytest.raises(CmcError):
         CmcProfile(R=1.0, H_R=-1.0, grid=g, v=np.ones_like(g),
                    vp=np.zeros_like(g))
-    # escape hatch keeps the data as-is
-    p = CmcProfile(R=1.0, H_R=-1.0, grid=g, v=np.ones_like(g),
-                   vp=np.zeros_like(g), validate=False)
-    assert p.v[0] == 1.0
 
 
 @pytest.mark.parametrize("name", ["euclid2", "euclid3", "hyp2", "hyp3"])
@@ -120,7 +116,7 @@ def test_residual_cmc_flags_wrong_profile(euclid2):
     profile = solve_vR(euclid2, 1.0, 128)
     assert residual_cmc(euclid2, profile) < 1e-6
     bad = CmcProfile(R=1.0, H_R=profile.H_R, grid=profile.grid,
-                     v=profile.v ** 2, vp=profile.vp * 0.5, validate=False)
+                     v=profile.v ** 2, vp=profile.vp * 0.5)
     assert residual_cmc(euclid2, bad) > 0.1
 
 

@@ -1,6 +1,8 @@
 import pytest
 
 from killingflow.config import ConfigError, load_config, parse_config
+from killingflow.flow import FlowError, Grid, StepControl
+from killingflow.geometry import GeometryError, named_model
 
 MINIMAL = "[model]\nkind = euclidean\n"
 
@@ -97,6 +99,38 @@ def test_key_case_preserved():
 def test_rejects_bad_config(text):
     with pytest.raises(ConfigError):
         parse_config(text)
+
+
+@pytest.mark.parametrize("text,section,owner", [
+    ("[model]\nkind = spherical\n", "model",
+     lambda: named_model("spherical")),
+    ("[model]\nkind = euclidean\nkappa = -1\n", "model",
+     lambda: named_model("euclidean", kappa=-1.0)),
+    ("[model]\nkind = hyperbolic\nn = 1\n", "model",
+     lambda: named_model("hyperbolic", n=1)),
+    ("[model]\nkind = hyperbolic\nquad_tol = 0\n", "model",
+     lambda: named_model("hyperbolic", quad_tol=0.0)),
+    (MINIMAL + "[grid]\nnr = 4\n", "grid",
+     lambda: Grid(R=1.0, nr=4, ntheta=16)),
+    (MINIMAL + "[grid]\nntheta = 3\n", "grid",
+     lambda: Grid(R=1.0, nr=64, ntheta=3)),
+    (MINIMAL + "[grid]\nR = -2\n", "grid",
+     lambda: Grid(R=-2.0, nr=64, ntheta=16)),
+    (MINIMAL + "[control]\nscheme = rk4\n", "control",
+     lambda: StepControl(scheme="rk4")),
+    (MINIMAL + "[control]\ncfl = 1.5\n", "control",
+     lambda: StepControl(cfl=1.5)),
+    (MINIMAL + "[control]\ndt_max = 0\n", "control",
+     lambda: StepControl(dt_max=0.0)),
+])
+def test_range_errors_carry_the_owners_message(text, section, owner):
+    # a range rule lives in the constructor that takes the value; the
+    # config reports that constructor's message under the section's name
+    with pytest.raises((FlowError, GeometryError)) as own:
+        owner()
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == f"[{section}] {own.value}"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

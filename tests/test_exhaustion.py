@@ -50,6 +50,12 @@ def test_plan_rejects_higher_dimension(euclid3):
         build_ladder(euclid3, 1.0, 2)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_plan_rejects_a_bad_tolerance(euclid2, tol):
+    with pytest.raises(ExhaustionError, match="tol must be positive"):
+        build_ladder(euclid2, 1.0, 4, tol=tol)
+
+
 def test_plan_rejects_rung_inside_observation_ball(euclid2):
     with pytest.raises(ExhaustionError, match="contain B_r0"):
         ExhaustionPlan(model=euclid2, r0=2.5, ladder=(2, 3), T0=0.1,

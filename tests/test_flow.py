@@ -372,7 +372,7 @@ def test_block_diagnostics_match_a_chain_of_steps(request, model_name, nr,
     tr = solve_ball(p, grid, ctl, snapshot_every=snapshot_every)
     assert tr.times.size == n_steps + 1
 
-    u0, phi = p.sample(grid)
+    u0 = p.sample(grid)[0]
     u0 = u0[:, 0] if grid.radial else u0
     state = flow.FlowState(t=0.0, u=u0, W=compute_W(model, grid, u0),
                            step_count=0)
@@ -381,7 +381,7 @@ def test_block_diagnostics_match_a_chain_of_steps(request, model_name, nr,
                            max_grad=max_grad, max_A=max_A)
     chain = [state]
     for _ in range(n_steps):
-        state = step(state, p, grid, ctl, dt=dt, phi_row=phi)
+        state = step(state, p, grid, ctl, dt=dt)
         chain.append(state)
     assert np.array_equal(tr.times, [s.t for s in chain])
     assert np.array_equal(tr.max_grad, [s.max_grad for s in chain])
@@ -488,7 +488,7 @@ def test_explicit_euler_at_cfl_limit(kind, n, nr, ntheta, cfl):
             return 0.1 * np.cos(th) * r + noise
 
     p = BallProblem(model=model, R=1.0, phi=phi, u0=u0, T=1.0)
-    dt = 0.99 * flow._cfl_dt(model, g, StepControl(cfl=cfl), p.sample(g)[0])
+    dt = 0.99 * (cfl / flow._radius(flow._weights(model, g, p.sample(g)[0])))
     p.T = 300 * dt
     a = solve_ball(p, g, StepControl(scheme="explicit-euler", cfl=cfl,
                                      dt_max=dt))
@@ -511,7 +511,7 @@ def test_explicit_run_builds_the_cfl_limit_once(hyp2, monkeypatch):
         return 0.1 * np.cos(th) * r + 0.05 * (1.0 - r * r)
 
     p = BallProblem(model=hyp2, R=1.0, phi=phi, u0=u0, T=1.0)
-    dt = 0.5 * flow._cfl_dt(hyp2, g, StepControl(cfl=1.0), p.sample(g)[0])
+    dt = 0.5 / flow._radius(flow._weights(hyp2, g, p.sample(g)[0]))
     ctl = StepControl(scheme="explicit-euler", cfl=1.0, dt_max=dt)
     p.T = k * dt
     calls = []
@@ -690,7 +690,7 @@ def test_indefinite_band_raises(euclid2, monkeypatch, ntheta):
     # which the Cholesky factorisation refuses on both grids
     p = BallProblem(model=euclid2, R=1.0, phi=_zero_phi, u0=_bump, T=1.0)
     g = Grid(R=1.0, nr=8, ntheta=ntheta)
-    u0, phi = p.sample(g)
+    u0 = p.sample(g)[0]
     if g.radial:
         u0 = u0[:, 0]
     name = "_radial_weights" if g.radial else "_polar_weights"
@@ -699,7 +699,7 @@ def test_indefinite_band_raises(euclid2, monkeypatch, ntheta):
     state = flow.FlowState(t=0.0, u=u0, W=compute_W(euclid2, g, u0),
                            step_count=0)
     with pytest.raises(FlowError, match="dpbsv"):
-        step(state, p, g, StepControl(), dt=1e-3, phi_row=phi)
+        step(state, p, g, StepControl(), dt=1e-3)
 
 
 def test_2d_run_is_independent_of_call_history(euclid2):
@@ -742,7 +742,7 @@ def test_2d_matches_radial_on_symmetric_data(model_name, request):
 
 def test_solve_ball_rejects_higher_dimension_on_polar_grid(euclid3):
     p = BallProblem(model=euclid3, R=1.0, phi=_zero_phi, u0=_bump, T=0.01)
-    with pytest.raises(FlowError):
+    with pytest.raises(FlowError, match="base dimension 2 only"):
         solve_ball(p, Grid(R=1.0, nr=16, ntheta=8), StepControl())
 
 
@@ -750,8 +750,61 @@ def test_solve_ball_rejects_radius_mismatch(euclid2):
     # zero data is compatible with the boundary at both radii
     p = BallProblem(model=euclid2, R=1.0, phi=_zero_phi,
                     u0=lambda r, th: 0.0 * r * th, T=0.01)
-    with pytest.raises(FlowError):
+    with pytest.raises(FlowError, match="differs from the problem radius"):
         solve_ball(p, Grid(R=2.0, nr=16, ntheta=1), StepControl())
+
+
+@pytest.mark.parametrize("entry", ["step", "explicit step", "discretize_Q",
+                                   "compute_W", "second_fundamental_form"])
+def test_polar_grid_rejects_higher_dimension_at_every_entry(euclid3, entry):
+    # every operator, step and diagnostic reads _grid_factors first, which
+    # owns the rule; before, only solve_ball checked it, and step advanced
+    # an n = 3 model on a 16 x 16 polar grid
+    g = Grid(R=1.0, nr=16, ntheta=16)
+    p = BallProblem(model=euclid3, R=1.0, phi=_zero_phi, u0=_bump, T=0.01)
+    u = p.sample(g)[0]
+    state = flow.FlowState(t=0.0, u=u, W=np.ones_like(u), step_count=0)
+    calls = {
+        "step": lambda: step(state, p, g, StepControl(), dt=1e-4),
+        "explicit step": lambda: step(
+            state, p, g, StepControl(scheme="explicit-euler"), dt=1e-6),
+        "discretize_Q": lambda: discretize_Q(euclid3, g, u),
+        "compute_W": lambda: compute_W(euclid3, g, u),
+        "second_fundamental_form": lambda: second_fundamental_form(
+            euclid3, g, u),
+    }
+    with pytest.raises(FlowError, match="base dimension 2 only"):
+        calls[entry]()
+
+
+@pytest.mark.parametrize("ntheta", [1, 16])
+@pytest.mark.parametrize("entry", ["step", "sample"])
+def test_entries_reject_a_grid_of_another_radius(euclid2, entry, ntheta):
+    # the problem's Dirichlet row owns the rule; before, step advanced a
+    # problem with R = 2 on an R = 1 grid.  Zero data is compatible with
+    # the boundary at both radii.
+    p = BallProblem(model=euclid2, R=2.0, phi=_zero_phi,
+                    u0=lambda r, th: 0.0 * r * th, T=0.01)
+    g = Grid(R=1.0, nr=16, ntheta=ntheta)
+    u = np.zeros(g.shape()[:1] if g.radial else g.shape())
+    state = flow.FlowState(t=0.0, u=u, W=np.ones_like(u), step_count=0)
+    calls = {"step": lambda: step(state, p, g, StepControl(), dt=1e-4),
+             "sample": lambda: p.sample(g)}
+    with pytest.raises(FlowError, match="differs from the problem radius"):
+        calls[entry]()
+
+
+def test_step_rejects_non_finite_boundary_data(euclid2):
+    # step reads phi through the same row as sample, with its finiteness
+    # check; before, a NaN phi was caught only as a non-finite field after
+    # the solve
+    p = BallProblem(model=euclid2, R=1.0, phi=lambda th: np.nan * th,
+                    u0=_bump, T=0.01)
+    g = Grid(R=1.0, nr=16, ntheta=16)
+    u = np.zeros(g.shape())
+    state = flow.FlowState(t=0.0, u=u, W=np.ones_like(u), step_count=0)
+    with pytest.raises(FlowError, match="phi must be finite"):
+        step(state, p, g, StepControl(), dt=1e-4)
 
 
 def test_comparison_principle_sample(euclid2):
@@ -776,11 +829,11 @@ def test_comparison_principle_sample(euclid2):
 def test_single_step_decreases_sup(euclid2):
     p = BallProblem(model=euclid2, R=1.0, phi=_zero_phi, u0=_bump, T=1.0)
     g = Grid(R=1.0, nr=32, ntheta=1)
-    u0, phi = p.sample(g)
+    u0 = p.sample(g)[0]
     u0 = u0[:, 0]
     from killingflow.flow import FlowState
     s0 = FlowState(t=0.0, u=u0, W=compute_W(euclid2, g, u0), step_count=0)
-    s1 = step(s0, p, g, StepControl(), dt=1e-4, phi_row=phi)
+    s1 = step(s0, p, g, StepControl(), dt=1e-4)
     assert s1.t == pytest.approx(1e-4)
     assert float(np.max(np.abs(s1.u))) <= float(np.max(np.abs(u0)))
 
@@ -800,8 +853,9 @@ def _excursion(model, g, u0, phi, scheme, steps, dt=None):
                            step_count=0)
     worst = 0.0
     for _ in range(steps):
-        h = flow._cfl_dt(model, g, ctl, state.u) if dt is None else dt
-        state = step(state, p, g, ctl, dt=h, phi_row=phi)
+        h = (ctl.cfl / flow._radius(flow._weights(model, g, state.u))
+             if dt is None else dt)
+        state = step(state, p, g, ctl, dt=h)
         worst = max(worst, lo - float(np.min(state.u)),
                     float(np.max(state.u)) - hi)
     return worst
