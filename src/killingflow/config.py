@@ -11,6 +11,11 @@ Sections and keys (all optional unless noted):
                T = <time; default zeta(R)/2>
     [verify]   checks = all | comma list         tol = 1e-3
 
+phi and u0 are expressions in r, theta and t (``killingflow.expr``):
+Python's expression syntax cut down to decimal numbers, unary minus,
++ - * /, ^ for power, and calls of sin cos tan sinh cosh tanh exp log
+sqrt abs and min max.
+
 This module checks what a config file alone can break: sections, keys,
 number and expression syntax, a missing kind, check names, T > 0 and
 tol > 0.  Every other range is the rule of the constructor that takes

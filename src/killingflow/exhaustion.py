@@ -22,7 +22,7 @@ import numpy as np
 
 from . import barriers
 from .flow import (BallProblem, FlowError, Grid, StepControl, Trajectory,
-                   solve_ball)
+                   _grid_factors, solve_ball)
 from .geometry import ModelGeometry, lower_ricci_bounds
 
 
@@ -84,12 +84,16 @@ class ExhaustionPlan:
 
     def __post_init__(self):
         # a radial rung (ntheta = 1) would silently sample phi(0) of a phi
-        # that depends on theta, and solve_ball runs a polar grid for n = 2
-        # only
-        if self.ntheta == 1 or self.model.n != 2:
-            raise ExhaustionError(
-                f"a ladder needs ntheta > 1 and n = 2; got "
-                f"ntheta = {self.ntheta}, n = {self.model.n}")
+        # that depends on theta
+        if self.ntheta == 1:
+            raise ExhaustionError("a ladder needs ntheta > 1; got ntheta = 1")
+        # the polar grid's n = 2 rule is flow's, checked before the first
+        # rung; the factors are cached, and that rung's solve reuses them
+        try:
+            _grid_factors(self.model.n, self.model.xi, self.model.rho,
+                          self.grid_for(float(self.ladder[0])))
+        except FlowError as exc:
+            raise ExhaustionError(str(exc)) from None
         if not 0.0 < self.tol < math.inf:
             raise ExhaustionError(
                 f"tol must be positive and finite, got {self.tol}")

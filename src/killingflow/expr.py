@@ -1,22 +1,20 @@
 """Tiny arithmetic expression language for boundary and initial data.
 
-Grammar (recursive descent, ^ right-associative and binding tighter than
-unary minus on its left operand):
-
-    expr    := term (('+' | '-') term)*
-    term    := factor (('*' | '/') factor)*
-    factor  := '-' factor | power
-    power   := atom ('^' factor)?
-    atom    := number | name | name '(' expr (',' expr)* ')' | '(' expr ')'
-
-Variables: r, theta, t.  Functions: sin cos tan sinh cosh tanh exp log
-sqrt abs (1 argument) and min max (2 arguments).  Evaluation accepts
-scalars or numpy arrays.
+The language is Python's expression syntax cut down to: decimal numbers
+(read as floats), the variables r, theta, t, unary minus, the binary
+operators + - * / and ^ (power, Python's ``**``: right-associative, and
+binding tighter than a unary minus on its left), and calls of sin cos tan
+sinh cosh tanh exp log sqrt abs (1 argument) and min max (2 arguments).
+Python's own parser reads the text (``ast.parse``) and one walk admits
+only those nodes.  Evaluation accepts scalars or numpy arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import ast
+import operator as op
+import re
+import warnings
 
 import numpy as np
 
@@ -28,6 +26,11 @@ _FUNCS_1 = {
     "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
 }
 _FUNCS_2 = {"min": np.minimum, "max": np.maximum}
+_FUNCS = {**_FUNCS_1, **_FUNCS_2}
+_BINOPS = {ast.Add: op.add, ast.Sub: op.sub, ast.Mult: op.mul,
+           ast.Div: op.truediv, ast.Pow: op.pow}
+_BAD_CHAR = re.compile(r"[^0-9A-Za-z_.\s+\-*/^(),]")
+_NUMBER = re.compile(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 class ExprError(ValueError):
@@ -41,237 +44,112 @@ class ExprError(ValueError):
         self.expected = expected
 
 
-# AST nodes -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Unary:
-    op: str
-    arg: object
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    args: tuple
-
-
-Expr = object   # any of the node types above
-
-
-# tokenizer -------------------------------------------------------------------
-
-_OPS = set("+-*/^(),")
-
-
-def _tokenize(src: str):
-    tokens = []
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (src[j].isdigit() or src[j] == "."):
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            try:
-                val = float(src[i:j])
-            except ValueError:
-                raise ExprError(f"bad number {src[i:j]!r}", i) from None
-            tokens.append(("num", val, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(("name", src[i:j], i))
-            i = j
-            continue
-        raise ExprError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", None, n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, src: str):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind: str):
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise ExprError(f"unexpected token {tok[1]!r}", tok[2], (kind,))
-        self.pos += 1
-        return tok
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take(self.peek()[0])[0]
-            node = Binary(op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.take(self.peek()[0])[0]
-            node = Binary(op, node, self.factor())
-        return node
-
-    def factor(self):
-        if self.peek()[0] == "-":
-            self.take("-")
-            return Unary("-", self.factor())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.take("^")
-            return Binary("^", base, self.factor())
-        return base
-
-    def atom(self):
-        kind, value, offset = self.peek()
-        if kind == "num":
-            self.take("num")
-            return Num(float(value))
-        if kind == "name":
-            self.take("name")
-            if self.peek()[0] == "(":
-                self.take("(")
-                args = [self.expr()]
-                while self.peek()[0] == ",":
-                    self.take(",")
-                    args.append(self.expr())
-                self.take(")")
-                if value in _FUNCS_1:
-                    if len(args) != 1:
-                        raise ExprError(
-                            f"{value} takes 1 argument, got {len(args)}",
-                            offset)
-                elif value in _FUNCS_2:
-                    if len(args) != 2:
-                        raise ExprError(
-                            f"{value} takes 2 arguments, got {len(args)}",
-                            offset)
-                else:
-                    raise ExprError(f"unknown function {value!r}", offset,
-                                    tuple(sorted(_FUNCS_1) + sorted(_FUNCS_2)))
-                return Call(value, tuple(args))
-            if value not in VARIABLES:
-                raise ExprError(f"unknown identifier {value!r}", offset,
-                                VARIABLES)
-            return Var(value)
-        if kind == "(":
-            self.take("(")
-            node = self.expr()
-            self.take(")")
-            return node
-        raise ExprError(f"unexpected token {value!r}", offset,
-                        ("number", "name", "("))
-
-
-def parse_expression(src: str) -> Expr:
-    """Parse the source text into an AST; errors carry byte offsets."""
+def parse_expression(src: str) -> ast.expr:
+    """Parse the source text into a checked ``ast.expr`` whose constants
+    are floats; errors carry offsets into src."""
     if not src or not src.strip():
         raise ExprError("empty expression", 0)
-    p = _Parser(src)
-    node = p.expr()
-    kind, value, offset = p.peek()
-    if kind != "end":
-        raise ExprError(f"trailing input {value!r}", offset, (")",)
-                        if value == ")" else ("end of input",))
-    return node
+    bad = _BAD_CHAR.search(src)
+    if bad:
+        raise ExprError(f"unexpected character {bad.group()!r}", bad.start())
+    if "**" in src:
+        raise ExprError("unexpected '**' (power is ^)", src.index("**"))
+    # Python reads ^ as **; one space per whitespace character keeps one
+    # line, and eval mode refuses leading blanks
+    text = re.sub(r"\s", " ", src).replace("^", "**")
+    body = text.lstrip(" ")
+    hats = [m.start() + k for k, m in enumerate(re.finditer(r"\^", src))]
+
+    def at(p: int) -> int:
+        # offset p of body, moved back over the blanks and each ^ before it
+        p += len(text) - len(body)
+        return p - sum(h < p for h in hats)
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # "1if" and the like: reject
+            tree = ast.parse(body, mode="eval").body
+        _check(tree, body, at)
+    except SyntaxError as exc:   # offset 0: at the end of the input
+        raise ExprError(exc.msg, at(exc.offset - 1 if exc.offset
+                                    else len(body))) from None
+    except (RecursionError, MemoryError):
+        raise ExprError("expression nested too deeply", 0) from None
+    return tree
 
 
-def evaluate(node: Expr, **env):
+def _check(node: ast.AST, body: str, at) -> None:
+    """Admit only the language's nodes; set each constant to the float
+    of its source slice."""
+    if isinstance(node, ast.Constant):
+        literal = body[node.col_offset:node.end_col_offset]
+        if _NUMBER.fullmatch(literal):
+            node.value = float(literal)
+            return
+    elif isinstance(node, ast.Name):
+        if node.id in VARIABLES:
+            return
+        raise ExprError(f"unknown identifier {node.id!r}",
+                        at(node.col_offset), VARIABLES)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return _check(node.operand, body, at)
+    elif isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        _check(node.left, body, at)
+        return _check(node.right, body, at)
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        name = node.func.id
+        if name not in _FUNCS:
+            raise ExprError(f"unknown function {name!r}", at(node.col_offset),
+                            tuple(sorted(_FUNCS_1) + sorted(_FUNCS_2)))
+        arity = 1 if name in _FUNCS_1 else 2
+        # Python takes a trailing comma, sin(r,); the language does not
+        end = node.end_col_offset
+        if (len(node.args) != arity or node.keywords
+                or "," in body[node.args[-1].end_col_offset:end]):
+            raise ExprError(f"{name} takes {arity} argument"
+                            + "s" * (arity > 1), at(node.col_offset))
+        for arg in node.args:
+            _check(arg, body, at)
+        return
+    raise ExprError(f"unexpected {ast.get_source_segment(body, node)!r}",
+                    at(node.col_offset))
+
+
+def evaluate(node: ast.expr, **env):
     """Evaluate with variables from env (scalars or numpy arrays).  numpy
     arithmetic runs with its floating-point warnings off: a division by
     zero or an overflow gives inf or nan, which the caller checks (the
-    flow rejects a non-finite u0 or phi); Python floats still raise."""
-    with np.errstate(all="ignore"):
-        return _evaluate(node, env)
+    flow rejects a non-finite u0 or phi); Python floats still raise, and
+    a Python-float power with a complex value raises ExprError."""
+    try:
+        with np.errstate(all="ignore"):
+            return _evaluate(node, env)
+    except (RecursionError, MemoryError):
+        raise ExprError("expression nested too deeply", 0) from None
 
 
-def _evaluate(node: Expr, env: dict):
-    if isinstance(node, Num):
+def _evaluate(node: ast.expr, env: dict):
+    if isinstance(node, ast.Constant):
         return node.value
-    if isinstance(node, Var):
-        if node.name not in env:
-            raise ExprError(f"unbound variable {node.name!r}", 0)
-        return env[node.name]
-    if isinstance(node, Unary):
-        return -_evaluate(node.arg, env)
-    if isinstance(node, Binary):
-        a = _evaluate(node.left, env)
-        b = _evaluate(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return a / b
-        return a ** b
-    if isinstance(node, Call):
-        fn = _FUNCS_1.get(node.func) or _FUNCS_2[node.func]
-        return fn(*(_evaluate(arg, env) for arg in node.args))
-    raise TypeError(f"not an expression node: {node!r}")
+    if isinstance(node, ast.Name):
+        if node.id not in env:
+            raise ExprError(f"unbound variable {node.id!r}", 0)
+        return env[node.id]
+    if isinstance(node, ast.UnaryOp):
+        return -_evaluate(node.operand, env)
+    if isinstance(node, ast.BinOp):
+        value = _BINOPS[type(node.op)](_evaluate(node.left, env),
+                                       _evaluate(node.right, env))
+        if isinstance(value, complex):
+            raise ExprError(f"{to_source(node)} has a complex value", 0)
+        return value
+    return _FUNCS[node.func.id](*(_evaluate(a, env) for a in node.args))
 
 
-def to_source(node: Expr) -> str:
-    """Print the AST back to source; parsing the output reproduces the AST
-    evaluation path exactly (fully parenthesized form)."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Unary):
-        return f"(-{to_source(node.arg)})"
-    if isinstance(node, Binary):
-        return f"({to_source(node.left)} {node.op} {to_source(node.right)})"
-    if isinstance(node, Call):
-        return f"{node.func}({', '.join(to_source(a) for a in node.args)})"
-    raise TypeError(f"not an expression node: {node!r}")
+def to_source(node: ast.expr) -> str:
+    """Print the tree back to source; parsing the output gives the same
+    tree, so evaluation takes the same path."""
+    return ast.unparse(node).replace("**", "^")
 
 
 def as_function(src: str):

@@ -333,16 +333,41 @@ def test_bad_config_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("phi", ["1/0", "2^2000"])
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("phi", ["1/0", "2^2000", "(-8)^(1/3)"])
 def test_unevaluable_data_exits_2(tmp_path, phi, capsys):
-    # Python-float division by zero and overflow are data errors, not crashes
+    # Python-float division by zero, overflow and a complex power are data
+    # errors, not crashes
     cfg = tmp_path / "run.ini"
     cfg.write_text(FLOW_INI.replace("phi = 0.1*cos(theta)", f"phi = {phi}"))
     assert dispatch(["flow", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert _one_error_line(capsys)
     assert dispatch(["exhaust", "--model", "euclidean", "--rungs", "2",
                      "--phi", phi]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command, phi", [
+    ("flow", "(" * 400 + "0" + ")" * 400),
+    ("exhaust", "0" + "+0" * 5000),
+    ("exhaust", "-" * 3000 + "0"),
+], ids=["flow-parentheses", "exhaust-sum", "exhaust-minus"])
+def test_deeply_nested_data_exits_2(tmp_path, command, phi, capsys):
+    # each ended in a RecursionError traceback before
+    if command == "flow":
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(FLOW_INI.replace("phi = 0.1*cos(theta)",
+                                        f"phi = {phi}"))
+        argv = ["flow", "--config", str(cfg)]
+    else:
+        argv = ["exhaust", "--model", "euclidean", "--rungs", "2",
+                f"--phi={phi}"]
+    assert dispatch(argv) == 2
+    assert _one_error_line(capsys)
 
 
 @pytest.mark.parametrize("line", ["T = inf", "R = nan", "dt_max = nan"])

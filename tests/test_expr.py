@@ -1,4 +1,7 @@
+import inspect
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +49,11 @@ def test_array_evaluation():
 @pytest.mark.parametrize("src", [
     "", "   ", "1 +", "(1", "1)", "sin()", "sin(1, 2)", "max(1)",
     "foo(1)", "x + 1", "1 ** 2", "2..3", "1 2",
+    # Python syntax outside the language
+    "0x10", "1_0", "1j", "+r", "r // t", "r % t", "r if t else theta",
+    "r.real", "sin(r=1)", "(1, 2)", "r and t", "not r", "True",
+    "lambda: 1", "r # c", "2 ** 3", "sin(r,)", "max(r, t,)", "sin(*r)",
+    "sin(^r)",
 ])
 def test_parse_errors(src):
     with pytest.raises(ExprError):
@@ -58,6 +66,46 @@ def test_error_carries_offset():
     assert exc_info.value.offset == 4
 
 
+@pytest.mark.parametrize("src, offset", [("2^x", 2), ("\t2 ^ 3 ^ x", 9),
+                                         ("sin(1) + cos(1, 2)", 9),
+                                         (" 1 ^", 4), ("(1", 0)])
+def test_error_offset_indexes_the_source(src, offset):
+    # Python reads ^ as ** and refuses leading blanks; offsets still index
+    # the source as written
+    with pytest.raises(ExprError) as exc_info:
+        parse_expression(src)
+    assert exc_info.value.offset == offset
+
+
+@pytest.mark.parametrize("src", ["(" * 400 + "1" + ")" * 400,
+                                 "0" + "+0" * 5000, "-" * 3000 + "1"],
+                         ids=["parentheses", "sum", "minus"])
+def test_deep_nesting_is_a_parse_error(src):
+    with pytest.raises(ExprError):
+        parse_expression(src)
+
+
+def test_python_syntax_warnings_are_parse_errors():
+    # Python's tokenizer warns on "1if"; the warning must not reach stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ExprError):
+            parse_expression("1if r else 2")
+    assert not caught
+
+
+def test_deep_evaluation_is_an_expr_error():
+    # a tree the parser took can still be too deep for the caller's stack
+    node = parse_expression("-" * 200 + "r")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        with pytest.raises(ExprError, match="nested too deeply"):
+            evaluate(node, r=1.0)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_unbound_variable():
     node = parse_expression("r + 1")
     with pytest.raises(ExprError):
@@ -68,12 +116,19 @@ def test_as_function():
     f = as_function("r * cos(theta)")
     assert f(r=2.0, theta=0.0, t=0.0) == 2.0
     assert f.expression is not None
-    for src in ("1/0", "r/(t - t)", "2^2000"):
+    for src in ("1/0", "r/(t - t)", "2^2000", "(-8)^(1/3)",
+                "abs((-8)^(1/3))", "(-r)^0.5"):
         with pytest.raises(ExprError):
             as_function(src)(r=1.0, theta=0.0, t=0.0)
 
 
-# random expression generator for the round-trip property
+def test_negative_base_on_arrays_is_nan():
+    # numpy powers give nan, not complex, which the flow rejects as data
+    vals = ev("theta^0.5", theta=np.array([-1.0, 4.0]))
+    assert np.isnan(vals[0]) and vals[1] == 2.0
+
+
+# random expression generator for the round-trip and oracle properties
 
 
 def _exprs():
@@ -90,7 +145,10 @@ def _exprs():
         call2 = st.tuples(st.sampled_from(["min", "max"]), children,
                           children).map(lambda p: f"{p[0]}({p[1]}, {p[2]})")
         neg = children.map(lambda s: f"(-{s})")
-        return st.one_of(binop, call1, call2, neg)
+        prefix = children.map(lambda s: f"-{s}")
+        power = st.tuples(children, children).map(
+            lambda p: f"{p[0]} ^ {p[1]}")
+        return st.one_of(binop, call1, call2, neg, prefix, power)
 
     return st.recursive(atoms, extend, max_leaves=25)
 
@@ -107,10 +165,43 @@ def test_print_parse_roundtrip(src, r, theta, t):
         # both sides must then raise identically
         try:
             return repr(evaluate(n, r=r, theta=theta, t=t))
-        except (ZeroDivisionError, OverflowError) as exc:
+        except (ZeroDivisionError, OverflowError, ExprError) as exc:
             return type(exc).__name__
 
     # bit-identical: same AST evaluated along the same path
     assert run(node) == run(reparsed)
     # and printing is a fixed point after one pass
     assert to_source(reparsed) == printed
+
+
+# Python's own evaluation of the ** spelling, in a namespace that holds
+# only the numpy functions and the variables
+_NUMPY = {"sin": np.sin, "cos": np.cos, "tanh": np.tanh, "abs": np.abs,
+          "min": np.minimum, "max": np.maximum}
+
+
+def _outcome(thunk):
+    try:
+        with np.errstate(all="ignore"):
+            value = thunk()
+    except (ZeroDivisionError, OverflowError) as exc:
+        return type(exc).__name__
+    return type(value), np.asarray(value).tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(_exprs(), st.floats(0.1, 5), st.floats(-3, 3), st.floats(0, 2))
+def test_evaluation_matches_python(src, r, theta, t):
+    env = {"r": r, "theta": theta, "t": t}
+    want = _outcome(lambda: eval(src.replace("^", "**"),
+                                 {"__builtins__": {}}, {**_NUMPY, **env}))
+    try:
+        got = _outcome(lambda: evaluate(parse_expression(src), **env))
+    except ExprError as exc:
+        # a complex intermediate value: Python carries it on, to a complex
+        # result, a complex-arithmetic error, or a real abs()
+        assert "complex value" in str(exc)
+        assert (not isinstance(want, tuple) or issubclass(want[0], complex)
+                or "abs(" in src)
+        return
+    assert got == want
