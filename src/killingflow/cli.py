@@ -356,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flow", help="solve a Dirichlet flow from a config")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", help="directory for the run: one .npy table "
-                   "(t, r, theta, u, W per node) per snapshot plus "
-                   "manifest.json")
+    p.add_argument("--out", help="directory for the run: snapshots.npy "
+                   "(u and W of each kept state), steps.npy (t, max|grad u| "
+                   "and max|A| of each step) and manifest.json")
     p.add_argument("--snapshot-every", type=_at_least(0), default=0)
     p.add_argument("--svg")
 

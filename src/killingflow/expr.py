@@ -79,8 +79,9 @@ def parse_expression(src: str) -> ast.expr:
 
 
 def _check(node: ast.AST, body: str, at) -> None:
-    """Admit only the language's nodes; set each constant to the float
-    of its source slice."""
+    """Admit only the language's nodes; record each node's offset in the
+    source and set each constant to the float of its source slice."""
+    node.offset = at(node.col_offset)
     if isinstance(node, ast.Constant):
         literal = body[node.col_offset:node.end_col_offset]
         if _NUMBER.fullmatch(literal):
@@ -133,7 +134,7 @@ def _evaluate(node: ast.expr, env: dict):
         return node.value
     if isinstance(node, ast.Name):
         if node.id not in env:
-            raise ExprError(f"unbound variable {node.id!r}", 0)
+            raise ExprError(f"unbound variable {node.id!r}", node.offset)
         return env[node.id]
     if isinstance(node, ast.UnaryOp):
         return -_evaluate(node.operand, env)
@@ -141,7 +142,8 @@ def _evaluate(node: ast.expr, env: dict):
         value = _BINOPS[type(node.op)](_evaluate(node.left, env),
                                        _evaluate(node.right, env))
         if isinstance(value, complex):
-            raise ExprError(f"{to_source(node)} has a complex value", 0)
+            raise ExprError(f"{to_source(node)} has a complex value",
+                            node.offset)
         return value
     return _FUNCS[node.func.id](*(_evaluate(a, env) for a in node.args))
 

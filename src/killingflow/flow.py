@@ -69,7 +69,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -254,8 +254,8 @@ class StepControl:
 class FlowState:
     """The field u at time t and its tilt factor W.  max_grad and max_A
     (max|grad u| and max|A|) are recorded by ``step`` and ``solve_ball``,
-    which give each state a W array of its own; states built elsewhere,
-    such as by ``load_snapshot``, carry NaN."""
+    which give each state a W array of its own, and read back by
+    ``load_run``; a state built without them carries NaN."""
 
     t: float
     u: np.ndarray
@@ -925,7 +925,10 @@ def residual_identities(model: ModelGeometry, trajectory: Trajectory,
 
 
 # ---------------------------------------------------------------------------
-# snapshot persistence
+# run persistence
+
+_MANIFEST_KEYS = {"grid", "control", "model_hash", "model", "T",
+                  "snapshot_steps"}
 
 
 def _spec_hash(spec: dict) -> str:
@@ -937,94 +940,81 @@ def model_hash(model: ModelGeometry) -> str:
     return _spec_hash(model.spec_dict())
 
 
-def save_snapshot(path: str, grid: Grid, state: FlowState) -> None:
-    """Write one snapshot to exactly ``path`` as a NumPy ``.npy`` table
-    (NEP 1): an (N, 5) little-endian float64 array with columns
-    t, r, theta, u, W and one row per node, theta varying fastest.  No
-    float goes through text, so reading it back is bit-exact."""
-    nr1, nt = grid.shape()
-    table = np.empty((nr1 * nt, 5), dtype="<f8")
-    table[:, 0] = state.t
-    table[:, 1] = np.repeat(grid.r, nt)
-    table[:, 2] = np.tile(grid.theta, nr1)
-    table[:, 3] = np.ravel(state.u)
-    table[:, 4] = np.ravel(state.W)
-    # np.save on a path would append ".npy" to one that lacks it
-    with open(path, "wb") as fh:
-        np.save(fh, table, allow_pickle=False)
-
-
-def load_snapshot(path: str, grid: Grid) -> FlowState:
-    """Read a snapshot written by save_snapshot on the same grid, never
-    unpickling.  Raises FlowError, naming the file, unless it is an (N, 5)
-    ``<f8`` table with one row per node, one t, and the grid's r and theta
-    (compared exactly)."""
-    nr1, nt = grid.shape()
-    try:
-        with open(path, "rb") as fh:
-            table = np.load(fh, allow_pickle=False)
-    except (EOFError, ValueError) as exc:
-        raise FlowError(f"{path}: not a .npy snapshot table: {exc}") from exc
-    if not (isinstance(table, np.ndarray) and table.shape == (nr1 * nt, 5)
-            and table.dtype == np.dtype("<f8")):
-        raise FlowError(f"{path}: not the ({nr1 * nt}, 5) <f8 table of a "
-                        f"grid with {nr1 * nt} nodes")
-    if not (np.array_equal(table[:, 1], np.repeat(grid.r, nt))
-            and np.array_equal(table[:, 2], np.tile(grid.theta, nr1))):
-        raise FlowError(f"{path}: r/theta columns differ from the grid")
-    if not np.all(table[:, 0] == table[0, 0]):
-        raise FlowError(f"{path}: rows disagree on t")
-    shape = (nr1,) if grid.radial else (nr1, nt)
-    return FlowState(t=float(table[0, 0]), u=table[:, 3].reshape(shape),
-                     W=table[:, 4].reshape(shape), step_count=-1)
-
-
 def save_run(dirpath: str, trajectory: Trajectory) -> str:
-    """Persist a trajectory: one ``.npy`` table per snapshot, written by
-    save_snapshot, plus a JSON manifest.  Returns the manifest path."""
+    """Persist a trajectory in dirpath as three files: ``snapshots.npy``,
+    the (S, 2, nr + 1, ntheta) stack of u and W of each kept state;
+    ``steps.npy``, the (K, 3) table of t, max|grad u| and max|A| of each
+    step (both NumPy ``.npy``, NEP 1, of little-endian float64); and
+    ``manifest.json``, the metadata with the step of each kept state.
+    Returns the manifest path."""
     os.makedirs(dirpath, exist_ok=True)
-    grid = trajectory.grid
-    files = []
-    for i, state in enumerate(trajectory.states):
-        name = f"snapshot_{i:05d}.npy"
-        save_snapshot(os.path.join(dirpath, name), grid, state)
-        files.append(name)
-    manifest = {
-        "snapshots": files,
-        "grid": {"R": grid.R, "nr": grid.nr, "ntheta": grid.ntheta},
-        "control": {"scheme": trajectory.control.scheme,
-                    "cfl": trajectory.control.cfl,
-                    "dt_max": trajectory.control.dt_max},
-        "model_hash": model_hash(trajectory.problem.model),
-        "model": trajectory.problem.model.spec_dict(),
-        "T": trajectory.problem.T,
-        "times": [repr(float(x)) for x in trajectory.times],
-        "max_grad": [repr(float(x)) for x in trajectory.max_grad],
-        "max_A": [repr(float(x)) for x in trajectory.max_A],
-    }
+    tr, shape = trajectory, trajectory.grid.shape()
+    for name, array in (
+            ("snapshots.npy", [(np.reshape(s.u, shape), np.reshape(s.W, shape))
+                               for s in tr.states]),
+            ("steps.npy", np.column_stack((tr.times, tr.max_grad, tr.max_A)))):
+        with open(os.path.join(dirpath, name), "wb") as fh:
+            np.save(fh, np.asarray(array, dtype="<f8"), allow_pickle=False)
+    manifest = {"grid": asdict(tr.grid), "control": asdict(tr.control),
+                "model_hash": model_hash(tr.problem.model),
+                "model": tr.problem.model.spec_dict(), "T": tr.problem.T,
+                "snapshot_steps": [s.step_count for s in tr.states]}
     mpath = os.path.join(dirpath, "manifest.json")
     with open(mpath, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return mpath
 
 
+def _load_f8(path: str, shape: tuple) -> np.ndarray:
+    """The ``.npy`` array at path, never unpickling.  Raises FlowError,
+    naming the file, unless it is a ``<f8`` array of the given shape (None
+    matches any length)."""
+    try:
+        with open(path, "rb") as fh:
+            array = np.load(fh, allow_pickle=False)
+    except (OSError, EOFError, ValueError) as exc:
+        raise FlowError(f"{path}: not a .npy array: {exc}") from exc
+    if not (isinstance(array, np.ndarray) and array.dtype == np.dtype("<f8")
+            and array.ndim == len(shape)
+            and all(n in (None, m) for n, m in zip(shape, array.shape))):
+        raise FlowError(f"{path}: not a <f8 array of shape {shape}")
+    return array
+
+
 def load_run(manifest_path: str) -> dict:
-    """Load a manifest and its snapshots; values round-trip bit-exactly."""
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    """Load a run written by save_run; every value round-trips bit for bit,
+    each state taking t, max_grad and max_A from ``steps.npy`` at its step.
+    Raises FlowError, naming the file, for a manifest that lacks a key, has
+    a bad grid or steps, or a model that does not match its hash, and for
+    an array that does not fit the manifest."""
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        missing = _MANIFEST_KEYS - manifest.keys()
+        grid = Grid(**manifest["grid"])
+    except (OSError, ValueError, AttributeError, TypeError, KeyError,
+            FlowError) as exc:
+        raise FlowError(
+            f"{manifest_path}: not a run manifest: {exc!r}") from exc
+    if missing:
+        raise FlowError(f"{manifest_path}: not a run manifest: missing "
+                        f"{', '.join(sorted(missing))}")
     if manifest["model_hash"] != _spec_hash(manifest["model"]):
         raise FlowError(f"{manifest_path}: model_hash does not match the "
                         f"stored model")
-    g = manifest["grid"]
-    grid = Grid(R=g["R"], nr=g["nr"], ntheta=g["ntheta"])
-    base = os.path.dirname(manifest_path)
-    states = [load_snapshot(os.path.join(base, f), grid)
-              for f in manifest["snapshots"]]
-    return {
-        "manifest": manifest,
-        "grid": grid,
-        "states": states,
-        "times": np.asarray([float(x) for x in manifest["times"]]),
-        "max_grad": np.asarray([float(x) for x in manifest["max_grad"]]),
-        "max_A": np.asarray([float(x) for x in manifest["max_A"]]),
-    }
+    base, kept = os.path.dirname(manifest_path), manifest["snapshot_steps"]
+    steps = _load_f8(os.path.join(base, "steps.npy"), (None, 3))
+    if not (isinstance(kept, list) and all(
+            type(k) is int and 0 <= k < len(steps) for k in kept)):
+        raise FlowError(f"{manifest_path}: snapshot_steps must be steps "
+                        f"0..{len(steps) - 1}")
+    snaps = _load_f8(os.path.join(base, "snapshots.npy"),
+                     (len(kept), 2, *grid.shape()))
+    shape = (grid.nr + 1,) if grid.radial else grid.shape()
+    states = [FlowState(t=float(steps[k, 0]), u=uW[0].reshape(shape),
+                        W=uW[1].reshape(shape), step_count=k,
+                        max_grad=float(steps[k, 1]), max_A=float(steps[k, 2]))
+              for k, uW in zip(kept, snaps)]
+    times, max_grad, max_A = steps.T.copy()
+    return {"manifest": manifest, "grid": grid, "states": states,
+            "times": times, "max_grad": max_grad, "max_A": max_A}

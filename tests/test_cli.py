@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 from importlib import resources
+from xml.etree import ElementTree
 
 import jsonschema
 import numpy as np
@@ -35,6 +36,14 @@ T = 0.05
 def _schema(name):
     return json.loads(resources.files("killingflow.schemas").joinpath(
         name + ".schema.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(
+    f.name.removesuffix(".schema.json")
+    for f in resources.files("killingflow.schemas").iterdir()
+    if f.name.endswith(".json")))
+def test_schema_is_valid_draft_2020_12(name):
+    jsonschema.Draft202012Validator.check_schema(_schema(name))
 
 
 def _run(args, capsys):
@@ -165,9 +174,8 @@ def test_flow_from_config(tmp_path, capsys):
     assert summary["sup_u_final"] <= 0.1 + 1e-12
     manifest = json.loads((out_dir / "manifest.json").read_text())
     jsonschema.validate(manifest, _schema("run_manifest"))
-    assert manifest["snapshots"]
-    for name in manifest["snapshots"]:
-        assert name.endswith(".npy") and (out_dir / name).is_file()
+    assert sorted(f.name for f in out_dir.iterdir()) == [
+        "manifest.json", "snapshots.npy", "steps.npy"]
     # what the command wrote loads back bit for bit as the run it made
     cfg_obj = config.load_config(str(cfg))
     tr = flow.solve_ball(
@@ -183,11 +191,28 @@ def test_flow_from_config(tmp_path, capsys):
     loaded = flow.load_run(str(out_dir / "manifest.json"))
     assert len(loaded["states"]) == len(tr.states)
     for a, b in zip(loaded["states"], tr.states):
-        assert a.t == b.t
+        assert (a.t, a.step_count, a.max_grad, a.max_A) == (
+            b.t, b.step_count, b.max_grad, b.max_A)
         assert a.u.shape == b.u.shape and a.u.tobytes() == b.u.tobytes()
         assert a.W.shape == b.W.shape and a.W.tobytes() == b.W.tobytes()
     for key in ("times", "max_grad", "max_A"):
         assert loaded[key].tobytes() == getattr(tr, key).tobytes(), key
+
+
+@pytest.mark.parametrize("ntheta", [16, 1], ids=["polar", "radial"])
+def test_flow_svg(tmp_path, ntheta, capsys):
+    # a heat map of the final u: one cell per grid interval and angle, a
+    # radial run drawn as rings
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(FLOW_INI.replace("ntheta = 16", f"ntheta = {ntheta}"))
+    svg = tmp_path / "u.svg"
+    rc, _ = _run(["flow", "--config", str(cfg), "--svg", str(svg)], capsys)
+    assert rc == 0
+    root = ElementTree.fromstring(svg.read_text())
+    cells = root.findall("{http://www.w3.org/2000/svg}polygon")
+    assert len(cells) == 24 * ntheta
+    shades = {int(c.get("fill")[4:].split(",")[0]) for c in cells}
+    assert len(shades) > 1 and min(shades) >= 0 and max(shades) <= 255
 
 
 def test_exhaust_report(tmp_path, capsys):
@@ -349,6 +374,13 @@ def test_unevaluable_data_exits_2(tmp_path, phi, capsys):
     assert dispatch(["exhaust", "--model", "euclidean", "--rungs", "2",
                      "--phi", phi]) == 2
     assert _one_error_line(capsys)
+
+
+def test_complex_data_error_names_its_offset(capsys):
+    assert dispatch(["exhaust", "--model", "euclidean", "--rungs", "2",
+                     "--phi", "1 + (-8)^(1/3)"]) == 2
+    assert capsys.readouterr().err == (
+        "error: (-8.0) ^ (1.0 / 3.0) has a complex value at offset 4\n")
 
 
 @pytest.mark.parametrize("command, phi", [

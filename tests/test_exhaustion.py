@@ -20,6 +20,9 @@ def test_ladder_euclidean(euclid2):
     # quarter rule: smallest integer rung with zeta(r_k) < zeta(rung)/4
     assert plan.ladder == (3, 5, 9, 17)
     assert plan.T0 == pytest.approx(0.5 * euclid2.zeta(3.0))
+    # from r0 = 0.1 the quarter rule gives rung 1 for r = 0.1, 0.2 and 0.4;
+    # a rung no larger than the one before is moved to the next integer
+    assert build_ladder(euclid2, 0.1, 3).ladder == (1, 2, 3)
 
 
 def test_ladder_hyperbolic(hyp2):

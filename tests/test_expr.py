@@ -110,6 +110,21 @@ def test_unbound_variable():
     node = parse_expression("r + 1")
     with pytest.raises(ExprError):
         evaluate(node)
+    with pytest.raises(ExprError) as exc_info:
+        evaluate(parse_expression(" 1 + r^2 * theta"), r=1.0)
+    assert exc_info.value.offset == 11
+
+
+@pytest.mark.parametrize("src, offset", [("1 + (-8)^(1/3)", 4),
+                                         ("  r*(-8)^(1/3)", 4),
+                                         ("\t2^0.5 * (-1)^0.5", 9),
+                                         ("sin((-2.0)^r)", 4)])
+def test_evaluation_error_offset_indexes_the_source(src, offset):
+    # an error raised while evaluating points at the node that raised it
+    with pytest.raises(ExprError) as exc_info:
+        as_function(src)(r=1.5, theta=0.0, t=0.0)
+    assert exc_info.value.offset == offset
+    assert str(exc_info.value).endswith(f"at offset {offset}")
 
 
 def test_as_function():

@@ -14,9 +14,8 @@ from hypothesis.extra.numpy import arrays
 from killingflow import cmc, euclidean_model, flow, hyperbolic_model
 from killingflow.barriers import pointwise_Q
 from killingflow.flow import (BallProblem, FlowError, Grid, StepControl,
-                              compute_W, discretize_Q, load_run,
-                              load_snapshot, model_hash, radial_Q,
-                              radial_solve, save_run, save_snapshot,
+                              compute_W, discretize_Q, load_run, model_hash,
+                              radial_Q, radial_solve, save_run,
                               second_fundamental_form, solve_ball, step)
 
 
@@ -910,100 +909,230 @@ def test_runs_stay_within_their_data(request, model_name, nr, ntheta, scheme,
 
 # -- persistence -----------------------------------------------------------------
 
+_RUN_FILES = ["manifest.json", "snapshots.npy", "steps.npy"]
 
-def _npy_bytes(table) -> bytes:
+
+def _npy_bytes(array) -> bytes:
     buf = io.BytesIO()
-    np.save(buf, table)
+    np.save(buf, array)
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("nr,ntheta", [(32, 1), (16, 8)],
+def _wave_phi(th):
+    return 0.1 * np.cos(2 * th)
+
+
+def _wave(r, th):
+    return 0.1 * np.cos(2 * th) * r ** 2 + _bump(r, th)
+
+
+def _same_state(a, b) -> bool:
+    """Every field of two states equal bit for bit, with the same types."""
+    return (a.u.shape == np.shape(b.u) and a.u.tobytes() == b.u.tobytes()
+            and a.W.shape == np.shape(b.W) and a.W.tobytes() == b.W.tobytes()
+            and type(a.step_count) is int and a.step_count == b.step_count
+            and all(type(x) is float for x in (a.t, a.max_grad, a.max_A))
+            and np.array([a.t, a.max_grad, a.max_A]).tobytes()
+            == np.array([b.t, b.max_grad, b.max_A]).tobytes())
+
+
+@pytest.mark.parametrize("model,nr,ntheta", [("euclid3", 32, 1),
+                                             ("hyp2", 16, 8)],
                          ids=["radial", "polar"])
-def test_snapshot_roundtrip_bit_exact(euclid2, tmp_path, nr, ntheta):
-    p = BallProblem(model=euclid2, R=1.0, phi=_zero_phi, u0=_bump, T=0.01)
-    tr = solve_ball(p, Grid(R=1.0, nr=nr, ntheta=ntheta), StepControl())
-    state = tr.states[-1]
-    path = tmp_path / "snap.npy"
-    save_snapshot(str(path), tr.grid, state)
-    # the on-disk format: a .npy table of little-endian float64 columns
-    # t, r, theta, u, W, one row per node, theta varying fastest
-    u = np.reshape(state.u, (nr + 1, ntheta))
-    W = np.reshape(state.W, (nr + 1, ntheta))
-    expected = np.array([(state.t, r, th, u[j, i], W[j, i])
-                         for j, r in enumerate(tr.grid.r)
-                         for i, th in enumerate(tr.grid.theta)], dtype="<f8")
-    table = np.load(path, allow_pickle=False)
-    assert table.dtype == np.dtype("<f8") and table.shape == expected.shape
-    assert table.tobytes() == expected.tobytes()
-    assert path.read_bytes() == _npy_bytes(expected)
-    back = load_snapshot(str(path), tr.grid)
-    assert back.u.shape == np.shape(state.u)
-    assert back.u.tobytes() == np.asarray(state.u).tobytes()
-    assert back.W.tobytes() == np.asarray(state.W).tobytes()
-    assert back.t == state.t
+def test_snapshot_roundtrip_bit_exact(request, tmp_path, model, nr, ntheta):
+    p = BallProblem(model=request.getfixturevalue(model), R=1.0,
+                    phi=_wave_phi, u0=_wave, T=0.01)
+    tr = solve_ball(p, Grid(R=1.0, nr=nr, ntheta=ntheta), StepControl(),
+                    snapshot_every=3)
+    mpath = save_run(str(tmp_path / "run"), tr)
+    # the on-disk format: snapshots.npy stacks each kept state's u and W on
+    # the (nr + 1, ntheta) grid; steps.npy has one row t, max|grad u|,
+    # max|A| per step; both little-endian float64
+    snaps = np.empty((len(tr.states), 2, nr + 1, ntheta), dtype="<f8")
+    for k, state in enumerate(tr.states):
+        snaps[k, 0] = np.reshape(state.u, (nr + 1, ntheta))
+        snaps[k, 1] = np.reshape(state.W, (nr + 1, ntheta))
+    steps = np.ascontiguousarray(
+        np.transpose([tr.times, tr.max_grad, tr.max_A]), dtype="<f8")
+    run = tmp_path / "run"
+    assert (run / "snapshots.npy").read_bytes() == _npy_bytes(snaps)
+    assert (run / "steps.npy").read_bytes() == _npy_bytes(steps)
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["snapshot_steps"] == [s.step_count for s in tr.states]
+    data = load_run(mpath)
+    assert len(data["states"]) == len(tr.states) >= 3
+    assert all(_same_state(a, b) for a, b in zip(data["states"], tr.states))
+    for key in ("times", "max_grad", "max_A"):
+        assert data[key].tobytes() == getattr(tr, key).tobytes(), key
 
 
-def test_save_snapshot_writes_exactly_its_path(tmp_path):
-    # np.save appends ".npy" to a path that lacks it; save_snapshot must not
-    from killingflow.flow import FlowState
-    g = Grid(R=1.0, nr=8, ntheta=8)
-    u = np.random.default_rng(1).standard_normal(g.shape())
-    for name in ("snap.csv", "snap"):
-        path = str(tmp_path / name)
-        save_snapshot(path, g, FlowState(t=0.25, u=u, W=1.0 + u,
-                                         step_count=1))
-        assert load_snapshot(path, g).u.tobytes() == u.tobytes()
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["snap", "snap.csv"]
+def test_save_run_writes_exactly_three_files(hyp2, tmp_path):
+    # two runs of one problem give byte-identical files, and nothing else
+    p = BallProblem(model=hyp2, R=1.0, phi=_wave_phi, u0=_wave, T=0.01)
+    g = Grid(R=1.0, nr=12, ntheta=8)
+    for name in ("a", "b"):
+        save_run(str(tmp_path / name),
+                 solve_ball(p, g, StepControl(), snapshot_every=4))
+    assert sorted(f.name for f in (tmp_path / "a").iterdir()) == _RUN_FILES
+    assert sorted(f.name for f in (tmp_path / "b").iterdir()) == _RUN_FILES
+    for name in _RUN_FILES:
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes())
 
 
-def _set(table, k, column, value):
-    table = table.copy()
-    table[k, column] = value
-    return table
+def test_save_run_writes_what_save_snapshot_writes(hyp2, tmp_path):
+    # each kept state in snapshots.npy holds, byte for byte, the u and W
+    # columns the per-snapshot tables held: node order, float64
+    def phi(th):
+        return 0.1 * np.cos(2 * th)
+
+    def u0(r, th):
+        return 0.1 * np.cos(2 * th) * r ** 2
+
+    p = BallProblem(model=hyp2, R=1.0, phi=phi, u0=u0, T=0.01)
+    tr = solve_ball(p, Grid(R=1.0, nr=12, ntheta=8), StepControl(dt_max=1e-3),
+                    snapshot_every=4)
+    assert len(tr.states) >= 3
+    save_run(str(tmp_path / "run"), tr)
+    with open(tmp_path / "run" / "manifest.json") as fh:
+        steps = json.load(fh)["snapshot_steps"]
+    snaps = np.load(tmp_path / "run" / "snapshots.npy", allow_pickle=False)
+    assert snaps.dtype == np.dtype("<f8")
+    for k, state in zip(steps, tr.states, strict=True):
+        assert k == state.step_count
+    for saved, state in zip(snaps, tr.states, strict=True):
+        for column, field in zip(saved, (state.u, state.W), strict=True):
+            assert (column.reshape(-1).tobytes()
+                    == np.asarray(field, dtype="<f8").reshape(-1).tobytes())
 
 
-def _csv_era(table):
-    # what save_snapshot wrote before snapshots were .npy tables
+@pytest.fixture(scope="module")
+def small_run(euclid2):
+    p = BallProblem(model=euclid2, R=1.0, phi=_zero_phi, u0=_bump, T=0.004)
+    return solve_ball(p, Grid(R=1.0, nr=8, ntheta=8), StepControl(),
+                      snapshot_every=2)
+
+
+def _saved(tmp_path, trajectory):
+    """Save the run and check that it loads; returns its directory."""
+    mpath = save_run(str(tmp_path / "run"), trajectory)
+    assert len(load_run(mpath)["states"]) == len(trajectory.states)
+    return tmp_path / "run"
+
+
+def _csv_era(array):
+    # text, as snapshots were before they were .npy tables
     rows = ["t,r,theta,u,W\r\n"] + [",".join(map(repr, row)) + "\r\n"
-                                     for row in table.tolist()]
+                                     for row in array.reshape(-1, 8).tolist()]
     return "".join(rows).encode()
 
 
-def _npz(table):
+def _npz(array):
     buf = io.BytesIO()
-    np.savez(buf, table=table)
+    np.savez(buf, table=array)
     return buf.getvalue()
 
 
 @pytest.mark.parametrize("edit", [
-    lambda tab: _npy_bytes(tab[:-3]),
-    lambda tab: _npy_bytes(np.vstack([tab, tab[-2:]])),
-    lambda tab: _npy_bytes(_set(tab, 20, 1, 0.3)),
-    lambda tab: _npy_bytes(_set(tab, 5, 2, 0.1)),
-    lambda tab: _npy_bytes(tab[:, :4]),
-    lambda tab: b"",
-    lambda tab: _npy_bytes(tab)[:-8],
-    lambda tab: _npy_bytes(tab.astype(object)),
-    lambda tab: _npy_bytes(_set(tab, 7, 0, 0.25)),
+    lambda a: _npy_bytes(a[:, :, :-3]),
+    lambda a: _npy_bytes(np.concatenate([a, a[:, :, -2:]], axis=2)),
+    lambda a: _npy_bytes(a[:, :1]),
+    lambda a: _npy_bytes(a[:-1]),
+    lambda a: b"",
+    lambda a: _npy_bytes(a)[:-8],
+    lambda a: _npy_bytes(a.astype(object)),
     _csv_era,
     _npz,
-    lambda tab: _npy_bytes(tab.ravel()),
-    lambda tab: _npy_bytes(tab.astype(">f8")),
-    lambda tab: _npy_bytes(tab.astype("<f4")),
-], ids=["truncated", "extra_rows", "edited_r", "edited_theta", "short_row",
-        "empty_file", "truncated_data", "object_array", "t_not_constant",
-        "csv_era", "npz_archive", "one_dimensional", "big_endian",
-        "float32"])
-def test_load_snapshot_rejects_rows_off_the_grid(tmp_path, edit):
-    from killingflow.flow import FlowState
-    g = Grid(R=1.0, nr=8, ntheta=8)
-    u = np.random.default_rng(0).standard_normal(g.shape())
-    path = tmp_path / "snap.npy"
-    save_snapshot(str(path), g, FlowState(t=0.5, u=u, W=1.0 + u, step_count=3))
-    np.testing.assert_array_equal(load_snapshot(str(path), g).u, u)
+    lambda a: _npy_bytes(a.ravel()),
+    lambda a: _npy_bytes(a.astype(">f8")),
+    lambda a: _npy_bytes(a.astype("<f4")),
+], ids=["truncated", "extra_rows", "short_row", "fewer_snapshots",
+        "empty_file", "truncated_data", "object_array", "csv_era",
+        "npz_archive", "one_dimensional", "big_endian", "float32"])
+def test_load_snapshot_rejects_rows_off_the_grid(small_run, tmp_path, edit):
+    # load_run refuses a snapshots.npy that is not the (S, 2, nr + 1,
+    # ntheta) <f8 stack of the manifest's grid and kept states
+    path = _saved(tmp_path, small_run) / "snapshots.npy"
     path.write_bytes(edit(np.load(path, allow_pickle=False)))
     with pytest.raises(FlowError, match=re.escape(str(path))):
-        load_snapshot(str(path), g)
+        load_run(str(path.parent / "manifest.json"))
+
+
+@pytest.mark.parametrize("edit, culprit", [
+    (lambda s: _npy_bytes(s[:, :2]), "steps.npy"),
+    (lambda s: _npy_bytes(s.ravel()), "steps.npy"),
+    (lambda s: _npy_bytes(s.astype("<f4")), "steps.npy"),
+    (lambda s: b"", "steps.npy"),
+    (lambda s: _npy_bytes(s[:3]), "manifest.json"),
+], ids=["two_columns", "one_dimensional", "float32", "empty_file",
+        "kept_step_past_the_end"])
+def test_load_run_rejects_a_bad_step_table(small_run, tmp_path, edit,
+                                           culprit):
+    run = _saved(tmp_path, small_run)
+    path = run / "steps.npy"
+    path.write_bytes(edit(np.load(path, allow_pickle=False)))
+    with pytest.raises(FlowError, match=re.escape(str(run / culprit))):
+        load_run(str(run / "manifest.json"))
+
+
+def _without(key):
+    return lambda m: json.dumps({k: v for k, v in m.items() if k != key})
+
+
+def _with(key, value):
+    return lambda m: json.dumps({**m, key: value})
+
+
+@pytest.mark.parametrize("edit", [
+    *(_without(key) for key in ("T", "control", "grid", "model",
+                                "model_hash", "snapshot_steps")),
+    lambda m: json.dumps([m]),
+    lambda m: "{",
+    _with("grid", {"R": 1.0, "ntheta": 8}),
+    _with("grid", {"R": 1.0, "nr": 4, "ntheta": 8}),
+    _with("snapshot_steps", [0, 2.0, 4]),
+    _with("snapshot_steps", [-1, 2, 4]),
+    _with("snapshot_steps", "0 2 4"),
+], ids=["no_T", "no_control", "no_grid", "no_model", "no_model_hash",
+        "no_snapshot_steps", "not_an_object", "not_json", "grid_without_nr",
+        "grid_too_coarse", "float_step", "negative_step", "steps_as_text"])
+def test_load_run_rejects_a_bad_manifest(small_run, tmp_path, edit):
+    path = _saved(tmp_path, small_run) / "manifest.json"
+    path.write_text(edit(json.loads(path.read_text())))
+    with pytest.raises(FlowError, match=re.escape(str(path))):
+        load_run(str(path))
+
+
+def test_load_run_rejects_the_old_layout(small_run, tmp_path):
+    # runs saved as one (N, 5) t, r, theta, u, W table per snapshot, with
+    # the per-step values as text in the manifest, are not readable and
+    # do not fit the manifest schema; re-run them
+    import jsonschema
+    from importlib import resources
+    run = _saved(tmp_path, small_run)
+    manifest = json.loads((run / "manifest.json").read_text())
+    del manifest["snapshot_steps"]
+    g = small_run.grid
+    manifest["snapshots"] = []
+    for k, state in enumerate(small_run.states):
+        name = f"snapshot_{k:05d}.npy"
+        table = np.column_stack([np.full(g.r.size * g.ntheta, state.t),
+                                 np.repeat(g.r, g.ntheta),
+                                 np.tile(g.theta, g.r.size),
+                                 np.ravel(state.u), np.ravel(state.W)])
+        np.save(run / name, table)
+        manifest["snapshots"].append(name)
+    for key in ("times", "max_grad", "max_A"):
+        manifest[key] = [repr(float(x)) for x in getattr(small_run, key)]
+    (run / "snapshots.npy").unlink()
+    (run / "steps.npy").unlink()
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FlowError, match=re.escape(str(run / "manifest.json"))):
+        load_run(str(run / "manifest.json"))
+    schema = json.loads(resources.files("killingflow.schemas").joinpath(
+        "run_manifest.schema.json").read_text())
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(manifest, schema)
 
 
 def test_run_roundtrip(euclid2, tmp_path):
@@ -1027,27 +1156,28 @@ def test_run_roundtrip(euclid2, tmp_path):
         load_run(mpath)
 
 
-def test_save_run_writes_what_save_snapshot_writes(hyp2, tmp_path):
-    # every snapshot file save_run writes is byte for byte what
-    # save_snapshot writes for its state
-    def phi(th):
-        return 0.1 * np.cos(2 * th)
-
-    def u0(r, th):
-        return 0.1 * np.cos(2 * th) * r ** 2
-
-    p = BallProblem(model=hyp2, R=1.0, phi=phi, u0=u0, T=0.01)
-    tr = solve_ball(p, Grid(R=1.0, nr=12, ntheta=8), StepControl(dt_max=1e-3),
-                    snapshot_every=4)
-    assert len(tr.states) >= 3
+def test_run_roundtrip_on_a_table_model(tmp_path):
+    # the manifest stores a table profile's samples; they must hash back
+    # to the model's hash, and an edited sample must be refused
+    from killingflow.geometry import ProfileSpec, constant_profile, make_model
+    table = ProfileSpec("table", samples=tuple(
+        (float(r), math.sinh(r)) for r in np.linspace(0.0, 2.0, 21)))
+    model = make_model(table, table, constant_profile(1.0), 2, r_max=2.0)
+    p = BallProblem(model=model, R=1.0, phi=_wave_phi, u0=_wave, T=0.004)
+    tr = solve_ball(p, Grid(R=1.0, nr=8, ntheta=8), StepControl(),
+                    snapshot_every=2)
     mpath = save_run(str(tmp_path / "run"), tr)
-    with open(mpath) as fh:
-        names = json.load(fh)["snapshots"]
-    for name, state in zip(names, tr.states, strict=True):
-        assert name.endswith(".npy")
-        ref = tmp_path / "ref.npy"
-        save_snapshot(str(ref), tr.grid, state)
-        assert (tmp_path / "run" / name).read_bytes() == ref.read_bytes()
+    data = load_run(mpath)
+    assert data["manifest"]["model_hash"] == model_hash(model)
+    assert data["manifest"]["model"]["xi"]["samples"] == [
+        list(s) for s in table.samples]
+    assert all(_same_state(a, b) for a, b in zip(data["states"], tr.states))
+    manifest = data["manifest"]
+    manifest["model"]["xi"]["samples"][5][1] += 1e-12
+    with open(mpath, "w") as fh:
+        json.dump(manifest, fh)
+    with pytest.raises(FlowError, match="model_hash"):
+        load_run(mpath)
 
 
 def test_model_hash_distinguishes_models(euclid2, hyp2, euclid3):
