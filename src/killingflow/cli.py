@@ -255,6 +255,11 @@ def _write_profile_svg(path: str, profile) -> None:
 
 
 def _write_heatmap_svg(path: str, grid, u: np.ndarray) -> None:
+    """u over the disc, one polygon per node: the annulus sector of radii
+    halfway to its radial neighbours (from 0 at the pole, to R on the
+    Dirichlet row) and angles halfway to its theta neighbours, a whole
+    annulus on a radial grid.  Each arc is drawn as at least 64 / ntheta
+    chords.  The shade runs from white at min u to blue at max u."""
     W = 400
     u2 = u if u.ndim == 2 else u[:, None]
     lo, hi = float(np.min(u2)), float(np.max(u2))
@@ -263,22 +268,23 @@ def _write_heatmap_svg(path: str, grid, u: np.ndarray) -> None:
     c = W / 2.0
     scale = (W / 2.0 - 4) / grid.R
     nt = u2.shape[1]
-    for j in range(grid.nr):
+    radii = scale * np.concatenate(
+        ([0.0], 0.5 * (grid.r[:-1] + grid.r[1:]), [grid.R]))
+    chords = math.ceil(64 / nt)
+    for j in range(grid.nr + 1):
         for i in range(nt):
             val = (float(u2[j, i]) - lo) / span
             shade = int(255 * (1 - val))
-            r0 = grid.r[j] * scale
-            r1 = grid.r[j + 1] * scale
-            a0 = 2 * math.pi * i / nt
-            a1 = 2 * math.pi * (i + 1) / nt
-            x0, y0 = c + r0 * math.cos(a0), c + r0 * math.sin(a0)
-            x1, y1 = c + r1 * math.cos(a0), c + r1 * math.sin(a0)
-            x2, y2 = c + r1 * math.cos(a1), c + r1 * math.sin(a1)
-            x3, y3 = c + r0 * math.cos(a1), c + r0 * math.sin(a1)
+            angles = (2 * math.pi * (i - 0.5 + np.arange(chords + 1) / chords)
+                      / nt)
+            points = [(c + r * math.cos(a), c + r * math.sin(a))
+                      for r, arc in ((radii[j + 1], angles),
+                                     (radii[j], angles[::-1]))
+                      for a in arc]
             cells.append(
-                f'<polygon points="{x0:.1f},{y0:.1f} {x1:.1f},{y1:.1f} '
-                f'{x2:.1f},{y2:.1f} {x3:.1f},{y3:.1f}" '
-                f'fill="rgb({shade},{shade},255)" stroke="none"/>')
+                '<polygon points="'
+                + " ".join(f"{x:.1f},{y:.1f}" for x, y in points)
+                + f'" fill="rgb({shade},{shade},255)" stroke="none"/>')
     svg = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" '
            f'height="{W}"><rect width="{W}" height="{W}" fill="white"/>'
            + "".join(cells) + "</svg>")

@@ -139,8 +139,12 @@ def _evaluate(node: ast.expr, env: dict):
     if isinstance(node, ast.UnaryOp):
         return -_evaluate(node.operand, env)
     if isinstance(node, ast.BinOp):
-        value = _BINOPS[type(node.op)](_evaluate(node.left, env),
-                                       _evaluate(node.right, env))
+        left, right = _evaluate(node.left, env), _evaluate(node.right, env)
+        try:
+            value = _BINOPS[type(node.op)](left, right)
+        except (ZeroDivisionError, OverflowError) as exc:
+            exc.offset = node.offset    # the node that raised, for as_function
+            raise
         if isinstance(value, complex):
             raise ExprError(f"{to_source(node)} has a complex value",
                             node.offset)
@@ -158,7 +162,8 @@ def as_function(src: str):
     """Compile source to a callable f(**env) over the declared variables.
 
     Python-float arithmetic raises on data such as 1/0 or 2^2000; the
-    callable reports those as ExprError, like a parse failure.
+    callable reports those as ExprError, like a parse failure, at the
+    offset of the operation that raised.
     """
     node = parse_expression(src)
 
@@ -166,7 +171,8 @@ def as_function(src: str):
         try:
             return evaluate(node, **env)
         except (ZeroDivisionError, OverflowError) as exc:
-            raise ExprError(f"cannot evaluate {src!r}: {exc}", 0) from None
+            raise ExprError(f"cannot evaluate {src!r}: {exc}",
+                            exc.offset) from None
 
     f.expression = node
     return f

@@ -37,10 +37,18 @@ and the row measures m_j = dV_j / P_j (``_radial_weights``,
 
 What depends only on n, the profiles and the grid is computed once and
 shared read-only: ``Grid.r``/``Grid.theta``, the node factors, the finite
-volumes and the pole ring's Fourier modes (``_grid_factors``), which are
-checked to be finite when built.  A step evaluates no profile.  Radial
-fields (ntheta = 1) may live in any base dimension n = model.n; the 2-D
-grid represents n = 2 only, which ``_grid_factors`` checks.
+volumes and the pole ring's Fourier modes (``_grid_factors``, cached for
+32 grids), which are checked to be finite when built.  A step evaluates
+no profile.  On the 2-D grid the operator, the step and the diagnostics
+read those factors as read-only (rows, ntheta) fields, the grid's
+``_Fields``, which a run builds when it starts and drops when it
+returns (``solve_ball``; every other public entry point per call), so
+that only the running grid's fields take memory.  They write each result
+in place into arrays of the call's own, read theta neighbours along the
+flattened rows (``_theta_op``) rather than from shifted copies, and
+write to no array they are given.  Radial fields (ntheta = 1) may live
+in any base dimension n = model.n; the 2-D grid represents n = 2 only,
+which ``_grid_factors`` checks.
 
 The diagnostics follow one rule on both grids.  ``_slopes`` takes u_r and
 u_theta / xi by centred differences on rows 1..nr-1, a second-order
@@ -269,16 +277,26 @@ class FlowState:
 # derivatives
 
 
-def _theta_shift(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """u at theta_{i+1} and at theta_{i-1}: periodic neighbours along the
-    last axis."""
-    return (np.concatenate((u[..., 1:], u[..., :1]), axis=-1),
-            np.concatenate((u[..., -1:], u[..., :-1]), axis=-1))
-
-
-def _theta_slope(u: np.ndarray, k: float) -> np.ndarray:
-    up, um = _theta_shift(u)
-    return (up - um) / (2.0 * k)
+def _theta_op(op, a: np.ndarray, da: int, b: np.ndarray, db: int,
+              out: np.ndarray) -> np.ndarray:
+    """out[..., i] = op(a[..., i + da], b[..., i + db]) for the periodic
+    angle index i on the last axis, with da, db in (-1, 0, 1), a ufunc op
+    and arrays of one shape.  The rows of ntheta values lie back to back,
+    so off the wrap columns the neighbours of i are those of the flattened
+    array: one op runs on it, and op then redoes the one or two columns
+    where a shift wraps.  out must reshape to (-1,) as a view (a
+    C-contiguous array, or a band column split into rows; not an array
+    laid out like a caller's u, which may be in Fortran order) and share
+    no memory with a or b."""
+    nt, n = out.shape[-1], out.size
+    lo, hi = int(da < 0 or db < 0), int(da > 0 or db > 0)
+    a, b = a.reshape(-1), b.reshape(-1)
+    op(a[lo + da:n - hi + da], b[lo + db:n - hi + db],
+       out=out.reshape(-1)[lo:n - hi])
+    rows = out.reshape(-1, nt)
+    for i in (0,) * lo + (nt - 1,) * hi:      # the wrap columns
+        op(a[(i + da) % nt::nt], b[(i + db) % nt::nt], out=rows[:, i])
+    return out
 
 
 class _Cells(NamedTuple):
@@ -335,8 +353,8 @@ class _GridFactors(NamedTuple):
     """What the solver reads that depends only on the base dimension, the
     warping profiles and the grid.  ``at`` holds the kernel factors at
     every node; ``op`` views them on rows 1..nr-1 as (nr - 1, 1) columns,
-    the rows where the 2-D weights and second fundamental form read them.
-    cos and sin on the first ring give the pole row its slope."""
+    the rows where the radial second fundamental form reads them.  cos
+    and sin on the first ring give the pole row its slope."""
 
     at: Factors
     op: Factors
@@ -364,6 +382,40 @@ def _grid_factors(n: int, xi: ProfileSpec, rho: ProfileSpec,
         cos=_read_only(np.cos(grid.theta)), sin=_read_only(np.sin(grid.theta)))
 
 
+class _Fields:
+    """What the operator, the step and the diagnostics read on one grid:
+    the base dimension n, the grid, its invariants ``gf`` and, on the 2-D
+    grid, the factors they multiply by as read-only (rows, ntheta) arrays.
+    A column broadcast along theta would run numpy's loops one row of
+    ntheta at a time.  Every public entry point builds one, ``solve_ball``
+    once per run, and drops it on return, so the fields of one grid at a
+    time are alive.  Each field holds the values the 2-D formulas read,
+    products of grid constants included, on the rows they read them:
+
+    * r-faces 0..nr-1: dr, cond, inv_rho2_f, inv_xi2_f;
+    * rows 1..nr-1: dr2 = dr_j + dr_{j-1}, inv_rho2 (rho^-2, as in the
+      cells), dV, g_t = h rho / dtheta^2, and rho, lrho, inv_xi2, xi_ratio;
+    * rows 0..nr: xi and inv_rho2_at = 1 / rho^2."""
+
+    def __init__(self, model: ModelGeometry, grid: Grid):
+        self.n, self.grid = model.n, grid
+        self.gf = gf = _grid_factors(model.n, model.xi, model.rho, grid)
+        if grid.radial:
+            return
+        c, at, k = gf.cells, gf.at, grid.dtheta
+
+        def field(column):
+            return _read_only(np.repeat(column[:, None], grid.ntheta, 1))
+
+        (self.dr, self.cond, self.inv_rho2_f, self.inv_xi2_f, self.dr2,
+         self.inv_rho2, self.dV, self.g_t, self.rho, self.lrho, self.inv_xi2,
+         self.xi_ratio, self.xi, self.inv_rho2_at) = map(field, (
+             c.dr, c.cond, c.inv_rho2_f, c.inv_xi2_f, c.dr[1:] + c.dr[:-1],
+             c.inv_rho2[1:-1], c.dV[1:-1], (grid.hr / (k * k)) * at.rho[1:-1],
+             at.rho[1:-1], at.lrho[1:-1], at.inv_xi2[1:-1],
+             at.xi_ratio[1:-1], at.xi, 1.0 / at.rho ** 2))
+
+
 def _pole_fourier(u_ring: np.ndarray, h: float, gf: _GridFactors):
     """Local Cartesian gradient (a, b) at the pole from the first Fourier
     modes of the first grid ring (row at r = h), one pair per ring of a
@@ -374,15 +426,17 @@ def _pole_fourier(u_ring: np.ndarray, h: float, gf: _GridFactors):
     return a, b
 
 
-def _slopes(gf: _GridFactors, grid: Grid, u: np.ndarray):
+def _slopes(fd: _Fields, u: np.ndarray):
     """(u_r, u_theta / xi) at every node of u; at the pole, the polar
     components of the gradient ``_pole_fourier`` fits.  u is a field of
     the grid's shape or a stack of them with rows on axis -2: (S, nr + 1,
     nt) on the 2-D grid, the columns of (nr + 1, S) on a radial one.  A
     radial grid's u_theta is the scalar 0.0."""
+    grid, gf = fd.grid, fd.gf
     h = grid.hr
     ur = np.empty_like(u)
-    ur[..., 1:-1, :] = (u[..., 2:, :] - u[..., :-2, :]) / (2 * h)
+    np.subtract(u[..., 2:, :], u[..., :-2, :], out=ur[..., 1:-1, :])
+    ur[..., 1:-1, :] /= 2 * h
     ur[..., -1, :] = (3 * u[..., -1, :] - 4 * u[..., -2, :]
                       + u[..., -3, :]) / (2 * h)
     if grid.radial:
@@ -390,24 +444,34 @@ def _slopes(gf: _GridFactors, grid: Grid, u: np.ndarray):
         return ur, 0.0
     a, b = (c[..., None] for c in _pole_fourier(u[..., 1, :], h, gf))
     ur[..., 0, :] = a * gf.cos + b * gf.sin
-    vt = np.empty_like(u)
+    # the centred theta slope on every row; the pole row's is replaced
+    vt = _theta_op(np.subtract, u, 1, u, -1, np.empty(u.shape))
+    vt /= 2.0 * grid.dtheta
+    vt[..., 1:, :] /= fd.xi[1:]
     vt[..., 0, :] = b * gf.cos - a * gf.sin
-    vt[..., 1:, :] = (_theta_slope(u[..., 1:, :], grid.dtheta)
-                      / gf.at.xi[1:, None])
     return ur, vt
 
 
-def _tilt(rho, ur, vt=0.0):
-    """The tilt factor W = sqrt(rho^-2 + u_r^2 + (u_theta / xi)^2)."""
-    return np.sqrt(1.0 / rho ** 2 + (ur ** 2 + vt ** 2))
+def _tilt(fd: _Fields, ur, vt):
+    """(|grad u|^2, W) from the slopes of ``_slopes``: |grad u|^2 =
+    u_r^2 + (u_theta / xi)^2 and the tilt factor W = sqrt(rho^-2 +
+    |grad u|^2)."""
+    grad2 = ur * ur
+    grad2 += vt * vt
+    if fd.grid.radial:
+        inv_rho2 = 1.0 / fd.gf.at.rho[:, None] ** 2
+    else:
+        inv_rho2 = fd.inv_rho2_at
+    W = grad2 + inv_rho2
+    return grad2, np.sqrt(W, out=W)
 
 
 def compute_W(model: ModelGeometry, grid: Grid, u: np.ndarray) -> np.ndarray:
     """Tilt factor W on the grid, from the slopes of ``_slopes``.  The
     stepper stores exactly this field, so recomputation is bit-identical."""
-    gf = _grid_factors(model.n, model.xi, model.rho, grid)
+    fd = _Fields(model, grid)
     v = u.reshape(grid.shape())
-    return _tilt(gf.at.rho[:, None], *_slopes(gf, grid, v)).reshape(u.shape)
+    return _tilt(fd, *_slopes(fd, v))[1].reshape(u.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -442,38 +506,63 @@ def _radial_weights(c: _Cells, u: np.ndarray) -> _Radial:
                                      + np.maximum(s[:-1] * s[1:], 0.0)))
 
 
-def _polar_weights(gf: _GridFactors, grid: Grid, u: np.ndarray) -> _Polar:
+def _polar_weights(fd: _Fields, u: np.ndarray) -> _Polar:
     """The 2-D operator at u.  W_f on a face adds the mean of the centred
-    cross-differences at its two nodes."""
-    c, f = gf.cells, gf.op
+    cross-differences at its two nodes.  Every array the formulas form is
+    written in place once made, and the three it returns are its own."""
+    grid, c = fd.grid, fd.gf.cells
     k = grid.dtheta
-    dr = c.dr[:, None]
-    s = np.diff(u, axis=0) / dr                     # r-face slopes
-    ct = _theta_slope(u, k)
-    cross = 0.5 * (ct[:-1] + ct[1:])
-    g_r = c.cond[:, None] / np.sqrt(c.inv_rho2_f[:, None] + s * s
-                                    + cross * cross * c.inv_xi2_f[:, None])
-    st = (_theta_shift(u[1:-1])[0] - u[1:-1]) / k   # slopes at i + 1/2
-    cr = (u[2:] - u[:-2]) / (dr[1:] + dr[:-1])
-    cross = 0.5 * (cr + _theta_shift(cr)[0])
-    inv_rho2 = c.inv_rho2[1:-1, None]
-    g_t = (grid.hr / (k * k)) * f.rho / (
-        f.xi * np.sqrt(inv_rho2 + cross * cross + st * st * f.inv_xi2))
-    m = c.dV[1:-1, None] / np.sqrt(
-        inv_rho2 + np.maximum(s[:-1] * s[1:], 0.0)
-        + np.maximum(_theta_shift(st)[1] * st, 0.0) * f.inv_xi2)
-    a, b = _pole_fourier(u[1], grid.hr, gf)
+    s = u[1:] - u[:-1]
+    s /= fd.dr                                      # r-face slopes
+    # g_r = cond / sqrt((rho^-2 + s^2) + cross^2 / xi^2), cross the mean of
+    # the centred theta slopes at the face's two nodes
+    cross = _theta_op(np.subtract, u, 1, u, -1, np.empty(u.shape))
+    cross /= 2.0 * k
+    cross = cross[:-1] + cross[1:]
+    cross *= 0.5
+    cross *= cross
+    cross *= fd.inv_xi2_f
+    g_r = s * s
+    g_r += fd.inv_rho2_f
+    g_r += cross
+    g_r = np.divide(fd.cond, np.sqrt(g_r, out=g_r), out=g_r)
+    # g_t = h rho / dtheta^2 / (xi sqrt((rho^-2 + cross^2) + st^2 / xi^2)),
+    # st the slope at i + 1/2 and cross the mean of the centred
+    # r-differences at i and i + 1
+    ring = u[1:-1]
+    st = _theta_op(np.subtract, ring, 1, ring, 0, np.empty(ring.shape))
+    st /= k
+    t = u[2:] - u[:-2]
+    t /= fd.dr2
+    g_t = _theta_op(np.add, t, 0, t, 1, np.empty(t.shape))
+    g_t *= 0.5
+    g_t *= g_t
+    g_t += fd.inv_rho2
+    t = np.multiply(st, st, out=t)
+    t *= fd.inv_xi2
+    g_t += t
+    g_t = np.sqrt(g_t, out=g_t)
+    g_t *= fd.xi[1:-1]
+    g_t = np.divide(fd.g_t, g_t, out=g_t)
+    # m = dV / sqrt((rho^-2 + max(s_- s_+, 0)) + max(st_- st_+, 0) / xi^2)
+    m = s[:-1] * s[1:]
+    m = np.maximum(m, 0.0, out=m)
+    m += fd.inv_rho2
+    t = _theta_op(np.multiply, st, -1, st, 0, np.empty(st.shape))
+    t = np.maximum(t, 0.0, out=t)
+    t *= fd.inv_xi2
+    m += t
+    m = np.divide(fd.dV, np.sqrt(m, out=m), out=m)
+    a, b = _pole_fourier(u[1], grid.hr, fd.gf)
     m0 = grid.ntheta * c.dV[0] / math.sqrt(c.inv_rho2[0] + a * a + b * b)
     return _Polar(g_r, g_t, m, m0)
 
 
-def _weights(model: ModelGeometry, grid: Grid,
-             u: np.ndarray) -> _Radial | _Polar:
+def _weights(fd: _Fields, u: np.ndarray) -> _Radial | _Polar:
     """The stencil at u on the grid."""
-    gf = _grid_factors(model.n, model.xi, model.rho, grid)
-    if grid.radial:
-        return _radial_weights(gf.cells, u.reshape(-1))
-    return _polar_weights(gf, grid, u)
+    if fd.grid.radial:
+        return _radial_weights(fd.gf.cells, u.reshape(-1))
+    return _polar_weights(fd, u)
 
 
 def _apply(w: _Radial | _Polar, u: np.ndarray) -> np.ndarray:
@@ -482,10 +571,15 @@ def _apply(w: _Radial | _Polar, u: np.ndarray) -> np.ndarray:
     if isinstance(w, _Radial):
         flux = np.concatenate(([0.0], w.g * np.diff(u.reshape(-1)), [0.0]))
         return (np.diff(flux) / w.m).reshape(u.shape)
-    f_r = w.g_r * np.diff(u, axis=0)
-    f_t = w.g_t * (_theta_shift(u[1:-1])[0] - u[1:-1])
-    Q = np.zeros_like(u)
-    Q[1:-1] = (f_r[1:] - f_r[:-1] + f_t - _theta_shift(f_t)[1]) / w.m
+    f_r = w.g_r * (u[1:] - u[:-1])
+    f_t = _theta_op(np.subtract, u[1:-1], 1, u[1:-1], 0,
+                    np.empty(w.g_t.shape))
+    f_t *= w.g_t
+    net = f_r[1:] - f_r[:-1]
+    net += f_t
+    Q = np.zeros(u.shape)
+    _theta_op(np.subtract, net, 0, f_t, -1, Q[1:-1])
+    Q[1:-1] /= w.m
     Q[0] = np.sum(f_r[0]) / w.m0
     return Q
 
@@ -516,7 +610,7 @@ def discretize_Q(model: ModelGeometry, grid: Grid,
 
     Boundary row is returned as zero (the Dirichlet row never moves).
     """
-    return _apply(_weights(model, grid, u), u)
+    return _apply(_weights(_Fields(model, grid), u), u)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +622,10 @@ def _radius(w: _Radial | _Polar) -> float:
     if isinstance(w, _Radial):
         g = np.concatenate(([0.0], w.g, [0.0]))
         return float(np.max((g[:-1] + g[1:]) / w.m))
-    rows = (w.g_r[1:] + w.g_r[:-1] + w.g_t + _theta_shift(w.g_t)[1]) / w.m
+    net = w.g_r[1:] + w.g_r[:-1]
+    net += w.g_t
+    rows = _theta_op(np.add, net, 0, w.g_t, -1, np.empty(net.shape))
+    rows /= w.m
     return max(float(np.max(rows)), float(np.sum(w.g_r[0])) / w.m0)
 
 
@@ -546,12 +643,12 @@ def _band_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _radial_implicit(model: ModelGeometry, grid: Grid, v: np.ndarray,
-                     dt: float, phi0: float) -> np.ndarray:
+def _radial_implicit(fd: _Fields, v: np.ndarray, dt: float,
+                     phi0: float) -> np.ndarray:
     """One lagged-coefficient step of a radial field: (I - dt L(v)) v_new = v
     with the Dirichlet value phi0 at r = R, each row scaled by its measure
     into the symmetric tridiagonal diag(m) - dt C."""
-    g, m = _weights(model, grid, v)
+    g, m = _weights(fd, v)
     g = dt * g
     band = np.zeros((v.size - 1, 2))
     band[:, 0] = m[:-1] + g
@@ -562,53 +659,74 @@ def _radial_implicit(model: ModelGeometry, grid: Grid, v: np.ndarray,
     return np.append(_band_solve(band, rhs), phi0)
 
 
-def _polar_implicit(model: ModelGeometry, grid: Grid, u: np.ndarray,
-                    dt: float, phi_row: np.ndarray) -> np.ndarray:
+def _polar_implicit(fd: _Fields, u: np.ndarray, dt: float,
+                    phi_row: np.ndarray) -> np.ndarray:
     """One lagged-coefficient step of a polar field: (I - dt L(u)) u_new = u
     with the Dirichlet row phi_row.  Each row is scaled by its measure into
     S = diag(m) - dt C, unknowns in natural order: the pole, then rings
     1..nr-1 with theta fastest.  S's lower band holds the diagonal, the
     theta neighbour at offset 1, the theta wrap at nt - 1, the next ring
-    at nt and the pole column at 1..nt, so kd = nt."""
-    nr, nt = grid.nr, grid.ntheta
-    w = _weights(model, grid, u)
-    g_r, g_t = dt * w.g_r, dt * w.g_t
+    at nt and the pole column at 1..nt, so kd = nt.  The right-hand side
+    lies in the new field, from the pole row's last node on, and the solve
+    overwrites it in place.  The band is the step's largest array: the
+    weights are freed before it is allocated, and their scaled copies
+    before the solve."""
+    nr, nt = fd.grid.nr, fd.grid.ntheta
+    w = _polar_weights(fd, u)
+    g_r, g_t, m0 = w.g_r * dt, w.g_t * dt, w.m0
+    diag = w.m + g_r[1:]
+    diag += g_r[:-1]
+    diag += g_t
+    u_new = np.empty((nr + 1, nt))
+    u_new[0, -1] = m0 * u[0, 0]
+    np.multiply(w.m, u[1:-1], out=u_new[1:-1])
+    del w
+    u_new[-2] += g_r[-1] * phi_row
+    u_new[-1] = phi_row
     band = np.zeros((1 + (nr - 1) * nt, nt + 1))
-    rings = band[1:].reshape(nr - 1, nt, nt + 1)
-    rings[:, :, 0] = w.m + g_r[1:] + g_r[:-1] + g_t + _theta_shift(g_t)[1]
-    rings[:, :-1, 1] = -g_t[:, :-1]
-    rings[:, 0, nt - 1] = -g_t[:, -1]
-    rings[:-1, :, nt] = -g_r[1:-1]
-    band[0, 0] = w.m0 + np.sum(g_r[0])
-    band[0, 1:] = -g_r[0]
-    rhs = np.concatenate(([w.m0 * u[0, 0]], (w.m * u[1:-1]).ravel()))
-    rhs[-nt:] += g_r[-1] * phi_row
-    x = _band_solve(band, rhs)
-    return np.vstack((np.full(nt, x[0]), x[1:].reshape(nr - 1, nt), phi_row))
+    _theta_op(np.add, diag, 0, g_t, -1, band[1:, 0].reshape(nr - 1, nt))
+    # the off-diagonal slots take -(dt g) as dt g times -1.0: numpy 2.4's
+    # np.negative miscomputes from a 64-byte input stride into a strided
+    # output
+    np.multiply(g_t.reshape(-1), -1.0, out=band[1:, 1])
+    band[nt::nt, 1] = 0.0                   # no theta link across rings
+    np.multiply(g_t[:, -1], -1.0, out=band[1::nt, nt - 1])
+    np.multiply(g_r[1:-1].reshape(-1), -1.0, out=band[1:1 + (nr - 2) * nt, nt])
+    band[0, 0] = m0 + np.sum(g_r[0])
+    np.multiply(g_r[0], -1.0, out=band[0, 1:])
+    del g_r, g_t, diag
+    rhs = u_new.reshape(-1)[nt - 1:nr * nt]
+    rhs[:] = _band_solve(band, rhs)         # dpbsv solves in place: rhs
+    u_new[0, :-1] = rhs[0]
+    return u_new
 
 
-def _advance(u: np.ndarray, problem: BallProblem, grid: Grid,
-             control: StepControl, dt: float,
+def _advance(fd: _Fields, u: np.ndarray, control: StepControl, dt: float,
              phi_row: np.ndarray) -> np.ndarray:
     """The field u one time step dt on, with the Dirichlet row phi_row
-    re-imposed; raises FlowError if the new field is not finite."""
-    model = problem.model
+    re-imposed.  The caller checks that it is finite (``_sup_norm``)."""
     if control.scheme == "explicit-euler":
-        w = _weights(model, grid, u)
+        w = _weights(fd, u)
         lim = control.cfl / _radius(w)
         if dt > lim:
             raise FlowError(
                 f"explicit step dt={dt:.3e} exceeds the CFL limit {lim:.3e}")
         u_new = u + dt * _apply(w, u)
-    elif grid.radial:
-        u_new = _radial_implicit(model, grid, u.reshape(-1), dt,
-                                 float(phi_row[0])).reshape(u.shape)
-    else:
-        u_new = _polar_implicit(model, grid, u, dt, phi_row)
-    u_new[-1] = phi_row if u_new.ndim == 2 else phi_row[0]
-    if not np.all(np.isfinite(u_new)):
+        u_new[-1] = phi_row if u_new.ndim == 2 else phi_row[0]
+        return u_new
+    if fd.grid.radial:
+        return _radial_implicit(fd, u.reshape(-1), dt,
+                                float(phi_row[0])).reshape(u.shape)
+    return _polar_implicit(fd, u, dt, phi_row)
+
+
+def _sup_norm(u: np.ndarray) -> float:
+    """max|u| of a field a step made; raises FlowError if u is not
+    finite, which a nan or an inf in u makes the maximum."""
+    sup = float(np.max(np.abs(u)))
+    if not sup < math.inf:
         raise FlowError("non-finite field after step (linear solve failed?)")
-    return u_new
+    return sup
 
 
 def step(state: FlowState, problem: BallProblem, grid: Grid,
@@ -620,9 +738,10 @@ def step(state: FlowState, problem: BallProblem, grid: Grid,
     dt = control.dt_max if dt is None else dt
     if dt <= 0:
         raise FlowError("dt must be positive")
-    u = _advance(state.u, problem, grid, control, dt, phi_row)
-    return _diagnosed(problem.model, grid,
-                      [(state.t + dt, u, state.step_count + 1)])[0]
+    fd = _Fields(problem.model, grid)
+    u = _advance(fd, state.u, control, dt, phi_row)
+    _sup_norm(u)
+    return _diagnosed(fd, [(state.t + dt, u, state.step_count + 1)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -639,32 +758,76 @@ def _radial_forms(n: int, f: Factors, ur, urr, W):
     return lam_r ** 2 + (n - 1) * lam_t ** 2, lam_r + (n - 1) * lam_t
 
 
-def _curvatures(gf: _GridFactors, grid: Grid, n: int, u: np.ndarray,
-                ur: np.ndarray, vt, W: np.ndarray):
+def _curvatures(fd: _Fields, u: np.ndarray, ur: np.ndarray, vt,
+                W: np.ndarray):
     """(|A|^2, nH) on rows 1..nr-1 of u, a field or a stack of fields as
     ``_slopes`` takes them, from its slopes, its tilt factor W and centred
     second differences.  The 2-D branch writes the second fundamental form
     times W, b, in the frame (d_r, d_theta / xi), where the induced metric
     is g = I + rho^2 grad u grad u^T with det g = (rho W)^2; then
     nH = tr(g^-1 b) / W and |A|^2 = (nH)^2 - 2 det b / (det g W^2)."""
-    h, f = grid.hr, gf.op
+    grid = fd.grid
+    h = grid.hr
     p, w = ur[..., 1:-1, :], W[..., 1:-1, :]
-    urr = (u[..., 2:, :] - 2 * u[..., 1:-1, :] + u[..., :-2, :]) / (h * h)
+    urr = u[..., 1:-1, :] * 2
+    urr = np.subtract(u[..., 2:, :], urr, out=urr)
+    urr += u[..., :-2, :]
+    urr /= h * h
     if grid.radial:
-        return _radial_forms(n, f, p, urr, w)
+        return _radial_forms(fd.n, fd.gf.op, p, urr, w)
     q = vt[..., 1:-1, :]
-    ut = gf.at.xi[:, None] * vt         # u_theta, 0 on the pole row
-    urt = (ut[..., 2:, :] - ut[..., :-2, :]) / (2 * h) / f.xi
-    up, um = _theta_shift(u[..., 1:-1, :])
-    utt = (up - 2 * u[..., 1:-1, :] + um) / grid.dtheta ** 2 * f.inv_xi2
-    rp, rq = f.rho * p, f.rho * q
-    b11 = urr + (2.0 + rp * rp) * f.lrho * p
-    b12 = urt + ((1.0 + rp * rp) * f.lrho - f.xi_ratio) * q
-    b22 = utt + (rq * rq * f.lrho + f.xi_ratio) * p
-    det = (f.rho * w) ** 2
-    nH = ((1.0 + rq * rq) * b11 - 2.0 * rp * rq * b12
-          + (1.0 + rp * rp) * b22) / (det * w)
-    return nH * nH - 2.0 * (b11 * b22 - b12 * b12) / (det * w * w), nH
+    ut = fd.xi * vt                     # u_theta, 0 on the pole row
+    urt = ut[..., 2:, :] - ut[..., :-2, :]
+    urt /= 2 * h
+    urt /= fd.xi[1:-1]
+    # the second theta difference on every row; rows 1..nr-1 are read
+    utt = _theta_op(np.subtract, u, 1, u * 2, 0, ut)
+    utt = _theta_op(np.add, utt, 0, u, -1, np.empty(u.shape))[..., 1:-1, :]
+    utt /= grid.dtheta ** 2
+    utt *= fd.inv_xi2
+    # in place, in this order of operations:
+    #   b11 = urr + ((2 + rp^2) rho'/rho) p,  rp = rho u_r, rq = rho q
+    #   b12 = urt + ((1 + rp^2) rho'/rho - xi'/xi) q
+    #   b22 = utt + (rq^2 rho'/rho + xi'/xi) p
+    #   nH = (((1 + rq^2) b11 - ((2 rp) rq) b12) + (1 + rp^2) b22) / (det g W)
+    #   |A|^2 = nH^2 - 2 (b11 b22 - b12^2) / ((det g W) W)
+    rp, rq = fd.rho * p, fd.rho * q
+    rp2, rq2 = rp * rp, rq * rq
+    b11 = rp2 + 2.0
+    b11 *= fd.lrho
+    b11 *= p
+    b11 += urr
+    b12 = rp2 + 1.0
+    b12 *= fd.lrho
+    b12 -= fd.xi_ratio
+    b12 *= q
+    b12 += urt
+    b22 = rq2 * fd.lrho
+    b22 += fd.xi_ratio
+    b22 *= p
+    b22 += utt
+    dw = fd.rho * w
+    dw *= dw
+    dw *= w                             # det g W
+    nH = rq2 + 1.0
+    nH *= b11
+    rp *= 2.0
+    rp *= rq
+    rp *= b12
+    nH -= rp
+    rp2 += 1.0
+    rp2 *= b22
+    nH += rp2
+    nH /= dw
+    b11 *= b22
+    b12 *= b12
+    b11 -= b12
+    b11 *= 2.0
+    dw *= w
+    b11 /= dw
+    A2 = nH * nH
+    A2 -= b11
+    return A2, nH
 
 
 def second_fundamental_form(model: ModelGeometry, grid: Grid,
@@ -678,41 +841,38 @@ def second_fundamental_form(model: ModelGeometry, grid: Grid,
     and rim rows are copies of the nearest interior row; treat them as
     extrapolation.  ``solve_ball`` records the maximum of |A| per step.
     """
-    gf = _grid_factors(model.n, model.xi, model.rho, grid)
+    fd = _Fields(model, grid)
     v = u.reshape(grid.shape())
-    ur, vt = _slopes(gf, grid, v)
-    forms = _curvatures(gf, grid, model.n, v, ur, vt,
-                        _tilt(gf.at.rho[:, None], ur, vt))
+    ur, vt = _slopes(fd, v)
+    forms = _curvatures(fd, v, ur, vt, _tilt(fd, ur, vt)[1])
     return tuple(np.pad(a, ((1, 1), (0, 0)), mode="edge").reshape(u.shape)
                  for a in forms)
 
 
-def _diagnose(model: ModelGeometry, grid: Grid, U: np.ndarray):
+def _diagnose(fd: _Fields, U: np.ndarray):
     """(W, max|grad u|, max|A|) of a stack U of states with rows on axis
     -2, as ``_slopes`` takes it: the W stack and one maximum of each per
     state, all from one ``_slopes`` pass.  The |A| field's pole and rim
     rows copy interior rows, so rows 1..nr-1 hold its maximum."""
-    gf = _grid_factors(model.n, model.xi, model.rho, grid)
-    ur, vt = _slopes(gf, grid, U)
-    W = _tilt(gf.at.rho[:, None], ur, vt)
-    A2, _ = _curvatures(gf, grid, model.n, U, ur, vt, W)
-    axes = -2 if grid.radial else (-2, -1)
-    return (W, np.sqrt(np.max(ur * ur + vt * vt, axis=axes)),
+    ur, vt = _slopes(fd, U)
+    grad2, W = _tilt(fd, ur, vt)
+    A2, _ = _curvatures(fd, U, ur, vt, W)
+    axes = -2 if fd.grid.radial else (-2, -1)
+    return (W, np.sqrt(np.max(grad2, axis=axes)),
             np.sqrt(np.max(A2, axis=axes)))
 
 
-def _diagnosed(model: ModelGeometry, grid: Grid,
+def _diagnosed(fd: _Fields,
                block: list[tuple[float, np.ndarray, int]]) -> list[FlowState]:
     """The states (t, u, step_count) of a block with their W, max|grad u|
     and max|A|, from one ``_diagnose`` of the block's stack.  Each state
     owns its W, a copy out of the stack."""
-    if grid.radial:
+    if fd.grid.radial:
         W, max_grad, max_A = _diagnose(
-            model, grid, np.stack([u.reshape(-1) for _, u, _ in block], -1))
+            fd, np.stack([u.reshape(-1) for _, u, _ in block], -1))
         W = W.T
     else:
-        W, max_grad, max_A = _diagnose(
-            model, grid, np.stack([u for _, u, _ in block]))
+        W, max_grad, max_A = _diagnose(fd, np.stack([u for _, u, _ in block]))
     return [FlowState(t=t, u=u, W=W[k].reshape(u.shape).copy(),
                       step_count=count, max_grad=float(max_grad[k]),
                       max_A=float(max_A[k]))
@@ -725,13 +885,15 @@ def _diagnosed(model: ModelGeometry, grid: Grid,
 
 # The most grid nodes solve_ball diagnoses in one block: a block holds
 # S = max(1, _BLOCK_NODES // nodes) states.  Diagnostics cost per state in
-# ms, one state -> a block of S -> 64 states (``_diagnosed``, median of 7,
-# one core of a 2-vCPU Xeon with 2 MiB of L2 per core, numpy 2.4):
-#   24 x 16    0.22  -> 0.069 (S = 20) -> 0.080
-#   72 x 16    0.18  -> 0.155 (S = 7)  -> 0.23
-#   136 x 16   0.30  -> 0.19  (S = 3)  -> 0.40
-#   48 x 32    0.30  -> 0.16  (S = 5)  -> 0.32
-#   128 x 1    0.079 -> 0.012 (S = 63) -> 0.011
+# ms, one state -> a block of S -> 64 states (``_diagnosed`` of an E2
+# state, best of 3 x 7 timings, one core of a 2-vCPU Xeon with 2 MiB of L2
+# per core, numpy 2.4):
+#   24 x 16    0.120 -> 0.026 (S = 20) -> 0.049
+#   72 x 16    0.145 -> 0.073 (S = 7)  -> 0.154
+#   136 x 16   0.184 -> 0.145 (S = 3)  -> 0.324
+#   48 x 32    0.145 -> 0.091 (S = 5)  -> 0.211
+#   96 x 64    0.308 -> 0.314 (S = 1)  -> 0.753
+#   128 x 1    0.045 -> 0.007 (S = 63) -> 0.007
 # Blocks much above 8K nodes lose to cache traffic.  A bound of 4096 nodes
 # leaves the ladder's costliest rung, 136 x 16, one state per block.
 # Counting nodes, not states, also bounds the memory a block holds.
@@ -760,7 +922,9 @@ def solve_ball(problem: BallProblem, grid: Grid, control: StepControl,
     only be numerical instability.
 
     The time loop reads only u, so each step is ``_advance`` and the guard
-    alone.  The states, the initial one included, are diagnosed (W,
+    alone, which takes the one max|u| that also finds a non-finite field
+    (``_sup_norm``).  The run's ``_Fields`` live until it returns.  The
+    states, the initial one included, are diagnosed (W,
     max|grad u|, max|A|) in blocks of at most _BLOCK_NODES grid nodes (or
     of one state, if it has more), each by one ``_diagnosed`` call; the
     last block is flushed after the final step.  The values equal
@@ -768,10 +932,10 @@ def solve_ball(problem: BallProblem, grid: Grid, control: StepControl,
     """
     if snapshot_every < 0:
         raise FlowError(f"snapshot_every must be >= 0, got {snapshot_every}")
-    model = problem.model
     u0, phi = problem.sample(grid)
     if grid.radial:
         u0 = u0[:, 0]
+    fd = _Fields(problem.model, grid)
     sup0 = max(float(np.max(np.abs(u0))), float(np.max(np.abs(phi))))
     guard = 10.0 * max(sup0, 1.0)
     n_steps = max(int(math.ceil(problem.T / control.dt_max)), 1)
@@ -781,7 +945,7 @@ def solve_ball(problem: BallProblem, grid: Grid, control: StepControl,
     block = [(0.0, u0, 0)]
 
     def flush():
-        for s in _diagnosed(model, grid, block):
+        for s in _diagnosed(fd, block):
             max_grad.append(s.max_grad)
             max_A.append(s.max_A)
             if (s.step_count in (0, n_steps) or snapshot_every
@@ -793,9 +957,9 @@ def solve_ball(problem: BallProblem, grid: Grid, control: StepControl,
     for sidx in range(1, n_steps + 1):
         if len(block) == per_block:
             flush()
-        u = _advance(u, problem, grid, control, dt, phi)
+        u = _advance(fd, u, control, dt, phi)
         t += dt
-        if float(np.max(np.abs(u))) > guard:
+        if _sup_norm(u) > guard:
             raise FlowError(
                 f"divergence guard tripped at t={t:.4g}: "
                 f"sup|u| exceeds 10x the maximum-principle bound "
@@ -874,8 +1038,8 @@ def residual_identities(model: ModelGeometry, trajectory: Trajectory,
     win = slice(max(int(np.searchsorted(t, t_min)), 1), t.size - 1)
     if win.start >= win.stop:
         raise FlowError("no snapshots past the burn-in window")
-    gf = _grid_factors(n, model.xi, model.rho, grid)
-    f = gf.at
+    fd = _Fields(model, grid)
+    f = fd.gf.at
     rho, xi = f.rho, f.xi
     zeta = model.zeta(r)
     ric_ss, ric_rr, _ = ambient_frame(model).ricci_eigenvalues(
@@ -888,9 +1052,9 @@ def residual_identities(model: ModelGeometry, trajectory: Trajectory,
     # that bounds the (snapshot x node) arrays alive at once.  The slopes
     # and forms are the solver's, on the transposed stack; the trim drops
     # the pole and rim columns (copies, and xi'/xi's stand-in at the pole).
-    ur, _ = _slopes(gf, grid, u.T)
+    ur, _ = _slopes(fd, u.T)
     A2, nH = (np.pad(a, ((1, 1), (0, 0)), mode="edge").T
-              for a in _curvatures(gf, grid, n, u.T, ur, 0.0, W.T))
+              for a in _curvatures(fd, u.T, ur, 0.0, W.T))
     ur = ur.T
     gauge = nH * ur / W
     del nH

@@ -1,0 +1,281 @@
+"""The 2-D step and diagnostics against reference formulas.
+
+The references below are the plain numpy forms of the weights, the band
+fill, the slopes and the curvatures: (rows, 1) factor columns broadcast
+along theta, theta neighbours made by concatenation, every expression
+written out whole.  The solver computes the same IEEE operations in the
+same order on contiguous per-grid fields and in place, so every array
+must match them bit for bit.  The second half checks what in-place
+arithmetic could break: no input is written to, and nothing a caller
+gets back shares memory with another run's arrays.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from killingflow import flow
+from killingflow.flow import (BallProblem, FlowState, Grid, StepControl,
+                              compute_W, discretize_Q, second_fundamental_form,
+                              solve_ball, step)
+
+# (nr, ntheta, R): odd and even ntheta, ntheta = 8 (64-byte rows), and the
+# ladder's top rung
+GRIDS = [(8, 8, 1.0), (9, 9, 1.0), (16, 11, 1.0), (40, 33, 1.0),
+         (136, 16, 17.0)]
+
+
+def _shift(u):
+    """u at theta_{i+1} and at theta_{i-1}."""
+    return (np.concatenate((u[..., 1:], u[..., :1]), axis=-1),
+            np.concatenate((u[..., -1:], u[..., :-1]), axis=-1))
+
+
+def _ref_weights(gf, grid, u):
+    c, f = gf.cells, gf.op
+    k = grid.dtheta
+    dr = c.dr[:, None]
+    s = np.diff(u, axis=0) / dr
+    up, um = _shift(u)
+    ct = (up - um) / (2.0 * k)
+    cross = 0.5 * (ct[:-1] + ct[1:])
+    g_r = c.cond[:, None] / np.sqrt(c.inv_rho2_f[:, None] + s * s
+                                    + cross * cross * c.inv_xi2_f[:, None])
+    st = (_shift(u[1:-1])[0] - u[1:-1]) / k
+    cr = (u[2:] - u[:-2]) / (dr[1:] + dr[:-1])
+    cross = 0.5 * (cr + _shift(cr)[0])
+    inv_rho2 = c.inv_rho2[1:-1, None]
+    g_t = (grid.hr / (k * k)) * f.rho / (
+        f.xi * np.sqrt(inv_rho2 + cross * cross + st * st * f.inv_xi2))
+    m = c.dV[1:-1, None] / np.sqrt(
+        inv_rho2 + np.maximum(s[:-1] * s[1:], 0.0)
+        + np.maximum(_shift(st)[1] * st, 0.0) * f.inv_xi2)
+    nt = grid.ntheta
+    a = 2.0 * (np.add.reduce(u[1] * gf.cos, axis=-1) / nt) / grid.hr
+    b = 2.0 * (np.add.reduce(u[1] * gf.sin, axis=-1) / nt) / grid.hr
+    m0 = nt * c.dV[0] / math.sqrt(c.inv_rho2[0] + a * a + b * b)
+    return g_r, g_t, m, m0
+
+
+def _ref_system(gf, grid, u, dt, phi_row):
+    """(band, rhs) of the scaled system S."""
+    nr, nt = grid.nr, grid.ntheta
+    w_r, w_t, m, m0 = _ref_weights(gf, grid, u)
+    g_r, g_t = dt * w_r, dt * w_t
+    band = np.zeros((1 + (nr - 1) * nt, nt + 1))
+    rings = band[1:].reshape(nr - 1, nt, nt + 1)
+    rings[:, :, 0] = m + g_r[1:] + g_r[:-1] + g_t + _shift(g_t)[1]
+    rings[:, :-1, 1] = -g_t[:, :-1]
+    rings[:, 0, nt - 1] = -g_t[:, -1]
+    rings[:-1, :, nt] = -g_r[1:-1]
+    band[0, 0] = m0 + np.sum(g_r[0])
+    band[0, 1:] = -g_r[0]
+    rhs = np.concatenate(([m0 * u[0, 0]], (m * u[1:-1]).ravel()))
+    rhs[-nt:] += g_r[-1] * phi_row
+    return band, rhs
+
+
+def _ref_step(gf, grid, u, dt, phi_row):
+    nr, nt = grid.nr, grid.ntheta
+    band, rhs = _ref_system(gf, grid, u, dt, phi_row)
+    x = flow._band_solve(band, rhs)
+    return np.vstack((np.full(nt, x[0]), x[1:].reshape(nr - 1, nt), phi_row))
+
+
+def _ref_diagnose(gf, grid, U):
+    """(W, max|grad u|, max|A|) of a stack U of 2-D states."""
+    h, f, k = grid.hr, gf.op, grid.dtheta
+    nt = grid.ntheta
+    ur = np.empty_like(U)
+    ur[..., 1:-1, :] = (U[..., 2:, :] - U[..., :-2, :]) / (2 * h)
+    ur[..., -1, :] = (3 * U[..., -1, :] - 4 * U[..., -2, :]
+                      + U[..., -3, :]) / (2 * h)
+    ring = U[..., 1, :]
+    a = (2.0 * (np.add.reduce(ring * gf.cos, axis=-1) / nt) / h)[..., None]
+    b = (2.0 * (np.add.reduce(ring * gf.sin, axis=-1) / nt) / h)[..., None]
+    ur[..., 0, :] = a * gf.cos + b * gf.sin
+    vt = np.empty_like(U)
+    vt[..., 0, :] = b * gf.cos - a * gf.sin
+    up, um = _shift(U[..., 1:, :])
+    vt[..., 1:, :] = (up - um) / (2.0 * k) / gf.at.xi[1:, None]
+    W = np.sqrt(1.0 / gf.at.rho[:, None] ** 2 + (ur ** 2 + vt ** 2))
+    p, w, q = ur[..., 1:-1, :], W[..., 1:-1, :], vt[..., 1:-1, :]
+    urr = (U[..., 2:, :] - 2 * U[..., 1:-1, :] + U[..., :-2, :]) / (h * h)
+    ut = gf.at.xi[:, None] * vt
+    urt = (ut[..., 2:, :] - ut[..., :-2, :]) / (2 * h) / f.xi
+    up, um = _shift(U[..., 1:-1, :])
+    utt = (up - 2 * U[..., 1:-1, :] + um) / k ** 2 * f.inv_xi2
+    rp, rq = f.rho * p, f.rho * q
+    b11 = urr + (2.0 + rp * rp) * f.lrho * p
+    b12 = urt + ((1.0 + rp * rp) * f.lrho - f.xi_ratio) * q
+    b22 = utt + (rq * rq * f.lrho + f.xi_ratio) * p
+    det = (f.rho * w) ** 2
+    nH = ((1.0 + rq * rq) * b11 - 2.0 * rp * rq * b12
+          + (1.0 + rp * rp) * b22) / (det * w)
+    A2 = nH * nH - 2.0 * (b11 * b22 - b12 * b12) / (det * w * w)
+    return (W, np.sqrt(np.max(ur * ur + vt * vt, axis=(-2, -1))),
+            np.sqrt(np.max(A2, axis=(-2, -1))))
+
+
+def _state(grid, seed):
+    """A field with the shape of a state: smooth, roughened, one value on
+    the pole row and phi on the rim."""
+    rng = np.random.default_rng(seed)
+    r, th = grid.r[:, None] / grid.R, grid.theta[None, :]
+    u = (0.2 + 0.3 * r * np.cos(th) - 0.2 * r ** 2 * np.sin(2 * th)
+         + 0.05 * rng.standard_normal(grid.shape()))
+    u[0] = u[0, 0]
+    return u
+
+
+def _phi(grid):
+    return 0.1 * np.cos(grid.theta) + 0.2
+
+
+@pytest.fixture(params=GRIDS, ids=[f"{nr}x{nt}" for nr, nt, _ in GRIDS])
+def grid(request):
+    nr, nt, R = request.param
+    return Grid(R=R, nr=nr, ntheta=nt)
+
+
+@pytest.fixture(params=["euclid2", "hyp2"])
+def model(request):
+    return request.getfixturevalue(request.param)
+
+
+def test_weights_are_bit_identical(model, grid):
+    fd = flow._Fields(model, grid)
+    u = _state(grid, 1)
+    got = flow._polar_weights(fd, u)
+    for a, b in zip(got, _ref_weights(fd.gf, grid, u)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1.0])
+def test_band_rhs_and_new_field_are_bit_identical(model, grid, dt,
+                                                  monkeypatch):
+    fd = flow._Fields(model, grid)
+    u, phi = _state(grid, 2), _phi(grid)
+    seen = []
+    solve = flow._band_solve
+
+    def capture(band, rhs):
+        seen.append((band.copy(), rhs.copy()))
+        return solve(band, rhs)
+
+    monkeypatch.setattr(flow, "_band_solve", capture)
+    u_new = flow._polar_implicit(fd, u, dt, phi)
+    (band, rhs), = seen
+    ref_band, ref_rhs = _ref_system(fd.gf, grid, u, dt, phi)
+    assert np.array_equal(band, ref_band)
+    assert np.array_equal(rhs, ref_rhs)
+    assert np.array_equal(u_new, _ref_step(fd.gf, grid, u, dt, phi))
+
+
+@pytest.mark.parametrize("S", [1, 3, 5])
+def test_diagnose_is_bit_identical(model, grid, S):
+    fd = flow._Fields(model, grid)
+    U = np.stack([_state(grid, 10 + k) for k in range(S)])
+    for a, b in zip(flow._diagnose(fd, U), _ref_diagnose(fd.gf, grid, U)):
+        assert np.array_equal(a, b)
+
+
+# -- aliasing -----------------------------------------------------------------
+
+
+def _read_only(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("scheme", ["semi-implicit", "explicit-euler"])
+def test_step_and_diagnostics_leave_read_only_inputs_alone(hyp2, scheme):
+    grid = Grid(R=1.0, nr=16, ntheta=8)
+    fd = flow._Fields(hyp2, grid)
+    u, phi = _read_only(_state(grid, 3)), _read_only(_phi(grid))
+    U = _read_only(np.stack([_state(grid, 4 + k) for k in range(3)]))
+    copies = [a.copy() for a in (u, phi, U)]
+    dt = 1e-4
+    control = StepControl(scheme=scheme, cfl=1.0, dt_max=dt)
+    u_new = flow._advance(fd, u, control, dt, phi)
+    W, _, _ = flow._diagnose(fd, U)
+    compute_W(hyp2, grid, u)
+    second_fundamental_form(hyp2, grid, u)
+    discretize_Q(hyp2, grid, u)
+    state = FlowState(t=0.0, u=u, W=_read_only(compute_W(hyp2, grid, u)),
+                      step_count=0)
+    p = BallProblem(model=hyp2, R=1.0, phi=lambda th: phi, u0=lambda r, th: u)
+    after = step(state, p, grid, control, dt=dt)
+    for a, b in zip((u, phi, U), copies):
+        assert np.array_equal(a, b)
+    for out in (u_new, W, after.u, after.W):
+        assert out.flags.writeable
+        assert not any(np.shares_memory(out, a) for a in (u, phi, U))
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided view"])
+def test_any_memory_layout_of_u_gives_the_same_bits(hyp2, layout):
+    # the in-place kernels write into arrays of their own, never into one
+    # laid out like the caller's u
+    grid = Grid(R=1.0, nr=16, ntheta=11)
+    u = _state(grid, 5)
+    v = (np.asfortranarray(u) if layout == "fortran"
+         else np.repeat(u, 2, axis=1)[:, ::2])
+    assert not v.flags.c_contiguous and np.array_equal(v, u)
+    assert np.array_equal(discretize_Q(hyp2, grid, v),
+                          discretize_Q(hyp2, grid, u))
+    assert np.array_equal(compute_W(hyp2, grid, v), compute_W(hyp2, grid, u))
+    for a, b in zip(second_fundamental_form(hyp2, grid, v),
+                    second_fundamental_form(hyp2, grid, u)):
+        assert np.array_equal(a, b)
+    p = BallProblem(model=hyp2, R=1.0, phi=lambda th: u[-1],
+                    u0=lambda r, th: u)
+    W = compute_W(hyp2, grid, u)
+    for scheme in ("semi-implicit", "explicit-euler"):
+        control = StepControl(scheme=scheme, dt_max=1e-6)
+        a, b = (step(FlowState(t=0.0, u=x, W=W, step_count=0), p, grid,
+                     control) for x in (v, u))
+        assert np.array_equal(a.u, b.u) and np.array_equal(a.W, b.W)
+        assert (a.max_grad, a.max_A) == (b.max_grad, b.max_A)
+
+
+def test_run_fields_are_read_only_and_not_returned(euclid2):
+    grid = Grid(R=1.0, nr=16, ntheta=8)
+    p = BallProblem(model=euclid2, R=1.0, phi=lambda th: 0.1 * np.cos(th),
+                    u0=lambda r, th: 0.1 * np.cos(th) * r, T=4e-3)
+    fd = flow._Fields(euclid2, grid)
+    fields = [a for a in vars(fd).values() if isinstance(a, np.ndarray)]
+    assert len(fields) == 14
+    for a in fields:
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+    tr = solve_ball(p, grid, StepControl(dt_max=1e-3), snapshot_every=1)
+    arrays = [a for s in tr.states for a in (s.u, s.W)]
+    for i, a in enumerate(arrays):
+        assert a.flags.writeable and a.base is None
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+
+def test_alternating_grids_step_like_fresh_runs(hyp2):
+    # two runs' fields alive at once, their steps interleaved: each run's
+    # states equal its run alone, bit for bit
+    grids = [Grid(R=1.0, nr=24, ntheta=16), Grid(R=1.0, nr=16, ntheta=11)]
+    p = BallProblem(model=hyp2, R=1.0, phi=lambda th: 0.1 * np.cos(th),
+                    u0=lambda r, th: 0.1 * np.cos(th) * r, T=5e-3)
+    control = StepControl(dt_max=1e-3)
+    fresh = [solve_ball(p, g, control, snapshot_every=1) for g in grids]
+    fds = [flow._Fields(hyp2, g) for g in grids]
+    us = [p.sample(g)[0] for g in grids]
+    phis = [p.sample(g)[1] for g in grids]
+    dt = p.T / (fresh[0].times.size - 1)
+    for k in range(1, fresh[0].times.size):
+        for i in (k % 2, 1 - k % 2):
+            us[i] = flow._advance(fds[i], us[i], control, dt, phis[i])
+            s, = flow._diagnosed(fds[i], [(0.0, us[i], k)])
+            ref = fresh[i].states[k]
+            assert np.array_equal(s.u, ref.u) and np.array_equal(s.W, ref.W)
+            assert (s.max_grad, s.max_A) == (ref.max_grad, ref.max_A)

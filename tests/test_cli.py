@@ -201,8 +201,8 @@ def test_flow_from_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("ntheta", [16, 1], ids=["polar", "radial"])
 def test_flow_svg(tmp_path, ntheta, capsys):
-    # a heat map of the final u: one cell per grid interval and angle, a
-    # radial run drawn as rings
+    # a heat map of the final u: one cell per node, (nr + 1) ntheta of
+    # them with the Dirichlet row, a radial run drawn as rings
     cfg = tmp_path / "run.ini"
     cfg.write_text(FLOW_INI.replace("ntheta = 16", f"ntheta = {ntheta}"))
     svg = tmp_path / "u.svg"
@@ -210,9 +210,12 @@ def test_flow_svg(tmp_path, ntheta, capsys):
     assert rc == 0
     root = ElementTree.fromstring(svg.read_text())
     cells = root.findall("{http://www.w3.org/2000/svg}polygon")
-    assert len(cells) == 24 * ntheta
+    assert len(cells) == 25 * ntheta
     shades = {int(c.get("fill")[4:].split(",")[0]) for c in cells}
     assert len(shades) > 1 and min(shades) >= 0 and max(shades) <= 255
+    # max u = 0.1 lies on the Dirichlet row only, at theta = 0, and takes
+    # the darkest shade
+    assert min(shades) == 0
 
 
 def test_exhaust_report(tmp_path, capsys):
@@ -381,6 +384,18 @@ def test_complex_data_error_names_its_offset(capsys):
                      "--phi", "1 + (-8)^(1/3)"]) == 2
     assert capsys.readouterr().err == (
         "error: (-8.0) ^ (1.0 / 3.0) has a complex value at offset 4\n")
+
+
+@pytest.mark.parametrize("phi, error", [
+    ("1 + 1/0", "float division by zero at offset 4"),
+    ("cos(theta) + 2^2000",
+     "(34, 'Numerical result out of range') at offset 13")])
+def test_arithmetic_data_error_names_its_offset(phi, error, capsys):
+    # the offset is the operation's that raised, not the start of the text
+    assert dispatch(["exhaust", "--model", "euclidean", "--rungs", "2",
+                     "--phi", phi]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot evaluate {phi!r}: {error}\n")
 
 
 @pytest.mark.parametrize("command, phi", [

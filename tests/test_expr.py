@@ -118,7 +118,10 @@ def test_unbound_variable():
 @pytest.mark.parametrize("src, offset", [("1 + (-8)^(1/3)", 4),
                                          ("  r*(-8)^(1/3)", 4),
                                          ("\t2^0.5 * (-1)^0.5", 9),
-                                         ("sin((-2.0)^r)", 4)])
+                                         ("sin((-2.0)^r)", 4),
+                                         ("1 + 1/0", 4),
+                                         ("r + 10^400", 4),
+                                         ("\tr * (2 - 1/(r - r))", 10)])
 def test_evaluation_error_offset_indexes_the_source(src, offset):
     # an error raised while evaluating points at the node that raised it
     with pytest.raises(ExprError) as exc_info:

@@ -222,10 +222,10 @@ def test_radial_forms_of_a_snapshot_stack_match_each_snapshot(
     # second_fundamental_form of its snapshot, bit for bit
     model = request.getfixturevalue(model_name)
     g = Grid(R=R, nr=fields.shape[1] - 1, ntheta=1)
-    gf = flow._grid_factors(model.n, model.xi, model.rho, g)
+    fd = flow._Fields(model, g)
     W = np.stack([compute_W(model, g, u) for u in fields])
-    ur, vt = flow._slopes(gf, g, fields.T)
-    A2, nH = flow._curvatures(gf, g, model.n, fields.T, ur, vt, W.T)
+    ur, vt = flow._slopes(fd, fields.T)
+    A2, nH = flow._curvatures(fd, fields.T, ur, vt, W.T)
     for k, u in enumerate(fields):
         a2, nh = second_fundamental_form(model, g, u)
         np.testing.assert_array_equal(A2[:, k], a2[1:-1])
@@ -286,11 +286,10 @@ def test_radial_and_polar_diagnostics_agree(request, model_name, u0, phi):
 def _reference_diagnostics(model, grid, state):
     """(max|grad u|, max|A|) of a state from a separate pass: fresh slopes
     of state.u and the stored W."""
-    gf = flow._grid_factors(model.n, model.xi, model.rho, grid)
+    fd = flow._Fields(model, grid)
     u = state.u.reshape(grid.shape())
-    ur, vt = flow._slopes(gf, grid, u)
-    A2, _ = flow._curvatures(gf, grid, model.n, u, ur, vt,
-                             state.W.reshape(grid.shape()))
+    ur, vt = flow._slopes(fd, u)
+    A2, _ = flow._curvatures(fd, u, ur, vt, state.W.reshape(grid.shape()))
     return (math.sqrt(float(np.max(ur * ur + vt * vt))),
             math.sqrt(float(np.max(A2))))
 
@@ -311,7 +310,7 @@ def test_solve_ball_makes_one_slopes_pass_per_state(euclid2, monkeypatch,
         def counted(*args):
             calls[name] += 1
             if name == "_slopes":
-                differenced.append(args[2].size // math.prod(grid.shape()))
+                differenced.append(args[1].size // math.prod(grid.shape()))
             return real(*args)
         monkeypatch.setattr(flow, name, counted)
 
@@ -487,7 +486,8 @@ def test_explicit_euler_at_cfl_limit(kind, n, nr, ntheta, cfl):
             return 0.1 * np.cos(th) * r + noise
 
     p = BallProblem(model=model, R=1.0, phi=phi, u0=u0, T=1.0)
-    dt = 0.99 * (cfl / flow._radius(flow._weights(model, g, p.sample(g)[0])))
+    w = flow._weights(flow._Fields(model, g), p.sample(g)[0])
+    dt = 0.99 * (cfl / flow._radius(w))
     p.T = 300 * dt
     a = solve_ball(p, g, StepControl(scheme="explicit-euler", cfl=cfl,
                                      dt_max=dt))
@@ -510,7 +510,8 @@ def test_explicit_run_builds_the_cfl_limit_once(hyp2, monkeypatch):
         return 0.1 * np.cos(th) * r + 0.05 * (1.0 - r * r)
 
     p = BallProblem(model=hyp2, R=1.0, phi=phi, u0=u0, T=1.0)
-    dt = 0.5 / flow._radius(flow._weights(hyp2, g, p.sample(g)[0]))
+    w = flow._weights(flow._Fields(hyp2, g), p.sample(g)[0])
+    dt = 0.5 / flow._radius(w)
     ctl = StepControl(scheme="explicit-euler", cfl=1.0, dt_max=dt)
     p.T = k * dt
     calls = []
@@ -562,7 +563,7 @@ def _operator_csr(model, g, u):
     # diagonal; the pole row is node 0's, the other pole copies and the
     # boundary rows are zero
     nr, nt = g.nr, g.ntheta
-    w = flow._weights(model, g, u)
+    w = flow._weights(flow._Fields(model, g), u)
     j, i = np.meshgrid(np.arange(1, nr), np.arange(nt), indexing="ij")
 
     def node(dj, di):
@@ -615,7 +616,7 @@ def _captured_band(monkeypatch, model, g, u, dt, phi):
         return solve(band, rhs)
 
     monkeypatch.setattr(flow, "_band_solve", capture)
-    flow._polar_implicit(model, g, u, dt, phi)
+    flow._polar_implicit(flow._Fields(model, g), u, dt, phi)
     band, = seen
     n, kd1 = band.shape
     S = np.zeros((n, n))
@@ -636,7 +637,7 @@ def test_band_is_the_scaled_symmetric_system(hyp2, monkeypatch, nr, ntheta):
     u = 0.2 + _poly(g.r[:, None], g.theta[None, :])
     dt = 1e-2
     S = _captured_band(monkeypatch, hyp2, g, u, dt, 0.1 * np.cos(g.theta))
-    w = flow._weights(hyp2, g, u)
+    w = flow._weights(flow._Fields(hyp2, g), u)
     A = (sp.identity(u.size) - dt * _operator_csr(hyp2, g, u)).toarray()
     # fold the pole copies' columns into node 0 and drop the boundary ring
     A[:, 0] = A[:, :ntheta].sum(axis=1)
@@ -665,7 +666,7 @@ def test_banded_solve_matches_sparse_solve(model_name, nr, ntheta, dt,
     rhs[-ntheta:] = phi
     ref = spla.spsolve(_implicit_csr(model, g, u, dt), rhs).reshape(
         g.shape())
-    got = flow._polar_implicit(model, g, u, dt, phi)
+    got = flow._polar_implicit(flow._Fields(model, g), u, dt, phi)
     assert float(np.max(np.abs(got - ref))) < 1e-10
 
 
@@ -679,8 +680,8 @@ def test_singular_banded_system_raises(euclid2, monkeypatch):
     monkeypatch.setattr(flow, "_polar_weights",
                         lambda *a: _scaled(weights(*a), 0.0))
     with pytest.raises(FlowError, match="dpbsv"):
-        flow._polar_implicit(euclid2, g, np.zeros(g.shape()), 1e-3,
-                             np.zeros(8))
+        flow._polar_implicit(flow._Fields(euclid2, g), np.zeros(g.shape()),
+                             1e-3, np.zeros(8))
 
 
 @pytest.mark.parametrize("ntheta", [1, 8])
@@ -852,7 +853,8 @@ def _excursion(model, g, u0, phi, scheme, steps, dt=None):
                            step_count=0)
     worst = 0.0
     for _ in range(steps):
-        h = (ctl.cfl / flow._radius(flow._weights(model, g, state.u))
+        h = (ctl.cfl / flow._radius(flow._weights(flow._Fields(model, g),
+                                                  state.u))
              if dt is None else dt)
         state = step(state, p, g, ctl, dt=h)
         worst = max(worst, lo - float(np.min(state.u)),
