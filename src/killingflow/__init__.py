@@ -13,8 +13,8 @@ from .cmc import (CmcError, CmcProfile, eval_vR, eval_vR_prime,
 from .barriers import (BarrierError, BoundaryBarrier, GeodesicSpec,
                        GradientBoundReport, ScBarrier,
                        SupersolutionFlow, c0_height_cap, compute_E_R,
-                       compute_delta_psi, curvature_bound, eval_u_plus,
-                       height_bounds, interior_gradient_bound,
+                       compute_delta_psi, curvature_bound, height_bounds,
+                       interior_gradient_bound,
                        make_boundary_barrier, make_sc_barrier, mu_of_t,
                        verify_supersolution)
 from .flow import (BallProblem, FlowError, FlowState, Grid, StepControl,
@@ -22,7 +22,7 @@ from .flow import (BallProblem, FlowError, FlowState, Grid, StepControl,
                    radial_solve, residual_identities, save_run,
                    second_fundamental_form, solve_ball, step)
 from .exhaustion import (ConvergenceReport, ExhaustionError, ExhaustionPlan,
-                         build_ladder, radial_extension, run_exhaustion)
+                         build_ladder, run_exhaustion)
 from .expr import ExprError, evaluate, parse_expression, to_source
 from .config import ConfigError, RunConfig, load_config, parse_config
 

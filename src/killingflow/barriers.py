@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .cmc import CmcError, eval_vR, sample_vR
-from .geometry import ModelGeometry, R_MIN, _CumulativeIntegral
+from .geometry import ModelGeometry, R_MIN, _CumulativeIntegral, _ladder
 from .kernel import coefficients, factors
 
 
@@ -120,15 +120,6 @@ def mu_of_t(model: ModelGeometry, r0: float, t: float) -> float:
     return SupersolutionFlow(model, r0).R_of_t(t)
 
 
-def eval_u_plus(model: ModelGeometry, r0: float, r: float, t: float,
-                flow: SupersolutionFlow | None = None) -> float:
-    """Height of the radial supersolution at radius r and time t."""
-    if not 0.0 <= r <= r0:
-        raise BarrierError(f"need 0 <= r <= r0, got r={r}, r0={r0}")
-    R = (flow or SupersolutionFlow(model, r0)).R_of_t(t)
-    return eval_vR(model, R, r)
-
-
 def verify_supersolution(model: ModelGeometry, r0: float,
                          t_grid: np.ndarray, r_grid: np.ndarray,
                          discrete_Q: Callable[[np.ndarray, np.ndarray],
@@ -199,17 +190,19 @@ def height_bounds(model: ModelGeometry, r0: float, T: float,
 MIN_L0 = 1
 
 
-def c0_height_cap(model: ModelGeometry, r0: float, l0: int,
-                  samples: int = 1024) -> float:
+def c0_height_cap(model: ModelGeometry, r0: float, l0: int) -> float:
     """Uniform cap on the supersolution height while R(t) <= l0 * r0.
 
-    Equals sup over (0, l0 r0] of H^2/(rho H') times -1/H(l0 r0).  Requires
-    the radial mean curvature to be strictly increasing on the window.
+    Equals sup over (0, l0 r0] of H^2/(rho H') times -1/H(l0 r0), the
+    supremum taken on 1024 radii.  Requires the radial mean curvature to
+    be strictly increasing on the window.
     """
+    if not r0 > 0:
+        raise BarrierError("r0 must be positive")
     if l0 < MIN_L0:
         raise BarrierError(f"l0 must be >= {MIN_L0}")
     rmax = l0 * r0
-    rs = rmax * np.geomspace(1e-6, 1.0, samples)
+    rs = rmax * np.geomspace(1e-6, 1.0, 1024)
     Hp = model.H_prime(rs)
     if not (Hp > 0).all():
         raise BarrierError(f"H'(r) <= 0 at r={rs[np.argmin(Hp > 0)]:.6g}; "
@@ -314,10 +307,6 @@ class ScBarrier:
         return _halfplane_distance(self.geodesic.nu, r, theta,
                                    self.model.xi.kappa)[0]
 
-    def radial_dist_derivative(self, r, theta):
-        return _halfplane_distance(self.geodesic.nu, r, theta,
-                                   self.model.xi.kappa)[1]
-
     def eta(self, r, theta):
         d = self.dist_eval(r, theta)
         return np.where(d <= self.d0, self.C,
@@ -352,17 +341,16 @@ def _need_surface(model: ModelGeometry, what: str) -> None:
 
 
 def make_sc_barrier(model: ModelGeometry, halfplane_geodesic: GeodesicSpec,
-                    C: float, d0: float, samples: int = 400,
-                    seed: int = 0) -> ScBarrier:
+                    C: float, d0: float, seed: int = 0) -> ScBarrier:
     """Build the exponential barrier at infinity over a geodesic halfplane.
 
     Only implemented for the hyperbolic built-in base (the one base with a
     distance-to-convex-set in closed form) of dimension n = 2, the one
     ``pointwise_Q`` checks it on, in curvature -kappa^2 for the geodesic
     of ``GeodesicSpec.at_distance(a, kappa)``.  The decay rate alpha is the
-    sampled infimum of (rho'/rho) <grad r, grad d> over the deep region; a
-    nonpositive infimum (e.g. constant rho) is a construction error, since
-    the barrier then cannot decay.
+    infimum of (rho'/rho) <grad r, grad d> over 400 points of the deep
+    region drawn from ``seed``; a nonpositive infimum (e.g. constant rho)
+    is a construction error, since the barrier then cannot decay.
     """
     if model.xi.kind != "hyperbolic":
         raise BarrierError("SC barrier needs the hyperbolic built-in base")
@@ -372,7 +360,7 @@ def make_sc_barrier(model: ModelGeometry, halfplane_geodesic: GeodesicSpec,
     if C <= 0:
         raise BarrierError("barrier height C must be positive")
     kappa = model.xi.kappa
-    r, theta = _sample_deep_region(halfplane_geodesic, d0, samples,
+    r, theta = _sample_deep_region(halfplane_geodesic, d0, 400,
                                    np.random.default_rng(seed), kappa=kappa).T
     lr = model.log_rho_d1(np.maximum(r, R_MIN))
     dr = _halfplane_distance(halfplane_geodesic.nu, r, theta, kappa)[1]
@@ -386,12 +374,11 @@ def make_sc_barrier(model: ModelGeometry, halfplane_geodesic: GeodesicSpec,
                      alpha=alpha, C1=C * math.exp(alpha * d0))
 
 
-def pointwise_Q(model: ModelGeometry, func: Callable, r, theta,
-                h: float = 1e-3):
+def pointwise_Q(model: ModelGeometry, func: Callable, r, theta):
     """Finite-difference evaluation of the graph flow operator at points.
 
     Local polar coordinates of the base with metric dr^2 + xi^2 dtheta^2;
-    second-order centered stencils of width h, evaluated at broadcast
+    second-order centered stencils of width h = 1e-3, evaluated at broadcast
     (r, theta) arrays in one pass (func must broadcast too).  Used for spot
     checks of smooth analytic fields (barriers) and as the independent
     non-divergence oracle for the grid operator: it shares the coefficient
@@ -400,6 +387,7 @@ def pointwise_Q(model: ModelGeometry, func: Callable, r, theta,
     theta chart here, so other n raise BarrierError.
     """
     _need_surface(model, "pointwise_Q")
+    h = 1e-3
     if np.any(r <= 2 * h):
         raise BarrierError("pointwise_Q needs r away from the pole")
     f0 = func(r, theta)
@@ -434,21 +422,14 @@ class GradientBoundReport:
     log_bound_second: float
     log_bound: float
 
-    @property
-    def bound(self) -> float:
-        try:
-            return math.exp(self.log_bound)
-        except OverflowError:
-            return math.inf
-
 
 def interior_gradient_bound(model: ModelGeometry, R: float, M: float,
-                            beta: float, k: float,
-                            samples: int = 1024) -> GradientBoundReport:
-    """Explicit interior gradient bound constants on the ball of radius R.
+                            beta: float, k: float) -> GradientBoundReport:
+    """Explicit interior gradient bound constants on the ball of radius R,
+    sampled on 1024 radii of its geometric ladder.
 
-    The bound is the larger of two exponential branches; both the raw value
-    and its logarithm are reported since the exponent easily overflows.
+    The bound is the larger of two exponential branches.  Only their
+    logarithms are reported, since the exponent easily overflows.
     Parameter requirements: k > 16, beta close enough to 1 that the derived
     log-scale constant exceeds k and the auxiliary constant mu is positive.
     """
@@ -458,7 +439,7 @@ def interior_gradient_bound(model: ModelGeometry, R: float, M: float,
         raise BarrierError("k must exceed 16")
     if not 0.75 < beta < 1.0:
         raise BarrierError("beta must lie in (3/4, 1)")
-    rs = R * np.geomspace(1e-8, 1.0, samples)
+    rs = _ladder(R, 1024)
     rho = model.rho.value(rs)
     min_rho = float(np.min(np.append(rho, model.rho.value(0.0))))
     delta = 1.5 * beta - 1.0

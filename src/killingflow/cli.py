@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from . import barriers, cmc, config, exhaustion, expr, flow
-from .geometry import (MIN_DIMENSION, MODELS, GeometryError, ModelGeometry,
-                       euclidean_model, lower_ricci_bounds, named_model)
+from .geometry import (MODELS, GeometryError, ModelGeometry, euclidean_model,
+                       lower_ricci_bounds, named_model)
 from .quadrature import QuadratureError
 
 EXIT_OK = 0
@@ -32,6 +32,19 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+
+
+class _UsageError(ValueError):
+    """A command-line value the library rejects: exit 2."""
+
+
+def _model(args) -> ModelGeometry:
+    """The model of --model, --n and --kappa.  A value ``named_model``
+    rejects is a usage error, with its message, as in a config."""
+    try:
+        return named_model(args.model, args.n, args.kappa)
+    except GeometryError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _check(name: str, value, ok) -> dict:
@@ -59,7 +72,7 @@ def _boundary_identity_check(bb: barriers.BoundaryBarrier) -> dict:
 
 
 def _cmd_model_info(args) -> int:
-    model = named_model(args.model, args.n, args.kappa)
+    model = _model(args)
     rs = [0.5, 1.0, 2.0, 4.0]
     L, L1 = lower_ricci_bounds(model, max(rs))
     info = {
@@ -77,7 +90,7 @@ def _cmd_model_info(args) -> int:
 
 
 def _cmd_cmc(args) -> int:
-    model = named_model(args.model, args.n, args.kappa)
+    model = _model(args)
     profile = cmc.solve_vR(model, args.R, args.grid)
     lines = ["r,v,vp"]
     for r, v, vp in zip(profile.grid, profile.v, profile.vp):
@@ -89,7 +102,7 @@ def _cmd_cmc(args) -> int:
 
 
 def _cmd_barrier(args) -> int:
-    model = named_model(args.model, args.n, args.kappa)
+    model = _model(args)
     r0 = args.r0
     checks = []
     constants = {}
@@ -177,7 +190,7 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_exhaust(args) -> int:
-    model = named_model(args.model, args.n, args.kappa)
+    model = _model(args)
     plan = exhaustion.build_ladder(model, args.r0, args.rungs, tol=args.tol)
     phi_fn = expr.as_function(args.phi)
     report = exhaustion.run_exhaustion(
@@ -328,7 +341,7 @@ def _at_least(minimum: int):
 
 def _add_model_args(p) -> None:
     p.add_argument("--model", required=True, choices=tuple(MODELS))
-    p.add_argument("--n", type=_at_least(MIN_DIMENSION), default=2)
+    p.add_argument("--n", type=int, default=2)
     p.add_argument("--kappa", type=_finite, default=1.0)
 
 
@@ -407,7 +420,8 @@ def dispatch(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (config.ConfigError, expr.ExprError, OSError) as exc:
+    except (_UsageError, config.ConfigError, expr.ExprError,
+            OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (GeometryError, cmc.CmcError, QuadratureError,

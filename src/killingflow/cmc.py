@@ -53,10 +53,6 @@ class CmcProfile:
         if np.any(self.vp > 0):
             raise CmcError("v' must be nonpositive")
 
-    def value(self, r):
-        """Height at radius r by monotone interpolation of the samples."""
-        return np.interp(r, self.grid, self.v)
-
 
 def _slopes(model: ModelGeometry, R: float, nH: float,
             s: np.ndarray) -> np.ndarray:
@@ -184,8 +180,7 @@ def sample_vR(model: ModelGeometry, R: float, r_grid: np.ndarray,
     return out
 
 
-def eval_vR(model: ModelGeometry, R: float, r: float,
-            tol: float | None = None) -> float:
+def eval_vR(model: ModelGeometry, R: float, r: float) -> float:
     """Height v_R(r) of the radial CMC profile, zero at the rim: the
     one-node case of sample_vR, without its array set-up."""
     if R <= 0:
@@ -195,7 +190,7 @@ def eval_vR(model: ModelGeometry, R: float, r: float,
     if r == R:
         return 0.0
     return float(_rim_heights(model, R, np.array([float(r)]),
-                              tol if tol else model.quad_tol)[0])
+                              model.quad_tol)[0])
 
 
 def _profile_grid(R: float, grid_size: int) -> np.ndarray:

@@ -28,7 +28,6 @@ the grid, a grid that holds the model's n) are the solver's: exit 1.
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -90,17 +89,6 @@ class RunConfig:
     def u0_function(self):
         f = expr.as_function(self.problem["u0"])
         return lambda r, theta: f(r=r, theta=theta, t=0.0)
-
-    def serialize(self) -> str:
-        cp = configparser.ConfigParser()
-        cp.optionxform = str
-        for name in _DEFAULTS:
-            data = getattr(self, name)
-            cp[name] = {k: ("" if v is None else str(v))
-                        for k, v in data.items()}
-        buf = io.StringIO()
-        cp.write(buf)
-        return buf.getvalue()
 
 
 def _owned(section: str, owner: Callable, values: dict) -> None:

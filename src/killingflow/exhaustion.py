@@ -2,12 +2,13 @@
 
 Entire-graph flows are obtained as limits of Dirichlet problems on an
 increasing ladder of geodesic balls, all observed on one fixed compact
-cylinder B_{r0} x [0, T0].  This module builds the ladder (each rung
-radius is the smallest integer whose cylinder-size function zeta makes the
-observation ball parabolically small, zeta(r0) < zeta(rung)/4), solves the
-rungs, and reports the successive sup-differences d_k on the nodes every
-rung shares: r = k/8 up to the first node at or beyond r0, every theta
-node and every time step, read from each rung's own grid.
+cylinder B_{r0} x [0, T0].  This module builds the ladder (rung k is the
+smallest integer radius, above rung k - 1, whose cylinder-size function
+zeta makes the ball of radius 2^k r0 parabolically small,
+zeta(2^k r0) < zeta(rung)/4), solves the rungs, and reports the
+successive sup-differences d_k on the nodes every rung shares: r = k/8
+up to the first node at or beyond r0, every theta node and every time
+step, read from each rung's own grid.
 The scheme is a numerical surrogate for a compactness argument: d_k is
 reported as measured, with no convergence-rate claim.
 """
@@ -40,33 +41,20 @@ class ExhaustionError(RuntimeError):
     pass
 
 
-def radial_extension(phi: Callable) -> Callable:
-    """Extend boundary data phi(theta) to the field constant along rays."""
+def pole_mollified_extension(phi: Callable) -> Callable:
+    """Extension of boundary data phi(theta) to the ball, tapered to zero
+    at the pole.
 
-    def ext(r, theta):
-        vals = np.asarray(phi(theta), dtype=float)
-        return np.broadcast_to(vals, np.broadcast_shapes(
-            np.shape(r), np.shape(vals))).copy()
-
-    return ext
-
-
-def pole_mollified_extension(phi: Callable, r_c: float = 1.0) -> Callable:
-    """Radial extension tapered to zero at the pole.
-
-    The plain ray-constant extension of a nonconstant phi is multivalued at
-    r = 0 and is not admissible initial data; this variant ramps it up
-    smoothly over [0, r_c] and agrees with the plain extension beyond r_c.
-    The ramp is independent of the rung radius, so every rung starts from
-    the same field.
+    The ray-constant extension of a nonconstant phi is multivalued at
+    r = 0 and is not admissible initial data; this one ramps it up
+    smoothly over [0, 1] and is constant along rays beyond r = 1.  The
+    ramp is independent of the rung radius, so every rung starts from the
+    same field.
     """
-    if r_c <= 0:
-        raise ExhaustionError("r_c must be positive")
 
     def ext(r, theta):
         vals = np.asarray(phi(theta), dtype=float)
-        ramp = np.sin(0.5 * math.pi * np.clip(np.asarray(r) / r_c,
-                                              0.0, 1.0)) ** 2
+        ramp = np.sin(0.5 * math.pi * np.clip(r, 0.0, 1.0)) ** 2
         return ramp * vals
 
     return ext
@@ -124,14 +112,13 @@ def _smallest_rung(model: ModelGeometry, r: float) -> int:
 
 
 def build_ladder(model: ModelGeometry, r0: float, count: int,
-                 growth: float = 2.0, tol: float = 1e-3,
-                 **plan_kwargs) -> ExhaustionPlan:
+                 tol: float = 1e-3, **plan_kwargs) -> ExhaustionPlan:
     """Ladder of rung radii; rung k is the smallest integer Lam with
-    zeta(r_k) < zeta(Lam)/4 for the doubling sequence r_k = growth^k r0."""
+    zeta(r_k) < zeta(Lam)/4 for the doubling sequence r_k = 2^k r0."""
     if count < MIN_RUNGS:
         raise ExhaustionError(f"count must be >= {MIN_RUNGS}")
-    if r0 <= 0 or growth <= 1.0:
-        raise ExhaustionError("need r0 > 0 and growth > 1")
+    if not 0.0 < r0 < math.inf:
+        raise ExhaustionError(f"r0 must be positive and finite, got {r0}")
     ladder = []
     r = r0
     for _ in range(count):
@@ -139,7 +126,7 @@ def build_ladder(model: ModelGeometry, r0: float, count: int,
         if ladder and lam <= ladder[-1]:
             lam = ladder[-1] + 1
         ladder.append(lam)
-        r *= growth
+        r *= 2.0
     T0 = 0.5 * model.zeta(float(ladder[0]))
     return ExhaustionPlan(model=model, r0=r0, ladder=tuple(ladder), T0=T0,
                           tol=tol, **plan_kwargs)
@@ -206,9 +193,7 @@ def _solve_rung(plan: ExhaustionPlan, R: int, phi: Callable,
         raise ExhaustionError(f"rung R={R} failed: {exc}") from exc
 
 
-def run_exhaustion(plan: ExhaustionPlan, phi: Callable,
-                   u0_radial_ext: Callable | None = None
-                   ) -> ConvergenceReport:
+def run_exhaustion(plan: ExhaustionPlan, phi: Callable) -> ConvergenceReport:
     """Solve the ladder and report Cauchy differences on the common
     cylinder.  Deterministic: identical plans produce identical reports.
 
@@ -217,7 +202,7 @@ def run_exhaustion(plan: ExhaustionPlan, phi: Callable,
     (most expensive) rungs.
     """
     model = plan.model
-    u0 = u0_radial_ext or pole_mollified_extension(phi)
+    u0 = pole_mollified_extension(phi)
     # the curvature bound's Ricci constant on the first rung; a model with
     # none (a table xi singular at the pole) fails before any rung is solved
     R1 = float(plan.ladder[0])

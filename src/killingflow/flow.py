@@ -1001,8 +1001,8 @@ def _intrinsic_laplacian(F: np.ndarray, r: np.ndarray, g_rr: np.ndarray,
     return np.gradient(G, r, axis=-1) + G * dlogJ
 
 
-def residual_identities(model: ModelGeometry, trajectory: Trajectory,
-                        burn_in: float = 0.1) -> IdentityReport:
+def residual_identities(model: ModelGeometry,
+                        trajectory: Trajectory) -> IdentityReport:
     """Discrete residuals of the evolution identities along a radial run.
 
     Checks, with the material derivative D_t = d/dt - (nH u_r / W) d/dr
@@ -1019,10 +1019,11 @@ def residual_identities(model: ModelGeometry, trajectory: Trajectory,
 
     All Laplacians/gradients are intrinsic to the evolving graph.  Residuals
     are maximized over interior nodes (3 trimmed at each end) and interior
-    snapshots.  Snapshots in the first ``burn_in`` fraction of the time span
-    are skipped: generic initial data is only zeroth-order compatible with
-    the Dirichlet condition, and the resulting corner nonsmoothness at
-    (r = R, t = 0) would dominate the residual no matter how fine the grid.
+    snapshots.  Snapshots in the first tenth of the time span (the
+    burn-in) are skipped: generic initial data is only zeroth-order
+    compatible with the Dirichlet condition, and the resulting corner
+    nonsmoothness at (r = R, t = 0) would dominate the residual no matter
+    how fine the grid.
     """
     if len(trajectory.states) < 3:
         raise FlowError("need at least 3 snapshots")
@@ -1034,7 +1035,7 @@ def residual_identities(model: ModelGeometry, trajectory: Trajectory,
     t = np.asarray([s.t for s in trajectory.states])
     U = np.stack([s.u for s in trajectory.states])
     # the evaluated snapshots: interior in time and past the burn-in
-    t_min = t[0] + burn_in * (t[-1] - t[0])
+    t_min = t[0] + 0.1 * (t[-1] - t[0])
     win = slice(max(int(np.searchsorted(t, t_min)), 1), t.size - 1)
     if win.start >= win.stop:
         raise FlowError("no snapshots past the burn-in window")

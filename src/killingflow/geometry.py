@@ -444,9 +444,12 @@ MIN_DIMENSION = 2
 
 
 def make_model(spec_xi: ProfileSpec, spec_iota: ProfileSpec,
-               spec_rho: ProfileSpec, n: int, quad_tol: float = 1e-10,
-               r_max: float = 1e3, ladder_points: int = 512) -> ModelGeometry:
+               spec_rho: ProfileSpec, n: int,
+               quad_tol: float = 1e-10) -> ModelGeometry:
     """Validate the geometric conditions on a sample ladder and build a model.
+
+    The ladder runs out to r_max = 1e3, or to the end of the shortest
+    table profile.
 
     Raises ValidationError naming the violated inequality and the sample
     point; the passing ladder is recorded in ``model.validation``.
@@ -463,11 +466,12 @@ def make_model(spec_xi: ProfileSpec, spec_iota: ProfileSpec,
                     f"{name} table must start at (0, 0), got ({r0}, {v0})")
         if abs(prof.value(0.0)) > 1e-12:
             raise ValidationError(f"{name}(0) must vanish")
+    r_max = 1e3
     for prof in (spec_xi, spec_iota, spec_rho):
         if prof.kind == "table":
             r_max = min(r_max, prof.r_max_table)
 
-    rs = _ladder(r_max, ladder_points)
+    rs = _ladder(r_max, 512)
     # sinh/cosh overflow to inf at the far end of the ladder; the
     # positivity and ratio comparisons below remain valid there
     with np.errstate(over="ignore"):
@@ -490,8 +494,7 @@ def make_model(spec_xi: ProfileSpec, spec_iota: ProfileSpec,
 
     model = ModelGeometry(n=n, xi=spec_xi, iota=spec_iota, rho=spec_rho,
                           quad_tol=quad_tol, r_max=r_max,
-                          validation={"ladder_points": ladder_points,
-                                      "r_max": r_max,
+                          validation={"r_max": r_max,
                                       "checks": [c[0] for c in checks]})
     return model
 
@@ -557,11 +560,6 @@ class AmbientFrameData:
             ("theta", "r", "theta"): xi1 / xi,
         }
 
-    def christoffel(self, r: float, up: str, lo1: str, lo2: str) -> float:
-        table = self.christoffels(r)
-        key = (up,) + tuple(sorted((lo1, lo2)))
-        return table.get(key, 0.0)
-
     def ricci_eigenvalues(self, r) -> tuple:
         """(Ric_ss, Ric_rr, Ric_thth) at radii r, in the orthonormal frame."""
         m = self.model
@@ -576,25 +574,12 @@ class AmbientFrameData:
         ric_tt = -xi_rr - (n - 2) * defect - rho_r * xi_r
         return ric_ss, ric_rr, ric_tt
 
-    def ricci(self, r: float, direction: Sequence[float]) -> float:
-        """Ric(v, v) for a direction v given in the orthonormal frame.
-
-        ``direction`` is (v_s, v_r, v_theta); it is normalized internally.
-        """
-        v = np.asarray(direction, dtype=float)
-        norm2 = float(v @ v)
-        if norm2 <= 0:
-            raise GeometryError("ricci direction must be nonzero")
-        lam = self.ricci_eigenvalues(r)
-        return float((v * v) @ np.asarray(lam)) / norm2
-
 
 def ambient_frame(model: ModelGeometry) -> AmbientFrameData:
     return AmbientFrameData(model)
 
 
-def lower_ricci_bounds(model: ModelGeometry, R: float,
-                       samples: int = 512) -> tuple[float, float]:
+def lower_ricci_bounds(model: ModelGeometry, R: float) -> tuple[float, float]:
     """Constants (L, L1) with Ric_g - Hess log rho >= -L g on B_R and
     Ric_ambient >= -L1 g_ambient, both taken as the smallest nonnegative
     constants realized on a sample ladder.
@@ -617,7 +602,7 @@ def lower_ricci_bounds(model: ModelGeometry, R: float,
                     f"table profile xi does not close smoothly at the "
                     f"pole: {label} = {value!r}, not {smooth}, so the "
                     f"curvature is singular at r = 0 and has no bound")
-    rs = _ladder(R, samples)
+    rs = _ladder(R, 512)
     n = model.n
     xi_rr = xi.ratio_d2(rs)
     xi_r = xi.ratio_d1(rs)

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from killingflow import cmc, flow
 from killingflow.barriers import (BarrierError, GeodesicSpec,
-                                  SupersolutionFlow, _sample_deep_region,
-                                  c0_height_cap, compute_E_R,
-                                  compute_delta_psi, curvature_bound,
-                                  eval_u_plus, height_bounds,
+                                  SupersolutionFlow, _halfplane_distance,
+                                  _sample_deep_region, c0_height_cap,
+                                  compute_E_R, compute_delta_psi,
+                                  curvature_bound, height_bounds,
                                   interior_gradient_bound,
                                   make_boundary_barrier, make_sc_barrier,
                                   mu_of_t, pointwise_Q, verify_supersolution)
@@ -62,12 +62,10 @@ def test_supersolution_flow_guards(euclid2):
 
 
 def test_u_plus_monotone_in_time(euclid2):
+    # u+ at the pole and time t is the height at 0 of the profile of rim R(t)
     fl = SupersolutionFlow(euclid2, 1.0)
-    vals = [eval_u_plus(euclid2, 1.0, 0.0, t, flow=fl)
-            for t in (0.0, 0.1, 0.5)]
+    vals = [eval_vR(euclid2, fl.R_of_t(t), 0.0) for t in (0.0, 0.1, 0.5)]
     assert vals[0] < vals[1] < vals[2]
-    with pytest.raises(BarrierError):
-        eval_u_plus(euclid2, 1.0, 2.0, 0.1)
 
 
 def test_verify_supersolution_small_grid_rejected(euclid2):
@@ -159,6 +157,10 @@ def test_c0_height_cap_euclidean_exact(euclid2):
     assert c0_height_cap(euclid2, 0.5, 4) == pytest.approx(2.0, abs=1e-9)
     with pytest.raises(BarrierError):
         c0_height_cap(euclid2, 1.0, 0)
+    # r0 is checked before any radius of the window is formed
+    for r0 in (0.0, -1.0, math.nan):
+        with pytest.raises(BarrierError, match="r0 must be positive"):
+            c0_height_cap(euclid2, r0, 3)
 
 
 def test_c0_height_cap_matches_loop_values(euclid2, hyp2, hyp3):
@@ -184,7 +186,7 @@ def test_c0_height_cap_dominates_supersolution(hyp2):
     fl = SupersolutionFlow(hyp2, 1.0)
     t_max = fl.time_of(3.0)
     for t in np.linspace(0.0, t_max, 12):
-        assert eval_u_plus(hyp2, 1.0, 0.0, float(t), flow=fl) <= cap + 1e-9
+        assert eval_vR(hyp2, fl.R_of_t(float(t)), 0.0) <= cap + 1e-9
 
 
 # -- boundary gradient barrier ---------------------------------------------------
@@ -253,8 +255,9 @@ def test_halfplane_distance_on_arrays(hyp2):
     r = np.linspace(0.0, 8.0, 33)
     np.testing.assert_allclose(sc.dist_eval(r, 0.0), r - 1.0,
                                rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(sc.radial_dist_derivative(r, 0.0), 1.0,
-                               rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(
+        _halfplane_distance(sc.geodesic.nu, r, 0.0, 1.0)[1], 1.0,
+        rtol=0.0, atol=1e-12)
     # the halfplane is symmetric about the axis
     th = np.linspace(-1.5, 1.5, 13)
     np.testing.assert_allclose(sc.dist_eval(r[:, None], th[None, :]),
@@ -276,8 +279,9 @@ def test_halfplane_distance_is_a_distance_in_curvature_kappa(kappa):
     h = 1e-20
     d_th = sc.dist_eval(r, th + 1j * h).imag / h
     d_r = sc.dist_eval(r + 1j * h, th).imag / h
-    np.testing.assert_allclose(sc.radial_dist_derivative(r, th), d_r,
-                               rtol=0.0, atol=1e-8)
+    np.testing.assert_allclose(
+        _halfplane_distance(sc.geodesic.nu, r, th, kappa)[1], d_r,
+        rtol=0.0, atol=1e-8)
     grad2 = d_r ** 2 + (d_th / model.xi.value(r)) ** 2
     np.testing.assert_allclose(grad2, 1.0, rtol=0.0, atol=1e-8)
     axis = np.linspace(0.0, 6.0, 25)
@@ -364,7 +368,6 @@ def test_interior_gradient_constants(euclid2):
     gb = interior_gradient_bound(euclid2, 3.0, M=1.0, beta=1 - 1e-8, k=17)
     assert gb.mu_const == pytest.approx(0.783, abs=1e-3)
     assert gb.log_bound == max(gb.log_bound_first, gb.log_bound_second)
-    assert gb.bound == math.inf or gb.bound > 0  # exp may overflow, both fine
     with pytest.raises(BarrierError):
         interior_gradient_bound(euclid2, 3.0, M=1.0, beta=0.9, k=17)
     with pytest.raises(BarrierError):

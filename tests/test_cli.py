@@ -289,23 +289,30 @@ def test_non_finite_cli_numbers_exit_2(command, model, flag, bad, capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["cmc", "--model", "euclidean", "--R", "1", "--grid=-3"], ">= 16"),
-    (["cmc", "--model", "euclidean", "--R", "1", "--grid", "15"], ">= 16"),
-    (["exhaust", "--model", "euclidean", "--rungs", "0"], ">= 2"),
-    (["exhaust", "--model", "euclidean", "--rungs", "1"], ">= 2"),
-    (["barrier", "--model", "euclidean", "--l0=-1"], ">= 1"),
-    (["barrier", "--model", "euclidean", "--l0", "0"], ">= 1"),
-    (["model-info", "--model", "euclidean", "--n", "0"], ">= 2"),
-    (["model-info", "--model", "euclidean", "--n", "1.5"], ">= 2"),
-    (["--seed=-1", "barrier", "--model", "euclidean"], "nonnegative"),
+    (["cmc", "--model", "euclidean", "--R", "1", "--grid=-3"],
+     "not an integer >= 16"),
+    (["cmc", "--model", "euclidean", "--R", "1", "--grid", "15"],
+     "not an integer >= 16"),
+    (["exhaust", "--model", "euclidean", "--rungs", "0"],
+     "not an integer >= 2"),
+    (["exhaust", "--model", "euclidean", "--rungs", "1"],
+     "not an integer >= 2"),
+    (["barrier", "--model", "euclidean", "--l0=-1"], "not an integer >= 1"),
+    (["barrier", "--model", "euclidean", "--l0", "0"], "not an integer >= 1"),
+    (["model-info", "--model", "euclidean", "--n", "0"],
+     "dimension n=0 must be >= 2"),
+    (["model-info", "--model", "euclidean", "--n", "1.5"],
+     "invalid int value: '1.5'"),
+    (["--seed=-1", "barrier", "--model", "euclidean"],
+     "not a nonnegative integer"),
 ], ids=["grid-3", "grid15", "rungs0", "rungs1", "l0-1", "l0_0", "n0", "n1.5",
         "seed-1"])
 def test_bad_integer_options_exit_2(argv, message, capsys):
-    # each minimum is the one the library enforces, checked by argparse
-    # before any numerics run
+    # each minimum is the one the library enforces: argparse checks it
+    # before any numerics run, except n >= 2, which is named_model's rule
+    # and reported as a usage error too
     assert dispatch(argv) == 2
-    err = capsys.readouterr().err
-    assert "not a" in err and message in err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("every", ["-1", "-3", "two"])
@@ -326,16 +333,24 @@ def test_verify_all_and_config_exclude_each_other(tmp_path, capsys):
 
 def test_flat_model_rejects_a_bad_curvature_scale(tmp_path, capsys):
     # config and command line build models through one builder, which
-    # checks kappa for every kind: a config exits 2, the command line 1,
-    # as for the hyperbolic model
+    # checks kappa for every kind, and both report its rejection as a
+    # usage error (exit 2), in every command that builds a model
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[model]\nkind = euclidean\nkappa = -1\n")
     assert dispatch(["flow", "--config", str(cfg)]) == 2
     assert "[model] curvature scale kappa" in capsys.readouterr().err
     for model in ("euclidean", "hyperbolic"):
-        assert dispatch(["model-info", "--model", model,
-                         "--kappa=-1"]) == 1
-        assert "curvature scale kappa" in capsys.readouterr().err
+        for command in (["model-info"], ["cmc", "--R", "1"], ["barrier"],
+                        ["exhaust"]):
+            assert dispatch(command + ["--model", model, "--kappa=-1"]) == 2
+            assert "curvature scale kappa" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r0", ["0", "-1"])
+def test_barrier_rejects_a_nonpositive_r0(r0, capsys):
+    # before, the height cap failed first, at a radius l0 r0 never given
+    assert dispatch(["barrier", "--model", "euclidean", f"--r0={r0}"]) == 1
+    assert capsys.readouterr().err == "error: r0 must be positive\n"
 
 
 @pytest.mark.parametrize("tol", ["-1", "0"])

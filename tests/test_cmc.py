@@ -65,8 +65,6 @@ def test_profile_shape_invariants(hyp2):
     assert profile.vp[0] == 0.0
     assert profile.vp[-1] == -math.inf
     assert profile.H_R == pytest.approx(hyp2.H(2.0))
-    # interpolation helper
-    assert profile.value(0.0) == pytest.approx(profile.v[0])
 
 
 def test_profile_validation_rejects_garbage():

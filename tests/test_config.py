@@ -53,24 +53,6 @@ tol = 1e-2
     assert cfg.problem["T"] == 0.5
 
 
-def test_serialize_roundtrip():
-    text = """
-[model]
-kind = hyperbolic
-kappa = 1.5
-
-[grid]
-R = 3.0
-
-[problem]
-phi = cos(theta)
-u0 = cos(theta)*min(r, 1)
-"""
-    cfg = parse_config(text)
-    cfg2 = parse_config(cfg.serialize())
-    assert cfg == cfg2
-
-
 def test_key_case_preserved():
     # [grid] R must not be folded to lowercase r
     cfg = parse_config(MINIMAL + "[grid]\nR = 2.0\n")

@@ -7,7 +7,7 @@ from killingflow import GeometryError, ProfileSpec, barriers, exhaustion
 from killingflow.geometry import constant_profile, make_model
 from killingflow.exhaustion import (ExhaustionError, ExhaustionPlan,
                                     build_ladder, pole_mollified_extension,
-                                    radial_extension, run_exhaustion)
+                                    run_exhaustion)
 from killingflow.flow import BallProblem, solve_ball
 
 
@@ -34,10 +34,13 @@ def test_ladder_hyperbolic(hyp2):
 def test_ladder_guards(euclid2):
     with pytest.raises(ExhaustionError):
         build_ladder(euclid2, 1.0, 1)
-    with pytest.raises(ExhaustionError):
-        build_ladder(euclid2, -1.0, 3)
-    with pytest.raises(ExhaustionError):
-        build_ladder(euclid2, 1.0, 3, growth=0.5)
+
+
+@pytest.mark.parametrize("r0", [-1.0, 0.0, math.nan, math.inf])
+def test_ladder_rejects_a_bad_r0(euclid2, r0):
+    # the package's own error, before the rung search floors r0
+    with pytest.raises(ExhaustionError, match="r0 must be positive"):
+        build_ladder(euclid2, r0, 3)
 
 
 def test_plan_rejects_radial_grid(euclid2):
@@ -73,24 +76,15 @@ def test_rung_grids_carry_the_eighth_lattice(euclid2):
         assert set(np.arange(8 * R + 1) / 8) <= set(grid.r)
 
 
-def test_radial_extension_shapes():
-    ext = radial_extension(_phi)
-    th = np.linspace(0.0, 2 * math.pi, 8, endpoint=False)
-    vals = ext(np.linspace(0, 2, 5)[:, None], th[None, :])
-    assert vals.shape == (5, 8)
-    # constant along rays
-    assert np.allclose(vals[0], vals[-1])
-
-
 def test_pole_mollified_extension():
-    ext = pole_mollified_extension(_phi, r_c=1.0)
+    ext = pole_mollified_extension(_phi)
     th = np.linspace(0.0, 2 * math.pi, 8, endpoint=False)
-    # single-valued (zero) at the pole, plain extension beyond r_c
+    # single-valued (zero) at the pole, constant along rays beyond r = 1
     assert np.allclose(ext(0.0, th), 0.0)
     assert np.allclose(ext(2.0, th), _phi(th))
     assert np.allclose(ext(5.0, th), _phi(th))
-    with pytest.raises(ExhaustionError):
-        pole_mollified_extension(_phi, r_c=0.0)
+    vals = ext(np.linspace(0, 2, 5)[:, None], th[None, :])
+    assert vals.shape == (5, 8)
 
 
 def test_run_reports_cauchy_differences(euclid2):
@@ -132,10 +126,12 @@ def test_report_dict_schema(euclid2):
 
 
 def test_plain_radial_extension_rejected_at_pole(euclid2):
-    # ray-constant extension of a nonconstant phi is multivalued at r = 0
+    # ray-constant extension of a nonconstant phi is multivalued at r = 0;
+    # the rung's FlowError comes back as an ExhaustionError
     plan = build_ladder(euclid2, 1.0, 2, tol=0.05, n_time_steps=32)
-    with pytest.raises(ExhaustionError):
-        run_exhaustion(plan, _phi, u0_radial_ext=radial_extension(_phi))
+    with pytest.raises(ExhaustionError, match="single-valued at the pole"):
+        exhaustion._solve_rung(plan, plan.ladder[0], _phi,
+                               lambda r, theta: _phi(theta) + 0.0 * r)
 
 
 def _lattice_d_k(plan, phi, k_max):
@@ -189,10 +185,12 @@ def test_height_bounds_take_sup_of_whole_initial_state(euclid2, monkeypatch):
         return original(model, r0, T, sup_u0)
 
     monkeypatch.setattr(barriers, "height_bounds", recording)
+    monkeypatch.setattr(exhaustion, "pole_mollified_extension",
+                        lambda phi: u0)
     plan = ExhaustionPlan(model=euclid2, r0=1.0, ladder=(3, 4),
                           T0=0.5 * euclid2.zeta(3.0), tol=1e-12,
                           n_time_steps=8)
-    report = run_exhaustion(plan, _phi, u0_radial_ext=u0)
+    report = run_exhaustion(plan, _phi)
     assert [R for R, _ in seen] == [3.0, 4.0]
     for R, sup_u0 in seen:
         grid = plan.grid_for(R)

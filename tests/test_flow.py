@@ -1164,7 +1164,7 @@ def test_run_roundtrip_on_a_table_model(tmp_path):
     from killingflow.geometry import ProfileSpec, constant_profile, make_model
     table = ProfileSpec("table", samples=tuple(
         (float(r), math.sinh(r)) for r in np.linspace(0.0, 2.0, 21)))
-    model = make_model(table, table, constant_profile(1.0), 2, r_max=2.0)
+    model = make_model(table, table, constant_profile(1.0), 2)
     p = BallProblem(model=model, R=1.0, phi=_wave_phi, u0=_wave, T=0.004)
     tr = solve_ball(p, Grid(R=1.0, nr=8, ntheta=8), StepControl(),
                     snapshot_every=2)

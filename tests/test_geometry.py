@@ -230,8 +230,9 @@ def test_christoffels_euclidean(euclid2):
     assert tab[("r", "s", "s")] == 0.0
     assert tab[("r", "theta", "theta")] == pytest.approx(-r)
     assert tab[("theta", "r", "theta")] == pytest.approx(1.0 / r)
-    assert fr.christoffel(r, "theta", "theta", "r") == pytest.approx(1.0 / r)
-    assert fr.christoffel(r, "s", "theta", "theta") == 0.0
+    # every other symbol vanishes
+    assert set(tab) == {("s", "s", "r"), ("r", "s", "s"),
+                        ("r", "theta", "theta"), ("theta", "r", "theta")}
 
 
 def test_christoffels_hyperbolic(hyp2):
@@ -253,9 +254,6 @@ def test_ricci_eigenvalues(euclid2, hyp2):
     fr_h = ambient_frame(hyp2)
     for r in (0.4, 1.0, 2.0):
         assert fr_h.ricci_eigenvalues(r) == pytest.approx((-2.0, -2.0, -2.0))
-    assert fr_h.ricci(1.0, (1.0, 1.0, 0.0)) == pytest.approx(-2.0)
-    with pytest.raises(GeometryError):
-        fr_h.ricci(1.0, (0.0, 0.0, 0.0))
 
 
 def test_lower_ricci_bounds(euclid2, hyp2):
