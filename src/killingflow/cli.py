@@ -107,10 +107,14 @@ def _cmd_barrier(args) -> int:
     checks = []
     constants = {}
 
+    # the supersolution owns the r0 rule; a value it rejects is bad input
+    try:
+        sflow = barriers.SupersolutionFlow(model, r0)
+    except barriers.BarrierError as exc:
+        raise _UsageError(str(exc)) from None
     cap = barriers.c0_height_cap(model, r0, args.l0)
     constants["height_cap"] = cap
     rng = np.random.default_rng(args.seed)
-    sflow = barriers.SupersolutionFlow(model, r0)
     worst = -math.inf
     Rmax = args.l0 * r0
     t_cap = sflow.time_of(Rmax)
@@ -191,7 +195,13 @@ def _cmd_flow(args) -> int:
 
 def _cmd_exhaust(args) -> int:
     model = _model(args)
-    plan = exhaustion.build_ladder(model, args.r0, args.rungs, tol=args.tol)
+    # build_ladder rejects its inputs before any rung is solved, so what it
+    # raises is always bad input
+    try:
+        plan = exhaustion.build_ladder(model, args.r0, args.rungs,
+                                       tol=args.tol)
+    except exhaustion.ExhaustionError as exc:
+        raise _UsageError(str(exc)) from None
     phi_fn = expr.as_function(args.phi)
     report = exhaustion.run_exhaustion(
         plan, lambda theta: phi_fn(theta=theta, r=0.0, t=0.0))

@@ -11,15 +11,18 @@ on vertex-centred finite volumes with W lagged at the faces (Deckelnick,
 Dziuk & Elliott, Acta Numerica 14 (2005), section 3):
 Q[u]_j = sum_k w_jk (u_k - u_j), w_jk = P_j c_jk / dV_j, where dV_j
 integrates rho xi^(n-1) over node j's cell (dtheta dV_j in 2-D), the face
-conductance c_jk is rho xi^(n-1) / (W_f h) on r-faces and
-h rho_j / (xi_j W_f dtheta) on theta-faces, and the row prefactor
+conductance c_jk is rho xi^(n-1) / (W_f h) on r-faces, with h the
+face's gap, and w rho_j / (xi_j W_f dtheta) on theta-faces, with w the
+cell's width (r_{j+1} - r_{j-1}) / 2, and the row prefactor
 P_j = sqrt(rho_j^-2 + max(s_- s_+, 0) + max(s^theta_- s^theta_+, 0) / xi_j^2)
 reads the face slopes either side of node j (at the pole, the W of the
 slope ``_pole_fourier`` fits to the first ring).  With the nodal W as P_j
 the discrete CMC graph falls below its continuum supersolution (by 1.9e-2
 on E2, 64 x 64).  Every w_jk is positive for any slope and any n; the 2-D
 stencil has five points and is the radial one on rotationally symmetric
-data.  The weights are stored as the symmetric conductances c_jk = c_kj
+data.  Nothing asks the rows to be evenly spaced: a graded ``Grid`` (one
+given its radii) runs through the same weights.  The weights are stored
+as the symmetric conductances c_jk = c_kj
 and the row measures m_j = dV_j / P_j (``_radial_weights``,
 ``_polar_weights``; the pole row's measure is ntheta dV_0 / P_0), and feed
 
@@ -37,9 +40,9 @@ and the row measures m_j = dV_j / P_j (``_radial_weights``,
 
 What depends only on n, the profiles and the grid is computed once and
 shared read-only: ``Grid.r``/``Grid.theta``, the node factors, the finite
-volumes and the pole ring's Fourier modes (``_grid_factors``, cached for
-32 grids), which are checked to be finite when built.  A step evaluates
-no profile.  On the 2-D grid the operator, the step and the diagnostics
+volumes, the row differences and the pole ring's Fourier modes
+(``_grid_factors``, cached for 32 grids), which are checked to be finite
+when built.  A step evaluates no profile.  On the 2-D grid the operator, the step and the diagnostics
 read those factors as read-only (rows, ntheta) fields, the grid's
 ``_Fields``, which a run builds when it starts and drops when it
 returns (``solve_ball``; every other public entry point per call), so
@@ -51,9 +54,11 @@ in any base dimension n = model.n; the 2-D grid represents n = 2 only,
 which ``_grid_factors`` checks.
 
 The diagnostics follow one rule on both grids.  ``_slopes`` takes u_r and
-u_theta / xi by centred differences on rows 1..nr-1, a second-order
-one-sided difference on the rim row and, at the pole, the gradient fitted
-to the first ring (0 on a radial grid); W is formed from them in
+u_theta / xi by three-point differences on rows 1..nr-1 (``_Steps``:
+exact on quadratics in r, and the centred differences of a uniform grid
+bit for bit), a second-order one-sided difference on the rim row and, at
+the pole, the gradient fitted to the first ring at r = r[1] (0 on a
+radial grid); W is formed from them in
 ``_tilt`` alone.  |A| is evaluated on rows 1..nr-1, and its pole and rim
 rows copy the nearest interior row.  Every state ``step`` or
 ``solve_ball`` returns carries W, max|grad u| and max|A| from one
@@ -153,15 +158,21 @@ def _positive(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform polar grid: nr radial intervals on [0, R], ntheta angles.
+    """Polar grid: nr radial intervals on [0, R], ntheta angles.
 
-    Node (j, i) sits at (j*hr, i*dtheta); row 0 is the pole, row nr the
-    Dirichlet boundary.  ntheta = 1 selects the radial fast path.
+    Node (j, i) sits at (r[j], i*dtheta); row 0 is the pole, row nr the
+    Dirichlet boundary.  ntheta = 1 selects the radial fast path.  Without
+    ``nodes`` the rows are uniform, r[j] = j*hr with hr = R/nr.  ``nodes``
+    gives any other radii, nr + 1 of them increasing from 0 to R (a graded
+    grid), and is stored as a tuple.  Nodes equal to the uniform ones are
+    stored as None: a grid has one form, the uniform grid's, so that it
+    steps, caches and is saved as that grid.
     """
 
     R: float
     nr: int
     ntheta: int
+    nodes: tuple[float, ...] | None = None
 
     def __post_init__(self):
         _positive("R", self.R)
@@ -169,9 +180,26 @@ class Grid:
             raise FlowError("nr must be >= 8")
         if self.ntheta != 1 and self.ntheta < 8:
             raise FlowError("ntheta must be >= 8 (or exactly 1 for radial)")
+        if self.nodes is None:
+            return
+        try:
+            r = np.array(self.nodes, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise FlowError(f"nodes must be numbers: {exc}") from None
+        if not (r.shape == (self.nr + 1,) and r[0] == 0.0
+                and r[-1] == self.R and np.all(np.diff(r) > 0.0)):
+            raise FlowError(f"nodes must be nr + 1 = {self.nr + 1} radii "
+                            f"increasing from 0 to R = {self.R}")
+        uniform = np.array_equal(r, np.linspace(0.0, self.R, self.nr + 1))
+        object.__setattr__(self, "nodes",
+                           None if uniform else tuple(r.tolist()))
 
     @property
     def hr(self) -> float:
+        """The row spacing R/nr of a uniform grid."""
+        if self.nodes is not None:
+            raise FlowError("a graded grid has no one row spacing hr; "
+                            "read its radii r")
         return self.R / self.nr
 
     @property
@@ -181,6 +209,8 @@ class Grid:
     # r and theta are computed once per Grid and shared read-only
     @functools.cached_property
     def r(self) -> np.ndarray:
+        if self.nodes is not None:
+            return _read_only(np.array(self.nodes))
         return _read_only(np.linspace(0.0, self.R, self.nr + 1))
 
     @functools.cached_property
@@ -349,18 +379,68 @@ def _cells(n: int, xi: ProfileSpec, rho: ProfileSpec, r) -> _Cells:
                   cond=cond, dV=np.append(dV, math.inf))
 
 
+class _Steps(NamedTuple):
+    """The three-point differences along r on rows 1..nr-1 of a grid, from
+    the spacings hm = r_j - r_{j-1} and hp = r_{j+1} - r_j:
+
+        u_r  = (p u_{j+1} - q u_{j-1} + z u_j) / s,
+        u_rr = ((wp u_{j+1} - 2 u_j) + wm u_{j-1}) / hh,
+
+    s = hm + hp, hh = hm hp, p = hm / hp, q = hp / hm, z = q - p,
+    wp = 2 hm / s and wm = 2 hp / s, both exact on quadratics.  On the rim
+    row u_r = (a u_nr - b u_{nr-1} + c u_{nr-2}) / d, one-sided, with
+    (a, b, c, d) = ``rim``.  The arrays are (nr - 1, 1) columns.  On a
+    uniform grid p = q = wp = wm = 1 and z = 0: those are None and their
+    products are skipped (``_times``), s = 2 hr and hh = hr hr are scalars
+    and the rim reads (3, 4, 1, 2 hr), so the differences are the uniform
+    grid's centred ones, bit for bit."""
+
+    s: float | np.ndarray
+    hh: float | np.ndarray
+    p: np.ndarray | None
+    q: np.ndarray | None
+    z: np.ndarray | None
+    wp: np.ndarray | None
+    wm: np.ndarray | None
+    rim: tuple[float, float, float, float]
+
+
+def _steps(grid: Grid) -> _Steps:
+    """The row differences of the grid; the spacings of a uniform grid are
+    hr itself, not the differences of its rounded radii."""
+    h = np.full(grid.nr, grid.hr) if grid.nodes is None else np.diff(grid.r)
+    h1, h2 = float(h[-1]), float(h[-2])
+    rim = (2.0 + 2.0 * h1 / (h1 + h2), 2.0 * (h1 + h2) / h2,
+           h1 / h2 * (2.0 * h1 / (h1 + h2)), 2.0 * h1)
+    if grid.nodes is None:
+        return _Steps(2.0 * grid.hr, grid.hr * grid.hr,
+                      None, None, None, None, None, rim)
+    hm, hp = h[:-1, None], h[1:, None]
+    s = hm + hp
+    p, q = hm / hp, hp / hm
+    return _Steps(*map(_read_only, (s, hm * hp, p, q, q - p, 2.0 * hm / s,
+                                    2.0 * hp / s)), rim)
+
+
+def _times(c: np.ndarray | None, a: np.ndarray) -> np.ndarray:
+    """c a, or a itself for the coefficient None (1 on a uniform grid)."""
+    return a if c is None else c * a
+
+
 class _GridFactors(NamedTuple):
     """What the solver reads that depends only on the base dimension, the
     warping profiles and the grid.  ``at`` holds the kernel factors at
     every node; ``op`` views them on rows 1..nr-1 as (nr - 1, 1) columns,
     the rows where the radial second fundamental form reads them.  cos
-    and sin on the first ring give the pole row its slope."""
+    and sin on the first ring give the pole row its slope, and ``steps``
+    the rows their r-differences."""
 
     at: Factors
     op: Factors
     cells: _Cells
     cos: np.ndarray
     sin: np.ndarray
+    steps: _Steps
 
 
 @functools.lru_cache(maxsize=32)
@@ -379,7 +459,8 @@ def _grid_factors(n: int, xi: ProfileSpec, rho: ProfileSpec,
     at = Factors(*map(_read_only, factors(xi, rho, grid.r)))
     return _GridFactors(
         at=at, op=Factors(*(a[1:-1, None] for a in at)), cells=cells,
-        cos=_read_only(np.cos(grid.theta)), sin=_read_only(np.sin(grid.theta)))
+        cos=_read_only(np.cos(grid.theta)), sin=_read_only(np.sin(grid.theta)),
+        steps=_steps(grid))
 
 
 class _Fields:
@@ -394,24 +475,33 @@ class _Fields:
 
     * r-faces 0..nr-1: dr, cond, inv_rho2_f, inv_xi2_f;
     * rows 1..nr-1: dr2 = dr_j + dr_{j-1}, inv_rho2 (rho^-2, as in the
-      cells), dV, g_t = h rho / dtheta^2, and rho, lrho, inv_xi2, xi_ratio;
-    * rows 0..nr: xi and inv_rho2_at = 1 / rho^2."""
+      cells), dV, g_t = w rho / dtheta^2 with w = s / 2 the cell width
+      (r_{j+1} - r_{j-1}) / 2, rho, lrho, inv_xi2, xi_ratio, and ``steps``,
+      the r-differences, whose arrays are fields of these rows;
+    * rows 0..nr: xi and inv_rho2_at = 1 / rho^2.
+
+    On a radial grid only ``steps`` is set, as the grid's columns."""
 
     def __init__(self, model: ModelGeometry, grid: Grid):
         self.n, self.grid = model.n, grid
         self.gf = gf = _grid_factors(model.n, model.xi, model.rho, grid)
+        self.steps = st = gf.steps
         if grid.radial:
             return
         c, at, k = gf.cells, gf.at, grid.dtheta
 
         def field(column):
-            return _read_only(np.repeat(column[:, None], grid.ntheta, 1))
+            return _read_only(np.repeat(np.reshape(column, (-1, 1)),
+                                        grid.ntheta, 1))
 
+        self.steps = _Steps(*(field(a) if isinstance(a, np.ndarray) else a
+                              for a in st))
         (self.dr, self.cond, self.inv_rho2_f, self.inv_xi2_f, self.dr2,
          self.inv_rho2, self.dV, self.g_t, self.rho, self.lrho, self.inv_xi2,
          self.xi_ratio, self.xi, self.inv_rho2_at) = map(field, (
              c.dr, c.cond, c.inv_rho2_f, c.inv_xi2_f, c.dr[1:] + c.dr[:-1],
-             c.inv_rho2[1:-1], c.dV[1:-1], (grid.hr / (k * k)) * at.rho[1:-1],
+             c.inv_rho2[1:-1], c.dV[1:-1],
+             (0.5 * st.s / (k * k)) * at.rho[1:-1, None],
              at.rho[1:-1], at.lrho[1:-1], at.inv_xi2[1:-1],
              at.xi_ratio[1:-1], at.xi, 1.0 / at.rho ** 2))
 
@@ -426,23 +516,34 @@ def _pole_fourier(u_ring: np.ndarray, h: float, gf: _GridFactors):
     return a, b
 
 
+def _centred(st: _Steps, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = p a_{j+1} - q a_{j-1} + z a_j on rows 1..nr-1 of a, rows on
+    axis -2: the numerator of the first difference of ``_Steps``, which is
+    a_{j+1} - a_{j-1} on a uniform grid."""
+    np.subtract(_times(st.p, a[..., 2:, :]), _times(st.q, a[..., :-2, :]),
+                out=out)
+    if st.z is not None:
+        out += st.z * a[..., 1:-1, :]
+    return out
+
+
 def _slopes(fd: _Fields, u: np.ndarray):
     """(u_r, u_theta / xi) at every node of u; at the pole, the polar
     components of the gradient ``_pole_fourier`` fits.  u is a field of
     the grid's shape or a stack of them with rows on axis -2: (S, nr + 1,
     nt) on the 2-D grid, the columns of (nr + 1, S) on a radial one.  A
     radial grid's u_theta is the scalar 0.0."""
-    grid, gf = fd.grid, fd.gf
-    h = grid.hr
+    grid, gf, st = fd.grid, fd.gf, fd.steps
     ur = np.empty_like(u)
-    np.subtract(u[..., 2:, :], u[..., :-2, :], out=ur[..., 1:-1, :])
-    ur[..., 1:-1, :] /= 2 * h
-    ur[..., -1, :] = (3 * u[..., -1, :] - 4 * u[..., -2, :]
-                      + u[..., -3, :]) / (2 * h)
+    _centred(st, u, ur[..., 1:-1, :])
+    ur[..., 1:-1, :] /= st.s
+    ca, cb, cc, cd = st.rim
+    ur[..., -1, :] = (ca * u[..., -1, :] - cb * u[..., -2, :]
+                      + cc * u[..., -3, :]) / cd
     if grid.radial:
         ur[..., 0, :] = 0.0
         return ur, 0.0
-    a, b = (c[..., None] for c in _pole_fourier(u[..., 1, :], h, gf))
+    a, b = (c[..., None] for c in _pole_fourier(u[..., 1, :], grid.r[1], gf))
     ur[..., 0, :] = a * gf.cos + b * gf.sin
     # the centred theta slope on every row; the pole row's is replaced
     vt = _theta_op(np.subtract, u, 1, u, -1, np.empty(u.shape))
@@ -526,7 +627,7 @@ def _polar_weights(fd: _Fields, u: np.ndarray) -> _Polar:
     g_r += fd.inv_rho2_f
     g_r += cross
     g_r = np.divide(fd.cond, np.sqrt(g_r, out=g_r), out=g_r)
-    # g_t = h rho / dtheta^2 / (xi sqrt((rho^-2 + cross^2) + st^2 / xi^2)),
+    # g_t = w rho / dtheta^2 / (xi sqrt((rho^-2 + cross^2) + st^2 / xi^2)),
     # st the slope at i + 1/2 and cross the mean of the centred
     # r-differences at i and i + 1
     ring = u[1:-1]
@@ -553,7 +654,7 @@ def _polar_weights(fd: _Fields, u: np.ndarray) -> _Polar:
     t *= fd.inv_xi2
     m += t
     m = np.divide(fd.dV, np.sqrt(m, out=m), out=m)
-    a, b = _pole_fourier(u[1], grid.hr, fd.gf)
+    a, b = _pole_fourier(u[1], grid.r[1], fd.gf)
     m0 = grid.ntheta * c.dV[0] / math.sqrt(c.inv_rho2[0] + a * a + b * b)
     return _Polar(g_r, g_t, m, m0)
 
@@ -761,24 +862,24 @@ def _radial_forms(n: int, f: Factors, ur, urr, W):
 def _curvatures(fd: _Fields, u: np.ndarray, ur: np.ndarray, vt,
                 W: np.ndarray):
     """(|A|^2, nH) on rows 1..nr-1 of u, a field or a stack of fields as
-    ``_slopes`` takes them, from its slopes, its tilt factor W and centred
-    second differences.  The 2-D branch writes the second fundamental form
-    times W, b, in the frame (d_r, d_theta / xi), where the induced metric
-    is g = I + rho^2 grad u grad u^T with det g = (rho W)^2; then
+    ``_slopes`` takes them, from its slopes, its tilt factor W and the
+    three-point second differences of ``_Steps``.  The 2-D branch writes
+    the second fundamental form times W, b, in the frame (d_r,
+    d_theta / xi), where the induced metric is g = I + rho^2 grad u
+    grad u^T with det g = (rho W)^2; then
     nH = tr(g^-1 b) / W and |A|^2 = (nH)^2 - 2 det b / (det g W^2)."""
-    grid = fd.grid
-    h = grid.hr
+    grid, st = fd.grid, fd.steps
     p, w = ur[..., 1:-1, :], W[..., 1:-1, :]
     urr = u[..., 1:-1, :] * 2
-    urr = np.subtract(u[..., 2:, :], urr, out=urr)
-    urr += u[..., :-2, :]
-    urr /= h * h
+    urr = np.subtract(_times(st.wp, u[..., 2:, :]), urr, out=urr)
+    urr += _times(st.wm, u[..., :-2, :])
+    urr /= st.hh
     if grid.radial:
         return _radial_forms(fd.n, fd.gf.op, p, urr, w)
     q = vt[..., 1:-1, :]
     ut = fd.xi * vt                     # u_theta, 0 on the pole row
-    urt = ut[..., 2:, :] - ut[..., :-2, :]
-    urt /= 2 * h
+    urt = _centred(st, ut, np.empty(q.shape))
+    urt /= st.s
     urt /= fd.xi[1:-1]
     # the second theta difference on every row; rows 1..nr-1 are read
     utt = _theta_op(np.subtract, u, 1, u * 2, 0, ut)
@@ -837,7 +938,7 @@ def second_fundamental_form(model: ModelGeometry, grid: Grid,
     Assembled from the ambient Christoffels of the warped metric applied to
     the graph parametrization (one derivative order lower than
     differentiating the mean curvature expression), on the slopes and W of
-    ``compute_W`` and centred second differences.  On both grids the pole
+    ``compute_W`` and three-point second differences.  On both grids the pole
     and rim rows are copies of the nearest interior row; treat them as
     extrapolation.  ``solve_ball`` records the maximum of |A| per step.
     """
@@ -1110,8 +1211,8 @@ def save_run(dirpath: str, trajectory: Trajectory) -> str:
     the (S, 2, nr + 1, ntheta) stack of u and W of each kept state;
     ``steps.npy``, the (K, 3) table of t, max|grad u| and max|A| of each
     step (both NumPy ``.npy``, NEP 1, of little-endian float64); and
-    ``manifest.json``, the metadata with the step of each kept state.
-    Returns the manifest path."""
+    ``manifest.json``, the metadata with the step of each kept state and,
+    for a graded grid, its radii.  Returns the manifest path."""
     os.makedirs(dirpath, exist_ok=True)
     tr, shape = trajectory, trajectory.grid.shape()
     for name, array in (
@@ -1120,7 +1221,9 @@ def save_run(dirpath: str, trajectory: Trajectory) -> str:
             ("steps.npy", np.column_stack((tr.times, tr.max_grad, tr.max_A)))):
         with open(os.path.join(dirpath, name), "wb") as fh:
             np.save(fh, np.asarray(array, dtype="<f8"), allow_pickle=False)
-    manifest = {"grid": asdict(tr.grid), "control": asdict(tr.control),
+    # a uniform grid's manifest names no nodes
+    grid = {k: v for k, v in asdict(tr.grid).items() if v is not None}
+    manifest = {"grid": grid, "control": asdict(tr.control),
                 "model_hash": model_hash(tr.problem.model),
                 "model": tr.problem.model.spec_dict(), "T": tr.problem.T,
                 "snapshot_steps": [s.step_count for s in tr.states]}

@@ -143,7 +143,7 @@ DEFAULTS = {
     "flow.BallProblem": ("T",),
     "flow.BallProblem.sample": (),
     "flow.FlowState": ("max_grad", "max_A"),
-    "flow.Grid": (),
+    "flow.Grid": ("nodes",),
     "flow.Grid.shape": (),
     "flow.IdentityReport": (),
     "flow.StepControl": ("scheme", "cfl", "dt_max"),
@@ -199,7 +199,7 @@ DEFAULTS = {
 }
 
 # the number of settable values: the sum of DEFAULTS' tuples
-SETTABLE = 35
+SETTABLE = 36
 
 
 def _public_callables():

@@ -348,22 +348,45 @@ def test_flat_model_rejects_a_bad_curvature_scale(tmp_path, capsys):
 
 @pytest.mark.parametrize("r0", ["0", "-1"])
 def test_barrier_rejects_a_nonpositive_r0(r0, capsys):
-    # before, the height cap failed first, at a radius l0 r0 never given
-    assert dispatch(["barrier", "--model", "euclidean", f"--r0={r0}"]) == 1
+    # the supersolution's r0 rule, reported as a usage error before the
+    # height cap forms a radius l0 r0
+    assert dispatch(["barrier", "--model", "euclidean", f"--r0={r0}"]) == 2
     assert capsys.readouterr().err == "error: r0 must be positive\n"
+
+
+@pytest.mark.parametrize("r0", ["0", "-1"])
+def test_exhaust_rejects_a_nonpositive_r0_before_any_rung(r0, monkeypatch,
+                                                          capsys):
+    # build_ladder's r0 rule, reported as a usage error, as argparse
+    # reports --r0 nan and inf
+    def no_rung(*args, **kwargs):
+        raise AssertionError("a rung was solved")
+
+    monkeypatch.setattr(killingflow.exhaustion, "solve_ball", no_rung)
+    assert dispatch(["exhaust", "--model", "euclidean", f"--r0={r0}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: r0 must be positive and finite, "
+                            f"got {float(r0)}\n")
+
+
+def test_exhaust_rejects_a_model_the_polar_grid_cannot_hold(capsys):
+    # a ladder steps on polar grids, which hold n = 2 only: bad input
+    assert dispatch(["exhaust", "--model", "euclidean", "--n", "3"]) == 2
+    assert "base dimension 2 only" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["-1", "0"])
 def test_exhaust_rejects_a_bad_tolerance_before_any_rung(tol, monkeypatch,
                                                          capsys):
     # before, --tol -1 solved all four rungs and reported "fail" with no
-    # error line
+    # error line; build_ladder's rejection is a usage error
     def no_rung(*args, **kwargs):
         raise AssertionError("a rung was solved")
 
     monkeypatch.setattr(killingflow.exhaustion, "solve_ball", no_rung)
     assert dispatch(["exhaust", "--model", "euclidean",
-                     f"--tol={tol}"]) == 1
+                     f"--tol={tol}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: tol must be positive")

@@ -8,7 +8,7 @@ from killingflow.geometry import constant_profile, make_model
 from killingflow.exhaustion import (ExhaustionError, ExhaustionPlan,
                                     build_ladder, pole_mollified_extension,
                                     run_exhaustion)
-from killingflow.flow import BallProblem, solve_ball
+from killingflow.flow import BallProblem, Grid, solve_ball
 
 
 def _phi(theta):
@@ -69,11 +69,54 @@ def test_plan_rejects_rung_inside_observation_ball(euclid2):
 
 
 def test_rung_grids_carry_the_eighth_lattice(euclid2):
+    # from r0 = 1 the core radius is r_c = 2: rungs R <= 2 keep the whole
+    # uniform lattice; larger ones carry k/8 up to r_c, and past it the
+    # nodes of one sequence whose gaps grow by 1.1, the one nearest R
+    # moved onto R
     plan = build_ladder(euclid2, 1.0, 2)
-    for R, nr in ((1, 16), (2, 16), (3, 24), (17, 136)):
+    assert ({R: plan.grid_for(float(R)).nr for R in (1, 2, 3, 5, 9, 17)}
+            == {1: 16, 2: 16, 3: 22, 5: 28, 9: 35, 17: 42})
+    assert [plan.grid_for(float(R)).nr for R in (4, 6, 10)] == [25, 30, 36]
+    for R in (1, 2):
         grid = plan.grid_for(float(R))
-        assert grid.nr == nr
+        assert grid.nodes is None
         assert set(np.arange(8 * R + 1) / 8) <= set(grid.r)
+    grids = [plan.grid_for(float(R)) for R in range(3, 18)]
+    top = grids[-1].r
+    for grid in grids:
+        assert grid.r[:17].tolist() == (np.arange(17) / 8).tolist()
+        assert grid.r[-1] == grid.R
+        assert grid.r[:-1].tolist() == top[:grid.nr].tolist()
+    gaps = np.diff(top[16:-1])
+    assert gaps[0] == pytest.approx(0.1375)
+    np.testing.assert_allclose(gaps[1:] / gaps[:-1], 1.1, rtol=1e-12)
+    # r0 = 1.3 widens the core to r_c = 2 ceil(10.4) / 8 = 2.75
+    wide = build_ladder(euclid2, 1.3, 2)
+    assert wide.grid_for(3.0).r[:23].tolist() == (np.arange(23) / 8).tolist()
+    assert wide.grid_for(3.0).nr == 24
+
+
+@pytest.mark.parametrize("model_name", ["euclid2", "hyp2"])
+def test_graded_rungs_match_their_uniform_twins(model_name, request):
+    # every default rung, solved on its graded grid and on the uniform
+    # h = 1/8 grid of the same radius, agrees on B_1 x [0, T0] within 1e-4:
+    # measured 5.2e-5, 9.6e-5, 6.4e-5, 6.3e-5 on E2 rungs 3, 5, 9, 17 and
+    # 0, 6.4e-5, 6.0e-5, 5.9e-5 on H2 rungs 2, 4, 6, 10 (2 is uniform)
+    model = request.getfixturevalue(model_name)
+    plan = build_ladder(model, 1.0, 4)
+    u0 = pole_mollified_extension(_phi)
+    gaps = []
+    for R in plan.ladder:
+        problem = BallProblem(model=model, R=float(R), phi=_phi, u0=u0,
+                              T=plan.T0)
+        graded, uniform = (
+            np.stack([s.u[:9] for s in solve_ball(
+                problem, grid, plan.control(), snapshot_every=1).states])
+            for grid in (plan.grid_for(float(R)),
+                         Grid(R=float(R), nr=8 * max(R, 2),
+                              ntheta=plan.ntheta)))
+        gaps.append(float(np.max(np.abs(graded - uniform))))
+    assert max(gaps) <= 1e-4
 
 
 def test_pole_mollified_extension():

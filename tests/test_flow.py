@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from killingflow import cmc, euclidean_model, flow, hyperbolic_model
+from killingflow import (build_ladder, cmc, euclidean_model, flow,
+                         hyperbolic_model)
 from killingflow.barriers import pointwise_Q
 from killingflow.flow import (BallProblem, FlowError, Grid, StepControl,
                               compute_W, discretize_Q, load_run, model_hash,
@@ -25,6 +26,14 @@ def _zero_phi(theta):
 
 def _bump(r, theta):
     return 0.25 * np.cos(0.5 * math.pi * r) * np.ones_like(theta)
+
+
+def _graded(R, nr, ntheta, q=1.1):
+    """A grid whose gaps grow by the factor q from the pole out to R."""
+    r = np.concatenate(([0.0], np.cumsum(q ** np.arange(nr))))
+    nodes = r * (R / r[-1])
+    nodes[-1] = R
+    return Grid(R=R, nr=nr, ntheta=ntheta, nodes=tuple(nodes))
 
 
 def _poly(r, th):
@@ -47,6 +56,22 @@ def test_grid_invariants():
                 dict(R=1, nr=16, ntheta=4)):
         with pytest.raises(FlowError):
             Grid(**bad)
+    # a graded grid: its radii, and no one spacing hr
+    graded = _graded(2.0, 16, 8)
+    assert graded.r.tolist() == list(graded.nodes)
+    assert graded.r[0] == 0.0 and graded.r[-1] == 2.0
+    assert not graded.r.flags.writeable
+    with pytest.raises(FlowError, match="graded grid"):
+        graded.hr
+    # the uniform radii given as nodes are the uniform grid
+    assert Grid(R=2.0, nr=16, ntheta=8, nodes=tuple(g.r)) == g
+    assert Grid(R=2.0, nr=16, ntheta=8, nodes=list(g.r)).nodes is None
+    nodes = list(graded.nodes)
+    for bad in (nodes[:-1], nodes[:-1] + [2.5], [1e-3] + nodes[1:],
+                nodes[:3] + nodes[4:2:-1] + nodes[5:], nodes[:3] + [math.nan]
+                + nodes[4:], ["a"] * 17, 3.0):
+        with pytest.raises(FlowError, match="nodes"):
+            Grid(R=2.0, nr=16, ntheta=8, nodes=bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -729,15 +754,84 @@ def test_2d_flow_runs_and_respects_boundary(euclid2):
     assert len(tr.states) == 2        # initial and final only
 
 
-@pytest.mark.parametrize("model_name", ["euclid2", "hyp2"])
-def test_2d_matches_radial_on_symmetric_data(model_name, request):
+@pytest.mark.parametrize("model_name,graded", [
+    ("euclid2", False), ("hyp2", False), ("euclid2", True), ("hyp2", True)],
+    ids=["euclid2", "hyp2", "euclid2-graded", "hyp2-graded"])
+def test_2d_matches_radial_on_symmetric_data(model_name, graded, request):
     model = request.getfixturevalue(model_name)
     p = BallProblem(model=model, R=1.0, phi=_zero_phi, u0=_bump, T=0.05)
     ctl = StepControl(dt_max=2.5e-3)
-    a = solve_ball(p, Grid(R=1.0, nr=24, ntheta=16), ctl)
-    b = radial_solve(p, 24, ctl)
+    if graded:
+        a, b = (solve_ball(p, _graded(1.0, 24, nt), ctl) for nt in (16, 1))
+    else:
+        a = solve_ball(p, Grid(R=1.0, nr=24, ntheta=16), ctl)
+        b = radial_solve(p, 24, ctl)
     gap = float(np.max(np.abs(a.states[-1].u - b.states[-1].u[:, None])))
     assert gap <= 1e-12
+    assert np.max(np.abs(a.max_A - b.max_A)) <= 1e-9
+
+
+def _plane_error(model, grid, a):
+    """max |u - (a / R) r cos(theta)| at the end of 30 lagged steps of
+    dt = 1e3 from u0 = (a / R^2) r^2 cos(theta), phi = a cos(theta): a
+    Picard iteration for the discrete Dirichlet problem, whose exact limit
+    on E2 is that plane."""
+    R = grid.R
+    p = BallProblem(model=model, R=R, phi=lambda th: a * np.cos(th),
+                    u0=lambda r, th: (a / R ** 2) * r ** 2 * np.cos(th),
+                    T=3e4)
+    u = solve_ball(p, grid, StepControl(dt_max=1e3)).states[-1].u
+    return float(np.max(np.abs(u - (a / R) * grid.r[:, None]
+                               * np.cos(grid.theta))))
+
+
+def test_steady_plane_is_second_order(euclid2):
+    # the minimal graph over B_1 with boundary values 0.5 cos(theta) is the
+    # plane u = 0.5 r cos(theta); measured 1.238e-3, 3.111e-4, 7.783e-5
+    errors = [_plane_error(euclid2, Grid(R=1.0, nr=n, ntheta=n), 0.5)
+              for n in (16, 32, 64)]
+    orders = [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
+    assert min(orders) >= 1.9
+    assert errors[-1] <= 1e-4
+
+
+def test_steady_plane_on_a_graded_ladder_rung(euclid2):
+    # the plane u = 0.1 r cos(theta) on the E2 ladder's graded R = 5 rung
+    # (28 rows, k/8 out to r = 2, then gaps growing by 1.1): the plane is
+    # linear along every ray, so the theta error is what remains, measured
+    # 1.184e-3 and 2.959e-4 at ntheta 16 and 32 (uniform 40-row twins:
+    # 1.185e-3, 2.960e-4)
+    rung = build_ladder(euclid2, 1.0, 4).grid_for(5.0)
+    assert rung.nodes is not None and rung.nr == 28
+    errors = [_plane_error(euclid2, Grid(R=5.0, nr=rung.nr, ntheta=nt,
+                                         nodes=rung.nodes), 0.5)
+              for nt in (16, 32)]
+    assert math.log2(errors[0] / errors[1]) >= 1.9
+    assert errors[1] <= 3.0e-4
+
+
+@pytest.mark.parametrize("ntheta", [1, 16])
+def test_graded_differences_are_exact_on_quadratics(euclid2, ntheta):
+    # the three-point differences of a graded grid, interior and one-sided
+    # at the rim, differentiate u = 0.3 r - 0.7 r^2 exactly, so W and the
+    # curvatures of the graph are the closed forms of u_r = 0.3 - 1.4 r
+    # and u_rr = -1.4 (the pole row reads the first ring's Fourier fit)
+    g = _graded(3.0, 20, ntheta, q=1.2)
+    r = g.r[:, None]
+    u = np.repeat(0.3 * r - 0.7 * r ** 2, ntheta, 1).reshape(g.shape())
+    if g.radial:
+        u = u[:, 0]
+    ur = 0.3 - 1.4 * r[1:]
+    W = np.sqrt(1.0 + ur ** 2)
+    A2, nH = (a.reshape(g.shape()) for a in second_fundamental_form(
+        euclid2, g, u))
+    np.testing.assert_allclose(compute_W(euclid2, g, u).reshape(g.shape())[1:],
+                               W * np.ones(ntheta), rtol=1e-13)
+    lam_r, lam_t = -1.4 / W ** 3, ur / (r[1:] * W)
+    np.testing.assert_allclose(A2[1:-1], (lam_r ** 2 + lam_t ** 2)[:-1]
+                               * np.ones(ntheta), rtol=1e-11)
+    np.testing.assert_allclose(nH[1:-1], (lam_r + lam_t)[:-1]
+                               * np.ones(ntheta), rtol=1e-11)
 
 
 def test_solve_ball_rejects_higher_dimension_on_polar_grid(euclid3):
@@ -862,19 +956,25 @@ def _excursion(model, g, u0, phi, scheme, steps, dt=None):
     return worst
 
 
+_TENTS = [*((kind, n, 1, False) for kind in ("euclidean", "hyperbolic")
+             for n in (2, 3, 4, 6)),
+          *((kind, 2, nt, False) for kind in ("euclidean", "hyperbolic")
+            for nt in (16, 32)),
+          *((kind, n, nt, True) for kind in ("euclidean", "hyperbolic")
+            for n, nt in ((3, 1), (2, 16)))]
+
+
 @pytest.mark.parametrize("scheme", ["semi-implicit", "explicit-euler"])
-@pytest.mark.parametrize("kind,n,ntheta", [
-    *((kind, n, 1) for kind in ("euclidean", "hyperbolic")
-      for n in (2, 3, 4, 6)),
-    *((kind, 2, nt) for kind in ("euclidean", "hyperbolic")
-      for nt in (16, 32))])
-def test_tent_stays_within_its_data(kind, n, ntheta, scheme):
+@pytest.mark.parametrize("kind,n,ntheta,graded", _TENTS, ids=[
+    f"{kind}-{n}-{nt}" + "-graded" * graded for kind, n, nt, graded in _TENTS])
+def test_tent_stays_within_its_data(kind, n, ntheta, graded, scheme):
     # u0 = 0.1 max(0, 1 - 32 r), phi = 0: a stencil with a negative weight
     # next to the pole takes this below 0 (a lagged non-divergence stencil
-    # did, by 1.7e-3 at n = 2 to 9.4e-3 at n = 6, on both grids)
+    # did, by 1.7e-3 at n = 2 to 9.4e-3 at n = 6, on both grids); the
+    # graded grid's gaps grow by 1.1 from 0.005, so the tent spans 6 rows
     model = {"euclidean": euclidean_model,
              "hyperbolic": hyperbolic_model}[kind](n=n)
-    g = Grid(R=1.0, nr=32, ntheta=ntheta)
+    g = (_graded if graded else Grid)(1.0, 32, ntheta)
     u0 = 0.1 * np.maximum(0.0, 1.0 - 32.0 * g.r)
     if not g.radial:
         u0 = np.repeat(u0[:, None], ntheta, axis=1)
@@ -887,11 +987,13 @@ def test_tent_stays_within_its_data(kind, n, ntheta, scheme):
        nr=st.integers(8, 20), ntheta=st.sampled_from([1, 8, 11]),
        scheme=st.sampled_from(["semi-implicit", "explicit-euler"]),
        dt=st.floats(1e-6, 1.0),
-       data=arrays(float, (21, 11), elements=st.floats(-1.0, 1.0)))
+       data=arrays(float, (21, 11), elements=st.floats(-1.0, 1.0)),
+       gaps=st.none() | arrays(float, (20,), elements=st.floats(0.05, 1.0)))
 def test_runs_stay_within_their_data(request, model_name, nr, ntheta, scheme,
-                                     dt, data):
+                                     dt, data, gaps):
     # min(u0, phi) <= u <= max(u0, phi) to roundoff, for rough data, any
-    # semi-implicit dt and the explicit step at its state limit; the banded
+    # semi-implicit dt and the explicit step at its state limit, on uniform
+    # grids and on grids of random gaps; the banded
     # Cholesky factor of the scaled system has no positive off-diagonal
     # entry, so its substitutions keep signs (no excursion at all in 400
     # random cases with dt up to 1), and the bound leaves room for the
@@ -899,7 +1001,11 @@ def test_runs_stay_within_their_data(request, model_name, nr, ntheta, scheme,
     model = request.getfixturevalue(model_name)
     if model.n != 2:
         ntheta = 1                  # the polar grid represents n = 2 only
-    g = Grid(R=1.0, nr=nr, ntheta=ntheta)
+    nodes = None
+    if gaps is not None:
+        r = np.concatenate(([0.0], np.cumsum(gaps[:nr])))
+        nodes = tuple(r[:-1] / r[-1]) + (1.0,)
+    g = Grid(R=1.0, nr=nr, ntheta=ntheta, nodes=nodes)
     u0 = data[:nr + 1, :ntheta].copy()
     u0[0] = u0[0, 0]
     if g.radial:
@@ -966,6 +1072,47 @@ def test_snapshot_roundtrip_bit_exact(request, tmp_path, model, nr, ntheta):
     assert all(_same_state(a, b) for a, b in zip(data["states"], tr.states))
     for key in ("times", "max_grad", "max_A"):
         assert data[key].tobytes() == getattr(tr, key).tobytes(), key
+
+
+def test_graded_run_roundtrip_bit_exact(hyp2, tmp_path):
+    # a graded grid's manifest records its radii, validates against the
+    # schema, and the run loads back bit for bit on the same grid
+    import jsonschema
+    from importlib import resources
+    g = _graded(1.0, 16, 8)
+    p = BallProblem(model=hyp2, R=1.0, phi=_wave_phi, u0=_wave, T=0.01)
+    tr = solve_ball(p, g, StepControl(), snapshot_every=3)
+    mpath = save_run(str(tmp_path / "run"), tr)
+    with open(mpath) as fh:
+        manifest = json.load(fh)
+    assert manifest["grid"] == {"R": 1.0, "nr": 16, "ntheta": 8,
+                                "nodes": list(g.nodes)}
+    schema = json.loads(resources.files("killingflow.schemas").joinpath(
+        "run_manifest.schema.json").read_text())
+    jsonschema.validate(manifest, schema)
+    data = load_run(mpath)
+    assert data["grid"] == g and data["grid"].r.tobytes() == g.r.tobytes()
+    assert len(data["states"]) == len(tr.states) >= 3
+    assert all(_same_state(a, b) for a, b in zip(data["states"], tr.states))
+    for key in ("times", "max_grad", "max_A"):
+        assert data[key].tobytes() == getattr(tr, key).tobytes(), key
+
+
+def test_uniform_radii_as_nodes_step_as_the_uniform_grid(hyp2, tmp_path):
+    # a grid given exactly the uniform radii is the uniform grid: its run
+    # and its saved files are the uniform grid's, byte for byte, and the
+    # manifest names no nodes
+    uniform = Grid(R=1.0, nr=16, ntheta=8)
+    given = Grid(R=1.0, nr=16, ntheta=8, nodes=tuple(np.linspace(0, 1, 17)))
+    p = BallProblem(model=hyp2, R=1.0, phi=_wave_phi, u0=_wave, T=0.01)
+    for name, g in (("uniform", uniform), ("given", given)):
+        save_run(str(tmp_path / name),
+                 solve_ball(p, g, StepControl(), snapshot_every=3))
+    for name in _RUN_FILES:
+        assert ((tmp_path / "uniform" / name).read_bytes()
+                == (tmp_path / "given" / name).read_bytes())
+    manifest = json.loads((tmp_path / "given" / "manifest.json").read_text())
+    assert manifest["grid"] == {"R": 1.0, "nr": 16, "ntheta": 8}
 
 
 def test_save_run_writes_exactly_three_files(hyp2, tmp_path):
@@ -1095,9 +1242,14 @@ def _with(key, value):
     _with("snapshot_steps", [0, 2.0, 4]),
     _with("snapshot_steps", [-1, 2, 4]),
     _with("snapshot_steps", "0 2 4"),
+    _with("grid", {"R": 1.0, "nr": 8, "ntheta": 8, "nodes": [0.0, 1.0]}),
+    _with("grid", {"R": 1.0, "nr": 8, "ntheta": 8,
+                   "nodes": [0.0, 0.5, 0.25, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0]}),
+    _with("grid", {"R": 1.0, "nr": 8, "ntheta": 8, "nodes": "0 1"}),
 ], ids=["no_T", "no_control", "no_grid", "no_model", "no_model_hash",
         "no_snapshot_steps", "not_an_object", "not_json", "grid_without_nr",
-        "grid_too_coarse", "float_step", "negative_step", "steps_as_text"])
+        "grid_too_coarse", "float_step", "negative_step", "steps_as_text",
+        "too_few_nodes", "nodes_not_increasing", "nodes_as_text"])
 def test_load_run_rejects_a_bad_manifest(small_run, tmp_path, edit):
     path = _saved(tmp_path, small_run) / "manifest.json"
     path.write_text(edit(json.loads(path.read_text())))
