@@ -172,6 +172,12 @@ def _cmd_flow(args) -> int:
                                phi=cfg.phi_function(),
                                u0=cfg.u0_function(),
                                T=cfg.problem["T"])
+    # data the grid cannot take (a non-finite phi or u0, or a gap between
+    # them on the boundary) is bad input, found before any step
+    try:
+        problem.sample(grid)
+    except flow.FlowError as exc:
+        raise _UsageError(str(exc)) from None
     trajectory = flow.solve_ball(problem, grid, control,
                                  snapshot_every=args.snapshot_every)
     if args.out:

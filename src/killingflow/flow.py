@@ -32,11 +32,16 @@ and the row measures m_j = dV_j / P_j (``_radial_weights``,
 * the default semi-implicit step, which lags them one step.  Row j of the
   M-matrix I - dt L(u) times m_j is the symmetric, strictly diagonally
   dominant S = diag(m) - dt C, C the graph Laplacian of the conductances,
-  with the Dirichlet row moved into the right-hand side.  S is solved by
-  one banded Cholesky (LAPACK dpbsv): in natural ring order, with the pole
-  as one unknown, its half-bandwidth is ntheta on the 2-D grid and 1 on
-  the radial one.  The factor of this Stieltjes matrix has no positive
-  off-diagonal entry, so both steps keep min(u0, phi) <= u <= max(u0, phi).
+  with the Dirichlet row moved into the right-hand side.  Below 64 columns
+  S is solved by one banded Cholesky (LAPACK dpbsv): in natural ring
+  order, with the pole as one unknown, its half-bandwidth is ntheta on the
+  2-D grid and 1 on the radial one.  The factor of this Stieltjes matrix
+  has no positive off-diagonal entry, so both steps keep
+  min(u0, phi) <= u <= max(u0, phi).  From 64 columns on, the 2-D S is
+  solved by conjugate gradients preconditioned with its theta mean, which
+  an FFT in theta splits into one tridiagonal solve per mode, to
+  max|r| <= 1e-14 max|b|; the result is clipped to that interval, where
+  the exact solution lies.
 
 What depends only on n, the profiles and the grid is computed once and
 shared read-only: ``Grid.r``/``Grid.theta``, the node factors, the finite
@@ -92,19 +97,21 @@ from .geometry import ModelGeometry, ProfileSpec, R_MIN, ambient_frame
 from .kernel import Factors, factors
 
 
-def _load_dpbsv() -> Callable:
-    """LAPACK dpbsv from scipy's compiled wrapper ``scipy.linalg._flapack``.
+def _load_lapack(*names: str) -> list[Callable]:
+    """LAPACK routines from scipy's compiled wrapper
+    ``scipy.linalg._flapack``: dpbsv for the banded step, and dpttrf and
+    dpttrs for the conjugate-gradient step's preconditioner.
 
-    Every step solves a banded system, so the routine loads with the
+    Every step solves a linear system, so the routines load with the
     module.  ``import scipy.linalg`` would also import about 90 modules
     flow never calls (numpy.testing and numpy.f2py among them), half of a
     command's start-up.  So the extension is loaded from its file in the
     scipy package, and the ``sys.modules`` entry the load leaves is taken
     back out: a later ``import scipy.linalg`` then loads ``_flapack`` as
-    usual, and its ``dpbsv`` is this one.  Where ``_flapack`` is already
+    usual, and its routines are these.  Where ``_flapack`` is already
     imported, or its file is not there (an editable scipy install keeps
     it elsewhere) or fails to load, the public import gives the same
-    routine.
+    routines.
     """
     name = "scipy.linalg._flapack"
     stem = os.path.join(scipy.__path__[0], "linalg", "_flapack")
@@ -116,16 +123,16 @@ def _load_dpbsv() -> Callable:
             module = importlib.util.module_from_spec(
                 importlib.util.spec_from_loader(name, loader))
             loader.exec_module(module)
-            return module.dpbsv
+            return [getattr(module, routine) for routine in names]
         except (ImportError, OSError, AttributeError):
             pass
         finally:
             sys.modules.pop(name, None)
-    from scipy.linalg.lapack import dpbsv
-    return dpbsv
+    from scipy.linalg import lapack
+    return [getattr(lapack, routine) for routine in names]
 
 
-dpbsv = _load_dpbsv()
+dpbsv, dpttrf, dpttrs = _load_lapack("dpbsv", "dpttrf", "dpttrs")
 
 
 def __getattr__(name: str):
@@ -744,6 +751,135 @@ def _band_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+# From this many columns on, the 2-D step solves S by conjugate gradients
+# in place of dpbsv, whose cost grows as nr nt^3.  One step's solve in ms,
+# dpbsv -> conjugate gradients (iterations), on E2 and H2 states of
+# asymmetric data, best of 15, one core of a 2-vCPU Xeon, one BLAS thread:
+#   48 x 32     0.7-1.0 -> 1.6-1.9 (9-11)
+#   64 x 48     2.6-3.0 -> 1.8-2.9 (9-12)
+#   96 x 64     5.0-5.3 -> 2.4-3.1 (9-12)
+#   136 x 64    7.3-7.6 -> 3.3-3.5 (9-11)
+#   136 x 128   25.6-26.1 -> 6.2-7.6 (9-11)
+# At 48 columns conjugate gradients lead by at most a third; 64 keeps every
+# grid of 48 or fewer columns, the ladder's among them, on dpbsv, bit for
+# bit.
+_CG_NTHETA = 64
+_CG_RTOL = 1e-14        # stop at max|r| <= _CG_RTOL max|b|
+_CG_MAX_ITER = 1000
+
+
+def _theta_mean_preconditioner(m: np.ndarray, g_r: np.ndarray,
+                               g_t: np.ndarray, m0: float) -> Callable:
+    """z = M^-1 r for the theta mean M of the scaled system S of
+    ``_polar_implicit``, as a function solve(r, out) of flat vectors in
+    S's unknown order.
+
+    M replaces m, g_r and g_t on each ring by their means over theta, so it
+    is diag(m) - dt C of rotationally symmetric weights: separable, with
+    the Fourier modes in theta as eigenvectors of its ring blocks (Concus
+    & Golub, SIAM J. Numer. Anal. 10, 1973).  An rfft over each ring
+    splits M z = r into one symmetric positive definite tridiagonal system
+    in r per mode, with mode k's diagonal mbar + gbar_r- + gbar_r+ +
+    4 gbar_t sin^2(pi k / nt).  The pole joins mode 0, whose coefficients
+    are ring sums, as the unknown nt z_pole with the diagonal S_00 / nt,
+    which keeps that block symmetric.  The modes stand in one
+    block-diagonal tridiagonal system, which LAPACK dpttrf factors here
+    once and dpttrs solves for the real and imaginary parts together."""
+    from numpy import fft       # only the conjugate-gradient step needs it
+    rings, nt = m.shape
+    K = nt // 2 + 1
+    g = np.add.reduce(g_r, axis=1) / nt
+    d = np.empty(1 + K * rings)
+    d[0] = m0 / nt + g[0]
+    lam = np.sin(np.arange(K) * (math.pi / nt))
+    lam *= lam
+    lam *= 4.0
+    modes = d[1:].reshape(K, rings)
+    np.multiply.outer(lam, np.add.reduce(g_t, axis=1) / nt, out=modes)
+    modes += np.add.reduce(m, axis=1) / nt + g[:-1] + g[1:]
+    e = np.zeros((K, rings))
+    e[:, :-1] = -g[1:-1]
+    e = np.concatenate(([-g[0]], e.reshape(-1)[:-1]))
+    d, e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
+    if info != 0:
+        raise FlowError(f"conjugate gradient solve failed: the theta mean of "
+                        f"the system is not positive definite (LAPACK dpttrf "
+                        f"info={info})")
+    f = np.empty((rings, K), dtype=complex)
+    parts = f.view(float).reshape(rings, K, 2)
+    b = np.empty((2, d.size))           # dpttrs' (n, 2) Fortran-order rhs
+    b_modes = b[:, 1:].reshape(2, K, rings)
+
+    def solve(r: np.ndarray, out: np.ndarray) -> np.ndarray:
+        fft.rfft(r[1:].reshape(rings, nt), axis=1, out=f)
+        b[:, 0] = r[0], 0.0
+        b_modes[...] = parts.transpose(2, 1, 0)
+        dpttrs(d, e, b.T, overwrite_b=1)
+        parts[...] = b_modes.transpose(2, 1, 0)
+        out[0] = b[0, 0] / nt
+        fft.irfft(f, n=nt, axis=1, out=out[1:].reshape(rings, nt))
+        return out
+
+    return solve
+
+
+def _conjugate_gradients(d: np.ndarray, d0: float, g_r: np.ndarray,
+                         g_t: np.ndarray, precondition: Callable,
+                         b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Solve S x = b by preconditioned conjugate gradients (Golub & Van
+    Loan, Matrix Computations, section 11.5) from the start x, which it
+    overwrites.  S is the scaled system of ``_polar_implicit`` in its
+    unknown order, the pole and then rings 1..nr-1 with theta fastest: the
+    ring diagonal d, the pole's diagonal d0 and the links -g_r (r-faces
+    0..nr-1; face 0 joins the pole, face nr-1 the Dirichlet row) and -g_t.
+    The iteration stops once its residual has max|r| <= _CG_RTOL max|b|.
+    The inner products are numpy sums of products, never a BLAS dot, so
+    that no BLAS thread count changes a bit.  A curvature p.Sp <= 0 (S is
+    not positive definite) or _CG_MAX_ITER iterations raise FlowError; a
+    non-finite system stops at once, with the non-finite x that
+    ``_sup_norm`` reports."""
+    g_in, g_pole = g_r[1:-1], g_r[0]
+    g_prev = np.roll(g_t, 1, axis=1)        # the link to theta_{i-1}
+    buf = np.empty((2,) + d.shape)
+
+    def apply(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        V, Y = v[1:].reshape(d.shape), out[1:].reshape(d.shape)
+        np.multiply(d, V, out=Y)
+        Y -= _theta_op(np.multiply, V, 1, g_t, 0, buf[0])
+        Y -= _theta_op(np.multiply, V, -1, g_prev, 0, buf[1])
+        Y[:-1] -= np.multiply(g_in, V[1:], out=buf[0, 1:])
+        Y[1:] -= np.multiply(g_in, V[:-1], out=buf[0, 1:])
+        Y[0] -= np.multiply(g_pole, v[0], out=buf[1, 0])
+        out[0] = d0 * v[0] - np.add.reduce(np.multiply(g_pole, V[0],
+                                                       out=buf[1, 0]))
+        return out
+
+    r = b - apply(x, np.empty(b.shape))
+    z = precondition(r, np.empty(b.shape))
+    p, q = z.copy(), np.empty(b.shape)
+    rz = np.add.reduce(r * z)
+    stop = _CG_RTOL * float(np.max(np.abs(b)))
+    for iteration in range(_CG_MAX_ITER + 1):
+        r_max = float(np.max(np.abs(r)))
+        if not r_max > stop:
+            return x
+        if iteration == _CG_MAX_ITER:
+            raise FlowError(f"conjugate gradient solve failed: no "
+                            f"convergence in {_CG_MAX_ITER} iterations "
+                            f"(max|r| = {r_max:.3e} > {stop:.3e})")
+        pq = np.add.reduce(p * apply(p, q))
+        if pq <= 0.0:
+            raise FlowError(f"conjugate gradient solve failed: the system is "
+                            f"not positive definite (p.Sp = {pq:.3e})")
+        alpha = rz / pq
+        x += alpha * p
+        r -= alpha * q
+        precondition(r, z)
+        rz, rz_old = np.add.reduce(r * z), rz
+        p *= rz / rz_old
+        p += z
+
+
 def _radial_implicit(fd: _Fields, v: np.ndarray, dt: float,
                      phi0: float) -> np.ndarray:
     """One lagged-coefficient step of a radial field: (I - dt L(v)) v_new = v
@@ -765,13 +901,23 @@ def _polar_implicit(fd: _Fields, u: np.ndarray, dt: float,
     """One lagged-coefficient step of a polar field: (I - dt L(u)) u_new = u
     with the Dirichlet row phi_row.  Each row is scaled by its measure into
     S = diag(m) - dt C, unknowns in natural order: the pole, then rings
-    1..nr-1 with theta fastest.  S's lower band holds the diagonal, the
-    theta neighbour at offset 1, the theta wrap at nt - 1, the next ring
-    at nt and the pole column at 1..nt, so kd = nt.  The right-hand side
-    lies in the new field, from the pole row's last node on, and the solve
-    overwrites it in place.  The band is the step's largest array: the
-    weights are freed before it is allocated, and their scaled copies
-    before the solve."""
+    1..nr-1 with theta fastest.  The right-hand side b lies in the new
+    field, from the pole row's last node on, and the solve overwrites it.
+
+    Below _CG_NTHETA = 64 columns S is solved by dpbsv.  Its lower band
+    holds the diagonal, the theta neighbour at offset 1, the theta wrap at
+    nt - 1, the next ring at nt and the pole column at 1..nt, so kd = nt.
+    The band is the step's largest array: the weights are freed before it
+    is allocated, and their scaled copies before the solve.
+
+    From 64 columns on, where dpbsv's nr nt^3 cost dominates the step, S
+    is solved by conjugate gradients preconditioned with its theta mean
+    (``_conjugate_gradients``, ``_theta_mean_preconditioner``), read off the
+    weights with no band.  It starts from b / (S 1), u to rounding off
+    the rim ring, and stops at max|r| <= 1e-14 max|b|.  The exact
+    solution of the Stieltjes system lies in [min(u, phi), max(u, phi)],
+    so the result is clipped to that interval: the clip only moves a value
+    toward the solution, by roundoff (a test bounds it by 1e-13)."""
     nr, nt = fd.grid.nr, fd.grid.ntheta
     w = _polar_weights(fd, u)
     g_r, g_t, m0 = w.g_r * dt, w.g_t * dt, w.m0
@@ -781,9 +927,21 @@ def _polar_implicit(fd: _Fields, u: np.ndarray, dt: float,
     u_new = np.empty((nr + 1, nt))
     u_new[0, -1] = m0 * u[0, 0]
     np.multiply(w.m, u[1:-1], out=u_new[1:-1])
-    del w
     u_new[-2] += g_r[-1] * phi_row
     u_new[-1] = phi_row
+    rhs = u_new.reshape(-1)[nt - 1:nr * nt]
+    if nt >= _CG_NTHETA:
+        x = rhs / np.concatenate(([m0], w.m.reshape(-1)))     # b / (S 1)
+        x[-nt:] = rhs[-nt:] / (w.m[-1] + g_r[-1])
+        x = _conjugate_gradients(
+            _theta_op(np.add, diag, 0, g_t, -1, np.empty(diag.shape)),
+            m0 + np.sum(g_r[0]), g_r, g_t,
+            _theta_mean_preconditioner(w.m, g_r, g_t, m0), rhs, x)
+        np.clip(x, min(np.min(u), np.min(phi_row)),
+                max(np.max(u), np.max(phi_row)), out=rhs)
+        u_new[0, :-1] = rhs[0]
+        return u_new
+    del w
     band = np.zeros((1 + (nr - 1) * nt, nt + 1))
     _theta_op(np.add, diag, 0, g_t, -1, band[1:, 0].reshape(nr - 1, nt))
     # the off-diagonal slots take -(dt g) as dt g times -1.0: numpy 2.4's
@@ -796,7 +954,6 @@ def _polar_implicit(fd: _Fields, u: np.ndarray, dt: float,
     band[0, 0] = m0 + np.sum(g_r[0])
     np.multiply(g_r[0], -1.0, out=band[0, 1:])
     del g_r, g_t, diag
-    rhs = u_new.reshape(-1)[nt - 1:nr * nt]
     rhs[:] = _band_solve(band, rhs)         # dpbsv solves in place: rhs
     u_new[0, :-1] = rhs[0]
     return u_new
@@ -1021,6 +1178,13 @@ def solve_ball(problem: BallProblem, grid: Grid, control: StepControl,
     principle gives sup|u(t)| <= sup0 = max(sup|u0|, sup|phi|).  A state
     whose sup norm exceeds 10 max(sup0, 1) aborts the run: such growth can
     only be numerical instability.
+
+    A semi-implicit step on the 2-D grid solves its linear system by
+    dpbsv below 64 columns and, from 64 on, by conjugate gradients
+    preconditioned with the system's theta mean, stopped at max|r| <=
+    1e-14 max|b| and clipped to [min(u, phi), max(u, phi)], where the
+    exact solution lies (``_polar_implicit``).  The two agree to 1e-12
+    relative on disk-sized runs; the clip moves a value by roundoff only.
 
     The time loop reads only u, so each step is ``_advance`` and the guard
     alone, which takes the one max|u| that also finds a non-finite field

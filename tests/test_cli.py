@@ -495,6 +495,21 @@ T = 0.001
         "error: rho^2 overflows at r = 356.25 (xi: hyperbolic, rho: cosh)")
 
 
+@pytest.mark.parametrize("phi,u0,message", [
+    ("log(0)", "0", "phi must be finite"),
+    ("0", "log(r)", "u0 must be finite"),
+    ("0.1*cos(theta)", "0.1*cos(theta)*r + 0.01", "u0 and phi disagree")])
+def test_flow_data_the_grid_cannot_take_exits_2(tmp_path, capsys, phi, u0,
+                                                message):
+    # the problem is sampled before the solve, so bad data is a usage
+    # error, as build_ladder's is for exhaust; a failing step stays exit 1
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(FLOW_INI.replace("phi = 0.1*cos(theta)", f"phi = {phi}")
+                   .replace("u0 = 0.1*cos(theta)*r", f"u0 = {u0}"))
+    assert dispatch(["flow", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 @pytest.mark.parametrize("ntheta", [1, 16])
 def test_non_finite_step_exits_1(tmp_path, ntheta, monkeypatch, capsys):
     # a step whose weights are not finite ends in FlowError on both grids
@@ -568,9 +583,10 @@ def test_runtime_warnings_are_errors_in_every_module():
 
 
 # what a fresh interpreter may have loaded once killingflow is imported:
-# no scipy.linalg module (flow loads LAPACK's dpbsv from the compiled
-# scipy.linalg._flapack alone), no deferred scipy package, and no compiled
-# scipy module beyond those a bare ``import scipy`` loads (argv[1])
+# no scipy.linalg module (flow loads LAPACK's dpbsv, dpttrf and dpttrs from
+# the compiled scipy.linalg._flapack alone), no deferred scipy package, no
+# compiled scipy module beyond those a bare ``import scipy`` loads
+# (argv[1]), and no numpy.fft, which only steps on 64 or more columns use
 _LEAN = """
 import importlib.machinery, sys
 
@@ -582,6 +598,7 @@ def scipy_extensions():
         and str(getattr(mod, "__file__", "")).endswith(suffixes)))
 
 def assert_lean():
+    assert "numpy.fft" not in sys.modules
     linalg = sorted(m for m in sys.modules
                     if m == "scipy.linalg" or m.startswith("scipy.linalg."))
     assert not linalg, linalg
@@ -720,6 +737,35 @@ def test_exhaust_report_is_independent_of_blas_threads():
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert json.loads(outs[0])["rungs"] and outs[0] == outs[1]
+
+
+_FLOW_CHILD = """
+import sys
+from killingflow.cli import dispatch
+sys.exit(dispatch(["flow", "--config", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+def test_cg_run_is_independent_of_blas_threads(tmp_path):
+    # a 96 x 64 run steps by conjugate gradients, whose inner products are
+    # numpy sums of products: the arrays it writes are the same to the bit
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(FLOW_INI.replace("kind = euclidean", "kind = hyperbolic")
+                   .replace("nr = 24", "nr = 96")
+                   .replace("ntheta = 16", "ntheta = 64")
+                   .replace("u0 = 0.1*cos(theta)*r",
+                            "u0 = 0.1*cos(theta)*r"
+                            " + 0.2*cos(1.5707963267948966*r)")
+                   .replace("T = 0.05", "T = 0.005"))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"run{threads}"
+        proc = _run_fresh(_FLOW_CHILD, cfg, out,
+                          OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outs.append([(out / name).read_bytes()
+                     for name in ("snapshots.npy", "steps.npy")])
+    assert outs[0] == outs[1]
 
 
 _TOKENS = st.sampled_from([

@@ -709,10 +709,11 @@ def test_singular_banded_system_raises(euclid2, monkeypatch):
                              1e-3, np.zeros(8))
 
 
-@pytest.mark.parametrize("ntheta", [1, 8])
+@pytest.mark.parametrize("ntheta", [1, 8, 64])
 def test_indefinite_band_raises(euclid2, monkeypatch, ntheta):
     # negative measures and conductances give a negative definite system,
-    # which the Cholesky factorisation refuses on both grids
+    # which the Cholesky factorisation refuses on both grids, and from 64
+    # columns on the factorisation of its theta mean
     p = BallProblem(model=euclid2, R=1.0, phi=_zero_phi, u0=_bump, T=1.0)
     g = Grid(R=1.0, nr=8, ntheta=ntheta)
     u0 = p.sample(g)[0]
@@ -723,8 +724,87 @@ def test_indefinite_band_raises(euclid2, monkeypatch, ntheta):
     monkeypatch.setattr(flow, name, lambda *a: _scaled(weights(*a), -1.0))
     state = flow.FlowState(t=0.0, u=u0, W=compute_W(euclid2, g, u0),
                            step_count=0)
-    with pytest.raises(FlowError, match="dpbsv"):
+    solver = "dpbsv" if ntheta < flow._CG_NTHETA else "dpttrf"
+    with pytest.raises(FlowError, match=f"not positive definite.*{solver}"):
         step(state, p, g, StepControl(), dt=1e-3)
+
+
+def _rough_problem(model):
+    # disk2d's asymmetric data on B_1: a mode of phi extended as r^mode, a
+    # bump and an offset
+    return BallProblem(
+        model=model, R=1.0, phi=lambda th: 0.2 * np.cos(2 * th) + 0.1,
+        u0=lambda r, th: 0.2 * np.cos(2 * th) * r ** 2
+        + 0.15 * np.cos(0.5 * math.pi * r) + 0.1, T=0.01)
+
+
+def _dpbsv_only(monkeypatch):
+    monkeypatch.setattr(flow, "_CG_NTHETA", 1 << 30)
+
+
+@pytest.mark.parametrize("nr,ntheta", [(96, 64), (136, 128)])
+@pytest.mark.parametrize("model_name", ["euclid2", "hyp2"])
+def test_conjugate_gradients_agree_with_dpbsv(request, monkeypatch,
+                                              model_name, nr, ntheta):
+    # every state of a run, to 1e-12 of the largest value; the 96 x 64
+    # run is five steps of disk2d's size, the 136 x 128 one a single step
+    model = request.getfixturevalue(model_name)
+    g = Grid(R=1.0, nr=nr, ntheta=ntheta)
+    p = _rough_problem(model)
+    p.T = 1e-2 if nr == 96 else 2e-3
+    runs = [solve_ball(p, g, StepControl(dt_max=2e-3), snapshot_every=1)]
+    _dpbsv_only(monkeypatch)
+    runs.append(solve_ball(p, g, StepControl(dt_max=2e-3), snapshot_every=1))
+    cg, ref = ([s.u for s in tr.states] for tr in runs)
+    assert len(cg) == len(ref) == (6 if nr == 96 else 2)
+    scale = max(float(np.max(np.abs(u))) for u in ref)
+    assert max(float(np.max(np.abs(a - b)))
+               for a, b in zip(cg, ref)) <= 1e-12 * scale
+
+
+def test_conjugate_gradients_start_below_the_threshold(euclid2, monkeypatch):
+    # 63 columns step by dpbsv: a dpbsv-only run equals it bit for bit
+    g = Grid(R=1.0, nr=16, ntheta=flow._CG_NTHETA - 1)
+    p = _rough_problem(euclid2)
+    a = solve_ball(p, g, StepControl(dt_max=2e-3)).states[-1].u
+    _dpbsv_only(monkeypatch)
+    b = solve_ball(p, g, StepControl(dt_max=2e-3)).states[-1].u
+    assert a.tobytes() == b.tobytes()
+
+
+def test_conjugate_gradients_iteration_cap_raises(hyp2, monkeypatch):
+    g = Grid(R=1.0, nr=96, ntheta=64)
+    p = _rough_problem(hyp2)
+    monkeypatch.setattr(flow, "_CG_MAX_ITER", 2)
+    with pytest.raises(FlowError, match="no convergence in 2 iterations"):
+        solve_ball(p, g, StepControl(dt_max=2e-3))
+
+
+def test_conjugate_gradients_refuse_negative_curvature():
+    # S = diag(1, ..., 1, -1, 1, ...) with no links is indefinite, and its
+    # start b / (S 1) = 0 leaves the residual on the negative node, so the
+    # first direction p has p.Sp = -1
+    d = np.ones((2, 64))
+    d[1, 5] = -1.0
+    b = np.zeros(1 + d.size)
+    b[1 + 64 + 5] = 1.0
+    with pytest.raises(FlowError, match=r"not positive definite \(p.Sp"):
+        flow._conjugate_gradients(d, 1.0, np.zeros((3, 64)), np.zeros((2, 64)),
+                                  lambda r, out: np.copyto(out, r) or out,
+                                  b, np.zeros(b.size))
+
+
+def test_non_finite_weights_end_in_the_sup_norm_error(euclid2, monkeypatch):
+    # from 64 columns on too, a step on NaN weights returns a non-finite
+    # field, which the run reports; it does not iterate to the cap
+    g = Grid(R=1.0, nr=16, ntheta=64)
+    p = _rough_problem(euclid2)
+    weights = flow._polar_weights
+    monkeypatch.setattr(flow, "_polar_weights",
+                        lambda *a: _scaled(weights(*a), np.nan))
+    monkeypatch.setattr(flow, "_CG_MAX_ITER", 0)
+    with pytest.raises(FlowError, match="non-finite field"):
+        solve_ball(p, g, StepControl(dt_max=2e-3))
 
 
 def test_2d_run_is_independent_of_call_history(euclid2):
@@ -959,7 +1039,7 @@ def _excursion(model, g, u0, phi, scheme, steps, dt=None):
 _TENTS = [*((kind, n, 1, False) for kind in ("euclidean", "hyperbolic")
              for n in (2, 3, 4, 6)),
           *((kind, 2, nt, False) for kind in ("euclidean", "hyperbolic")
-            for nt in (16, 32)),
+            for nt in (16, 32, 64)),
           *((kind, n, nt, True) for kind in ("euclidean", "hyperbolic")
             for n, nt in ((3, 1), (2, 16)))]
 
@@ -984,10 +1064,10 @@ def test_tent_stays_within_its_data(kind, n, ntheta, graded, scheme):
 
 @settings(max_examples=60, deadline=None)
 @given(model_name=st.sampled_from(["euclid2", "hyp2", "euclid3", "hyp3"]),
-       nr=st.integers(8, 20), ntheta=st.sampled_from([1, 8, 11]),
+       nr=st.integers(8, 20), ntheta=st.sampled_from([1, 8, 11, 64]),
        scheme=st.sampled_from(["semi-implicit", "explicit-euler"]),
        dt=st.floats(1e-6, 1.0),
-       data=arrays(float, (21, 11), elements=st.floats(-1.0, 1.0)),
+       data=arrays(float, (21, 64), elements=st.floats(-1.0, 1.0)),
        gaps=st.none() | arrays(float, (20,), elements=st.floats(0.05, 1.0)))
 def test_runs_stay_within_their_data(request, model_name, nr, ntheta, scheme,
                                      dt, data, gaps):
@@ -997,7 +1077,8 @@ def test_runs_stay_within_their_data(request, model_name, nr, ntheta, scheme,
     # Cholesky factor of the scaled system has no positive off-diagonal
     # entry, so its substitutions keep signs (no excursion at all in 400
     # random cases with dt up to 1), and the bound leaves room for the
-    # rounding of the scaled right-hand side m_j u_j
+    # rounding of the scaled right-hand side m_j u_j; from 64 columns on,
+    # the conjugate-gradient step clips its result to that interval
     model = request.getfixturevalue(model_name)
     if model.n != 2:
         ntheta = 1                  # the polar grid represents n = 2 only
@@ -1013,6 +1094,46 @@ def test_runs_stay_within_their_data(request, model_name, nr, ntheta, scheme,
     phi = np.atleast_1d(u0[-1]).copy()
     dt = dt if scheme == "semi-implicit" else None
     assert _excursion(model, g, u0, phi, scheme, 3, dt) <= 1e-12
+
+
+@pytest.mark.parametrize("data", ["tent", "rough", "flat"])
+@pytest.mark.parametrize("kind", ["euclidean", "hyperbolic"])
+def test_clip_moves_no_value_past_roundoff(monkeypatch, kind, data):
+    # the conjugate-gradient step clips its result to [min(u, phi),
+    # max(u, phi)], where the exact solution lies; the clip may move a value
+    # by roundoff only: the tent of test_tent_stays_within_its_data at
+    # dt = 1e-4, rough data at dt = 1, and flat data, which the unclipped
+    # iterate leaves by up to 1.1e-16 and the clip keeps exactly flat
+    model = {"euclidean": euclidean_model,
+             "hyperbolic": hyperbolic_model}[kind](n=2)
+    g = Grid(R=1.0, nr=32, ntheta=64)
+    if data == "tent":
+        u0 = np.repeat(0.1 * np.maximum(0.0, 1.0 - 32.0 * g.r)[:, None], 64, 1)
+        dt = 1e-4
+    elif data == "flat":
+        u0 = np.full(g.shape(), -0.7)
+        dt = 1.0
+    else:
+        u0 = np.random.default_rng(7).uniform(-1.0, 1.0, g.shape())
+        u0[0] = u0[0, 0]
+        dt = 1.0
+    phi = u0[-1].copy()
+    p = BallProblem(model=model, R=1.0, phi=lambda th: phi,
+                    u0=lambda r, th: u0, T=1.0)
+    solved = []
+    cg = flow._conjugate_gradients
+    monkeypatch.setattr(flow, "_conjugate_gradients",
+                        lambda *a: solved.append(cg(*a)) or solved[-1])
+    state = flow.FlowState(t=0.0, u=u0, W=compute_W(model, g, u0),
+                           step_count=0)
+    moved = 0.0
+    for _ in range(10):
+        state = step(state, p, g, StepControl(), dt=dt)
+        moved = max(moved, float(np.max(np.abs(
+            state.u.reshape(-1)[63:32 * 64] - solved[-1]))))
+    assert len(solved) == 10 and moved <= 1e-13
+    if data == "flat":
+        assert np.all(state.u == -0.7)
 
 
 # -- persistence -----------------------------------------------------------------
