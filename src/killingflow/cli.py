@@ -209,8 +209,21 @@ def _cmd_exhaust(args) -> int:
     except exhaustion.ExhaustionError as exc:
         raise _UsageError(str(exc)) from None
     phi_fn = expr.as_function(args.phi)
-    report = exhaustion.run_exhaustion(
-        plan, lambda theta: phi_fn(theta=theta, r=0.0, t=0.0))
+
+    def phi(theta):
+        return phi_fn(theta=theta, r=0.0, t=0.0)
+
+    # data a rung's grid cannot take is bad input, found before any rung:
+    # phi depends on theta only and every rung has the same ntheta, so the
+    # first rung's sample stands for the ladder
+    R1 = float(plan.ladder[0])
+    try:
+        flow.BallProblem(model=model, R=R1, phi=phi,
+                         u0=exhaustion.pole_mollified_extension(phi),
+                         T=plan.T0).sample(plan.grid_for(R1))
+    except flow.FlowError as exc:
+        raise _UsageError(str(exc)) from None
+    report = exhaustion.run_exhaustion(plan, phi)
     _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True), args.out)
     return EXIT_OK if report.verdict else EXIT_CHECK_FAILED
 

@@ -59,22 +59,22 @@ in any base dimension n = model.n; the 2-D grid represents n = 2 only,
 which ``_grid_factors`` checks.
 
 The diagnostics follow one rule on both grids.  ``_slopes`` takes u_r and
-u_theta / xi by three-point differences on rows 1..nr-1 (``_Steps``:
-exact on quadratics in r, and the centred differences of a uniform grid
-bit for bit), a second-order one-sided difference on the rim row and, at
-the pole, the gradient fitted to the first ring at r = r[1] (0 on a
-radial grid); W is formed from them in
+u_theta / xi by three-point differences on rows 1..nr-1 (``_Steps``: one
+formula on every grid, exact on quadratics in r, and the centred
+differences of a uniform grid bit for bit), a second-order one-sided
+difference on the rim row and, at the pole, the gradient fitted to the
+first ring at r = r[1] (0 on a radial grid); W is formed from them in
 ``_tilt`` alone.  |A| is evaluated on rows 1..nr-1, and its pole and rim
 rows copy the nearest interior row.  Every state ``step`` or
 ``solve_ball`` returns carries W, max|grad u| and max|A| from one
 ``_slopes`` pass (``_diagnose``) that builds no |A| field.  That pass
-takes a stack of states with rows on axis -2, (S, nr + 1, ntheta) on the
-2-D grid and (nr + 1, S) on a radial one: ``step`` diagnoses a block of
-one state, and ``solve_ball``, whose time loop reads only u
+takes a stack of states of one layout on both grids, (S, nr + 1,
+ntheta), so (S, nr + 1, 1) on a radial one: ``step`` diagnoses a block
+of one state, and ``solve_ball``, whose time loop reads only u
 (``_advance``), blocks of a few thousand nodes.  Every operation is
 elementwise or a per-state reduction, so a state's values do not depend
 on its block.  ``compute_W``, ``second_fundamental_form`` and
-``residual_identities`` read the same slopes.
+``residual_identities`` read the same slopes on the same layout.
 """
 
 from __future__ import annotations
@@ -394,21 +394,21 @@ class _Steps(NamedTuple):
         u_rr = ((wp u_{j+1} - 2 u_j) + wm u_{j-1}) / hh,
 
     s = hm + hp, hh = hm hp, p = hm / hp, q = hp / hm, z = q - p,
-    wp = 2 hm / s and wm = 2 hp / s, both exact on quadratics.  On the rim
-    row u_r = (a u_nr - b u_{nr-1} + c u_{nr-2}) / d, one-sided, with
-    (a, b, c, d) = ``rim``.  The arrays are (nr - 1, 1) columns.  On a
-    uniform grid p = q = wp = wm = 1 and z = 0: those are None and their
-    products are skipped (``_times``), s = 2 hr and hh = hr hr are scalars
-    and the rim reads (3, 4, 1, 2 hr), so the differences are the uniform
-    grid's centred ones, bit for bit."""
+    wp = 2 hm / s and wm = 2 hp / s, both exact on quadratics; the arrays
+    are (nr - 1, 1) columns.  On the rim row u_r = (a u_nr - b u_{nr-1} +
+    c u_{nr-2}) / d, one-sided, with (a, b, c, d) = ``rim``.  A uniform
+    grid's spacings are all hr, so there p = q = wp = wm = 1 and z = 0
+    exactly, s = 2 hr, hh = hr hr and the rim reads (3, 4, 1, 2 hr): as
+    1 x = x and x + 0 y = x for finite y (and x not -0), the differences
+    of a finite field are the uniform grid's centred ones, bit for bit."""
 
-    s: float | np.ndarray
-    hh: float | np.ndarray
-    p: np.ndarray | None
-    q: np.ndarray | None
-    z: np.ndarray | None
-    wp: np.ndarray | None
-    wm: np.ndarray | None
+    s: np.ndarray
+    hh: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    z: np.ndarray
+    wp: np.ndarray
+    wm: np.ndarray
     rim: tuple[float, float, float, float]
 
 
@@ -419,19 +419,11 @@ def _steps(grid: Grid) -> _Steps:
     h1, h2 = float(h[-1]), float(h[-2])
     rim = (2.0 + 2.0 * h1 / (h1 + h2), 2.0 * (h1 + h2) / h2,
            h1 / h2 * (2.0 * h1 / (h1 + h2)), 2.0 * h1)
-    if grid.nodes is None:
-        return _Steps(2.0 * grid.hr, grid.hr * grid.hr,
-                      None, None, None, None, None, rim)
     hm, hp = h[:-1, None], h[1:, None]
     s = hm + hp
     p, q = hm / hp, hp / hm
     return _Steps(*map(_read_only, (s, hm * hp, p, q, q - p, 2.0 * hm / s,
                                     2.0 * hp / s)), rim)
-
-
-def _times(c: np.ndarray | None, a: np.ndarray) -> np.ndarray:
-    """c a, or a itself for the coefficient None (1 on a uniform grid)."""
-    return a if c is None else c * a
 
 
 class _GridFactors(NamedTuple):
@@ -487,22 +479,22 @@ class _Fields:
       the r-differences, whose arrays are fields of these rows;
     * rows 0..nr: xi and inv_rho2_at = 1 / rho^2.
 
-    On a radial grid only ``steps`` is set, as the grid's columns."""
+    On a radial grid only ``steps`` and ``inv_rho2_at`` are set, as columns."""
 
     def __init__(self, model: ModelGeometry, grid: Grid):
         self.n, self.grid = model.n, grid
         self.gf = gf = _grid_factors(model.n, model.xi, model.rho, grid)
-        self.steps = st = gf.steps
+        c, at, k, st = gf.cells, gf.at, grid.dtheta, gf.steps
+        self.steps = st
+        self.inv_rho2_at = _read_only(1.0 / at.rho[:, None] ** 2)
         if grid.radial:
             return
-        c, at, k = gf.cells, gf.at, grid.dtheta
 
         def field(column):
             return _read_only(np.repeat(np.reshape(column, (-1, 1)),
                                         grid.ntheta, 1))
 
-        self.steps = _Steps(*(field(a) if isinstance(a, np.ndarray) else a
-                              for a in st))
+        self.steps = _Steps(*map(field, st[:-1]), st.rim)
         (self.dr, self.cond, self.inv_rho2_f, self.inv_xi2_f, self.dr2,
          self.inv_rho2, self.dV, self.g_t, self.rho, self.lrho, self.inv_xi2,
          self.xi_ratio, self.xi, self.inv_rho2_at) = map(field, (
@@ -510,7 +502,7 @@ class _Fields:
              c.inv_rho2[1:-1], c.dV[1:-1],
              (0.5 * st.s / (k * k)) * at.rho[1:-1, None],
              at.rho[1:-1], at.lrho[1:-1], at.inv_xi2[1:-1],
-             at.xi_ratio[1:-1], at.xi, 1.0 / at.rho ** 2))
+             at.xi_ratio[1:-1], at.xi, self.inv_rho2_at))
 
 
 def _pole_fourier(u_ring: np.ndarray, h: float, gf: _GridFactors):
@@ -527,19 +519,17 @@ def _centred(st: _Steps, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = p a_{j+1} - q a_{j-1} + z a_j on rows 1..nr-1 of a, rows on
     axis -2: the numerator of the first difference of ``_Steps``, which is
     a_{j+1} - a_{j-1} on a uniform grid."""
-    np.subtract(_times(st.p, a[..., 2:, :]), _times(st.q, a[..., :-2, :]),
-                out=out)
-    if st.z is not None:
-        out += st.z * a[..., 1:-1, :]
+    np.subtract(st.p * a[..., 2:, :], st.q * a[..., :-2, :], out=out)
+    out += st.z * a[..., 1:-1, :]
     return out
 
 
 def _slopes(fd: _Fields, u: np.ndarray):
     """(u_r, u_theta / xi) at every node of u; at the pole, the polar
     components of the gradient ``_pole_fourier`` fits.  u is a field of
-    the grid's shape or a stack of them with rows on axis -2: (S, nr + 1,
-    nt) on the 2-D grid, the columns of (nr + 1, S) on a radial one.  A
-    radial grid's u_theta is the scalar 0.0."""
+    the grid's shape (nr + 1, ntheta) or a stack (S, nr + 1, ntheta) of
+    them, ntheta = 1 on a radial grid.  A radial grid's u_theta is the
+    scalar 0.0."""
     grid, gf, st = fd.grid, fd.gf, fd.steps
     ur = np.empty_like(u)
     _centred(st, u, ur[..., 1:-1, :])
@@ -566,11 +556,7 @@ def _tilt(fd: _Fields, ur, vt):
     |grad u|^2)."""
     grad2 = ur * ur
     grad2 += vt * vt
-    if fd.grid.radial:
-        inv_rho2 = 1.0 / fd.gf.at.rho[:, None] ** 2
-    else:
-        inv_rho2 = fd.inv_rho2_at
-    W = grad2 + inv_rho2
+    W = grad2 + fd.inv_rho2_at
     return grad2, np.sqrt(W, out=W)
 
 
@@ -1028,8 +1014,8 @@ def _curvatures(fd: _Fields, u: np.ndarray, ur: np.ndarray, vt,
     grid, st = fd.grid, fd.steps
     p, w = ur[..., 1:-1, :], W[..., 1:-1, :]
     urr = u[..., 1:-1, :] * 2
-    urr = np.subtract(_times(st.wp, u[..., 2:, :]), urr, out=urr)
-    urr += _times(st.wm, u[..., :-2, :])
+    urr = np.subtract(st.wp * u[..., 2:, :], urr, out=urr)
+    urr += st.wm * u[..., :-2, :]
     urr /= st.hh
     if grid.radial:
         return _radial_forms(fd.n, fd.gf.op, p, urr, w)
@@ -1108,29 +1094,24 @@ def second_fundamental_form(model: ModelGeometry, grid: Grid,
 
 
 def _diagnose(fd: _Fields, U: np.ndarray):
-    """(W, max|grad u|, max|A|) of a stack U of states with rows on axis
-    -2, as ``_slopes`` takes it: the W stack and one maximum of each per
-    state, all from one ``_slopes`` pass.  The |A| field's pole and rim
-    rows copy interior rows, so rows 1..nr-1 hold its maximum."""
+    """(W, max|grad u|, max|A|) of a stack U of states, (S, nr + 1,
+    ntheta) on both grids: the W stack and one maximum of each per state,
+    all from one ``_slopes`` pass.  The |A| field's pole and rim rows copy
+    interior rows, so rows 1..nr-1 hold its maximum."""
     ur, vt = _slopes(fd, U)
     grad2, W = _tilt(fd, ur, vt)
     A2, _ = _curvatures(fd, U, ur, vt, W)
-    axes = -2 if fd.grid.radial else (-2, -1)
-    return (W, np.sqrt(np.max(grad2, axis=axes)),
-            np.sqrt(np.max(A2, axis=axes)))
+    return (W, np.sqrt(np.max(grad2, axis=(-2, -1))),
+            np.sqrt(np.max(A2, axis=(-2, -1))))
 
 
 def _diagnosed(fd: _Fields,
                block: list[tuple[float, np.ndarray, int]]) -> list[FlowState]:
     """The states (t, u, step_count) of a block with their W, max|grad u|
-    and max|A|, from one ``_diagnose`` of the block's stack.  Each state
-    owns its W, a copy out of the stack."""
-    if fd.grid.radial:
-        W, max_grad, max_A = _diagnose(
-            fd, np.stack([u.reshape(-1) for _, u, _ in block], -1))
-        W = W.T
-    else:
-        W, max_grad, max_A = _diagnose(fd, np.stack([u for _, u, _ in block]))
+    and max|A|, from one ``_diagnose`` of the stack of the block's states
+    in the grid's shape.  Each state owns its W, a copy out of the stack."""
+    W, max_grad, max_A = _diagnose(fd, np.stack(
+        [u.reshape(fd.grid.shape()) for _, u, _ in block]))
     return [FlowState(t=t, u=u, W=W[k].reshape(u.shape).copy(),
                       step_count=count, max_grad=float(max_grad[k]),
                       max_A=float(max_A[k]))
@@ -1146,12 +1127,12 @@ def _diagnosed(fd: _Fields,
 # ms, one state -> a block of S -> 64 states (``_diagnosed`` of an E2
 # state, best of 3 x 7 timings, one core of a 2-vCPU Xeon with 2 MiB of L2
 # per core, numpy 2.4):
-#   24 x 16    0.120 -> 0.026 (S = 20) -> 0.049
-#   72 x 16    0.145 -> 0.073 (S = 7)  -> 0.154
-#   136 x 16   0.184 -> 0.145 (S = 3)  -> 0.324
-#   48 x 32    0.145 -> 0.091 (S = 5)  -> 0.211
-#   96 x 64    0.308 -> 0.314 (S = 1)  -> 0.753
-#   128 x 1    0.045 -> 0.007 (S = 63) -> 0.007
+#   24 x 16    0.114 -> 0.039 (S = 20) -> 0.040
+#   72 x 16    0.141 -> 0.102 (S = 7)  -> 0.150
+#   136 x 16   0.167 -> 0.135 (S = 3)  -> 0.292
+#   48 x 32    0.151 -> 0.101 (S = 5)  -> 0.212
+#   96 x 64    0.319 -> 0.326 (S = 1)  -> 0.852
+#   128 x 1    0.049 -> 0.008 (S = 63) -> 0.008
 # Blocks much above 8K nodes lose to cache traffic.  A bound of 4096 nodes
 # leaves the ladder's costliest rung, 136 x 16, one state per block.
 # Counting nodes, not states, also bounds the memory a block holds.
@@ -1316,12 +1297,12 @@ def residual_identities(model: ModelGeometry,
     # Each residual is summed in place and reduced to its extreme before
     # the next one is formed, and fields are dropped after their last use:
     # that bounds the (snapshot x node) arrays alive at once.  The slopes
-    # and forms are the solver's, on the transposed stack; the trim drops
-    # the pole and rim columns (copies, and xi'/xi's stand-in at the pole).
-    ur, _ = _slopes(fd, u.T)
-    A2, nH = (np.pad(a, ((1, 1), (0, 0)), mode="edge").T
-              for a in _curvatures(fd, u.T, ur, 0.0, W.T))
-    ur = ur.T
+    # and forms are the solver's, on the (snapshot, node, 1) stack; the trim
+    # drops the pole and rim columns (copies, and xi'/xi's pole stand-in).
+    ur, _ = _slopes(fd, u[..., None])
+    A2, nH = (np.pad(a[..., 0], ((0, 0), (1, 1)), mode="edge")
+              for a in _curvatures(fd, u[..., None], ur, 0.0, W[..., None]))
+    ur = ur[..., 0]
     gauge = nH * ur / W
     del nH
     g_rr = 1.0 + rho ** 2 * ur ** 2

@@ -404,10 +404,11 @@ def _one_error_line(capsys):
     return err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("phi", ["1/0", "2^2000", "(-8)^(1/3)"])
+@pytest.mark.parametrize("phi", ["1/0", "2^2000", "(-8)^(1/3)", "log(0)"])
 def test_unevaluable_data_exits_2(tmp_path, phi, capsys):
-    # Python-float division by zero, overflow and a complex power are data
-    # errors, not crashes
+    # Python-float division by zero, overflow, a complex power and a
+    # non-finite phi are data errors, not crashes; exhaust samples the
+    # first rung before it solves any
     cfg = tmp_path / "run.ini"
     cfg.write_text(FLOW_INI.replace("phi = 0.1*cos(theta)", f"phi = {phi}"))
     assert dispatch(["flow", "--config", str(cfg)]) == 2
@@ -415,6 +416,18 @@ def test_unevaluable_data_exits_2(tmp_path, phi, capsys):
     assert dispatch(["exhaust", "--model", "euclidean", "--rungs", "2",
                      "--phi", phi]) == 2
     assert _one_error_line(capsys)
+
+
+def test_exhaust_rung_failing_in_the_solver_exits_1(monkeypatch, capsys):
+    # data the grid takes passes the sample check; a rung whose solve
+    # fails is a failed check, not a usage error
+    def failing_solve(*args, **kwargs):
+        raise flow.FlowError("non-finite field after step")
+
+    monkeypatch.setattr(killingflow.exhaustion, "solve_ball", failing_solve)
+    assert dispatch(["exhaust", "--model", "euclidean", "--rungs", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: rung R=3 failed: non-finite field after step\n")
 
 
 def test_complex_data_error_names_its_offset(capsys):

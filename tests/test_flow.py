@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import math
@@ -149,6 +150,34 @@ def test_lazy_module_attributes():
         exhaustion.no_such_name
 
 
+def test_names_the_benchmark_reads_exist():
+    # bench/spans.py patches these module attributes (Tracer.install) and
+    # bench/workloads.py calls these names; no Tier-1 test runs the
+    # benchmark, so a deleted name would break only it
+    from killingflow import (barriers, cli, cmc, config, exhaustion,
+                             geometry)
+    read = {
+        flow: ["step", "compute_W", "second_fundamental_form",
+               "residual_identities", "load_run", "solve_ball",
+               "radial_solve", "save_run", "spla", "BallProblem",
+               "StepControl", "model_hash", "radial_Q"],
+        exhaustion: ["solve_ball", "run_exhaustion", "RectBivariateSpline",
+                     "build_ladder"],
+        cmc: ["solve_vR", "sample_vR", "eval_vR"],
+        barriers: ["sample_vR", "eval_vR", "verify_supersolution", "mu_of_t",
+                   "height_bounds"],
+        geometry: ["make_model", "euclidean_model", "hyperbolic_model"],
+        cli: ["dispatch"],
+        config: ["load_config", "parse_config"]}
+    assert [f"{module.__name__}.{name}" for module, names in read.items()
+            for name in names if not hasattr(module, name)] == []
+    # the tracer labels a span by the grid argument at these positions
+    for fn, i in ((flow.step, 2), (flow.compute_W, 1),
+                  (flow.second_fundamental_form, 1), (flow.solve_ball, 1),
+                  (exhaustion.solve_ball, 1)):
+        assert list(inspect.signature(fn).parameters)[i] == "grid"
+
+
 # -- operator --------------------------------------------------------------------
 
 
@@ -243,18 +272,18 @@ def test_discretize_Q_second_order_against_pointwise_Q(model_name, request):
 def test_radial_forms_of_a_snapshot_stack_match_each_snapshot(
         request, model_name, R, fields):
     # residual_identities applies _slopes and _curvatures once to the
-    # transposed (node x snapshot) stack of a run; each column must be
+    # (snapshot, node, 1) stack of a run; each state must be
     # second_fundamental_form of its snapshot, bit for bit
     model = request.getfixturevalue(model_name)
     g = Grid(R=R, nr=fields.shape[1] - 1, ntheta=1)
     fd = flow._Fields(model, g)
     W = np.stack([compute_W(model, g, u) for u in fields])
-    ur, vt = flow._slopes(fd, fields.T)
-    A2, nH = flow._curvatures(fd, fields.T, ur, vt, W.T)
+    ur, vt = flow._slopes(fd, fields[..., None])
+    A2, nH = flow._curvatures(fd, fields[..., None], ur, vt, W[..., None])
     for k, u in enumerate(fields):
         a2, nh = second_fundamental_form(model, g, u)
-        np.testing.assert_array_equal(A2[:, k], a2[1:-1])
-        np.testing.assert_array_equal(nH[:, k], nh[1:-1])
+        np.testing.assert_array_equal(A2[k, :, 0], a2[1:-1])
+        np.testing.assert_array_equal(nH[k, :, 0], nh[1:-1])
 
 
 def test_hemisphere_curvature(euclid2):
@@ -888,6 +917,55 @@ def test_steady_plane_on_a_graded_ladder_rung(euclid2):
               for nt in (16, 32)]
     assert math.log2(errors[0] / errors[1]) >= 1.9
     assert errors[1] <= 3.0e-4
+
+
+@pytest.mark.parametrize("nr,ntheta", [(24, 16), (48, 32), (96, 64),
+                                       (128, 1)])
+def test_uniform_grid_coefficients_are_exact(hyp2, nr, ntheta):
+    # a uniform grid runs the graded differences on the spacing R/nr, where
+    # their coefficients are exactly 1 and 0, so they are the centred
+    # differences bit for bit
+    R = 1.7
+    grid = Grid(R=R, nr=nr, ntheta=ntheta)
+    fd = flow._Fields(hyp2, grid)
+    for st, shape in ((fd.gf.steps, (nr - 1, 1)),
+                      (fd.steps, (nr - 1, ntheta))):
+        for a in (st.p, st.q, st.wp, st.wm):
+            assert a.shape == shape and np.all(a == 1.0)
+        assert st.z.shape == shape and np.all(st.z == 0.0)
+        assert np.all(st.s == 2.0 * R / nr)
+        assert np.all(st.hh == (R / nr) ** 2)
+        assert st.rim == (3.0, 4.0, 1.0, 2.0 * R / nr)
+
+
+def test_any_memory_layout_of_a_radial_u_gives_the_same_bits(euclid3):
+    # a radial state is stacked in the grid's (nr + 1, 1) shape; a strided
+    # 1-d u must give the bits of a contiguous one
+    grid = Grid(R=1.0, nr=32, ntheta=1)
+    rng = np.random.default_rng(5)
+    u = (0.2 + 0.3 * np.cos(0.5 * math.pi * grid.r)
+         + 0.05 * rng.standard_normal(grid.r.size))
+    u[-1] = 0.2
+    v = np.repeat(u, 2)[::2]
+    assert not v.flags.c_contiguous and np.array_equal(v, u)
+    assert np.array_equal(compute_W(euclid3, grid, v),
+                          compute_W(euclid3, grid, u))
+    for a, b in zip(second_fundamental_form(euclid3, grid, v),
+                    second_fundamental_form(euclid3, grid, u)):
+        assert np.array_equal(a, b)
+    fd = flow._Fields(euclid3, grid)
+    (a,), (b,) = (flow._diagnosed(fd, [(0.0, x, 0)]) for x in (v, u))
+    assert a.W.shape == u.shape and np.array_equal(a.W, b.W)
+    assert (a.max_grad, a.max_A) == (b.max_grad, b.max_A)
+    p = BallProblem(model=euclid3, R=1.0, phi=lambda th: u[-1],
+                    u0=lambda r, th: u)
+    W = compute_W(euclid3, grid, u)
+    for scheme in ("semi-implicit", "explicit-euler"):
+        control = StepControl(scheme=scheme, dt_max=1e-6)
+        a, b = (step(flow.FlowState(t=0.0, u=x, W=W, step_count=0), p, grid,
+                     control) for x in (v, u))
+        assert np.array_equal(a.u, b.u) and np.array_equal(a.W, b.W)
+        assert (a.max_grad, a.max_A) == (b.max_grad, b.max_A)
 
 
 @pytest.mark.parametrize("ntheta", [1, 16])
