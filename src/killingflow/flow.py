@@ -32,15 +32,16 @@ and the row measures m_j = dV_j / P_j (``_radial_weights``,
 * the default semi-implicit step, which lags them one step.  Row j of the
   M-matrix I - dt L(u) times m_j is the symmetric, strictly diagonally
   dominant S = diag(m) - dt C, C the graph Laplacian of the conductances,
-  with the Dirichlet row moved into the right-hand side.  Below 64 columns
+  with the Dirichlet row moved into the right-hand side.  Below 48 columns
   S is solved by one banded Cholesky (LAPACK dpbsv): in natural ring
   order, with the pole as one unknown, its half-bandwidth is ntheta on the
   2-D grid and 1 on the radial one.  The factor of this Stieltjes matrix
   has no positive off-diagonal entry, so both steps keep
-  min(u0, phi) <= u <= max(u0, phi).  From 64 columns on, the 2-D S is
-  solved by conjugate gradients preconditioned with its theta mean, which
-  an FFT in theta splits into one tridiagonal solve per mode, to
-  max|r| <= 1e-14 max|b|; the result is clipped to that interval, where
+  min(u0, phi) <= u <= max(u0, phi).  From 48 columns on, the 2-D S is
+  solved by conjugate gradients preconditioned with the theta mean of its
+  diagonally scaled form, which an FFT in theta splits into one
+  tridiagonal solve per mode, until a bound of the error is <= 1e-14 of
+  the data's largest value; the result is clipped to that interval, where
   the exact solution lies.
 
 What depends only on n, the profiles and the grid is computed once and
@@ -739,71 +740,93 @@ def _band_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 # From this many columns on, the 2-D step solves S by conjugate gradients
 # in place of dpbsv, whose cost grows as nr nt^3.  One step's solve in ms,
-# dpbsv -> conjugate gradients (iterations), on E2 and H2 states of
-# asymmetric data, best of 15, one core of a 2-vCPU Xeon, one BLAS thread:
-#   48 x 32     0.7-1.0 -> 1.6-1.9 (9-11)
-#   64 x 48     2.6-3.0 -> 1.8-2.9 (9-12)
-#   96 x 64     5.0-5.3 -> 2.4-3.1 (9-12)
-#   136 x 64    7.3-7.6 -> 3.3-3.5 (9-11)
-#   136 x 128   25.6-26.1 -> 6.2-7.6 (9-11)
-# At 48 columns conjugate gradients lead by at most a third; 64 keeps every
-# grid of 48 or fewer columns, the ladder's among them, on dpbsv, bit for
-# bit.
-_CG_NTHETA = 64
-_CG_RTOL = 1e-14        # stop at max|r| <= _CG_RTOL max|b|
+# dpbsv -> conjugate gradients, on E2 and H2 states of asymmetric data at
+# t = 0 and after 5 steps (4-5 iterations), best of 15, one core of a
+# 2-vCPU Xeon, one BLAS thread:
+#   48 x 32     0.60-0.61 -> 0.68-0.77
+#   64 x 48     1.54-1.63 -> 0.80-0.91
+#   96 x 64     4.55-4.75 -> 1.36-1.57
+#   136 x 64    6.62-6.77 -> 1.87-2.25
+#   136 x 128   24.9-26.2 -> 3.65-6.56
+# dpbsv still wins at 32 columns and conjugate gradients win from 48 on, so
+# every grid of fewer than 48 columns, the ladder's among them, steps on
+# dpbsv bit for bit.
+_CG_NTHETA = 48
+_CG_RTOL = 1e-14        # stop at an error bound <= _CG_RTOL scale
 _CG_MAX_ITER = 1000
 
 
-def _theta_mean_preconditioner(m: np.ndarray, g_r: np.ndarray,
-                               g_t: np.ndarray, m0: float) -> Callable:
-    """z = M^-1 r for the theta mean M of the scaled system S of
-    ``_polar_implicit``, as a function solve(r, out) of flat vectors in
-    S's unknown order.
+def _theta_mean_preconditioner(d: np.ndarray, d0: float, g_r: np.ndarray,
+                               g_t: np.ndarray) -> Callable:
+    """z = M^-1 r for the scaled system S of ``_polar_implicit``, as a
+    function solve(r, out) of flat vectors in S's unknown order: the ring
+    diagonal d, the pole's diagonal d0 and the links -g_r and -g_t, laid
+    out as ``_conjugate_gradients`` reads them.
 
-    M replaces m, g_r and g_t on each ring by their means over theta, so it
-    is diag(m) - dt C of rotationally symmetric weights: separable, with
-    the Fourier modes in theta as eigenvectors of its ring blocks (Concus
-    & Golub, SIAM J. Numer. Anal. 10, 1973).  An rfft over each ring
-    splits M z = r into one symmetric positive definite tridiagonal system
-    in r per mode, with mode k's diagonal mbar + gbar_r- + gbar_r+ +
-    4 gbar_t sin^2(pi k / nt).  The pole joins mode 0, whose coefficients
-    are ring sums, as the unknown nt z_pole with the diagonal S_00 / nt,
-    which keeps that block symmetric.  The modes stand in one
-    block-diagonal tridiagonal system, which LAPACK dpttrf factors here
-    once and dpttrs solves for the real and imaginary parts together."""
+    M = D^1/2 Pbar D^1/2, where D is S's diagonal and Pbar the theta mean
+    of the Jacobi-scaled P = D^-1/2 S D^-1/2 (Golub & Van Loan, Matrix
+    Computations, section 11.5): P has a unit diagonal and the links
+    g / sqrt(d d') of S's, and Pbar replaces these on each ring and r-face
+    by their means over theta.  The scaling first evens out the theta
+    contrast of the conductances, which the mean of S itself misses.  Pbar
+    is separable, with the Fourier modes in theta as eigenvectors of its
+    ring blocks (Concus & Golub, SIAM J. Numer. Anal. 10, 1973), so an
+    rfft over each ring splits Pbar z = r into one symmetric positive
+    definite tridiagonal system in r per mode: mode k's diagonal is
+    1 - 2 gbar_t cos(2 pi k / nt) and its links -gbar_r.  The pole joins
+    mode 0, whose coefficients are ring sums, as the unknown nt z_pole
+    with the diagonal 1 / nt, which keeps that block symmetric.  The modes
+    stand in one block-diagonal tridiagonal system, which LAPACK dpttrf
+    factors here once and dpttrs solves for the real and imaginary parts
+    together.  A diagonal entry <= 0 (S is not positive definite) raises
+    FlowError before any square root; a non-finite one passes, and so
+    does the non-finite z it gives."""
     from numpy import fft       # only the conjugate-gradient step needs it
-    rings, nt = m.shape
+    if np.any(d <= 0.0) or d0 <= 0.0:
+        raise FlowError("conjugate gradient solve failed: the system is not "
+                        "positive definite (a diagonal entry <= 0)")
+    rings, nt = d.shape
     K = nt // 2 + 1
-    g = np.add.reduce(g_r, axis=1) / nt
-    d = np.empty(1 + K * rings)
-    d[0] = m0 / nt + g[0]
-    lam = np.sin(np.arange(K) * (math.pi / nt))
-    lam *= lam
-    lam *= 4.0
-    modes = d[1:].reshape(K, rings)
-    np.multiply.outer(lam, np.add.reduce(g_t, axis=1) / nt, out=modes)
-    modes += np.add.reduce(m, axis=1) / nt + g[:-1] + g[1:]
+    # D^-1/2 in S's unknown order
+    jacobi = 1.0 / np.sqrt(np.concatenate(([d0], d.reshape(-1))))
+    s = jacobi[1:].reshape(rings, nt)
+    g = np.empty(rings)                     # gbar_r of faces 0..rings-1
+    g[0] = jacobi[0] * np.add.reduce(g_r[0] * s[0])
+    g[1:] = np.add.reduce(g_r[1:-1] * s[:-1] * s[1:], axis=1)
+    g /= nt
+    gt = np.add.reduce(_theta_op(np.multiply, s, 0, s, 1,
+                                 np.empty(d.shape)) * g_t, axis=1)
+    gt *= -2.0 / nt
+    diag = np.empty(1 + K * rings)
+    diag[0] = 1.0 / nt
+    modes = diag[1:].reshape(K, rings)
+    np.multiply.outer(np.cos(np.arange(K) * (2.0 * math.pi / nt)), gt,
+                      out=modes)
+    modes += 1.0
     e = np.zeros((K, rings))
-    e[:, :-1] = -g[1:-1]
+    e[:, :-1] = -g[1:]
     e = np.concatenate(([-g[0]], e.reshape(-1)[:-1]))
-    d, e, info = dpttrf(d, e, overwrite_d=1, overwrite_e=1)
+    diag, e, info = dpttrf(diag, e, overwrite_d=1, overwrite_e=1)
     if info != 0:
         raise FlowError(f"conjugate gradient solve failed: the theta mean of "
                         f"the system is not positive definite (LAPACK dpttrf "
                         f"info={info})")
     f = np.empty((rings, K), dtype=complex)
     parts = f.view(float).reshape(rings, K, 2)
-    b = np.empty((2, d.size))           # dpttrs' (n, 2) Fortran-order rhs
+    b = np.empty((2, diag.size))        # dpttrs' (n, 2) Fortran-order rhs
     b_modes = b[:, 1:].reshape(2, K, rings)
+    rs = np.empty(jacobi.shape)
 
     def solve(r: np.ndarray, out: np.ndarray) -> np.ndarray:
-        fft.rfft(r[1:].reshape(rings, nt), axis=1, out=f)
-        b[:, 0] = r[0], 0.0
+        np.multiply(r, jacobi, out=rs)
+        fft.rfft(rs[1:].reshape(rings, nt), axis=1, out=f)
+        b[:, 0] = rs[0], 0.0
         b_modes[...] = parts.transpose(2, 1, 0)
-        dpttrs(d, e, b.T, overwrite_b=1)
+        dpttrs(diag, e, b.T, overwrite_b=1)
         parts[...] = b_modes.transpose(2, 1, 0)
         out[0] = b[0, 0] / nt
         fft.irfft(f, n=nt, axis=1, out=out[1:].reshape(rings, nt))
+        out *= jacobi
         return out
 
     return solve
@@ -811,19 +834,23 @@ def _theta_mean_preconditioner(m: np.ndarray, g_r: np.ndarray,
 
 def _conjugate_gradients(d: np.ndarray, d0: float, g_r: np.ndarray,
                          g_t: np.ndarray, precondition: Callable,
-                         b: np.ndarray, x: np.ndarray) -> np.ndarray:
+                         b: np.ndarray, s1: np.ndarray,
+                         scale: float) -> np.ndarray:
     """Solve S x = b by preconditioned conjugate gradients (Golub & Van
-    Loan, Matrix Computations, section 11.5) from the start x, which it
-    overwrites.  S is the scaled system of ``_polar_implicit`` in its
+    Loan, Matrix Computations, section 11.5) from the start b / s1, with
+    s1 = S 1 > 0.  S is the scaled system of ``_polar_implicit`` in its
     unknown order, the pole and then rings 1..nr-1 with theta fastest: the
     ring diagonal d, the pole's diagonal d0 and the links -g_r (r-faces
     0..nr-1; face 0 joins the pole, face nr-1 the Dirichlet row) and -g_t.
-    The iteration stops once its residual has max|r| <= _CG_RTOL max|b|.
-    The inner products are numpy sums of products, never a BLAS dot, so
-    that no BLAS thread count changes a bit.  A curvature p.Sp <= 0 (S is
-    not positive definite) or _CG_MAX_ITER iterations raise FlowError; a
-    non-finite system stops at once, with the non-finite x that
-    ``_sup_norm`` reports."""
+
+    S is a Stieltjes matrix, so S^-1 >= 0 and S^-1 s1 = 1 bound the error
+    of an iterate by its residual r: |x - x*| <= max_i |r_i| / s1_i on
+    every node.  The iteration stops once that bound is <= _CG_RTOL scale,
+    scale the largest |value| of the step's data.  The inner products are
+    numpy sums of products, never a BLAS dot, so that no BLAS thread count
+    changes a bit.  A curvature p.Sp <= 0 (S is not positive definite) or
+    _CG_MAX_ITER iterations raise FlowError; a non-finite system stops at
+    once, with the non-finite x that ``_sup_norm`` reports."""
     g_in, g_pole = g_r[1:-1], g_r[0]
     g_prev = np.roll(g_t, 1, axis=1)        # the link to theta_{i-1}
     buf = np.empty((2,) + d.shape)
@@ -840,19 +867,20 @@ def _conjugate_gradients(d: np.ndarray, d0: float, g_r: np.ndarray,
                                                        out=buf[1, 0]))
         return out
 
+    x = b / s1
     r = b - apply(x, np.empty(b.shape))
     z = precondition(r, np.empty(b.shape))
-    p, q = z.copy(), np.empty(b.shape)
+    p, q, t = z.copy(), np.empty(b.shape), np.empty(b.shape)
     rz = np.add.reduce(r * z)
-    stop = _CG_RTOL * float(np.max(np.abs(b)))
+    stop = _CG_RTOL * scale
     for iteration in range(_CG_MAX_ITER + 1):
-        r_max = float(np.max(np.abs(r)))
-        if not r_max > stop:
+        bound = float(np.max(np.divide(np.abs(r, out=t), s1, out=t)))
+        if not bound > stop:
             return x
         if iteration == _CG_MAX_ITER:
             raise FlowError(f"conjugate gradient solve failed: no "
                             f"convergence in {_CG_MAX_ITER} iterations "
-                            f"(max|r| = {r_max:.3e} > {stop:.3e})")
+                            f"(error bound {bound:.3e} > {stop:.3e})")
         pq = np.add.reduce(p * apply(p, q))
         if pq <= 0.0:
             raise FlowError(f"conjugate gradient solve failed: the system is "
@@ -890,20 +918,22 @@ def _polar_implicit(fd: _Fields, u: np.ndarray, dt: float,
     1..nr-1 with theta fastest.  The right-hand side b lies in the new
     field, from the pole row's last node on, and the solve overwrites it.
 
-    Below _CG_NTHETA = 64 columns S is solved by dpbsv.  Its lower band
+    Below _CG_NTHETA = 48 columns S is solved by dpbsv.  Its lower band
     holds the diagonal, the theta neighbour at offset 1, the theta wrap at
     nt - 1, the next ring at nt and the pole column at 1..nt, so kd = nt.
     The band is the step's largest array: the weights are freed before it
     is allocated, and their scaled copies before the solve.
 
-    From 64 columns on, where dpbsv's nr nt^3 cost dominates the step, S
-    is solved by conjugate gradients preconditioned with its theta mean
-    (``_conjugate_gradients``, ``_theta_mean_preconditioner``), read off the
-    weights with no band.  It starts from b / (S 1), u to rounding off
-    the rim ring, and stops at max|r| <= 1e-14 max|b|.  The exact
-    solution of the Stieltjes system lies in [min(u, phi), max(u, phi)],
-    so the result is clipped to that interval: the clip only moves a value
-    toward the solution, by roundoff (a test bounds it by 1e-13)."""
+    From 48 columns on, where dpbsv's nr nt^3 cost dominates the step, S
+    is solved by conjugate gradients preconditioned with the theta mean of
+    D^-1/2 S D^-1/2, D its diagonal (``_conjugate_gradients``,
+    ``_theta_mean_preconditioner``), read off the weights with no band.
+    It starts from b / (S 1), u to rounding off the rim ring, and stops
+    once max_i |r_i| / (S 1)_i, a bound of the error on every node, is
+    <= 1e-14 max(|u|, |phi|).  The exact solution of the Stieltjes system
+    lies in [min(u, phi), max(u, phi)], so the result is clipped to that
+    interval: the clip only moves a value toward the solution, by roundoff
+    (a test bounds it by 1e-13)."""
     nr, nt = fd.grid.nr, fd.grid.ntheta
     w = _polar_weights(fd, u)
     g_r, g_t, m0 = w.g_r * dt, w.g_t * dt, w.m0
@@ -917,14 +947,16 @@ def _polar_implicit(fd: _Fields, u: np.ndarray, dt: float,
     u_new[-1] = phi_row
     rhs = u_new.reshape(-1)[nt - 1:nr * nt]
     if nt >= _CG_NTHETA:
-        x = rhs / np.concatenate(([m0], w.m.reshape(-1)))     # b / (S 1)
-        x[-nt:] = rhs[-nt:] / (w.m[-1] + g_r[-1])
+        d = _theta_op(np.add, diag, 0, g_t, -1, np.empty(diag.shape))
+        d0 = m0 + np.sum(g_r[0])
+        s1 = np.concatenate(([m0], w.m.reshape(-1)))       # S 1
+        s1[-nt:] += g_r[-1]
+        lo = min(np.min(u), np.min(phi_row))
+        hi = max(np.max(u), np.max(phi_row))
         x = _conjugate_gradients(
-            _theta_op(np.add, diag, 0, g_t, -1, np.empty(diag.shape)),
-            m0 + np.sum(g_r[0]), g_r, g_t,
-            _theta_mean_preconditioner(w.m, g_r, g_t, m0), rhs, x)
-        np.clip(x, min(np.min(u), np.min(phi_row)),
-                max(np.max(u), np.max(phi_row)), out=rhs)
+            d, d0, g_r, g_t, _theta_mean_preconditioner(d, d0, g_r, g_t),
+            rhs, s1, max(-lo, hi))
+        np.clip(x, lo, hi, out=rhs)
         u_new[0, :-1] = rhs[0]
         return u_new
     del w
@@ -1161,11 +1193,13 @@ def solve_ball(problem: BallProblem, grid: Grid, control: StepControl,
     only be numerical instability.
 
     A semi-implicit step on the 2-D grid solves its linear system by
-    dpbsv below 64 columns and, from 64 on, by conjugate gradients
-    preconditioned with the system's theta mean, stopped at max|r| <=
-    1e-14 max|b| and clipped to [min(u, phi), max(u, phi)], where the
-    exact solution lies (``_polar_implicit``).  The two agree to 1e-12
-    relative on disk-sized runs; the clip moves a value by roundoff only.
+    dpbsv below 48 columns and, from 48 on, by conjugate gradients
+    preconditioned with the theta mean of the diagonally scaled system,
+    stopped once a bound of the error is <= 1e-14 max(|u|, |phi|) and
+    clipped to [min(u, phi), max(u, phi)], where the exact solution lies
+    (``_polar_implicit``).  The two agree to 1e-12 relative on disk-sized
+    runs and on the ladder's rungs; the clip moves a value by roundoff
+    only.
 
     The time loop reads only u, so each step is ``_advance`` and the guard
     alone, which takes the one max|u| that also finds a non-finite field

@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 from killingflow import (build_ladder, cmc, euclidean_model, flow,
                          hyperbolic_model)
 from killingflow.barriers import pointwise_Q
+from killingflow.exhaustion import pole_mollified_extension
 from killingflow.flow import (BallProblem, FlowError, Grid, StepControl,
                               compute_W, discretize_Q, load_run, model_hash,
                               radial_Q, radial_solve, save_run,
@@ -741,8 +742,9 @@ def test_singular_banded_system_raises(euclid2, monkeypatch):
 @pytest.mark.parametrize("ntheta", [1, 8, 64])
 def test_indefinite_band_raises(euclid2, monkeypatch, ntheta):
     # negative measures and conductances give a negative definite system,
-    # which the Cholesky factorisation refuses on both grids, and from 64
-    # columns on the factorisation of its theta mean
+    # which the Cholesky factorisation refuses on both grids, and from
+    # _CG_NTHETA columns on the preconditioner's check of the diagonal,
+    # before its Jacobi scaling takes a square root
     p = BallProblem(model=euclid2, R=1.0, phi=_zero_phi, u0=_bump, T=1.0)
     g = Grid(R=1.0, nr=8, ntheta=ntheta)
     u0 = p.sample(g)[0]
@@ -753,7 +755,7 @@ def test_indefinite_band_raises(euclid2, monkeypatch, ntheta):
     monkeypatch.setattr(flow, name, lambda *a: _scaled(weights(*a), -1.0))
     state = flow.FlowState(t=0.0, u=u0, W=compute_W(euclid2, g, u0),
                            step_count=0)
-    solver = "dpbsv" if ntheta < flow._CG_NTHETA else "dpttrf"
+    solver = "dpbsv" if ntheta < flow._CG_NTHETA else "diagonal entry <= 0"
     with pytest.raises(FlowError, match=f"not positive definite.*{solver}"):
         step(state, p, g, StepControl(), dt=1e-3)
 
@@ -810,9 +812,9 @@ def test_conjugate_gradients_iteration_cap_raises(hyp2, monkeypatch):
 
 
 def test_conjugate_gradients_refuse_negative_curvature():
-    # S = diag(1, ..., 1, -1, 1, ...) with no links is indefinite, and its
-    # start b / (S 1) = 0 leaves the residual on the negative node, so the
-    # first direction p has p.Sp = -1
+    # S = diag(1, ..., 1, -1, 1, ...) with no links is indefinite; from the
+    # start b / s1 = b with s1 = 1 the residual 2 b lies on the negative
+    # node, so the first direction p has p.Sp = -4
     d = np.ones((2, 64))
     d[1, 5] = -1.0
     b = np.zeros(1 + d.size)
@@ -820,12 +822,121 @@ def test_conjugate_gradients_refuse_negative_curvature():
     with pytest.raises(FlowError, match=r"not positive definite \(p.Sp"):
         flow._conjugate_gradients(d, 1.0, np.zeros((3, 64)), np.zeros((2, 64)),
                                   lambda r, out: np.copyto(out, r) or out,
-                                  b, np.zeros(b.size))
+                                  b, np.ones(b.size), 1.0)
+
+
+def _count_iterations(monkeypatch):
+    """A list that gets, for each conjugate-gradient solve from here on, its
+    iteration count: the preconditioner's applications after the first."""
+    counts = []
+    build = flow._theta_mean_preconditioner
+
+    def counting(*args):
+        solve = build(*args)
+        counts.append(-1)
+
+        def counted(r, out):
+            counts[-1] += 1
+            return solve(r, out)
+        return counted
+
+    monkeypatch.setattr(flow, "_theta_mean_preconditioner", counting)
+    return counts
+
+
+@pytest.mark.parametrize("model_name", ["euclid2", "hyp2"])
+def test_conjugate_gradients_agree_with_dpbsv_on_every_ladder_rung(
+        request, monkeypatch, model_name):
+    # the ladder's rungs at ntheta 64, three steps each: the error bound
+    # max|r| / (S 1) holds however the rim rows of b grow with R (dV ~
+    # e^{2R} on H2); a stop on max|r| / max|b| left the H2 R = 10 rung
+    # 3.1e-7 off dpbsv
+    model = request.getfixturevalue(model_name)
+    plan = build_ladder(model, 1.0, 4, ntheta=64)
+    phi = lambda th: np.cos(th)
+    dt = plan.T0 / plan.n_time_steps
+    for R in plan.ladder:
+        g = plan.grid_for(float(R))
+        p = BallProblem(model=model, R=float(R), phi=phi,
+                        u0=pole_mollified_extension(phi), T=3 * dt)
+        with monkeypatch.context() as mp:
+            runs = [solve_ball(p, g, StepControl(dt_max=dt), snapshot_every=1)]
+            _dpbsv_only(mp)
+            runs.append(solve_ball(p, g, StepControl(dt_max=dt),
+                                   snapshot_every=1))
+        cg, ref = ([s.u for s in tr.states] for tr in runs)
+        assert len(cg) == len(ref) == 4
+        scale = max(float(np.max(np.abs(u))) for u in ref)
+        assert max(float(np.max(np.abs(a - b)))
+                   for a, b in zip(cg, ref)) <= 1e-12 * scale, R
+
+
+@pytest.mark.parametrize("R", [10.0, 17.0])
+def test_conjugate_gradients_converge_fast_on_h2_at_large_radius(
+        hyp2, monkeypatch, R):
+    # data whose slope vanishes along rays: W on a ring runs from about
+    # 1 / rho to |grad u|, so the conductances vary in theta by orders of
+    # magnitude; the theta mean of S alone took 91 and 537 iterations per
+    # step here, that of the diagonally scaled system takes 4-6
+    g = Grid(R=R, nr=136, ntheta=64)
+    p = BallProblem(model=hyp2, R=R, phi=lambda th: 0.2 * np.cos(2 * th) + 0.1,
+                    u0=lambda r, th: 0.2 * np.cos(2 * th) * (r / R) ** 2
+                    + 0.15 * np.cos(0.5 * math.pi * r / R) + 0.1, T=4e-3)
+    counts = _count_iterations(monkeypatch)
+    cg = solve_ball(p, g, StepControl(dt_max=2e-3), snapshot_every=1)
+    assert len(counts) == 2 and max(counts) <= 10
+    _dpbsv_only(monkeypatch)
+    ref = solve_ball(p, g, StepControl(dt_max=2e-3), snapshot_every=1)
+    scale = max(float(np.max(np.abs(s.u))) for s in ref.states)
+    assert max(float(np.max(np.abs(a.u - b.u))) for a, b in
+               zip(cg.states, ref.states)) <= 1e-12 * scale
+
+
+def _stieltjes_apply(d, d0, g_r, g_t, v):
+    """S v for the system of ``flow._conjugate_gradients``, from shifted
+    copies: a reference independent of its in-place matvec."""
+    V = v[1:].reshape(d.shape)
+    Y = d * V - g_t * np.roll(V, -1, 1) - np.roll(g_t, 1, 1) * np.roll(V, 1, 1)
+    Y[:-1] -= g_r[1:-1] * V[1:]
+    Y[1:] -= g_r[1:-1] * V[:-1]
+    Y[0] -= g_r[0] * v[0]
+    return np.concatenate(([d0 * v[0] - np.sum(g_r[0] * V[0])], Y.ravel()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rings=st.integers(2, 11), nt=st.integers(64, 128),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_theta_mean_preconditioner_on_random_stieltjes_systems(rings, nt,
+                                                               seed):
+    # m, g_r and g_t log-uniform over 1e-2..1e2 per node, so the theta
+    # contrast is far beyond any flow step's; b = S x for a known x.  The
+    # theta mean factors, and conjugate gradients recover x: over 2000 such
+    # systems at most 262 iterations (the theta mean of S alone: up to
+    # 549 of 300) and an error of 8.8e-10, the accuracy the stop's
+    # recursively updated residual leaves on these conditionings
+    rng = np.random.default_rng(seed)
+    m, g_t = 10.0 ** rng.uniform(-2.0, 2.0, (2, rings, nt))
+    g_r = 10.0 ** rng.uniform(-2.0, 2.0, (rings + 1, nt))
+    m0 = 10.0 ** rng.uniform(-2.0, 2.0)
+    d = m + g_r[1:] + g_r[:-1] + g_t + np.roll(g_t, 1, axis=1)
+    d0 = m0 + np.sum(g_r[0])
+    x = rng.uniform(-1.0, 1.0, 1 + rings * nt)
+    s1 = np.concatenate(([m0], m.ravel()))
+    s1[-nt:] += g_r[-1]
+    b = _stieltjes_apply(d, d0, g_r, g_t, x)
+    solve = flow._theta_mean_preconditioner(d, d0, g_r, g_t)
+    calls = []
+    got = flow._conjugate_gradients(
+        d, d0, g_r, g_t, lambda r, out: calls.append(1) or solve(r, out),
+        b, s1, float(np.max(np.abs(x))))
+    assert len(calls) - 1 <= 400
+    assert float(np.max(np.abs(got - x))) <= 1e-8
 
 
 def test_non_finite_weights_end_in_the_sup_norm_error(euclid2, monkeypatch):
-    # from 64 columns on too, a step on NaN weights returns a non-finite
-    # field, which the run reports; it does not iterate to the cap
+    # on the conjugate-gradient path too, a step on NaN weights returns a
+    # non-finite field, which the run reports; it does not iterate to the
+    # cap
     g = Grid(R=1.0, nr=16, ntheta=64)
     p = _rough_problem(euclid2)
     weights = flow._polar_weights
@@ -1155,7 +1266,7 @@ def test_runs_stay_within_their_data(request, model_name, nr, ntheta, scheme,
     # Cholesky factor of the scaled system has no positive off-diagonal
     # entry, so its substitutions keep signs (no excursion at all in 400
     # random cases with dt up to 1), and the bound leaves room for the
-    # rounding of the scaled right-hand side m_j u_j; from 64 columns on,
+    # rounding of the scaled right-hand side m_j u_j; from 48 columns on,
     # the conjugate-gradient step clips its result to that interval
     model = request.getfixturevalue(model_name)
     if model.n != 2:
