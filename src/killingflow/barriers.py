@@ -48,7 +48,10 @@ class SupersolutionFlow:
     """Rim radius schedule R(t) of the expanding radial supersolution.
 
     R(t) is defined implicitly by  integral_{r0}^{R} V/A = t, equivalently
-    dR/dt = -n H(R) with R(0) = r0.
+    dR/dt = -n H(R) with R(0) = r0.  The integral is exact on the built-in
+    model pairs, from the closed antiderivative of V/A (r^2/(2n) on the
+    flat pair, ln cosh(kr)/(n k^2) on the hyperbolic one), and a cumulative
+    Gauss-Kronrod integral on every other model.
     """
 
     model: ModelGeometry
@@ -58,19 +61,29 @@ class SupersolutionFlow:
         if self.r0 <= 0:
             raise BarrierError("r0 must be positive")
         model = self.model
-        self._time = _CumulativeIntegral(lambda s: model.V(s) / model.A(s),
-                                         model.quad_tol, start=self.r0,
-                                         breaks=model.breaks)
+        closed = model._time_closed
+        if closed is None:
+            self._time = _CumulativeIntegral(
+                lambda s: model.V(s) / model.A(s), model.quad_tol,
+                start=self.r0, breaks=model.breaks)
+        else:
+            start = closed(float(self.r0))
+            self._time = lambda R: closed(R) - start
 
     def time_of(self, R):
         """Time t at which the rim radius reaches R (a radius or an array
-        of radii): the integral of V/A from r0 to R."""
-        return self._time(R)
+        of radii, none below r0): the integral of V/A from r0 to R."""
+        R = np.asarray(R, dtype=float)
+        if np.any(R < self.r0):
+            raise BarrierError(f"rim radius below r0 = {self.r0}")
+        return self._time(R)[()]
 
     def R_of_t(self, t):
         """Rim radius at time t, a float or an array of times: Newton on
         time_of, whose derivative is V(R)/A(R) exactly, kept inside a
-        doubling bracket by bisection, for all the times at once."""
+        doubling bracket by bisection, for all the times at once.  A time
+        whose radius lies past the overflow of A or V raises BarrierError.
+        """
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise BarrierError("t must be nonnegative")
@@ -78,7 +91,7 @@ class SupersolutionFlow:
         lo = np.full(t.shape, float(self.r0))
         hi = 2.0 * lo
         t_lo = np.zeros(t.shape)
-        t_hi = self.time_of(hi)
+        t_hi = self._time(hi)
         while (t_hi < t).any():
             short = t_hi < t
             lo, t_lo = np.where(short, hi, lo), np.where(short, t_hi, t_lo)
@@ -87,25 +100,32 @@ class SupersolutionFlow:
                 raise BarrierError(
                     f"R(t) bracket expansion failed below 1e6*r0 for "
                     f"t={np.max(t)}")
-            t_hi = self.time_of(hi)
+            t_hi = self._time(hi)
         # start from the tangent at lo, which lies right of the root where
-        # time_of is convex (H' > 0); t = 0 is solved by r0 exactly
+        # time_of is convex (H' > 0); t = 0 is solved by r0 exactly.  A/V
+        # is nan past the overflow of A or V, where the step falls back to
+        # bisection
         done = t == 0.0
-        R = np.where(done, lo, np.minimum(
-            hi, lo + (t - t_lo) * model.A(lo) / model.V(lo)))
-        for _ in range(_NEWTON_STEPS):
-            gap = self.time_of(R) - t
-            lo = np.where(gap < 0.0, R, lo)
-            hi = np.where(gap > 0.0, R, hi)
-            step = gap * model.A(R) / model.V(R)
-            last = ~done & (np.abs(step) <= _NEWTON_STOP * R)
-            R_next = R - step
-            R = np.where(done, R, np.where(
-                last | ((lo < R_next) & (R_next < hi)), R_next,
-                0.5 * (lo + hi)))
-            done |= last
-            if done.all():
-                return float(R) if R.ndim == 0 else R
+        with np.errstate(over="ignore", invalid="ignore"):
+            R = np.where(done, lo, np.fmin(
+                hi, lo + (t - t_lo) * model.A(lo) / model.V(lo)))
+            for _ in range(_NEWTON_STEPS):
+                gap = self._time(R) - t
+                lo = np.where(gap < 0.0, R, lo)
+                hi = np.where(gap > 0.0, R, hi)
+                step = gap * model.A(R) / model.V(R)
+                last = ~done & (np.abs(step) <= _NEWTON_STOP * R)
+                R_next = R - step
+                R = np.where(done, R, np.where(
+                    last | ((lo < R_next) & (R_next < hi)), R_next,
+                    0.5 * (lo + hi)))
+                done |= last
+                if done.all():
+                    return float(R) if R.ndim == 0 else R
+            past = not np.isfinite(model.A(R) / model.V(R)).all()
+        if past:
+            raise BarrierError(f"R(t) lies past the rim radius where A or V "
+                               f"overflows for t={np.max(t)}")
         raise BarrierError(f"R(t) did not converge for t={t}")
 
 
@@ -162,7 +182,8 @@ def height_bounds(model: ModelGeometry, r0: float, T: float,
     increasing array of radii (one sample_vR pass over all of them); radii
     outside [0, r0] raise CmcError in both forms, on every call.  The pair
     shares one height v_{r0}(r) per distinct float radius, one eval_vR
-    call kept for the pair's lifetime, so lower(r) then upper(r) costs one.
+    call kept for the pair's lifetime, so lower(r) then upper(r) costs one:
+    a closed form on the built-in model pairs, a quadrature on the others.
     """
     if T <= 0:
         raise BarrierError("T must be positive")

@@ -10,9 +10,17 @@ which resolves to
 
     v'(r) = n H(R) V(r) / (rho(r) sqrt(A(r)^2 - n^2 H(R)^2 V(r)^2)).
 
-The height itself is the integral of -v' from r to R.  The integrand has an
+The height itself is the integral of -v' from r to R.  On the built-in
+model pairs it has a closed form, whatever n: the hemisphere
+sqrt(R^2 - r^2)/c for xi = r and rho = c, and
+
+    v_R(r) = ln[(cosh kR + sqrt(sinh k(R - r) sinh k(R + r))) / cosh kr] / k
+
+for xi = sinh(kr)/k and rho = cosh(kr).  Every height goes through one
+function, _rim_heights, which returns the closed form where the model has
+one.  Otherwise it integrates the slopes: the integrand has an
 inverse-square-root singularity at the outer rim (the profile meets the rim
-vertically), removed here by the substitution s = R - tau^2.
+vertically), removed by the substitution s = R - tau^2.
 """
 
 from __future__ import annotations
@@ -107,6 +115,22 @@ def _rim_heights(model: ModelGeometry, R: float, radii: np.ndarray,
                  tol: float) -> np.ndarray:
     """Heights v_R at rim-inward radii (decreasing, in [0, R)).
 
+    Exact on the built-in model pairs, whose heights have a closed form
+    (geometry's closed-form block); tol binds only the quadrature of
+    _rim_quadrature, which every other model takes.  Either way a rim past
+    the overflow of A or V raises CmcError first.
+    """
+    _check_rim(model, R)
+    if model._cmc_height_closed is not None:
+        return model._cmc_height_closed(R, radii)
+    return _rim_quadrature(model, R, radii, tol)
+
+
+def _rim_quadrature(model: ModelGeometry, R: float, radii: np.ndarray,
+                    tol: float) -> np.ndarray:
+    """Heights v_R at rim-inward radii by quadrature of the slopes, on a rim
+    radius that _check_rim admits.
+
     v_R(r) is the integral of -v' over [r, R].  Substituting s = R - tau^2
     maps [r, R] to [0, sqrt(R - r)] and cancels the (R - s)^{-1/2} blowup of
     the slope.  So one Gauss-Kronrod call in tau, with one interval per gap
@@ -123,7 +147,6 @@ def _rim_heights(model: ModelGeometry, R: float, radii: np.ndarray,
     noise-floor error instead of subdivision chasing noise.  Where that
     noise defeats the quadrature, it raises the precision CmcError.
     """
-    _check_rim(model, R)
     floor = 0.0 if model.exact_q_drop else 1e-14 * abs(model.A_prime(R))
     too_large = CmcError(
         f"rim radius R={R:g} too large for this model in double "
@@ -162,9 +185,9 @@ def sample_vR(model: ModelGeometry, R: float, r_grid: np.ndarray,
               tol: float | None = None) -> np.ndarray:
     """Heights v_R at every node of an increasing radius grid.
 
-    One rim-inward accumulation shared by all nodes, the same one behind
-    eval_vR and solve_vR, so this costs about as much as a single eval_vR
-    call instead of one per node.  Nodes at or beyond R get height 0.
+    One _rim_heights call for all nodes, the same one behind eval_vR and
+    solve_vR, so this costs about as much as a single eval_vR call instead
+    of one per node.  Nodes at or beyond R get height 0.
     """
     if R <= 0:
         raise CmcError("R must be positive")

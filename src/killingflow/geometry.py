@@ -283,12 +283,15 @@ class ModelGeometry:
                                       breaks=self.breaks)
         self._zeta = _CumulativeIntegral(self.xi.value, self.quad_tol,
                                          breaks=self.breaks)
-        # closed-form antiderivatives for the built-in profile pairs; the
-        # quadrature path stays as the general fallback (and as the oracle
-        # the closed forms are tested against)
+        # closed forms for the built-in profile pairs: the antiderivatives
+        # V and zeta, q_drop, H', the radial CMC height v_R(r) (cmc) and
+        # the antiderivative of V/A (the supersolution's rim time,
+        # barriers).  The quadrature paths stay as the general fallback
+        # (and as the oracle the closed forms are tested against)
         n = self.n
         self._V_closed = self._zeta_closed = self._q_drop_closed = None
         self._minus_q_prime_closed = None
+        self._cmc_height_closed = self._time_closed = None
         if self.xi.kind == "euclidean":
             self._zeta_closed = lambda r: 0.5 * r * r
             if self.rho.kind == "constant":
@@ -297,6 +300,11 @@ class ModelGeometry:
                 # q = A/V = n/r
                 self._q_drop_closed = lambda s, R: n * (R - s) / (s * R)
                 self._minus_q_prime_closed = lambda r: n / (r * r)
+                # v' = -r / (c sqrt(R^2 - r^2)): a hemisphere scaled by 1/c
+                self._cmc_height_closed = \
+                    lambda R, r: np.sqrt((R - r) * (R + r)) / c
+                # V/A = r/n
+                self._time_closed = lambda r: r * r / (2 * n)
         elif self.xi.kind == "hyperbolic":
             k = self.xi.kappa
             self._zeta_closed = lambda r: (np.cosh(k * r) - 1.0) / (k * k)
@@ -311,6 +319,24 @@ class ModelGeometry:
                 # A^2 - A'V cancels to 0.0 once coth(kr) rounds to 1
                 self._minus_q_prime_closed = \
                     lambda r: n * k * k / np.sinh(k * r) ** 2
+
+                def cmc_height(R, r):
+                    # v' = -cosh(a) sinh(b) / (cosh(b) sqrt(sinh^2 a -
+                    # sinh^2 b)) for a = kR, b = kr, whatever n, so v is
+                    # ln[(cosh a + sqrt(sinh(a - b) sinh(a + b))) / cosh b]
+                    # / k; written as (a - b) + log1p(x) with only decaying
+                    # exponentials, it cannot overflow and is 0.0 at b = a
+                    a, b = k * R, k * r
+                    m = np.expm1(-2.0 * (a - b))
+                    e = np.exp(-2.0 * b)
+                    root = np.sqrt(m * np.expm1(-2.0 * (a + b)))
+                    return ((a - b) + np.log1p((root + e * m) / (1.0 + e))) / k
+
+                self._cmc_height_closed = cmc_height
+                # V/A = tanh(kr)/(nk); ln cosh x = x + log1p(expm1(-2x)/2)
+                self._time_closed = lambda r: (
+                    k * r + np.log1p(0.5 * np.expm1(-2.0 * k * r))
+                ) / (n * k * k)
 
     @property
     def breaks(self) -> tuple[float, ...]:

@@ -1,13 +1,15 @@
 """Adaptive Gauss-Kronrod 7-15 quadrature on arrays of panels.
 
-One rule serves every integral in the package: QUADPACK's QAG strategy
-(Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner, 1983) run on numpy
-arrays.  Each pass evaluates the integrand once, vectorised, on the 15
-Kronrod nodes of every open panel.  A panel is accepted when |K - G|, the
-difference of its Kronrod and Gauss sums, is within its width-budgeted
-share of its interval's tolerance; every other panel is bisected.  Many
-intervals are integrated at once, each with its own tolerance, so a
-cumulative integral over a sorted node list is one call.
+One rule serves every integral in the package that the model has no
+closed form for (geometry's closed-form block covers the built-in pairs):
+QUADPACK's QAG strategy (Piessens, de Doncker-Kapenga, Ueberhuber &
+Kahaner, 1983) run on numpy arrays.  Each pass evaluates the integrand
+once, vectorised, on the 15 Kronrod nodes of every open panel.  A panel is
+accepted when |K - G|, the difference of its Kronrod and Gauss sums, is
+within its width-budgeted share of its interval's tolerance; every other
+panel is bisected.  Many intervals are integrated at once, each with its
+own tolerance, so a cumulative integral over a sorted node list is one
+call.
 
 All geometric integrals here have smooth integrands (the one genuinely
 singular integral, the radial CMC profile, is regularized by substitution

@@ -53,12 +53,45 @@ def test_mu_newton_matches_closed_forms(request, name):
         assert abs(mu_of_t(model, 1.0, float(t[k])) - exact[k]) <= 1e-12
 
 
-def test_supersolution_flow_guards(euclid2):
+def test_supersolution_flow_guards(euclid2, sinh2):
     with pytest.raises(BarrierError):
         SupersolutionFlow(euclid2, -1.0)
-    fl = SupersolutionFlow(euclid2, 1.0)
-    with pytest.raises(BarrierError):
-        fl.R_of_t(-0.5)
+    for model in (euclid2, sinh2):      # the closed and the quadrature time
+        fl = SupersolutionFlow(model, 1.0)
+        with pytest.raises(BarrierError):
+            fl.R_of_t(-0.5)
+        for R in (0.5, np.array([1.0, 0.5])):
+            with pytest.raises(BarrierError, match="below r0"):
+                fl.time_of(R)
+
+
+@pytest.mark.parametrize("r0", [0.5, 1.0, 2.0])
+def test_mu_newton_on_the_quadrature_time(sinh2, r0):
+    # xi = sinh r, rho = 1, n = 2 has no closed rim time, so Newton runs on
+    # the cumulative Gauss-Kronrod integral of V/A = tanh(r/2): the time is
+    # 2 ln(cosh(R/2) / cosh(r0/2)), and R(t) = 2 acosh(cosh(r0/2) e^{t/2})
+    assert sinh2._time_closed is None
+    t = np.concatenate(([0.0, 1e-6], np.linspace(0.01, 3.0, 40)))
+    exact = 2.0 * np.arccosh(math.cosh(0.5 * r0) * np.exp(0.5 * t))
+    fl = SupersolutionFlow(sinh2, r0)
+    np.testing.assert_allclose(fl.R_of_t(t), exact, rtol=0, atol=1e-12)
+    for k in (1, 17, 41):
+        assert abs(fl.R_of_t(float(t[k])) - exact[k]) <= 1e-12
+
+
+@pytest.mark.parametrize("name,R_top", [("hyp2", 355.0), ("hyp3", 236.0)])
+def test_rim_time_where_cosh_overflows(request, name, R_top):
+    # the closed rim time ln cosh(R) / n grows like R / n with no overflow;
+    # R(t) comes back below the overflow of A (R_top) and raises
+    # BarrierError past it, where no height could be evaluated either
+    fl = SupersolutionFlow(request.getfixturevalue(name), 1.0)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        t = fl.time_of(np.array([R_top, 720.0, 1e5]))
+    assert np.all(np.isfinite(t)) and np.all(np.diff(t) > 0.0)
+    assert fl.R_of_t(float(t[0])) == pytest.approx(R_top, rel=1e-13)
+    for late in (float(t[1]), float(t[2]), t):
+        with pytest.raises(BarrierError, match="overflows"):
+            fl.R_of_t(late)
 
 
 def test_u_plus_monotone_in_time(euclid2):
@@ -107,10 +140,11 @@ def test_height_bounds_symmetry_and_zero(euclid2):
         height_bounds(euclid2, 1.0, -1.0, 0.25)
 
 
-@pytest.mark.parametrize("model_name", ["euclid2", "hyp2"])
+@pytest.mark.parametrize("model_name", ["euclid2", "hyp2", "sinh2"])
 def test_height_bound_pair_evaluates_each_radius_once(request, monkeypatch,
                                                       model_name):
     # lower(r) = -upper(r) shares upper's one eval_vR per distinct radius
+    # (a quadrature on sinh2, a closed form on the built-in pairs)
     model = request.getfixturevalue(model_name)
     T = 0.3
     lower, upper = height_bounds(model, 1.0, T, 0.25)

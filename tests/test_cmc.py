@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from killingflow import cmc
 from killingflow.cmc import (CmcError, CmcProfile, eval_vR, eval_vR_prime,
                              integrate_profile_ode, residual_cmc, sample_vR,
                              solve_vR)
-from killingflow.geometry import (constant_profile, hyperbolic_profile,
+from killingflow.geometry import (constant_profile, euclidean_model,
+                                  hyperbolic_model, hyperbolic_profile,
                                   make_model)
 
 # heights of the hyperbolic profile with rim radius 1, frozen from an
@@ -253,3 +255,66 @@ def test_noise_floor_height_matches_frozen_value(hyp2):
     assert v == pytest.approx(12.761939980986222,
                               abs=_height_allowance(hyp2, R, 0.0))
     assert v == pytest.approx(R, abs=_height_allowance(hyp2, R, 0.0))
+
+
+def _textbook_height(name, R, r):
+    # the hemisphere in R^{n+1}; ln[(cosh R + sqrt(sinh(R - r) sinh(R + r)))
+    # / cosh r] in the hyperbolic pair with kappa = 1, for every n
+    if name.startswith("euclid"):
+        return math.sqrt((R - r) * (R + r))
+    return math.log((math.cosh(R) + math.sqrt(math.sinh(R - r)
+                                              * math.sinh(R + r)))
+                    / math.cosh(r))
+
+
+@pytest.mark.parametrize("name,R", [
+    (name, R) for name in ("euclid2", "euclid3", "hyp2", "hyp3")
+    for R in (0.5, 1.0, 2.0, 8.76)] + [("hyp2", 16.07), ("hyp2", 30.31)])
+def test_rim_quadrature_meets_the_closed_form(request, name, R):
+    # the built-in pairs take the closed-form heights, every other model
+    # the quadrature; on the built-in pairs the quadrature must reproduce
+    # them, and they the textbook formula
+    model = request.getfixturevalue(name)
+    radii = np.array([R - 1e-6, 0.9 * R, 0.5 * R, 0.0])      # rim inward
+    closed = cmc._rim_heights(model, R, radii, model.quad_tol)
+    quad = cmc._rim_quadrature(model, R, radii, model.quad_tol)
+    for r, v, q in zip(radii, closed, quad):
+        assert q == pytest.approx(v, abs=_height_allowance(model, R, r))
+        assert v == pytest.approx(_textbook_height(name, R, float(r)),
+                                  rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("model,R", [
+    (euclidean_model(2), 1e3), (euclidean_model(3), 1e3),
+    (hyperbolic_model(2), 1.0), (hyperbolic_model(2), 355.0),
+    (hyperbolic_model(3), 236.0), (hyperbolic_model(2, kappa=0.5), 700.0)],
+    ids=["euclid2", "euclid3", "hyp2-1", "hyp2-355", "hyp3-236",
+         "hyp2-kappa0.5-700"])
+def test_closed_form_heights_at_the_extremes(model, R):
+    # from the rim itself, through radii clustered at it, to the pole, up
+    # to where A is about to overflow: no floating-point exception, 0.0 at
+    # the rim, v(0) = R (kappa R / kappa for the hyperbolic pair), and
+    # heights strictly increasing inward
+    radii = np.unique(np.concatenate((
+        R * (1.0 - np.geomspace(1e-12, 1.0, 300)),
+        np.linspace(0.0, R, 101))))[::-1]
+    assert radii[0] == R and radii[-1] == 0.0
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        v = cmc._rim_heights(model, R, radii, model.quad_tol)
+    assert v[0] == 0.0
+    assert v[-1] == pytest.approx(R, rel=1e-13)
+    assert np.all(np.diff(v) > 0.0)
+
+
+@pytest.mark.parametrize("name,R", [("euclid2", 1e155), ("hyp2", 356.0),
+                                    ("hyp2", 720.0), ("hyp3", 238.0),
+                                    ("hyp3", 1e4)])
+def test_rim_past_the_overflow_of_A_raises_cmc_error(request, name, R):
+    # never OverflowError or a floating-point warning: the rim check runs
+    # before any height, closed or not
+    model = request.getfixturevalue(name)
+    for height in (lambda: eval_vR(model, R, 0.0),
+                   lambda: sample_vR(model, R, np.array([0.0, 0.5 * R])),
+                   lambda: solve_vR(model, R, 16)):
+        with pytest.raises(CmcError, match="overflows"):
+            height()
