@@ -78,11 +78,20 @@ class SupersolutionFlow:
             raise BarrierError(f"rim radius below r0 = {self.r0}")
         return self._time(R)[()]
 
+    def _overflows(self, R) -> bool:
+        """Whether A or V is not finite at some radius of R."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return not (np.isfinite(self.model.A(R)).all()
+                        and np.isfinite(self.model.V(R)).all())
+
     def R_of_t(self, t):
         """Rim radius at time t, a float or an array of times: Newton on
         time_of, whose derivative is V(R)/A(R) exactly, kept inside a
         doubling bracket by bisection, for all the times at once.  A time
         whose radius lies past the overflow of A or V raises BarrierError.
+        So does, on a model without the closed time, a time whose bracket
+        doubles past that overflow, where the integral of V/A cannot be
+        evaluated.
         """
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
@@ -91,16 +100,21 @@ class SupersolutionFlow:
         lo = np.full(t.shape, float(self.r0))
         hi = 2.0 * lo
         t_lo = np.zeros(t.shape)
-        t_hi = self._time(hi)
-        while (t_hi < t).any():
+        while True:
+            if model._time_closed is None and self._overflows(hi):
+                raise BarrierError(
+                    f"R(t) bracket reaches r = {np.max(hi):.6g}, past the "
+                    f"rim radius where A or V overflows, for t={np.max(t)}")
+            t_hi = self._time(hi)
             short = t_hi < t
+            if not short.any():
+                break
             lo, t_lo = np.where(short, hi, lo), np.where(short, t_hi, t_lo)
             hi = np.where(short, 2.0 * hi, hi)
             if np.max(hi) > 1e6 * self.r0:
                 raise BarrierError(
                     f"R(t) bracket expansion failed below 1e6*r0 for "
                     f"t={np.max(t)}")
-            t_hi = self._time(hi)
         # start from the tangent at lo, which lies right of the root where
         # time_of is convex (H' > 0); t = 0 is solved by r0 exactly.  A/V
         # is nan past the overflow of A or V, where the step falls back to

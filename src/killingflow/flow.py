@@ -55,9 +55,12 @@ returns (``solve_ball``; every other public entry point per call), so
 that only the running grid's fields take memory.  They write each result
 in place into arrays of the call's own, read theta neighbours along the
 flattened rows (``_theta_op``) rather than from shifted copies, and
-write to no array they are given.  Radial fields (ntheta = 1) may live
-in any base dimension n = model.n; the 2-D grid represents n = 2 only,
-which ``_grid_factors`` checks.
+write to no array they are given.  The radial operator and step do the
+same on the cells: face slopes and fluxes go into one zero-padded array
+each, and the band and the new field are filled in place, in the fewest
+numpy calls.  Radial fields (ntheta = 1) may live in any base dimension
+n = model.n; the 2-D grid represents n = 2 only, which ``_grid_factors``
+checks.
 
 The diagnostics follow one rule on both grids.  ``_slopes`` takes u_r and
 u_theta / xi by three-point differences on rows 1..nr-1 (``_Steps``: one
@@ -365,8 +368,8 @@ def _cells(n: int, xi: ProfileSpec, rho: ProfileSpec, r) -> _Cells:
     lo = np.concatenate(([r[0]], mid[:-1]))
     x, wq = _GAUSS
     s = 0.5 * (lo + mid)[:, None] + 0.5 * (mid - lo)[:, None] * x
-    rho_r = rho.value(r)
     with np.errstate(over="ignore", invalid="ignore"):
+        rho_r = rho.value(r)
         face = factors(xi, rho, mid)
         cond = face.rho * face.xi ** (n - 1) / dr
         dV = 0.5 * (mid - lo) * (rho.value(s) * xi.value(s) ** (n - 1) @ wq)
@@ -591,14 +594,27 @@ class _Polar(NamedTuple):
 
 
 def _radial_weights(c: _Cells, u: np.ndarray) -> _Radial:
-    """The radial operator on the finite volumes c.  At the pole the slope
-    is zero and P = 1/rho; the Dirichlet node has infinite measure, so its
-    row of weights is zero."""
-    s = np.diff(u) / c.dr
-    g = c.cond / np.sqrt(c.inv_rho2_f + s * s)
-    s = np.concatenate(([0.0], s, [0.0]))                  # 0 past the ends
-    return _Radial(g, c.dV / np.sqrt(c.inv_rho2
-                                     + np.maximum(s[:-1] * s[1:], 0.0)))
+    """The radial operator on the finite volumes c at the 1-d field u:
+
+        g_f = cond_f / sqrt(rho_f^-2 + s_f^2),
+        m_j = dV_j / sqrt(rho_j^-2 + max(s_{j-1} s_j, 0)),
+
+    s_f = (u_{f+1} - u_f) / dr_f the face slopes, 0 past the ends.  At the
+    pole the slope is zero and P = 1/rho; the Dirichlet node has infinite
+    measure, so its row of weights is zero.  The slopes are written into
+    one zero-padded array and every other result in place into the two
+    arrays it returns."""
+    s = np.zeros(u.size + 1)                # the face slopes, 0 past the ends
+    f = np.subtract(u[1:], u[:-1], out=s[1:-1])
+    f /= c.dr
+    g = f * f
+    g += c.inv_rho2_f
+    g = np.divide(c.cond, np.sqrt(g, out=g), out=g)
+    m = s[:-1] * s[1:]
+    m = np.maximum(m, 0.0, out=m)
+    m += c.inv_rho2
+    m = np.divide(c.dV, np.sqrt(m, out=m), out=m)
+    return _Radial(g, m)
 
 
 def _polar_weights(fd: _Fields, u: np.ndarray) -> _Polar:
@@ -664,8 +680,13 @@ def _apply(w: _Radial | _Polar, u: np.ndarray) -> np.ndarray:
     """sum_k w_jk (u_k - u_j) for a stencil w of _weights, in u's shape:
     the net flux into each cell over its measure."""
     if isinstance(w, _Radial):
-        flux = np.concatenate(([0.0], w.g * np.diff(u.reshape(-1)), [0.0]))
-        return (np.diff(flux) / w.m).reshape(u.shape)
+        v = u.reshape(-1)
+        flux = np.zeros(v.size + 1)         # the face fluxes, 0 past the ends
+        f = np.subtract(v[1:], v[:-1], out=flux[1:-1])
+        f *= w.g
+        Q = flux[1:] - flux[:-1]
+        Q /= w.m
+        return Q.reshape(u.shape)
     f_r = w.g_r * (u[1:] - u[:-1])
     f_t = _theta_op(np.subtract, u[1:-1], 1, u[1:-1], 0,
                     np.empty(w.g_t.shape))
@@ -896,18 +917,28 @@ def _conjugate_gradients(d: np.ndarray, d0: float, g_r: np.ndarray,
 
 def _radial_implicit(fd: _Fields, v: np.ndarray, dt: float,
                      phi0: float) -> np.ndarray:
-    """One lagged-coefficient step of a radial field: (I - dt L(v)) v_new = v
-    with the Dirichlet value phi0 at r = R, each row scaled by its measure
-    into the symmetric tridiagonal diag(m) - dt C."""
-    g, m = _weights(fd, v)
-    g = dt * g
-    band = np.zeros((v.size - 1, 2))
-    band[:, 0] = m[:-1] + g
-    band[1:, 0] += g[:-1]
-    band[:-1, 1] = -g[:-1]
-    rhs = m[:-1] * v[:-1]
+    """One lagged-coefficient step of a 1-d radial field: (I - dt L(v)) v_new
+    = v with the Dirichlet value phi0 at r = R, each row scaled by its
+    measure into the symmetric tridiagonal S = diag(m) - dt C.  Its lower
+    band holds (m_j + g_j) + g_{j-1} and -g_j, g = dt times the
+    conductances, and the right-hand side m_j v_j, plus g phi0 in the last
+    row.  The conductances are scaled in place; the band and the new
+    field, whose rows below the rim hold the right-hand side that dpbsv
+    solves in place, are the step's only other arrays."""
+    g, m = _radial_weights(fd.gf.cells, v)
+    g *= dt
+    band = np.empty((g.size, 2))
+    d = np.add(m[:-1], g, out=band[:, 0])
+    d[1:] += g[:-1]
+    # -g as g times -1.0, as in _polar_implicit's band
+    np.multiply(g[:-1], -1.0, out=band[:-1, 1])
+    band[-1, 1] = 0.0
+    v_new = np.empty(v.size)
+    rhs = np.multiply(m[:-1], v[:-1], out=v_new[:-1])
     rhs[-1] += g[-1] * phi0
-    return np.append(_band_solve(band, rhs), phi0)
+    v_new[-1] = phi0
+    rhs[:] = _band_solve(band, rhs)         # dpbsv solves in place: rhs
+    return v_new
 
 
 def _polar_implicit(fd: _Fields, u: np.ndarray, dt: float,
@@ -997,9 +1028,10 @@ def _advance(fd: _Fields, u: np.ndarray, control: StepControl, dt: float,
 
 
 def _sup_norm(u: np.ndarray) -> float:
-    """max|u| of a field a step made; raises FlowError if u is not
-    finite, which a nan or an inf in u makes the maximum."""
-    sup = float(np.max(np.abs(u)))
+    """max|u| of a field a step made, as max(max u, -min u), which equals
+    it without an |u| array; raises FlowError if u is not finite, which a
+    nan in u makes both extremes and an inf one of them."""
+    sup = max(float(u.max()), -float(u.min()))
     if not sup < math.inf:
         raise FlowError("non-finite field after step (linear solve failed?)")
     return sup

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,23 @@ def test_rim_time_where_cosh_overflows(request, name, R_top):
     for late in (float(t[1]), float(t[2]), t):
         with pytest.raises(BarrierError, match="overflows"):
             fl.R_of_t(late)
+
+
+def test_quadrature_rim_time_past_the_overflow_of_A(sinh2):
+    # xi = sinh r, rho = 1 has no closed rim time: the bracket for t = 700
+    # (and for t = 720, whose radius lies past the overflow) doubles to
+    # r = 1024, past r = 710.5 where sinh overflows and the integral of
+    # V/A cannot be taken.  It stops there with BarrierError, as the
+    # closed time does past the overflow, and no RuntimeWarning
+    fl = SupersolutionFlow(sinh2, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (700.0, 720.0, np.array([1.0, 700.0])):
+            with pytest.raises(BarrierError, match="overflows"):
+                fl.R_of_t(t)
+        # a bracket that stays below the overflow still solves
+        assert fl.R_of_t(300.0) == pytest.approx(
+            2.0 * math.acosh(math.cosh(0.5) * math.exp(150.0)), rel=1e-14)
 
 
 def test_u_plus_monotone_in_time(euclid2):

@@ -1,13 +1,15 @@
-"""The 2-D step and diagnostics against reference formulas.
+"""The 2-D and radial steps and the diagnostics against reference formulas.
 
 The references below are the plain numpy forms of the weights, the band
 fill, the slopes and the curvatures: (rows, 1) factor columns broadcast
 along theta, theta neighbours made by concatenation, every expression
-written out whole.  The solver computes the same IEEE operations in the
-same order on contiguous per-grid fields and in place, so every array
-must match them bit for bit.  The second half checks what in-place
-arithmetic could break: no input is written to, and nothing a caller
-gets back shares memory with another run's arrays.
+written out whole; on the radial grid, slopes by np.diff, zero ends by
+np.concatenate, a np.zeros band and the Dirichlet value by np.append.
+The solver computes the same IEEE operations in the same order on
+contiguous per-grid fields and in place, so every array must match them
+bit for bit.  The last part checks what in-place arithmetic could break:
+no input is written to, and nothing a caller gets back shares memory
+with another run's arrays.
 """
 
 from __future__ import annotations
@@ -181,6 +183,164 @@ def test_diagnose_is_bit_identical(model, grid, S):
     U = np.stack([_state(grid, 10 + k) for k in range(S)])
     for a, b in zip(flow._diagnose(fd, U), _ref_diagnose(fd.gf, grid, U)):
         assert np.array_equal(a, b)
+
+
+# -- the radial grid -------------------------------------------------------------
+
+
+def _ref_radial_weights(c, u):
+    """(g, m) of the radial operator at the 1-d field u."""
+    s = np.diff(u) / c.dr
+    g = c.cond / np.sqrt(c.inv_rho2_f + s * s)
+    s = np.concatenate(([0.0], s, [0.0]))
+    return g, c.dV / np.sqrt(c.inv_rho2 + np.maximum(s[:-1] * s[1:], 0.0))
+
+
+def _ref_radial_apply(g, m, u):
+    flux = np.concatenate(([0.0], g * np.diff(u), [0.0]))
+    return np.diff(flux) / m
+
+
+def _ref_radial_system(c, v, dt, phi0):
+    """(band, rhs) of the scaled tridiagonal system S."""
+    g, m = _ref_radial_weights(c, v)
+    g = dt * g
+    band = np.zeros((v.size - 1, 2))
+    band[:, 0] = m[:-1] + g
+    band[1:, 0] += g[:-1]
+    band[:-1, 1] = -g[:-1]
+    rhs = m[:-1] * v[:-1]
+    rhs[-1] += g[-1] * phi0
+    return band, rhs
+
+
+def _ref_radial_step(c, v, dt, phi0):
+    return np.append(flow._band_solve(*_ref_radial_system(c, v, dt, phi0)),
+                     phi0)
+
+
+def _graded_radial(R, nr):
+    """A radial grid whose gaps grow by 5% from the pole out to R."""
+    r = np.concatenate(([0.0], np.cumsum(1.05 ** np.arange(nr))))
+    nodes = r * (R / r[-1])
+    nodes[-1] = R
+    return Grid(R=R, nr=nr, ntheta=1, nodes=tuple(nodes))
+
+
+RADIAL_GRIDS = {"8": Grid(R=1.0, nr=8, ntheta=1),
+                "9": Grid(R=1.0, nr=9, ntheta=1),
+                "128": Grid(R=1.0, nr=128, ntheta=1),
+                "graded40": _graded_radial(1.5, 40)}
+
+
+@pytest.fixture(params=list(RADIAL_GRIDS))
+def radial_grid(request):
+    return RADIAL_GRIDS[request.param]
+
+
+@pytest.fixture(params=["euclid2", "euclid3", "hyp2"])
+def radial_model(request):
+    return request.getfixturevalue(request.param)
+
+
+def _radial_u0(R):
+    """Radial data that rises and falls, so that adjacent face slopes have
+    both signs, and is 0.1 at the rim."""
+    return lambda r, th: (0.1 + (1.0 - (r / R) ** 2)
+                          * (0.3 + 0.05 * np.sin(9.0 * r / R))
+                          * np.ones_like(th))
+
+
+def _radial_state(grid, seed):
+    rng = np.random.default_rng(seed)
+    u = _radial_u0(grid.R)(grid.r, 0.0) + 0.02 * rng.standard_normal(
+        grid.nr + 1)
+    u[-1] = 0.1
+    return u
+
+
+def test_radial_weights_are_bit_identical(radial_model, radial_grid):
+    fd = flow._Fields(radial_model, radial_grid)
+    u = _radial_state(radial_grid, 20)
+    ref = _ref_radial_weights(fd.gf.cells, u)
+    for got in (flow._radial_weights(fd.gf.cells, u),
+                flow._weights(fd, u[:, None])):
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+
+
+def test_radial_operator_is_bit_identical(radial_model, radial_grid):
+    fd = flow._Fields(radial_model, radial_grid)
+    u = _radial_state(radial_grid, 21)
+    ref = _ref_radial_apply(*_ref_radial_weights(fd.gf.cells, u), u)
+    w = flow._radial_weights(fd.gf.cells, u)
+    assert np.array_equal(flow._apply(w, u), ref)
+    Q = discretize_Q(radial_model, radial_grid, u[:, None])
+    assert Q.shape == (radial_grid.nr + 1, 1)
+    assert np.array_equal(Q[:, 0], ref)
+    if radial_grid.nodes is None:
+        assert np.array_equal(
+            flow.radial_Q(radial_model, radial_grid.r, u), ref)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1.0])
+def test_radial_band_rhs_and_new_field_are_bit_identical(
+        radial_model, radial_grid, dt, monkeypatch):
+    fd = flow._Fields(radial_model, radial_grid)
+    u = _radial_state(radial_grid, 22)
+    seen = []
+    solve = flow._band_solve
+
+    def capture(band, rhs):
+        seen.append((band.copy(), rhs.copy()))
+        return solve(band, rhs)
+
+    monkeypatch.setattr(flow, "_band_solve", capture)
+    v_new = flow._radial_implicit(fd, u, dt, 0.1)
+    (band, rhs), = seen
+    ref_band, ref_rhs = _ref_radial_system(fd.gf.cells, u, dt, 0.1)
+    assert np.array_equal(band, ref_band)
+    assert np.array_equal(rhs, ref_rhs)
+    monkeypatch.setattr(flow, "_band_solve", solve)
+    assert np.array_equal(v_new,
+                          _ref_radial_step(fd.gf.cells, u, dt, 0.1))
+
+
+@pytest.mark.parametrize("scheme", ["semi-implicit", "explicit-euler"])
+def test_radial_solve_is_bit_identical(radial_model, radial_grid, scheme):
+    # every state of a run against the reference steps, diagnosed by one
+    # _diagnose of the whole reference stack
+    grid = radial_grid
+    h = float(np.min(np.diff(grid.r)))
+    dt = 2e-3 if scheme == "semi-implicit" else 0.05 * h * h
+    n_steps = 12
+    p = BallProblem(model=radial_model, R=grid.R, phi=lambda th: 0.1 + 0 * th,
+                    u0=_radial_u0(grid.R), T=n_steps * dt)
+    control = StepControl(scheme=scheme, dt_max=dt)
+    tr = (solve_ball(p, grid, control, snapshot_every=1)
+          if grid.nodes is not None
+          else flow.radial_solve(p, grid.nr, control, snapshot_every=1))
+    fd = flow._Fields(radial_model, grid)
+    c = fd.gf.cells
+    n_steps = tr.times.size - 1         # 12, or 13 where T / dt rounds up
+    dt = p.T / n_steps
+    us = [p.sample(grid)[0][:, 0]]
+    for _ in range(n_steps):
+        v = us[-1]
+        if scheme == "semi-implicit":
+            v_new = _ref_radial_step(c, v, dt, 0.1)
+        else:
+            v_new = v + dt * _ref_radial_apply(*_ref_radial_weights(c, v), v)
+            v_new[-1] = 0.1
+        us.append(v_new)
+    W, max_grad, max_A = flow._diagnose(fd, np.stack(us)[:, :, None])
+    assert n_steps in (12, 13) and len(tr.states) == n_steps + 1
+    for k, s in enumerate(tr.states):
+        assert s.step_count == k
+        assert np.array_equal(s.u, us[k])
+        assert np.array_equal(s.W, W[k, :, 0])
+    assert np.array_equal(tr.max_grad, max_grad)
+    assert np.array_equal(tr.max_A, max_A)
 
 
 # -- aliasing -----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,18 @@ def test_plain_radial_extension_rejected_at_pole(euclid2):
     with pytest.raises(ExhaustionError, match="single-valued at the pole"):
         exhaustion._solve_rung(plan, plan.ladder[0], _phi,
                                lambda r, theta: _phi(theta) + 0.0 * r)
+
+
+def test_rung_past_the_overflow_of_cosh_raises_only_exhaustion_error(hyp2):
+    # the first two rungs solve; the R = 800 rung's cells overflow, and its
+    # FlowError comes back named by the rung, with no RuntimeWarning first
+    plan = ExhaustionPlan(model=hyp2, r0=1.0, ladder=(2, 4, 800),
+                          T0=0.5 * hyp2.zeta(1.0), tol=1e-12, n_time_steps=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ExhaustionError,
+                           match="rung R=800 failed: .* overflows at r ="):
+            run_exhaustion(plan, _phi)
 
 
 def _lattice_d_k(plan, phi, k_max):

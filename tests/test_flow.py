@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -153,8 +154,8 @@ def test_lazy_module_attributes():
 
 def test_names_the_benchmark_reads_exist():
     # bench/spans.py patches these module attributes (Tracer.install) and
-    # bench/workloads.py calls these names; no Tier-1 test runs the
-    # benchmark, so a deleted name would break only it
+    # bench/workloads.py calls these names; tests/test_bench.py runs every
+    # op once, and this names a deleted one directly
     from killingflow import (barriers, cli, cmc, config, exhaustion,
                              geometry)
     read = {
@@ -201,6 +202,18 @@ def test_radial_Q_on_cmc_profile_is_WnH(euclid2, hyp2):
         nH = model.n * model.H(1.0)
         # analytic slopes would be exact; sampled u brings in O(h^2)
         assert float(np.max(np.abs(q - W * nH)[3:-3])) < 2e-3
+
+
+@pytest.mark.parametrize("ntheta", [1, 8])
+def test_grid_past_the_overflow_of_cosh_raises_only_flow_error(hyp2, ntheta):
+    # rho = cosh r overflows at r = 710: the cells evaluate every profile
+    # with overflow ignored and name the first radius past it, so no
+    # RuntimeWarning comes before the FlowError
+    grid = Grid(R=800.0, nr=64, ntheta=ntheta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FlowError, match="overflows at r = 350"):
+            discretize_Q(hyp2, grid, np.zeros(grid.shape()))
 
 
 @pytest.mark.parametrize("model_name", ["euclid3", "hyp2"])
