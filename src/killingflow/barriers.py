@@ -33,6 +33,7 @@ import numpy as np
 from .cmc import CmcError, eval_vR, sample_vR
 from .geometry import ModelGeometry, R_MIN, _CumulativeIntegral, _ladder
 from .kernel import coefficients, factors
+from .quadrature import QuadratureError
 
 
 class BarrierError(ValueError):
@@ -79,19 +80,38 @@ class SupersolutionFlow:
         return self._time(R)[()]
 
     def _overflows(self, R) -> bool:
-        """Whether A or V is not finite at some radius of R."""
+        """Whether A or V is not finite at some radius of R.  A V by
+        quadrature is not finite once its integral of A reaches the
+        overflow of A."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return not (np.isfinite(self.model.A(R)).all()
-                        and np.isfinite(self.model.V(R)).all())
+            if not np.isfinite(self.model.A(R)).all():
+                return True
+            try:
+                V = self.model.V(R)
+            except QuadratureError:
+                return True
+            return not np.isfinite(V).all()
+
+    def _last_finite(self, a: float, b: float) -> float:
+        """The largest radius in [a, b) at which A and V are finite, to the
+        last bit, by bisection: they are finite at a and not at b."""
+        while True:
+            m = 0.5 * (a + b)
+            if not a < m < b:
+                return a
+            if self._overflows(m):
+                b = m
+            else:
+                a = m
 
     def R_of_t(self, t):
         """Rim radius at time t, a float or an array of times: Newton on
         time_of, whose derivative is V(R)/A(R) exactly, kept inside a
         doubling bracket by bisection, for all the times at once.  A time
         whose radius lies past the overflow of A or V raises BarrierError.
-        So does, on a model without the closed time, a time whose bracket
-        doubles past that overflow, where the integral of V/A cannot be
-        evaluated.
+        On a model without the closed time, where the integral of V/A
+        cannot be evaluated past that overflow, a bracket that doubles past
+        it stops at the last radius where A and V are finite.
         """
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
@@ -100,15 +120,24 @@ class SupersolutionFlow:
         lo = np.full(t.shape, float(self.r0))
         hi = 2.0 * lo
         t_lo = np.zeros(t.shape)
+        top = math.inf                  # the last finite radius, once met
         while True:
             if model._time_closed is None and self._overflows(hi):
-                raise BarrierError(
-                    f"R(t) bracket reaches r = {np.max(hi):.6g}, past the "
-                    f"rim radius where A or V overflows, for t={np.max(t)}")
+                if top == math.inf:
+                    if self._overflows(self.r0):
+                        raise BarrierError(f"A or V overflows at r0 = "
+                                           f"{self.r0}")
+                    top = self._last_finite(float(np.max(lo)),
+                                            float(np.max(hi)))
+                hi = np.fmin(hi, top)
             t_hi = self._time(hi)
             short = t_hi < t
             if not short.any():
                 break
+            if np.any(hi[short] == top):
+                raise BarrierError(
+                    f"R(t) lies past the rim radius r = {top:.6g} where A "
+                    f"or V overflows for t={np.max(t[short])}")
             lo, t_lo = np.where(short, hi, lo), np.where(short, t_hi, t_lo)
             hi = np.where(short, 2.0 * hi, hi)
             if np.max(hi) > 1e6 * self.r0:

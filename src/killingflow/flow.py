@@ -40,9 +40,11 @@ and the row measures m_j = dV_j / P_j (``_radial_weights``,
   min(u0, phi) <= u <= max(u0, phi).  From 48 columns on, the 2-D S is
   solved by conjugate gradients preconditioned with the theta mean of its
   diagonally scaled form, which an FFT in theta splits into one
-  tridiagonal solve per mode, until a bound of the error is <= 1e-14 of
-  the data's largest value; the result is clipped to that interval, where
-  the exact solution lies.
+  tridiagonal solve per mode (one complex solve of all modes, with no
+  transposed copy), until a bound of the error is <= 1e-14 of the data's
+  largest value; each iteration tests that bound before it preconditions,
+  so the preconditioner runs once per iteration.  The result is clipped
+  to that interval, where the exact solution lies.
 
 What depends only on n, the profiles and the grid is computed once and
 shared read-only: ``Grid.r``/``Grid.theta``, the node factors, the finite
@@ -104,7 +106,7 @@ from .kernel import Factors, factors
 def _load_lapack(*names: str) -> list[Callable]:
     """LAPACK routines from scipy's compiled wrapper
     ``scipy.linalg._flapack``: dpbsv for the banded step, and dpttrf and
-    dpttrs for the conjugate-gradient step's preconditioner.
+    zpttrs for the conjugate-gradient step's preconditioner.
 
     Every step solves a linear system, so the routines load with the
     module.  ``import scipy.linalg`` would also import about 90 modules
@@ -136,7 +138,7 @@ def _load_lapack(*names: str) -> list[Callable]:
     return [getattr(lapack, routine) for routine in names]
 
 
-dpbsv, dpttrf, dpttrs = _load_lapack("dpbsv", "dpttrf", "dpttrs")
+dpbsv, dpttrf, zpttrs = _load_lapack("dpbsv", "dpttrf", "zpttrs")
 
 
 def __getattr__(name: str):
@@ -151,6 +153,11 @@ def __getattr__(name: str):
 
 class FlowError(RuntimeError):
     pass
+
+
+class _DataError(FlowError):
+    """Boundary or initial data a grid cannot take (``BallProblem.sample``),
+    which the CLI reports as bad input rather than as a failed solve."""
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -259,12 +266,12 @@ class BallProblem:
     def _dirichlet_row(self, grid: Grid) -> np.ndarray:
         """phi on the boundary row of a grid of the problem's radius."""
         if grid.R != self.R:
-            raise FlowError(f"grid radius {grid.R} differs from the problem "
-                            f"radius {self.R}")
+            raise _DataError(f"grid radius {grid.R} differs from the "
+                             f"problem radius {self.R}")
         phi = np.broadcast_to(np.asarray(self.phi(grid.theta), dtype=float),
                               (grid.ntheta,)).copy()
         if not np.all(np.isfinite(phi)):
-            raise FlowError("phi must be finite on the boundary")
+            raise _DataError("phi must be finite on the boundary")
         return phi
 
     def sample(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -275,13 +282,13 @@ class BallProblem:
         u0 = np.broadcast_to(np.asarray(self.u0(r, th), dtype=float),
                              grid.shape()).copy()
         if not np.all(np.isfinite(u0)):
-            raise FlowError("u0 must be finite on the closed ball")
+            raise _DataError("u0 must be finite on the closed ball")
         gap = float(np.max(np.abs(u0[-1] - phi)))
         if gap > 1e-12:
-            raise FlowError(
+            raise _DataError(
                 f"u0 and phi disagree at the boundary (gap {gap:.3e})")
         if float(np.ptp(u0[0])) > 1e-12:
-            raise FlowError("u0 must be single-valued at the pole")
+            raise _DataError("u0 must be single-valued at the pole")
         return u0, phi
 
 
@@ -760,15 +767,15 @@ def _band_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 # From this many columns on, the 2-D step solves S by conjugate gradients
-# in place of dpbsv, whose cost grows as nr nt^3.  One step's solve in ms,
-# dpbsv -> conjugate gradients, on E2 and H2 states of asymmetric data at
-# t = 0 and after 5 steps (4-5 iterations), best of 15, one core of a
-# 2-vCPU Xeon, one BLAS thread:
-#   48 x 32     0.60-0.61 -> 0.68-0.77
-#   64 x 48     1.54-1.63 -> 0.80-0.91
-#   96 x 64     4.55-4.75 -> 1.36-1.57
-#   136 x 64    6.62-6.77 -> 1.87-2.25
-#   136 x 128   24.9-26.2 -> 3.65-6.56
+# in place of dpbsv, whose cost grows as nr nt^3.  One step (``_advance``)
+# in ms, dpbsv -> conjugate gradients, on E2 and H2 states of asymmetric
+# data at t = 0 and after 5 steps (4-5 iterations), best of 15, two runs,
+# one core of a 2-vCPU Xeon, one BLAS thread:
+#   48 x 32     0.54-0.61 -> 0.56-0.67
+#   64 x 48     1.62-1.66 -> 0.78-0.90
+#   96 x 64     4.63-4.73 -> 1.15-1.57
+#   136 x 64    6.58-6.82 -> 1.44-1.94
+#   136 x 128   24.2-24.7 -> 2.93-3.91
 # dpbsv still wins at 32 columns and conjugate gradients win from 48 on, so
 # every grid of fewer than 48 columns, the ladder's among them, steps on
 # dpbsv bit for bit.
@@ -798,10 +805,16 @@ def _theta_mean_preconditioner(d: np.ndarray, d0: float, g_r: np.ndarray,
     mode 0, whose coefficients are ring sums, as the unknown nt z_pole
     with the diagonal 1 / nt, which keeps that block symmetric.  The modes
     stand in one block-diagonal tridiagonal system, which LAPACK dpttrf
-    factors here once and dpttrs solves for the real and imaginary parts
-    together.  A diagonal entry <= 0 (S is not positive definite) raises
-    FlowError before any square root; a non-finite one passes, and so
-    does the non-finite z it gives."""
+    factors here once.  A solve takes the rfft of the transposed ring view
+    down its theta axis straight into the mode-major (K, rings) rows of
+    one complex vector, after the pole, and LAPACK zpttrs solves that in
+    place on the real factor, its links cast to complex: no transposed
+    copy is made.  The zero imaginary parts of the links add only signed
+    zeros, so the real and imaginary parts come out as dpttrs solves them
+    as two columns, bit for bit (``tests/test_bit_exact.py`` keeps that
+    solve as the reference).  A diagonal entry <= 0
+    (S is not positive definite) raises FlowError before any square root;
+    a non-finite one passes, and so does the non-finite z it gives."""
     from numpy import fft       # only the conjugate-gradient step needs it
     if np.any(d <= 0.0) or d0 <= 0.0:
         raise FlowError("conjugate gradient solve failed: the system is not "
@@ -832,21 +845,19 @@ def _theta_mean_preconditioner(d: np.ndarray, d0: float, g_r: np.ndarray,
         raise FlowError(f"conjugate gradient solve failed: the theta mean of "
                         f"the system is not positive definite (LAPACK dpttrf "
                         f"info={info})")
-    f = np.empty((rings, K), dtype=complex)
-    parts = f.view(float).reshape(rings, K, 2)
-    b = np.empty((2, diag.size))        # dpttrs' (n, 2) Fortran-order rhs
-    b_modes = b[:, 1:].reshape(2, K, rings)
+    e = e.astype(complex)                   # zpttrs reads complex links
+    f = np.empty((diag.size, 1), dtype=complex)     # zpttrs' (n, 1) rhs
+    modes = f[1:, 0].reshape(K, rings)
     rs = np.empty(jacobi.shape)
+    rings_t = rs[1:].reshape(rings, nt).T
 
     def solve(r: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.multiply(r, jacobi, out=rs)
-        fft.rfft(rs[1:].reshape(rings, nt), axis=1, out=f)
-        b[:, 0] = rs[0], 0.0
-        b_modes[...] = parts.transpose(2, 1, 0)
-        dpttrs(diag, e, b.T, overwrite_b=1)
-        parts[...] = b_modes.transpose(2, 1, 0)
-        out[0] = b[0, 0] / nt
-        fft.irfft(f, n=nt, axis=1, out=out[1:].reshape(rings, nt))
+        fft.rfft(rings_t, axis=0, out=modes)
+        f[0, 0] = rs[0]
+        zpttrs(diag, e, f, overwrite_b=1)
+        out[0] = f[0, 0].real / nt
+        fft.irfft(modes, n=nt, axis=0, out=out[1:].reshape(rings, nt).T)
         out *= jacobi
         return out
 
@@ -867,9 +878,12 @@ def _conjugate_gradients(d: np.ndarray, d0: float, g_r: np.ndarray,
     S is a Stieltjes matrix, so S^-1 >= 0 and S^-1 s1 = 1 bound the error
     of an iterate by its residual r: |x - x*| <= max_i |r_i| / s1_i on
     every node.  The iteration stops once that bound is <= _CG_RTOL scale,
-    scale the largest |value| of the step's data.  The inner products are
-    numpy sums of products, never a BLAS dot, so that no BLAS thread count
-    changes a bit.  A curvature p.Sp <= 0 (S is not positive definite) or
+    scale the largest |value| of the step's data.  Each iteration tests the
+    bound on its residual before it preconditions that residual, so the
+    preconditioner runs once per iteration and never for a residual that
+    already meets the bound.  The inner products are numpy sums of
+    products, never a BLAS dot, so that no BLAS thread count changes a
+    bit.  A curvature p.Sp <= 0 (S is not positive definite) or
     _CG_MAX_ITER iterations raise FlowError; a non-finite system stops at
     once, with the non-finite x that ``_sup_norm`` reports."""
     g_in, g_pole = g_r[1:-1], g_r[0]
@@ -890,9 +904,7 @@ def _conjugate_gradients(d: np.ndarray, d0: float, g_r: np.ndarray,
 
     x = b / s1
     r = b - apply(x, np.empty(b.shape))
-    z = precondition(r, np.empty(b.shape))
-    p, q, t = z.copy(), np.empty(b.shape), np.empty(b.shape)
-    rz = np.add.reduce(r * z)
+    z, q, t = np.empty(b.shape), np.empty(b.shape), np.empty(b.shape)
     stop = _CG_RTOL * scale
     for iteration in range(_CG_MAX_ITER + 1):
         bound = float(np.max(np.divide(np.abs(r, out=t), s1, out=t)))
@@ -902,6 +914,13 @@ def _conjugate_gradients(d: np.ndarray, d0: float, g_r: np.ndarray,
             raise FlowError(f"conjugate gradient solve failed: no "
                             f"convergence in {_CG_MAX_ITER} iterations "
                             f"(error bound {bound:.3e} > {stop:.3e})")
+        precondition(r, z)
+        if iteration == 0:
+            p, rz = z.copy(), np.add.reduce(r * z)
+        else:
+            rz, rz_old = np.add.reduce(r * z), rz
+            p *= rz / rz_old
+            p += z
         pq = np.add.reduce(p * apply(p, q))
         if pq <= 0.0:
             raise FlowError(f"conjugate gradient solve failed: the system is "
@@ -909,10 +928,6 @@ def _conjugate_gradients(d: np.ndarray, d0: float, g_r: np.ndarray,
         alpha = rz / pq
         x += alpha * p
         r -= alpha * q
-        precondition(r, z)
-        rz, rz_old = np.add.reduce(r * z), rz
-        p *= rz / rz_old
-        p += z
 
 
 def _radial_implicit(fd: _Fields, v: np.ndarray, dt: float,

@@ -96,20 +96,28 @@ def test_rim_time_where_cosh_overflows(request, name, R_top):
 
 
 def test_quadrature_rim_time_past_the_overflow_of_A(sinh2):
-    # xi = sinh r, rho = 1 has no closed rim time: the bracket for t = 700
-    # (and for t = 720, whose radius lies past the overflow) doubles to
-    # r = 1024, past r = 710.5 where sinh overflows and the integral of
-    # V/A cannot be taken.  It stops there with BarrierError, as the
-    # closed time does past the overflow, and no RuntimeWarning
+    # xi = sinh r, rho = 1 has no closed rim time, and R(t) is
+    # 2 acosh(cosh(1/2) e^{t/2}).  The brackets for t = 700 and 720 double
+    # to r = 1024, past r = 710.5 where sinh overflows and the integral of
+    # V/A cannot be taken, and stop at the last radius where A and V are
+    # finite.  R(700) = 701.6 lies below it and solves; R(720) = 721.6
+    # lies past it and raises BarrierError, as the closed time does past
+    # the overflow.  No RuntimeWarning either way
     fl = SupersolutionFlow(sinh2, 1.0)
+
+    def exact(t):
+        return 2.0 * np.arccosh(math.cosh(0.5) * np.exp(0.5 * np.asarray(t)))
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for t in (700.0, 720.0, np.array([1.0, 700.0])):
+        for t in (720.0, np.array([1.0, 720.0])):
             with pytest.raises(BarrierError, match="overflows"):
                 fl.R_of_t(t)
-        # a bracket that stays below the overflow still solves
-        assert fl.R_of_t(300.0) == pytest.approx(
-            2.0 * math.acosh(math.cosh(0.5) * math.exp(150.0)), rel=1e-14)
+        for t in (700.0, 708.0, np.array([1.0, 700.0]), 300.0):
+            assert fl.R_of_t(t) == pytest.approx(exact(t), rel=1e-14)
+        assert fl.R_of_t(700.0) < 710.0 < exact(709.0)
+        with pytest.raises(BarrierError, match="overflows"):
+            fl.R_of_t(709.0)
 
 
 def test_u_plus_monotone_in_time(euclid2):

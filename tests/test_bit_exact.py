@@ -439,3 +439,233 @@ def test_alternating_grids_step_like_fresh_runs(hyp2):
             ref = fresh[i].states[k]
             assert np.array_equal(s.u, ref.u) and np.array_equal(s.W, ref.W)
             assert (s.max_grad, s.max_A) == (ref.max_grad, ref.max_A)
+
+
+# -- conjugate gradients ----------------------------------------------------
+
+# (rings, ntheta) of the conjugate-gradient systems: disk2d's 64 x 48, an
+# odd ntheta (no Nyquist mode) and disk2d's 96 x 64 with 95 + 1 rows
+CG_SHAPES = [(47, 48), (63, 49), (96, 64)]
+
+
+def _cg_system(model, rings, nt, dt, seed, monkeypatch):
+    """(d, d0, g_r, g_t, b, s1, scale): what ``_polar_implicit`` hands the
+    conjugate gradients on a grid of rings + 1 rows and nt columns."""
+    grid = Grid(R=1.0, nr=rings + 1, ntheta=nt)
+    fd = flow._Fields(model, grid)
+    seen = []
+
+    def capture(d, d0, g_r, g_t, precondition, b, s1, scale):
+        seen.append((d, d0, g_r, g_t, b.copy(), s1, scale))
+        return b
+
+    monkeypatch.setattr(flow, "_conjugate_gradients", capture)
+    flow._polar_implicit(fd, _state(grid, seed), dt, _phi(grid))
+    monkeypatch.undo()
+    system, = seen
+    assert system[0].shape == (rings, nt)
+    return system
+
+
+def _ref_preconditioner(d, d0, g_r, g_t):
+    """The theta-mean preconditioner with the modes as two real columns:
+    the rfft of each ring along theta, the modes' real and imaginary parts
+    transposed into the two Fortran-order columns dpttrs solves, and
+    transposed back."""
+    from scipy.linalg.lapack import dpttrf, dpttrs
+    rings, nt = d.shape
+    K = nt // 2 + 1
+    jacobi = 1.0 / np.sqrt(np.concatenate(([d0], d.ravel())))
+    s = jacobi[1:].reshape(rings, nt)
+    g = np.concatenate(([jacobi[0] * np.add.reduce(g_r[0] * s[0])],
+                        np.add.reduce(g_r[1:-1] * s[:-1] * s[1:], axis=1)))
+    g = g / nt
+    gt = np.add.reduce(s * _shift(s)[0] * g_t, axis=1) * (-2.0 / nt)
+    modes = np.multiply.outer(np.cos(np.arange(K) * (2.0 * math.pi / nt)),
+                              gt) + 1.0
+    links = np.zeros((K, rings))
+    links[:, :-1] = -g[1:]
+    diag, e, info = dpttrf(np.concatenate(([1.0 / nt], modes.ravel())),
+                           np.concatenate(([-g[0]], links.ravel()[:-1])))
+    assert info == 0
+
+    def solve(r, out):
+        rs = r * jacobi
+        f = np.fft.rfft(rs[1:].reshape(rings, nt), axis=1)
+        b = np.empty((diag.size, 2), order="F")
+        b[0] = rs[0], 0.0
+        b[1:, 0] = f.real.T.ravel()
+        b[1:, 1] = f.imag.T.ravel()
+        x, info = dpttrs(diag, e, b)
+        assert info == 0
+        f = np.empty((K, rings), dtype=complex)
+        f.real, f.imag = x[1:, 0].reshape(K, rings), x[1:, 1].reshape(K, rings)
+        z = np.fft.irfft(f.T, n=nt, axis=1)
+        out[:] = np.concatenate(([x[0, 0] / nt], z.ravel())) * jacobi
+        return out
+
+    return solve
+
+
+def _ref_apply(d, d0, g_r, g_t, v):
+    """S v from shifted copies."""
+    V = v[1:].reshape(d.shape)
+    up, um = _shift(V)
+    Y = d * V - up * g_t - um * _shift(g_t)[1]
+    Y[:-1] -= g_r[1:-1] * V[1:]
+    Y[1:] -= g_r[1:-1] * V[:-1]
+    Y[0] -= g_r[0] * v[0]
+    return np.concatenate(([d0 * v[0] - np.add.reduce(g_r[0] * V[0])],
+                           Y.ravel()))
+
+
+def _ref_conjugate_gradients(d, d0, g_r, g_t, precondition, b, s1, scale,
+                             max_iter=flow._CG_MAX_ITER):
+    """Conjugate gradients that precondition every new residual before
+    they test its error bound, so that the last solve goes unused."""
+    x = b / s1
+    r = b - _ref_apply(d, d0, g_r, g_t, x)
+    z = precondition(r, np.empty(b.shape))
+    p = z.copy()
+    rz = np.add.reduce(r * z)
+    stop = flow._CG_RTOL * scale
+    for iteration in range(max_iter + 1):
+        bound = float(np.max(np.abs(r) / s1))
+        if not bound > stop:
+            return x
+        if iteration == max_iter:
+            raise flow.FlowError(f"conjugate gradient solve failed: no "
+                                 f"convergence in {max_iter} iterations "
+                                 f"(error bound {bound:.3e} > {stop:.3e})")
+        q = _ref_apply(d, d0, g_r, g_t, p)
+        pq = np.add.reduce(p * q)
+        if pq <= 0.0:
+            raise flow.FlowError(f"conjugate gradient solve failed: the "
+                                 f"system is not positive definite "
+                                 f"(p.Sp = {pq:.3e})")
+        alpha = rz / pq
+        x = x + alpha * p
+        r = r - alpha * q
+        z = precondition(r, z)
+        rz, rz_old = np.add.reduce(r * z), rz
+        p = p * (rz / rz_old) + z
+
+
+def _counted(solve, counts):
+    def counted(r, out):
+        counts.append(1)
+        return solve(r, out)
+    return counted
+
+
+@pytest.mark.parametrize("rings,nt", CG_SHAPES)
+def test_preconditioner_solve_is_bit_identical(model, rings, nt,
+                                               monkeypatch):
+    d, d0, g_r, g_t, b, s1, _ = _cg_system(model, rings, nt, 1e-3, 6,
+                                           monkeypatch)
+    solve = flow._theta_mean_preconditioner(d, d0, g_r, g_t)
+    ref = _ref_preconditioner(d, d0, g_r, g_t)
+    rng = np.random.default_rng(rings * nt)
+    out = np.empty(b.shape)
+    for r in (b, b / s1, rng.standard_normal(b.size)):
+        got = solve(r, out).copy()
+        assert np.array_equal(got, ref(r, np.empty(b.shape)))
+        assert np.array_equal(solve(r, out), got)       # no state kept
+
+
+@pytest.mark.parametrize("dt", [1e-3, 2e-2])
+@pytest.mark.parametrize("rings,nt", CG_SHAPES)
+def test_conjugate_gradient_solve_is_bit_identical(model, rings, nt, dt,
+                                                   monkeypatch):
+    d, d0, g_r, g_t, b, s1, scale = _cg_system(model, rings, nt, dt, 7,
+                                               monkeypatch)
+    applied, ref_applied = [], []
+    x = flow._conjugate_gradients(
+        d, d0, g_r, g_t,
+        _counted(flow._theta_mean_preconditioner(d, d0, g_r, g_t), applied),
+        b.copy(), s1, scale)
+    ref = _ref_conjugate_gradients(
+        d, d0, g_r, g_t,
+        _counted(_ref_preconditioner(d, d0, g_r, g_t), ref_applied),
+        b.copy(), s1, scale)
+    assert np.array_equal(x, ref)
+    # the reference's last solve is the one no search direction uses
+    assert len(applied) == len(ref_applied) - 1 >= 1
+
+
+def _iterations(system, monkeypatch):
+    """The fewest iterations in which the conjugate gradients meet their
+    bound: the smallest cap that raises no FlowError, by bisection."""
+    d, d0, g_r, g_t, b, s1, scale = system
+    solve = flow._theta_mean_preconditioner(d, d0, g_r, g_t)
+
+    def converges(cap):
+        with monkeypatch.context() as mp:
+            mp.setattr(flow, "_CG_MAX_ITER", cap)
+            try:
+                flow._conjugate_gradients(d, d0, g_r, g_t, solve, b.copy(),
+                                          s1, scale)
+            except flow.FlowError:
+                return False
+        return True
+
+    lo, hi = 0, flow._CG_MAX_ITER
+    assert converges(hi)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if converges(mid) else (mid + 1, hi)
+    return lo
+
+
+@pytest.mark.parametrize("rings,nt", CG_SHAPES)
+def test_preconditioner_runs_once_per_iteration(hyp2, rings, nt,
+                                                monkeypatch):
+    system = _cg_system(hyp2, rings, nt, 2e-2, 8, monkeypatch)
+    d, d0, g_r, g_t, b, s1, scale = system
+    applied = []
+    flow._conjugate_gradients(
+        d, d0, g_r, g_t,
+        _counted(flow._theta_mean_preconditioner(d, d0, g_r, g_t), applied),
+        b.copy(), s1, scale)
+    assert len(applied) == _iterations(system, monkeypatch) >= 1
+    # a start that already meets the bound takes no iteration and no solve
+    applied.clear()
+    bound = np.max(np.abs(s1 - _ref_apply(d, d0, g_r, g_t, np.ones(s1.size)))
+                   / s1)
+    x = flow._conjugate_gradients(
+        d, d0, g_r, g_t,
+        _counted(flow._theta_mean_preconditioner(d, d0, g_r, g_t), applied),
+        s1.copy(), s1, 2.0 * bound / flow._CG_RTOL)
+    assert not applied and np.array_equal(x, np.ones(s1.size))
+
+
+def _outcome(solve):
+    try:
+        return solve().tobytes()
+    except flow.FlowError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("indefinite", [False, True])
+def test_conjugate_gradients_fail_at_the_reference_iteration(
+        hyp2, monkeypatch, indefinite):
+    # caps 0, 1, ... until the iteration cap no longer fires: it fires, and
+    # then the solve returns, at the same cap as in the reference loop.  With
+    # S 1 < 0 on the rings S is indefinite, and p.Sp <= 0 fires in place of
+    # the cap at the same iteration
+    d, d0, g_r, g_t, b, s1, scale = _cg_system(hyp2, 47, 48, 2e-2, 9,
+                                               monkeypatch)
+    solve = flow._theta_mean_preconditioner(d, d0, g_r, g_t)
+    ref_solve = _ref_preconditioner(d, d0, g_r, g_t)
+    if indefinite:
+        d = d - 1.05 * s1[1:].reshape(d.shape)
+    for cap in range(100):
+        monkeypatch.setattr(flow, "_CG_MAX_ITER", cap)
+        got = _outcome(lambda: flow._conjugate_gradients(
+            d, d0, g_r, g_t, solve, b.copy(), s1, scale))
+        assert got == _outcome(lambda: _ref_conjugate_gradients(
+            d, d0, g_r, g_t, ref_solve, b.copy(), s1, scale, max_iter=cap))
+        if "no convergence" not in str(got):
+            break
+    assert cap > 0
+    assert ("p.Sp" in got) if indefinite else isinstance(got, bytes)

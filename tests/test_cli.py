@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import killingflow
-from killingflow import config, flow
+from killingflow import cli, config, flow
 from killingflow.cli import dispatch
 
 FLOW_INI = """
@@ -514,13 +514,65 @@ T = 0.001
     ("0.1*cos(theta)", "0.1*cos(theta)*r + 0.01", "u0 and phi disagree")])
 def test_flow_data_the_grid_cannot_take_exits_2(tmp_path, capsys, phi, u0,
                                                 message):
-    # the problem is sampled before the solve, so bad data is a usage
-    # error, as build_ladder's is for exhaust; a failing step stays exit 1
+    # solve_ball samples the problem before any step, and bad data is a
+    # usage error, as build_ladder's is for exhaust; a failing step stays
+    # exit 1
     cfg = tmp_path / "run.ini"
     cfg.write_text(FLOW_INI.replace("phi = 0.1*cos(theta)", f"phi = {phi}")
                    .replace("u0 = 0.1*cos(theta)*r", f"u0 = {u0}"))
     assert dispatch(["flow", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("u0,code", [("0.1*cos(theta)*r", 0),
+                                     ("log(r)", 2)])
+def test_flow_samples_its_problem_once(tmp_path, monkeypatch, capsys, u0,
+                                       code):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(FLOW_INI.replace("u0 = 0.1*cos(theta)*r", f"u0 = {u0}"))
+    calls = []
+    sample = flow.BallProblem.sample
+
+    def counted(self, grid):
+        calls.append(grid)
+        return sample(self, grid)
+
+    monkeypatch.setattr(flow.BallProblem, "sample", counted)
+    assert dispatch(["flow", "--config", str(cfg)]) == code
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+_DISPATCH_CHILD = """
+import sys
+from killingflow.cli import dispatch
+sys.exit(dispatch(sys.argv[1:]))
+"""
+
+
+def test_one_parser_per_process_parses_like_a_fresh_one(tmp_path,
+                                                         monkeypatch,
+                                                         capsys):
+    # dispatch keeps one parser; a usage error, --help and a run through
+    # one process print and exit as each does in a process of its own
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(FLOW_INI.replace("T = 0.05", "T = 0.005"))
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [["flow"], ["--help"], ["flow", "--config", str(cfg)],
+             ["cmc", "--model", "euclidean", "--R", "nan"], ["flow", "--help"],
+             ["flow"], ["--help"]]
+    capsys.readouterr()
+    for argv in argvs:
+        try:
+            code = dispatch(argv)
+        except SystemExit as exc:       # not raised: dispatch returns codes
+            code = ("SystemExit", exc.code)
+        got = capsys.readouterr()
+        proc = _run_fresh(_DISPATCH_CHILD, *argv, COLUMNS="80")
+        assert (code, got.out, got.err) == (
+            proc.returncode, proc.stdout, proc.stderr), argv
+    assert [dispatch(a) for a in (["flow"], ["--help"])] == [2, 0]
+    assert cli.build_parser() is not cli.build_parser()
 
 
 @pytest.mark.parametrize("ntheta", [1, 16])
@@ -596,10 +648,10 @@ def test_runtime_warnings_are_errors_in_every_module():
 
 
 # what a fresh interpreter may have loaded once killingflow is imported:
-# no scipy.linalg module (flow loads LAPACK's dpbsv, dpttrf and dpttrs from
+# no scipy.linalg module (flow loads LAPACK's dpbsv, dpttrf and zpttrs from
 # the compiled scipy.linalg._flapack alone), no deferred scipy package, no
 # compiled scipy module beyond those a bare ``import scipy`` loads
-# (argv[1]), and no numpy.fft, which only steps on 64 or more columns use
+# (argv[1]), and no numpy.fft, which only steps on 48 or more columns use
 _LEAN = """
 import importlib.machinery, sys
 
@@ -683,8 +735,8 @@ def test_exhaust_loads_no_interpolation(bare_scipy_extensions):
     assert proc.returncode == 0, proc.stderr
 
 
-# flow's dpbsv, loaded without scipy.linalg, is the one scipy.linalg binds
-# when it is imported later or was imported first
+# flow's dpbsv, dpttrf and zpttrs, loaded without scipy.linalg, are the ones
+# scipy.linalg binds when it is imported later or was imported first
 _ONE_SOLVER_CHILD = """
 import sys
 if sys.argv[1] == "scipy-first":
@@ -693,7 +745,9 @@ from killingflow import flow
 import scipy.linalg, scipy.linalg.lapack
 assert "_flapack" in vars(scipy.linalg)
 assert scipy.linalg._flapack is sys.modules["scipy.linalg._flapack"]
-assert scipy.linalg.lapack.dpbsv is flow.dpbsv
+for routine in ("dpbsv", "dpttrf", "zpttrs"):
+    assert getattr(scipy.linalg.lapack, routine) is getattr(flow, routine)
+assert not hasattr(flow, "dpttrs")
 """
 
 

@@ -840,13 +840,13 @@ def test_conjugate_gradients_refuse_negative_curvature():
 
 def _count_iterations(monkeypatch):
     """A list that gets, for each conjugate-gradient solve from here on, its
-    iteration count: the preconditioner's applications after the first."""
+    iteration count: the preconditioner's applications, one per iteration."""
     counts = []
     build = flow._theta_mean_preconditioner
 
     def counting(*args):
         solve = build(*args)
-        counts.append(-1)
+        counts.append(0)
 
         def counted(r, out):
             counts[-1] += 1
