@@ -33,7 +33,6 @@ import numpy as np
 from .cmc import CmcError, eval_vR, sample_vR
 from .geometry import ModelGeometry, R_MIN, _CumulativeIntegral, _ladder
 from .kernel import coefficients, factors
-from .quadrature import QuadratureError
 
 
 class BarrierError(ValueError):
@@ -79,19 +78,6 @@ class SupersolutionFlow:
             raise BarrierError(f"rim radius below r0 = {self.r0}")
         return self._time(R)[()]
 
-    def _overflows(self, R) -> bool:
-        """Whether A or V is not finite at some radius of R.  A V by
-        quadrature is not finite once its integral of A reaches the
-        overflow of A."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.isfinite(self.model.A(R)).all():
-                return True
-            try:
-                V = self.model.V(R)
-            except QuadratureError:
-                return True
-            return not np.isfinite(V).all()
-
     def _last_finite(self, a: float, b: float) -> float:
         """The largest radius in [a, b) at which A and V are finite, to the
         last bit, by bisection: they are finite at a and not at b."""
@@ -99,10 +85,10 @@ class SupersolutionFlow:
             m = 0.5 * (a + b)
             if not a < m < b:
                 return a
-            if self._overflows(m):
-                b = m
-            else:
+            if self.model._finite_at(m):
                 a = m
+            else:
+                b = m
 
     def R_of_t(self, t):
         """Rim radius at time t, a float or an array of times: Newton on
@@ -111,7 +97,8 @@ class SupersolutionFlow:
         whose radius lies past the overflow of A or V raises BarrierError.
         On a model without the closed time, where the integral of V/A
         cannot be evaluated past that overflow, a bracket that doubles past
-        it stops at the last radius where A and V are finite.
+        it stops at the last radius where A and V are finite: the model's
+        test (``ModelGeometry._finite_at``), as for the CMC heights.
         """
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
@@ -122,9 +109,9 @@ class SupersolutionFlow:
         t_lo = np.zeros(t.shape)
         top = math.inf                  # the last finite radius, once met
         while True:
-            if model._time_closed is None and self._overflows(hi):
+            if model._time_closed is None and not model._finite_at(hi):
                 if top == math.inf:
-                    if self._overflows(self.r0):
+                    if not model._finite_at(self.r0):
                         raise BarrierError(f"A or V overflows at r0 = "
                                            f"{self.r0}")
                     top = self._last_finite(float(np.max(lo)),
@@ -165,8 +152,7 @@ class SupersolutionFlow:
                 done |= last
                 if done.all():
                     return float(R) if R.ndim == 0 else R
-            past = not np.isfinite(model.A(R) / model.V(R)).all()
-        if past:
+        if not model._finite_at(R):
             raise BarrierError(f"R(t) lies past the rim radius where A or V "
                                f"overflows for t={np.max(t)}")
         raise BarrierError(f"R(t) did not converge for t={t}")

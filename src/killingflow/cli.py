@@ -214,17 +214,14 @@ def _cmd_exhaust(args) -> int:
     def phi(theta):
         return phi_fn(theta=theta, r=0.0, t=0.0)
 
-    # data a rung's grid cannot take is bad input, found before any rung:
-    # phi depends on theta only and every rung has the same ntheta, so the
-    # first rung's sample stands for the ladder
-    R1 = float(plan.ladder[0])
+    # bad data is found by the first rung's one sample (flow._DataError),
+    # before any step; phi depends on theta only, so it stands for every rung
     try:
-        flow.BallProblem(model=model, R=R1, phi=phi,
-                         u0=exhaustion.pole_mollified_extension(phi),
-                         T=plan.T0).sample(plan.grid_for(R1))
-    except flow.FlowError as exc:
-        raise _UsageError(str(exc)) from None
-    report = exhaustion.run_exhaustion(plan, phi)
+        report = exhaustion.run_exhaustion(plan, phi)
+    except exhaustion.ExhaustionError as exc:
+        if isinstance(exc.__cause__, flow._DataError):
+            raise _UsageError(str(exc.__cause__)) from None
+        raise
     _emit(json.dumps(report.to_dict(), indent=2, sort_keys=True), args.out)
     return EXIT_OK if report.verdict else EXIT_CHECK_FAILED
 
@@ -304,7 +301,7 @@ def _write_heatmap_svg(path: str, grid, u: np.ndarray) -> None:
     annulus on a radial grid.  Each arc is drawn as at least 64 / ntheta
     chords.  The shade runs from white at min u to blue at max u."""
     W = 400
-    u2 = u if u.ndim == 2 else u[:, None]
+    u2 = u.reshape(grid.shape())
     lo, hi = float(np.min(u2)), float(np.max(u2))
     span = (hi - lo) or 1.0
     cells = []

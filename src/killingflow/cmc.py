@@ -91,15 +91,14 @@ def _slopes(model: ModelGeometry, R: float, nH: float,
 
 
 def _check_rim(model: ModelGeometry, R: float) -> None:
-    """Raise CmcError if A(R) = rho xi^(n-1) or V(R) overflows: past that
-    rim radius every slope would read inf or nan."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(model.A(R)) and np.isfinite(model.V(R)):
-            return
-    raise CmcError(
-        f"A = rho xi^(n-1) or its volume integral V overflows at the rim "
-        f"radius R={R:g} (xi: {model.xi.kind}, rho: {model.rho.kind}): too "
-        f"large for this model in double precision")
+    """Raise CmcError unless A(R) = rho xi^(n-1) and V(R) are finite
+    (``ModelGeometry._finite_at``): past that rim radius every slope would
+    read inf or nan, and a V by quadrature cannot be evaluated."""
+    if not model._finite_at(R):
+        raise CmcError(
+            f"A = rho xi^(n-1) or its volume integral V overflows at the rim "
+            f"radius R={R:g} (xi: {model.xi.kind}, rho: {model.rho.kind}): "
+            f"too large for this model in double precision")
 
 
 def eval_vR_prime(model: ModelGeometry, R: float, r: float) -> float:

@@ -116,7 +116,7 @@ class ExhaustionPlan:
         return Grid(R=R, nr=len(nodes) - 1, ntheta=self.ntheta, nodes=nodes)
 
     def control(self) -> StepControl:
-        return StepControl(cfl=0.5, dt_max=self.T0 / self.n_time_steps)
+        return StepControl(dt_max=self.T0 / self.n_time_steps)
 
 
 MIN_RUNGS = 2

@@ -441,12 +441,13 @@ class _GridFactors(NamedTuple):
     """What the solver reads that depends only on the base dimension, the
     warping profiles and the grid.  ``at`` holds the kernel factors at
     every node; ``op`` views them on rows 1..nr-1 as (nr - 1, 1) columns,
-    the rows where the radial second fundamental form reads them.  cos
-    and sin on the first ring give the pole row its slope, and ``steps``
-    the rows their r-differences."""
+    the rows where the radial second fundamental form reads them, and
+    ``inv_rho2_at`` the column 1 / rho^2 of W.  cos and sin on the first
+    ring give the pole row its slope, ``steps`` the rows' r-differences."""
 
     at: Factors
     op: Factors
+    inv_rho2_at: np.ndarray
     cells: _Cells
     cos: np.ndarray
     sin: np.ndarray
@@ -468,7 +469,8 @@ def _grid_factors(n: int, xi: ProfileSpec, rho: ProfileSpec,
     cells = _Cells(*map(_read_only, _cells(n, xi, rho, grid.r)))
     at = Factors(*map(_read_only, factors(xi, rho, grid.r)))
     return _GridFactors(
-        at=at, op=Factors(*(a[1:-1, None] for a in at)), cells=cells,
+        at=at, op=Factors(*(a[1:-1, None] for a in at)),
+        inv_rho2_at=_read_only(1.0 / at.rho[:, None] ** 2), cells=cells,
         cos=_read_only(np.cos(grid.theta)), sin=_read_only(np.sin(grid.theta)),
         steps=_steps(grid))
 
@@ -490,14 +492,14 @@ class _Fields:
       the r-differences, whose arrays are fields of these rows;
     * rows 0..nr: xi and inv_rho2_at = 1 / rho^2.
 
-    On a radial grid only ``steps`` and ``inv_rho2_at`` are set, as columns."""
+    On a radial grid only gf's ``steps`` and ``inv_rho2_at`` are set."""
 
     def __init__(self, model: ModelGeometry, grid: Grid):
         self.n, self.grid = model.n, grid
         self.gf = gf = _grid_factors(model.n, model.xi, model.rho, grid)
         c, at, k, st = gf.cells, gf.at, grid.dtheta, gf.steps
         self.steps = st
-        self.inv_rho2_at = _read_only(1.0 / at.rho[:, None] ** 2)
+        self.inv_rho2_at = gf.inv_rho2_at
         if grid.radial:
             return
 
@@ -1034,7 +1036,7 @@ def _advance(fd: _Fields, u: np.ndarray, control: StepControl, dt: float,
             raise FlowError(
                 f"explicit step dt={dt:.3e} exceeds the CFL limit {lim:.3e}")
         u_new = u + dt * _apply(w, u)
-        u_new[-1] = phi_row if u_new.ndim == 2 else phi_row[0]
+        u_new[-1:] = phi_row
         return u_new
     if fd.grid.radial:
         return _radial_implicit(fd, u.reshape(-1), dt,
@@ -1255,7 +1257,8 @@ def solve_ball(problem: BallProblem, grid: Grid, control: StepControl,
     max|grad u|, max|A|) in blocks of at most _BLOCK_NODES grid nodes (or
     of one state, if it has more), each by one ``_diagnosed`` call; the
     last block is flushed after the final step.  The values equal
-    ``step``'s bit for bit.
+    ``step``'s bit for bit.  A radial grid's states are (nr + 1,): callers,
+    the benchmark among them, stack them against (nr + 1,) bounds.
     """
     if snapshot_every < 0:
         raise FlowError(f"snapshot_every must be >= 0, got {snapshot_every}")
@@ -1480,7 +1483,8 @@ def load_run(manifest_path: str) -> dict:
     each state taking t, max_grad and max_A from ``steps.npy`` at its step.
     Raises FlowError, naming the file, for a manifest that lacks a key, has
     a bad grid or steps, or a model that does not match its hash, and for
-    an array that does not fit the manifest."""
+    an array that does not fit the manifest.  A radial run's states are
+    (nr + 1,), as ``solve_ball`` returns them."""
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)

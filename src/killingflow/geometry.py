@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadrature import gauss_kronrod
+from .quadrature import QuadratureError, gauss_kronrod
 
 R_MIN = 1e-12
 
@@ -364,6 +364,19 @@ class ModelGeometry:
     def V(self, r):
         """Weighted ball volume: integral of A from 0 to r."""
         return (self._V_closed or self._V)(np.asarray(r, dtype=float))[()]
+
+    def _finite_at(self, R) -> bool:
+        """Whether A and V are finite at every radius of R, a rim radius of
+        the CMC heights or of the supersolution.  A V by quadrature whose
+        knots reach past the overflow of A raises QuadratureError: not
+        finite either.  (|x| < inf is isfinite at a tenth of the cost of
+        np.isfinite(x).all() on the numpy scalar of every CMC height.)"""
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                return (all((abs(self.A(R)) < math.inf).flat)
+                        and all((abs(self.V(R)) < math.inf).flat))
+            except QuadratureError:
+                return False
 
     def zeta(self, r):
         """Antiderivative of xi; sizes parabolic cylinders."""

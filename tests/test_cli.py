@@ -218,6 +218,17 @@ def test_flow_svg(tmp_path, ntheta, capsys):
     assert min(shades) == 0
 
 
+def test_radial_heatmap_of_a_state_and_its_column_agree(tmp_path):
+    # the heat map reads u in the grid's shape, (nr + 1, 1) on a radial
+    # grid, whichever of the two a radial state comes in
+    grid = flow.Grid(R=1.0, nr=24, ntheta=1)
+    u = 0.1 * np.cos(grid.r)
+    a, b = tmp_path / "a.svg", tmp_path / "b.svg"
+    cli._write_heatmap_svg(str(a), grid, u)
+    cli._write_heatmap_svg(str(b), grid, u[:, None])
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_exhaust_report(tmp_path, capsys):
     out_path = tmp_path / "ex.json"
     rc, _ = _run(["exhaust", "--model", "euclidean", "--rungs", "2",
@@ -539,6 +550,25 @@ def test_flow_samples_its_problem_once(tmp_path, monkeypatch, u0, code):
     monkeypatch.setattr(flow.BallProblem, "sample", counted)
     assert dispatch(["flow", "--config", str(cfg)]) == code
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("phi,code", [("0.1*cos(theta)", 0), ("log(0)", 2),
+                                      ("sqrt(0-1)", 2), ("log(theta)", 2)])
+def test_exhaust_samples_its_first_rung_once(monkeypatch, capsys, phi, code):
+    # one sample per rung solved, in its solve_ball: bad data is a usage
+    # error that the first rung's sample finds, before any step
+    calls = []
+    sample = flow.BallProblem.sample
+
+    def counted(self, grid):
+        calls.append(grid.R)
+        return sample(self, grid)
+
+    monkeypatch.setattr(flow.BallProblem, "sample", counted)
+    assert dispatch(["exhaust", "--model", "euclidean", "--rungs", "2",
+                     "--tol", "0.05", "--phi", phi]) == code
+    assert calls == ([3.0, 5.0] if code == 0 else [3.0])
+    assert _one_error_line(capsys) == (code == 2)
 
 
 _DISPATCH_CHILD = """

@@ -308,10 +308,12 @@ def test_closed_form_heights_at_the_extremes(model, R):
 
 @pytest.mark.parametrize("name,R", [("euclid2", 1e155), ("hyp2", 356.0),
                                     ("hyp2", 720.0), ("hyp3", 238.0),
-                                    ("hyp3", 1e4)])
+                                    ("hyp3", 1e4), ("sinh2", 710.2)])
 def test_rim_past_the_overflow_of_A_raises_cmc_error(request, name, R):
     # never OverflowError or a floating-point warning: the rim check runs
-    # before any height, closed or not
+    # before any height, closed or not.  On sinh2 A is finite at 710.2, but
+    # V by quadrature reaches its next knot, 710.5, past the overflow of A
+    # at 710.48, so V is not finite there either
     model = request.getfixturevalue(name)
     for height in (lambda: eval_vR(model, R, 0.0),
                    lambda: sample_vR(model, R, np.array([0.0, 0.5 * R])),
