@@ -31,7 +31,8 @@ from typing import Callable
 import numpy as np
 
 from .cmc import CmcError, eval_vR, sample_vR
-from .geometry import ModelGeometry, R_MIN, _CumulativeIntegral, _ladder
+from .geometry import (ModelGeometry, R_MIN, _CumulativeIntegral, _integer,
+                       _ladder, _nonnegative, _positive)
 from .kernel import coefficients, factors
 
 
@@ -58,8 +59,7 @@ class SupersolutionFlow:
     r0: float
 
     def __post_init__(self):
-        if self.r0 <= 0:
-            raise BarrierError("r0 must be positive")
+        _positive("r0", self.r0, BarrierError)
         model = self.model
         closed = model._time_closed
         if closed is None:
@@ -72,10 +72,12 @@ class SupersolutionFlow:
 
     def time_of(self, R):
         """Time t at which the rim radius reaches R (a radius or an array
-        of radii, none below r0): the integral of V/A from r0 to R."""
+        of finite radii, none below r0; BarrierError otherwise, nan
+        included): the integral of V/A from r0 to R."""
         R = np.asarray(R, dtype=float)
-        if np.any(R < self.r0):
-            raise BarrierError(f"rim radius below r0 = {self.r0}")
+        if not np.all((R >= self.r0) & (R < math.inf)):
+            raise BarrierError(f"rim radius below r0 = {self.r0} or not "
+                               f"finite")
         return self._time(R)[()]
 
     def _last_finite(self, a: float, b: float) -> float:
@@ -91,7 +93,8 @@ class SupersolutionFlow:
                 b = m
 
     def R_of_t(self, t):
-        """Rim radius at time t, a float or an array of times: Newton on
+        """Rim radius at time t, a float or an array of finite nonnegative
+        times (BarrierError otherwise, nan included): Newton on
         time_of, whose derivative is V(R)/A(R) exactly, kept inside a
         doubling bracket by bisection, for all the times at once.  A time
         whose radius lies past the overflow of A or V raises BarrierError.
@@ -101,8 +104,8 @@ class SupersolutionFlow:
         test (``ModelGeometry._finite_at``), as for the CMC heights.
         """
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise BarrierError("t must be nonnegative")
+        if not np.all((t >= 0.0) & (t < math.inf)):
+            raise BarrierError("t must be nonnegative and finite")
         model = self.model
         lo = np.full(t.shape, float(self.r0))
         hi = 2.0 * lo
@@ -209,13 +212,15 @@ def height_bounds(model: ModelGeometry, r0: float, T: float,
     solution with |initial data| <= sup_u0 and zero boundary motion stays
     between them up to time T.  Each bound takes one radius (a float) or an
     increasing array of radii (one sample_vR pass over all of them); radii
-    outside [0, r0] raise CmcError in both forms, on every call.  The pair
+    outside [0, r0] raise CmcError in both forms, on every call.  r0 and T
+    must be positive and finite, sup_u0 nonnegative and finite
+    (BarrierError otherwise).  The pair
     shares one height v_{r0}(r) per distinct float radius, one eval_vR
     call kept for the pair's lifetime, so lower(r) then upper(r) costs one:
     a closed form on the built-in model pairs, a quadrature on the others.
     """
-    if T <= 0:
-        raise BarrierError("T must be positive")
+    _positive("T", T, BarrierError)
+    _nonnegative("sup_u0", sup_u0, BarrierError)
     RT = mu_of_t(model, r0, T)
     top = sup_u0 + eval_vR(model, RT, 0.0)
 
@@ -238,6 +243,10 @@ def height_bounds(model: ModelGeometry, r0: float, T: float,
 
 
 MIN_L0 = 1
+# the beta and k at which the CLI and the ladder evaluate
+# interior_gradient_bound
+_GRADIENT_BETA = 1 - 1e-8
+_GRADIENT_K = 17
 
 
 def c0_height_cap(model: ModelGeometry, r0: float, l0: int) -> float:
@@ -247,10 +256,8 @@ def c0_height_cap(model: ModelGeometry, r0: float, l0: int) -> float:
     supremum taken on 1024 radii.  Requires the radial mean curvature to
     be strictly increasing on the window.
     """
-    if not r0 > 0:
-        raise BarrierError("r0 must be positive")
-    if l0 < MIN_L0:
-        raise BarrierError(f"l0 must be >= {MIN_L0}")
+    _positive("r0", r0, BarrierError)
+    l0 = _integer("l0", l0, MIN_L0, BarrierError)
     rmax = l0 * r0
     rs = rmax * np.geomspace(1e-6, 1.0, 1024)
     Hp = model.H_prime(rs)
@@ -284,13 +291,13 @@ class BoundaryBarrier:
     def h_second(self, d):
         return -self.A_coef ** 2 / (self.L * (1.0 + self.A_coef * d) ** 2)
 
-    def gradient_cap(self, sup_grad_u0_ext: float = 0.0) -> float:
-        return sup_grad_u0_ext + self.h_prime(0.0)
+    def gradient_cap(self) -> float:
+        """h'(0), the cap for initial data of zero exterior gradient."""
+        return self.h_prime(0.0)
 
 
 def make_boundary_barrier(L: float, d0: float) -> BoundaryBarrier:
-    if L <= 0:
-        raise BarrierError("L must be positive")
+    _positive("L", L, BarrierError)
     if not 0.0 < d0 < 1.0 / L:
         raise BarrierError(f"need 0 < d0 < 1/L = {1.0 / L}, got d0={d0}")
     return BoundaryBarrier(L=L, d0=d0, A_coef=L / (1.0 - L * d0))
@@ -327,15 +334,15 @@ class GeodesicSpec:
 
     def __post_init__(self):
         x, y, z = self.nu
-        if abs(x * x + y * y - z * z - 1.0) > 1e-10:
+        if not abs(x * x + y * y - z * z - 1.0) <= 1e-10:
             raise BarrierError("nu must be a unit spacelike vector")
 
     @staticmethod
     def at_distance(a: float, kappa: float = 1.0) -> "GeodesicSpec":
         """Halfplane whose boundary geodesic sits at distance a from the
         pole in curvature -kappa^2, with the pole outside."""
-        if a <= 0:
-            raise BarrierError("a must be positive")
+        _positive("a", a, BarrierError)
+        _positive("kappa", kappa, BarrierError)
         return GeodesicSpec((math.cosh(kappa * a), 0.0, math.sinh(kappa * a)))
 
 
@@ -384,6 +391,12 @@ def _sample_deep_region(geodesic: GeodesicSpec, d0: float, count: int,
     return np.column_stack((r[hits], theta[hits]))
 
 
+def _has_sc_barrier(model: ModelGeometry) -> bool:
+    """Whether ``make_sc_barrier`` is implemented on the model: the
+    hyperbolic built-in base of dimension n = 2."""
+    return model.xi.kind == "hyperbolic" and model.n == 2
+
+
 def _need_surface(model: ModelGeometry, what: str) -> None:
     if model.n != 2:
         raise BarrierError(f"{what} is implemented for base dimension n = 2 "
@@ -402,13 +415,13 @@ def make_sc_barrier(model: ModelGeometry, halfplane_geodesic: GeodesicSpec,
     region drawn from ``seed``; a nonpositive infimum (e.g. constant rho)
     is a construction error, since the barrier then cannot decay.
     """
-    if model.xi.kind != "hyperbolic":
-        raise BarrierError("SC barrier needs the hyperbolic built-in base")
-    _need_surface(model, "the SC barrier")
-    if d0 < 2.0:
-        raise BarrierError("d0 must be >= 2")
-    if C <= 0:
-        raise BarrierError("barrier height C must be positive")
+    if not _has_sc_barrier(model):
+        raise BarrierError(f"the SC barrier is implemented for the hyperbolic "
+                           f"built-in base of dimension n = 2 only, got xi: "
+                           f"{model.xi.kind}, n = {model.n}")
+    if not 2.0 <= d0 < math.inf:
+        raise BarrierError(f"d0 must be >= 2 and finite, got {d0}")
+    _positive("barrier height C", C, BarrierError)
     kappa = model.xi.kappa
     r, theta = _sample_deep_region(halfplane_geodesic, d0, 400,
                                    np.random.default_rng(seed), kappa=kappa).T
@@ -483,10 +496,10 @@ def interior_gradient_bound(model: ModelGeometry, R: float, M: float,
     Parameter requirements: k > 16, beta close enough to 1 that the derived
     log-scale constant exceeds k and the auxiliary constant mu is positive.
     """
-    if R <= 0 or M < 0:
-        raise BarrierError("need R > 0 and M >= 0")
-    if k <= 16:
-        raise BarrierError("k must exceed 16")
+    _positive("R", R, BarrierError)
+    _nonnegative("M", M, BarrierError)
+    if not 16 < k < math.inf:
+        raise BarrierError(f"k must exceed 16 and be finite, got {k}")
     if not 0.75 < beta < 1.0:
         raise BarrierError("beta must lie in (3/4, 1)")
     rs = _ladder(R, 1024)
@@ -520,16 +533,15 @@ def interior_gradient_bound(model: ModelGeometry, R: float, M: float,
 
 def compute_delta_psi(gamma: float, sup_W2: float) -> float:
     """delta_psi = gamma / (2 sup W^2), gamma = inf 1/rho^2."""
-    if gamma <= 0 or sup_W2 <= 0:
-        raise BarrierError("gamma and sup W^2 must be positive")
+    _positive("gamma", gamma, BarrierError)
+    _positive("sup W^2", sup_W2, BarrierError)
     return gamma / (2.0 * sup_W2)
 
 
 def compute_E_R(delta_psi: float, sup_xi2: float, n: int, zeta_R: float,
                 sup_xi_prime: float) -> float:
     """Cutoff-interaction constant of the curvature estimate."""
-    if delta_psi <= 0:
-        raise BarrierError("delta_psi must be positive")
+    _positive("delta_psi", delta_psi, BarrierError)
     return (1.0 / delta_psi + 4.0) * sup_xi2 + n * zeta_R * sup_xi_prime
 
 
@@ -537,9 +549,11 @@ def curvature_bound(delta_psi: float, L1: float, C_sim: float,
                     C_sim_tilde: float, E_R: float, zeta_R: float,
                     T: float) -> float:
     """Explicit bound on max |A| over the parabolic interior cylinder."""
-    if delta_psi <= 0 or T <= 0 or zeta_R <= 0:
-        raise BarrierError("delta_psi, zeta_R and T must be positive")
-    if min(L1, C_sim, C_sim_tilde, E_R) < 0:
-        raise BarrierError("constants must be nonnegative")
+    for name, value in (("delta_psi", delta_psi), ("zeta_R", zeta_R),
+                        ("T", T)):
+        _positive(name, value, BarrierError)
+    for name, value in (("L1", L1), ("C_sim", C_sim),
+                        ("C_sim_tilde", C_sim_tilde), ("E_R", E_R)):
+        _nonnegative(name, value, BarrierError)
     inner = 1.0 + L1 + C_sim_tilde + C_sim + E_R / zeta_R ** 2 + 1.0 / (2 * T)
     return 4.0 / math.sqrt(delta_psi) * math.sqrt(inner)

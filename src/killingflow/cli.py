@@ -130,14 +130,15 @@ def _cmd_barrier(args) -> int:
     constants["boundary_gradient_cap"] = bb.gradient_cap()
     checks.append(_boundary_identity_check(bb))
 
-    gb = barriers.interior_gradient_bound(model, Rmax, M=max(cap, 1.0),
-                                          beta=1 - 1e-8, k=17)
+    gb = barriers.interior_gradient_bound(
+        model, Rmax, M=max(cap, 1.0), beta=barriers._GRADIENT_BETA,
+        k=barriers._GRADIENT_K)
     constants["gradient_log_bound"] = gb.log_bound
     constants["gradient_mu"] = gb.mu_const
     constants["gradient_C0"] = gb.C0
 
-    # the barrier at infinity and pointwise_Q exist for hyperbolic n = 2
-    if model.xi.kind == "hyperbolic" and model.n == 2:
+    # the barrier at infinity is checked on the models it is built on
+    if barriers._has_sc_barrier(model):
         try:
             sc = barriers.make_sc_barrier(
                 model, barriers.GeodesicSpec.at_distance(

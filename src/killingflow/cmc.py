@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ModelGeometry, R_MIN
+from .geometry import ModelGeometry, R_MIN, _integer, _positive
 from .quadrature import QuadratureError, gauss_kronrod
 
 
@@ -103,6 +103,7 @@ def _check_rim(model: ModelGeometry, R: float) -> None:
 
 def eval_vR_prime(model: ModelGeometry, R: float, r: float) -> float:
     """Slope v'(r) of the radial CMC profile with rim radius R."""
+    _positive("R", R, CmcError)
     if not 0.0 <= r < R:
         raise CmcError(f"need 0 <= r < R, got r={r}, R={R}")
     _check_rim(model, R)
@@ -182,19 +183,23 @@ def _rim_quadrature(model: ModelGeometry, R: float, radii: np.ndarray,
 
 def sample_vR(model: ModelGeometry, R: float, r_grid: np.ndarray,
               tol: float | None = None) -> np.ndarray:
-    """Heights v_R at every node of an increasing radius grid.
+    """Heights v_R at every node of r_grid: a nonempty 1-d array of finite
+    radii, strictly increasing from a nonnegative first one; CmcError
+    otherwise, a nan or inf among them included.
 
     One _rim_heights call for all nodes, the same one behind eval_vR and
     solve_vR, so this costs about as much as a single eval_vR call instead
     of one per node.  Nodes at or beyond R get height 0.
     """
-    if R <= 0:
-        raise CmcError("R must be positive")
+    _positive("R", R, CmcError)
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.ndim != 1 or r_grid.size == 0:
         raise CmcError("r_grid must be a nonempty 1-d array")
-    if np.any(np.diff(r_grid) <= 0) or r_grid[0] < 0:
-        raise CmcError("r_grid must be strictly increasing and nonnegative")
+    # each comparison is false for nan; an increasing grid ends at its max
+    if not (r_grid[0] >= 0.0 and r_grid[-1] < math.inf
+            and np.all(np.diff(r_grid) > 0.0)):
+        raise CmcError("r_grid must be finite, strictly increasing and "
+                       "nonnegative")
     inside = int(np.searchsorted(r_grid, R))
     out = np.zeros(r_grid.size)
     out[:inside] = _rim_heights(model, R, r_grid[:inside][::-1],
@@ -205,8 +210,7 @@ def sample_vR(model: ModelGeometry, R: float, r_grid: np.ndarray,
 def eval_vR(model: ModelGeometry, R: float, r: float) -> float:
     """Height v_R(r) of the radial CMC profile, zero at the rim: the
     one-node case of sample_vR, without its array set-up."""
-    if R <= 0:
-        raise CmcError("R must be positive")
+    _positive("R", R, CmcError)
     if not 0.0 <= r <= R:
         raise CmcError(f"need 0 <= r <= R, got r={r}")
     if r == R:
@@ -236,10 +240,8 @@ MIN_GRID_SIZE = 16
 
 def solve_vR(model: ModelGeometry, R: float, grid_size: int) -> CmcProfile:
     """Sample the radial CMC profile with rim radius R on grid_size nodes."""
-    if R <= 0:
-        raise CmcError("R must be positive")
-    if grid_size < MIN_GRID_SIZE:
-        raise CmcError(f"grid_size must be >= {MIN_GRID_SIZE}")
+    _positive("R", R, CmcError)
+    grid_size = _integer("grid_size", grid_size, MIN_GRID_SIZE, CmcError)
     grid = _profile_grid(R, grid_size)
     v = np.zeros(grid.size)
     v[:-1] = _rim_heights(model, R, grid[-2::-1], model.quad_tol)[::-1]
@@ -259,8 +261,8 @@ def integrate_profile_ode(model: ModelGeometry, R: float,
     (r, s) track reproduces the graph of v_R.  Classic RK4 with fixed step.
     Returns an array of rows (sigma, r, s, phi).
     """
-    if R <= 0 or step <= 0:
-        raise CmcError("R and step must be positive")
+    _positive("R", R, CmcError)
+    _positive("step", step, CmcError)
     nH = model.n * model.H(R)
 
     def rhs(y):

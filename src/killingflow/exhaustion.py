@@ -28,7 +28,7 @@ import numpy as np
 from . import barriers
 from .flow import (BallProblem, FlowError, Grid, StepControl, Trajectory,
                    _grid_factors, solve_ball)
-from .geometry import ModelGeometry, lower_ricci_bounds
+from .geometry import ModelGeometry, _integer, _positive, lower_ricci_bounds
 
 
 def __getattr__(name: str):
@@ -86,9 +86,7 @@ class ExhaustionPlan:
                           self.grid_for(float(self.ladder[0])))
         except FlowError as exc:
             raise ExhaustionError(str(exc)) from None
-        if not 0.0 < self.tol < math.inf:
-            raise ExhaustionError(
-                f"tol must be positive and finite, got {self.tol}")
+        _positive("tol", self.tol, ExhaustionError)
         if min(self.ladder) < self.r0:
             raise ExhaustionError(
                 f"every rung must contain B_r0: rung {min(self.ladder)} "
@@ -140,10 +138,8 @@ def build_ladder(model: ModelGeometry, r0: float, count: int,
                  tol: float = 1e-3, **plan_kwargs) -> ExhaustionPlan:
     """Ladder of rung radii; rung k is the smallest integer Lam with
     zeta(r_k) < zeta(Lam)/4 for the doubling sequence r_k = 2^k r0."""
-    if count < MIN_RUNGS:
-        raise ExhaustionError(f"count must be >= {MIN_RUNGS}")
-    if not 0.0 < r0 < math.inf:
-        raise ExhaustionError(f"r0 must be positive and finite, got {r0}")
+    count = _integer("count", count, MIN_RUNGS, ExhaustionError)
+    _positive("r0", r0, ExhaustionError)
     ladder = []
     r = r0
     for _ in range(count):
@@ -269,7 +265,9 @@ def run_exhaustion(plan: ExhaustionPlan, phi: Callable) -> ConvergenceReport:
 
     # one-sided estimate checks computed from the first rung's data
     M = max(sup_u, 1e-6)
-    gb = barriers.interior_gradient_bound(model, R1, M, beta=1 - 1e-8, k=17)
+    gb = barriers.interior_gradient_bound(model, R1, M,
+                                          beta=barriers._GRADIENT_BETA,
+                                          k=barriers._GRADIENT_K)
     max_grad_all = max(r.max_grad for r in reports)
     grad_ok = math.log(max(max_grad_all, 1e-300)) <= gb.log_bound
     rs = np.linspace(1e-6, R1, 256)

@@ -99,7 +99,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy
 
-from .geometry import ModelGeometry, ProfileSpec, R_MIN, ambient_frame
+from .geometry import (ModelGeometry, ProfileSpec, R_MIN, _integer, _positive,
+                       ambient_frame)
 from .kernel import Factors, factors
 
 
@@ -165,11 +166,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _positive(name: str, value: float) -> None:
-    if not 0.0 < value < math.inf:
-        raise FlowError(f"{name} must be positive and finite, got {value}")
-
-
 # ---------------------------------------------------------------------------
 # grid and problem data
 
@@ -179,12 +175,15 @@ class Grid:
     """Polar grid: nr radial intervals on [0, R], ntheta angles.
 
     Node (j, i) sits at (r[j], i*dtheta); row 0 is the pole, row nr the
-    Dirichlet boundary.  ntheta = 1 selects the radial fast path.  Without
-    ``nodes`` the rows are uniform, r[j] = j*hr with hr = R/nr.  ``nodes``
-    gives any other radii, nr + 1 of them increasing from 0 to R (a graded
-    grid), and is stored as a tuple.  Nodes equal to the uniform ones are
-    stored as None: a grid has one form, the uniform grid's, so that it
-    steps, caches and is saved as that grid.
+    Dirichlet boundary.  R must be positive and finite and nr an integer
+    >= 8; ntheta = 1 selects the radial fast path, and any other ntheta
+    must be an integer >= 8 (FlowError otherwise).  Numpy integers are
+    stored as int.  Without ``nodes`` the rows are uniform, r[j] = j*hr
+    with hr = R/nr.  ``nodes`` gives any other radii, nr + 1 of them
+    increasing from 0 to R (a graded grid), and is stored as a tuple.
+    Nodes equal to the uniform ones are stored as None: a grid has one
+    form, the uniform grid's, so that it steps, caches and is saved as
+    that grid.
     """
 
     R: float
@@ -193,11 +192,13 @@ class Grid:
     nodes: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        _positive("R", self.R)
-        if self.nr < 8:
-            raise FlowError("nr must be >= 8")
-        if self.ntheta != 1 and self.ntheta < 8:
-            raise FlowError("ntheta must be >= 8 (or exactly 1 for radial)")
+        _positive("R", self.R, FlowError)
+        object.__setattr__(self, "nr", _integer("nr", self.nr, 8, FlowError))
+        # ntheta = 1 is the radial grid; a polar one needs at least 8
+        polar = self.ntheta != 1
+        object.__setattr__(self, "ntheta", _integer(
+            "ntheta of a polar grid" if polar else "ntheta", self.ntheta,
+            8 if polar else 1, FlowError))
         if self.nodes is None:
             return
         try:
@@ -258,10 +259,10 @@ class BallProblem:
     T: float | None = None
 
     def __post_init__(self):
-        _positive("R", self.R)
+        _positive("R", self.R, FlowError)
         if self.T is None:
             self.T = 0.5 * self.model.zeta(self.R)
-        _positive("T", self.T)
+        _positive("T", self.T, FlowError)
 
     def _dirichlet_row(self, grid: Grid) -> np.ndarray:
         """phi on the boundary row of a grid of the problem's radius."""
@@ -303,7 +304,7 @@ class StepControl:
             raise FlowError(f"unknown scheme {self.scheme!r}")
         if not 0.0 < self.cfl <= 1.0:
             raise FlowError("cfl must be in (0, 1]")
-        _positive("dt_max", self.dt_max)
+        _positive("dt_max", self.dt_max, FlowError)
 
 
 @dataclass(frozen=True)
@@ -1061,8 +1062,7 @@ def step(state: FlowState, problem: BallProblem, grid: Grid,
     of one state."""
     phi_row = problem._dirichlet_row(grid)
     dt = control.dt_max if dt is None else dt
-    if dt <= 0:
-        raise FlowError("dt must be positive")
+    _positive("dt", dt, FlowError)
     fd = _Fields(problem.model, grid)
     u = _advance(fd, state.u, control, dt, phi_row)
     _sup_norm(u)
@@ -1260,8 +1260,7 @@ def solve_ball(problem: BallProblem, grid: Grid, control: StepControl,
     ``step``'s bit for bit.  A radial grid's states are (nr + 1,): callers,
     the benchmark among them, stack them against (nr + 1,) bounds.
     """
-    if snapshot_every < 0:
-        raise FlowError(f"snapshot_every must be >= 0, got {snapshot_every}")
+    snapshot_every = _integer("snapshot_every", snapshot_every, 0, FlowError)
     u0, phi = problem.sample(grid)
     if grid.radial:
         u0 = u0[:, 0]

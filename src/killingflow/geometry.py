@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -44,6 +45,33 @@ class ValidationError(GeometryError):
 
 class TableFormatError(GeometryError):
     """Malformed table profile data."""
+
+
+# ---------------------------------------------------------------------------
+# scalar input rules: geometry, cmc, barriers, flow and exhaustion check
+# each public scalar input with one of these, raising their own exception
+# class.  Each comparison is false for nan, so nan fails every rule.
+
+
+def _positive(name: str, value: float, error: type[Exception]) -> None:
+    """Raise error unless value is positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise error(f"{name} must be positive and finite, got {value}")
+
+
+def _nonnegative(name: str, value: float, error: type[Exception]) -> None:
+    """Raise error unless value is nonnegative and finite."""
+    if not 0.0 <= value < math.inf:
+        raise error(f"{name} must be nonnegative and finite, got {value}")
+
+
+def _integer(name: str, value, minimum: int, error: type[Exception]) -> int:
+    """value as an int; raises error unless it is an integer >= minimum, a
+    Python or numpy integer but not a bool, a float or a string."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not value >= minimum):
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +100,8 @@ class ProfileSpec:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise GeometryError(f"unknown profile kind {self.kind!r}")
-        if self.kind in ("hyperbolic", "cosh") and self.kappa <= 0:
-            raise GeometryError("curvature scale kappa must be positive")
+        if self.kind in ("hyperbolic", "cosh"):
+            _positive("curvature scale kappa", self.kappa, GeometryError)
         if self.kind == "table":
             if not self.samples or len(self.samples) < 4:
                 raise TableFormatError("table profile needs >= 4 samples")
@@ -493,10 +521,8 @@ def make_model(spec_xi: ProfileSpec, spec_iota: ProfileSpec,
     Raises ValidationError naming the violated inequality and the sample
     point; the passing ladder is recorded in ``model.validation``.
     """
-    if n < MIN_DIMENSION:
-        raise GeometryError(f"dimension n={n} must be >= {MIN_DIMENSION}")
-    if quad_tol <= 0:
-        raise GeometryError("quad_tol must be positive")
+    n = _integer("dimension n", n, MIN_DIMENSION, GeometryError)
+    _positive("quad_tol", quad_tol, GeometryError)
     for name, prof in (("xi", spec_xi), ("iota", spec_iota)):
         if prof.kind == "table":
             r0, v0 = prof.samples[0]
@@ -561,7 +587,8 @@ MODELS = {
 def named_model(kind: str, n: int = 2, kappa: float = 1.0,
                 quad_tol: float = 1e-10) -> ModelGeometry:
     """MODELS[kind]; GeometryError for an unknown kind, for any value its
-    builder rejects, and for kappa <= 0 also where the kind ignores it."""
+    builder rejects, and for a kappa that is not positive and finite also
+    where the kind ignores it."""
     if kind not in MODELS:
         raise GeometryError(f"unknown model kind {kind!r} "
                             f"(known: {', '.join(MODELS)})")
@@ -630,8 +657,7 @@ def lower_ricci_bounds(model: ModelGeometry, R: float) -> tuple[float, float]:
     (2.67e7 for a 25-sample sinh table at R = 1), and GeometryError names
     the failing value instead.
     """
-    if R <= 0:
-        raise GeometryError("R must be positive")
+    _positive("R", R, GeometryError)
     xi = model.xi
     if xi.kind == "table":
         for label, value, smooth in (("xi'(0)", float(xi.d1(0.0)), 1.0),

@@ -87,7 +87,7 @@ EXPORTS = (
 
 DEFAULTS = {
     "barriers.BoundaryBarrier": (),
-    "barriers.BoundaryBarrier.gradient_cap": ("sup_grad_u0_ext",),
+    "barriers.BoundaryBarrier.gradient_cap": (),
     "barriers.BoundaryBarrier.h": (),
     "barriers.BoundaryBarrier.h_prime": (),
     "barriers.BoundaryBarrier.h_second": (),
@@ -199,7 +199,7 @@ DEFAULTS = {
 }
 
 # the number of settable values: the sum of DEFAULTS' tuples
-SETTABLE = 36
+SETTABLE = 35
 
 
 def _public_callables():

@@ -263,7 +263,6 @@ def test_boundary_barrier_identity_and_cap():
     np.testing.assert_allclose(bb.h_second(d) + 0.1 * bb.h_prime(d) ** 2,
                                0.0, rtol=0.0, atol=1e-15)
     assert bb.gradient_cap() == pytest.approx(bb.h_prime(0.0))
-    assert bb.gradient_cap(1.5) == pytest.approx(1.5 + bb.h_prime(0.0))
 
 
 @pytest.mark.parametrize("L,d0", [(0.0, 1.0), (0.1, 0.0), (0.1, 10.0),

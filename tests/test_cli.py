@@ -311,7 +311,7 @@ def test_non_finite_cli_numbers_exit_2(command, model, flag, bad, capsys):
     (["barrier", "--model", "euclidean", "--l0=-1"], "not an integer >= 1"),
     (["barrier", "--model", "euclidean", "--l0", "0"], "not an integer >= 1"),
     (["model-info", "--model", "euclidean", "--n", "0"],
-     "dimension n=0 must be >= 2"),
+     "dimension n must be an integer >= 2, got 0"),
     (["model-info", "--model", "euclidean", "--n", "1.5"],
      "invalid int value: '1.5'"),
     (["--seed=-1", "barrier", "--model", "euclidean"],
@@ -362,7 +362,8 @@ def test_barrier_rejects_a_nonpositive_r0(r0, capsys):
     # the supersolution's r0 rule, reported as a usage error before the
     # height cap forms a radius l0 r0
     assert dispatch(["barrier", "--model", "euclidean", f"--r0={r0}"]) == 2
-    assert capsys.readouterr().err == "error: r0 must be positive\n"
+    assert capsys.readouterr().err == (f"error: r0 must be positive and "
+                                       f"finite, got {float(r0)}\n")
 
 
 @pytest.mark.parametrize("r0", ["0", "-1"])
