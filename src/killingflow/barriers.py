@@ -30,6 +30,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import cmc
 from .cmc import CmcError, eval_vR, sample_vR
 from .geometry import (ModelGeometry, R_MIN, _CumulativeIntegral, _integer,
                        _ladder, _nonnegative, _positive)
@@ -178,30 +179,28 @@ def verify_supersolution(model: ModelGeometry, r0: float,
                                               np.ndarray]) -> float:
     """Minimum of d/dt u_plus + Q[u_plus] over the (t, r) grid.
 
-    ``discrete_Q(r_grid, u)`` must return the discrete spatial operator on
-    the same nodes (interior values used here).  The supersolution property
-    asserts the continuum minimum is >= 0; the caller allows a discretization
-    slack.  Time derivative by centered differences, so the first and last
-    time slices are excluded, as are the two radial nodes at each end.
+    ``discrete_Q(r_grid, U)`` must return the discrete spatial operator on
+    the same nodes for each row of the stack U of time slices, in U's
+    shape (``flow.radial_Q`` does; interior values used here).  It is
+    called once, on the (t_grid.size - 2, r_grid.size) stack of interior
+    slices.  The heights v_{R(t)}(r) of every slice are one table
+    (``cmc._sample_rims``).  The supersolution property asserts the
+    continuum minimum is >= 0; the caller allows a discretization slack.
+    Time derivative by centered differences, so the first and last time
+    slices are excluded, as are the two radial nodes at each end.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     r_grid = np.asarray(r_grid, dtype=float)
     if t_grid.size < 64 or r_grid.size < 64:
         raise BarrierError("grids must have >= 64 points")
     flow = SupersolutionFlow(model, r0)
-    u = np.empty((t_grid.size, r_grid.size))
     # quadrature only needs to stay well below the finite-difference error
     # of the residual itself, so don't pay for full model.quad_tol here
     samp_tol = min(1e-8, model.quad_tol * 1e2)
-    for a, R in enumerate(flow.R_of_t(t_grid)):
-        u[a] = sample_vR(model, float(R), r_grid, tol=samp_tol)
+    u = cmc._sample_rims(model, flow.R_of_t(t_grid), r_grid, samp_tol)
     ut = np.gradient(u, t_grid, axis=0)
-    worst = math.inf
-    for a in range(1, t_grid.size - 1):
-        q = discrete_Q(r_grid, u[a])
-        res = ut[a] + q
-        worst = min(worst, float(np.min(res[2:-2])))
-    return worst
+    res = ut[1:-1] + discrete_Q(r_grid, u[1:-1])
+    return float(np.min(res[:, 2:-2]))
 
 
 def height_bounds(model: ModelGeometry, r0: float, T: float,
@@ -214,19 +213,27 @@ def height_bounds(model: ModelGeometry, r0: float, T: float,
     increasing array of radii (one sample_vR pass over all of them); radii
     outside [0, r0] raise CmcError in both forms, on every call.  r0 and T
     must be positive and finite, sup_u0 nonnegative and finite
-    (BarrierError otherwise).  The pair
-    shares one height v_{r0}(r) per distinct float radius, one eval_vR
-    call kept for the pair's lifetime, so lower(r) then upper(r) costs one:
-    a closed form on the built-in model pairs, a quadrature on the others.
+    (BarrierError otherwise).  The pair checks r0's rim once, when it is
+    built, and shares one height v_{r0}(r) per distinct float radius, one
+    ``cmc._rim_heights`` call on that rim kept for the pair's lifetime, so
+    lower(r) then upper(r) costs one: a closed form on the built-in model
+    pairs, a quadrature on the others.
     """
     _positive("T", T, BarrierError)
     _nonnegative("sup_u0", sup_u0, BarrierError)
     RT = mu_of_t(model, r0, T)
     top = sup_u0 + eval_vR(model, RT, 0.0)
+    cmc._check_rim(model, r0)
 
     @functools.lru_cache(maxsize=None)      # raising calls are not kept
     def height(r):
-        return eval_vR(model, r0, r)
+        # eval_vR(model, r0, r) on the rim checked above
+        if not 0.0 <= r <= r0:
+            raise CmcError(f"need 0 <= r <= R, got r={r}")
+        if r == r0:
+            return 0.0
+        return float(cmc._rim_heights(model, r0, np.array([float(r)]),
+                                      model.quad_tol)[0])
 
     def upper(r):
         if isinstance(r, numbers.Real):
@@ -451,8 +458,9 @@ def pointwise_Q(model: ModelGeometry, func: Callable, r, theta):
     """
     _need_surface(model, "pointwise_Q")
     h = 1e-3
-    if np.any(r <= 2 * h):
-        raise BarrierError("pointwise_Q needs r away from the pole")
+    # each comparison is false for nan
+    if not np.all((r > 2 * h) & (r < math.inf)):
+        raise BarrierError("pointwise_Q needs finite r away from the pole")
     f0 = func(r, theta)
     fr1 = func(r + h, theta)
     fr0 = func(r - h, theta)

@@ -90,14 +90,17 @@ def _slopes(model: ModelGeometry, R: float, nH: float,
     return out
 
 
-def _check_rim(model: ModelGeometry, R: float) -> None:
+def _check_rim(model: ModelGeometry, R) -> None:
     """Raise CmcError unless A(R) = rho xi^(n-1) and V(R) are finite
-    (``ModelGeometry._finite_at``): past that rim radius every slope would
-    read inf or nan, and a V by quadrature cannot be evaluated."""
+    (``ModelGeometry._finite_at``) at the rim radius R, or at every rim
+    radius of an array R, naming the first that is not: past that rim
+    radius every slope would read inf or nan, and a V by quadrature cannot
+    be evaluated."""
     if not model._finite_at(R):
+        bad = next(x for x in np.ravel(R) if not model._finite_at(x))
         raise CmcError(
             f"A = rho xi^(n-1) or its volume integral V overflows at the rim "
-            f"radius R={R:g} (xi: {model.xi.kind}, rho: {model.rho.kind}): "
+            f"radius R={bad:g} (xi: {model.xi.kind}, rho: {model.rho.kind}): "
             f"too large for this model in double precision")
 
 
@@ -113,14 +116,13 @@ def eval_vR_prime(model: ModelGeometry, R: float, r: float) -> float:
 
 def _rim_heights(model: ModelGeometry, R: float, radii: np.ndarray,
                  tol: float) -> np.ndarray:
-    """Heights v_R at rim-inward radii (decreasing, in [0, R)).
+    """Heights v_R at rim-inward radii (decreasing, in [0, R)), on a rim
+    radius that _check_rim admits: every caller checks the rim first.
 
     Exact on the built-in model pairs, whose heights have a closed form
     (geometry's closed-form block); tol binds only the quadrature of
-    _rim_quadrature, which every other model takes.  Either way a rim past
-    the overflow of A or V raises CmcError first.
+    _rim_quadrature, which every other model takes.
     """
-    _check_rim(model, R)
     if model._cmc_height_closed is not None:
         return model._cmc_height_closed(R, radii)
     return _rim_quadrature(model, R, radii, tol)
@@ -181,6 +183,21 @@ def _rim_quadrature(model: ModelGeometry, R: float, radii: np.ndarray,
     return np.cumsum(gaps)
 
 
+def _nodes(r_grid) -> np.ndarray:
+    """r_grid as a float array: a nonempty 1-d array of finite radii,
+    strictly increasing from a nonnegative first one; CmcError otherwise,
+    a nan or inf among them included."""
+    r_grid = np.asarray(r_grid, dtype=float)
+    if r_grid.ndim != 1 or r_grid.size == 0:
+        raise CmcError("r_grid must be a nonempty 1-d array")
+    # each comparison is false for nan; an increasing grid ends at its max
+    if not (r_grid[0] >= 0.0 and r_grid[-1] < math.inf
+            and np.all(np.diff(r_grid) > 0.0)):
+        raise CmcError("r_grid must be finite, strictly increasing and "
+                       "nonnegative")
+    return r_grid
+
+
 def sample_vR(model: ModelGeometry, R: float, r_grid: np.ndarray,
               tol: float | None = None) -> np.ndarray:
     """Heights v_R at every node of r_grid: a nonempty 1-d array of finite
@@ -192,18 +209,37 @@ def sample_vR(model: ModelGeometry, R: float, r_grid: np.ndarray,
     of one per node.  Nodes at or beyond R get height 0.
     """
     _positive("R", R, CmcError)
-    r_grid = np.asarray(r_grid, dtype=float)
-    if r_grid.ndim != 1 or r_grid.size == 0:
-        raise CmcError("r_grid must be a nonempty 1-d array")
-    # each comparison is false for nan; an increasing grid ends at its max
-    if not (r_grid[0] >= 0.0 and r_grid[-1] < math.inf
-            and np.all(np.diff(r_grid) > 0.0)):
-        raise CmcError("r_grid must be finite, strictly increasing and "
-                       "nonnegative")
+    r_grid = _nodes(r_grid)
+    _check_rim(model, R)
     inside = int(np.searchsorted(r_grid, R))
     out = np.zeros(r_grid.size)
     out[:inside] = _rim_heights(model, R, r_grid[:inside][::-1],
                                 tol if tol else model.quad_tol)[::-1]
+    return out
+
+
+def _sample_rims(model: ModelGeometry, rims: np.ndarray, r_grid: np.ndarray,
+                 tol: float) -> np.ndarray:
+    """The (rims.size, r_grid.size) table of heights v_R(r), one row per
+    rim radius R of the 1-d array rims (positive radii), each row
+    sample_vR(model, R, r_grid, tol) bit for bit, its errors included.
+
+    On the built-in model pairs one _check_rim of all rims and one
+    closed-form call on every node inside its rim (r < R) fill the table;
+    nodes at or past R read 0.  Every other model takes sample_vR's
+    quadrature, one rim at a time.
+    """
+    closed = model._cmc_height_closed
+    if closed is None:
+        return np.array([sample_vR(model, float(R), r_grid, tol)
+                         for R in rims])
+    r_grid = _nodes(r_grid)
+    _check_rim(model, rims)
+    R = rims[:, None]
+    inside = r_grid < R
+    out = np.zeros(inside.shape)
+    out[inside] = closed(np.broadcast_to(R, inside.shape)[inside],
+                         np.broadcast_to(r_grid, inside.shape)[inside])
     return out
 
 
@@ -215,6 +251,7 @@ def eval_vR(model: ModelGeometry, R: float, r: float) -> float:
         raise CmcError(f"need 0 <= r <= R, got r={r}")
     if r == R:
         return 0.0
+    _check_rim(model, R)
     return float(_rim_heights(model, R, np.array([float(r)]),
                               model.quad_tol)[0])
 
@@ -242,6 +279,7 @@ def solve_vR(model: ModelGeometry, R: float, grid_size: int) -> CmcProfile:
     """Sample the radial CMC profile with rim radius R on grid_size nodes."""
     _positive("R", R, CmcError)
     grid_size = _integer("grid_size", grid_size, MIN_GRID_SIZE, CmcError)
+    _check_rim(model, R)
     grid = _profile_grid(R, grid_size)
     v = np.zeros(grid.size)
     v[:-1] = _rim_heights(model, R, grid[-2::-1], model.quad_tol)[::-1]

@@ -34,7 +34,8 @@ from typing import Callable
 
 from . import expr
 from .flow import FlowError, Grid, StepControl
-from .geometry import MODELS, GeometryError, ModelGeometry, named_model
+from .geometry import (MODELS, GeometryError, ModelGeometry, _positive,
+                       named_model)
 
 
 class ConfigError(ValueError):
@@ -140,8 +141,8 @@ def _validate(sections: dict) -> RunConfig:
         "u0": problem["u0"],
         "T": _as_float("problem", "T", T) if T else None,
     }
-    if out_problem["T"] is not None and out_problem["T"] <= 0:
-        raise ConfigError("[problem] T must be positive")
+    if out_problem["T"] is not None:
+        _positive("[problem] T", out_problem["T"], ConfigError)
 
     verify = sections["verify"]
     checks = verify["checks"].strip()
@@ -155,8 +156,7 @@ def _validate(sections: dict) -> RunConfig:
         "checks": checks,
         "tol": _as_float("verify", "tol", verify["tol"]),
     }
-    if out_verify["tol"] <= 0:
-        raise ConfigError("[verify] tol must be positive")
+    _positive("[verify] tol", out_verify["tol"], ConfigError)
 
     return RunConfig(model=out_model, grid=out_grid, control=out_control,
                      problem=out_problem, verify=out_verify)

@@ -75,6 +75,11 @@ class ExhaustionPlan:
     n_time_steps: int = 64
 
     def __post_init__(self):
+        # grid_for reads r0 and control() T0 and n_time_steps
+        _positive("r0", self.r0, ExhaustionError)
+        _positive("T0", self.T0, ExhaustionError)
+        object.__setattr__(self, "n_time_steps", _integer(
+            "n_time_steps", self.n_time_steps, 1, ExhaustionError))
         # a radial rung (ntheta = 1) would silently sample phi(0) of a phi
         # that depends on theta
         if self.ntheta == 1:

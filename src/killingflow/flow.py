@@ -27,7 +27,8 @@ and the row measures m_j = dV_j / P_j (``_radial_weights``,
 ``_polar_weights``; the pole row's measure is ntheta dV_0 / P_0), and feed
 
 * ``discretize_Q`` (and ``radial_Q``, the same operator on the nodes of a
-  radial grid) and the explicit Euler step (a debugging fallback), which
+  radial grid; on a radial grid both take a stack of fields along the
+  last axis) and the explicit Euler step (a debugging fallback), which
   checks dt max_j sum_k w_jk <= cfl on the weights of the state it steps;
 * the default semi-implicit step, which lags them one step.  Row j of the
   M-matrix I - dt L(u) times m_j is the symmetric, strictly diagonally
@@ -604,7 +605,9 @@ class _Polar(NamedTuple):
 
 
 def _radial_weights(c: _Cells, u: np.ndarray) -> _Radial:
-    """The radial operator on the finite volumes c at the 1-d field u:
+    """The radial operator on the finite volumes c at the 1-d field u, or
+    at each field of a stack (..., nr + 1) of them, nodes along the last
+    axis:
 
         g_f = cond_f / sqrt(rho_f^-2 + s_f^2),
         m_j = dV_j / sqrt(rho_j^-2 + max(s_{j-1} s_j, 0)),
@@ -614,13 +617,14 @@ def _radial_weights(c: _Cells, u: np.ndarray) -> _Radial:
     measure, so its row of weights is zero.  The slopes are written into
     one zero-padded array and every other result in place into the two
     arrays it returns."""
-    s = np.zeros(u.size + 1)                # the face slopes, 0 past the ends
-    f = np.subtract(u[1:], u[:-1], out=s[1:-1])
+    # the face slopes, 0 past the ends
+    s = np.zeros(u.shape[:-1] + (u.shape[-1] + 1,))
+    f = np.subtract(u[..., 1:], u[..., :-1], out=s[..., 1:-1])
     f /= c.dr
     g = f * f
     g += c.inv_rho2_f
     g = np.divide(c.cond, np.sqrt(g, out=g), out=g)
-    m = s[:-1] * s[1:]
+    m = s[..., :-1] * s[..., 1:]
     m = np.maximum(m, 0.0, out=m)
     m += c.inv_rho2
     m = np.divide(c.dV, np.sqrt(m, out=m), out=m)
@@ -679,10 +683,18 @@ def _polar_weights(fd: _Fields, u: np.ndarray) -> _Polar:
     return _Polar(g_r, g_t, m, m0)
 
 
+def _radial_rows(u: np.ndarray) -> np.ndarray:
+    """A radial field, or a stack of them, with its nodes along the last
+    axis: a (..., nr + 1, 1) field of the grid's shape drops its column
+    axis, and a 1-d field or a (..., nr + 1) stack is taken as it is."""
+    return u[..., 0] if u.shape[-1] == 1 else u
+
+
 def _weights(fd: _Fields, u: np.ndarray) -> _Radial | _Polar:
-    """The stencil at u on the grid."""
+    """The stencil at u on the grid; on a radial grid, one stencil per
+    field of a stack (``_radial_rows``)."""
     if fd.grid.radial:
-        return _radial_weights(fd.gf.cells, u.reshape(-1))
+        return _radial_weights(fd.gf.cells, _radial_rows(u))
     return _polar_weights(fd, u)
 
 
@@ -690,11 +702,12 @@ def _apply(w: _Radial | _Polar, u: np.ndarray) -> np.ndarray:
     """sum_k w_jk (u_k - u_j) for a stencil w of _weights, in u's shape:
     the net flux into each cell over its measure."""
     if isinstance(w, _Radial):
-        v = u.reshape(-1)
-        flux = np.zeros(v.size + 1)         # the face fluxes, 0 past the ends
-        f = np.subtract(v[1:], v[:-1], out=flux[1:-1])
+        v = _radial_rows(u)
+        # the face fluxes, 0 past the ends
+        flux = np.zeros(v.shape[:-1] + (v.shape[-1] + 1,))
+        f = np.subtract(v[..., 1:], v[..., :-1], out=flux[..., 1:-1])
         f *= w.g
-        Q = flux[1:] - flux[:-1]
+        Q = flux[..., 1:] - flux[..., :-1]
         Q /= w.m
         return Q.reshape(u.shape)
     f_r = w.g_r * (u[1:] - u[:-1])
@@ -717,9 +730,10 @@ def _radial_grid(R: float, nr: int) -> Grid:
 
 
 def radial_Q(model: ModelGeometry, r: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``discretize_Q`` of a radial field u on the nodes r of the radial
-    grid Grid(R=r[-1], nr=r.size - 1, ntheta=1), np.linspace(0, R, nr + 1);
-    raises FlowError for any other radii."""
+    """``discretize_Q`` of a radial field u, or of a stack (..., nr + 1) of
+    them, on the nodes r of the radial grid Grid(R=r[-1], nr=r.size - 1,
+    ntheta=1), np.linspace(0, R, nr + 1); raises FlowError for any other
+    radii."""
     r = np.asarray(r, dtype=float)
     if r.ndim != 1 or r.size == 0:
         raise FlowError("radial_Q takes a 1-d array of radii")
@@ -732,9 +746,13 @@ def radial_Q(model: ModelGeometry, r: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def discretize_Q(model: ModelGeometry, grid: Grid,
                  u: np.ndarray) -> np.ndarray:
-    """Discrete flow operator on the polar grid (second order in space).
+    """Discrete flow operator on the polar grid (second order in space),
+    in u's shape.
 
-    Boundary row is returned as zero (the Dirichlet row never moves).
+    Boundary row is returned as zero (the Dirichlet row never moves).  On a
+    radial grid u is one field, 1-d or of the grid's shape (nr + 1, 1), or
+    a stack (..., nr + 1) of fields, each row of the last axis taken on
+    its own, bit for bit as one call per field.
     """
     return _apply(_weights(_Fields(model, grid), u), u)
 

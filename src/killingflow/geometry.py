@@ -494,11 +494,14 @@ class ModelGeometry:
 
 def _off_pole(r, name: str) -> np.ndarray:
     """r as a float64 array; GeometryError if it reaches the pole r <= R_MIN,
-    where ``name`` is undefined."""
+    where ``name`` is undefined, or holds a nan or an inf."""
     x = np.asarray(r, dtype=float)
-    low = x.min(initial=math.inf)
-    if low <= R_MIN:
+    # min and max keep a nan, and each comparison is false for it
+    low, high = x.min(initial=math.inf), x.max(initial=0.0)
+    if not low > R_MIN:
         raise GeometryError(f"{name} undefined at r={low}")
+    if not high < math.inf:
+        raise GeometryError(f"{name} undefined at r={high}")
     return x
 
 

@@ -7,7 +7,10 @@ written out whole; on the radial grid, slopes by np.diff, zero ends by
 np.concatenate, a np.zeros band and the Dirichlet value by np.append.
 The solver computes the same IEEE operations in the same order on
 contiguous per-grid fields and in place, so every array must match them
-bit for bit.  The last part checks what in-place arithmetic could break:
+bit for bit.  The supersolution check, which samples every time slice
+as one table and applies the radial operator to the stack of slices, is
+checked against its per-slice form, one sample_vR and one radial_Q call
+per slice.  The last part checks what in-place arithmetic could break:
 no input is written to, and nothing a caller gets back shares memory
 with another run's arrays.
 """
@@ -15,11 +18,12 @@ with another run's arrays.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from killingflow import flow
+from killingflow import barriers, cmc, flow
 from killingflow.flow import (BallProblem, FlowState, Grid, StepControl,
                               compute_W, discretize_Q, second_fundamental_form,
                               solve_ball, step)
@@ -341,6 +345,154 @@ def test_radial_solve_is_bit_identical(radial_model, radial_grid, scheme):
         assert np.array_equal(s.W, W[k, :, 0])
     assert np.array_equal(tr.max_grad, max_grad)
     assert np.array_equal(tr.max_A, max_A)
+
+
+def _radial_stack(grid, seeds):
+    return np.stack([_radial_state(grid, seed) for seed in seeds])
+
+
+def test_radial_operator_on_a_stack_is_bit_identical(radial_model,
+                                                     radial_grid):
+    # one call on a stack of fields, nodes along the last axis, is one call
+    # per field
+    U = _radial_stack(radial_grid, range(30, 36))
+    rows = [discretize_Q(radial_model, radial_grid, u) for u in U]
+    for V in (U, U.reshape(2, 3, -1)):
+        Q = discretize_Q(radial_model, radial_grid, V)
+        assert Q.shape == V.shape
+        assert np.array_equal(Q.reshape(U.shape), np.stack(rows))
+    # grid-shaped fields, (S, nr + 1, 1), stack the same way
+    assert np.array_equal(
+        discretize_Q(radial_model, radial_grid, U[:, :, None])[:, :, 0],
+        np.stack(rows))
+    if radial_grid.nodes is None:
+        Q = flow.radial_Q(radial_model, radial_grid.r, U)
+        assert np.array_equal(Q, np.stack(
+            [flow.radial_Q(radial_model, radial_grid.r, u) for u in U]))
+        assert np.array_equal(Q, np.stack(rows))
+
+
+def test_a_grid_shaped_radial_field_is_one_field(radial_model, radial_grid):
+    # a (nr + 1, 1) state, which the explicit step passes, is one field of
+    # nr + 1 nodes, not nr + 1 fields of one node
+    fd = flow._Fields(radial_model, radial_grid)
+    u = _radial_state(radial_grid, 37)
+    for a, b in zip(flow._weights(fd, u[:, None]), flow._weights(fd, u)):
+        assert a.ndim == 1 and np.array_equal(a, b)
+    Q = discretize_Q(radial_model, radial_grid, u[:, None])
+    assert Q.shape == (radial_grid.nr + 1, 1)
+    assert np.array_equal(Q[:, 0], discretize_Q(radial_model, radial_grid, u))
+    control = StepControl(scheme="explicit-euler", dt_max=1e-6)
+    v = flow._advance(fd, u[:, None], control, 1e-6, np.array([0.1]))
+    ref = u + 1e-6 * _ref_radial_apply(*_ref_radial_weights(fd.gf.cells, u),
+                                       u)
+    ref[-1] = 0.1
+    assert v.shape == (radial_grid.nr + 1, 1)
+    assert np.array_equal(v[:, 0], ref)
+
+
+# -- the supersolution check ----------------------------------------------------
+
+
+def _samp_tol(model):
+    return min(1e-8, model.quad_tol * 1e2)
+
+
+def _ref_heights(model, rims, r_grid):
+    """One sample_vR per rim, as verify_supersolution sampled its slices."""
+    return np.array([cmc.sample_vR(model, float(R), r_grid,
+                                   tol=_samp_tol(model)) for R in rims])
+
+
+def _ref_verify_supersolution(model, r0, t_grid, r_grid, u=None):
+    """verify_supersolution one time slice at a time: a sample_vR and a
+    radial_Q call per slice, and the minimum of the slices' minima; u, if
+    given, is the slices' table of heights."""
+    if u is None:
+        u = _ref_heights(model, barriers.SupersolutionFlow(model, r0).R_of_t(
+            t_grid), r_grid)
+    ut = np.gradient(u, t_grid, axis=0)
+    worst = math.inf
+    for a in range(1, t_grid.size - 1):
+        res = ut[a] + flow.radial_Q(model, r_grid, u[a])
+        worst = min(worst, float(np.min(res[2:-2])))
+    return worst
+
+
+def _verify(model, r0, t_grid, r_grid):
+    return barriers.verify_supersolution(
+        model, r0, t_grid, r_grid, lambda r, u: flow.radial_Q(model, r, u))
+
+
+@pytest.mark.parametrize("size", [64, 256])
+@pytest.mark.parametrize("model_name",
+                         ["euclid2", "euclid3", "hyp2", "hyp3", "sinh2"])
+def test_supersolution_check_is_bit_identical(request, model_name, size):
+    # the built-in pairs fill the table of heights in closed form, sinh2 by
+    # one quadrature per rim; 256 x 256 is acceptance criterion 3's grid
+    model = request.getfixturevalue(model_name)
+    t_grid, r_grid = np.linspace(0.0, 0.5, size), np.linspace(0.0, 1.0, size)
+    rims = barriers.SupersolutionFlow(model, 1.0).R_of_t(t_grid)
+    ref = _ref_heights(model, rims, r_grid)
+    assert np.array_equal(
+        cmc._sample_rims(model, rims, r_grid, _samp_tol(model)), ref)
+    assert _verify(model, 1.0, t_grid, r_grid) \
+        == _ref_verify_supersolution(model, 1.0, t_grid, r_grid, ref)
+
+
+@pytest.mark.parametrize("model_name", ["euclid2", "hyp3", "sinh2"])
+def test_nodes_past_the_rim_read_zero(request, model_name):
+    # r_grid reaches past R(t) = sqrt(1 + 2 n t) <= 1.5 (E2) and 1.41 (H3):
+    # those nodes read 0, a rim on a node included, with no numpy warning
+    model = request.getfixturevalue(model_name)
+    t_grid, r_grid = np.linspace(0.0, 0.5, 64), np.linspace(0.0, 3.0, 64)
+    rims = barriers.SupersolutionFlow(model, 1.0).R_of_t(t_grid)
+    rims[5] = r_grid[30]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = cmc._sample_rims(model, rims, r_grid, _samp_tol(model))
+        res = _verify(model, 1.0, t_grid, r_grid)
+        assert res == _ref_verify_supersolution(model, 1.0, t_grid, r_grid)
+    assert np.array_equal(u, _ref_heights(model, rims, r_grid))
+    past = r_grid >= rims[:, None]
+    assert past[:, -1].all() and past[5, 30] and not past[5, 29]
+    assert np.all(u[past] == 0.0) and np.all(u[~past] > 0.0)
+
+
+@pytest.mark.parametrize("model_name,rims", [
+    ("euclid2", [1.0, 2.0, 2e154, 3e154, 1e155]),
+    ("hyp2", [1.0, 354.0, 356.0, 400.0, 720.0]),
+    ("sinh2", [1.0, 2.0, 710.2, 720.0])])
+def test_a_rim_past_the_overflow_of_A_names_the_first(request, model_name,
+                                                      rims):
+    # the table raises the CmcError of the first rim that sample_vR refuses
+    model = request.getfixturevalue(model_name)
+    r_grid = np.linspace(0.0, 1.0, 8)
+    with pytest.raises(cmc.CmcError) as ref:
+        _ref_heights(model, rims, r_grid)
+    with pytest.raises(cmc.CmcError) as got:
+        cmc._sample_rims(model, np.array(rims), r_grid, _samp_tol(model))
+    assert str(got.value) == str(ref.value)
+    assert f"R={rims[2]:g} " in str(got.value)
+
+
+def test_a_supersolution_past_the_overflow_raises_the_per_slice_error(
+        hyp2, monkeypatch):
+    # R_of_t refuses a time whose rim lies past the overflow of A (R = 355
+    # on H2) with BarrierError, so a schedule about as fast as H2's, R = 1 +
+    # 2t, stands in for it: it passes the overflow from slice 56 (R = 356.6)
+    t_grid, r_grid = np.linspace(0.0, 200.0, 64), np.linspace(0.0, 1.0, 64)
+    with pytest.raises(barriers.BarrierError, match="overflows"):
+        barriers.SupersolutionFlow(hyp2, 1.0).R_of_t(t_grid)
+    monkeypatch.setattr(barriers.SupersolutionFlow, "R_of_t",
+                        lambda self, t: 1.0 + 2.0 * t)
+    first = next(R for R in 1.0 + 2.0 * t_grid if not hyp2._finite_at(R))
+    with pytest.raises(cmc.CmcError) as ref:
+        _ref_verify_supersolution(hyp2, 1.0, t_grid, r_grid)
+    with pytest.raises(cmc.CmcError) as got:
+        _verify(hyp2, 1.0, t_grid, r_grid)
+    assert str(got.value) == str(ref.value)
+    assert f"R={first:g} " in str(got.value)
 
 
 # -- aliasing -----------------------------------------------------------------

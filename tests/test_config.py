@@ -115,6 +115,17 @@ def test_range_errors_carry_the_owners_message(text, section, owner):
     assert str(err.value) == f"[{section}] {own.value}"
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("problem", "T", "0"), ("problem", "T", "-1"), ("verify", "tol", "0")])
+def test_nonpositive_time_and_tolerance_carry_the_positive_rule(section, key,
+                                                                value):
+    # geometry._positive owns the rule, as it does for BallProblem's T
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + f"[{section}]\n{key} = {value}\n")
+    assert str(err.value) == (f"[{section}] {key} must be positive and "
+                              f"finite, got {float(value)}")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("section,key", [
     ("model", "kappa"), ("model", "quad_tol"), ("grid", "R"),

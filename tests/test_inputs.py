@@ -2,7 +2,7 @@
 
 Every public scalar input of geometry, cmc, barriers, flow and exhaustion
 follows one of three rules (``geometry._positive``, ``_nonnegative`` and
-``_integer``), and three array inputs refuse nan and inf.  Each row calls
+``_integer``), and the array inputs of the finite rows refuse nan and inf.  Each row calls
 one entry point with a refused value in one argument and expects the
 module's own exception, with warnings as errors: a value the numerics
 cannot honour fails loudly, before any numpy warning.
@@ -40,6 +40,10 @@ def _zero_phi(theta):
 
 def _bump(r, theta):
     return 0.25 * np.cos(0.5 * math.pi * r) * np.ones_like(theta)
+
+
+def _tilted(r, theta):
+    return r * np.cos(theta)
 
 
 def _flat_profiles():
@@ -88,6 +92,12 @@ ROWS = [
      lambda x, m: geometry.make_model(*_flat_profiles(), 2, quad_tol=x)),
     ("geometry.lower_ricci_bounds.R", "positive", GeometryError,
      lambda x, m: geometry.lower_ricci_bounds(m.h2, x)),
+    ("geometry.ModelGeometry.H.r", "finite", GeometryError,
+     lambda x, m: m.h2.H(x)),
+    ("geometry.ModelGeometry.H_prime.r", "finite", GeometryError,
+     lambda x, m: m.h2.H_prime(np.array([1.0, x]))),
+    ("geometry.ModelGeometry.Hcyl.r", "finite", GeometryError,
+     lambda x, m: m.e2.Hcyl(x)),
     ("cmc.eval_vR.R", "positive", CmcError,
      lambda x, m: cmc.eval_vR(m.h2, x, 0.0)),
     ("cmc.sample_vR.R", "positive", CmcError,
@@ -140,6 +150,9 @@ ROWS = [
     ("barriers.make_sc_barrier.d0", "positive", BarrierError,
      lambda x, m: barriers.make_sc_barrier(
          m.h2, GeodesicSpec.at_distance(1.0), C=1.0, d0=x)),
+    ("barriers.pointwise_Q.r", "finite", BarrierError,
+     lambda x, m: barriers.pointwise_Q(m.h2, _tilted, np.array([x]),
+                                       np.array([0.0]))),
     ("barriers.interior_gradient_bound.R", "positive", BarrierError,
      lambda x, m: _gradient_bound(m, R=x)),
     ("barriers.interior_gradient_bound.M", "nonnegative", BarrierError,
@@ -184,6 +197,13 @@ ROWS = [
      lambda x, m: exhaustion.build_ladder(m.e2, 1.0, x)),
     ("exhaustion.ExhaustionPlan.tol", "positive", ExhaustionError,
      lambda x, m: exhaustion.ExhaustionPlan(m.e2, 1.0, (3, 5), 1.0, x)),
+    ("exhaustion.ExhaustionPlan.r0", "positive", ExhaustionError,
+     lambda x, m: exhaustion.ExhaustionPlan(m.e2, x, (3, 5), 1.0, 1e-3)),
+    ("exhaustion.ExhaustionPlan.T0", "positive", ExhaustionError,
+     lambda x, m: exhaustion.ExhaustionPlan(m.e2, 1.0, (3, 5), x, 1e-3)),
+    ("exhaustion.ExhaustionPlan.n_time_steps", "integer", ExhaustionError,
+     lambda x, m: exhaustion.ExhaustionPlan(m.e2, 1.0, (3, 5), 1.0, 1e-3,
+                                            n_time_steps=x)),
 ]
 
 
@@ -222,6 +242,10 @@ def test_boundary_values_and_numpy_integers_are_accepted(euclid2, hyp2):
     assert barriers.c0_height_cap(euclid2, 1.0, np.int64(3)) \
         == barriers.c0_height_cap(euclid2, 1.0, 3)
     assert exhaustion.build_ladder(euclid2, 1.0, np.int64(2)).ladder == (3, 5)
+    plan = exhaustion.ExhaustionPlan(euclid2, 1.0, (3, 5), 1.0, 1e-3,
+                                     n_time_steps=np.int64(1))
+    assert type(plan.n_time_steps) is int
+    assert plan.control().dt_max == 1.0
 
 
 def test_a_run_on_numpy_integers_saves_loads_and_hashes(tmp_path):
