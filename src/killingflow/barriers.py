@@ -32,8 +32,8 @@ import numpy as np
 
 from . import cmc
 from .cmc import CmcError, eval_vR, sample_vR
-from .geometry import (ModelGeometry, R_MIN, _CumulativeIntegral, _integer,
-                       _ladder, _nonnegative, _positive)
+from .geometry import (ModelGeometry, R_MIN, _integer, _ladder, _nonnegative,
+                       _positive)
 from .kernel import coefficients, factors
 
 
@@ -50,9 +50,9 @@ class SupersolutionFlow:
     """Rim radius schedule R(t) of the expanding radial supersolution.
 
     R(t) is defined implicitly by  integral_{r0}^{R} V/A = t, equivalently
-    dR/dt = -n H(R) with R(0) = r0.  The integral is exact on the built-in
-    model pairs, from the closed antiderivative of V/A (r^2/(2n) on the
-    flat pair, ln cosh(kr)/(n k^2) on the hyperbolic one), and a cumulative
+    dR/dt = -n H(R) with R(0) = r0: the model's rim_time(R) - rim_time(r0),
+    exact on the built-in model pairs (r^2/(2n) on the flat pair,
+    ln cosh(kr)/(n k^2) on the hyperbolic one) and a cumulative
     Gauss-Kronrod integral on every other model.
     """
 
@@ -61,15 +61,10 @@ class SupersolutionFlow:
 
     def __post_init__(self):
         _positive("r0", self.r0, BarrierError)
-        model = self.model
-        closed = model._time_closed
-        if closed is None:
-            self._time = _CumulativeIntegral(
-                lambda s: model.V(s) / model.A(s), model.quad_tol,
-                start=self.r0, breaks=model.breaks)
-        else:
-            start = closed(float(self.r0))
-            self._time = lambda R: closed(R) - start
+        self._time_r0 = self.model.rim_time(float(self.r0))
+
+    def _time(self, R):
+        return self.model.rim_time(R) - self._time_r0
 
     def time_of(self, R):
         """Time t at which the rim radius reaches R (a radius or an array
@@ -79,7 +74,7 @@ class SupersolutionFlow:
         if not np.all((R >= self.r0) & (R < math.inf)):
             raise BarrierError(f"rim radius below r0 = {self.r0} or not "
                                f"finite")
-        return self._time(R)[()]
+        return self._time(R)
 
     def _last_finite(self, a: float, b: float) -> float:
         """The largest radius in [a, b) at which A and V are finite, to the
@@ -97,12 +92,12 @@ class SupersolutionFlow:
         """Rim radius at time t, a float or an array of finite nonnegative
         times (BarrierError otherwise, nan included): Newton on
         time_of, whose derivative is V(R)/A(R) exactly, kept inside a
-        doubling bracket by bisection, for all the times at once.  A time
-        whose radius lies past the overflow of A or V raises BarrierError.
-        On a model without the closed time, where the integral of V/A
-        cannot be evaluated past that overflow, a bracket that doubles past
-        it stops at the last radius where A and V are finite: the model's
-        test (``ModelGeometry._finite_at``), as for the CMC heights.
+        doubling bracket by bisection, for all the times at once.  A
+        bracket that doubles past the overflow of A or V stops at the last
+        radius where they are finite, the model's test
+        (``ModelGeometry._finite_at``) as for the CMC heights, and a time
+        whose radius lies past it raises BarrierError naming the smallest
+        such time.
         """
         t = np.asarray(t, dtype=float)
         if not np.all((t >= 0.0) & (t < math.inf)):
@@ -113,7 +108,7 @@ class SupersolutionFlow:
         t_lo = np.zeros(t.shape)
         top = math.inf                  # the last finite radius, once met
         while True:
-            if model._time_closed is None and not model._finite_at(hi):
+            if not model._finite_at(hi):
                 if top == math.inf:
                     if not model._finite_at(self.r0):
                         raise BarrierError(f"A or V overflows at r0 = "
@@ -125,10 +120,11 @@ class SupersolutionFlow:
             short = t_hi < t
             if not short.any():
                 break
-            if np.any(hi[short] == top):
+            past = short & (hi == top)
+            if past.any():
                 raise BarrierError(
                     f"R(t) lies past the rim radius r = {top:.6g} where A "
-                    f"or V overflows for t={np.max(t[short])}")
+                    f"or V overflows for t = {np.min(t[past]):.6g}")
             lo, t_lo = np.where(short, hi, lo), np.where(short, t_hi, t_lo)
             hi = np.where(short, 2.0 * hi, hi)
             if np.max(hi) > 1e6 * self.r0:
@@ -136,29 +132,24 @@ class SupersolutionFlow:
                     f"R(t) bracket expansion failed below 1e6*r0 for "
                     f"t={np.max(t)}")
         # start from the tangent at lo, which lies right of the root where
-        # time_of is convex (H' > 0); t = 0 is solved by r0 exactly.  A/V
-        # is nan past the overflow of A or V, where the step falls back to
-        # bisection
+        # time_of is convex (H' > 0); t = 0 is solved by r0 exactly.  Every
+        # iterate stays in its bracket, where A and V are finite
         done = t == 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            R = np.where(done, lo, np.fmin(
-                hi, lo + (t - t_lo) * model.A(lo) / model.V(lo)))
-            for _ in range(_NEWTON_STEPS):
-                gap = self._time(R) - t
-                lo = np.where(gap < 0.0, R, lo)
-                hi = np.where(gap > 0.0, R, hi)
-                step = gap * model.A(R) / model.V(R)
-                last = ~done & (np.abs(step) <= _NEWTON_STOP * R)
-                R_next = R - step
-                R = np.where(done, R, np.where(
-                    last | ((lo < R_next) & (R_next < hi)), R_next,
-                    0.5 * (lo + hi)))
-                done |= last
-                if done.all():
-                    return float(R) if R.ndim == 0 else R
-        if not model._finite_at(R):
-            raise BarrierError(f"R(t) lies past the rim radius where A or V "
-                               f"overflows for t={np.max(t)}")
+        R = np.where(done, lo, np.fmin(
+            hi, lo + (t - t_lo) * model.A(lo) / model.V(lo)))
+        for _ in range(_NEWTON_STEPS):
+            gap = self._time(R) - t
+            lo = np.where(gap < 0.0, R, lo)
+            hi = np.where(gap > 0.0, R, hi)
+            step = gap * model.A(R) / model.V(R)
+            last = ~done & (np.abs(step) <= _NEWTON_STOP * R)
+            R_next = R - step
+            R = np.where(done, R, np.where(
+                last | ((lo < R_next) & (R_next < hi)), R_next,
+                0.5 * (lo + hi)))
+            done |= last
+            if done.all():
+                return float(R) if R.ndim == 0 else R
         raise BarrierError(f"R(t) did not converge for t={t}")
 
 
@@ -261,11 +252,18 @@ def c0_height_cap(model: ModelGeometry, r0: float, l0: int) -> float:
 
     Equals sup over (0, l0 r0] of H^2/(rho H') times -1/H(l0 r0), the
     supremum taken on 1024 radii.  Requires the radial mean curvature to
-    be strictly increasing on the window.
+    be strictly increasing on the window, and A and V to be finite on it
+    (``ModelGeometry._finite_at``), where H' is too.
     """
     _positive("r0", r0, BarrierError)
     l0 = _integer("l0", l0, MIN_L0, BarrierError)
     rmax = l0 * r0
+    if not model._finite_at(rmax):
+        raise BarrierError(
+            f"A = rho xi^(n-1) or its volume integral V overflows by the "
+            f"window's end l0 r0 = {rmax:g} (xi: {model.xi.kind}, rho: "
+            f"{model.rho.kind}): too large for this model in double "
+            f"precision")
     rs = rmax * np.geomspace(1e-6, 1.0, 1024)
     Hp = model.H_prime(rs)
     if not (Hp > 0).all():

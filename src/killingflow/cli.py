@@ -1,8 +1,10 @@
 """Command line harness.
 
 Subcommands: model-info, cmc, barrier, flow, exhaust, verify.
-Exit codes: 0 success, 1 a verification check failed, 2 usage or
-configuration error.  Reports go to stdout or --out.
+Exit codes: 0 success, 1 a check failed or a valid value lies outside
+what the model can represent, 2 a value that a rule of the library
+refuses, or another usage or configuration error.  Reports go to stdout
+or --out.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import sys
 import numpy as np
 
 from . import barriers, cmc, config, exhaustion, expr, flow
-from .geometry import (MODELS, GeometryError, ModelGeometry, euclidean_model,
-                       lower_ricci_bounds, named_model)
+from .geometry import (MODELS, GeometryError, ModelGeometry, _integer,
+                       _positive, euclidean_model, lower_ricci_bounds,
+                       named_model)
 from .quadrature import QuadratureError
 
 EXIT_OK = 0
@@ -108,24 +111,24 @@ def _cmd_barrier(args) -> int:
     checks = []
     constants = {}
 
-    # the supersolution owns the r0 rule; a value it rejects is bad input
+    # the supersolution owns the r0 rule and the boundary barrier the L and
+    # d0 rules (d0 < 1/L); a value they refuse is bad input
     try:
         sflow = barriers.SupersolutionFlow(model, r0)
+        bb = barriers.make_boundary_barrier(L=args.L, d0=args.d0)
     except barriers.BarrierError as exc:
         raise _UsageError(str(exc)) from None
     cap = barriers.c0_height_cap(model, r0, args.l0)
     constants["height_cap"] = cap
     rng = np.random.default_rng(args.seed)
-    worst = -math.inf
     Rmax = args.l0 * r0
-    t_cap = sflow.time_of(Rmax)
-    for R in sflow.R_of_t(rng.uniform(0.0, t_cap, 50)):
-        worst = max(worst, cmc.eval_vR(model, float(R), 0.0))
+    rims = sflow.R_of_t(rng.uniform(0.0, sflow.time_of(Rmax), 50))
+    worst = float(np.max(cmc._sample_rims(model, rims, np.array([0.0]),
+                                          model.quad_tol)))
     checks.append(_check("height_cap_dominates_supersolution", cap - worst,
                          cap - worst >= -1e-9))
     checks.append(_supersolution_check(model, r0, 1e-3))
 
-    bb = barriers.make_boundary_barrier(L=args.L, d0=args.d0)
     constants["boundary_A_coef"] = bb.A_coef
     constants["boundary_gradient_cap"] = bb.gradient_cap()
     checks.append(_boundary_identity_check(bb))
@@ -337,40 +340,24 @@ def _write_heatmap_svg(path: str, grid, u: np.ndarray) -> None:
 # dispatch
 
 
-def _finite(text: str) -> float:
-    """argparse type of the float options: a finite number, or a usage
-    error (exit 2)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
-
-
-def _at_least(minimum: int):
-    """argparse type of an integer option: an integer >= minimum, or a
-    usage error (exit 2) before any numerics run."""
-    kind = ("a nonnegative integer" if minimum == 0
-            else f"an integer >= {minimum}")
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = minimum - 1
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"not {kind}: {text!r}")
+def _owned(kind: type, rule, name: str, *minimum):
+    """argparse type of an option whose range is a rule of ``geometry``
+    that the library applies as it computes: the text read as kind, then
+    rule(name, value, *minimum), whose refusal exits 2 with the rule's own
+    message before any numerics run."""
+    def parse(text: str):
+        value = kind(text)
+        rule(name, value, *minimum, argparse.ArgumentTypeError)
         return value
 
+    parse.__name__ = kind.__name__      # "invalid int value: 'two'"
     return parse
 
 
 def _add_model_args(p) -> None:
     p.add_argument("--model", required=True, choices=tuple(MODELS))
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--kappa", type=_finite, default=1.0)
+    p.add_argument("--kappa", type=float, default=1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="killingflow",
         description="Mean curvature flow of Killing graphs: solver, "
                     "barriers and estimate verification")
-    parser.add_argument("--seed", type=_at_least(0), default=0,
+    parser.add_argument("--seed", type=_owned(int, _integer, "seed", 0),
+                        default=0,
                         help="seed for randomized sampling (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -388,17 +376,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cmc", help="radial CMC profile as CSV r,v,vp")
     _add_model_args(p)
-    p.add_argument("--R", type=_finite, required=True)
-    p.add_argument("--grid", type=_at_least(cmc.MIN_GRID_SIZE), default=256)
+    p.add_argument("--R", type=_owned(float, _positive, "R"), required=True)
+    p.add_argument("--grid", type=_owned(int, _integer, "grid_size",
+                                         cmc.MIN_GRID_SIZE), default=256)
     p.add_argument("--out")
     p.add_argument("--svg")
 
     p = sub.add_parser("barrier", help="barrier constants and residuals")
     _add_model_args(p)
-    p.add_argument("--r0", type=_finite, default=1.0)
-    p.add_argument("--l0", type=_at_least(barriers.MIN_L0), default=3)
-    p.add_argument("--L", type=_finite, default=0.1)
-    p.add_argument("--d0", type=_finite, default=5.0)
+    p.add_argument("--r0", type=float, default=1.0)
+    p.add_argument("--l0", type=_owned(int, _integer, "l0", barriers.MIN_L0),
+                   default=3)
+    p.add_argument("--L", type=float, default=0.1)
+    p.add_argument("--d0", type=float, default=5.0)
     p.add_argument("--out")
 
     p = sub.add_parser("flow", help="solve a Dirichlet flow from a config")
@@ -406,16 +396,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="directory for the run: snapshots.npy "
                    "(u and W of each kept state), steps.npy (t, max|grad u| "
                    "and max|A| of each step) and manifest.json")
-    p.add_argument("--snapshot-every", type=_at_least(0), default=0)
+    p.add_argument("--snapshot-every",
+                   type=_owned(int, _integer, "snapshot_every", 0), default=0)
     p.add_argument("--svg")
 
     p = sub.add_parser("exhaust", help="ball exhaustion convergence report")
     _add_model_args(p)
-    p.add_argument("--r0", type=_finite, default=1.0)
-    p.add_argument("--rungs", type=_at_least(exhaustion.MIN_RUNGS),
-                   default=4)
+    p.add_argument("--r0", type=float, default=1.0)
+    p.add_argument("--rungs", type=int, default=4)
     p.add_argument("--phi", default="0.5*cos(theta)")
-    p.add_argument("--tol", type=_finite, default=1e-3)
+    p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="run the built-in check suite")

@@ -17,18 +17,18 @@ Python's expression syntax cut down to decimal numbers, unary minus,
 sqrt abs and min max.
 
 This module checks what a config file alone can break: sections, keys,
-number and expression syntax, a missing kind, check names, T > 0 and
-tol > 0.  Every other range is the rule of the constructor that takes
-the value (``geometry.named_model``, ``flow.Grid``, ``flow.StepControl``):
-parsing calls it and raises its message as a ConfigError, "[section]
-<message>", and a command exits 2.  Rules across sections (finite data on
+number and expression syntax, a missing kind, check names, and T and
+tol by the positive rule (``geometry._positive``).  Every other range is
+the rule of the constructor that takes the value
+(``geometry.named_model``, ``flow.Grid``, ``flow.StepControl``): parsing
+calls it and raises its message as a ConfigError, "[section] <message>",
+and a command exits 2.  Rules across sections (finite data on
 the grid, a grid that holds the model's n) are the solver's: exit 1.
 """
 
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -55,13 +55,10 @@ _KNOWN_CHECKS = ("cmc", "supersolution", "height", "identities", "barrier")
 
 def _as_float(section: str, key: str, raw: str) -> float:
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") \
             from None
-    if not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key}: not a finite number: {raw!r}")
-    return value
 
 
 def _as_int(section: str, key: str, raw: str) -> int:

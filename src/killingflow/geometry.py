@@ -234,10 +234,10 @@ def table_profile_from_csv(path) -> ProfileSpec:
 
 
 class _CumulativeIntegral:
-    """Cumulative integral F(r) of f from start, at a radius or an array.
+    """Cumulative integral F(r) of f from 0, at a radius or an array.
 
     ``f`` is vectorised.  F is kept on knots: the lattice
-    start + k * _panel and the ``breaks``, where f is not smooth (the radii
+    k * _panel and the ``breaks``, where f is not smooth (the radii
     of table profiles).  Knots are added on demand with one Gauss-Kronrod
     call over the new panels and a cumulative sum.  A query is then F at
     the knot below it plus one Gauss-Kronrod call over the gaps from those
@@ -253,22 +253,21 @@ class _CumulativeIntegral:
     _panel = 0.5
 
     def __init__(self, f: Callable[[np.ndarray], np.ndarray], tol: float,
-                 start: float = 0.0, breaks: Sequence[float] = ()):
+                 breaks: Sequence[float] = ()):
         self._f = f
         self._tol = tol
-        self._start = start
-        self._breaks = np.array([x for x in breaks if x > start], dtype=float)
-        self._knots = np.array([float(start)])
+        self._breaks = np.array([x for x in breaks if x > 0.0], dtype=float)
+        self._knots = np.zeros(1)
         self._F = np.zeros(1)
         self._rate = np.zeros(0)         # tolerance per unit width, per panel
 
     def _extend(self, top: float) -> None:
         """Add the knots up to the first lattice point beyond top."""
         last = self._knots[-1]
-        k = np.arange(round((last - self._start) / self._panel) + 1,
-                      math.floor((top - self._start) / self._panel) + 2)
-        end = self._start + self._panel * k[-1]
-        b = np.union1d(self._start + self._panel * k, self._breaks[
+        k = np.arange(round(last / self._panel) + 1,
+                      math.floor(top / self._panel) + 2)
+        end = self._panel * k[-1]
+        b = np.union1d(self._panel * k, self._breaks[
             (self._breaks > last) & (self._breaks < end)])
         a = np.concatenate(([last], b[:-1]))
         w = b - a
@@ -284,9 +283,9 @@ class _CumulativeIntegral:
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        if np.any(r < self._start):
-            raise GeometryError(f"radius below integral start {self._start}")
-        if np.max(r, initial=self._start) >= self._knots[-1]:
+        if np.any(r < 0.0):
+            raise GeometryError("negative radius")
+        if np.max(r, initial=0.0) >= self._knots[-1]:
             self._extend(float(np.max(r)))
         k = np.searchsorted(self._knots, r, side="right") - 1
         knot = self._knots[k]
@@ -311,11 +310,13 @@ class ModelGeometry:
                                       breaks=self.breaks)
         self._zeta = _CumulativeIntegral(self.xi.value, self.quad_tol,
                                          breaks=self.breaks)
+        self._rim_time = _CumulativeIntegral(
+            lambda r: self.V(r) / self.A(r), self.quad_tol,
+            breaks=self.breaks)
         # closed forms for the built-in profile pairs: the antiderivatives
-        # V and zeta, q_drop, H', the radial CMC height v_R(r) (cmc) and
-        # the antiderivative of V/A (the supersolution's rim time,
-        # barriers).  The quadrature paths stay as the general fallback
-        # (and as the oracle the closed forms are tested against)
+        # V, zeta and rim_time, q_drop, H' and the radial CMC height v_R(r)
+        # (cmc).  The quadrature paths stay as the general fallback (and as
+        # the oracle the closed forms are tested against)
         n = self.n
         self._V_closed = self._zeta_closed = self._q_drop_closed = None
         self._minus_q_prime_closed = None
@@ -409,6 +410,13 @@ class ModelGeometry:
     def zeta(self, r):
         """Antiderivative of xi; sizes parabolic cylinders."""
         return (self._zeta_closed or self._zeta)(
+            np.asarray(r, dtype=float))[()]
+
+    def rim_time(self, r):
+        """Integral of V/A from 0 to r: the time the expanding
+        supersolution's rim, moving at dR/dt = -nH(R) = A/V, takes to reach
+        r from the pole (``barriers.SupersolutionFlow``)."""
+        return (self._time_closed or self._rim_time)(
             np.asarray(r, dtype=float))[()]
 
     def q_drop(self, s: np.ndarray, R: float) -> np.ndarray:

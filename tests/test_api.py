@@ -3,16 +3,20 @@
 EXPORTS is every name ``import killingflow`` gives.  DEFAULTS maps every
 public function, class (its constructor) and method of the package's
 modules to its parameters that have a default: the values a caller may
-set or leave out, each one more case for the tests to cover.  A change
-that adds, removes or renames an export, an entry point or a defaulted
-parameter shows here as a one-line diff.
+set or leave out, each one more case for the tests to cover.
+CLI_OPTIONS maps every option of the command line, per subcommand, and
+CONFIG_KEYS every key of a config, per section, to its default.  A change
+that adds, removes or renames an export, an entry point, a defaulted
+parameter, an option or a config key shows here as a one-line diff.
 """
 
+import argparse
 import importlib
 import inspect
 import pkgutil
 
 import killingflow
+from killingflow import cli, config
 
 EXPORTS = (
     "AmbientFrameData",
@@ -172,6 +176,7 @@ DEFAULTS = {
     "geometry.ModelGeometry.log_rho_d1": (),
     "geometry.ModelGeometry.log_rho_d2": (),
     "geometry.ModelGeometry.q_drop": (),
+    "geometry.ModelGeometry.rim_time": (),
     "geometry.ModelGeometry.spec_dict": (),
     "geometry.ModelGeometry.zeta": (),
     "geometry.ProfileSpec": ("kappa", "const", "samples"),
@@ -200,6 +205,67 @@ DEFAULTS = {
 
 # the number of settable values: the sum of DEFAULTS' tuples
 SETTABLE = 35
+
+
+# (subcommand, option) -> default; "" is the top level, and None stands
+# for no default (a required or an unset option)
+CLI_OPTIONS = {
+    ("", "--seed"): 0,
+    ("model-info", "--model"): None,
+    ("model-info", "--n"): 2,
+    ("model-info", "--kappa"): 1.0,
+    ("model-info", "--out"): None,
+    ("cmc", "--model"): None,
+    ("cmc", "--n"): 2,
+    ("cmc", "--kappa"): 1.0,
+    ("cmc", "--R"): None,
+    ("cmc", "--grid"): 256,
+    ("cmc", "--out"): None,
+    ("cmc", "--svg"): None,
+    ("barrier", "--model"): None,
+    ("barrier", "--n"): 2,
+    ("barrier", "--kappa"): 1.0,
+    ("barrier", "--r0"): 1.0,
+    ("barrier", "--l0"): 3,
+    ("barrier", "--L"): 0.1,
+    ("barrier", "--d0"): 5.0,
+    ("barrier", "--out"): None,
+    ("flow", "--config"): None,
+    ("flow", "--out"): None,
+    ("flow", "--snapshot-every"): 0,
+    ("flow", "--svg"): None,
+    ("exhaust", "--model"): None,
+    ("exhaust", "--n"): 2,
+    ("exhaust", "--kappa"): 1.0,
+    ("exhaust", "--r0"): 1.0,
+    ("exhaust", "--rungs"): 4,
+    ("exhaust", "--phi"): "0.5*cos(theta)",
+    ("exhaust", "--tol"): 0.001,
+    ("exhaust", "--out"): None,
+    ("verify", "--all"): False,
+    ("verify", "--config"): None,
+    ("verify", "--out"): None,
+}
+
+# (section, key) -> default text of config._DEFAULTS; None for the
+# required [model] kind, "" for T, whose default is zeta(R)/2
+CONFIG_KEYS = {
+    ("model", "kind"): None,
+    ("model", "kappa"): "1.0",
+    ("model", "n"): "2",
+    ("model", "quad_tol"): "1e-10",
+    ("grid", "nr"): "64",
+    ("grid", "ntheta"): "16",
+    ("grid", "R"): "1.0",
+    ("control", "scheme"): "semi-implicit",
+    ("control", "cfl"): "0.5",
+    ("control", "dt_max"): "1e-3",
+    ("problem", "phi"): "0",
+    ("problem", "u0"): "0",
+    ("problem", "T"): "",
+    ("verify", "checks"): "all",
+    ("verify", "tol"): "1e-3",
+}
 
 
 def _public_callables():
@@ -237,3 +303,23 @@ def test_parameters_with_defaults():
              for name, f in _public_callables()}
     assert found == DEFAULTS
     assert sum(map(len, found.values())) == SETTABLE
+
+
+def _options(command, parser):
+    for action in parser._actions:
+        if (action.option_strings
+                and not isinstance(action, argparse._HelpAction)):
+            yield (command, action.option_strings[-1]), action.default
+
+
+def test_cli_options_and_config_keys():
+    parser = cli.build_parser()
+    found = dict(_options("", parser))
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    for command, sub in commands.choices.items():
+        found.update(_options(command, sub))
+    assert found == CLI_OPTIONS
+    assert {(section, key): value
+            for section, keys in config._DEFAULTS.items()
+            for key, value in keys.items()} == CONFIG_KEYS

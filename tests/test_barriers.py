@@ -95,6 +95,31 @@ def test_rim_time_where_cosh_overflows(request, name, R_top):
             fl.R_of_t(late)
 
 
+def test_closed_rim_time_stops_its_bracket_at_the_overflow(hyp2):
+    # the doubling bracket of every model stops at the last radius where A
+    # and V are finite (355.585 on H2): t = 200 is refused there, with no
+    # Newton iteration, naming the first time of the grid past the
+    # overflow's time, 177.24
+    t = np.linspace(0.0, 200.0, 64)
+    first = t[t > SupersolutionFlow(hyp2, 1.0).time_of(355.58)][0]
+    assert f"{first:.6g}" == "177.778"
+    with pytest.raises(BarrierError, match=r"r = 355\.585 where A or V "
+                       r"overflows for t = 177\.778$"):
+        SupersolutionFlow(hyp2, 1.0).R_of_t(t)
+
+
+def test_height_cap_past_the_overflow_of_A(hyp2):
+    # the window (0, l0 r0] = (0, 600] reaches past r = 355, where
+    # sinh(r)^2 in H' overflows: the cap names the overflow instead, with
+    # no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BarrierError, match="overflows by the window's "
+                           "end l0 r0 = 600"):
+            c0_height_cap(hyp2, 200.0, 3)
+        assert c0_height_cap(hyp2, 100.0, 3) > 0.0
+
+
 def test_quadrature_rim_time_past_the_overflow_of_A(sinh2):
     # xi = sinh r, rho = 1 has no closed rim time, and R(t) is
     # 2 acosh(cosh(1/2) e^{t/2}).  The brackets for t = 700 and 720 double

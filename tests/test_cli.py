@@ -294,34 +294,38 @@ def test_usage_errors_exit_2(capsys):
     ("barrier", "hyperbolic", "--L"), ("barrier", "hyperbolic", "--d0"),
     ("model-info", "hyperbolic", "--kappa")])
 def test_non_finite_cli_numbers_exit_2(command, model, flag, bad, capsys):
-    # the float options are checked by argparse, before any numerics run
+    # the owner of each float option refuses nan and inf, with its message
+    message = {"--kappa": f"curvature scale kappa must be positive and "
+                          f"finite, got {bad}",
+               "--d0": f"need 0 < d0 < 1/L = 10.0, got d0={bad}"}.get(
+        flag, f"{flag[2:]} must be positive and finite, got {bad}")
     assert dispatch([command, "--model", model, f"{flag}={bad}"]) == 2
-    assert "not a finite number" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,message", [
     (["cmc", "--model", "euclidean", "--R", "1", "--grid=-3"],
-     "not an integer >= 16"),
+     "grid_size must be an integer >= 16, got -3"),
     (["cmc", "--model", "euclidean", "--R", "1", "--grid", "15"],
-     "not an integer >= 16"),
+     "grid_size must be an integer >= 16, got 15"),
     (["exhaust", "--model", "euclidean", "--rungs", "0"],
-     "not an integer >= 2"),
+     "count must be an integer >= 2, got 0"),
     (["exhaust", "--model", "euclidean", "--rungs", "1"],
-     "not an integer >= 2"),
-    (["barrier", "--model", "euclidean", "--l0=-1"], "not an integer >= 1"),
-    (["barrier", "--model", "euclidean", "--l0", "0"], "not an integer >= 1"),
+     "count must be an integer >= 2, got 1"),
+    (["barrier", "--model", "euclidean", "--l0=-1"],
+     "l0 must be an integer >= 1, got -1"),
+    (["barrier", "--model", "euclidean", "--l0", "0"],
+     "l0 must be an integer >= 1, got 0"),
     (["model-info", "--model", "euclidean", "--n", "0"],
      "dimension n must be an integer >= 2, got 0"),
     (["model-info", "--model", "euclidean", "--n", "1.5"],
      "invalid int value: '1.5'"),
     (["--seed=-1", "barrier", "--model", "euclidean"],
-     "not a nonnegative integer"),
+     "seed must be an integer >= 0, got -1"),
 ], ids=["grid-3", "grid15", "rungs0", "rungs1", "l0-1", "l0_0", "n0", "n1.5",
         "seed-1"])
 def test_bad_integer_options_exit_2(argv, message, capsys):
-    # each minimum is the one the library enforces: argparse checks it
-    # before any numerics run, except n >= 2, which is named_model's rule
-    # and reported as a usage error too
+    # each minimum is the library's rule, reported with its message
     assert dispatch(argv) == 2
     assert message in capsys.readouterr().err
 
@@ -332,7 +336,87 @@ def test_bad_snapshot_every_exits_2(tmp_path, every, capsys):
     cfg.write_text(FLOW_INI)
     assert dispatch(["flow", "--config", str(cfg),
                      f"--snapshot-every={every}"]) == 2
-    assert "not a nonnegative integer" in capsys.readouterr().err
+    assert ("invalid int value: 'two'" if every == "two"
+            else f"snapshot_every must be an integer >= 0, got {every}"
+            ) in capsys.readouterr().err
+
+
+_MODEL = ["--model", "euclidean"]
+_FLOATS = ("nan", "inf", "-inf", "0", "-1")
+_NOT_INTS = ("nan", "inf", "-inf")
+
+
+def _positive_message(name):
+    return lambda v: f"{name} must be positive and finite, got {float(v)}"
+
+
+def _integer_message(name, minimum):
+    def message(v):
+        if v in _NOT_INTS:
+            return f"invalid int value: '{v}'"
+        return f"{name} must be an integer >= {minimum}, got {v}"
+    return message
+
+
+# every numeric option of every subcommand: the command before it, the
+# option, the values its owner refuses (one below an integer minimum
+# included) and the owner's message for a value
+_OPTIONS = [
+    option
+    for cmd in (["model-info"], ["cmc", "--R", "1"], ["barrier"],
+                ["exhaust"])
+    for option in (
+        (cmd + _MODEL, "--kappa", _FLOATS,
+         _positive_message("curvature scale kappa")),
+        (cmd + _MODEL, "--n", _NOT_INTS + ("0", "-1", "1"),
+         _integer_message("dimension n", 2)))] + [
+    (["cmc"] + _MODEL, "--R", _FLOATS, _positive_message("R")),
+    (["cmc", "--R", "1"] + _MODEL, "--grid", _NOT_INTS + ("0", "-1", "15"),
+     _integer_message("grid_size", 16)),
+    (["barrier"] + _MODEL, "--r0", _FLOATS, _positive_message("r0")),
+    (["barrier"] + _MODEL, "--l0", _NOT_INTS + ("0", "-1"),
+     _integer_message("l0", 1)),
+    (["barrier"] + _MODEL, "--L", _FLOATS, _positive_message("L")),
+    (["barrier"] + _MODEL, "--d0", _FLOATS,
+     lambda v: f"need 0 < d0 < 1/L = 10.0, got d0={float(v)}"),
+    (["barrier", "--L", "0.1"] + _MODEL, "--d0", ("10",),
+     lambda v: f"need 0 < d0 < 1/L = 10.0, got d0={float(v)}"),
+    (["exhaust"] + _MODEL, "--r0", _FLOATS, _positive_message("r0")),
+    (["exhaust"] + _MODEL, "--tol", _FLOATS, _positive_message("tol")),
+    (["exhaust"] + _MODEL, "--rungs", _NOT_INTS + ("0", "-1", "1"),
+     _integer_message("count", 2)),
+    (["flow", "--config", "{cfg}"], "--snapshot-every", _NOT_INTS + ("-1",),
+     _integer_message("snapshot_every", 0)),
+    ([], "--seed", _NOT_INTS + ("-1",), _integer_message("seed", 0)),
+]
+
+
+@pytest.mark.parametrize("before,option,value,message", [
+    pytest.param(before, option, value, message(value),
+                 id=" ".join(before[:1] + [f"{option}={value}"]))
+    for before, option, values, message in _OPTIONS for value in values])
+def test_every_refused_option_value_exits_2_before_any_numerics(
+        tmp_path, monkeypatch, capsys, before, option, value, message):
+    # the rule that owns each option's range refuses the value with its
+    # own message, and the command exits 2 before any height, cap or step
+    # is computed
+    def computed(*args, **kwargs):
+        raise AssertionError("numerics ran")
+
+    for module, name in ((killingflow.cmc, "_rim_heights"),
+                         (killingflow.cmc, "_sample_rims"),
+                         (killingflow.barriers, "c0_height_cap"),
+                         (flow, "_advance")):
+        monkeypatch.setattr(module, name, computed)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(FLOW_INI)
+    argv = [str(cfg) if a == "{cfg}" else a for a in before]
+    argv += [f"{option}={value}"] if before else [
+        f"{option}={value}", "barrier"] + _MODEL
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_verify_all_and_config_exclude_each_other(tmp_path, capsys):

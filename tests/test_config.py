@@ -132,9 +132,16 @@ def test_nonpositive_time_and_tolerance_carry_the_positive_rule(section, key,
     ("control", "cfl"), ("control", "dt_max"), ("problem", "T"),
     ("verify", "tol")])
 def test_rejects_non_finite_numbers(section, key, value):
+    # the owner of each key refuses nan and inf; the config reports its
+    # message under the section's name
     header = "" if section == "model" else f"[{section}]\n"
-    with pytest.raises(ConfigError, match="not a finite number"):
+    with pytest.raises(ConfigError) as err:
         parse_config(MINIMAL + header + f"{key} = {value}\n")
+    message = {"kappa": f"curvature scale kappa must be positive and "
+                        f"finite, got {value}",
+               "cfl": "cfl must be in (0, 1]"}.get(
+        key, f"{key} must be positive and finite, got {value}")
+    assert str(err.value) == f"[{section}] {message}"
 
 
 def test_load_config_missing_file(tmp_path):

@@ -112,14 +112,15 @@ def test_hyperbolic_model_data(hyp2):
 
 @pytest.mark.parametrize("name", ["euclid2", "euclid3", "hyp2", "hyp3"])
 def test_cumulative_integrals_match_closed_forms(request, name):
-    # the quadrature fallbacks behind V, zeta and q_drop against the closed
-    # forms, to rounding; V and zeta on an unsorted array with repeats and
-    # on single radii give one value per radius, whatever else is asked
-    # alongside it
+    # the quadrature fallbacks behind V, zeta, rim_time and q_drop against
+    # the closed forms, to rounding; the integrals on an unsorted array
+    # with repeats and on single radii give one value per radius, whatever
+    # else is asked alongside it
     model = request.getfixturevalue(name)
     r = np.array([2.5, 0.0, 0.3, 1.7, 0.3, 5.2, 0.5, 12.0, 1.0])
     for cumulative, closed in ((model._V, model._V_closed),
-                               (model._zeta, model._zeta_closed)):
+                               (model._zeta, model._zeta_closed),
+                               (model._rim_time, model._time_closed)):
         exact = closed(r)
         np.testing.assert_allclose(cumulative(r), exact, rtol=1e-13,
                                    atol=0)
@@ -127,6 +128,7 @@ def test_cumulative_integrals_match_closed_forms(request, name):
     np.testing.assert_array_equal(model.V(r), [model.V(float(x)) for x in r])
     assert isinstance(model.V(1.0), float)
     assert isinstance(model.zeta(1.0), float)
+    assert isinstance(model.rim_time(1.0), float)
     # the drop of q = A/V below a rim R, integrated from R inward
     for R in (1.0, 2.0):
         s = R * (1.0 - np.array([1e-12, 1e-9, 1e-6, 1e-3, 5e-3, 0.3]))
